@@ -5,13 +5,12 @@
 //! cargo run -p qof-bench --release --bin harness            # all experiments
 //! cargo run -p qof-bench --release --bin harness -- e2 e4   # a subset
 //! cargo run -p qof-bench --release --bin harness -- --small e1 e3   # CI smoke
-//! cargo run -p qof-bench --release --bin harness -- --json out.json e11
+//! cargo run -p qof-bench --release --bin harness -- --json out.json e12
 //! ```
 //!
-//! Experiment ids: f2 f3 e1 … e12 a1 a2 (see DESIGN.md §4; e11 is the
-//! shard-parallel + subexpression-cache experiment, a1 the §5.2 sharing
-//! ablation, a2 the static-analyzer overhead on the check and query
-//! paths). `--small` shrinks every corpus to CI scale; `--json PATH`
+//! Experiment ids: f2 f3 e1 … e10 e12 e13 a1 … a5 (see DESIGN.md §4; a1 is
+//! the §5.2 sharing ablation, a2 the static-analyzer overhead on the check
+//! and query paths; e11 is retired). `--small` shrinks every corpus to CI scale; `--json PATH`
 //! overrides the default report path of `BENCH_harness.json`.
 
 use std::path::PathBuf;

@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use qof_core::baseline::BaselineMode;
 use qof_core::{
-    advise, certify, optimize, parse_query, AbsInterp, Direction, ExecOptions, FileDatabase,
-    InclusionExpr, Rig, SelectKind,
+    advise, certify, optimize, parse_query, AbsInterp, Direction, FileDatabase, InclusionExpr, Rig,
+    SelectKind,
 };
 use qof_corpus::{bibtex, logs};
 use qof_grammar::{render_tree, IndexSpec, Parser};
@@ -24,7 +24,7 @@ use crate::report::{ExperimentReport, Measurement};
 use crate::{
     bibtex_corpus, bibtex_full, bibtex_partial, fmt_secs, grep_scan, median_secs,
     multi_file_bibtex, sgml_full, time_baseline, time_query, CHANG_AUTHOR, CHANG_STAR,
-    EDITOR_IS_AUTHOR, PARALLEL_WORKLOAD,
+    EDITOR_IS_AUTHOR, MIXED_WORKLOAD,
 };
 
 /// How big a corpus each experiment builds.
@@ -87,7 +87,6 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("e8", "optimizer scaling with expression length (Theorem 3.6)"),
     ("e9", "choosing what to index: size vs time (§7)"),
     ("e10", "exact answers with partial indexing (§6.3)"),
-    ("e11", "sharded parallel execution and the subexpression cache"),
     ("e12", "query server under closed-loop load: latency from /metrics, log overhead"),
     ("e13", "persistent compressed index (.qofx): O(1) reopen vs rebuild"),
     ("a1", "ablation: common-subexpression sharing in boolean queries (§5.2)"),
@@ -121,7 +120,6 @@ pub fn run(id: &str, scale: Scale) -> Option<ExperimentReport> {
         "e8" => e8(scale, &mut r),
         "e9" => e9(scale, &mut r),
         "e10" => e10(scale, &mut r),
-        "e11" => e11(scale, &mut r),
         "e12" => e12(scale, &mut r),
         "e13" => e13(scale, &mut r),
         "a1" => a1(scale, &mut r),
@@ -570,126 +568,6 @@ fn e10(scale: Scale, r: &mut Recorder) {
     );
 }
 
-/// E11: the sharded parallel execution layer and the engine-level
-/// subexpression cache, on the E2/E6 workload (`query_many` batches).
-///
-/// Reports, per thread count, the batched wall-clock and its speedup over
-/// one thread, plus the cache hit rate of a repeated batch. Results are
-/// asserted byte-identical to sequential evaluation at every setting.
-fn e11(scale: Scale, r: &mut Recorder) {
-    banner("E11", "sharded parallel execution and the subexpression cache");
-    let (files, refs) = scale.pick((6, 40), (12, 400));
-    let corpus = multi_file_bibtex(files, refs);
-    let mut fdb = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
-    let batch: Vec<&str> = PARALLEL_WORKLOAD.to_vec();
-    println!("corpus: {files} files × {refs} refs; batch of {} queries", batch.len());
-
-    let run_batch = |fdb: &FileDatabase| {
-        let t = Instant::now();
-        let results = fdb.query_many(&batch);
-        (results, t.elapsed().as_secs_f64())
-    };
-    // Sequential, uncached baseline — also the correctness oracle.
-    fdb.set_exec_options(ExecOptions { threads: 1, cache: false });
-    let (baseline, _) = run_batch(&fdb);
-    let t1 = median_secs(3, || run_batch(&fdb).1);
-    r.rec("batch_secs_threads1", t1, "s");
-    println!("{:>9} | {:>10} | {:>7}", "threads", "batch", "speedup");
-    println!("{:>9} | {} | {:>6.2}x", 1, fmt_secs(t1), 1.0);
-
-    for threads in scale.pick(vec![2, 4], vec![2, 4, 8]) {
-        fdb.set_exec_options(ExecOptions { threads, cache: false });
-        let (results, _) = run_batch(&fdb);
-        for (a, b) in baseline.iter().zip(&results) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.regions, b.regions, "parallel execution changed a result");
-            assert_eq!(a.values, b.values, "parallel execution changed a value");
-        }
-        let tt = median_secs(3, || run_batch(&fdb).1);
-        r.rec(format!("batch_secs_threads{threads}"), tt, "s");
-        r.rec(format!("batch_speedup_threads{threads}"), t1 / tt.max(1e-12), "x");
-        println!("{:>9} | {} | {:>6.2}x", threads, fmt_secs(tt), t1 / tt.max(1e-12));
-    }
-
-    // Per-query sharding on the single heaviest query (E6's content join).
-    fdb.set_exec_options(ExecOptions { threads: 1, cache: false });
-    let tq1 = median_secs(3, || time_query(&fdb, EDITOR_IS_AUTHOR).1);
-    let seq = fdb.query(EDITOR_IS_AUTHOR).unwrap();
-    fdb.set_exec_options(ExecOptions { threads: 4, cache: false });
-    let par = fdb.query(EDITOR_IS_AUTHOR).unwrap();
-    assert_eq!(seq.regions, par.regions);
-    assert_eq!(seq.values, par.values);
-    let tq4 = median_secs(3, || time_query(&fdb, EDITOR_IS_AUTHOR).1);
-    r.rec("join_query_secs_threads1", tq1, "s");
-    r.rec("join_query_secs_threads4", tq4, "s");
-    r.rec("join_query_speedup_threads4", tq1 / tq4.max(1e-12), "x");
-    println!(
-        "single E6 join: {} (1 thread) vs {} (4 threads, sharded) = {:.2}x",
-        fmt_secs(tq1),
-        fmt_secs(tq4),
-        tq1 / tq4.max(1e-12)
-    );
-
-    // The §5.2 cache across a repeated batch: second pass is mostly hits.
-    fdb.set_exec_options(ExecOptions { threads: 1, cache: true });
-    fdb.clear_subexpr_cache();
-    let (warm, _) = run_batch(&fdb);
-    for (a, b) in baseline.iter().zip(&warm) {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-        assert_eq!(a.regions, b.regions, "cached execution changed a result");
-        assert_eq!(a.values, b.values, "cached execution changed a value");
-    }
-    let tc = median_secs(3, || run_batch(&fdb).1);
-    let stats = fdb.cache_stats();
-    r.rec("cached_batch_secs", tc, "s");
-    r.rec("cache_speedup", t1 / tc.max(1e-12), "x");
-    r.rec("cache_hit_rate", stats.hit_rate(), "ratio");
-    println!(
-        "cached repeat batch: {} = {:.2}x vs uncached; hit rate {:.1}% ({} entries)",
-        fmt_secs(tc),
-        t1 / tc.max(1e-12),
-        100.0 * stats.hit_rate(),
-        stats.entries
-    );
-    println!("(speedups depend on available cores; results are asserted identical throughout)");
-
-    // Trace-derived breakdown of the heaviest query: per-phase timings and
-    // this run's cache hit ratio, embedded into the report as a full
-    // `QueryTrace` document. Traced evaluation re-enters the same memoized
-    // engine, so the result must be byte-identical to the untraced run —
-    // asserted here instead of a speedup (tracing is pure overhead).
-    let untraced = fdb.query(EDITOR_IS_AUTHOR).unwrap();
-    let (traced, trace) = fdb.query_traced(EDITOR_IS_AUTHOR).unwrap();
-    assert_eq!(untraced.regions, traced.regions, "tracing changed a result");
-    assert_eq!(untraced.values, traced.values, "tracing changed a value");
-    r.rec("trace_cache_hit_rate", trace.cache_hit_rate(), "ratio");
-    r.rec("trace_total_secs", trace.total_nanos as f64 / 1e9, "s");
-    r.rec("trace_op_nodes", trace.op_node_count() as f64, "nodes");
-    for phase in &trace.phases {
-        r.rec(
-            format!("trace_phase_{}_secs", phase.name.replace('-', "_")),
-            phase.nanos as f64 / 1e9,
-            "s",
-        );
-    }
-    let t_untraced = median_secs(3, || time_query(&fdb, EDITOR_IS_AUTHOR).1);
-    let t_traced = median_secs(3, || {
-        let t = Instant::now();
-        std::hint::black_box(fdb.query_traced(EDITOR_IS_AUTHOR).unwrap());
-        t.elapsed().as_secs_f64()
-    });
-    r.rec("trace_overhead_ratio", t_traced / t_untraced.max(1e-12), "x");
-    println!(
-        "traced E6 join: {} phases, {} operator nodes, cache hit rate {:.1}%, \
-         tracing overhead {:.2}x",
-        trace.phases.len(),
-        trace.op_node_count(),
-        100.0 * trace.cache_hit_rate(),
-        t_traced / t_untraced.max(1e-12)
-    );
-    r.attach_trace(trace.to_json());
-}
-
 /// Reads quantile `q` (seconds) of a Prometheus histogram out of `/metrics`
 /// exposition text: smallest bucket upper bound whose cumulative count
 /// covers `q` of the total. Only unlabeled series match (`name_bucket{le=`),
@@ -721,9 +599,10 @@ fn prom_counter(metrics: &str, name: &str) -> u64 {
 }
 
 /// E12: the `qof serve` stack under closed-loop load — concurrent
-/// keep-alive HTTP clients posting the E11 workload (plus one malformed
+/// keep-alive HTTP clients posting the mixed workload (plus one malformed
 /// query each), with p50/p95 read back from `/metrics` the way a scraper
-/// would, the query log cross-checked line-for-line against
+/// would beside the p50 round trip the clients measured (the server-side
+/// histogram cannot see socket stalls), the query log cross-checked line-for-line against
 /// `qof_queries_total`, and the log's overhead measured by re-running the
 /// identical load with the log discarded.
 fn e12(scale: Scale, r: &mut Recorder) {
@@ -743,42 +622,49 @@ fn e12(scale: Scale, r: &mut Recorder) {
     let build_db = || {
         FileDatabase::build(multi_file_bibtex(files, refs), bibtex::schema(), IndexSpec::full())
             .expect("generated corpus indexes")
-            .with_exec_options(ExecOptions { threads: 1, cache: true })
     };
     // One closed-loop run: start a fresh server, drive it, return the
-    // handle (still serving) and the load's wall-clock seconds.
-    let run_load = |log: QueryLog| -> (ServerHandle, f64) {
+    // handle (still serving), the load's wall-clock seconds and every
+    // request's client-side round trip in seconds.
+    let run_load = |log: QueryLog| -> (ServerHandle, f64, Vec<f64>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
         let handle = serve(build_db(), listener, log, &ServerConfig::default()).expect("serve");
         let addr = handle.addr();
         let t = Instant::now();
-        std::thread::scope(|s| {
-            for c in 0..clients {
-                s.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    for i in 0..per_client {
-                        let (want, q) = if i == 0 {
-                            (400, "SELEC nope")
-                        } else {
-                            (200, PARALLEL_WORKLOAD[(c + i) % PARALLEL_WORKLOAD.len()])
-                        };
-                        let (status, body) = client.post("/query", q).expect("request");
-                        assert_eq!(status, want, "{body}");
-                    }
-                });
-            }
+        let rtts = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..clients)
+                .map(|c| {
+                    s.spawn(move || {
+                        let mut client = Client::connect(addr).expect("connect");
+                        let mut rtts = Vec::with_capacity(per_client);
+                        for i in 0..per_client {
+                            let (want, q) = if i == 0 {
+                                (400, "SELEC nope")
+                            } else {
+                                (200, MIXED_WORKLOAD[(c + i) % MIXED_WORKLOAD.len()])
+                            };
+                            let sent = Instant::now();
+                            let (status, body) = client.post("/query", q).expect("request");
+                            rtts.push(sent.elapsed().as_secs_f64());
+                            assert_eq!(status, want, "{body}");
+                        }
+                        rtts
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().expect("client does not panic")).collect()
         });
-        (handle, t.elapsed().as_secs_f64())
+        (handle, t.elapsed().as_secs_f64(), rtts)
     };
 
     // Pass 1: log discarded (the no-overhead baseline).
-    let (plain, t_plain) = run_load(QueryLog::discard());
+    let (plain, t_plain, _) = run_load(QueryLog::discard());
     plain.shutdown();
 
     // Pass 2: the same load with the query log on a real file.
     let log_path = std::env::temp_dir().join(format!("qof-e12-{}.log", std::process::id()));
     let file = std::fs::File::create(&log_path).expect("create query log");
-    let (handle, t_logged) = run_load(QueryLog::new(Box::new(file)));
+    let (handle, t_logged, mut rtts) = run_load(QueryLog::new(Box::new(file)));
 
     let total = (clients * per_client) as u64;
     let mut scraper = Client::connect(handle.addr()).expect("connect");
@@ -798,19 +684,24 @@ fn e12(scale: Scale, r: &mut Recorder) {
 
     let p50 = prom_histogram_quantile(&metrics, "qof_query_latency_seconds", 0.50);
     let p95 = prom_histogram_quantile(&metrics, "qof_query_latency_seconds", 0.95);
+    rtts.sort_by(f64::total_cmp);
+    let client_p50 = rtts[rtts.len() / 2];
     let overhead = t_logged / t_plain.max(1e-12);
     r.rec("requests", total as f64, "queries");
     r.rec("wall_secs_logged", t_logged, "s");
     r.rec("throughput_qps", total as f64 / t_logged.max(1e-12), "1/s");
     r.rec("p50_ms", p50 * 1e3, "ms");
     r.rec("p95_ms", p95 * 1e3, "ms");
+    r.rec("client_p50_ms", client_p50 * 1e3, "ms");
     r.rec("log_overhead_ratio", overhead, "x");
     println!(
-        "{total} requests in {} = {:.0} q/s; server-side p50 {} p95 {} (log₂ bucket bounds)",
+        "{total} requests in {} = {:.0} q/s; server-side p50 {} p95 {} (log₂ bucket bounds); \
+         client round-trip p50 {}",
         fmt_secs(t_logged),
         total as f64 / t_logged.max(1e-12),
         fmt_secs(p50),
         fmt_secs(p95),
+        fmt_secs(client_p50),
     );
     println!(
         "query log: {log_lines} lines (= qof_queries_total); overhead vs no log {overhead:.3}x"
@@ -874,7 +765,7 @@ fn e13(scale: Scale, r: &mut Recorder) {
     // backends; time them side by side while at it.
     let mut t_mem_total = 0.0;
     let mut t_qofx_total = 0.0;
-    for q in PARALLEL_WORKLOAD {
+    for q in MIXED_WORKLOAD {
         let (a, ta) = time_query(&mem, q);
         let (b, tb) = time_query(&qofx, q);
         assert_eq!(a.regions, b.regions, "regions differ on {q}");
@@ -884,9 +775,9 @@ fn e13(scale: Scale, r: &mut Recorder) {
         t_qofx_total += tb;
     }
     #[allow(clippy::cast_precision_loss)]
-    let t_mem_q = t_mem_total / PARALLEL_WORKLOAD.len() as f64;
+    let t_mem_q = t_mem_total / MIXED_WORKLOAD.len() as f64;
     #[allow(clippy::cast_precision_loss)]
-    let t_qofx_q = t_qofx_total / PARALLEL_WORKLOAD.len() as f64;
+    let t_qofx_q = t_qofx_total / MIXED_WORKLOAD.len() as f64;
 
     let index_bytes = file_bytes.saturating_sub(corpus_bytes);
     #[allow(clippy::cast_precision_loss)]
@@ -1225,8 +1116,6 @@ fn a5(scale: Scale, r: &mut Recorder) {
                     bytes: tr.bytes_touched,
                     plan_cache_hits: tr.plan_cache_hits,
                     plan_cache_misses: tr.plan_cache_misses,
-                    cache_hits: tr.cache_hits,
-                    cache_misses: tr.cache_misses,
                     error: false,
                     est_ratio: 1.0,
                     trace_id: tr.id,
@@ -1275,8 +1164,6 @@ fn a5(scale: Scale, r: &mut Recorder) {
                 bytes: 10,
                 plan_cache_hits: 1,
                 plan_cache_misses: 0,
-                cache_hits: 0,
-                cache_misses: 0,
                 error: false,
                 est_ratio: 1.0,
                 trace_id: fp,
@@ -1327,9 +1214,9 @@ mod tests {
             .find(|m| m.name.starts_with("estimate_sound_rate_"))
             .unwrap();
         assert!((sound.value - 1.0).abs() < f64::EPSILON, "intervals must be sound");
-        // The embedded trace is a v6 document with estimates.
+        // The embedded trace is a v7 document with estimates.
         let trace = report.trace_json.as_deref().unwrap();
-        assert!(trace.contains("\"schema_version\":6"), "{trace}");
+        assert!(trace.contains("\"schema_version\":7"), "{trace}");
         assert!(trace.contains("\"estimates\":["), "{trace}");
     }
 
@@ -1374,9 +1261,9 @@ mod tests {
         // sweep and its count bound contains the true count.
         let (hits, over) = (get("hot_shape_hits"), get("hot_shape_overcount"));
         assert!(hits - over <= 4096.0 && hits >= 4096.0 / 64.0, "hot shape bound");
-        // The embedded trace is a v6 document carrying the fingerprint.
+        // The embedded trace is a v7 document carrying the fingerprint.
         let trace = report.trace_json.as_deref().unwrap();
-        assert!(trace.contains("\"schema_version\":6"), "{trace}");
+        assert!(trace.contains("\"schema_version\":7"), "{trace}");
         assert!(trace.contains("\"fingerprint\":\""), "{trace}");
         assert!(trace.contains("\"bytes_touched\":"), "{trace}");
     }
@@ -1404,6 +1291,7 @@ mod tests {
         let mut dedup = ids.clone();
         dedup.dedup();
         assert_eq!(ids, dedup);
-        assert!(ids.contains(&"e11"));
+        assert!(ids.contains(&"e12"));
+        assert!(!ids.contains(&"e11"), "e11 is retired");
     }
 }

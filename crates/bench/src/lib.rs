@@ -33,10 +33,9 @@ pub const CHANG_STAR: &str = "SELECT r FROM References r WHERE r.*X.Last_Name = 
 pub const EDITOR_IS_AUTHOR: &str =
     "SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name";
 
-/// The E2/E6-style batch workload for the parallel-execution experiment:
-/// point lookups, a content join, and overlapping conditions so the
-/// subexpression cache has something to share.
-pub const PARALLEL_WORKLOAD: &[&str] = &[
+/// The E2/E6-style mixed workload of the serving and persistence
+/// experiments: point lookups, a content join, and overlapping conditions.
+pub const MIXED_WORKLOAD: &[&str] = &[
     CHANG_AUTHOR,
     EDITOR_IS_AUTHOR,
     "SELECT r FROM References r WHERE r.Year = \"1982\"",
@@ -54,8 +53,7 @@ pub fn bibtex_corpus(n: usize) -> Corpus {
 }
 
 /// A corpus of `files` BibTeX files (distinct seeds) with `refs` references
-/// each — the substrate of the shard-parallel experiment, where the corpus
-/// must be partitionable on file boundaries.
+/// each.
 pub fn multi_file_bibtex(files: usize, refs: usize) -> Corpus {
     let mut b = qof_text::CorpusBuilder::new();
     for i in 0..files {

@@ -8,10 +8,10 @@
 //!   "scale": "small",
 //!   "total_wall_secs": 1.25,
 //!   "experiments": [
-//!     { "id": "e11", "title": "…", "wall_secs": 0.42,
-//!       "trace": { "schema_version": 1, "query": "…", "phases": [], … },
+//!     { "id": "a4", "title": "…", "wall_secs": 0.42,
+//!       "trace": { "schema_version": 7, "query": "…", "phases": [], … },
 //!       "measurements": [
-//!         { "name": "batch_speedup_threads4", "value": 2.3, "unit": "x" }
+//!         { "name": "trace_overhead_ratio", "value": 1.1, "unit": "x" }
 //!       ] }
 //!   ]
 //! }
@@ -31,7 +31,8 @@
 //! traces' move to trace schema v5, which restructures every operator span
 //! (sink-assigned `span_id`, timeline `start_nanos` offsets on ops, phases
 //! and shards) — a consumer reading v4 must be span-aware; the `a4`
-//! observability experiment rode along as data.
+//! observability experiment rode along as data, and the retired `e11`
+//! experiment left the canonical order without a bump.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -50,7 +51,7 @@ pub struct Measurement {
 /// Everything one experiment run reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
-    /// Experiment id (`f2`, `e1` … `e11`, `a1`).
+    /// Experiment id (`f2`, `e1` … `e13`, `a1` … `a5`).
     pub id: &'static str,
     /// Human title, matching the harness banner.
     pub title: &'static str,
@@ -143,7 +144,7 @@ mod tests {
     #[test]
     fn renders_escaped_valid_json() {
         let reports = vec![ExperimentReport {
-            id: "e11",
+            id: "e12",
             title: "quote \" and slash \\",
             wall_secs: 0.5,
             measurements: vec![
@@ -178,7 +179,7 @@ mod tests {
     #[test]
     fn trace_block_embeds_verbatim() {
         let reports = vec![ExperimentReport {
-            id: "e11",
+            id: "e12",
             title: "t",
             wall_secs: 0.1,
             measurements: vec![],

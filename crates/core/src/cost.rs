@@ -108,8 +108,7 @@ struct NameStats {
 ///
 /// The `epoch` advances whenever the underlying index changes
 /// (`add_file`); consumers that memoize per-epoch results (the
-/// [`PlanCache`], the shared subexpression cache) must invalidate on a
-/// bump.
+/// [`PlanCache`]) must invalidate on a bump.
 #[derive(Debug, Default)]
 pub struct StatsStore {
     epoch: u64,
@@ -206,8 +205,7 @@ impl StatsStore {
     }
 
     /// Feeds one completed query trace back into the model: every operator
-    /// node's observed output cardinality (main engine and shards)
-    /// accumulates into the per-operator running means.
+    /// node's observed output cardinality accumulates into the per-operator running means.
     pub fn observe_trace(&self, trace: &QueryTrace) {
         fn walk(ops: &[OpTrace], obs: &mut CardObservations) {
             for op in ops {
@@ -218,9 +216,6 @@ impl StatsStore {
         {
             let mut obs = self.observations.lock().expect("stats observations poisoned");
             walk(&trace.ops, &mut obs);
-            for shard in &trace.shards {
-                walk(&shard.ops, &mut obs);
-            }
         }
         // The same observations again, keyed by the trace's fingerprint
         // (v6): hot shapes build their own calibration independent of the
@@ -238,9 +233,6 @@ impl StatsStore {
             }
             let obs = map.entry(trace.fingerprint).or_default();
             walk(&trace.ops, obs);
-            for shard in &trace.shards {
-                walk(&shard.ops, obs);
-            }
         }
     }
 

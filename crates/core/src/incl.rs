@@ -34,7 +34,7 @@ pub enum SelectKind {
     /// The region contains an occurrence of the word.
     Contains,
     /// The region is a word starting with the given prefix — PAT's lexical
-    /// search through the suffix array.
+    /// search, answered from the word-index vocabulary.
     Prefix,
 }
 

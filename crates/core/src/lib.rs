@@ -59,9 +59,7 @@ pub use analyze::{
 pub use cost::{
     CachedChain, CostEstimate, PlanCache, PlanCacheStats, StatsStore, DEFAULT_PLAN_CACHE_ENTRIES,
 };
-pub use exec::{
-    BuildError, ExecOptions, FileDatabase, QueryError, QueryResult, RunStats, TraceHook,
-};
+pub use exec::{BuildError, FileDatabase, QueryError, QueryResult, RunStats, TraceHook};
 pub use incl::{ChainOp, Direction, InclusionExpr, SelectKind};
 pub use optimizer::{
     is_trivially_empty, normal_forms, optimize, optimize_costed, Optimized, Rewrite, RewriteKind,
@@ -75,5 +73,5 @@ pub use residual::{
     CompiledPath,
 };
 pub use rig::{Rig, RigViolation};
-pub use trace::{CardEstimate, NodeFact, PhaseTrace, QueryTrace, ShardTrace, TRACE_SCHEMA_VERSION};
+pub use trace::{CardEstimate, NodeFact, PhaseTrace, QueryTrace, TRACE_SCHEMA_VERSION};
 pub use translate::{PathSpec, TranslateError};

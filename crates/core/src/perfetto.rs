@@ -7,15 +7,15 @@
 //!
 //! * each query is a *process* (`pid` = query id) named after its query
 //!   text via `process_name` metadata events;
-//! * executor phases render on thread 1 ("phases"), the main engine's
-//!   operator spans on thread 2 ("engine"), and each shard's spans on
-//!   thread 3+ — every source is a single-threaded span stack, so the
-//!   begin/end events of one thread always nest properly;
+//! * executor phases render on thread 1 ("phases") and the engine's
+//!   operator spans on thread 2 ("engine") — each is a single-threaded
+//!   span stack, so the begin/end events of one thread always nest
+//!   properly;
 //! * every span is a matched `B`/`E` duration-event pair (what the CI
 //!   validator checks), with operator attributes (span id, cardinalities,
-//!   bytes scanned, probes, cache source) in `args`;
+//!   bytes scanned, probes, memo source) in `args`;
 //! * timestamps are microseconds (the format's unit) on the query's own
-//!   timeline: schema v5 stamps every op, phase and shard with an offset
+//!   timeline: every op and phase carries an offset
 //!   from one shared origin, so no clock reconstruction happens here.
 //!
 //! [`traces_to_perfetto`] exports a whole serve window (the flight
@@ -29,10 +29,8 @@ use crate::trace::{esc, QueryTrace};
 
 /// Thread id carrying the executor phases.
 const TID_PHASES: u64 = 1;
-/// Thread id carrying the main (unscoped) engine's operator spans.
+/// Thread id carrying the engine's operator spans.
 const TID_ENGINE: u64 = 2;
-/// First thread id for shard workers (shard `i` gets `TID_SHARD0 + i`).
-const TID_SHARD0: u64 = 3;
 
 /// Nanosecond offset → the format's microsecond timestamp, exactly
 /// (`1234` ns → `"1.234"`), without routing through `f64`.
@@ -122,17 +120,6 @@ fn write_trace(out: &mut String, trace: &QueryTrace, first: bool) {
     metadata_event(out, pid, TID_PHASES, "thread_name", "phases");
     out.push(',');
     metadata_event(out, pid, TID_ENGINE, "thread_name", "engine");
-    for (i, shard) in trace.shards.iter().enumerate() {
-        out.push(',');
-        let tid = TID_SHARD0 + i as u64;
-        metadata_event(
-            out,
-            pid,
-            tid,
-            "thread_name",
-            &format!("shard {i} [{}, {})", shard.start, shard.end),
-        );
-    }
     // The whole query as one enclosing span on the phase thread, then the
     // phases back-to-back inside it.
     begin_end(out, pid, TID_PHASES, "query", "query", 0, trace.total_nanos, "", |out| {
@@ -152,12 +139,6 @@ fn write_trace(out: &mut String, trace: &QueryTrace, first: bool) {
     });
     for op in &trace.ops {
         op_events(out, pid, TID_ENGINE, op);
-    }
-    for (i, shard) in trace.shards.iter().enumerate() {
-        let tid = TID_SHARD0 + i as u64;
-        for op in &shard.ops {
-            op_events(out, pid, tid, op);
-        }
     }
 }
 
@@ -184,7 +165,7 @@ mod tests {
     use qof_pat::{CacheSource, TraceSink};
 
     use super::*;
-    use crate::trace::{PhaseTrace, ShardTrace};
+    use crate::trace::PhaseTrace;
 
     /// A trace whose spans were stamped by a real sink, so the intervals
     /// obey the nesting invariants the exporter relies on.
@@ -196,7 +177,7 @@ mod tests {
         sink.leaf(OpTrace {
             op: "σ".into(),
             detail: "\"1982\"".into(),
-            source: CacheSource::SharedCache,
+            source: CacheSource::LocalMemo,
             ..OpTrace::default()
         });
         sink.exit(OpTrace { op: "⊃".into(), output: 1, ..OpTrace::default() });
@@ -209,13 +190,6 @@ mod tests {
                 PhaseTrace { name: "index-candidates".into(), start_nanos: 0, nanos: end },
                 PhaseTrace { name: "projection".into(), start_nanos: end, nanos: 10 },
             ],
-            shards: vec![ShardTrace {
-                start: 0,
-                end: 512,
-                start_nanos: 0,
-                nanos: end,
-                ops: ops.clone(),
-            }],
             ops,
             total_nanos: end + 10,
             ..QueryTrace::default()
@@ -261,24 +235,23 @@ mod tests {
         let doc = Json::parse(&json).expect("export parses");
         let obj = doc.as_obj().unwrap();
         let events = get_arr(obj, "traceEvents").unwrap();
-        // Metadata: process name + 3 thread names (phases, engine, shard).
+        // Metadata: process name + 2 thread names (phases, engine).
         let metas: Vec<_> =
             events.iter().filter(|e| get_str(e.as_obj().unwrap(), "ph").unwrap() == "M").collect();
-        assert_eq!(metas.len(), 4, "{json}");
+        assert_eq!(metas.len(), 3, "{json}");
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("query 7: SELECT r"));
-        assert!(json.contains("shard 0 [0, 512)"));
-        // Span events: query + 2 phases + 3 ops on the engine thread + 3
-        // on the shard thread, each a B/E pair.
+        // Span events: query + 2 phases + 3 ops on the engine thread, each
+        // a B/E pair.
         let begins =
             events.iter().filter(|e| get_str(e.as_obj().unwrap(), "ph").unwrap() == "B").count();
         let ends =
             events.iter().filter(|e| get_str(e.as_obj().unwrap(), "ph").unwrap() == "E").count();
-        assert_eq!(begins, 9, "{json}");
+        assert_eq!(begins, 6, "{json}");
         assert_eq!(begins, ends);
         check_matched_pairs(events);
         // Operator attributes ride along.
-        assert!(json.contains("\"source\":\"shared\""), "{json}");
+        assert!(json.contains("\"source\":\"memo\""), "{json}");
         assert!(json.contains("\"name\":\"σ \\\"1982\\\"\""), "{json}");
     }
 

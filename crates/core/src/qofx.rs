@@ -4,9 +4,7 @@
 //! can be written to a single `.qofx` file and reopened later without
 //! re-parsing or re-tokenizing anything — the server's O(1)-start path.
 //! The file carries everything the build phase produced *except* the
-//! structuring schema (supplied by name at open, exactly as at build) and
-//! the optional suffix array (cheap to rebuild relative to its size on
-//! disk):
+//! structuring schema (supplied by name at open, exactly as at build):
 //!
 //! ```text
 //! offset  size  field

@@ -1,9 +1,8 @@
 //! `EXPLAIN ANALYZE` for the whole pipeline: a [`QueryTrace`] records what
 //! one query run actually did — the plan, the optimizer rewrites that fired
 //! (tagged with the licensing proposition: 3.3, 3.5(a), 3.5(b)), per-phase
-//! wall times, per-shard phase-1 work for the parallel path, and the
-//! operator tree from the engine ([`OpTrace`]) with timings, cardinalities
-//! and cache outcomes.
+//! wall times, and the operator tree from the engine ([`OpTrace`]) with
+//! timings, cardinalities and memo outcomes.
 //!
 //! Two renderers live here: [`QueryTrace::render`], the rustc-style pretty
 //! tree behind `qof query --explain-analyze`, and
@@ -14,7 +13,6 @@ use std::fmt::Write as _;
 
 use qof_pat::json::{get_arr, get_bool, get_str, get_str_arr, get_u64, opt_u64, Json};
 use qof_pat::{CacheSource, OpTrace};
-use qof_text::Pos;
 
 use crate::plan::PlanRewrite;
 
@@ -31,15 +29,17 @@ use crate::plan::PlanRewrite;
 /// recording how much planning work this run reused. v5 made the trace a
 /// true span tree: every op node carries `span_id` (unique in the trace)
 /// and `start_nanos` (its start offset on the query's shared monotonic
-/// timeline), and phases and shards carry `start_nanos` too — enough to
+/// timeline), and phases carry `start_nanos` too — enough to
 /// export the run as Chrome `trace_event` JSON
 /// ([`trace_to_perfetto`](crate::perfetto::trace_to_perfetto)). v6 added
 /// workload analytics: `fingerprint` (the plan's deterministic FNV-1a
 /// fingerprint, serialized as a fixed-width 16-hex string — the
 /// aggregation key of `GET /workload` and `qof qlog analyze`) and
 /// `bytes_touched` (parse-phase bytes scanned plus content bytes read).
-/// All earlier fields are unchanged.
-pub const TRACE_SCHEMA_VERSION: u64 = 6;
+/// v7 removed the shard-parallel index phase and the cross-query
+/// subexpression cache, and with them the `shards`, `cache_hits` and
+/// `cache_misses` keys; every other field is unchanged.
+pub const TRACE_SCHEMA_VERSION: u64 = 7;
 
 /// The abstract interpreter's verdict on one plan node (trace schema v3):
 /// a static domain, a cardinality interval and an emptiness fact, as
@@ -98,24 +98,6 @@ pub struct PhaseTrace {
     pub nanos: u64,
 }
 
-/// Phase-1 work of one shard of the parallel path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardTrace {
-    /// Start of the shard's corpus span.
-    pub start: Pos,
-    /// End of the shard's corpus span.
-    pub end: Pos,
-    /// Start offset of the shard's work on the query's timeline,
-    /// nanoseconds since execution began (schema v5). The shard's op
-    /// spans carry offsets on the same timeline — every sink of one query
-    /// shares the executor's origin instant.
-    pub start_nanos: u64,
-    /// The shard worker's wall time, nanoseconds.
-    pub nanos: u64,
-    /// Operator trace recorded by the shard's scoped engine.
-    pub ops: Vec<OpTrace>,
-}
-
 /// Everything one traced query run recorded, across optimizer, engine and
 /// executor.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -144,14 +126,8 @@ pub struct QueryTrace {
     pub estimates: Vec<CardEstimate>,
     /// Executor phases with wall times, in execution order.
     pub phases: Vec<PhaseTrace>,
-    /// Per-shard phase-1 traces (empty on the sequential path).
-    pub shards: Vec<ShardTrace>,
-    /// Operator trace of the main (unscoped) engine.
+    /// Operator trace of the engine.
     pub ops: Vec<OpTrace>,
-    /// Shared-cache hits during this run.
-    pub cache_hits: u64,
-    /// Shared-cache misses during this run.
-    pub cache_misses: u64,
     /// Plan-cache hits while planning this run (schema v4): lowered
     /// chains reused from a previous optimize-and-certify.
     pub plan_cache_hits: u64,
@@ -176,7 +152,6 @@ pub struct QueryTrace {
 #[derive(Debug, Default)]
 pub(crate) struct ExecTrace {
     pub(crate) phases: Vec<PhaseTrace>,
-    pub(crate) shards: Vec<ShardTrace>,
     pub(crate) ops: Vec<OpTrace>,
     /// Phase-1 candidate counts per range variable, in plan (FROM) order —
     /// the "actual" half of the v4 [`CardEstimate`]s.
@@ -184,24 +159,9 @@ pub(crate) struct ExecTrace {
 }
 
 impl QueryTrace {
-    /// Fraction of shared-cache lookups that hit during this run.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.cache_hits as f64 / total as f64
-            }
-        }
-    }
-
-    /// Total operator-trace nodes, main engine and shards together.
+    /// Total operator-trace nodes.
     pub fn op_node_count(&self) -> usize {
-        let main: usize = self.ops.iter().map(OpTrace::node_count).sum();
-        let sharded: usize = self.shards.iter().flat_map(|s| &s.ops).map(OpTrace::node_count).sum();
-        main + sharded
+        self.ops.iter().map(OpTrace::node_count).sum()
     }
 
     /// The rustc-style pretty tree shown by `qof query --explain-analyze`.
@@ -268,30 +228,9 @@ impl QueryTrace {
         for ph in &self.phases {
             let _ = writeln!(out, "  {:<18} {:>10}", ph.name, fmt_nanos(ph.nanos));
         }
-        if !self.shards.is_empty() {
-            let _ = writeln!(out, "shards (phase 1):");
-            for sh in &self.shards {
-                let nodes: usize = sh.ops.iter().map(OpTrace::node_count).sum();
-                let _ = writeln!(
-                    out,
-                    "  [{}, {})  {:>10}  {} operator nodes",
-                    sh.start,
-                    sh.end,
-                    fmt_nanos(sh.nanos),
-                    nodes
-                );
-            }
-        }
         let _ = writeln!(out, "operators:");
-        let roots: Vec<&OpTrace> = if self.ops.is_empty() && !self.shards.is_empty() {
-            // Sequential ops are empty on the fully sharded path: show the
-            // first shard's tree as the representative operator breakdown.
-            self.shards[0].ops.iter().collect()
-        } else {
-            self.ops.iter().collect()
-        };
-        for (i, root) in roots.iter().enumerate() {
-            render_op(root, "  ", i + 1 == roots.len(), &mut out);
+        for (i, root) in self.ops.iter().enumerate() {
+            render_op(root, "  ", i + 1 == self.ops.len(), &mut out);
         }
         let plan_cache = if self.plan_cache_hits + self.plan_cache_misses > 0 {
             format!(
@@ -304,12 +243,10 @@ impl QueryTrace {
         };
         let _ = writeln!(
             out,
-            "totals: {} candidates, {} results [{}], cache {}/{} hits{plan_cache}, {}",
+            "totals: {} candidates, {} results [{}]{plan_cache}, {}",
             self.candidates,
             self.results,
             if self.exact_index { "exact" } else { "candidates" },
-            self.cache_hits,
-            self.cache_hits + self.cache_misses,
             fmt_nanos(self.total_nanos)
         );
         out
@@ -393,23 +330,8 @@ impl QueryTrace {
                 ph.nanos
             );
         }
-        s.push_str("],\"shards\":[");
-        for (i, sh) in self.shards.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"start\":{},\"end\":{},\"start_nanos\":{},\"nanos\":{},\"ops\":",
-                sh.start, sh.end, sh.start_nanos, sh.nanos
-            );
-            ops_to_json(&sh.ops, &mut s);
-            s.push('}');
-        }
         s.push_str("],\"ops\":");
         ops_to_json(&self.ops, &mut s);
-        let _ =
-            write!(s, ",\"cache_hits\":{},\"cache_misses\":{}", self.cache_hits, self.cache_misses);
         let _ = write!(
             s,
             ",\"plan_cache_hits\":{},\"plan_cache_misses\":{}",
@@ -485,19 +407,6 @@ impl QueryTrace {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let shards = get_arr(obj, "shards")?
-            .iter()
-            .map(|v| {
-                let o = v.as_obj().ok_or("shard is not an object")?;
-                Ok(ShardTrace {
-                    start: pos_from(get_u64(o, "start")?)?,
-                    end: pos_from(get_u64(o, "end")?)?,
-                    start_nanos: get_u64(o, "start_nanos")?,
-                    nanos: get_u64(o, "nanos")?,
-                    ops: ops_from_json(get_arr(o, "ops")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         let fingerprint_hex = get_str(obj, "fingerprint")?;
         let fingerprint = u64::from_str_radix(&fingerprint_hex, 16)
             .map_err(|_| format!("fingerprint `{fingerprint_hex}` is not a hex u64"))?;
@@ -510,10 +419,7 @@ impl QueryTrace {
             facts,
             estimates,
             phases,
-            shards,
             ops: ops_from_json(get_arr(obj, "ops")?)?,
-            cache_hits: get_u64(obj, "cache_hits")?,
-            cache_misses: get_u64(obj, "cache_misses")?,
             plan_cache_hits: get_u64(obj, "plan_cache_hits")?,
             plan_cache_misses: get_u64(obj, "plan_cache_misses")?,
             total_nanos: get_u64(obj, "total_nanos")?,
@@ -523,10 +429,6 @@ impl QueryTrace {
             exact_index: get_bool(obj, "exact_index")?,
         })
     }
-}
-
-fn pos_from(n: u64) -> Result<Pos, String> {
-    Pos::try_from(n).map_err(|_| format!("position {n} out of range"))
 }
 
 fn usize_from(n: u64) -> Result<usize, String> {
@@ -551,7 +453,6 @@ fn render_op(node: &OpTrace, prefix: &str, is_last: bool, out: &mut String) {
     match node.source {
         CacheSource::Computed => {}
         CacheSource::LocalMemo => line.push_str("  (memo hit)"),
-        CacheSource::SharedCache => line.push_str("  (shared-cache hit)"),
     }
     let _ = writeln!(out, "{prefix}{branch}{line}");
     let child_prefix = format!("{prefix}{}", if is_last { "   " } else { "│  " });
@@ -720,16 +621,7 @@ mod tests {
                 PhaseTrace { name: "index-candidates".into(), start_nanos: 0, nanos: 1_500 },
                 PhaseTrace { name: "projection".into(), start_nanos: 1_500, nanos: 2_000_000 },
             ],
-            shards: vec![ShardTrace {
-                start: 0,
-                end: 512,
-                start_nanos: 40,
-                nanos: 700,
-                ops: vec![root.clone()],
-            }],
             ops: vec![root],
-            cache_hits: 3,
-            cache_misses: 1,
             plan_cache_hits: 2,
             plan_cache_misses: 1,
             total_nanos: 2_100_000,
@@ -754,7 +646,7 @@ mod tests {
 
     #[test]
     fn from_json_rejects_bad_versions_and_garbage() {
-        let json = sample().to_json().replace("\"schema_version\":6", "\"schema_version\":999");
+        let json = sample().to_json().replace("\"schema_version\":7", "\"schema_version\":999");
         assert!(QueryTrace::from_json(&json).unwrap_err().contains("schema version"));
         assert!(QueryTrace::from_json("{").is_err());
         assert!(QueryTrace::from_json("[]").is_err());
@@ -781,18 +673,15 @@ mod tests {
         assert!(text.contains("index-candidates"));
         assert!(text.contains("└─ ⊃  in=3 out=1"));
         assert!(text.contains("(memo hit)"));
-        assert!(text.contains("shards (phase 1):"));
         assert!(text.contains("plan cache 2/3 hits"));
         assert!(text.contains("totals: 5 candidates, 1 results [exact]"));
     }
 
     #[test]
-    fn cache_hit_rate_and_node_count() {
-        let t = sample();
-        assert!((t.cache_hit_rate() - 0.75).abs() < 1e-9);
-        // 3 nodes in the main tree + 3 in the shard copy.
-        assert_eq!(t.op_node_count(), 6);
-        assert!((QueryTrace { cache_hits: 0, cache_misses: 0, ..t }).cache_hit_rate().abs() < 1e-9);
+    fn op_node_count_covers_the_whole_tree() {
+        // The root plus its two children (one of them a memo hit).
+        assert_eq!(sample().op_node_count(), 3);
+        assert_eq!(QueryTrace::default().op_node_count(), 0);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use qof_text::{Corpus, Pos, Span, SuffixArray, WordLookup};
+use qof_text::{Corpus, Pos, WordLookup};
 
 use crate::{
     direct_included_in, direct_including, CacheSource, EvalStats, Instance, OpTrace, Region,
-    RegionExpr, RegionSet, SubexprCache, TraceSink, UniverseForest,
+    RegionExpr, RegionSet, TraceSink, UniverseForest,
 };
 
 /// Errors raised during evaluation.
@@ -39,83 +39,31 @@ impl std::error::Error for EvalError {}
 pub struct Engine<'a> {
     corpus: &'a Corpus,
     words: &'a dyn WordLookup,
-    suffix: Option<&'a SuffixArray>,
     instance: &'a Instance,
     universe: RegionSet,
     forest: UniverseForest,
     stats: RefCell<EvalStats>,
     share: std::cell::Cell<bool>,
-    /// When set, evaluation is restricted to this span of the corpus: name
-    /// sets, match points and the universe are filtered to it. Shard workers
-    /// use one scoped engine per file-aligned shard.
-    scope: Option<Span>,
-    /// Cross-query subexpression cache, shared by reference between engines
-    /// (batch workers, shard workers) over the same indexes.
-    shared: Option<&'a SubexprCache>,
     /// Operator trace sink. `None` (the default) keeps evaluation on the
     /// untraced hot path — the only cost is this branch.
     trace: Option<&'a TraceSink>,
 }
 
 impl<'a> Engine<'a> {
-    fn build(
-        corpus: &'a Corpus,
-        words: &'a dyn WordLookup,
-        instance: &'a Instance,
-        scope: Option<Span>,
-    ) -> Self {
-        let universe = match &scope {
-            None => instance.universe(),
-            Some(span) => instance.universe().within_span(span),
-        };
+    /// Builds an engine; the universe nesting forest is constructed once.
+    pub fn new(corpus: &'a Corpus, words: &'a dyn WordLookup, instance: &'a Instance) -> Self {
+        let universe = instance.universe();
         let forest = UniverseForest::build(&universe);
         Self {
             corpus,
             words,
-            suffix: None,
             instance,
             universe,
             forest,
             stats: RefCell::new(EvalStats::new()),
             share: std::cell::Cell::new(true),
-            scope,
-            shared: None,
             trace: None,
         }
-    }
-
-    /// Builds an engine; the universe nesting forest is constructed once.
-    pub fn new(corpus: &'a Corpus, words: &'a dyn WordLookup, instance: &'a Instance) -> Self {
-        Self::build(corpus, words, instance, None)
-    }
-
-    /// Builds an engine scoped to `span`: every name set, match-point set
-    /// and the universe are restricted to regions lying inside the span.
-    /// With file-aligned spans (regions and tokens never cross file
-    /// boundaries), concatenating scoped results over a partition of the
-    /// corpus reproduces the unscoped result exactly.
-    pub fn new_scoped(
-        corpus: &'a Corpus,
-        words: &'a dyn WordLookup,
-        instance: &'a Instance,
-        span: Span,
-    ) -> Self {
-        Self::build(corpus, words, instance, Some(span))
-    }
-
-    /// Attaches a shared subexpression cache. Lookups key on the engine's
-    /// scope plus the normalized expression, so scoped and unscoped engines
-    /// never alias. The caller must clear the cache when the corpus or the
-    /// instance changes.
-    pub fn with_shared_cache(mut self, cache: &'a SubexprCache) -> Self {
-        self.shared = Some(cache);
-        self
-    }
-
-    /// Attaches a PAT suffix array, enabling fast prefix match points.
-    pub fn with_suffix_array(mut self, sa: &'a SuffixArray) -> Self {
-        self.suffix = Some(sa);
-        self
     }
 
     /// Attaches an operator trace sink: every subsequent evaluation records
@@ -148,11 +96,6 @@ impl<'a> Engine<'a> {
         &self.forest
     }
 
-    /// The evaluation scope, when restricted (see [`Engine::new_scoped`]).
-    pub fn scope(&self) -> Option<&Span> {
-        self.scope.as_ref()
-    }
-
     /// Accumulated statistics since construction or the last reset.
     pub fn stats(&self) -> EvalStats {
         self.stats.borrow().clone()
@@ -163,27 +106,17 @@ impl<'a> Engine<'a> {
         *self.stats.borrow_mut() = EvalStats::new();
     }
 
-    /// Evaluates `expr`, sharing identical subexpressions. With a shared
-    /// cache attached, the expression is normalized first so commutative
-    /// spellings hit the same entries.
+    /// Evaluates `expr`, sharing identical subexpressions.
     pub fn eval(&self, expr: &RegionExpr) -> Result<RegionSet, EvalError> {
-        let mut cache = HashMap::new();
-        if self.shared.is_some() {
-            self.eval_memo(&expr.normalized(), &mut cache)
-        } else {
-            self.eval_memo(expr, &mut cache)
-        }
+        self.eval_memo(expr, &mut HashMap::new())
     }
 
-    /// Evaluates several expressions with a shared subexpression cache
-    /// (§5.2: "find common subexpressions … and evaluate them once").
+    /// Evaluates several expressions through one memo, so subexpressions
+    /// they share are evaluated once (§5.2: "find common subexpressions …
+    /// and evaluate them once").
     pub fn eval_all(&self, exprs: &[RegionExpr]) -> Result<Vec<RegionSet>, EvalError> {
         let mut cache = HashMap::new();
-        if self.shared.is_some() {
-            exprs.iter().map(|e| self.eval_memo(&e.normalized(), &mut cache)).collect()
-        } else {
-            exprs.iter().map(|e| self.eval_memo(e, &mut cache)).collect()
-        }
+        exprs.iter().map(|e| self.eval_memo(e, &mut cache)).collect()
     }
 
     /// Evaluates `expr` *without* common-subexpression sharing — the
@@ -208,64 +141,37 @@ impl<'a> Engine<'a> {
             if let Some(hit) = cache.get(expr) {
                 return Ok(hit.clone());
             }
-            // Name sets are direct instance lookups; caching them would
-            // only duplicate the instance, so the shared cache skips them.
-            if let Some(shared) = self.shared {
-                if !matches!(expr, RegionExpr::Name(_)) {
-                    if let Some(hit) = shared.get(self.scope.as_ref(), expr) {
-                        cache.insert(expr.clone(), hit.clone());
-                        return Ok(hit);
-                    }
-                }
-            }
         }
         let result = self.eval_uncached(expr, cache)?;
         if self.share.get() {
             cache.insert(expr.clone(), result.clone());
-            if let Some(shared) = self.shared {
-                if !matches!(expr, RegionExpr::Name(_)) {
-                    shared.insert(self.scope.as_ref(), expr.clone(), result.clone());
-                }
-            }
         }
         Ok(result)
     }
 
-    /// The traced twin of [`Engine::eval_memo`]: same memo/shared-cache
-    /// policy, but every operator application is timed and filed into the
-    /// sink — cache hits as childless leaves, computed nodes as spans whose
+    /// The traced twin of [`Engine::eval_memo`]: same memo policy, but
+    /// every operator application is timed and filed into the sink — memo
+    /// hits as childless leaves, computed nodes as spans whose
     /// children are the operand evaluations. Recursion re-enters
     /// `eval_memo`, which re-dispatches here, so the two paths cannot drift
-    /// in caching behaviour.
+    /// in memo behaviour.
     fn eval_traced(
         &self,
         expr: &RegionExpr,
         cache: &mut HashMap<RegionExpr, RegionSet>,
         sink: &TraceSink,
     ) -> Result<RegionSet, EvalError> {
-        let hit_leaf = |set: &RegionSet, source: CacheSource| {
-            let (op, detail) = op_parts(expr);
-            sink.leaf(OpTrace {
-                op: op.to_owned(),
-                detail,
-                output: set.len(),
-                source,
-                ..OpTrace::default()
-            });
-        };
         if self.share.get() {
             if let Some(hit) = cache.get(expr) {
-                hit_leaf(hit, CacheSource::LocalMemo);
+                let (op, detail) = op_parts(expr);
+                sink.leaf(OpTrace {
+                    op: op.to_owned(),
+                    detail,
+                    output: hit.len(),
+                    source: CacheSource::LocalMemo,
+                    ..OpTrace::default()
+                });
                 return Ok(hit.clone());
-            }
-            if let Some(shared) = self.shared {
-                if !matches!(expr, RegionExpr::Name(_)) {
-                    if let Some(hit) = shared.get(self.scope.as_ref(), expr) {
-                        hit_leaf(&hit, CacheSource::SharedCache);
-                        cache.insert(expr.clone(), hit.clone());
-                        return Ok(hit);
-                    }
-                }
             }
         }
         let (bytes0, probes0) = {
@@ -296,35 +202,8 @@ impl<'a> Engine<'a> {
         let result = result?;
         if self.share.get() {
             cache.insert(expr.clone(), result.clone());
-            if let Some(shared) = self.shared {
-                if !matches!(expr, RegionExpr::Name(_)) {
-                    shared.insert(self.scope.as_ref(), expr.clone(), result.clone());
-                }
-            }
         }
         Ok(result)
-    }
-
-    /// Narrows a sorted position list to the engine's scope.
-    fn in_scope<'p>(&self, positions: &'p [Pos]) -> &'p [Pos] {
-        match &self.scope {
-            None => positions,
-            Some(span) => {
-                let lo = positions.partition_point(|&p| p < span.start);
-                let hi = positions.partition_point(|&p| p < span.end);
-                &positions[lo..hi]
-            }
-        }
-    }
-
-    /// Applies the scope's end boundary to computed spans (a match starting
-    /// in scope could still extend past an arbitrary, non-file-aligned
-    /// scope end).
-    fn clip_to_scope(&self, set: RegionSet) -> RegionSet {
-        match &self.scope {
-            None => set,
-            Some(span) => set.within_span(span),
-        }
     }
 
     /// Occurrence spans of a constant, computed index-only. A constant that
@@ -353,14 +232,14 @@ impl<'a> Engine<'a> {
             return RegionSet::new();
         };
         if runs.len() == 1 && first_off == 0 && first.len() == w.len() {
-            let positions = self.in_scope(self.words.positions(w));
+            let positions = self.words.positions(w);
             self.stats.borrow_mut().record_word_probe(positions.len());
             let len = w.len() as Pos;
-            return self.clip_to_scope(RegionSet::from_sorted(
+            return RegionSet::from_sorted(
                 positions.iter().map(|&p| Region::new(p, p + len)).collect(),
-            ));
+            );
         }
-        let firsts = self.in_scope(self.words.positions(first));
+        let firsts = self.words.positions(first);
         // Fetch each later run's posting list once, outside the candidate
         // loop: `positions` re-folds its key per call, which used to cost an
         // allocation per candidate per run on case-folded indexes.
@@ -388,53 +267,27 @@ impl<'a> Engine<'a> {
         stats.record_word_probe(probes);
         stats.record_scan(verify_bytes);
         drop(stats);
-        self.clip_to_scope(RegionSet::from_regions(hits))
+        RegionSet::from_regions(hits)
     }
 
+    /// Prefix match points, found by scanning the word-index vocabulary;
+    /// each span covers the whole matching word.
     fn prefix_spans(&self, prefix: &str) -> RegionSet {
-        // With a suffix array, prefix search is a binary search; the span of
-        // each hit extends to the end of the word starting there. Without
-        // one, fall back to scanning the word-index vocabulary.
-        if let Some(sa) = self.suffix {
-            let mut hits = sa.prefix_positions(self.corpus, prefix);
-            if let Some(span) = &self.scope {
-                hits.retain(|&p| span.start <= p && p < span.end);
+        let mut spans = Vec::new();
+        let mut probes = 0usize;
+        self.words.for_each_word(&mut |word, positions| {
+            if word.starts_with(prefix) {
+                probes += positions.len();
+                let len = word.len() as Pos;
+                spans.extend(positions.iter().map(|&p| Region::new(p, p + len)));
             }
-            self.stats.borrow_mut().record_word_probe(hits.len());
-            let text = self.corpus.text().as_bytes();
-            let spans = hits
-                .into_iter()
-                .map(|p| {
-                    let mut e = p as usize;
-                    while e < text.len() && (text[e] as char).is_ascii_alphanumeric() {
-                        e += 1;
-                    }
-                    Region::new(p, e as Pos)
-                })
-                .collect();
-            self.clip_to_scope(RegionSet::from_regions(spans))
-        } else {
-            let mut spans = Vec::new();
-            let mut probes = 0usize;
-            self.words.for_each_word(&mut |word, positions| {
-                if word.starts_with(prefix) {
-                    let positions = self.in_scope(positions);
-                    probes += positions.len();
-                    let len = word.len() as Pos;
-                    spans.extend(positions.iter().map(|&p| Region::new(p, p + len)));
-                }
-            });
-            self.stats.borrow_mut().record_word_probe(probes);
-            self.clip_to_scope(RegionSet::from_regions(spans))
-        }
+        });
+        self.stats.borrow_mut().record_word_probe(probes);
+        RegionSet::from_regions(spans)
     }
 
     fn name_set(&self, n: &str) -> Result<RegionSet, EvalError> {
-        let set = self.instance.get(n).ok_or_else(|| EvalError::UnknownName(n.to_owned()))?;
-        Ok(match &self.scope {
-            None => set.clone(),
-            Some(span) => set.within_span(span),
-        })
+        self.instance.get(n).cloned().ok_or_else(|| EvalError::UnknownName(n.to_owned()))
     }
 
     fn eval_uncached(
@@ -841,17 +694,8 @@ mod tests {
         let (c, w, i) = fixture();
         let eng = Engine::new(&c, &w, &i);
         let s = eng.eval(&RegionExpr::prefix("Cor")).unwrap();
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn prefix_with_suffix_array() {
-        let (c, w, i) = fixture();
-        let sa = SuffixArray::build(&c, &Tokenizer::new());
-        let eng = Engine::new(&c, &w, &i).with_suffix_array(&sa);
-        let s = eng.eval(&RegionExpr::prefix("Cor")).unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.as_slice()[0], Region::new(26, 33));
+        // Each hit spans the whole matching word.
+        assert_eq!(s.as_slice(), &[Region::new(26, 33), Region::new(43, 50)]);
     }
 
     #[test]
@@ -905,83 +749,6 @@ mod tests {
         // n = 0 keeps everything.
         let e0 = RegionExpr::name("Reference").select_count_at_least("Corliss", 0);
         assert_eq!(eng.eval(&e0).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn scoped_engine_restricts_name_sets_and_words() {
-        let (c, w, i) = fixture();
-        // Scope to the second "reference" only.
-        let eng = Engine::new_scoped(&c, &w, &i, 34..52);
-        assert_eq!(eng.scope(), Some(&(34..52)));
-        let refs = eng.eval(&RegionExpr::name("Reference")).unwrap();
-        assert_eq!(refs.as_slice(), &[Region::new(34, 52)]);
-        let corliss = eng.eval(&RegionExpr::word("Corliss")).unwrap();
-        assert_eq!(corliss.as_slice(), &[Region::new(43, 50)]);
-        let prefix = eng.eval(&RegionExpr::prefix("Cor")).unwrap();
-        assert_eq!(prefix.as_slice(), &[Region::new(43, 50)]);
-    }
-
-    #[test]
-    fn scoped_shards_concatenate_to_global_result() {
-        let (c, w, i) = fixture();
-        let global = Engine::new(&c, &w, &i);
-        // Two spans partitioning the corpus between the references.
-        let shards = [0..34, 34..52];
-        let exprs = [
-            RegionExpr::name("Reference").including(
-                RegionExpr::name("Authors")
-                    .including(RegionExpr::name("Last_Name").select_eq("Corliss")),
-            ),
-            RegionExpr::name("Reference").union(RegionExpr::name("Last_Name")).innermost(),
-            RegionExpr::name("Authors").direct_including(RegionExpr::name("Last_Name")),
-            RegionExpr::name("Reference").select_count_at_least("Corliss", 1),
-        ];
-        for e in &exprs {
-            let want = global.eval(e).unwrap();
-            let parts: Vec<RegionSet> = shards
-                .iter()
-                .map(|s| Engine::new_scoped(&c, &w, &i, s.clone()).eval(e).unwrap())
-                .collect();
-            assert_eq!(RegionSet::concat(parts), want, "shard mismatch for {e}");
-        }
-    }
-
-    #[test]
-    fn shared_cache_serves_repeat_evaluations() {
-        let (c, w, i) = fixture();
-        let shared = crate::SubexprCache::new();
-        let e = RegionExpr::name("Reference")
-            .including(RegionExpr::name("Last_Name").select_eq("Chang"));
-        let first = {
-            let eng = Engine::new(&c, &w, &i).with_shared_cache(&shared);
-            eng.eval(&e).unwrap()
-        };
-        assert_eq!(shared.stats().hits, 0);
-        let eng = Engine::new(&c, &w, &i).with_shared_cache(&shared);
-        let second = eng.eval(&e).unwrap();
-        assert_eq!(first, second);
-        assert!(shared.stats().hits >= 1, "second evaluation must hit the cache");
-        // The whole expression was answered from the cache: no ⊃ ran.
-        assert_eq!(eng.stats().ops("⊃"), 0);
-    }
-
-    #[test]
-    fn shared_cache_results_match_uncached() {
-        let (c, w, i) = fixture();
-        let shared = crate::SubexprCache::new();
-        let exprs = [
-            RegionExpr::name("Last_Name").select_eq("Corliss"),
-            RegionExpr::name("Authors").union(RegionExpr::name("Editors")),
-            RegionExpr::name("Editors").union(RegionExpr::name("Authors")),
-        ];
-        for e in &exprs {
-            let plain = Engine::new(&c, &w, &i).eval(e).unwrap();
-            let cached = Engine::new(&c, &w, &i).with_shared_cache(&shared).eval(e).unwrap();
-            assert_eq!(plain, cached, "cache changed the result of {e}");
-        }
-        // The two commutative spellings share one entry.
-        let s = shared.stats();
-        assert!(s.hits >= 1, "B ∪ A must hit A ∪ B's entry, got {s:?}");
     }
 
     #[test]
@@ -1041,24 +808,6 @@ mod tests {
         assert_eq!(memo_hits, vec![("σ".to_owned(), 2)]);
         // One extra tree node (the memo leaf) relative to computed ops.
         assert_eq!(roots[0].node_count() as u64, eng.stats().total_ops() + 1);
-    }
-
-    #[test]
-    fn traced_shared_cache_hit_is_a_leaf() {
-        let (c, w, i) = fixture();
-        let shared = crate::SubexprCache::new();
-        let e = RegionExpr::name("Reference")
-            .including(RegionExpr::name("Last_Name").select_eq("Chang"));
-        let first = Engine::new(&c, &w, &i).with_shared_cache(&shared).eval(&e).unwrap();
-        let sink = TraceSink::new();
-        let eng = Engine::new(&c, &w, &i).with_shared_cache(&shared).with_trace(&sink);
-        let second = eng.eval(&e).unwrap();
-        assert_eq!(first, second);
-        let roots = sink.take();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].source, CacheSource::SharedCache);
-        assert_eq!(roots[0].output, second.len());
-        assert!(roots[0].children.is_empty());
     }
 
     #[test]

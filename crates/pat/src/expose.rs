@@ -22,7 +22,7 @@ use crate::trace::{Histogram, MetricsSnapshot};
 use crate::workload::WorkloadEntry;
 
 /// Version stamp of the `/metrics/history` JSON envelope.
-pub const HISTORY_SCHEMA_VERSION: u64 = 1;
+pub const HISTORY_SCHEMA_VERSION: u64 = 2;
 
 /// Escapes a Prometheus label value (`\`, `"`, newline).
 fn esc_label(s: &str) -> String {
@@ -93,16 +93,9 @@ fn histogram_series(out: &mut String, name: &str, labels: &str, h: &Histogram) {
 /// Renders the snapshot in the Prometheus text exposition format v0.0.4.
 pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    let counters: [(&str, &str, u64); 7] = [
+    let counters: [(&str, &str, u64); 4] = [
         ("qof_queries_total", "Queries executed (successes and failures).", snap.queries),
         ("qof_query_errors_total", "Queries that returned an error.", snap.query_errors),
-        ("qof_cache_hits_total", "Shared subexpression-cache hits.", snap.cache_hits),
-        ("qof_cache_misses_total", "Shared subexpression-cache misses.", snap.cache_misses),
-        (
-            "qof_cache_evictions_total",
-            "Shared subexpression-cache entries evicted by the entry/byte caps.",
-            snap.cache_evictions,
-        ),
         ("qof_plan_cache_hits_total", "Optimized-plan cache hits.", snap.plan_cache_hits),
         ("qof_plan_cache_misses_total", "Optimized-plan cache misses.", snap.plan_cache_misses),
     ];
@@ -169,13 +162,7 @@ fn histogram_json(h: &Histogram) -> String {
 /// served by `GET /metrics?format=json`.
 pub fn snapshot_to_json(snap: &MetricsSnapshot) -> String {
     let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"queries\":{},\"query_errors\":{},\"cache_hits\":{},\"cache_misses\":{}",
-        snap.queries, snap.query_errors, snap.cache_hits, snap.cache_misses
-    );
-    let _ = write!(out, ",\"cache_hit_rate\":{}", snap.cache_hit_rate());
-    let _ = write!(out, ",\"cache_evictions\":{}", snap.cache_evictions);
+    let _ = write!(out, "\"queries\":{},\"query_errors\":{}", snap.queries, snap.query_errors);
     let _ = write!(
         out,
         ",\"plan_cache_hits\":{},\"plan_cache_misses\":{}",
@@ -289,14 +276,11 @@ pub fn history_to_json(
         let _ = write!(
             out,
             "{{\"ts_ms\":{},\"dur_ms\":{},\"queries\":{},\"query_errors\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"plan_cache_hits\":{},\
-             \"plan_cache_misses\":{},\"latency\":{}}}",
+             \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"latency\":{}}}",
             s.ts_ms,
             s.dur_ms,
             s.queries,
             s.query_errors,
-            s.cache_hits,
-            s.cache_misses,
             s.plan_cache_hits,
             s.plan_cache_misses,
             histogram_json(&s.latency)
@@ -311,7 +295,7 @@ pub fn history_to_json(
 }
 
 /// Version stamp of the `GET /workload` JSON envelope.
-pub const WORKLOAD_SCHEMA_VERSION: u64 = 1;
+pub const WORKLOAD_SCHEMA_VERSION: u64 = 2;
 
 /// Serializes a workload-table snapshot as the `GET /workload` document,
 /// also printed by `qof stats --workload` and rebuilt offline by
@@ -331,7 +315,6 @@ pub fn workload_to_json(entries: &[WorkloadEntry], capacity: usize) -> String {
             "{{\"fingerprint\":\"{:016x}\",\"exemplar\":\"{}\",\"hits\":{},\
              \"overcount\":{},\"errors\":{},\"total_bytes\":{},\"max_bytes\":{},\
              \"plan_cache_hits\":{},\"plan_cache_misses\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\
              \"worst_est_ratio\":{},\"worst_est_trace\":{},\"latency\":{}}}",
             e.fingerprint,
             esc_json(&e.exemplar),
@@ -342,8 +325,6 @@ pub fn workload_to_json(entries: &[WorkloadEntry], capacity: usize) -> String {
             e.max_bytes,
             e.plan_cache_hits,
             e.plan_cache_misses,
-            e.cache_hits,
-            e.cache_misses,
             e.worst_est_ratio,
             e.worst_est_trace,
             histogram_json(&e.latency)
@@ -404,15 +385,13 @@ mod tests {
     use super::*;
     use crate::trace::MetricsRegistry;
 
-    /// A registry with a fully known content: 3 queries (1 error), cache
-    /// 2/1, two ops. Latencies land in known log₂ buckets.
+    /// A registry with a fully known content: 3 queries (1 error), plan
+    /// cache 2/1, two ops. Latencies land in known log₂ buckets.
     fn known_snapshot() -> MetricsSnapshot {
         let reg = MetricsRegistry::new();
         reg.record_query(1_000, true); // bucket [512, 1024) → le 1024ns
         reg.record_query(1_000, true);
         reg.record_query(1 << 20, false); // le 2^21 ns
-        reg.record_cache(2, 1);
-        reg.record_cache_evictions(5);
         reg.record_plan_cache(true);
         reg.record_plan_cache(true);
         reg.record_plan_cache(false);
@@ -432,15 +411,6 @@ qof_queries_total 3
 # HELP qof_query_errors_total Queries that returned an error.
 # TYPE qof_query_errors_total counter
 qof_query_errors_total 1
-# HELP qof_cache_hits_total Shared subexpression-cache hits.
-# TYPE qof_cache_hits_total counter
-qof_cache_hits_total 2
-# HELP qof_cache_misses_total Shared subexpression-cache misses.
-# TYPE qof_cache_misses_total counter
-qof_cache_misses_total 1
-# HELP qof_cache_evictions_total Shared subexpression-cache entries evicted by the entry/byte caps.
-# TYPE qof_cache_evictions_total counter
-qof_cache_evictions_total 5
 # HELP qof_plan_cache_hits_total Optimized-plan cache hits.
 # TYPE qof_plan_cache_hits_total counter
 qof_plan_cache_hits_total 2
@@ -505,8 +475,7 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
         let snap = known_snapshot();
         let json = snapshot_to_json(&snap);
         assert!(json.contains("\"queries\":3,\"query_errors\":1"));
-        assert!(json.contains("\"cache_hits\":2,\"cache_misses\":1"));
-        assert!(json.contains("\"cache_evictions\":5"));
+        assert!(!json.contains("\"cache_hits\""), "{json}");
         assert!(json.contains("\"plan_cache_hits\":2,\"plan_cache_misses\":1"), "{json}");
         assert!(json.contains("\"plan_cache_hit_rate\":0.6666666666666666"), "{json}");
         assert!(json.contains("\"index_bytes\":{\"qofx\":4096},\"corpus_bytes\":10000"), "{json}");
@@ -534,7 +503,7 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
         reg.record_history_sample(2_000);
         let samples = reg.history().samples(0, 2_000);
         let json = history_to_json(&samples, 60_000, 2_000, None);
-        assert!(json.contains("\"schema_version\":1"), "{json}");
+        assert!(json.contains("\"schema_version\":2"), "{json}");
         assert!(json.contains("\"now_ms\":2000,\"window_ms\":60000"), "{json}");
         assert!(json.contains("\"ts_ms\":1000,\"dur_ms\":0,\"queries\":1"), "{json}");
         assert!(json.contains("\"ts_ms\":2000,\"dur_ms\":1000,\"queries\":1"), "{json}");
@@ -560,15 +529,13 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
             bytes: 42,
             plan_cache_hits: 1,
             plan_cache_misses: 1,
-            cache_hits: 0,
-            cache_misses: 3,
             error: false,
             est_ratio: 2.5,
             trace_id: 9,
         });
         let snap = t.snapshot();
         let json = workload_to_json(&snap, t.capacity());
-        assert!(json.contains("\"schema_version\":1,\"capacity\":64"), "{json}");
+        assert!(json.contains("\"schema_version\":2,\"capacity\":64"), "{json}");
         assert!(json.contains("\"fingerprint\":\"000000000000abcd\""), "{json}");
         assert!(json.contains("\"hits\":1,\"overcount\":0,\"errors\":0"), "{json}");
         assert!(json.contains("\"total_bytes\":42,\"max_bytes\":42"), "{json}");

@@ -27,7 +27,7 @@ pub enum RegionExpr {
     /// Occurrence spans of a word (match points with extent).
     Word(String),
     /// Occurrence spans of every word starting with a prefix (PAT's lexical
-    /// search through the suffix array).
+    /// search, answered from the word-index vocabulary).
     Prefix(String),
     /// `e ∪ e`.
     Union(Box<RegionExpr>, Box<RegionExpr>),

@@ -39,10 +39,6 @@ pub struct HistorySample {
     pub queries: u64,
     /// Queries that errored during the interval.
     pub query_errors: u64,
-    /// Shared-cache hits during the interval.
-    pub cache_hits: u64,
-    /// Shared-cache misses during the interval.
-    pub cache_misses: u64,
     /// Plan-cache hits during the interval.
     pub plan_cache_hits: u64,
     /// Plan-cache misses during the interval.
@@ -64,10 +60,6 @@ pub struct HistoryWindow {
     pub queries: u64,
     /// Queries that errored in the window.
     pub query_errors: u64,
-    /// Shared-cache hits in the window.
-    pub cache_hits: u64,
-    /// Shared-cache misses in the window.
-    pub cache_misses: u64,
     /// Plan-cache hits in the window.
     pub plan_cache_hits: u64,
     /// Plan-cache misses in the window.
@@ -174,8 +166,6 @@ impl MetricsHistory {
                 dur_ms,
                 queries: snapshot.queries - base.queries,
                 query_errors: snapshot.query_errors.saturating_sub(base.query_errors),
-                cache_hits: snapshot.cache_hits.saturating_sub(base.cache_hits),
-                cache_misses: snapshot.cache_misses.saturating_sub(base.cache_misses),
                 plan_cache_hits: snapshot.plan_cache_hits.saturating_sub(base.plan_cache_hits),
                 plan_cache_misses: snapshot
                     .plan_cache_misses
@@ -189,8 +179,6 @@ impl MetricsHistory {
                 dur_ms,
                 queries: snapshot.queries,
                 query_errors: snapshot.query_errors,
-                cache_hits: snapshot.cache_hits,
-                cache_misses: snapshot.cache_misses,
                 plan_cache_hits: snapshot.plan_cache_hits,
                 plan_cache_misses: snapshot.plan_cache_misses,
                 latency: snapshot.query_latency.clone(),
@@ -221,8 +209,6 @@ impl MetricsHistory {
             agg.dur_ms += s.dur_ms;
             agg.queries += s.queries;
             agg.query_errors += s.query_errors;
-            agg.cache_hits += s.cache_hits;
-            agg.cache_misses += s.cache_misses;
             agg.plan_cache_hits += s.plan_cache_hits;
             agg.plan_cache_misses += s.plan_cache_misses;
             agg.latency.merge(&s.latency);

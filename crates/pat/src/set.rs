@@ -325,36 +325,6 @@ impl RegionSet {
         }
         RegionSet { regions: out }
     }
-
-    /// Concatenates per-shard results back into one set. The parts must be
-    /// span-disjoint and ordered — every region of part `k` precedes every
-    /// region of part `k+1` — which holds whenever shards partition the
-    /// corpus by file span, since regions never cross file boundaries.
-    /// Canonical order is debug-checked, making the merge a lossless O(n)
-    /// append.
-    pub fn concat(parts: impl IntoIterator<Item = RegionSet>) -> RegionSet {
-        let mut regions: Vec<Region> = Vec::new();
-        for part in parts {
-            debug_assert!(
-                regions.last().zip(part.regions.first()).is_none_or(|(a, b)| a < b),
-                "shard results out of order"
-            );
-            regions.extend_from_slice(&part.regions);
-        }
-        Self::from_sorted(regions)
-    }
-
-    /// Keeps the members whose span lies inside `span` (helper for scoped
-    /// indexing and file-restricted queries).
-    pub fn within_span(&self, span: &qof_text::Span) -> RegionSet {
-        let out = self
-            .regions
-            .iter()
-            .filter(|r| span.start <= r.start && r.end <= span.end)
-            .copied()
-            .collect();
-        RegionSet { regions: out }
-    }
 }
 
 /// Whether galloping beats the linear sweep for operand sizes
@@ -534,22 +504,6 @@ mod tests {
         // Nested regions: outer already covers inner.
         let t = rs(&[(0, 100), (10, 20)]);
         assert_eq!(t.covered_bytes(), 100);
-    }
-
-    #[test]
-    fn within_span_filters() {
-        let s = rs(&[(0, 5), (10, 20), (15, 18), (25, 40)]);
-        assert_eq!(s.within_span(&(10..20)), rs(&[(10, 20), (15, 18)]));
-    }
-
-    #[test]
-    fn concat_joins_disjoint_shard_results() {
-        let a = rs(&[(0, 5), (2, 4)]);
-        let b = rs(&[(10, 20), (12, 15)]);
-        let c = rs(&[(30, 31)]);
-        assert_eq!(RegionSet::concat([a.clone(), b.clone(), c.clone()]), a.union(&b).union(&c));
-        assert_eq!(RegionSet::concat([RegionSet::new(), a.clone(), RegionSet::new()]), a);
-        assert!(RegionSet::concat(std::iter::empty::<RegionSet>()).is_empty());
     }
 
     /// Regression: the strict-inclusion fallback used to scan `other`

@@ -6,12 +6,12 @@
 //!   engine, when a sink is attached ([`Engine::with_trace`]), records one
 //!   tree node per operator application: monotonic wall time, input/output
 //!   region-set cardinalities, text bytes scanned, word-index probes, and
-//!   whether the node was answered from the local memo or the shared
-//!   [`SubexprCache`](crate::SubexprCache). With no sink attached the hot
+//!   whether the node was answered from the per-`eval` memo. With no sink
+//!   attached the hot
 //!   path pays a single branch on an `Option` — nothing is allocated and
 //!   nothing is timed.
 //! * [`MetricsRegistry`] — process-wide counters and latency histograms
-//!   (queries executed, cache hit ratio, per-operator p50/p95), the
+//!   (queries executed, plan-cache hit ratio, per-operator p50/p95), the
 //!   substrate for `qof stats` and for future server work. Counters are
 //!   relaxed atomics; histograms use fixed log₂ buckets so recording never
 //!   allocates.
@@ -31,8 +31,6 @@ pub enum CacheSource {
     Computed,
     /// Served by the per-`eval` memo (§5.2 sharing within one expression).
     LocalMemo,
-    /// Served by the shared cross-query [`SubexprCache`](crate::SubexprCache).
-    SharedCache,
 }
 
 impl CacheSource {
@@ -41,7 +39,6 @@ impl CacheSource {
         match self {
             CacheSource::Computed => "computed",
             CacheSource::LocalMemo => "memo",
-            CacheSource::SharedCache => "shared",
         }
     }
 
@@ -50,7 +47,6 @@ impl CacheSource {
         Some(match s {
             "computed" => CacheSource::Computed,
             "memo" => CacheSource::LocalMemo,
-            "shared" => CacheSource::SharedCache,
             _ => return None,
         })
     }
@@ -61,14 +57,12 @@ impl CacheSource {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpTrace {
     /// Span id, unique within one trace. The sink assigns ids in `enter`
-    /// order starting from 1; when a query trace is assembled from several
-    /// sinks (main engine + shards) the assembler renumbers them so the
-    /// whole trace stays collision-free. 0 means "never stamped".
+    /// order starting from 1; the query-trace assembler renumbers them
+    /// pre-order. 0 means "never stamped".
     pub span_id: u64,
     /// Start of this span on the sink's monotonic timeline: nanoseconds
-    /// since the sink's origin instant. Spans recorded by sinks sharing an
-    /// origin (the executor hands one to every shard) are directly
-    /// comparable.
+    /// since the sink's origin instant, which the executor shares with its
+    /// phase stamps, so spans and phases are directly comparable.
     pub start_nanos: u64,
     /// Operator label: the algebra symbol (`⊃`, `σ`, `∪`, …) or the leaf
     /// kind (`name`, `word`, `prefix`), matching the keys of
@@ -89,7 +83,7 @@ pub struct OpTrace {
     pub probes: u64,
     /// Where the result came from.
     pub source: CacheSource,
-    /// Operand evaluations (empty for leaves and cache hits).
+    /// Operand evaluations (empty for leaves and memo hits).
     pub children: Vec<OpTrace>,
 }
 
@@ -149,9 +143,9 @@ impl OpTrace {
 /// `start_nanos`, `exit`/`exit_with` stamp the duration from the matching
 /// `enter`. Because the engine is single-threaded per sink, this makes the
 /// span-tree invariants true *by construction*: every child interval nests
-/// within its parent and sibling spans never overlap. Shard workers each
-/// attach their own sink; handing every sink the same origin instant
-/// ([`TraceSink::with_origin`]) puts all spans on one shared timeline.
+/// within its parent and sibling spans never overlap. Handing the sink the
+/// executor's origin instant ([`TraceSink::with_origin`]) puts its spans
+/// on the same timeline as the phase stamps.
 #[derive(Debug)]
 pub struct TraceSink {
     frames: RefCell<Vec<Vec<OpTrace>>>,
@@ -175,8 +169,8 @@ impl TraceSink {
     }
 
     /// An empty sink stamping spans relative to `origin` — the executor
-    /// hands one origin to the main engine's sink and every shard's sink
-    /// so all spans of one query share a timeline.
+    /// passes the origin of its phase stamps, so all spans of one query
+    /// share a timeline.
     pub fn with_origin(origin: Instant) -> Self {
         Self {
             frames: RefCell::new(vec![Vec::new()]),
@@ -227,9 +221,9 @@ impl TraceSink {
         self.file(node);
     }
 
-    /// Records a childless node (a cache hit or a leaf observed whole):
+    /// Records a childless node (a memo hit or a leaf observed whole):
     /// assigns an id and stamps its start at the current instant, keeping
-    /// the caller's duration (cache hits record 0 — a zero-width span).
+    /// the caller's duration (memo hits record 0 — a zero-width span).
     pub fn leaf(&self, mut node: OpTrace) {
         node.span_id = self.fresh_id();
         node.start_nanos = self.now_nanos();
@@ -421,9 +415,6 @@ impl Histogram {
 pub struct MetricsRegistry {
     queries: AtomicU64,
     query_errors: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
     query_latency: Mutex<Histogram>,
@@ -443,12 +434,6 @@ pub struct MetricsSnapshot {
     pub queries: u64,
     /// Queries that returned an error.
     pub query_errors: u64,
-    /// Shared-cache hits observed.
-    pub cache_hits: u64,
-    /// Shared-cache misses observed.
-    pub cache_misses: u64,
-    /// Shared-cache entries evicted to stay under the cache caps.
-    pub cache_evictions: u64,
     /// Optimized-plan cache hits (whole plans reused across requests).
     pub plan_cache_hits: u64,
     /// Optimized-plan cache misses (plans optimized and certified fresh).
@@ -466,19 +451,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Fraction of cache lookups that hit (0 when never consulted).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.cache_hits as f64 / total as f64
-            }
-        }
-    }
-
     /// Fraction of plan-cache lookups that hit (0 when never consulted).
     pub fn plan_cache_hit_rate(&self) -> f64 {
         let total = self.plan_cache_hits + self.plan_cache_misses;
@@ -524,17 +496,6 @@ impl MetricsRegistry {
             self.query_errors.fetch_add(1, Ordering::Relaxed);
         }
         self.query_latency.lock().expect("metrics lock poisoned").record(nanos);
-    }
-
-    /// Accumulates shared-cache hit/miss deltas.
-    pub fn record_cache(&self, hits: u64, misses: u64) {
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Accumulates a shared-cache eviction delta.
-    pub fn record_cache_evictions(&self, evictions: u64) {
-        self.cache_evictions.fetch_add(evictions, Ordering::Relaxed);
     }
 
     /// Publishes a database's index footprint: the resident bytes of its
@@ -608,9 +569,6 @@ impl MetricsRegistry {
         MetricsSnapshot {
             queries: self.queries.load(Ordering::Relaxed),
             query_errors: self.query_errors.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
             query_latency: self.query_latency.lock().expect("metrics lock poisoned").clone(),
@@ -624,9 +582,6 @@ impl MetricsRegistry {
     pub fn reset(&self) {
         self.queries.store(0, Ordering::Relaxed);
         self.query_errors.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_evictions.store(0, Ordering::Relaxed);
         self.plan_cache_hits.store(0, Ordering::Relaxed);
         self.plan_cache_misses.store(0, Ordering::Relaxed);
         *self.query_latency.lock().expect("metrics lock poisoned") = Histogram::new();
@@ -771,14 +726,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.record_query(1_000, true);
         reg.record_query(2_000, false);
-        reg.record_cache(3, 1);
         reg.record_op("⊃", 500);
         reg.record_op("⊃", 700);
         reg.record_op("σ", 80);
         let s = reg.snapshot();
         assert_eq!(s.queries, 2);
         assert_eq!(s.query_errors, 1);
-        assert!((s.cache_hit_rate() - 0.75).abs() < 1e-9);
         assert_eq!(s.op_latency["⊃"].count(), 2);
         assert_eq!(s.op_latency["σ"].count(), 1);
         assert_eq!(s.query_latency.count(), 2);
@@ -794,11 +747,11 @@ mod tests {
         let mut parent = node("⊃", 100);
         parent.children.push(node("name A", 30));
         let mut hit = node("σ", 20);
-        hit.source = CacheSource::SharedCache;
+        hit.source = CacheSource::LocalMemo;
         parent.children.push(hit);
         reg.record_op_trace(&[parent]);
         let s = reg.snapshot();
-        // ⊃ recorded with 100 − 30 − 20 = 50ns exclusive; σ (cache hit) not
+        // ⊃ recorded with 100 − 30 − 20 = 50ns exclusive; σ (memo hit) not
         // recorded at all.
         assert_eq!(s.op_latency["⊃"].count(), 1);
         assert!(!s.op_latency.contains_key("σ"));
@@ -806,24 +759,23 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_and_eviction_counters_flow_to_snapshot() {
+    fn plan_cache_counters_flow_to_snapshot() {
         let reg = MetricsRegistry::new();
         reg.record_plan_cache(false);
         reg.record_plan_cache(true);
         reg.record_plan_cache(true);
-        reg.record_cache_evictions(4);
         let s = reg.snapshot();
-        assert_eq!((s.plan_cache_hits, s.plan_cache_misses, s.cache_evictions), (2, 1, 4));
+        assert_eq!((s.plan_cache_hits, s.plan_cache_misses), (2, 1));
         assert!((s.plan_cache_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
         reg.reset();
         let s = reg.snapshot();
-        assert_eq!((s.plan_cache_hits, s.plan_cache_misses, s.cache_evictions), (0, 0, 0));
+        assert_eq!((s.plan_cache_hits, s.plan_cache_misses), (0, 0));
         assert!(s.plan_cache_hit_rate().abs() < 1e-9);
     }
 
     #[test]
     fn cache_source_labels_round_trip() {
-        for s in [CacheSource::Computed, CacheSource::LocalMemo, CacheSource::SharedCache] {
+        for s in [CacheSource::Computed, CacheSource::LocalMemo] {
             assert_eq!(CacheSource::from_label(s.label()), Some(s));
         }
         assert_eq!(CacheSource::from_label("nope"), None);

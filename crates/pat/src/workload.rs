@@ -59,10 +59,6 @@ pub struct WorkloadObs {
     pub plan_cache_hits: u64,
     /// Plan-cache misses this query scored.
     pub plan_cache_misses: u64,
-    /// Subexpression-cache hits this query scored.
-    pub cache_hits: u64,
-    /// Subexpression-cache misses this query scored.
-    pub cache_misses: u64,
     /// Whether the query failed.
     pub error: bool,
     /// Worst est-vs-actual cardinality ratio of this query (≥ 1.0 when
@@ -98,10 +94,6 @@ pub struct WorkloadEntry {
     pub plan_cache_hits: u64,
     /// Plan-cache misses.
     pub plan_cache_misses: u64,
-    /// Subexpression-cache hits.
-    pub cache_hits: u64,
-    /// Subexpression-cache misses.
-    pub cache_misses: u64,
     /// Worst est-vs-actual ratio seen (0.0 until a query carries
     /// estimates).
     pub worst_est_ratio: f64,
@@ -122,8 +114,6 @@ impl WorkloadEntry {
             max_bytes: 0,
             plan_cache_hits: 0,
             plan_cache_misses: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             worst_est_ratio: 0.0,
             worst_est_trace: 0,
         }
@@ -139,8 +129,6 @@ impl WorkloadEntry {
         self.max_bytes = self.max_bytes.max(obs.bytes);
         self.plan_cache_hits += obs.plan_cache_hits;
         self.plan_cache_misses += obs.plan_cache_misses;
-        self.cache_hits += obs.cache_hits;
-        self.cache_misses += obs.cache_misses;
         if obs.est_ratio > self.worst_est_ratio {
             self.worst_est_ratio = obs.est_ratio;
             self.worst_est_trace = obs.trace_id;
@@ -151,12 +139,6 @@ impl WorkloadEntry {
     #[must_use]
     pub fn plan_cache_hit_rate(&self) -> Option<f64> {
         rate(self.plan_cache_hits, self.plan_cache_misses)
-    }
-
-    /// Subexpression-cache hit rate, `None` before any lookup.
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        rate(self.cache_hits, self.cache_misses)
     }
 }
 
@@ -278,8 +260,6 @@ mod tests {
             bytes: 10,
             plan_cache_hits: 1,
             plan_cache_misses: 0,
-            cache_hits: 2,
-            cache_misses: 2,
             error: false,
             est_ratio: 1.5,
             trace_id: 7,
@@ -300,7 +280,6 @@ mod tests {
         assert_eq!(snap[0].total_bytes, 20);
         assert_eq!(snap[0].max_bytes, 10);
         assert_eq!(snap[0].plan_cache_hit_rate(), Some(1.0));
-        assert_eq!(snap[0].cache_hit_rate(), Some(0.5));
         assert_eq!(snap[1].hits, 1);
         assert_eq!(t.total_hits(), 3);
     }

@@ -2,7 +2,7 @@
 //! file and reopened on the compressed, file-paged backend must be
 //! *byte-identical* to the in-memory database it came from — same result
 //! regions, same materialized values, same exactness verdicts, same plans
-//! — over random corpora, schemas, index specs, and every E1–E11 query
+//! — over random corpora, schemas, index specs, and every E1–E10 query
 //! shape (selection, conjunction, disjunction, negation, join, star
 //! paths, projection). Also: corrupting any byte of the file must be
 //! rejected at open, never silently absorbed.
@@ -12,7 +12,7 @@ use qof::corpus::bibtex::{self, BibtexConfig};
 use qof::corpus::logs::{self, LogConfig};
 use qof::grammar::IndexSpec;
 use qof::text::{Corpus, CorpusBuilder};
-use qof::{ExecOptions, FileDatabase, QueryResult};
+use qof::{FileDatabase, QueryResult};
 
 /// A multi-file BibTeX corpus: `files` files with distinct seeds derived
 /// from `seed`, `refs` references each.
@@ -30,7 +30,7 @@ fn bibtex_corpus(files: usize, refs: usize, seed: u64) -> Corpus {
     b.build()
 }
 
-/// The E1–E11 expression shapes as concrete queries: plain selection,
+/// The E1–E10 expression shapes as concrete queries: plain selection,
 /// equality on different attributes, conjunction, disjunction, negation,
 /// value join, star path, projection, and a selective-word miss.
 fn bibtex_queries() -> Vec<&'static str> {
@@ -81,22 +81,16 @@ proptest! {
         seed in 0u64..4,
         files in 1usize..5,
         qi in 0usize..9,
-        threads in 1usize..4,
-        cache in proptest::bool::ANY,
     ) {
         let corpus = bibtex_corpus(files, 12, seed);
         let q = bibtex_queries()[qi];
-        let mem = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_exec_options(ExecOptions { threads, cache });
-        let path = scratch("shape", seed * 1000 + qi as u64 * 10 + threads as u64);
+        let mem = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
+        let path = scratch("shape", seed * 1000 + qi as u64 * 10 + files as u64);
         mem.persist(&path).unwrap();
-        let qofx = FileDatabase::open(&path, bibtex::schema())
-            .unwrap()
-            .with_exec_options(ExecOptions { threads, cache });
+        let qofx = FileDatabase::open(&path, bibtex::schema()).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(qofx.backend_label(), "qofx");
-        let ctx = format!("{q} (files={files}, threads={threads}, cache={cache})");
+        let ctx = format!("{q} (files={files})");
         let (ra, ta) = mem.query_traced(q).unwrap();
         let (rb, tb) = qofx.query_traced(q).unwrap();
         assert_same(&ra, &rb, &ctx)?;

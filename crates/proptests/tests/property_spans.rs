@@ -11,7 +11,7 @@ use qof::corpus::bibtex::{self, BibtexConfig};
 use qof::grammar::IndexSpec;
 use qof::pat::OpTrace;
 use qof::text::{Corpus, CorpusBuilder};
-use qof::{ExecOptions, FileDatabase, QueryTrace};
+use qof::{FileDatabase, QueryTrace};
 
 fn bibtex_corpus(files: usize, refs: usize, seed: u64) -> Corpus {
     let mut b = CorpusBuilder::new();
@@ -105,23 +105,9 @@ fn check_trace(trace: &QueryTrace, ctx: &str) -> Result<(), TestCaseError> {
     // Operator spans: nesting, sibling order, per-engine root order.
     check_nesting(&trace.ops, ctx)?;
     check_roots_sequential(&trace.ops, ctx)?;
-    for shard in &trace.shards {
-        check_nesting(&shard.ops, ctx)?;
-        check_roots_sequential(&shard.ops, ctx)?;
-        // A shard's op spans are stamped on the shared timeline and sit
-        // inside the shard's own window.
-        let end = shard.start_nanos + shard.nanos;
-        for op in &shard.ops {
-            prop_assert!(op.start_nanos >= shard.start_nanos, "shard op precedes shard: {ctx}");
-            prop_assert!(op.start_nanos + op.nanos <= end, "shard op escapes shard: {ctx}");
-        }
-    }
-    // Span ids: pre-order, unique, contiguous from 1 across main + shards.
+    // Span ids: pre-order, unique, contiguous from 1.
     let mut ids = Vec::new();
     collect_ids(&trace.ops, &mut ids);
-    for shard in &trace.shards {
-        collect_ids(&shard.ops, &mut ids);
-    }
     let expect: Vec<u64> = (1..=ids.len() as u64).collect();
     prop_assert_eq!(ids, expect, "span ids are a pre-order renumbering in {}", ctx);
     // Phases: in order, non-overlapping, inside the total window.
@@ -142,8 +128,7 @@ fn check_trace(trace: &QueryTrace, ctx: &str) -> Result<(), TestCaseError> {
     );
     // Every span ends inside the query's total wall time (total includes
     // parse + plan, which precede the execution timeline's origin).
-    let spans_end =
-        max_end(&trace.ops).max(trace.shards.iter().map(|s| s.start_nanos + s.nanos).max().unwrap_or(0));
+    let spans_end = max_end(&trace.ops);
     prop_assert!(
         spans_end <= trace.total_nanos,
         "span end {} exceeds total {} in {}",
@@ -157,36 +142,13 @@ fn check_trace(trace: &QueryTrace, ctx: &str) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sequential execution: every query's trace satisfies the span
-    /// invariants, with and without the subexpression cache.
+    /// Every query's trace satisfies the span invariants, on the
+    /// plan-cache miss path and again on the hit path.
     #[test]
-    fn sequential_traces_are_well_formed(
-        seed in 0u64..500,
-        refs in 4usize..16,
-        cache in any::<bool>(),
-    ) {
+    fn traces_are_well_formed(seed in 0u64..500, refs in 4usize..16) {
         let corpus = bibtex_corpus(2, refs, seed);
-        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_exec_options(ExecOptions { threads: 1, cache });
-        for q in queries() {
-            let (_, trace) = db.query_traced(q).unwrap();
-            check_trace(&trace, q)?;
-        }
-    }
-
-    /// Sharded execution: shard windows come back ordered and each shard's
-    /// spans hold the same invariants on the shared timeline.
-    #[test]
-    fn sharded_traces_are_well_formed(
-        seed in 0u64..500,
-        threads in 2usize..5,
-    ) {
-        let corpus = bibtex_corpus(4, 8, seed);
-        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_exec_options(ExecOptions { threads, cache: false });
-        for q in queries() {
+        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
+        for q in queries().into_iter().chain(queries()) {
             let (_, trace) = db.query_traced(q).unwrap();
             check_trace(&trace, q)?;
         }

@@ -25,8 +25,6 @@ fn obs(fp: u64) -> WorkloadObs {
         bytes: 8,
         plan_cache_hits: 0,
         plan_cache_misses: 1,
-        cache_hits: 0,
-        cache_misses: 0,
         error: false,
         est_ratio: 1.0,
         trace_id: fp,

@@ -130,8 +130,6 @@ fn fold_line(report: &mut QlogReport, line: &str) {
         bytes,
         plan_cache_hits: json::get_u64(obj, "plan_cache_hits").unwrap_or(0),
         plan_cache_misses: json::get_u64(obj, "plan_cache_misses").unwrap_or(0),
-        cache_hits: json::get_u64(obj, "cache_hits").unwrap_or(0),
-        cache_misses: json::get_u64(obj, "cache_misses").unwrap_or(0),
         error: false,
         // The qlog line does not carry cardinality estimates; the live
         // table's mis-estimation exemplar has no offline counterpart.
@@ -203,8 +201,8 @@ pub fn render_report(report: &QlogReport) -> String {
     let _ = writeln!(out, "top fingerprints ({}):", entries.len());
     let _ = writeln!(
         out,
-        "  {:<16} {:>6} {:>5} {:>9} {:>9} {:>6} {:>6}  exemplar",
-        "fingerprint", "hits", "err", "p50", "p95", "plan%", "cache%"
+        "  {:<16} {:>6} {:>5} {:>9} {:>9} {:>6}  exemplar",
+        "fingerprint", "hits", "err", "p50", "p95", "plan%"
     );
     for e in &entries {
         let s = e.latency.summary();
@@ -215,14 +213,13 @@ pub fn render_report(report: &QlogReport) -> String {
         }
         let _ = writeln!(
             out,
-            "  {:016x} {:>6} {:>5} {:>8.3}ms {:>8.3}ms {:>6} {:>6}  {}",
+            "  {:016x} {:>6} {:>5} {:>8.3}ms {:>8.3}ms {:>6}  {}",
             e.fingerprint,
             e.hits,
             e.errors,
             s.p50_nanos as f64 / 1e6,
             s.p95_nanos as f64 / 1e6,
             pct(e.plan_cache_hit_rate()),
-            pct(e.cache_hit_rate()),
             exemplar
         );
     }
@@ -284,8 +281,6 @@ mod tests {
             query: "SELECT r FROM References r".into(),
             total_nanos: nanos,
             bytes_touched: 100,
-            cache_hits: 3,
-            cache_misses: 1,
             plan_cache_hits: 1,
             plan_cache_misses: 0,
             candidates: 10,

@@ -119,21 +119,24 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response with `Content-Length` framing.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// Writes one response with `Content-Length` framing. The whole message
+/// goes out in a single `write_all`: `write!` on a socket sends one
+/// segment per formatted piece, and Nagle's algorithm then holds the tail
+/// until the peer's delayed ACK (~40 ms per response).
+pub fn write_response<W: Write>(
+    stream: &mut W,
     status: u16,
     content_type: &str,
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        stream,
+    let message = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
         reason(status),
         body.len(),
-    )?;
+    );
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
@@ -163,12 +166,13 @@ impl Client {
     }
 
     fn request(&mut self, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
-        write!(
-            self.stream,
+        // One write per request, for the same Nagle reason as
+        // `write_response`.
+        let message = format!(
             "{method} {path} HTTP/1.1\r\nHost: qof\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
-        )
-        .map_err(|e| format!("send: {e}"))?;
+        );
+        self.stream.write_all(message.as_bytes()).map_err(|e| format!("send: {e}"))?;
         self.stream.flush().map_err(|e| format!("flush: {e}"))?;
 
         let mut status_line = String::new();
@@ -233,6 +237,37 @@ mod tests {
         assert_eq!(req.query_param("format"), Some("json"));
         assert_eq!(req.query_param("explain"), Some("1"));
         assert_eq!(req.query_param("missing"), None);
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_goes_out_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_response(&mut w, 200, "application/json", "{\"id\":1}", true).unwrap();
+        assert_eq!(w.writes, 1, "the whole response must be a single write");
+        assert_eq!(
+            String::from_utf8(w.bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 8\r\n\
+             Connection: keep-alive\r\n\r\n{\"id\":1}"
+        );
     }
 
     #[test]

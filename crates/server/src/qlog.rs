@@ -1,6 +1,6 @@
 //! The structured query log: one JSON line per `/query` request —
 //! successes and failures alike — carrying the query ID, the normalized
-//! query text, timings, cardinalities, the run's cache delta and the
+//! query text, timings, cardinalities, the run's plan-cache delta and the
 //! outcome. `qof_queries_total` in `/metrics` and the number of *query*
 //! lines written here advance in lockstep; CI asserts that. Operational
 //! warnings (the SLO burn-rate monitor) are also appended here as
@@ -45,7 +45,6 @@ pub fn success_line(trace: &QueryTrace, ts_ms: u128) -> String {
     format!(
         "{{\"ts_ms\":{ts_ms},\"id\":{},\"fp\":\"{:016x}\",\"query\":\"{}\",\"outcome\":\"ok\",\
          \"total_nanos\":{},\"bytes\":{},\"candidates\":{},\"results\":{},\
-         \"cache_hits\":{},\"cache_misses\":{},\
          \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"exact_index\":{}}}",
         trace.id,
         trace.fingerprint,
@@ -54,8 +53,6 @@ pub fn success_line(trace: &QueryTrace, ts_ms: u128) -> String {
         trace.bytes_touched,
         trace.candidates,
         trace.results,
-        trace.cache_hits,
-        trace.cache_misses,
         trace.plan_cache_hits,
         trace.plan_cache_misses,
         trace.exact_index,
@@ -242,8 +239,6 @@ mod tests {
             bytes_touched: 4096,
             candidates: 10,
             results: 2,
-            cache_hits: 1,
-            cache_misses: 4,
             plan_cache_hits: 1,
             plan_cache_misses: 0,
             exact_index: true,
@@ -255,7 +250,6 @@ mod tests {
             "{\"ts_ms\":1700000000000,\"id\":3,\"fp\":\"deadbeef00420007\",\
              \"query\":\"SELECT r FROM References r\",\"outcome\":\"ok\",\
              \"total_nanos\":1234,\"bytes\":4096,\"candidates\":10,\"results\":2,\
-             \"cache_hits\":1,\"cache_misses\":4,\
              \"plan_cache_hits\":1,\"plan_cache_misses\":0,\"exact_index\":true}"
         );
     }

@@ -40,7 +40,7 @@ fn healthz_metrics_and_query_roundtrip() {
     assert_eq!(status, 200);
     assert!(body.contains("\"id\":2"), "{body}");
     assert!(body.contains("\"trace\":{"), "{body}");
-    assert!(body.contains("\"schema_version\":6"), "{body}");
+    assert!(body.contains("\"schema_version\":7"), "{body}");
     // v4+: estimated-vs-actual cardinalities and plan-cache counters ride
     // along in every explain response.
     assert!(body.contains("\"estimates\":["), "{body}");
@@ -203,7 +203,7 @@ fn history_slo_and_perfetto_endpoints() {
 
     let (status, body) = client.get("/metrics/history?window=60").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":1"), "{body}");
+    assert!(body.contains("\"schema_version\":2"), "{body}");
     assert!(body.contains("\"window_ms\":60000"), "{body}");
     assert!(body.matches("\"ts_ms\":").count() >= 2, "two sampler ticks: {body}");
     assert!(body.contains("\"queries\":"), "{body}");
@@ -241,7 +241,7 @@ fn history_slo_and_perfetto_endpoints() {
     assert!(body.contains("\"process_name\"") && body.contains("query 1:"), "{body}");
     let (status, body) = client.get("/flight-recorder/1").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":6"), "{body}");
+    assert!(body.contains("\"schema_version\":7"), "{body}");
     let (status, _) = client.get("/flight-recorder/999").unwrap();
     assert_eq!(status, 404);
     let (status, _) = client.get("/flight-recorder/xyz").unwrap();
@@ -266,7 +266,7 @@ fn workload_endpoint_aggregates_fingerprints() {
 
     let (status, body) = client.get("/workload").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":1"), "{body}");
+    assert!(body.contains("\"schema_version\":2"), "{body}");
     assert!(body.contains("\"capacity\":64"), "{body}");
     assert!(body.contains("\"hits\":2"), "{body}");
     assert!(body.contains("\"hits\":1"), "{body}");

@@ -109,45 +109,6 @@ impl Corpus {
         self.files.get(id.0 as usize)
     }
 
-    /// Partitions the files into at most `shards` contiguous groups of
-    /// roughly equal byte size and returns each group's covering span.
-    ///
-    /// Files are never split: every returned span starts at a file start
-    /// and ends at a file end, so regions and tokens (which never cross
-    /// file boundaries) fall wholly inside exactly one shard, and
-    /// per-shard results concatenate back losslessly. Separator bytes
-    /// between two shards belong to neither — nothing lives there.
-    pub fn shard_spans(&self, shards: usize) -> Vec<Span> {
-        let n = self.files.len();
-        let shards = shards.clamp(1, n.max(1));
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut remaining: u64 =
-            self.files.iter().map(|f| u64::from(f.span.end - f.span.start)).sum();
-        let mut out = Vec::with_capacity(shards);
-        let mut i = 0usize;
-        for g in 0..shards {
-            let groups_left = shards - g;
-            // Greedy first-fit to the average of what's left; always leave
-            // at least one file for each remaining group.
-            let target = remaining.div_ceil(groups_left as u64);
-            let max_i = n - (groups_left - 1);
-            let start = self.files[i].span.start;
-            let mut end = start;
-            let mut taken = 0u64;
-            while i < max_i && (taken == 0 || taken < target) {
-                taken += u64::from(self.files[i].span.end - self.files[i].span.start);
-                end = self.files[i].span.end;
-                i += 1;
-            }
-            remaining -= taken;
-            out.push(start..end);
-        }
-        debug_assert_eq!(i, n, "every file must land in a shard");
-        out
-    }
-
     /// Reassembles a corpus from a previously captured global text and
     /// file table — the persistent-index reopen path. Validates the
     /// builder invariants an on-disk file could violate: spans must be
@@ -241,61 +202,6 @@ mod tests {
         assert_eq!(c.text(), "aaa\nbbb");
         assert_eq!(c.file(id).unwrap().span, 4..7);
         assert_eq!(c.file_of(5), Some(id));
-    }
-
-    #[test]
-    fn shard_spans_partition_on_file_boundaries() {
-        let mut b = CorpusBuilder::new();
-        for (name, len) in [("a", 10), ("b", 10), ("c", 10), ("d", 10)] {
-            b.add_file(name, &"x".repeat(len));
-        }
-        let c = b.build();
-        let spans = c.shard_spans(2);
-        assert_eq!(spans.len(), 2);
-        // Each span starts and ends on file boundaries and covers two files.
-        assert_eq!(spans[0], 0..21);
-        assert_eq!(spans[1], 22..43);
-        // One shard per file when asked for more shards than files.
-        let spans = c.shard_spans(16);
-        assert_eq!(spans.len(), 4);
-        for (span, f) in spans.iter().zip(c.files()) {
-            assert_eq!(*span, f.span);
-        }
-        // A single shard covers everything.
-        assert_eq!(c.shard_spans(1), vec![0..43]);
-        assert_eq!(c.shard_spans(0), vec![0..43], "0 is clamped to 1");
-    }
-
-    #[test]
-    fn shard_spans_balance_uneven_files() {
-        let mut b = CorpusBuilder::new();
-        b.add_file("big", &"x".repeat(100));
-        for i in 0..5 {
-            b.add_file(format!("small{i}"), &"y".repeat(10));
-        }
-        let c = b.build();
-        let spans = c.shard_spans(3);
-        assert_eq!(spans.len(), 3);
-        // The big file fills the first shard alone; the small ones spread
-        // over the rest. Every file lands in exactly one span.
-        assert_eq!(spans[0], c.files()[0].span);
-        let mut fi = 0;
-        for span in &spans {
-            while fi < c.files().len() && c.files()[fi].span.start >= span.start {
-                let f = &c.files()[fi].span;
-                if f.end > span.end {
-                    break;
-                }
-                assert!(span.start <= f.start && f.end <= span.end);
-                fi += 1;
-            }
-        }
-        assert_eq!(fi, c.files().len());
-    }
-
-    #[test]
-    fn shard_spans_empty_corpus() {
-        assert!(Corpus::default().shard_spans(4).is_empty());
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! Milo, SIGMOD 1994) reproduction: a multi-file [`Corpus`] with a single
 //! global byte-offset space, a configurable [`Tokenizer`], an inverted
 //! [`WordIndex`] recording the location of every indexed word (the paper's
-//! "word index"), and a [`SuffixArray`] over word-start positions — the
-//! classic PAT array of semi-infinite strings ("sistrings") that the PAT
-//! system of Open Text is built on.
+//! "word index").
 //!
 //! Positions are `u32` byte offsets ([`Pos`]); a span is a half-open
 //! `start..end` pair. Everything higher in the stack (regions, the region
@@ -18,7 +16,6 @@
 mod compressed;
 mod corpus;
 mod postings;
-mod suffix;
 mod token;
 pub mod varint;
 mod word_index;
@@ -27,7 +24,6 @@ mod word_lookup;
 pub use compressed::{CompressedWordIndex, PostingsSource};
 pub use corpus::{Corpus, CorpusBuilder, FileEntry, FileId};
 pub use postings::{CompressedPostings, BLOCK_LEN};
-pub use suffix::SuffixArray;
 pub use token::{Token, Tokenizer};
 pub use word_index::{WordIndex, WordIndexBuilder, WordStats};
 pub use word_lookup::WordLookup;

@@ -11,16 +11,14 @@
 //!
 //! Built-in structuring schemas: `bibtex`, `mail`, `logs`, `sgml`, `code`
 //! (see `qof::corpus` for the formats). Pass `--index A,B,C` before the
-//! query to use a partial region index instead of full indexing,
-//! `--threads N` to evaluate the index phase shard-parallel over the
-//! files, and `--cache` to share subexpression results across the run.
+//! query to use a partial region index instead of full indexing.
 
 use std::process::ExitCode;
 
 use qof::corpus::{bibtex, code, logs, mail, sgml};
 use qof::grammar::{IndexSpec, StructuringSchema};
 use qof::text::{Corpus, CorpusBuilder};
-use qof::{advise, advise_costed, parse_query, ExecOptions, FileDatabase, Rig, Severity};
+use qof::{advise, advise_costed, parse_query, FileDatabase, Rig, Severity};
 
 fn schema_by_name(name: &str) -> Option<StructuringSchema> {
     Some(match name {
@@ -49,13 +47,13 @@ fn usage() -> ExitCode {
         "usage:\n  \
          qof generate <schema> <count>\n  \
          qof rig <schema> [indexed,names]\n  \
-         qof query   <schema> [--index A,B,C] [--from-index F.qofx] [--threads N] [--cache]\n              \
-         [--strict] [--explain-analyze] [--trace-json FILE] [--trace-perfetto FILE]\n              \
+         qof query   <schema> [--index A,B,C] [--from-index F.qofx] [--strict]\n              \
+         [--explain-analyze] [--trace-json FILE] [--trace-perfetto FILE]\n              \
          [<file>...] <query>\n  \
          qof explain <schema> [--index A,B,C] [--from-index F.qofx] [<file>...] <query>\n  \
-         qof stats   <schema> [--index A,B,C] [--from-index F.qofx] [--threads N] [--cache]\n              \
-         [--json] [--history] [--workload] [<file>...] <query>...\n  \
-         qof serve   <schema> [--index A,B,C] [--from-index F.qofx] [--threads N] [--cache]\n              \
+         qof stats   <schema> [--index A,B,C] [--from-index F.qofx] [--json] [--history]\n              \
+         [--workload] [<file>...] <query>...\n  \
+         qof serve   <schema> [--index A,B,C] [--from-index F.qofx]\n              \
          [--port P] [--log FILE] [--qlog-max-bytes N] [--slow-ms MS] [--recorder N]\n              \
          [--timeout-ms MS] [--history-interval-ms MS] [--slo p95=50ms,err=0.1%] [<file>...]\n  \
          qof top     [--host H] [--port P] [--interval-ms MS] [--frames N] [--once]\n  \
@@ -124,7 +122,7 @@ fn load_db(
 }
 
 /// `qof stats`: runs every query traced against the corpus, then prints the
-/// process-wide metrics snapshot (queries executed, cache hit ratio,
+/// process-wide metrics snapshot (queries executed, plan-cache hit ratio,
 /// p50/p95 operator latencies). Trailing arguments are files when they
 /// exist on disk and queries otherwise — queries contain spaces and SELECT
 /// keywords, never bare readable paths.
@@ -134,8 +132,6 @@ fn run_stats(
     rest: Vec<String>,
     index: Option<&str>,
     from_index: Option<&str>,
-    threads: usize,
-    cache: bool,
     json: bool,
     history: bool,
     workload: bool,
@@ -145,8 +141,7 @@ fn run_stats(
     if (files.is_empty() && from_index.is_none()) || queries.is_empty() {
         return Ok(usage());
     }
-    let db = load_db(schema, &files, index, from_index)?
-        .with_exec_options(ExecOptions { threads: threads.max(1), cache });
+    let db = load_db(schema, &files, index, from_index)?;
     let registry = qof::pat::MetricsRegistry::global();
     for q in &queries {
         if let Err(e) = db.query_traced(q) {
@@ -191,13 +186,6 @@ fn run_stats(
         return Ok(ExitCode::SUCCESS);
     }
     println!("queries executed:   {} ({} errors)", snap.queries, snap.query_errors);
-    println!(
-        "cache hit rate:     {:.1}% ({} hits / {} misses, {} evictions)",
-        snap.cache_hit_rate() * 100.0,
-        snap.cache_hits,
-        snap.cache_misses,
-        snap.cache_evictions
-    );
     println!(
         "plan cache:         {:.1}% hits ({} hits / {} misses)",
         snap.plan_cache_hit_rate() * 100.0,
@@ -244,8 +232,8 @@ fn render_workload_table(entries: &[qof::pat::WorkloadEntry]) -> String {
     }
     let _ = writeln!(
         out,
-        "  {:<16} {:>6} {:>9} {:>9} {:>6} {:>6}  exemplar",
-        "fingerprint", "hits", "p50", "p95", "plan%", "cache%"
+        "  {:<16} {:>6} {:>9} {:>9} {:>6}  exemplar",
+        "fingerprint", "hits", "p50", "p95", "plan%"
     );
     for e in entries {
         let s = e.latency.summary();
@@ -256,13 +244,12 @@ fn render_workload_table(entries: &[qof::pat::WorkloadEntry]) -> String {
         }
         let _ = writeln!(
             out,
-            "  {:016x} {:>6} {:>9} {:>9} {:>6} {:>6}  {q}",
+            "  {:016x} {:>6} {:>9} {:>9} {:>6}  {q}",
             e.fingerprint,
             e.hits,
             fmt_nanos(s.p50_nanos),
             fmt_nanos(s.p95_nanos),
             pct(e.plan_cache_hit_rate()),
-            pct(e.cache_hit_rate()),
         );
     }
     out
@@ -294,8 +281,6 @@ fn run_serve(
     files: &[String],
     index: Option<&str>,
     from_index: Option<&str>,
-    threads: usize,
-    cache: bool,
     opts: &ServeOpts,
 ) -> Result<ExitCode, String> {
     use qof::server::{serve, QueryLog, ServerConfig, SloSpec, DEFAULT_QLOG_KEEP};
@@ -307,8 +292,7 @@ fn run_serve(
         Some(spec) => Some(SloSpec::parse(spec).map_err(|e| format!("--slo: {e}"))?),
     };
     let started = std::time::Instant::now();
-    let db = load_db(schema, files, index, from_index)?
-        .with_exec_options(ExecOptions { threads: threads.max(1), cache });
+    let db = load_db(schema, files, index, from_index)?;
     eprintln!(
         "qof serve: {} backend ready in {:.1}ms ({} index bytes)",
         db.backend_label(),
@@ -348,7 +332,7 @@ fn run_serve(
 }
 
 /// `qof top`: a live terminal dashboard over a running `qof serve`
-/// instance — QPS, latency quantiles, cache hit rates, SLO burn state and
+/// instance — QPS, latency quantiles, plan-cache hit rate, SLO burn state and
 /// the slowest retained queries, refreshed in place with ANSI clears.
 /// Scrapes the same HTTP surfaces any monitoring stack would:
 /// `/metrics?format=json`, `/metrics/history`, `/healthz` and
@@ -507,12 +491,7 @@ fn top_frame(client: &mut qof::server::Client, base: &str, frame: u64) -> Result
         fmt_nanos(get_u64(lat, "p50_nanos")?),
         fmt_nanos(get_u64(lat, "p95_nanos")?)
     );
-    let _ = writeln!(
-        out,
-        "caches    subexpr {:.1}% hit   plan {:.1}% hit",
-        get_f64(m, "cache_hit_rate")? * 100.0,
-        get_f64(m, "plan_cache_hit_rate")? * 100.0
-    );
+    let _ = writeln!(out, "plan      {:.1}% cache hit", get_f64(m, "plan_cache_hit_rate")? * 100.0);
 
     // SLO state rides in the history envelope when `--slo` is declared.
     if let Ok(slo) = get(hist, "slo") {
@@ -653,8 +632,6 @@ fn run() -> Result<ExitCode, String> {
             let mut rest: Vec<String> = args[2..].to_vec();
             let mut index: Option<String> = None;
             let mut from_index: Option<String> = None;
-            let mut threads: usize = 1;
-            let mut cache = false;
             let mut strict = false;
             let mut explain_analyze = false;
             let mut trace_json: Option<String> = None;
@@ -685,19 +662,6 @@ fn run() -> Result<ExitCode, String> {
                         }
                         from_index = Some(rest[1].clone());
                         rest.drain(..2);
-                    }
-                    Some("--threads") => {
-                        if rest.len() < 2 {
-                            return Ok(usage());
-                        }
-                        threads = rest[1]
-                            .parse()
-                            .map_err(|_| "--threads needs a positive number".to_owned())?;
-                        rest.drain(..2);
-                    }
-                    Some("--cache") => {
-                        cache = true;
-                        rest.remove(0);
                     }
                     Some("--strict") => {
                         strict = true;
@@ -807,8 +771,6 @@ fn run() -> Result<ExitCode, String> {
                     rest,
                     index.as_deref(),
                     from_index.as_deref(),
-                    threads,
-                    cache,
                     json,
                     history,
                     workload,
@@ -825,22 +787,13 @@ fn run() -> Result<ExitCode, String> {
                     history_interval_ms,
                     slo,
                 };
-                return run_serve(
-                    schema,
-                    &rest,
-                    index.as_deref(),
-                    from_index.as_deref(),
-                    threads,
-                    cache,
-                    &opts,
-                );
+                return run_serve(schema, &rest, index.as_deref(), from_index.as_deref(), &opts);
             }
             let Some((query, files)) = rest.split_last() else { return Ok(usage()) };
             if files.is_empty() && from_index.is_none() {
                 return Ok(usage());
             }
             let db = load_db(schema, files, index.as_deref(), from_index.as_deref())?
-                .with_exec_options(ExecOptions { threads: threads.max(1), cache })
                 .with_strict(strict);
             if cmd == "explain" {
                 print!("{}", db.explain(query).map_err(|e| e.to_string())?);
@@ -882,13 +835,6 @@ fn run() -> Result<ExitCode, String> {
                     res.stats.eval,
                     res.stats.parse.bytes_scanned
                 );
-                if cache {
-                    let cs = db.cache_stats();
-                    eprintln!(
-                        "-- cache: {} hits / {} misses ({} entries)",
-                        cs.hits, cs.misses, cs.entries
-                    );
-                }
             }
             Ok(ExitCode::SUCCESS)
         }

@@ -6,7 +6,7 @@
 //! A reproduction of Consens & Milo, *Optimizing Queries on Files*
 //! (SIGMOD 1994). This facade crate re-exports the whole stack:
 //!
-//! * [`text`] — corpus, tokenizer, word index, PAT suffix array;
+//! * [`text`] — corpus, tokenizer, word index, compressed postings;
 //! * [`pat`] — the region algebra engine (§3.1);
 //! * [`db`] — the in-memory object database (baseline substrate);
 //! * [`grammar`] — structuring schemas (§4);
@@ -37,7 +37,7 @@
 
 pub use qof_core::*;
 
-/// Corpus model, tokenizer, word index and PAT suffix array.
+/// Corpus model, tokenizer, word index and compressed postings.
 pub mod text {
     pub use qof_text::*;
 }
