@@ -139,7 +139,9 @@ pub struct QueryResult {
     pub regions: RegionSet,
     /// Materialized values (objects for `SELECT r`, atoms for `SELECT r.p`).
     pub values: Vec<Value>,
-    /// The object database holding any materialized objects.
+    /// The object database holding any materialized objects. The objects
+    /// a `SELECT r` projects are moved out of it into `values`; their
+    /// slots hold empty tuples. Objects nested inside them stay here.
     pub db: Database,
     /// EXPLAIN text of the executed plan.
     pub explain: String,
@@ -571,6 +573,7 @@ impl FileDatabase {
                 return Err(e.into());
             }
         };
+        let parsed = elapsed_nanos(started);
         let plan = match self.planner().plan(&q) {
             Ok(p) => p,
             Err(e) => {
@@ -578,9 +581,16 @@ impl FileDatabase {
                 return Err(e.into());
             }
         };
+        let planned = elapsed_nanos(started);
         let pc_after = self.plan_cache.stats();
         let mut tr = ExecTrace::default();
-        let result = match self.execute_inner(&q, &plan, Some(&mut tr)) {
+        tr.phases.push(PhaseTrace { name: "parse".into(), start_nanos: 0, nanos: parsed });
+        tr.phases.push(PhaseTrace {
+            name: "plan".into(),
+            start_nanos: parsed,
+            nanos: planned.saturating_sub(parsed),
+        });
+        let result = match self.execute_inner(&q, &plan, started, Some(&mut tr)) {
             Ok(r) => r,
             Err(e) => {
                 metrics.record_query(elapsed_nanos(started), false);
@@ -649,7 +659,7 @@ impl FileDatabase {
     /// Runs an already-parsed query.
     pub fn query_ast(&self, q: &Query) -> Result<QueryResult, QueryError> {
         let plan = self.planner().plan(q)?;
-        self.execute_inner(q, &plan, None)
+        self.execute_inner(q, &plan, Instant::now(), None)
     }
 
     /// Runs only the index phase of a query: the candidate regions of the
@@ -673,10 +683,6 @@ impl FileDatabase {
 
     fn engine(&self) -> Engine<'_> {
         Engine::new(&self.corpus, self.backend.lookup(), &self.instance)
-    }
-
-    fn view_regions(&self, symbol: &str) -> RegionSet {
-        self.instance.get(symbol).cloned().unwrap_or_default()
     }
 
     /// Evaluates a planned condition to `(candidate view regions, exact)`.
@@ -753,10 +759,11 @@ impl FileDatabase {
     ) -> Result<Vec<VarState>, QueryError> {
         let mut states: Vec<VarState> = Vec::new();
         for vp in &plan.vars {
-            let view = self.view_regions(&vp.symbol);
+            let empty = RegionSet::new();
+            let view = self.instance.get(&vp.symbol).unwrap_or(&empty);
             let (regions, exact) = match &vp.cond {
-                None => (view, true),
-                Some(c) => self.eval_cond(engine, c, &view, &mut stats.content_bytes)?,
+                None => (view.clone(), true),
+                Some(c) => self.eval_cond(engine, c, view, &mut stats.content_bytes)?,
             };
             states.push(VarState { regions, exact });
         }
@@ -765,33 +772,36 @@ impl FileDatabase {
 
     /// The executor proper. With `tr` set, every phase is timed, the
     /// engine evaluates with a trace sink attached, and `tr` receives the
-    /// phase and operator traces of the run. The untraced path pays a
-    /// handful of `Instant` reads and nothing else.
+    /// phase and operator traces of the run after the phases already in
+    /// it. The untraced path pays a handful of `Instant` reads and nothing
+    /// else.
     fn execute_inner(
         &self,
         q: &Query,
         plan: &Plan,
+        origin: Instant,
         tr: Option<&mut ExecTrace>,
     ) -> Result<QueryResult, QueryError> {
         let tracing = tr.is_some();
-        // One monotonic origin for the whole execution: the sink and every
+        // One monotonic origin for the whole query: the sink and every
         // phase stamp offset from it, so all spans of a query share a
         // single timeline (what the Perfetto export relies on).
-        let exec_started = Instant::now();
-        let sink = TraceSink::with_origin(exec_started);
-        let engine = self.engine();
-        let engine = if tracing { engine.with_trace(&sink) } else { engine };
+        let sink = TraceSink::with_origin(origin);
         let mut stats = RunStats::default();
         let mut phases: Vec<PhaseTrace> = Vec::new();
 
-        // Phase 1: per-variable candidates through the index.
-        let phase_started = elapsed_nanos(exec_started);
+        // Phase 1: per-variable candidates through the index. Engine set-up
+        // belongs to it: the first query after the index changes builds the
+        // nesting forest here.
+        let phase_started = elapsed_nanos(origin);
+        let engine = self.engine();
+        let engine = if tracing { engine.with_trace(&sink) } else { engine };
         let mut states = self.eval_phase1(plan, &engine, &mut stats)?;
         if tracing {
             phases.push(PhaseTrace {
                 name: "index-candidates".into(),
                 start_nanos: phase_started,
-                nanos: elapsed_nanos(exec_started).saturating_sub(phase_started),
+                nanos: elapsed_nanos(origin).saturating_sub(phase_started),
             });
         }
         // Phase-1 cardinalities, captured before the join prunes the
@@ -799,7 +809,7 @@ impl FileDatabase {
         let var_candidates: Vec<u64> = states.iter().map(|s| s.regions.len() as u64).collect();
 
         // Phase 2: cross-variable content join.
-        let phase_started = elapsed_nanos(exec_started);
+        let phase_started = elapsed_nanos(origin);
         let mut join_pairs: Option<Vec<(Region, Region)>> = None;
         let mut join_exact = true;
         if let Some(j) = &plan.join {
@@ -840,7 +850,7 @@ impl FileDatabase {
             phases.push(PhaseTrace {
                 name: "content-join".into(),
                 start_nanos: phase_started,
-                nanos: elapsed_nanos(exec_started).saturating_sub(phase_started),
+                nanos: elapsed_nanos(origin).saturating_sub(phase_started),
             });
         }
 
@@ -850,7 +860,7 @@ impl FileDatabase {
             && plan.join.is_none() == join_pairs.is_none();
 
         // Phase 3: decide what must be parsed.
-        let phase_started = elapsed_nanos(exec_started);
+        let phase_started = elapsed_nanos(origin);
         let mut db = Database::new();
         let parser = Parser::new(&self.schema.grammar, self.corpus.text());
         // objects[var_index]: region -> built value
@@ -932,19 +942,21 @@ impl FileDatabase {
             phases.push(PhaseTrace {
                 name: "parse-filter".into(),
                 start_nanos: phase_started,
-                nanos: elapsed_nanos(exec_started).saturating_sub(phase_started),
+                nanos: elapsed_nanos(origin).saturating_sub(phase_started),
             });
         }
 
         // Phase 4: projection.
-        let phase_started = elapsed_nanos(exec_started);
+        let phase_started = elapsed_nanos(origin);
         let result_regions = states[proj_idx].regions.clone();
         let mut values: Vec<Value> = Vec::new();
         match &plan.projection {
             ProjPlan::Objects { .. } => {
+                // Each projected object moves out of the run's database:
+                // a result holds one copy of its objects, not two.
                 for region in &result_regions {
-                    if let Some(v) = objects[proj_idx].get(region) {
-                        values.push(deref_top(&db, v));
+                    if let Some(v) = objects[proj_idx].remove(region) {
+                        values.push(deref_top(&mut db, v));
                     }
                 }
             }
@@ -980,7 +992,7 @@ impl FileDatabase {
             phases.push(PhaseTrace {
                 name: "projection".into(),
                 start_nanos: phase_started,
-                nanos: elapsed_nanos(exec_started).saturating_sub(phase_started),
+                nanos: elapsed_nanos(origin).saturating_sub(phase_started),
             });
         }
 
@@ -989,7 +1001,7 @@ impl FileDatabase {
         stats.db = db.stats();
         stats.results = result_regions.len();
         if let Some(tr) = tr {
-            tr.phases = phases;
+            tr.phases.extend(phases);
             tr.ops = sink.take();
             tr.var_candidates = var_candidates;
         }
@@ -1041,11 +1053,12 @@ fn join_var_index(plan: &Plan, var: &str) -> Result<usize, QueryError> {
         .ok_or_else(|| QueryError::Internal(format!("join variable `{var}` missing from the plan")))
 }
 
-/// Dereferences a top-level object reference into its stored value.
-fn deref_top(db: &Database, v: &Value) -> Value {
+/// Dereferences a top-level object reference, moving the object's value
+/// out of the database (see [`Database::take`]).
+fn deref_top(db: &mut Database, v: Value) -> Value {
     match v {
-        Value::Ref(oid) => db.deref(*oid).cloned().unwrap_or_else(|| v.clone()),
-        other => other.clone(),
+        Value::Ref(oid) => db.take(oid).unwrap_or(v),
+        other => other,
     }
 }
 
@@ -1131,8 +1144,12 @@ mod tests {
     fn deref_top_resolves_refs() {
         let mut db = Database::new();
         let oid = db.new_object("C", Value::str("payload"));
-        assert_eq!(deref_top(&db, &Value::Ref(oid)).as_str(), Some("payload"));
-        assert_eq!(deref_top(&db, &Value::str("plain")).as_str(), Some("plain"));
+        assert_eq!(deref_top(&mut db, Value::Ref(oid)).as_str(), Some("payload"));
+        assert_eq!(deref_top(&mut db, Value::str("plain")).as_str(), Some("plain"));
+        // The object's value moved out; a dangling reference stays as is.
+        assert_eq!(db.deref(oid), Some(&Value::tuple::<String, _>([])));
+        let dangling = Value::Ref(qof_db::Oid(9));
+        assert_eq!(deref_top(&mut db, dangling.clone()), dangling);
     }
 
     #[test]
@@ -1147,6 +1164,7 @@ mod tests {
 
     use qof_corpus::bibtex::{self, BibtexConfig};
     use qof_grammar::IndexSpec;
+    use qof_pat::{RegionExpr, UniverseForest};
 
     /// A corpus of `files` bibtex files with distinct seeds.
     fn multi_file_corpus(files: usize, refs_per_file: usize) -> Corpus {
@@ -1192,7 +1210,10 @@ mod tests {
         assert_eq!(trace.results, plain.regions.len());
         assert_eq!(trace.candidates, plain.stats.candidates);
         let names: Vec<&str> = trace.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, ["index-candidates", "content-join", "parse-filter", "projection"]);
+        assert_eq!(
+            names,
+            ["parse", "plan", "index-candidates", "content-join", "parse-filter", "projection"]
+        );
         assert!(trace.op_node_count() > 0, "the engine must record operator nodes");
         assert!(
             trace.rewrites.iter().any(|r| r.proposition == "3.5(b)"),
@@ -1371,8 +1392,8 @@ mod tests {
             let parsed = parse_query(q).unwrap();
             let costed = raw_planner(&db, Some(&db.stats)).plan(&parsed).unwrap();
             let leftmost = raw_planner(&db, None).plan(&parsed).unwrap();
-            let a = db.execute_inner(&parsed, &costed, None).unwrap();
-            let b = db.execute_inner(&parsed, &leftmost, None).unwrap();
+            let a = db.execute_inner(&parsed, &costed, Instant::now(), None).unwrap();
+            let b = db.execute_inner(&parsed, &leftmost, Instant::now(), None).unwrap();
             assert_same_results(&a, &b, q);
         }
     }
@@ -1449,6 +1470,71 @@ mod tests {
         // Re-planning repopulates against the new statistics.
         db.query(QUERIES[1]).unwrap();
         assert!(db.plan_cache_stats().entries > 0);
+    }
+
+    #[test]
+    fn queries_share_one_forest_per_index() {
+        let db = FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), IndexSpec::full())
+            .unwrap();
+        db.query(QUERIES[0]).unwrap();
+        let first: *const UniverseForest = db.instance().forest();
+        db.query(QUERIES[1]).unwrap();
+        assert!(std::ptr::eq(first, db.instance().forest()), "the second query rebuilt the forest");
+    }
+
+    #[test]
+    fn add_file_rebuilds_the_forest_of_the_grown_index() {
+        let (text, _) = bibtex::generate(&BibtexConfig {
+            n_refs: 10,
+            seed: 77,
+            name_pool: 8,
+            ..Default::default()
+        });
+        let partial = IndexSpec::names(["Reference", "Authors", "Name", "Last_Name"]);
+        for spec in [IndexSpec::full(), partial] {
+            let mut db =
+                FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), spec).unwrap();
+            // Build the forest before the write, so a stale cache would show.
+            db.query(QUERIES[0]).unwrap();
+            db.add_file("late.bib", &text).unwrap();
+            let fresh = UniverseForest::build(&db.instance().universe());
+            let cached = db.instance().forest();
+            assert_eq!(cached.regions(), fresh.regions());
+            for i in 0..fresh.len() {
+                assert_eq!(cached.parent_of(i), fresh.parent_of(i), "parent of region {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn direct_inclusion_after_add_file_matches_a_fresh_build() {
+        let mut db =
+            FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), IndexSpec::full())
+                .unwrap();
+        db.query(QUERIES[0]).unwrap();
+        let (text, _) = bibtex::generate(&BibtexConfig {
+            n_refs: 10,
+            seed: 77,
+            name_pool: 8,
+            ..Default::default()
+        });
+        db.add_file("late.bib", &text).unwrap();
+        let late_start = db.corpus().files().last().unwrap().span.start;
+        // Every Authors region directly includes a Name; none directly
+        // includes a Last_Name, since Name lies between. A forest missing
+        // the new file's regions sees nothing between them there and
+        // drops the new file's Authors from the difference.
+        let expr =
+            RegionExpr::name("Authors").direct_including(RegionExpr::name("Name")).difference(
+                RegionExpr::name("Authors").direct_including(RegionExpr::name("Last_Name")),
+            );
+        let grown = Engine::new(db.corpus(), db.word_index(), db.instance()).eval(&expr).unwrap();
+        assert!(grown.iter().any(|r| r.start >= late_start), "no answer from the new file");
+        let fresh =
+            FileDatabase::build(db.corpus().clone(), bibtex::schema(), IndexSpec::full()).unwrap();
+        let want =
+            Engine::new(fresh.corpus(), fresh.word_index(), fresh.instance()).eval(&expr).unwrap();
+        assert_eq!(grown, want);
     }
 
     #[test]

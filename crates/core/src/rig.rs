@@ -282,7 +282,7 @@ impl Rig {
                 names_of.entry(*r).or_default().push(name);
             }
         }
-        let forest = instance.build_forest();
+        let forest = instance.forest();
         for (i, r) in forest.regions().iter().enumerate() {
             let Some(p) = forest.parent_of(i) else { continue };
             let parent = forest.regions()[p];

@@ -38,7 +38,9 @@ use crate::plan::PlanRewrite;
 /// `bytes_touched` (parse-phase bytes scanned plus content bytes read).
 /// v7 removed the shard-parallel index phase and the cross-query
 /// subexpression cache, and with them the `shards`, `cache_hits` and
-/// `cache_misses` keys; every other field is unchanged.
+/// `cache_misses` keys; every other field is unchanged. The `parse` and
+/// `plan` phases came later within v7: phase names are values, not keys,
+/// so no consumer's parsing changes.
 pub const TRACE_SCHEMA_VERSION: u64 = 7;
 
 /// The abstract interpreter's verdict on one plan node (trace schema v3):
@@ -87,10 +89,11 @@ pub struct CardEstimate {
 /// Wall time of one executor phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTrace {
-    /// Phase name (`index-candidates`, `content-join`, `parse-filter`,
-    /// `projection`).
+    /// Phase name (`parse`, `plan`, `index-candidates`, `content-join`,
+    /// `parse-filter`, `projection`). `index-candidates` includes engine
+    /// set-up.
     pub name: String,
-    /// Start offset on the query's timeline, nanoseconds since execution
+    /// Start offset on the query's timeline, nanoseconds since the query
     /// began (schema v5). Phases are timed back-to-back against one
     /// clock, so each phase ends no later than the next one starts.
     pub start_nanos: u64,

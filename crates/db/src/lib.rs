@@ -25,7 +25,7 @@ mod value;
 pub use path::{eval_path, eval_path_counted, DbStep, PathCost};
 pub use schema::{validate, ClassDef, TypeDef, TypeError};
 pub use store::{Database, DbStats, Oid};
-pub use value::Value;
+pub use value::{Fields, Value};
 
 /// Joins two value lists on string keys extracted by the given paths,
 /// returning index pairs `(i, j)` with matching keys. Build side is `left`.

@@ -1,8 +1,9 @@
 //! The object store: classes, object identity, extents.
 
-use crate::Value;
+use crate::{Fields, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An object identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,6 +31,7 @@ pub struct DbStats {
 pub struct Database {
     objects: Vec<(String, Value)>,
     extents: BTreeMap<String, Vec<Oid>>,
+    field_names: Vec<Arc<str>>,
     stats: DbStats,
 }
 
@@ -46,13 +48,39 @@ impl Database {
         self.stats.objects_created += 1;
         self.stats.value_nodes += value.node_count() as u64;
         self.objects.push((class.to_owned(), value));
-        self.extents.entry(class.to_owned()).or_default().push(oid);
+        match self.extents.get_mut(class) {
+            Some(extent) => extent.push(oid),
+            None => {
+                self.extents.insert(class.to_owned(), vec![oid]);
+            }
+        }
         oid
+    }
+
+    /// The shared string for a tuple field name: the tuples built into one
+    /// database hold one allocation per distinct field name, not one per
+    /// field.
+    pub fn field_name(&mut self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.field_names.iter().find(|n| ***n == *name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = name.into();
+        self.field_names.push(Arc::clone(&shared));
+        shared
     }
 
     /// The value of an object.
     pub fn deref(&self, oid: Oid) -> Option<&Value> {
         self.objects.get(oid.0 as usize).map(|(_, v)| v)
+    }
+
+    /// Moves an object's value out of the database, leaving an empty tuple
+    /// in its place. The object keeps its identity, class and extent
+    /// membership.
+    pub fn take(&mut self, oid: Oid) -> Option<Value> {
+        self.objects
+            .get_mut(oid.0 as usize)
+            .map(|(_, v)| std::mem::replace(v, Value::Tuple(Fields::new())))
     }
 
     /// The class of an object.
@@ -111,9 +139,31 @@ mod tests {
     }
 
     #[test]
+    fn field_names_are_shared() {
+        let mut db = Database::new();
+        let a = db.field_name("Year");
+        let b = db.field_name("Year");
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(&*db.field_name("Key"), "Key");
+        assert!(!Arc::ptr_eq(&a, &db.field_name("Key")));
+    }
+
+    #[test]
     fn deref_out_of_range_is_none() {
         let db = Database::new();
         assert!(db.deref(Oid(7)).is_none());
         assert!(db.class_of(Oid(0)).is_none());
+    }
+
+    #[test]
+    fn take_moves_the_value_and_keeps_the_object() {
+        let mut db = Database::new();
+        let a = db.new_object("R", Value::str("r1"));
+        assert_eq!(db.take(a), Some(Value::str("r1")));
+        assert_eq!(db.deref(a), Some(&Value::Tuple(Fields::new())));
+        assert_eq!(db.class_of(a), Some("R"));
+        assert_eq!(db.extent("R"), &[a]);
+        assert_eq!(db.stats().objects_created, 1);
+        assert!(db.take(Oid(7)).is_none());
     }
 }

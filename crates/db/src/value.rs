@@ -3,8 +3,76 @@
 //! (`tuple(...)`, `set(...)`, `string`).
 
 use crate::Oid;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+/// The fields of a tuple value, kept sorted by name in one vector.
+///
+/// Equality, order, hashing and `Debug` output are those of a
+/// `BTreeMap<String, Value>` with the same entries; a tuple costs one
+/// allocation for its fields instead of one per B-tree node, and field
+/// names are shared strings (see
+/// [`Database::field_name`](crate::Database::field_name)).
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Fields(Vec<(Arc<str>, Value)>);
+
+impl Fields {
+    /// No fields.
+    pub fn new() -> Fields {
+        Fields::default()
+    }
+
+    /// No fields, with room for `n`.
+    pub fn with_capacity(n: usize) -> Fields {
+        Fields(Vec::with_capacity(n))
+    }
+
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| (**k).cmp(name))
+    }
+
+    /// The value of a field.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.position(name).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Sets a field, returning its previous value.
+    pub fn insert(&mut self, name: Arc<str>, value: Value) -> Option<Value> {
+        match self.position(&name) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Err(i) => {
+                self.0.insert(i, (name, value));
+                None
+            }
+        }
+    }
+
+    /// `(name, value)` pairs in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.0.iter().map(|(k, v)| (&**k, v))
+    }
+
+    /// Field values in name order.
+    pub fn values(&self) -> impl Iterator<Item = &Value> {
+        self.0.iter().map(|(_, v)| v)
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<K: Into<Arc<str>>> FromIterator<(K, Value)> for Fields {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(fields: I) -> Fields {
+        let mut out = Fields::new();
+        for (k, v) in fields {
+            out.insert(k.into(), v);
+        }
+        out
+    }
+}
 
 /// A database value.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -14,7 +82,7 @@ pub enum Value {
     /// An atomic integer.
     Int(i64),
     /// A tuple of named fields.
-    Tuple(BTreeMap<String, Value>),
+    Tuple(Fields),
     /// A set of values (stored sorted, duplicates removed).
     Set(Vec<Value>),
     /// An ordered list of values.
@@ -30,8 +98,8 @@ impl Value {
     }
 
     /// A tuple from `(field, value)` pairs.
-    pub fn tuple<K: Into<String>, I: IntoIterator<Item = (K, Value)>>(fields: I) -> Value {
-        Value::Tuple(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    pub fn tuple<K: Into<Arc<str>>, I: IntoIterator<Item = (K, Value)>>(fields: I) -> Value {
+        Value::Tuple(fields.into_iter().collect())
     }
 
     /// A set; sorts and dedups its elements.
@@ -127,6 +195,32 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fields_behave_like_a_sorted_map() {
+        let mut map = std::collections::BTreeMap::new();
+        let mut fields = Fields::new();
+        for (k, v) in [("b", 1), ("a", 2), ("c", 3), ("a", 4)] {
+            assert_eq!(
+                fields.insert(k.into(), Value::Int(v)),
+                map.insert(k.to_owned(), Value::Int(v))
+            );
+        }
+        assert!(fields.iter().eq(map.iter().map(|(k, v)| (k.as_str(), v))));
+        assert_eq!(format!("{fields:?}"), format!("{map:?}"));
+        assert_eq!(fields.get("a"), Some(&Value::Int(4)));
+        let smaller: Fields = [("a", Value::Int(4)), ("b", Value::Int(0))].into_iter().collect();
+        let smaller_map: std::collections::BTreeMap<String, Value> =
+            [("a".to_owned(), Value::Int(4)), ("b".to_owned(), Value::Int(0))].into();
+        assert_eq!(smaller.cmp(&fields), smaller_map.cmp(&map));
+        let hash = |h: &dyn Fn(&mut std::collections::hash_map::DefaultHasher)| {
+            let mut s = std::collections::hash_map::DefaultHasher::new();
+            h(&mut s);
+            std::hash::Hasher::finish(&s)
+        };
+        use std::hash::Hash;
+        assert_eq!(hash(&|s| fields.hash(s)), hash(&|s| map.hash(s)));
+    }
 
     #[test]
     fn constructors_and_accessors() {

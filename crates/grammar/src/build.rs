@@ -6,7 +6,7 @@
 //! built").
 
 use crate::{Grammar, ParseNode, ValueBuilder};
-use qof_db::{Database, Value};
+use qof_db::{Database, Fields, Value};
 use std::collections::BTreeMap;
 
 /// A trie over attribute names describing which paths of a value a query
@@ -125,16 +125,15 @@ fn build_inner(
             }
         }
         ValueBuilder::TupleAuto | ValueBuilder::ObjectAuto(_) => {
-            let mut fields: BTreeMap<String, Value> = BTreeMap::new();
+            let mut fields = Fields::with_capacity(node.children.len());
             for c in &node.children {
                 let name = grammar.name(c.symbol);
                 if filter.keep_all {
-                    fields.insert(
-                        name.to_owned(),
-                        build_inner(c, grammar, text, db, &PathFilter::all()),
-                    );
+                    let value = build_inner(c, grammar, text, db, &PathFilter::all());
+                    fields.insert(db.field_name(name), value);
                 } else if let Some(sub) = filter.child(name) {
-                    fields.insert(name.to_owned(), build_inner(c, grammar, text, db, sub));
+                    let value = build_inner(c, grammar, text, db, sub);
+                    fields.insert(db.field_name(name), value);
                 }
             }
             let tuple = Value::Tuple(fields);

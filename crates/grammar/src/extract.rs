@@ -233,6 +233,6 @@ mod tests {
         let text = "[chang,corliss|griewank][a|b]";
         let tree = parse(text, &g);
         let inst = extract_regions(&tree, &g, &IndexSpec::full());
-        assert!(inst.build_forest().is_properly_nested());
+        assert!(inst.forest().is_properly_nested());
     }
 }

@@ -133,7 +133,9 @@ impl<'a> Parser<'a> {
             RuleBody::Seq(terms) => {
                 let start = self.skip_ws(at, limit);
                 let mut cur = start;
-                let mut children = Vec::new();
+                let mut children = Vec::with_capacity(
+                    terms.iter().filter(|t| matches!(t, Term::NonTerm(_))).count(),
+                );
                 for term in terms {
                     cur = self.skip_ws(cur, limit);
                     match term {
@@ -164,10 +166,12 @@ impl<'a> Parser<'a> {
                     } else if let Some(sep) = sep {
                         // Separators are matched exactly, at the raw position
                         // after the previous item (they often carry their own
-                        // surrounding whitespace, e.g. `" and "`).
-                        match self.expect_lit(sep, cur, limit) {
-                            Ok(p) => p,
-                            Err(_) => break,
+                        // surrounding whitespace, e.g. `" and "`). A missing
+                        // separator ends every repetition, so probing for it
+                        // builds no error.
+                        match self.match_lit(sep, cur, limit) {
+                            Some(p) => p,
+                            None => break,
                         }
                     } else {
                         cur
@@ -219,12 +223,15 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_lit(&self, lit: &str, at: Pos, limit: Pos) -> Result<Pos, ParseError> {
+        self.match_lit(lit, at, limit)
+            .ok_or_else(|| ParseError { at, expected: format!("literal {lit:?}") })
+    }
+
+    /// The position after `lit` if the text at `at` starts with it.
+    fn match_lit(&self, lit: &str, at: Pos, limit: Pos) -> Option<Pos> {
         let end = at as usize + lit.len();
-        if end <= limit as usize && &self.text.as_bytes()[at as usize..end] == lit.as_bytes() {
-            Ok(end as Pos)
-        } else {
-            Err(ParseError { at, expected: format!("literal {lit:?}") })
-        }
+        (end <= limit as usize && &self.text.as_bytes()[at as usize..end] == lit.as_bytes())
+            .then_some(end as Pos)
     }
 
     fn parse_token(

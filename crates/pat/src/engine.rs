@@ -5,6 +5,8 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::rc::Rc;
 
 use qof_text::{Corpus, Pos, WordLookup};
 
@@ -30,6 +32,40 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+/// An operand during one evaluation: an indexed name's set, borrowed from
+/// the instance, or a computed set shared by the memo and its consumers.
+/// Neither is copied until [`Engine::eval`] hands a result out.
+#[derive(Clone)]
+enum Operand<'a> {
+    Indexed(&'a RegionSet),
+    Computed(Rc<RegionSet>),
+}
+
+impl Deref for Operand<'_> {
+    type Target = RegionSet;
+
+    fn deref(&self) -> &RegionSet {
+        match self {
+            Operand::Indexed(set) => set,
+            Operand::Computed(set) => set,
+        }
+    }
+}
+
+impl Operand<'_> {
+    /// The owned set; copies only an indexed set or one still shared.
+    fn into_set(self) -> RegionSet {
+        match self {
+            Operand::Indexed(set) => set.clone(),
+            Operand::Computed(set) => Rc::try_unwrap(set).unwrap_or_else(|set| (*set).clone()),
+        }
+    }
+}
+
+/// The per-call memo of common subexpressions, keyed by the expression
+/// nodes of the call's own input.
+type Memo<'e, 'a> = HashMap<&'e RegionExpr, Operand<'a>>;
+
 /// Evaluator over one corpus + word index + region-index instance.
 ///
 /// Evaluation is *set-at-a-time*: every operator maps whole region sets, and
@@ -40,8 +76,7 @@ pub struct Engine<'a> {
     corpus: &'a Corpus,
     words: &'a dyn WordLookup,
     instance: &'a Instance,
-    universe: RegionSet,
-    forest: UniverseForest,
+    forest: &'a UniverseForest,
     stats: RefCell<EvalStats>,
     share: std::cell::Cell<bool>,
     /// Operator trace sink. `None` (the default) keeps evaluation on the
@@ -50,16 +85,15 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds an engine; the universe nesting forest is constructed once.
+    /// Builds an engine over `instance`'s shared nesting forest
+    /// ([`Instance::forest`]), which is built only if no earlier engine or
+    /// caller has needed it since the instance last changed.
     pub fn new(corpus: &'a Corpus, words: &'a dyn WordLookup, instance: &'a Instance) -> Self {
-        let universe = instance.universe();
-        let forest = UniverseForest::build(&universe);
         Self {
             corpus,
             words,
             instance,
-            universe,
-            forest,
+            forest: instance.forest(),
             stats: RefCell::new(EvalStats::new()),
             share: std::cell::Cell::new(true),
             trace: None,
@@ -86,14 +120,9 @@ impl<'a> Engine<'a> {
         self.instance
     }
 
-    /// The set of all indexed regions.
-    pub fn universe(&self) -> &RegionSet {
-        &self.universe
-    }
-
     /// The universe nesting forest.
     pub fn forest(&self) -> &UniverseForest {
-        &self.forest
+        self.forest
     }
 
     /// Accumulated statistics since construction or the last reset.
@@ -108,15 +137,21 @@ impl<'a> Engine<'a> {
 
     /// Evaluates `expr`, sharing identical subexpressions.
     pub fn eval(&self, expr: &RegionExpr) -> Result<RegionSet, EvalError> {
-        self.eval_memo(expr, &mut HashMap::new())
+        let mut memo = Memo::new();
+        let out = self.eval_memo(expr, &mut memo)?;
+        drop(memo);
+        Ok(out.into_set())
     }
 
     /// Evaluates several expressions through one memo, so subexpressions
     /// they share are evaluated once (§5.2: "find common subexpressions …
     /// and evaluate them once").
     pub fn eval_all(&self, exprs: &[RegionExpr]) -> Result<Vec<RegionSet>, EvalError> {
-        let mut cache = HashMap::new();
-        exprs.iter().map(|e| self.eval_memo(e, &mut cache)).collect()
+        let mut memo = Memo::new();
+        let outs =
+            exprs.iter().map(|e| self.eval_memo(e, &mut memo)).collect::<Result<Vec<_>, _>>()?;
+        drop(memo);
+        Ok(outs.into_iter().map(Operand::into_set).collect())
     }
 
     /// Evaluates `expr` *without* common-subexpression sharing — the
@@ -129,11 +164,11 @@ impl<'a> Engine<'a> {
         result
     }
 
-    fn eval_memo(
+    fn eval_memo<'e>(
         &self,
-        expr: &RegionExpr,
-        cache: &mut HashMap<RegionExpr, RegionSet>,
-    ) -> Result<RegionSet, EvalError> {
+        expr: &'e RegionExpr,
+        cache: &mut Memo<'e, 'a>,
+    ) -> Result<Operand<'a>, EvalError> {
         if let Some(sink) = self.trace {
             return self.eval_traced(expr, cache, sink);
         }
@@ -144,7 +179,7 @@ impl<'a> Engine<'a> {
         }
         let result = self.eval_uncached(expr, cache)?;
         if self.share.get() {
-            cache.insert(expr.clone(), result.clone());
+            cache.insert(expr, result.clone());
         }
         Ok(result)
     }
@@ -155,12 +190,12 @@ impl<'a> Engine<'a> {
     /// children are the operand evaluations. Recursion re-enters
     /// `eval_memo`, which re-dispatches here, so the two paths cannot drift
     /// in memo behaviour.
-    fn eval_traced(
+    fn eval_traced<'e>(
         &self,
-        expr: &RegionExpr,
-        cache: &mut HashMap<RegionExpr, RegionSet>,
+        expr: &'e RegionExpr,
+        cache: &mut Memo<'e, 'a>,
         sink: &TraceSink,
-    ) -> Result<RegionSet, EvalError> {
+    ) -> Result<Operand<'a>, EvalError> {
         if self.share.get() {
             if let Some(hit) = cache.get(expr) {
                 let (op, detail) = op_parts(expr);
@@ -187,7 +222,7 @@ impl<'a> Engine<'a> {
             (s.bytes_scanned, s.word_probes)
         };
         let (op, detail) = op_parts(expr);
-        let output = result.as_ref().map_or(0, RegionSet::len);
+        let output = result.as_ref().map_or(0, |set| set.len());
         sink.exit_with(|children| OpTrace {
             op: op.to_owned(),
             detail,
@@ -201,7 +236,7 @@ impl<'a> Engine<'a> {
         });
         let result = result?;
         if self.share.get() {
-            cache.insert(expr.clone(), result.clone());
+            cache.insert(expr, result.clone());
         }
         Ok(result)
     }
@@ -286,24 +321,25 @@ impl<'a> Engine<'a> {
         RegionSet::from_regions(spans)
     }
 
-    fn name_set(&self, n: &str) -> Result<RegionSet, EvalError> {
-        self.instance.get(n).cloned().ok_or_else(|| EvalError::UnknownName(n.to_owned()))
+    fn name_set(&self, n: &str) -> Result<&'a RegionSet, EvalError> {
+        let instance: &'a Instance = self.instance;
+        instance.get(n).ok_or_else(|| EvalError::UnknownName(n.to_owned()))
     }
 
-    fn eval_uncached(
+    fn eval_uncached<'e>(
         &self,
-        expr: &RegionExpr,
-        cache: &mut HashMap<RegionExpr, RegionSet>,
-    ) -> Result<RegionSet, EvalError> {
+        expr: &'e RegionExpr,
+        cache: &mut Memo<'e, 'a>,
+    ) -> Result<Operand<'a>, EvalError> {
         use RegionExpr::*;
         let record = |op: &'static str, consumed: usize, out: &RegionSet| {
             self.stats.borrow_mut().record_op(op, consumed, out.len());
         };
-        Ok(match expr {
+        Ok(Operand::Computed(Rc::new(match expr {
             Name(n) => {
                 let s = self.name_set(n)?;
-                record("name", 0, &s);
-                s
+                record("name", 0, s);
+                return Ok(Operand::Indexed(s));
             }
             Word(w) => {
                 let s = self.word_spans(w);
@@ -373,16 +409,16 @@ impl<'a> Engine<'a> {
             }
             DirectIncluding(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
-                let out = direct_including(&x, &y, &self.forest);
+                let out = direct_including(&x, &y, self.forest);
                 // ⊃d consults the whole universe, which is what makes it
                 // "significantly more expensive than the simple inclusion".
-                record("⊃d", x.len() + y.len() + self.universe.len(), &out);
+                record("⊃d", x.len() + y.len() + self.forest.len(), &out);
                 out
             }
             DirectIncludedIn(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
-                let out = direct_included_in(&x, &y, &self.forest);
-                record("⊂d", x.len() + y.len() + self.universe.len(), &out);
+                let out = direct_included_in(&x, &y, self.forest);
+                record("⊂d", x.len() + y.len() + self.forest.len(), &out);
                 out
             }
             NestedExactly { outer, inner, depth } => {
@@ -404,7 +440,7 @@ impl<'a> Engine<'a> {
                 record("σ≥n", x.len() + occ.len(), &out);
                 out
             }
-        })
+        })))
     }
 
     /// Members of `outer` that include a member of `inner` with exactly
@@ -538,6 +574,15 @@ mod tests {
             ]),
         );
         (corpus, words, inst)
+    }
+
+    #[test]
+    fn engines_share_the_instance_forest() {
+        let (c, w, i) = fixture();
+        let a = Engine::new(&c, &w, &i);
+        let b = Engine::new(&c, &w, &i);
+        assert!(std::ptr::eq(a.forest(), b.forest()));
+        assert!(std::ptr::eq(a.forest(), i.forest()));
     }
 
     #[test]

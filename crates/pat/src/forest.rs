@@ -11,21 +11,27 @@
 use crate::{Region, RegionSet};
 
 /// Nesting forest over the universe of indexed regions.
+///
+/// Resident for the lifetime of an [`Instance`](crate::Instance)'s forest
+/// cache, so it keeps 12 bytes per region: the region itself and one parent
+/// link.
 #[derive(Debug, Clone)]
 pub struct UniverseForest {
     regions: Vec<Region>,
-    parent: Vec<Option<u32>>,
-    depth: Vec<u32>,
+    /// Parent index per region; [`NO_PARENT`] marks a root.
+    parent: Vec<u32>,
     properly_nested: bool,
 }
+
+/// Parent link of a root region.
+const NO_PARENT: u32 = u32::MAX;
 
 impl UniverseForest {
     /// Builds the forest for `universe` (all indexed regions, deduplicated).
     pub fn build(universe: &RegionSet) -> Self {
         let regions: Vec<Region> = universe.as_slice().to_vec();
-        let n = regions.len();
-        let mut parent: Vec<Option<u32>> = vec![None; n];
-        let mut depth: Vec<u32> = vec![0; n];
+        assert!(regions.len() < NO_PARENT as usize, "universe too large for u32 parent links");
+        let mut parent: Vec<u32> = vec![NO_PARENT; regions.len()];
         let mut properly_nested = true;
         let mut stack: Vec<u32> = Vec::new();
         for (i, r) in regions.iter().enumerate() {
@@ -39,8 +45,7 @@ impl UniverseForest {
             if let Some(&top) = stack.last() {
                 let t = regions[top as usize];
                 if t.end >= r.end {
-                    parent[i] = Some(top);
-                    depth[i] = depth[top as usize] + 1;
+                    parent[i] = top;
                 } else {
                     // Partial overlap: the universe is not properly nested.
                     properly_nested = false;
@@ -48,14 +53,13 @@ impl UniverseForest {
                     if let Some(&anc) =
                         stack.iter().rev().find(|&&k| regions[k as usize].end >= r.end)
                     {
-                        parent[i] = Some(anc);
-                        depth[i] = depth[anc as usize] + 1;
+                        parent[i] = anc;
                     }
                 }
             }
             stack.push(i as u32);
         }
-        Self { regions, parent, depth, properly_nested }
+        Self { regions, parent, properly_nested }
     }
 
     /// True when no two universe regions partially overlap (nesting is a
@@ -91,19 +95,17 @@ impl UniverseForest {
 
     /// Parent (deepest strict enclosure) of universe region `idx`.
     pub fn parent_of(&self, idx: usize) -> Option<usize> {
-        self.parent[idx].map(|p| p as usize)
-    }
-
-    /// Nesting depth of universe region `idx` (roots are 0).
-    pub fn depth_of(&self, idx: usize) -> u32 {
-        self.depth[idx]
+        match self.parent[idx] {
+            NO_PARENT => None,
+            p => Some(p as usize),
+        }
     }
 
     /// Ancestor of `idx` exactly `steps` parent links up.
     pub fn ancestor_at(&self, idx: usize, steps: u32) -> Option<usize> {
         let mut cur = idx;
         for _ in 0..steps {
-            cur = self.parent[cur]? as usize;
+            cur = self.parent_of(cur)?;
         }
         Some(cur)
     }
@@ -181,7 +183,6 @@ mod tests {
         assert_eq!(f.parent_of(idx(20, 30)), Some(idx(10, 50)));
         assert_eq!(f.parent_of(idx(60, 90)), Some(idx(0, 100)));
         assert_eq!(f.parent_of(idx(200, 250)), None);
-        assert_eq!(f.depth_of(idx(20, 30)), 2);
         assert_eq!(f.ancestor_at(idx(20, 30), 2), Some(idx(0, 100)));
         assert_eq!(f.ancestor_at(idx(20, 30), 3), None);
     }

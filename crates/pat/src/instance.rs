@@ -3,13 +3,29 @@
 
 use crate::{RegionSet, UniverseForest};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// An instance `I` of a region index: `I(Rᵢ)` is a set of regions for each
 /// region name `Rᵢ`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The nesting forest of the whole instance ([`Instance::forest`]) is built
+/// on first use and kept until the instance changes, so every query over an
+/// unchanged index shares one forest.
+#[derive(Debug, Clone, Default)]
 pub struct Instance {
     names: BTreeMap<String, RegionSet>,
+    forest: OnceLock<UniverseForest>,
 }
+
+/// Equality is over the indexed regions only: whether the forest has been
+/// built yet does not change what the instance is.
+impl PartialEq for Instance {
+    fn eq(&self, other: &Self) -> bool {
+        self.names == other.names
+    }
+}
+
+impl Eq for Instance {}
 
 impl Instance {
     /// An instance with no region names.
@@ -20,6 +36,7 @@ impl Instance {
     /// Registers (or replaces) the instance of a region name.
     pub fn insert(&mut self, name: impl Into<String>, regions: RegionSet) {
         self.names.insert(name.into(), regions);
+        self.forest = OnceLock::new();
     }
 
     /// Merges regions into an existing name (union), creating it if absent.
@@ -30,6 +47,7 @@ impl Instance {
                 self.names.insert(name.to_owned(), regions);
             }
         }
+        self.forest = OnceLock::new();
     }
 
     /// The instance of `name`, if indexed.
@@ -79,9 +97,12 @@ impl Instance {
         RegionSet::from_regions(all)
     }
 
-    /// Builds the nesting forest of [`Instance::universe`].
-    pub fn build_forest(&self) -> UniverseForest {
-        UniverseForest::build(&self.universe())
+    /// The nesting forest of [`Instance::universe`], built on the first
+    /// call and shared by every later one until [`Instance::insert`] or
+    /// [`Instance::merge`] changes the instance. Concurrent first calls
+    /// wait on a single build.
+    pub fn forest(&self) -> &UniverseForest {
+        self.forest.get_or_init(|| UniverseForest::build(&self.universe()))
     }
 
     /// Restricts the instance to the given names (partial indexing, §6).
@@ -94,6 +115,7 @@ impl Instance {
                 .filter(|(k, _)| keep.contains(k.as_str()))
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
+            forest: OnceLock::new(),
         }
     }
 }
@@ -137,6 +159,30 @@ mod tests {
         i.merge("B", rs(&[(5, 6)]));
         assert_eq!(i.get("A").unwrap().len(), 2);
         assert_eq!(i.get("B").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn forest_is_cached_until_the_instance_changes() {
+        let mut i = Instance::new();
+        i.insert("A", rs(&[(0, 100)]));
+        let first: *const UniverseForest = i.forest();
+        assert!(std::ptr::eq(first, i.forest()));
+        i.merge("B", rs(&[(10, 20)]));
+        assert_eq!(i.forest().regions(), i.universe().as_slice());
+        assert_eq!(i.forest().parent_of(1), Some(0));
+        i.insert("C", rs(&[(30, 40)]));
+        assert_eq!(i.forest().len(), 3);
+    }
+
+    #[test]
+    fn equality_ignores_whether_the_forest_is_built() {
+        let mut built = Instance::new();
+        built.insert("A", rs(&[(0, 10)]));
+        let fresh = built.clone();
+        built.forest();
+        assert_eq!(built, fresh);
+        assert_eq!(fresh, built);
+        assert_eq!(built.restrict_to(["A"]), built);
     }
 
     #[test]

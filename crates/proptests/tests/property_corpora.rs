@@ -12,7 +12,7 @@ use qof::{FileDatabase, Rig};
 fn check_structure(text: &str, schema: &StructuringSchema) {
     let corpus = Corpus::from_text(text);
     let db = FileDatabase::build(corpus, schema.clone(), IndexSpec::full()).unwrap();
-    let forest = db.instance().build_forest();
+    let forest = db.instance().forest();
     assert!(forest.is_properly_nested(), "grammar-derived regions must nest properly");
     let rig = Rig::from_grammar(&schema.grammar);
     rig.check_instance(db.instance()).expect("instance satisfies the derived RIG");

@@ -164,16 +164,16 @@ proptest! {
         let names = random_walk(&rig, start, &picks);
         prop_assume!(names.len() >= 2);
         let inst = build_instance(&rig, &choices);
-        let forest = inst.build_forest();
+        let forest = inst.forest();
         prop_assert!(forest.is_properly_nested());
 
         let e1 = InclusionExpr::all_direct(Direction::Including, names.clone(), None);
         let opt = optimize(&e1, &rig);
-        let before = eval_chain(&e1, &inst, &forest);
+        let before = eval_chain(&e1, &inst, forest);
         if opt.trivially_empty {
             prop_assert!(before.is_empty(), "Prop 3.3 flagged a non-empty expression {e1}");
         } else {
-            let after = eval_chain(&opt.expr, &inst, &forest);
+            let after = eval_chain(&opt.expr, &inst, forest);
             prop_assert_eq!(
                 before, after,
                 "{} and {} disagree on a satisfying instance", e1, opt.expr
@@ -193,14 +193,14 @@ proptest! {
         let names = random_walk(&rig, start, &picks);
         prop_assume!(names.len() >= 2);
         let inst = build_instance(&rig, &choices);
-        let forest = inst.build_forest();
+        let forest = inst.forest();
         let e1 = InclusionExpr::all_direct(Direction::IncludedIn, names.clone(), None);
         let opt = optimize(&e1, &rig);
-        let before = eval_proj_chain(&e1, &inst, &forest);
+        let before = eval_proj_chain(&e1, &inst, forest);
         if opt.trivially_empty {
             prop_assert!(before.is_empty(), "Prop 3.3 flagged non-empty projection {e1}");
         } else {
-            let after = eval_proj_chain(&opt.expr, &inst, &forest);
+            let after = eval_proj_chain(&opt.expr, &inst, forest);
             prop_assert_eq!(
                 before, after,
                 "projections {} and {} disagree on a satisfying instance", e1, opt.expr
@@ -286,10 +286,10 @@ proptest! {
         prop_assert_eq!(random_order.direct_ops(), fixed_order.direct_ops());
         // ...and be semantically equivalent on satisfying instances.
         let inst = build_instance(&rig, &choices);
-        let forest = inst.build_forest();
+        let forest = inst.forest();
         prop_assert_eq!(
-            eval_chain(&random_order, &inst, &forest),
-            eval_chain(&fixed_order, &inst, &forest),
+            eval_chain(&random_order, &inst, forest),
+            eval_chain(&fixed_order, &inst, forest),
             "normal forms {} and {} disagree semantically", random_order, fixed_order
         );
     }

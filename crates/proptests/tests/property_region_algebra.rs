@@ -153,7 +153,7 @@ proptest! {
             if let Some(p) = forest.parent_of(i) {
                 let parent = forest.regions()[p];
                 prop_assert!(parent.strictly_includes(r));
-                prop_assert_eq!(forest.depth_of(i), forest.depth_of(p) + 1);
+                prop_assert_eq!(forest.ancestor_at(i, 1), Some(p));
             }
         }
     }

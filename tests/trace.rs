@@ -100,3 +100,22 @@ fn trace_json_round_trips_through_the_public_surface() {
     // The plan text embedded in the trace is the untraced EXPLAIN, verbatim.
     assert_eq!(trace.plan, db().explain(CHANG).unwrap());
 }
+
+#[test]
+fn phases_account_for_a_warm_query() {
+    // Parse and plan are phases, and engine set-up is O(1) once the index's
+    // nesting forest exists, so the phases cover nearly all of a warm query.
+    // The median over several runs keeps one descheduled run from deciding.
+    let fdb = db();
+    fdb.query(CHANG).unwrap();
+    let mut ratios: Vec<f64> = (0..15)
+        .map(|_| {
+            let (_, trace) = fdb.query_traced(CHANG).unwrap();
+            let covered: u64 = trace.phases.iter().map(|p| p.nanos).sum();
+            covered as f64 / trace.total_nanos as f64
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ratios.len() / 2];
+    assert!(median >= 0.9, "phases cover {median:.3} of total_nanos: {ratios:?}");
+}
