@@ -62,9 +62,12 @@ const GALLOP_FACTOR: f64 = 4.0;
 
 /// The cost of merging two sorted region sets of sizes `a` and `b`, as
 /// the engine actually executes it: the linear sweep touches `a + b`
-/// regions, but past a 16× size skew the engine gallops through the big
-/// side, touching about `min · log₂ max` instead. The estimator takes
-/// whichever is cheaper, so plan ranking rewards skewed
+/// regions, but past a 16× size skew the engine drives from the small
+/// side and gallops through the big one, touching about `min · log₂ max`
+/// instead. That holds for `∩` and `−`, and for `⊃`/`⊂` whenever the
+/// operand the kernel probes is flat (records and fields, not recursive
+/// structure) or, for `⊂`, the right side is the small one. The estimator
+/// takes whichever is cheaper, so plan ranking rewards skewed
 /// (gallop-friendly) operand pairs.
 fn merge_cost(a: f64, b: f64) -> f64 {
     let (small, large) = if a <= b { (a, b) } else { (b, a) };
@@ -384,9 +387,15 @@ struct PlanCacheInner {
 /// (callers build the key with [`PlanCache::chain_key`]). Entries belong
 /// to one statistics epoch: [`PlanCache::bump_epoch`] clears them all, so
 /// a stale plan can never outlive the index state it was ranked against.
+///
+/// Beside the lowerings it keeps the planner's §6.3 route verdicts
+/// ([`PlanCache::route`]), which the planner needs before it can form a
+/// chain key, so that a cached plan runs no route search.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<PlanCacheInner>,
+    /// Route verdicts by hop: `routes[from][to]`.
+    routes: Mutex<HashMap<String, HashMap<String, bool>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -410,6 +419,7 @@ impl PlanCache {
     pub fn with_capacity(max_entries: usize) -> Self {
         PlanCache {
             inner: Mutex::new(PlanCacheInner::default()),
+            routes: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -437,7 +447,33 @@ impl PlanCache {
         let mut inner = self.inner.lock().expect("plan cache poisoned");
         inner.map.clear();
         inner.order.clear();
+        self.routes.lock().expect("plan cache poisoned").clear();
         self.epoch.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The planner's §6.3 uniqueness verdict for the hop `from → to`,
+    /// running `search` only on the first request of the epoch. A verdict
+    /// depends on the grammar and the indexed names alone, which change
+    /// only with the index, and so only with the epoch.
+    pub fn route(&self, from: &str, to: &str, search: impl FnOnce() -> bool) -> bool {
+        let known = self
+            .routes
+            .lock()
+            .expect("plan cache poisoned")
+            .get(from)
+            .and_then(|tos| tos.get(to))
+            .copied();
+        if let Some(verdict) = known {
+            return verdict;
+        }
+        let verdict = search();
+        self.routes
+            .lock()
+            .expect("plan cache poisoned")
+            .entry(from.to_owned())
+            .or_default()
+            .insert(to.to_owned(), verdict);
+        verdict
     }
 
     /// Looks up a chain, counting the outcome.
@@ -482,7 +518,8 @@ impl PlanCache {
     }
 
     /// Drops every entry without advancing the epoch (used when execution
-    /// options change under the same index).
+    /// options change under the same index). Route verdicts stay: they
+    /// depend on the index alone.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("plan cache poisoned");
         inner.map.clear();

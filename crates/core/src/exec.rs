@@ -966,7 +966,9 @@ impl FileDatabase {
                     let (expr, _, _) = chain.as_ref().ok_or_else(|| {
                         QueryError::Internal("index-only projection lost its chain".into())
                     })?;
-                    let deep = engine.eval(expr)?;
+                    // Only items inside a result are projected, so the
+                    // chain may start from those alone (`eval_within`).
+                    let deep = engine.eval_within(expr, &result_regions)?;
                     for (_, item) in group_by_container(&result_regions, &deep) {
                         stats.content_bytes += u64::from(item.len());
                         values.push(Value::Str(self.corpus.slice(item.span()).to_owned()));
@@ -1793,5 +1795,153 @@ mod tests {
             built.index_bytes()
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    // -- output-sensitive inclusion -----------------------------------------
+
+    #[test]
+    fn a_cached_plan_runs_no_route_search() {
+        let corpus = multi_file_corpus(3, 20);
+        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
+        let searches = || crate::plan::ROUTE_SEARCHES.with(std::cell::Cell::get);
+        let mut first_searches = 0;
+        for q in QUERIES {
+            let parsed = parse_query(q).unwrap();
+            let before = searches();
+            let first = db.planner().plan(&parsed).unwrap();
+            first_searches += searches() - before;
+            let before = searches();
+            let again = db.planner().plan(&parsed).unwrap();
+            assert_eq!(searches(), before, "{q}: the second plan searched routes again");
+            // The memo changes no plan: a planner without it agrees.
+            let fresh = Planner { plan_cache: None, ..db.planner() }.plan(&parsed).unwrap();
+            for other in [&again, &fresh] {
+                assert_eq!(other.describe(), first.describe(), "{q}");
+                assert_eq!(other.fingerprint, first.fingerprint, "{q}");
+            }
+        }
+        assert!(first_searches > 0, "the direct hops of the first plans need route searches");
+        // A new epoch forgets the verdicts.
+        db.plan_cache.bump_epoch();
+        let before = searches();
+        db.planner().plan(&parse_query(QUERIES[0]).unwrap()).unwrap();
+        assert!(searches() > before);
+    }
+
+    /// Pairs of `(container, item)` a projection reads, restricted or not,
+    /// for `within` taken as the containers.
+    fn projected_pairs(
+        db: &FileDatabase,
+        chain: &RegionExpr,
+        within: &RegionSet,
+    ) -> [Vec<(usize, Region)>; 2] {
+        let engine = db.engine();
+        let whole = engine.eval(chain).unwrap();
+        let restricted = engine.eval_within(chain, within).unwrap();
+        assert!(restricted.iter().all(|r| whole.contains(r)), "`eval_within` left `eval`");
+        [group_by_container(within, &whole), group_by_container(within, &restricted)]
+    }
+
+    /// `eval_within` + `group_by_container` equals `eval` +
+    /// `group_by_container` for projection chains over BibTeX and over
+    /// self-nested SGML sections, with assorted subsets of the view as the
+    /// containers.
+    #[test]
+    fn restricted_projection_equals_the_whole_projection() {
+        use qof_corpus::sgml;
+        let bib =
+            FileDatabase::build(multi_file_corpus(3, 30), bibtex::schema(), IndexSpec::full())
+                .unwrap();
+        let cfg = sgml::SgmlConfig {
+            top_sections: 6,
+            max_depth: 4,
+            subsections: (1, 3),
+            seed: 9,
+            ..Default::default()
+        };
+        let nested = FileDatabase::build(
+            Corpus::from_text(&sgml::generate(&cfg).0),
+            sgml::schema(),
+            IndexSpec::full(),
+        )
+        .unwrap();
+        let cases: [(&FileDatabase, &[&str]); 2] = [
+            (
+                &bib,
+                &[
+                    "SELECT r.Key FROM References r",
+                    "SELECT r.Authors.Name.Last_Name FROM References r",
+                    "SELECT r.*X.Last_Name FROM References r",
+                    "SELECT r.Editors.Name FROM References r",
+                ],
+            ),
+            (
+                &nested,
+                &[
+                    "SELECT s.Head FROM Sections s",
+                    "SELECT s.Subsections.Section.Head FROM Sections s",
+                    "SELECT s.*X.Head FROM Sections s",
+                    "SELECT s.Section+.Head FROM Sections s",
+                ],
+            ),
+        ];
+        let mut rng = 0x5eed_u64;
+        for (db, queries) in cases {
+            for q in queries {
+                let plan = db.plan(q).unwrap();
+                let ProjPlan::Values { chain: Some((chain, _, _)), .. } = &plan.projection else {
+                    panic!("{q}: no index-side projection chain");
+                };
+                let view = db.instance().get(&plan.vars[0].symbol).unwrap();
+                for step in [1usize, 2, 7, 40] {
+                    for offset in [0usize, 1, 3] {
+                        rng =
+                            rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        let skip = offset + (rng >> 60) as usize;
+                        let within = RegionSet::from_regions(
+                            view.iter().skip(skip).step_by(step).copied().collect(),
+                        );
+                        let [whole, restricted] = projected_pairs(db, chain, &within);
+                        assert_eq!(
+                            restricted, whole,
+                            "{q} over every {step}th view region from {skip}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The work of a selective index-only lookup follows its matches: a
+    /// corpus grown eightfold by references that cannot match reads
+    /// about as many regions as the original.
+    #[test]
+    fn selective_lookup_work_does_not_grow_with_the_corpus() {
+        let name = qof_corpus::LAST_NAMES[qof_corpus::LAST_NAMES.len() - 1];
+        let refs = |seed: u64, n_refs: usize, name_pool: usize| {
+            let cfg = BibtexConfig { n_refs, seed, name_pool, ..Default::default() };
+            bibtex::generate(&cfg).0
+        };
+        let corpus = |extra_files: u64| {
+            let mut b = qof_text::CorpusBuilder::new();
+            b.add_file("a.bib", &refs(1, 800, qof_corpus::LAST_NAMES.len()));
+            // 800-reference files over a name pool that lacks `name`.
+            for i in 0..extra_files {
+                b.add_file(format!("b{i}.bib"), &refs(100 + i, 800, 8));
+            }
+            b.build()
+        };
+        let q =
+            format!("SELECT r.Key FROM References r WHERE r.Authors.Name.Last_Name = \"{name}\"");
+        let run = |extra_files| {
+            let db = FileDatabase::build(corpus(extra_files), bibtex::schema(), IndexSpec::full())
+                .unwrap();
+            db.query(&q).unwrap()
+        };
+        let (a, b) = (run(0), run(7));
+        assert!(!a.values.is_empty(), "`{name}` must occur in corpus A");
+        assert_eq!(a.values, b.values);
+        let (ra, rb) = (a.stats.eval.regions_consumed, b.stats.eval.regions_consumed);
+        assert!(rb * 2 <= ra * 3, "regions consumed grew from {ra} to {rb} with the corpus");
     }
 }

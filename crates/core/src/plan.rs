@@ -17,6 +17,12 @@ use crate::trace::NodeFact;
 use crate::translate::{filter_paths, resolve_path, PathSpec, SkOp, TranslateError};
 use crate::{ChainOp, Cond, Direction, InclusionExpr, Projection, QPath, Query, Rig, SelectKind};
 
+#[cfg(test)]
+thread_local! {
+    /// Route searches ([`Planner::unique_route`]) run on this thread.
+    pub(crate) static ROUTE_SEARCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Whether a candidate set is provably the exact answer (§6.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exactness {
@@ -565,7 +571,6 @@ impl<'a> Planner<'a> {
         alt: &crate::translate::Skeleton,
         selector: Option<(SelectKind, String)>,
     ) -> ProjectedChain {
-        let indexed: BTreeSet<&str> = self.instance.names().collect();
         let mut names: Vec<String> = vec![alt.names[0].clone()];
         let mut ops: Vec<EOp> = Vec::new();
         let mut exact = true;
@@ -589,7 +594,7 @@ impl<'a> Planner<'a> {
                 .rev()
                 .map(|anc| qof_grammar::IndexSpec::scoped_key(anc, next_name))
                 .find(|key| self.instance.has(key));
-            let plain = indexed.contains(next_name.as_str());
+            let plain = self.instance.has(next_name);
             if plain || scoped.is_some() {
                 let kept = if plain { next_name.clone() } else { scoped.expect("checked") };
                 let op = pending.take().expect("an op precedes every kept name");
@@ -605,7 +610,13 @@ impl<'a> Planner<'a> {
                         // exactness regardless of what is indexed.
                         let prev = names.last().expect("chain starts with the view symbol");
                         let route_from = strip_scope(prev);
-                        if !self.unique_route(route_from, next_name, &indexed) {
+                        let unique = match self.plan_cache {
+                            Some(pc) => pc.route(route_from, next_name, || {
+                                self.unique_route(route_from, next_name)
+                            }),
+                            None => self.unique_route(route_from, next_name),
+                        };
+                        if !unique {
                             exact = false;
                             hops.push(InexactHop {
                                 from: route_from.to_owned(),
@@ -890,7 +901,9 @@ impl<'a> Planner<'a> {
         !bad_walk(self.full_rig, a, b, n + 1, false, &collapsible)
     }
 
-    fn unique_route(&self, a: &str, b: &str, indexed: &BTreeSet<&str>) -> bool {
+    fn unique_route(&self, a: &str, b: &str) -> bool {
+        #[cfg(test)]
+        ROUTE_SEARCHES.with(|n| n.set(n.get() + 1));
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         enum Phase {
             Head,
@@ -900,7 +913,7 @@ impl<'a> Planner<'a> {
         let g = self.full_rig;
         let grammar = &self.schema.grammar;
         let collapsible = |p: &str| grammar.symbol(p).is_some_and(|sym| grammar.can_collapse(sym));
-        let is_indexed = |n: &str| indexed.contains(n);
+        let is_indexed = |n: &str| self.instance.has(n);
         let step = |phase: Phase, n: &str| -> Option<Phase> {
             match phase {
                 // All nodes consumed so far (including `a`) were collapsible:

@@ -34,9 +34,18 @@ impl std::error::Error for EvalError {}
 
 /// An operand during one evaluation: an indexed name's set, borrowed from
 /// the instance, or a computed set shared by the memo and its consumers.
-/// Neither is copied until [`Engine::eval`] hands a result out.
+/// Neither is copied until [`Engine::eval`] hands a result out. `flat`
+/// records that no member includes another ([`RegionSet::is_flat`]), known
+/// without a scan: indexed names carry the instance's bit, and an operator
+/// whose output is a subset of its left operand passes that bit on.
 #[derive(Clone)]
-enum Operand<'a> {
+struct Operand<'a> {
+    set: Shared<'a>,
+    flat: bool,
+}
+
+#[derive(Clone)]
+enum Shared<'a> {
     Indexed(&'a RegionSet),
     Computed(Rc<RegionSet>),
 }
@@ -45,19 +54,23 @@ impl Deref for Operand<'_> {
     type Target = RegionSet;
 
     fn deref(&self) -> &RegionSet {
-        match self {
-            Operand::Indexed(set) => set,
-            Operand::Computed(set) => set,
+        match &self.set {
+            Shared::Indexed(set) => set,
+            Shared::Computed(set) => set,
         }
     }
 }
 
 impl Operand<'_> {
+    fn computed(set: RegionSet, flat: bool) -> Self {
+        Operand { set: Shared::Computed(Rc::new(set)), flat }
+    }
+
     /// The owned set; copies only an indexed set or one still shared.
     fn into_set(self) -> RegionSet {
-        match self {
-            Operand::Indexed(set) => set.clone(),
-            Operand::Computed(set) => Rc::try_unwrap(set).unwrap_or_else(|set| (*set).clone()),
+        match self.set {
+            Shared::Indexed(set) => set.clone(),
+            Shared::Computed(set) => Rc::try_unwrap(set).unwrap_or_else(|set| (*set).clone()),
         }
     }
 }
@@ -152,6 +165,59 @@ impl<'a> Engine<'a> {
             exprs.iter().map(|e| self.eval_memo(e, &mut memo)).collect::<Result<Vec<_>, _>>()?;
         drop(memo);
         Ok(outs.into_iter().map(Operand::into_set).collect())
+    }
+
+    /// [`Engine::eval`] for a caller that needs only the result regions
+    /// lying inside some member of `within` (a projection over a query's
+    /// answers). The result holds every such region of `eval(expr)` and
+    /// nothing outside `eval(expr)`.
+    ///
+    /// When `expr` is built from names by `∪` and by `⊂`/`⊂d` with the
+    /// filtered set on the left, every operator keeps a subset of its left
+    /// side and decides each region on its own. So the leaf names can be
+    /// cut down first to the regions inside `within`, and the work follows
+    /// `within` instead of the index. A leaf name that also appears on a
+    /// right-hand side would change that operand too; such expressions,
+    /// and every other shape, are evaluated whole.
+    pub fn eval_within(
+        &self,
+        expr: &RegionExpr,
+        within: &RegionSet,
+    ) -> Result<RegionSet, EvalError> {
+        let (mut leaves, mut operands) = (Vec::new(), Vec::new());
+        if !filter_spine(expr, &mut leaves, &mut operands)
+            || operands.iter().flat_map(|o| o.names()).any(|n| leaves.iter().any(|(l, _)| *l == n))
+        {
+            return self.eval(expr);
+        }
+        let mut memo = Memo::new();
+        let within_flat = within.is_flat();
+        for (name, leaf) in leaves {
+            if memo.contains_key(leaf) {
+                continue;
+            }
+            let set = self.name_set(name)?;
+            if let Some(sink) = self.trace {
+                sink.enter();
+            }
+            let (inside, read) = set.included_in_counted(within, within_flat, false);
+            self.stats.borrow_mut().record_op("⊂", read, inside.len());
+            if let Some(sink) = self.trace {
+                sink.exit_with(|children| OpTrace {
+                    op: "⊂".to_owned(),
+                    detail: format!("{name} within {} regions", within.len()),
+                    input: set.len() + within.len(),
+                    output: inside.len(),
+                    source: CacheSource::Computed,
+                    children,
+                    ..OpTrace::default()
+                });
+            }
+            memo.insert(leaf, Operand::computed(inside, self.instance.is_flat(name)));
+        }
+        let out = self.eval_memo(expr, &mut memo)?;
+        drop(memo);
+        Ok(out.into_set())
     }
 
     /// Evaluates `expr` *without* common-subexpression sharing — the
@@ -335,77 +401,80 @@ impl<'a> Engine<'a> {
         let record = |op: &'static str, consumed: usize, out: &RegionSet| {
             self.stats.borrow_mut().record_op(op, consumed, out.len());
         };
-        Ok(Operand::Computed(Rc::new(match expr {
+        // Operators whose output is a subset of their left operand keep its
+        // flatness; `ι` and `ω` outputs are flat by definition.
+        let (out, flat) = match expr {
             Name(n) => {
                 let s = self.name_set(n)?;
                 record("name", 0, s);
-                return Ok(Operand::Indexed(s));
+                return Ok(Operand { set: Shared::Indexed(s), flat: self.instance.is_flat(n) });
             }
             Word(w) => {
                 let s = self.word_spans(w);
                 record("word", 0, &s);
-                s
+                // Distinct occurrences of one constant share its length.
+                (s, true)
             }
             Prefix(p) => {
                 let s = self.prefix_spans(p);
                 record("prefix", 0, &s);
-                s
+                (s, false)
             }
             Union(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
                 let out = x.union(&y);
                 record("∪", x.len() + y.len(), &out);
-                out
+                (out, false)
             }
             Intersect(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
-                let out = x.intersect(&y);
-                record("∩", x.len() + y.len(), &out);
-                out
+                let (out, read) = x.intersect_counted(&y);
+                record("∩", read, &out);
+                (out, x.flat || y.flat)
             }
             Difference(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
-                let out = x.difference(&y);
-                record("−", x.len() + y.len(), &out);
-                out
+                let (out, read) = x.difference_counted(&y);
+                record("−", read, &out);
+                (out, x.flat)
             }
             SelectEq(e, w) => {
                 let x = self.eval_memo(e, cache)?;
                 let occ = self.word_spans(w);
-                let out = x.intersect(&occ);
-                record("σ", x.len() + occ.len(), &out);
-                out
+                let (out, read) = x.intersect_counted(&occ);
+                record("σ", read, &out);
+                (out, true)
             }
             SelectContains(e, w) => {
                 let x = self.eval_memo(e, cache)?;
                 let occ = self.word_spans(w);
-                let out = x.including(&occ);
-                record("σ∋", x.len() + occ.len(), &out);
-                out
+                let (out, read) = x.including_counted(&occ, x.flat, false);
+                record("σ∋", read, &out);
+                (out, x.flat)
             }
             Innermost(e) => {
                 let x = self.eval_memo(e, cache)?;
                 let out = x.innermost();
                 record("ι", x.len(), &out);
-                out
+                (out, true)
             }
             Outermost(e) => {
                 let x = self.eval_memo(e, cache)?;
                 let out = x.outermost();
                 record("ω", x.len(), &out);
-                out
+                (out, true)
             }
             Including(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
-                let out = x.including(&y);
-                record("⊃", x.len() + y.len(), &out);
-                out
+                let (out, read) = x.including_counted(&y, x.flat, false);
+                record("⊃", read, &out);
+                (out, x.flat)
             }
             IncludedIn(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
-                let out = x.included_in(&y);
-                record("⊂", x.len() + y.len(), &out);
-                out
+                let (out, read) = x.included_in_counted(&y, y.flat, false);
+                record("⊂", read, &out);
+                (out, x.flat)
             }
             DirectIncluding(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
@@ -413,34 +482,35 @@ impl<'a> Engine<'a> {
                 // ⊃d consults the whole universe, which is what makes it
                 // "significantly more expensive than the simple inclusion".
                 record("⊃d", x.len() + y.len() + self.forest.len(), &out);
-                out
+                (out, x.flat)
             }
             DirectIncludedIn(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
                 let out = direct_included_in(&x, &y, self.forest);
                 record("⊂d", x.len() + y.len() + self.forest.len(), &out);
-                out
+                (out, x.flat)
             }
             NestedExactly { outer, inner, depth } => {
                 let (x, y) = (self.eval_memo(outer, cache)?, self.eval_memo(inner, cache)?);
                 let out = self.nested_exactly(&x, &y, *depth);
                 record("⊃^n", x.len() + y.len(), &out);
-                out
+                (out, x.flat)
             }
             Near { left, right, gap } => {
                 let (x, y) = (self.eval_memo(left, cache)?, self.eval_memo(right, cache)?);
                 let out = near(&x, &y, *gap);
                 record("near", x.len() + y.len(), &out);
-                out
+                (out, false)
             }
             SelectCountAtLeast(e, w, n) => {
                 let x = self.eval_memo(e, cache)?;
                 let occ = self.word_spans(w);
                 let out = count_at_least(&x, &occ, *n);
                 record("σ≥n", x.len() + occ.len(), &out);
-                out
+                (out, x.flat)
             }
-        })))
+        };
+        Ok(Operand::computed(out, flat))
     }
 
     /// Members of `outer` that include a member of `inner` with exactly
@@ -458,6 +528,29 @@ impl<'a> Engine<'a> {
             }
         }
         outer.intersect(&RegionSet::from_regions(candidates))
+    }
+}
+
+/// Collects the name leaves and the right-hand operands of `expr` when it
+/// is built from names by `∪`, `⊂` and `⊂d` with the filtered set on the
+/// left; false for any other shape.
+fn filter_spine<'e>(
+    expr: &'e RegionExpr,
+    leaves: &mut Vec<(&'e str, &'e RegionExpr)>,
+    operands: &mut Vec<&'e RegionExpr>,
+) -> bool {
+    use RegionExpr::*;
+    match expr {
+        Name(n) => {
+            leaves.push((n, expr));
+            true
+        }
+        Union(a, b) => filter_spine(a, leaves, operands) && filter_spine(b, leaves, operands),
+        IncludedIn(a, b) | DirectIncludedIn(a, b) => {
+            operands.push(b);
+            filter_spine(a, leaves, operands)
+        }
+        _ => false,
     }
 }
 
@@ -621,6 +714,32 @@ mod tests {
         );
         let s2 = eng.eval(&e2).unwrap();
         assert_eq!(s2.as_slice(), &[Region::new(34, 52)]);
+    }
+
+    #[test]
+    fn eval_within_keeps_the_regions_inside() {
+        let (c, w, i) = fixture();
+        let eng = Engine::new(&c, &w, &i);
+        let first = RegionSet::from_regions(vec![Region::new(0, 33)]);
+        let spine = RegionExpr::name("Last_Name").included_in(RegionExpr::name("Authors"));
+        assert_eq!(eng.eval(&spine).unwrap().len(), 2);
+        assert_eq!(eng.eval_within(&spine, &first).unwrap().as_slice(), &[Region::new(9, 14)]);
+        // A union of spines restricts every leaf.
+        let both = spine
+            .union(RegionExpr::name("Last_Name").direct_included_in(RegionExpr::name("Editors")));
+        assert_eq!(
+            eng.eval_within(&both, &first).unwrap().as_slice(),
+            &[Region::new(9, 14), Region::new(26, 33)]
+        );
+        // Other shapes, and a leaf that is also a right-hand operand, are
+        // evaluated whole.
+        let authors = || RegionExpr::name("Authors");
+        for whole in [
+            authors().including(RegionExpr::name("Last_Name")),
+            authors().included_in(authors().union(RegionExpr::name("Reference"))),
+        ] {
+            assert_eq!(eng.eval_within(&whole, &first).unwrap(), eng.eval(&whole).unwrap());
+        }
     }
 
     #[test]

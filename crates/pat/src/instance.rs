@@ -2,7 +2,7 @@
 //! region names to region sets.
 
 use crate::{RegionSet, UniverseForest};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 /// An instance `I` of a region index: `I(Rᵢ)` is a set of regions for each
@@ -10,15 +10,18 @@ use std::sync::OnceLock;
 ///
 /// The nesting forest of the whole instance ([`Instance::forest`]) is built
 /// on first use and kept until the instance changes, so every query over an
-/// unchanged index shares one forest.
+/// unchanged index shares one forest. Whether each name's set is
+/// [flat](RegionSet::is_flat) is decided once per write, so queries read it
+/// without a scan ([`Instance::is_flat`]).
 #[derive(Debug, Clone, Default)]
 pub struct Instance {
     names: BTreeMap<String, RegionSet>,
+    flat: BTreeSet<String>,
     forest: OnceLock<UniverseForest>,
 }
 
-/// Equality is over the indexed regions only: whether the forest has been
-/// built yet does not change what the instance is.
+/// Equality is over the indexed regions only: the flatness bits and the
+/// forest are derived from them.
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
         self.names == other.names
@@ -35,19 +38,47 @@ impl Instance {
 
     /// Registers (or replaces) the instance of a region name.
     pub fn insert(&mut self, name: impl Into<String>, regions: RegionSet) {
-        self.names.insert(name.into(), regions);
+        let name = name.into();
+        self.set_flat(&name, regions.is_flat());
+        self.names.insert(name, regions);
         self.forest = OnceLock::new();
     }
 
     /// Merges regions into an existing name (union), creating it if absent.
     pub fn merge(&mut self, name: &str, regions: RegionSet) {
-        match self.names.get_mut(name) {
-            Some(existing) => *existing = existing.union(&regions),
-            None => {
-                self.names.insert(name.to_owned(), regions);
-            }
-        }
+        let Some(existing) = self.names.get_mut(name) else {
+            return self.insert(name, regions);
+        };
+        // Regions appended past the existing ones (a new file) leave the
+        // union flat iff both sides are and the seam is: O(new), not O(all).
+        let was_flat = self.flat.contains(name);
+        let seam = match (existing.as_slice().last(), regions.as_slice().first()) {
+            (_, None) => Some(was_flat),
+            (None, Some(_)) => Some(regions.is_flat()),
+            (Some(last), Some(first)) if last < first => Some(
+                was_flat && last.start < first.start && last.end < first.end && regions.is_flat(),
+            ),
+            _ => None,
+        };
+        *existing = existing.union(&regions);
+        let flat = seam.unwrap_or_else(|| existing.is_flat());
+        self.set_flat(name, flat);
         self.forest = OnceLock::new();
+    }
+
+    fn set_flat(&mut self, name: &str, flat: bool) {
+        if flat {
+            self.flat.insert(name.to_owned());
+        } else {
+            self.flat.remove(name);
+        }
+    }
+
+    /// Whether `name`'s set is [flat](RegionSet::is_flat): no region of it
+    /// includes another (records, fields and words; not recursive
+    /// structure such as nested sections). False for unindexed names.
+    pub fn is_flat(&self, name: &str) -> bool {
+        self.flat.contains(name)
     }
 
     /// The instance of `name`, if indexed.
@@ -115,6 +146,7 @@ impl Instance {
                 .filter(|(k, _)| keep.contains(k.as_str()))
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
+            flat: self.flat.iter().filter(|k| keep.contains(k.as_str())).cloned().collect(),
             forest: OnceLock::new(),
         }
     }
@@ -183,6 +215,27 @@ mod tests {
         assert_eq!(built, fresh);
         assert_eq!(fresh, built);
         assert_eq!(built.restrict_to(["A"]), built);
+    }
+
+    #[test]
+    fn flatness_is_tracked_per_write() {
+        let mut i = Instance::new();
+        i.insert("A", rs(&[(0, 10), (20, 30)]));
+        i.insert("B", rs(&[(0, 10), (2, 5)]));
+        assert!(i.is_flat("A") && !i.is_flat("B") && !i.is_flat("C"));
+        i.merge("A", rs(&[(40, 50), (60, 70)]));
+        assert!(i.is_flat("A"), "appended past the end");
+        i.merge("A", rs(&[(65, 68)]));
+        assert!(!i.is_flat("A"), "appended inside the last region");
+        i.insert("A", rs(&[(0, 10), (20, 30)]));
+        i.merge("A", rs(&[(22, 25)]));
+        assert!(!i.is_flat("A"));
+        i.insert("A", rs(&[(40, 50)]));
+        assert!(i.is_flat("A"));
+        i.merge("C", rs(&[(1, 2)]));
+        assert!(i.is_flat("C"));
+        let p = i.restrict_to(["A", "B"]);
+        assert!(p.is_flat("A") && !p.is_flat("B") && !p.is_flat("C"));
     }
 
     #[test]

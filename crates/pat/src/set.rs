@@ -3,9 +3,23 @@
 //! (inclusion) and their strict variants.
 //!
 //! The representation is a `Vec<Region>` in canonical sweep order (ascending
-//! start, descending end at equal starts). Every operator runs in
-//! `O(n + m)` or `O((n + m) log n)` over sorted inputs, mirroring the
-//! set-at-a-time evaluation style of the PAT engine.
+//! start, descending end at equal starts), mirroring the set-at-a-time
+//! evaluation style of the PAT engine. Every operator has a linear sweep
+//! over both operands, `O(n + m)` or `O((n + m) log m)`. Past a 16× size
+//! skew the binary operators drive from the small side instead and gallop
+//! into the large one, so their cost follows the small side and the
+//! output:
+//!
+//! * `∩` and `−` gallop for each small-side region, `O(min · log max)`;
+//! * `A ⊃ B` with a small `B` and a [flat](RegionSet::is_flat) `A` (no
+//!   member includes another) probes `A` from each `b`;
+//! * `A ⊂ B` with a small `A` and a flat `B` probes `B` from each `a`;
+//! * `A ⊂ B` with a small `B` of any shape scans only the members of `A`
+//!   that start inside some `b`.
+//!
+//! Nested outer operands and unskewed pairs keep the sweep. The `*_counted`
+//! forms also return the regions an operator read, the unit the engine's
+//! statistics and the cost model share.
 
 use crate::Region;
 use qof_text::Pos;
@@ -107,28 +121,44 @@ impl RegionSet {
         RegionSet { regions: out }
     }
 
+    /// Whether no member includes another. In canonical order that holds
+    /// exactly when starts and ends both strictly ascend, so one pass over
+    /// neighbours decides it. Flat sets unlock the probing inclusion
+    /// kernels of [`including_counted`](Self::including_counted) and
+    /// [`included_in_counted`](Self::included_in_counted).
+    pub fn is_flat(&self) -> bool {
+        self.regions.windows(2).all(|w| w[0].start < w[1].start && w[0].end < w[1].end)
+    }
+
     /// Set intersection (regions equal as begin/end pairs).
+    pub fn intersect(&self, other: &RegionSet) -> RegionSet {
+        self.intersect_counted(other).0
+    }
+
+    /// [`intersect`](Self::intersect), plus the number of operand regions
+    /// it read.
     ///
     /// Adaptive: skewed operand sizes (|A| ≪ |B|) switch from the linear
     /// sweep to galloping (exponential) search over the larger side, so
     /// the cost is `O(min·log max)` instead of `O(min + max)` — the
     /// posting-list intersection strategy of the compressed-index
     /// literature, applied to the region algebra's `∩`.
-    pub fn intersect(&self, other: &RegionSet) -> RegionSet {
+    pub fn intersect_counted(&self, other: &RegionSet) -> (RegionSet, usize) {
         let (small, large) = if self.len() <= other.len() { (self, other) } else { (other, self) };
         if gallop_pays_off(small.len(), large.len()) {
+            let mut reads = small.len();
             let mut out = Vec::with_capacity(small.len());
             let mut lo = 0usize;
             for r in &small.regions {
-                lo += gallop_to(&large.regions[lo..], r);
+                lo += gallop(&large.regions[lo..], |x| x < r, &mut reads);
                 if large.regions.get(lo) == Some(r) {
                     out.push(*r);
                     lo += 1;
                 }
             }
-            return RegionSet { regions: out };
+            return (RegionSet { regions: out }, reads);
         }
-        self.intersect_sweep(other)
+        (self.intersect_sweep(other), self.len() + other.len())
     }
 
     /// The naive linear-merge intersection — the oracle the adaptive
@@ -151,26 +181,33 @@ impl RegionSet {
     }
 
     /// Set difference `self − other`.
-    ///
-    /// Adaptive like [`intersect`](Self::intersect): when the subtrahend
-    /// dwarfs `self`, each of `self`'s regions gallops into `other`
-    /// instead of sweeping past its bulk. (The skew only pays off in that
-    /// direction — every region of `self` is visited regardless.)
     pub fn difference(&self, other: &RegionSet) -> RegionSet {
+        self.difference_counted(other).0
+    }
+
+    /// [`difference`](Self::difference), plus the number of operand
+    /// regions it read.
+    ///
+    /// Adaptive like [`intersect_counted`](Self::intersect_counted): when
+    /// the subtrahend dwarfs `self`, each of `self`'s regions gallops into
+    /// `other` instead of sweeping past its bulk. (The skew only pays off
+    /// in that direction — every region of `self` is visited regardless.)
+    pub fn difference_counted(&self, other: &RegionSet) -> (RegionSet, usize) {
         if gallop_pays_off(self.len(), other.len()) {
+            let mut reads = self.len();
             let mut out = Vec::new();
             let mut lo = 0usize;
             for r in &self.regions {
-                lo += gallop_to(&other.regions[lo..], r);
+                lo += gallop(&other.regions[lo..], |x| x < r, &mut reads);
                 if other.regions.get(lo) == Some(r) {
                     lo += 1;
                 } else {
                     out.push(*r);
                 }
             }
-            return RegionSet { regions: out };
+            return (RegionSet { regions: out }, reads);
         }
-        self.difference_sweep(other)
+        (self.difference_sweep(other), self.len() + other.len())
     }
 
     /// The naive linear-merge difference — the oracle the adaptive
@@ -201,19 +238,83 @@ impl RegionSet {
     /// The paper's `R ⊃ S`: members of `self` that include at least one
     /// region of `other` (non-strict inclusion).
     pub fn including(&self, other: &RegionSet) -> RegionSet {
-        self.including_impl(other, false)
+        self.including_counted(other, false, false).0
     }
 
     /// `R ⊃ S` with *strict* inclusion (the included region must differ).
     pub fn strictly_including(&self, other: &RegionSet) -> RegionSet {
-        self.including_impl(other, true)
+        self.including_counted(other, false, true).0
     }
 
-    fn including_impl(&self, other: &RegionSet, strict: bool) -> RegionSet {
-        if other.is_empty() {
-            return RegionSet::new();
+    /// `self ⊃ other` (strict when `strict`), plus the number of operand
+    /// regions it read. `self_flat` states that `self` is
+    /// [flat](Self::is_flat); the caller knows it without a scan (an
+    /// indexed name's bit, or one passed through a subset operator).
+    ///
+    /// A flat `self` that dwarfs `other` (past the 16× gallop crossover)
+    /// is probed from the small side in `O(|other|·log|self| + output)`;
+    /// otherwise the linear sweep runs.
+    pub fn including_counted(
+        &self,
+        other: &RegionSet,
+        self_flat: bool,
+        strict: bool,
+    ) -> (RegionSet, usize) {
+        debug_assert!(!self_flat || self.is_flat(), "including: `self` is not flat");
+        if self.is_empty() || other.is_empty() {
+            return (RegionSet::new(), 0);
         }
-        // suffix_min_end[k] = min end among other.regions[k..].
+        if self_flat && gallop_pays_off(other.len(), self.len()) {
+            return self.including_probed(other, strict);
+        }
+        (self.including_sweep(other, strict), self.len() + other.len())
+    }
+
+    /// `self ⊃ other` for a flat `self`: the members containing `b` start
+    /// at or before `b.start`, and since a flat set's ends ascend too,
+    /// they are a contiguous run ending at the last such member. Each `b`
+    /// gallops to that member and back over the run's length; the runs
+    /// are merged as they arrive (their right ends never fall back by
+    /// more than one), so the output is canonical without a sort.
+    fn including_probed(&self, other: &RegionSet, strict: bool) -> (RegionSet, usize) {
+        let a = &self.regions;
+        let mut reads = other.len();
+        // Disjoint, ascending half-open index runs of `a` to emit.
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut cursor = 0usize;
+        for b in &other.regions {
+            cursor += gallop(&a[cursor..], |r| r.start <= b.start, &mut reads);
+            let mut hi = cursor;
+            // The only member equal to `b` starts where `b` does, so it can
+            // only be the last candidate.
+            if strict && hi > 0 && a[hi - 1] == *b {
+                hi -= 1;
+            }
+            let mut lo = hi - gallop_back(&a[..hi], |r| r.end >= b.end, &mut reads);
+            if lo == hi {
+                continue;
+            }
+            while let Some(&(prev_lo, prev_hi)) = runs.last() {
+                if prev_hi < lo {
+                    break;
+                }
+                runs.pop();
+                lo = lo.min(prev_lo);
+                hi = hi.max(prev_hi);
+            }
+            runs.push((lo, hi));
+        }
+        let mut out = Vec::with_capacity(runs.iter().map(|&(lo, hi)| hi - lo).sum());
+        for (lo, hi) in runs {
+            out.extend_from_slice(&a[lo..hi]);
+        }
+        (RegionSet::from_sorted(out), reads)
+    }
+
+    /// The linear sweep behind `⊃`: any shapes, `O((n + m) log m)`.
+    fn including_sweep(&self, other: &RegionSet, strict: bool) -> RegionSet {
+        // suffix_min_end[k] = min end among other.regions[k..]; the
+        // sentinel at n is only read behind an explicit bound check.
         let n = other.len();
         let mut suffix_min_end = vec![Pos::MAX; n + 1];
         for k in (0..n).rev() {
@@ -225,7 +326,7 @@ impl RegionSet {
             .iter()
             .filter(|r| {
                 let lo = starts.partition_point(|&s| s < r.start);
-                if suffix_min_end[lo] > r.end {
+                if lo == n || suffix_min_end[lo] > r.end {
                     return false;
                 }
                 if !strict {
@@ -240,7 +341,7 @@ impl RegionSet {
                 // instead of a scan over equal-start pileups.
                 match other.regions.binary_search(r) {
                     Err(_) => true,
-                    Ok(ri) => suffix_min_end[ri + 1] <= r.end,
+                    Ok(ri) => ri + 1 < n && suffix_min_end[ri + 1] <= r.end,
                 }
             })
             .copied()
@@ -251,45 +352,101 @@ impl RegionSet {
     /// The paper's `R ⊂ S`: members of `self` that are included in at least
     /// one region of `other` (non-strict).
     pub fn included_in(&self, other: &RegionSet) -> RegionSet {
-        self.included_in_impl(other, false)
+        self.included_in_counted(other, false, false).0
     }
 
     /// `R ⊂ S` with *strict* inclusion.
     pub fn strictly_included_in(&self, other: &RegionSet) -> RegionSet {
-        self.included_in_impl(other, true)
+        self.included_in_counted(other, false, true).0
     }
 
-    fn included_in_impl(&self, other: &RegionSet, strict: bool) -> RegionSet {
-        if other.is_empty() {
-            return RegionSet::new();
+    /// `self ⊂ other` (strict when `strict`), plus the number of operand
+    /// regions it read. `other_flat` states that `other` is
+    /// [flat](Self::is_flat).
+    ///
+    /// Past the 16× gallop crossover the small side drives: a small `self`
+    /// probes a flat `other` for each member's one candidate container,
+    /// and a small `other` scans only the members of `self` that start
+    /// inside one of its regions. Otherwise the linear sweep runs.
+    pub fn included_in_counted(
+        &self,
+        other: &RegionSet,
+        other_flat: bool,
+        strict: bool,
+    ) -> (RegionSet, usize) {
+        debug_assert!(!other_flat || other.is_flat(), "included_in: `other` is not flat");
+        if self.is_empty() || other.is_empty() {
+            return (RegionSet::new(), 0);
         }
-        // prefix_max_end[k] = max end among other.regions[..k].
-        let n = other.len();
-        let mut prefix_max_end = vec![0 as Pos; n + 1];
-        for k in 0..n {
-            prefix_max_end[k + 1] = prefix_max_end[k].max(other.regions[k].end);
+        if other_flat && gallop_pays_off(self.len(), other.len()) {
+            return self.included_in_probed(other, strict);
         }
-        let starts: Vec<Pos> = other.regions.iter().map(|r| r.start).collect();
+        if gallop_pays_off(other.len(), self.len()) {
+            return self.included_in_windows(other, strict);
+        }
+        (self.included_in_sweep(other, strict), self.len() + other.len())
+    }
+
+    /// `self ⊂ other` for a flat `other`: among the members of `other`
+    /// starting at or before `a.start`, the last has the largest end, so
+    /// it is the one candidate container of `a`.
+    fn included_in_probed(&self, other: &RegionSet, strict: bool) -> (RegionSet, usize) {
+        let b = &other.regions;
+        let mut reads = self.len();
+        let mut cursor = 0usize;
+        let out = self
+            .regions
+            .iter()
+            .filter(|a| {
+                cursor += gallop(&b[cursor..], |r| r.start <= a.start, &mut reads);
+                // Strict: a container equal to `a` leaves no other, since
+                // every earlier member of a flat set ends before it.
+                cursor > 0 && b[cursor - 1].end >= a.end && !(strict && b[cursor - 1] == **a)
+            })
+            .copied()
+            .collect();
+        (RegionSet { regions: out }, reads)
+    }
+
+    /// `self ⊂ other` for a small `other` of any shape: a member of `self`
+    /// inside some `w` starts in `[w.start, w.end]`, so only those windows
+    /// of `self` are scanned, each member once, and tested against all of
+    /// `other` with the sweep's prefix-extrema test.
+    fn included_in_windows(&self, other: &RegionSet, strict: bool) -> (RegionSet, usize) {
+        let a = &self.regions;
+        let b = &other.regions;
+        let prefix_max_end = prefix_max_end(b);
+        let mut reads = b.len();
+        let mut out = Vec::new();
+        let mut next = 0usize; // first member of `self` not yet scanned
+        let mut k = 0usize; // b[..k] start at or before the member under test
+        for w in b {
+            let lo = next + gallop(&a[next..], |r| r.start < w.start, &mut reads);
+            let hi = lo + gallop(&a[lo..], |r| r.start <= w.end, &mut reads);
+            reads += hi - lo;
+            for r in &a[lo..hi] {
+                while k < b.len() && b[k].start <= r.start {
+                    k += 1;
+                }
+                if contained_by_prefix(r, k, &prefix_max_end, b, strict) {
+                    out.push(*r);
+                }
+            }
+            next = next.max(hi);
+        }
+        (RegionSet { regions: out }, reads)
+    }
+
+    /// The linear sweep behind `⊂`: any shapes, `O((n + m) log m)`.
+    fn included_in_sweep(&self, other: &RegionSet, strict: bool) -> RegionSet {
+        let b = &other.regions;
+        let prefix_max_end = prefix_max_end(b);
         let out = self
             .regions
             .iter()
             .filter(|r| {
-                let hi = starts.partition_point(|&s| s <= r.start);
-                if prefix_max_end[hi] < r.end {
-                    return false;
-                }
-                if !strict {
-                    return true;
-                }
-                // Strict: a distinct container must exist. When r sits in
-                // `other` at index ri, every distinct container sorts before
-                // it (smaller start, or equal start with larger end), so the
-                // prefix extrema array answers in O(1) — the old witness
-                // scan was O(|other|) per region on equal-start pileups.
-                match other.regions.binary_search(r) {
-                    Err(_) => true,
-                    Ok(ri) => prefix_max_end[ri] >= r.end,
-                }
+                let hi = b.partition_point(|s| s.start <= r.start);
+                contained_by_prefix(r, hi, &prefix_max_end, b, strict)
             })
             .copied()
             .collect();
@@ -335,28 +492,98 @@ fn gallop_pays_off(small: usize, large: usize) -> bool {
     small > 0 && small.saturating_mul(16) < large
 }
 
-/// Index of the first region in `regions` that is `>= target`, found by
-/// exponential (galloping) probe followed by a binary search within the
-/// last doubling window. Returns `regions.len()` when every region is
-/// smaller.
-fn gallop_to(regions: &[Region], target: &Region) -> usize {
-    if regions.first().is_none_or(|r| r >= target) {
-        return 0;
-    }
-    // Invariant: regions[lo] < target <= regions[hi] (hi may be len).
-    let mut step = 1usize;
-    let mut lo = 0usize;
-    let hi = loop {
-        let probe = lo + step;
-        match regions.get(probe) {
-            Some(r) if r < target => {
-                lo = probe;
-                step <<= 1;
-            }
-            _ => break probe.min(regions.len()),
+/// The index of the first region of `regions` on which `before` fails
+/// (`before` must hold on a prefix), found by an exponential probe from
+/// the front followed by a binary search within the last doubling window.
+/// Adds the regions it compared to `*reads`.
+fn gallop(regions: &[Region], before: impl Fn(&Region) -> bool, reads: &mut usize) -> usize {
+    // Invariant: `before` holds on regions[..lo] and fails at regions[hi]
+    // (or hi == len).
+    let (mut lo, mut hi, mut step) = (0usize, regions.len(), 1usize);
+    while lo < hi {
+        let probe = (lo + step - 1).min(hi - 1);
+        *reads += 1;
+        if before(&regions[probe]) {
+            lo = probe + 1;
+            step <<= 1;
+        } else {
+            hi = probe;
+            break;
         }
-    };
-    lo + 1 + regions[lo + 1..hi].partition_point(|r| r < target)
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        *reads += 1;
+        if before(&regions[mid]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The length of the longest suffix of `regions` on which `keep` holds
+/// (`keep` must hold on a suffix): [`gallop`] run from the back.
+fn gallop_back(regions: &[Region], keep: impl Fn(&Region) -> bool, reads: &mut usize) -> usize {
+    let n = regions.len();
+    let (mut lo, mut hi, mut step) = (0usize, n, 1usize);
+    while lo < hi {
+        let probe = (lo + step - 1).min(hi - 1);
+        *reads += 1;
+        if keep(&regions[n - 1 - probe]) {
+            lo = probe + 1;
+            step <<= 1;
+        } else {
+            hi = probe;
+            break;
+        }
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        *reads += 1;
+        if keep(&regions[n - 1 - mid]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// `prefix_max_end[k]` = the largest end among `regions[..k]`; entry 0
+/// stands for "no region" and is never read as an end.
+fn prefix_max_end(regions: &[Region]) -> Vec<Pos> {
+    let mut out = vec![0 as Pos; regions.len() + 1];
+    for (k, r) in regions.iter().enumerate() {
+        out[k + 1] = out[k].max(r.end);
+    }
+    out
+}
+
+/// Whether some region of `b` contains `r` (a distinct one when
+/// `strict`), given that exactly `b[..hi]` start at or before `r.start`.
+fn contained_by_prefix(
+    r: &Region,
+    hi: usize,
+    prefix_max_end: &[Pos],
+    b: &[Region],
+    strict: bool,
+) -> bool {
+    if hi == 0 || prefix_max_end[hi] < r.end {
+        return false;
+    }
+    if !strict {
+        return true;
+    }
+    // Strict: a distinct container must exist. When r sits in `b` at index
+    // ri, every distinct container sorts before it (smaller start, or equal
+    // start with larger end), so the prefix extrema array answers in O(1) —
+    // the old witness scan was O(|b|) per region on equal-start pileups.
+    match b.binary_search(r) {
+        Err(_) => true,
+        Ok(ri) => ri > 0 && prefix_max_end[ri] >= r.end,
+    }
 }
 
 impl FromIterator<Region> for RegionSet {
@@ -626,6 +853,157 @@ mod tests {
         }
     }
 
+    /// Regressions: the `⊂` sweep's "no container yet" slot (prefix max
+    /// end 0) used to pass for an empty region at offset 0.
+    #[test]
+    fn included_in_empty_region_at_offset_zero() {
+        let zero = rs(&[(0, 0)]);
+        assert!(zero.included_in(&rs(&[(5, 9)])).is_empty());
+        assert!(zero.strictly_included_in(&zero).is_empty());
+        assert_eq!(zero.included_in(&zero), zero);
+        assert_eq!(zero.included_in(&rs(&[(0, 3)])), zero);
+    }
+
+    /// `SplitMix64`: the oracle suite's seeded generator.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// One of the oracle suite's operand shapes, `n` regions long.
+    fn shaped_set(shape: usize, n: usize, rng: &mut u64) -> RegionSet {
+        let mut next = |m: u64| (splitmix(rng) % m) as Pos;
+        let mut regions = Vec::with_capacity(n);
+        let (mut start, mut end) = (0 as Pos, 0 as Pos);
+        for _ in 0..n {
+            match shape {
+                // Flat and disjoint, touching or with gaps (records).
+                0 => {
+                    start = end + next(3);
+                    end = start + 1 + next(6);
+                }
+                // Flat but overlapping: starts and ends both ascend.
+                1 => {
+                    start += 1 + next(3);
+                    end = (end + 1).max(start + next(8));
+                }
+                // Nested and overlapping, empty and equal-start regions.
+                2 => {
+                    let at = next(4 * n as u64 + 8);
+                    regions.push(Region::new(at, at + next(12)));
+                    continue;
+                }
+                // Equal-extent pileups: many regions sharing a start or an end.
+                _ => {
+                    let at = next(n as u64 / 4 + 2) * 3;
+                    let len = next(4);
+                    regions.push(if next(2) == 0 {
+                        Region::new(at, at + len)
+                    } else {
+                        Region::new(at.saturating_sub(len), at)
+                    });
+                    continue;
+                }
+            }
+            regions.push(Region::new(start, end));
+        }
+        RegionSet::from_regions(regions)
+    }
+
+    /// The adaptive `⊃`/`⊂` kernels against the quadratic definitions, on
+    /// flat, overlapping, nested, empty and equal-extent operands at sizes
+    /// on both sides of the gallop crossover.
+    #[test]
+    fn inclusion_kernels_match_brute_force_oracle() {
+        let sizes = [0usize, 1, 2, 7, 30, 120, 700];
+        for seed in 1..=8u64 {
+            let mut rng = seed;
+            for &na in &sizes {
+                for &nb in &sizes {
+                    let (sa, sb) =
+                        ((splitmix(&mut rng) % 4) as usize, (splitmix(&mut rng) % 4) as usize);
+                    let a = shaped_set(sa, na, &mut rng);
+                    // Share members now and then, densely or sparsely (so a
+                    // small side still meets its equals), so equal extents
+                    // meet across the operands.
+                    let mut b = shaped_set(sb, nb, &mut rng);
+                    if seed % 2 == 0 {
+                        let step = if seed % 4 == 0 { 5 } else { 40 };
+                        b = b.union(&RegionSet::from_regions(
+                            a.iter().step_by(step).copied().collect(),
+                        ));
+                    }
+                    let ctx = format!("seed {seed}, |A| {na} shape {sa}, |B| {nb} shape {sb}");
+                    let flat = |x: &RegionSet| {
+                        x.iter().enumerate().all(|(i, r)| {
+                            x.iter().enumerate().all(|(j, s)| i == j || !r.includes(s))
+                        })
+                    };
+                    assert_eq!(a.is_flat(), flat(&a), "is_flat: {ctx}");
+                    for strict in [false, true] {
+                        let want: Vec<Region> = a
+                            .iter()
+                            .filter(|r| b.iter().any(|s| r.includes(s) && !(strict && s == *r)))
+                            .copied()
+                            .collect();
+                        let (got, _) = a.including_counted(&b, a.is_flat(), strict);
+                        assert_eq!(got.as_slice(), want.as_slice(), "⊃ strict={strict}: {ctx}");
+                        let (got, _) = a.including_counted(&b, false, strict);
+                        assert_eq!(
+                            got.as_slice(),
+                            want.as_slice(),
+                            "⊃ sweep strict={strict}: {ctx}"
+                        );
+                        let want: Vec<Region> = a
+                            .iter()
+                            .filter(|r| b.iter().any(|s| s.includes(r) && !(strict && s == *r)))
+                            .copied()
+                            .collect();
+                        let (got, _) = a.included_in_counted(&b, b.is_flat(), strict);
+                        assert_eq!(got.as_slice(), want.as_slice(), "⊂ strict={strict}: {ctx}");
+                        let (got, _) = a.included_in_counted(&b, false, strict);
+                        assert_eq!(
+                            got.as_slice(),
+                            want.as_slice(),
+                            "⊂ unflat strict={strict}: {ctx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// From a small side, the probing kernels read regions in proportion
+    /// to the small side (times a log), not to the large one.
+    #[test]
+    fn skewed_inclusion_reads_follow_the_small_side() {
+        let mut rng = 11u64;
+        let big = shaped_set(0, 50_000, &mut rng);
+        assert!(big.is_flat());
+        let few = RegionSet::from_regions(big.iter().step_by(5_000).copied().collect());
+        let inner = RegionSet::from_regions(
+            few.iter().map(|r| Region::new(r.start, r.start.max(r.end - 1))).collect(),
+        );
+        let bound = 10 * 2 * 17 * 2;
+        let (swept, sweep_reads) = big.including_counted(&inner, false, false);
+        assert_eq!(sweep_reads, big.len() + inner.len(), "the sweep reads both sides whole");
+        let (out, reads) = big.including_counted(&inner, true, false);
+        assert_eq!(out, swept);
+        assert!(few.iter().all(|r| out.contains(r)));
+        assert!(reads < bound, "⊃ probed read {reads}");
+        let (out, reads) = inner.included_in_counted(&big, true, false);
+        assert_eq!(out, inner);
+        assert!(reads < bound, "⊂ probed read {reads}");
+        let (out, reads) = big.included_in_counted(&few, false, false);
+        assert_eq!(out, few);
+        assert!(reads < bound, "⊂ windows read {reads}");
+        let (_, reads) = big.intersect_counted(&few);
+        assert!(reads < bound, "∩ read {reads}");
+    }
+
     #[test]
     fn gallop_to_finds_the_partition_point() {
         let set = random_set(42, 2000, 10_000);
@@ -634,12 +1012,20 @@ mod tests {
         for _ in 0..200 {
             let start = (xorshift(&mut seed) % 11_000) as u32;
             let target = Region::new(start, start + (xorshift(&mut seed) % 6) as u32);
+            let mut reads = 0;
             assert_eq!(
-                super::gallop_to(regions, &target),
+                super::gallop(regions, |r| r < &target, &mut reads),
                 regions.partition_point(|r| r < &target),
                 "{target}"
             );
+            assert!(reads <= 2 * 12 + 2, "{reads} reads for one probe into 2000 regions");
+            assert_eq!(
+                super::gallop_back(regions, |r| r >= &target, &mut reads),
+                regions.len() - regions.partition_point(|r| r < &target),
+                "{target}"
+            );
         }
-        assert_eq!(super::gallop_to(&[], &Region::new(1, 2)), 0);
+        assert_eq!(super::gallop(&[], |r| r < &Region::new(1, 2), &mut 0), 0);
+        assert_eq!(super::gallop_back(&[], |r| r >= &Region::new(1, 2), &mut 0), 0);
     }
 }
