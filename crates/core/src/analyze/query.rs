@@ -11,7 +11,7 @@
 use super::absint::AbsInterp;
 use super::{did_you_mean, locate, Code, Diagnostic, Severity};
 use crate::optimizer::optimize;
-use crate::plan::{CondNode, InexactReason, Plan, PlanError, Planner, ProjPlan};
+use crate::plan::{InexactReason, Plan, PlanError, Planner};
 use crate::translate::{resolve_path, SkOp, Skeleton, TranslateError};
 use crate::{
     parse_query, ChainOp, Cond, Direction, InclusionExpr, Projection, QPath, QStep, Query, Rig,
@@ -553,30 +553,7 @@ fn check_plan_absint(
         return;
     }
     let interp = AbsInterp::new(planner.partial_rig);
-    fn walk(c: &CondNode, interp: &AbsInterp<'_>, out: &mut Vec<Diagnostic>) {
-        match c {
-            CondNode::IndexOnly { expr, .. } => interp.lint_expr(expr, out),
-            CondNode::ContentCompare { left, right, .. } => {
-                interp.lint_expr(left, out);
-                interp.lint_expr(right, out);
-            }
-            CondNode::And(a, b) | CondNode::Or(a, b) => {
-                walk(a, interp, out);
-                walk(b, interp, out);
-            }
-            CondNode::Not(a) => walk(a, interp, out),
-        }
-    }
-    for vp in &plan.vars {
-        if let Some(c) = &vp.cond {
-            walk(c, &interp, out);
-        }
-    }
-    if let Some(j) = &plan.join {
-        interp.lint_expr(&j.left, out);
-        interp.lint_expr(&j.right, out);
-    }
-    if let ProjPlan::Values { chain: Some((expr, _, _)), .. } = &plan.projection {
+    for (_, expr) in plan.region_exprs() {
         interp.lint_expr(expr, out);
     }
 }

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use qof_db::{Database, DbStats, Value};
 use qof_grammar::{
-    build_value_filtered, extract_regions, IndexSpec, ParseError, ParseStats, Parser, PathFilter,
+    build_value_filtered, extract_regions, IndexSpec, ParseError, ParseStats, Parser,
     StructuringSchema,
 };
 use qof_pat::{
@@ -23,7 +23,7 @@ use qof_db::PathCost;
 
 use crate::backend::IndexBackend;
 use crate::cost::{PlanCache, PlanCacheStats, StatsStore};
-use crate::plan::{CondNode, Plan, PlanError, Planner, ProjPlan};
+use crate::plan::{CondNode, Exactness, JoinPlan, Plan, PlanError, Planner, ProjPlan};
 use crate::qofx::{self, QofxError};
 use crate::residual::{eval_single, path_values};
 use crate::trace::{CardEstimate, ExecTrace, PhaseTrace, QueryTrace};
@@ -124,12 +124,6 @@ impl RunStats {
     pub fn bytes_touched(&self) -> u64 {
         self.parse.bytes_scanned + self.content_bytes
     }
-}
-
-/// Per-variable candidate state after the index phase.
-struct VarState {
-    regions: RegionSet,
-    exact: bool,
 }
 
 /// The result of a query.
@@ -499,7 +493,7 @@ impl FileDatabase {
             full_indexing: self.spec.is_full(),
             strict: self.strict,
             stats: Some(&self.stats),
-            plan_cache: Some(&self.plan_cache),
+            plan_cache: &self.plan_cache,
         }
     }
 
@@ -590,7 +584,7 @@ impl FileDatabase {
             start_nanos: parsed,
             nanos: planned.saturating_sub(parsed),
         });
-        let result = match self.execute_inner(&q, &plan, started, Some(&mut tr)) {
+        let result = match self.execute_inner(&plan, started, Some(&mut tr)) {
             Ok(r) => r,
             Err(e) => {
                 metrics.record_query(elapsed_nanos(started), false);
@@ -659,7 +653,7 @@ impl FileDatabase {
     /// Runs an already-parsed query.
     pub fn query_ast(&self, q: &Query) -> Result<QueryResult, QueryError> {
         let plan = self.planner().plan(q)?;
-        self.execute_inner(q, &plan, Instant::now(), None)
+        self.execute_inner(&plan, Instant::now(), None)
     }
 
     /// Runs only the index phase of a query: the candidate regions of the
@@ -671,9 +665,9 @@ impl FileDatabase {
         let plan = self.planner().plan(&q)?;
         let engine = self.engine();
         let mut stats = RunStats::default();
-        let mut states = self.eval_phase1(&plan, &engine, &mut stats)?;
-        let idx = plan.vars.iter().position(|vp| vp.var == q.projected_var()).unwrap_or(0);
-        let VarState { regions, exact } = states.swap_remove(idx);
+        let var = plan.projection.var();
+        let regions = self.eval_phase1(&plan, &engine, &mut stats)?.swap_remove(var);
+        let exact = plan.vars[var].exact();
         stats.eval.absorb(&engine.stats());
         stats.candidates = regions.len();
         stats.results = regions.len();
@@ -685,32 +679,19 @@ impl FileDatabase {
         Engine::new(&self.corpus, self.backend.lookup(), &self.instance)
     }
 
-    /// Evaluates a planned condition to `(candidate view regions, exact)`.
+    /// Evaluates a planned condition to its candidate view regions.
     fn eval_cond(
         &self,
         engine: &Engine<'_>,
         node: &CondNode,
         view: &RegionSet,
         content_bytes: &mut u64,
-    ) -> Result<(RegionSet, bool), QueryError> {
+    ) -> Result<RegionSet, QueryError> {
         match node {
-            CondNode::IndexOnly { expr, exact, .. } => {
-                Ok((engine.eval(expr)?.intersect(view), *exact))
-            }
-            CondNode::ContentCompare { left, right, exact, .. } => {
-                let l = engine.eval(left)?;
-                let r = engine.eval(right)?;
-                if !exact {
-                    // The located sets only approximate the attribute
-                    // regions, so comparing their contents is not
-                    // superset-safe. Candidates: views containing at least
-                    // one located region from each side; the residual parse
-                    // phase decides.
-                    let both = view.including(&l).intersect(&view.including(&r));
-                    return Ok((both, false));
-                }
-                let lg = group_by_container(view, &l);
-                let rg = group_by_container(view, &r);
+            CondNode::IndexOnly { expr, .. } => Ok(engine.eval(expr)?.intersect(view)),
+            CondNode::ContentCompare { left, right, .. } => {
+                let lg = group_by_container(view, &engine.eval(left)?);
+                let rg = group_by_container(view, &engine.eval(right)?);
                 let mut l_strings: HashMap<usize, Vec<&str>> = HashMap::new();
                 for (ci, item) in lg {
                     *content_bytes += u64::from(item.len());
@@ -724,28 +705,23 @@ impl FileDatabase {
                         hits.push(view.as_slice()[ci]);
                     }
                 }
-                Ok((RegionSet::from_regions(hits), true))
+                Ok(RegionSet::from_regions(hits))
             }
-            CondNode::And(a, b) => {
-                let (ra, xa) = self.eval_cond(engine, a, view, content_bytes)?;
-                let (rb, xb) = self.eval_cond(engine, b, view, content_bytes)?;
-                Ok((ra.intersect(&rb), xa && xb))
+            CondNode::ContentCandidates { left, right, .. } => {
+                let l = engine.eval(left)?;
+                let r = engine.eval(right)?;
+                Ok(view.including(&l).intersect(&view.including(&r)))
             }
-            CondNode::Or(a, b) => {
-                let (ra, xa) = self.eval_cond(engine, a, view, content_bytes)?;
-                let (rb, xb) = self.eval_cond(engine, b, view, content_bytes)?;
-                Ok((ra.union(&rb), xa && xb))
-            }
+            CondNode::And(a, b) => Ok(self
+                .eval_cond(engine, a, view, content_bytes)?
+                .intersect(&self.eval_cond(engine, b, view, content_bytes)?)),
+            CondNode::Or(a, b) => Ok(self
+                .eval_cond(engine, a, view, content_bytes)?
+                .union(&self.eval_cond(engine, b, view, content_bytes)?)),
             CondNode::Not(a) => {
-                let (ra, xa) = self.eval_cond(engine, a, view, content_bytes)?;
-                if xa {
-                    Ok((view.difference(&ra), true))
-                } else {
-                    // The complement of a superset is not a superset:
-                    // fall back to all view regions as candidates.
-                    Ok((view.clone(), false))
-                }
+                Ok(view.difference(&self.eval_cond(engine, a, view, content_bytes)?))
             }
+            CondNode::NotCandidates(_) => Ok(view.clone()),
         }
     }
 
@@ -756,28 +732,56 @@ impl FileDatabase {
         plan: &Plan,
         engine: &Engine<'_>,
         stats: &mut RunStats,
-    ) -> Result<Vec<VarState>, QueryError> {
-        let mut states: Vec<VarState> = Vec::new();
-        for vp in &plan.vars {
-            let empty = RegionSet::new();
-            let view = self.instance.get(&vp.symbol).unwrap_or(&empty);
-            let (regions, exact) = match &vp.cond {
-                None => (view.clone(), true),
-                Some(c) => self.eval_cond(engine, c, view, &mut stats.content_bytes)?,
-            };
-            states.push(VarState { regions, exact });
-        }
-        Ok(states)
+    ) -> Result<Vec<RegionSet>, QueryError> {
+        let empty = RegionSet::new();
+        plan.vars
+            .iter()
+            .map(|vp| {
+                let view = self.instance.get(&vp.symbol).unwrap_or(&empty);
+                match &vp.cond {
+                    None => Ok(view.clone()),
+                    Some(c) => self.eval_cond(engine, c, view, &mut stats.content_bytes),
+                }
+            })
+            .collect()
     }
 
-    /// The executor proper. With `tr` set, every phase is timed, the
-    /// engine evaluates with a trace sink attached, and `tr` receives the
-    /// phase and operator traces of the run after the phases already in
-    /// it. The untraced path pays a handful of `Instant` reads and nothing
-    /// else.
+    /// Phase 2 of execution: the pairs of candidates whose join paths
+    /// share a content.
+    fn join_pairs(
+        &self,
+        engine: &Engine<'_>,
+        j: &JoinPlan,
+        candidates: &[RegionSet],
+        content_bytes: &mut u64,
+    ) -> Result<Vec<(Region, Region)>, QueryError> {
+        let (ls, rs) = (&candidates[j.left_var], &candidates[j.right_var]);
+        let lg = group_by_container(ls, &engine.eval(&j.left)?);
+        let rg = group_by_container(rs, &engine.eval(&j.right)?);
+        let mut table: HashMap<&str, Vec<usize>> = HashMap::new();
+        for (ci, item) in &lg {
+            *content_bytes += u64::from(item.len());
+            table.entry(self.corpus.slice(item.span())).or_default().push(*ci);
+        }
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for (ci, item) in &rg {
+            *content_bytes += u64::from(item.len());
+            if let Some(l) = table.get(self.corpus.slice(item.span())) {
+                pairs.extend(l.iter().map(|&l| (l, *ci)));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        Ok(pairs.into_iter().map(|(a, b)| (ls.as_slice()[a], rs.as_slice()[b])).collect())
+    }
+
+    /// The executor proper: it runs the plan record as it stands. With
+    /// `tr` set, every phase is timed, the engine evaluates with a trace
+    /// sink attached, and `tr` receives the phase and operator traces of
+    /// the run after the phases already in it. The untraced path pays a
+    /// handful of `Instant` reads and nothing else.
     fn execute_inner(
         &self,
-        q: &Query,
         plan: &Plan,
         origin: Instant,
         tr: Option<&mut ExecTrace>,
@@ -789,6 +793,12 @@ impl FileDatabase {
         let sink = TraceSink::with_origin(origin);
         let mut stats = RunStats::default();
         let mut phases: Vec<PhaseTrace> = Vec::new();
+        let mut end_phase = |name: &str, start_nanos: u64| {
+            if tracing {
+                let nanos = elapsed_nanos(origin).saturating_sub(start_nanos);
+                phases.push(PhaseTrace { name: name.into(), start_nanos, nanos });
+            }
+        };
 
         // Phase 1: per-variable candidates through the index. Engine set-up
         // belongs to it: the first query after the index changes builds the
@@ -796,100 +806,41 @@ impl FileDatabase {
         let phase_started = elapsed_nanos(origin);
         let engine = self.engine();
         let engine = if tracing { engine.with_trace(&sink) } else { engine };
-        let mut states = self.eval_phase1(plan, &engine, &mut stats)?;
-        if tracing {
-            phases.push(PhaseTrace {
-                name: "index-candidates".into(),
-                start_nanos: phase_started,
-                nanos: elapsed_nanos(origin).saturating_sub(phase_started),
-            });
-        }
+        let mut candidates = self.eval_phase1(plan, &engine, &mut stats)?;
+        end_phase("index-candidates", phase_started);
         // Phase-1 cardinalities, captured before the join prunes the
-        // states: these are what the planner's intervals estimate.
-        let var_candidates: Vec<u64> = states.iter().map(|s| s.regions.len() as u64).collect();
+        // candidates: these are what the planner's intervals estimate.
+        let var_candidates: Vec<u64> = candidates.iter().map(|c| c.len() as u64).collect();
 
         // Phase 2: cross-variable content join.
         let phase_started = elapsed_nanos(origin);
-        let mut join_pairs: Option<Vec<(Region, Region)>> = None;
-        let mut join_exact = true;
+        let mut pairs: Vec<(Region, Region)> = Vec::new();
         if let Some(j) = &plan.join {
-            let li = join_var_index(plan, &j.left_var)?;
-            let ri = join_var_index(plan, &j.right_var)?;
-            let l_deep = engine.eval(&j.left)?;
-            let r_deep = engine.eval(&j.right)?;
-            let lg = group_by_container(&states[li].regions, &l_deep);
-            let rg = group_by_container(&states[ri].regions, &r_deep);
-            let mut table: HashMap<&str, Vec<usize>> = HashMap::new();
-            for (ci, item) in &lg {
-                stats.content_bytes += u64::from(item.len());
-                table.entry(self.corpus.slice(item.span())).or_default().push(*ci);
-            }
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            for (ci, item) in &rg {
-                stats.content_bytes += u64::from(item.len());
-                if let Some(ls) = table.get(self.corpus.slice(item.span())) {
-                    for &l in ls {
-                        pairs.push((l, *ci));
-                    }
-                }
-            }
-            pairs.sort_unstable();
-            pairs.dedup();
-            let lr = states[li].regions.clone();
-            let rr = states[ri].regions.clone();
-            let region_pairs: Vec<(Region, Region)> =
-                pairs.iter().map(|&(a, b)| (lr.as_slice()[a], rr.as_slice()[b])).collect();
-            states[li].regions =
-                RegionSet::from_regions(region_pairs.iter().map(|p| p.0).collect());
-            states[ri].regions =
-                RegionSet::from_regions(region_pairs.iter().map(|p| p.1).collect());
-            join_exact = j.exact;
-            join_pairs = Some(region_pairs);
+            pairs = self.join_pairs(&engine, j, &candidates, &mut stats.content_bytes)?;
+            candidates[j.left_var] = RegionSet::from_regions(pairs.iter().map(|p| p.0).collect());
+            candidates[j.right_var] = RegionSet::from_regions(pairs.iter().map(|p| p.1).collect());
         }
-        if tracing {
-            phases.push(PhaseTrace {
-                name: "content-join".into(),
-                start_nanos: phase_started,
-                nanos: elapsed_nanos(origin).saturating_sub(phase_started),
-            });
-        }
+        end_phase("content-join", phase_started);
+        stats.candidates = candidates.iter().map(RegionSet::len).sum();
+        stats.exact_index = plan.exactness() == Exactness::Exact;
 
-        stats.candidates = states.iter().map(|s| s.regions.len()).sum();
-        stats.exact_index = states.iter().all(|s| s.exact)
-            && join_exact
-            && plan.join.is_none() == join_pairs.is_none();
-
-        // Phase 3: decide what must be parsed.
+        // Phase 3: parse the candidates the plan names, keeping those that
+        // pass their residual.
         let phase_started = elapsed_nanos(origin);
         let mut db = Database::new();
         let parser = Parser::new(&self.schema.grammar, self.corpus.text());
-        // objects[var_index]: region -> built value
+        // objects[var]: region -> built value
         let mut objects: Vec<HashMap<Region, Value>> = vec![HashMap::new(); plan.vars.len()];
-
-        let proj_var = q.projected_var();
-        let proj_idx = plan.vars.iter().position(|v| v.var == proj_var).unwrap_or(0);
-        let index_only_projection =
-            matches!(&plan.projection, ProjPlan::Values { chain: Some((_, _, true)), .. });
-
         for (i, vp) in plan.vars.iter().enumerate() {
-            let must_filter = !states[i].exact;
-            let join_residual = join_pairs.is_some() && !join_exact;
-            let materialize = i == proj_idx && !index_only_projection;
-            if !(must_filter || join_residual || materialize) {
-                continue;
-            }
+            let Some(filter) = &vp.parse else { continue };
             let sym = self.schema.grammar.symbol(&vp.symbol).ok_or_else(|| {
                 QueryError::Internal(format!(
                     "view symbol `{}` vanished from the grammar",
                     vp.symbol
                 ))
             })?;
-            // When only materializing, parse with a full filter; when
-            // filtering candidates, parse with the push-down filter first.
-            let filter =
-                if must_filter || join_residual { vp.filter.clone() } else { PathFilter::all() };
             let mut survivors: Vec<Region> = Vec::new();
-            for region in &states[i].regions {
+            for region in &candidates[i] {
                 let tree =
                     parser.parse_symbol(sym, region.span()).map_err(QueryError::CandidateParse)?;
                 let value = build_value_filtered(
@@ -897,106 +848,77 @@ impl FileDatabase {
                     &self.schema.grammar,
                     self.corpus.text(),
                     &mut db,
-                    &filter,
+                    filter,
                 );
-                let keep = match (&vp.residual, must_filter) {
-                    (Some(cond), true) => {
-                        let mut cost = PathCost::default();
-                        eval_single(&db, &vp.var, &value, cond, &mut cost)
-                    }
-                    _ => true,
-                };
+                let keep = vp.residual.as_ref().is_none_or(|cond| {
+                    eval_single(&db, &vp.var, &value, cond, &mut PathCost::default())
+                });
                 if keep {
                     survivors.push(*region);
                     objects[i].insert(*region, value);
                 }
             }
-            states[i].regions = RegionSet::from_regions(survivors);
-            states[i].exact = true;
+            candidates[i] = RegionSet::from_regions(survivors);
         }
 
-        // Phase 3b: join residual on parsed pairs.
-        if let (Some(pairs), false) = (&join_pairs, join_exact) {
-            if let Some(j) = &plan.join {
-                let li = join_var_index(plan, &j.left_var)?;
-                let ri = join_var_index(plan, &j.right_var)?;
-                let mut keep: Vec<(Region, Region)> = Vec::new();
-                for (lr, rr) in pairs {
-                    let (Some(lv), Some(rv)) = (objects[li].get(lr), objects[ri].get(rr)) else {
-                        continue;
-                    };
-                    let mut cost = PathCost::default();
-                    let ls: Vec<&Value> = path_values(&db, lv, &j.left_steps, &mut cost);
-                    let rs: Vec<&Value> = path_values(&db, rv, &j.right_steps, &mut cost);
-                    if ls.iter().any(|a| rs.iter().any(|b| a == b)) {
-                        keep.push((*lr, *rr));
-                    }
-                }
-                states[li].regions = RegionSet::from_regions(keep.iter().map(|p| p.0).collect());
-                states[ri].regions = RegionSet::from_regions(keep.iter().map(|p| p.1).collect());
-                join_pairs = Some(keep);
-            }
-        }
-        let _ = &join_pairs;
-        if tracing {
-            phases.push(PhaseTrace {
-                name: "parse-filter".into(),
-                start_nanos: phase_started,
-                nanos: elapsed_nanos(origin).saturating_sub(phase_started),
+        // Phase 3b: a join keeps the pairs whose both sides survived
+        // parsing, and an inexact join re-checks them on the parsed values.
+        if let Some(j) = &plan.join {
+            let (li, ri) = (j.left_var, j.right_var);
+            pairs.retain(|(l, r)| {
+                candidates[li].contains(l)
+                    && candidates[ri].contains(r)
+                    && j.residual.as_ref().is_none_or(|(lsteps, rsteps)| {
+                        let (Some(lv), Some(rv)) = (objects[li].get(l), objects[ri].get(r)) else {
+                            return false;
+                        };
+                        let mut cost = PathCost::default();
+                        let ls = path_values(&db, lv, lsteps, &mut cost);
+                        let rs = path_values(&db, rv, rsteps, &mut cost);
+                        ls.iter().any(|a| rs.contains(a))
+                    })
             });
+            candidates[li] = RegionSet::from_regions(pairs.iter().map(|p| p.0).collect());
+            candidates[ri] = RegionSet::from_regions(pairs.iter().map(|p| p.1).collect());
         }
+        end_phase("parse-filter", phase_started);
 
         // Phase 4: projection.
         let phase_started = elapsed_nanos(origin);
-        let result_regions = states[proj_idx].regions.clone();
+        let var = plan.projection.var();
+        let result_regions = candidates.swap_remove(var);
         let mut values: Vec<Value> = Vec::new();
         match &plan.projection {
             ProjPlan::Objects { .. } => {
                 // Each projected object moves out of the run's database:
                 // a result holds one copy of its objects, not two.
                 for region in &result_regions {
-                    if let Some(v) = objects[proj_idx].remove(region) {
+                    if let Some(v) = objects[var].remove(region) {
                         values.push(deref_top(&mut db, v));
                     }
                 }
             }
-            ProjPlan::Values { steps, chain, .. } => {
-                if index_only_projection {
-                    // Read the projected attribute regions directly.
-                    let (expr, _, _) = chain.as_ref().ok_or_else(|| {
-                        QueryError::Internal("index-only projection lost its chain".into())
-                    })?;
-                    // Only items inside a result are projected, so the
-                    // chain may start from those alone (`eval_within`).
-                    let deep = engine.eval_within(expr, &result_regions)?;
-                    for (_, item) in group_by_container(&result_regions, &deep) {
-                        stats.content_bytes += u64::from(item.len());
-                        values.push(Value::Str(self.corpus.slice(item.span()).to_owned()));
-                    }
-                    values.sort();
-                    values.dedup();
-                } else {
-                    let mut cost = PathCost::default();
-                    for region in &result_regions {
-                        if let Some(v) = objects[proj_idx].get(region) {
-                            for hit in path_values(&db, v, steps, &mut cost) {
-                                values.push(hit.clone());
-                            }
-                        }
-                    }
-                    values.sort();
-                    values.dedup();
+            ProjPlan::IndexValues { chain, .. } => {
+                // Only items inside a result are projected, so the chain
+                // may start from those alone (`eval_within`).
+                let deep = engine.eval_within(chain, &result_regions)?;
+                for (_, item) in group_by_container(&result_regions, &deep) {
+                    stats.content_bytes += u64::from(item.len());
+                    values.push(Value::Str(self.corpus.slice(item.span()).to_owned()));
+                }
+            }
+            ProjPlan::ParsedValues { steps, .. } => {
+                let mut cost = PathCost::default();
+                for v in result_regions.iter().filter_map(|r| objects[var].get(r)) {
+                    values.extend(path_values(&db, v, steps, &mut cost).into_iter().cloned());
                 }
             }
         }
-
-        if tracing {
-            phases.push(PhaseTrace {
-                name: "projection".into(),
-                start_nanos: phase_started,
-                nanos: elapsed_nanos(origin).saturating_sub(phase_started),
-            });
+        if !matches!(plan.projection, ProjPlan::Objects { .. }) {
+            values.sort();
+            values.dedup();
         }
+        end_phase("projection", phase_started);
 
         stats.eval.absorb(&engine.stats());
         stats.parse = parser.stats();
@@ -1045,14 +967,6 @@ fn renumber_spans(ops: &mut [OpTrace], next: &mut u64) {
         *next += 1;
         renumber_spans(&mut op.children, next);
     }
-}
-
-/// Position of a join variable among the plan's range variables.
-fn join_var_index(plan: &Plan, var: &str) -> Result<usize, QueryError> {
-    plan.vars
-        .iter()
-        .position(|v| v.var == var)
-        .ok_or_else(|| QueryError::Internal(format!("join variable `{var}` missing from the plan")))
 }
 
 /// Dereferences a top-level object reference, moving the object's value
@@ -1369,19 +1283,14 @@ mod tests {
     // -- cost model, estimates and plan cache -------------------------------
 
     /// A planner over `db`'s indexes with the cost model switched on or
-    /// off and no plan cache — the two plan-selection policies side by
+    /// off and a cold plan cache — the two plan-selection policies side by
     /// side over identical inputs.
-    fn raw_planner<'a>(db: &'a FileDatabase, stats: Option<&'a StatsStore>) -> Planner<'a> {
-        Planner {
-            schema: &db.schema,
-            instance: &db.instance,
-            full_rig: &db.full_rig,
-            partial_rig: &db.partial_rig,
-            full_indexing: db.spec.is_full(),
-            strict: db.strict,
-            stats,
-            plan_cache: None,
-        }
+    fn raw_planner<'a>(
+        db: &'a FileDatabase,
+        stats: Option<&'a StatsStore>,
+        plan_cache: &'a PlanCache,
+    ) -> Planner<'a> {
+        Planner { stats, plan_cache, ..db.planner() }
     }
 
     #[test]
@@ -1392,10 +1301,11 @@ mod tests {
         let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
         for q in QUERIES {
             let parsed = parse_query(q).unwrap();
-            let costed = raw_planner(&db, Some(&db.stats)).plan(&parsed).unwrap();
-            let leftmost = raw_planner(&db, None).plan(&parsed).unwrap();
-            let a = db.execute_inner(&parsed, &costed, Instant::now(), None).unwrap();
-            let b = db.execute_inner(&parsed, &leftmost, Instant::now(), None).unwrap();
+            let costed =
+                raw_planner(&db, Some(&db.stats), &PlanCache::new()).plan(&parsed).unwrap();
+            let leftmost = raw_planner(&db, None, &PlanCache::new()).plan(&parsed).unwrap();
+            let a = db.execute_inner(&costed, Instant::now(), None).unwrap();
+            let b = db.execute_inner(&leftmost, Instant::now(), None).unwrap();
             assert_same_results(&a, &b, q);
         }
     }
@@ -1814,7 +1724,8 @@ mod tests {
             let again = db.planner().plan(&parsed).unwrap();
             assert_eq!(searches(), before, "{q}: the second plan searched routes again");
             // The memo changes no plan: a planner without it agrees.
-            let fresh = Planner { plan_cache: None, ..db.planner() }.plan(&parsed).unwrap();
+            let cold = PlanCache::new();
+            let fresh = Planner { plan_cache: &cold, ..db.planner() }.plan(&parsed).unwrap();
             for other in [&again, &fresh] {
                 assert_eq!(other.describe(), first.describe(), "{q}");
                 assert_eq!(other.fingerprint, first.fingerprint, "{q}");
@@ -1889,7 +1800,9 @@ mod tests {
         for (db, queries) in cases {
             for q in queries {
                 let plan = db.plan(q).unwrap();
-                let ProjPlan::Values { chain: Some((chain, _, _)), .. } = &plan.projection else {
+                let (ProjPlan::IndexValues { chain, .. }
+                | ProjPlan::ParsedValues { chain: Some((chain, _)), .. }) = &plan.projection
+                else {
                     panic!("{q}: no index-side projection chain");
                 };
                 let view = db.instance().get(&plan.vars[0].symbol).unwrap();

@@ -32,7 +32,8 @@ pub enum Exactness {
     Candidates,
 }
 
-/// A planned condition sub-tree, interpreted by the executor.
+/// A planned condition sub-tree. The planner picks each node's set algebra
+/// from the §6.3 exactness of its children; the executor runs it as named.
 #[derive(Debug, Clone)]
 pub enum CondNode {
     /// Fully index-computable leaf: evaluates to view-region candidates.
@@ -41,11 +42,12 @@ pub enum CondNode {
         expr: RegionExpr,
         /// Pretty form of the (optimized) inclusion expressions.
         display: String,
-        /// Whether the candidates are exact.
+        /// Whether the candidates are exact; the planner and EXPLAIN read
+        /// it, the executor does not.
         exact: bool,
     },
-    /// Same-variable attribute comparison (§5.2): locate both attribute
-    /// region sets through the index, then join their contents.
+    /// Same-variable attribute comparison (§5.2) over exactly located
+    /// attribute sets: the views whose two sets share a content.
     ContentCompare {
         /// Deep regions of the left path.
         left: RegionExpr,
@@ -53,19 +55,32 @@ pub enum CondNode {
         right: RegionExpr,
         /// Pretty form.
         display: String,
-        /// Whether the located attribute sets are exact.
-        exact: bool,
+    },
+    /// The same comparison when the index only approximates the attribute
+    /// sets, so comparing their contents is not superset-safe: the views
+    /// holding a located region from each side; parsing decides.
+    ContentCandidates {
+        /// Deep regions of the left path.
+        left: RegionExpr,
+        /// Deep regions of the right path.
+        right: RegionExpr,
+        /// Pretty form.
+        display: String,
     },
     /// Conjunction (intersection of candidates).
     And(Box<CondNode>, Box<CondNode>),
     /// Disjunction (union of candidates).
     Or(Box<CondNode>, Box<CondNode>),
-    /// Negation (complement w.r.t. the view extent; only exact when the
-    /// child is exact — otherwise the executor falls back to all views).
+    /// Negation of an exact child: its complement within the view extent.
     Not(Box<CondNode>),
+    /// Negation of a candidate child. The complement of a superset is not
+    /// a superset, so every view region is a candidate; the child is kept
+    /// for EXPLAIN, facts and lints but not evaluated.
+    NotCandidates(Box<CondNode>),
 }
 
-/// Plan for one range variable.
+/// Plan for one range variable: its index filter, and what parsing must do
+/// with its candidates (§6.2).
 #[derive(Debug, Clone)]
 pub struct VarPlan {
     /// The variable.
@@ -74,53 +89,83 @@ pub struct VarPlan {
     pub view: String,
     /// The non-terminal the view ranges over.
     pub symbol: String,
-    /// The planned local condition, if any.
+    /// The index filter: the planned local condition, if any.
     pub cond: Option<CondNode>,
-    /// The compiled local condition, for residual filtering after parsing.
+    /// The residual filter: the compiled local condition, present only
+    /// when the index candidates are a superset of the answer.
     pub residual: Option<CompiledCond>,
-    /// Push-down filter covering every path the query touches on this var.
-    pub filter: PathFilter,
+    /// The parse filter, present only when the candidates are parsed: to
+    /// check the residual, to re-check an inexact join, or to build the
+    /// projection. It keeps every path the query touches on this variable,
+    /// or everything when whole objects are built.
+    pub parse: Option<PathFilter>,
+}
+
+impl VarPlan {
+    /// Whether the index phase computes this variable's candidates exactly
+    /// (§6.3).
+    pub fn exact(&self) -> bool {
+        self.residual.is_none()
+    }
 }
 
 /// Plan for the (single) cross-variable join.
 #[derive(Debug, Clone)]
 pub struct JoinPlan {
-    /// Left variable.
-    pub left_var: String,
+    /// Position of the left variable in [`Plan::vars`].
+    pub left_var: usize,
     /// Deep regions of the left path.
     pub left: RegionExpr,
-    /// Compiled left path (for residual re-checking).
-    pub left_steps: CompiledPath,
-    /// Right variable.
-    pub right_var: String,
+    /// Position of the right variable in [`Plan::vars`].
+    pub right_var: usize,
     /// Deep regions of the right path.
     pub right: RegionExpr,
-    /// Compiled right path.
-    pub right_steps: CompiledPath,
-    /// Whether both located sets are exact.
-    pub exact: bool,
+    /// The compiled left and right paths that re-check parsed pairs,
+    /// present only when the index locates either side inexactly.
+    pub residual: Option<(CompiledPath, CompiledPath)>,
     /// Pretty form.
     pub display: String,
 }
 
-/// Plan for the projection.
+/// Plan for the projection: where its values come from.
 #[derive(Debug, Clone)]
 pub enum ProjPlan {
-    /// `SELECT r`: materialize whole objects.
+    /// `SELECT r`: whole objects, built from parsed candidates.
     Objects {
-        /// The projected variable.
-        var: String,
+        /// Position of the projected variable in [`Plan::vars`].
+        var: usize,
     },
-    /// `SELECT r.p`: attribute values.
-    Values {
-        /// The projected variable.
-        var: String,
-        /// Compiled path to evaluate on materialized objects.
+    /// `SELECT r.p` whose deep regions the index locates exactly: values
+    /// are read from the text of those regions, nothing is parsed.
+    IndexValues {
+        /// Position of the projected variable in [`Plan::vars`].
+        var: usize,
+        /// The index-side projection chain (deep regions).
+        chain: RegionExpr,
+        /// Pretty form of the chain.
+        display: String,
+    },
+    /// `SELECT r.p` evaluated on parsed objects.
+    ParsedValues {
+        /// Position of the projected variable in [`Plan::vars`].
+        var: usize,
+        /// Compiled path to evaluate on the parsed objects.
         steps: CompiledPath,
-        /// Index-side projection chain (deep regions), when available:
-        /// `(expression, display, exact)`.
-        chain: Option<(RegionExpr, String, bool)>,
+        /// The inexact index-side chain and its pretty form, when one
+        /// exists; kept for facts and lints, not evaluated.
+        chain: Option<(RegionExpr, String)>,
     },
+}
+
+impl ProjPlan {
+    /// Position of the projected variable in [`Plan::vars`].
+    pub fn var(&self) -> usize {
+        match self {
+            ProjPlan::Objects { var }
+            | ProjPlan::IndexValues { var, .. }
+            | ProjPlan::ParsedValues { var, .. } => *var,
+        }
+    }
 }
 
 /// One optimizer rewrite applied while planning, tagged with the paper
@@ -220,8 +265,8 @@ pub struct Planner<'a> {
     /// Index statistics for cost-ranked normal-form selection; `None`
     /// falls back to the purely syntactic leftmost-first optimizer.
     pub stats: Option<&'a StatsStore>,
-    /// Memoized per-chain lowering results; `None` plans from scratch.
-    pub plan_cache: Option<&'a PlanCache>,
+    /// Memoized per-chain lowering results and route verdicts.
+    pub plan_cache: &'a PlanCache,
 }
 
 /// Why a projected hop lost §6.3 exactness (surfaced by `qof check` as
@@ -295,28 +340,30 @@ impl<'a> Planner<'a> {
                 symbol,
                 cond: None,
                 residual: None,
-                filter: PathFilter::none(),
+                parse: None,
             });
         }
+        let var_index = |v: &str| {
+            vars.iter()
+                .position(|vp| vp.var == v)
+                .ok_or_else(|| PlanError::Unsupported(format!("unknown variable `{v}`")))
+        };
 
         // Split the WHERE into per-var conjuncts and cross-var joins.
-        let mut local: Vec<(String, Vec<Cond>)> =
-            vars.iter().map(|v| (v.var.clone(), Vec::new())).collect();
-        let mut joins: Vec<(QPath, QPath)> = Vec::new();
+        let mut local: Vec<Vec<Cond>> = vec![Vec::new(); vars.len()];
+        let mut joins: Vec<(usize, QPath, usize, QPath)> = Vec::new();
         if let Some(w) = &q.where_ {
             for conjunct in flatten_and(w) {
                 let used = vars_of(&conjunct);
                 match used.len() {
                     1 => {
                         let v = used.into_iter().next().expect("one var");
-                        let slot =
-                            local.iter_mut().find(|(name, _)| *name == v).ok_or_else(|| {
-                                PlanError::Unsupported(format!("unknown variable `{v}`"))
-                            })?;
-                        slot.1.push(conjunct);
+                        local[var_index(&v)?].push(conjunct);
                     }
                     2 => match conjunct {
-                        Cond::Eq(p, crate::RightHand::Path(qp)) => joins.push((p, qp)),
+                        Cond::Eq(p, crate::RightHand::Path(qp)) => {
+                            joins.push((var_index(&p.var)?, p, var_index(&qp.var)?, qp));
+                        }
                         other => {
                             return Err(PlanError::Unsupported(format!(
                                 "cross-variable condition `{other}` must be a top-level equality"
@@ -342,6 +389,10 @@ impl<'a> Planner<'a> {
                 "two range variables require a join condition".into(),
             ));
         }
+        let proj_var = match &q.select {
+            Projection::Var(v) => var_index(v)?,
+            Projection::Path(p) => var_index(&p.var)?,
+        };
 
         // Plan per-var conditions, collecting push-down filter paths and
         // the optimizer rewrites fired along the way. Every chain key the
@@ -349,14 +400,8 @@ impl<'a> Planner<'a> {
         // fingerprint hashes them in planning order.
         let mut rewrites: Vec<PlanRewrite> = Vec::new();
         let mut fp_keys: Vec<String> = Vec::new();
-        for vp in &mut vars {
-            let conds = &local
-                .iter()
-                .find(|(n, _)| *n == vp.var)
-                .ok_or_else(|| {
-                    PlanError::Internal(format!("no condition slot for variable `{}`", vp.var))
-                })?
-                .1;
+        let mut filters: Vec<PathFilter> = Vec::new();
+        for (vp, conds) in vars.iter_mut().zip(local) {
             let mut filter_specs: Vec<Vec<String>> = Vec::new();
             let planned = conds
                 .iter()
@@ -365,62 +410,47 @@ impl<'a> Planner<'a> {
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             vp.cond = planned.into_iter().reduce(|a, b| CondNode::And(Box::new(a), Box::new(b)));
-            let folded = conds.iter().cloned().reduce(|a, b| Cond::And(Box::new(a), Box::new(b)));
-            vp.residual = match folded {
-                None => None,
-                Some(c) => {
-                    let symbol = vp.symbol.clone();
-                    Some(
-                        compile_cond(&self.schema.grammar, &move |_| Some(symbol.clone()), &c)
-                            .map_err(PlanError::Translate)?,
-                    )
-                }
-            };
-            vp.filter = PathFilter::from_paths(&filter_specs);
+            // Inexact candidates are parsed and re-checked against the
+            // whole local condition (§6.2).
+            if vp.cond.as_ref().is_some_and(|c| !c.exact()) {
+                let folded = conds.into_iter().reduce(|a, b| Cond::And(Box::new(a), Box::new(b)));
+                let symbol = vp.symbol.clone();
+                vp.residual = folded
+                    .map(|c| compile_cond(&self.schema.grammar, &move |_| Some(symbol.clone()), &c))
+                    .transpose()?;
+            }
+            filters.push(PathFilter::from_paths(&filter_specs));
         }
 
         // Plan the join.
         let join = match joins.into_iter().next() {
             None => None,
-            Some((p, qp)) => {
-                let (lv, rv) = (p.var.clone(), qp.var.clone());
-                let lsym = vars
-                    .iter()
-                    .find(|v| v.var == lv)
-                    .ok_or_else(|| PlanError::Unsupported(format!("unknown variable `{lv}`")))?
-                    .symbol
-                    .clone();
-                let rsym = vars
-                    .iter()
-                    .find(|v| v.var == rv)
-                    .ok_or_else(|| PlanError::Unsupported(format!("unknown variable `{rv}`")))?
-                    .symbol
-                    .clone();
-                let lspec = resolve_path(&self.schema.grammar, &lsym, &p.steps)?;
-                let rspec = resolve_path(&self.schema.grammar, &rsym, &qp.steps)?;
+            Some((li, p, ri, qp)) => {
+                let (lsym, rsym) = (&vars[li].symbol, &vars[ri].symbol);
+                let lspec = resolve_path(&self.schema.grammar, lsym, &p.steps)?;
+                let rspec = resolve_path(&self.schema.grammar, rsym, &qp.steps)?;
                 let (le, ld, lex) = self.deep_expr(&lspec, &mut rewrites, &mut fp_keys)?;
                 let (re, rd, rex) = self.deep_expr(&rspec, &mut rewrites, &mut fp_keys)?;
+                let residual = if lex && rex {
+                    None
+                } else {
+                    Some((
+                        compile_steps(&self.schema.grammar, lsym, &p.steps)?,
+                        compile_steps(&self.schema.grammar, rsym, &qp.steps)?,
+                    ))
+                };
                 // Extend the push-down filters with the join paths.
-                for vp in &mut vars {
-                    let spec = if vp.var == lv {
-                        &lspec
-                    } else if vp.var == rv {
-                        &rspec
-                    } else {
-                        continue;
-                    };
+                for (i, spec) in [(li, &lspec), (ri, &rspec)] {
                     let mut f = PathFilter::from_paths(&filter_paths(spec));
-                    f.merge(&vp.filter);
-                    vp.filter = f;
+                    f.merge(&filters[i]);
+                    filters[i] = f;
                 }
                 Some(JoinPlan {
-                    left_var: lv,
+                    left_var: li,
                     left: le,
-                    left_steps: compile_steps(&self.schema.grammar, &lsym, &p.steps)?,
-                    right_var: rv,
+                    right_var: ri,
                     right: re,
-                    right_steps: compile_steps(&self.schema.grammar, &rsym, &qp.steps)?,
-                    exact: lex && rex,
+                    residual,
                     display: format!("join on content: [{ld}] = [{rd}]"),
                 })
             }
@@ -428,26 +458,45 @@ impl<'a> Planner<'a> {
 
         // Plan the projection.
         let projection = match &q.select {
-            Projection::Var(v) => {
-                // SELECT r materializes whole objects: keep everything.
-                if let Some(vp) = vars.iter_mut().find(|vp| vp.var == *v) {
-                    vp.filter = PathFilter::all();
-                }
-                ProjPlan::Objects { var: v.clone() }
+            // SELECT r builds whole objects: keep everything.
+            Projection::Var(_) => {
+                filters[proj_var] = PathFilter::all();
+                ProjPlan::Objects { var: proj_var }
             }
             Projection::Path(p) => {
-                let vp = vars.iter_mut().find(|vp| vp.var == p.var).ok_or_else(|| {
-                    PlanError::Unsupported(format!("unknown variable `{}`", p.var))
-                })?;
-                let spec = resolve_path(&self.schema.grammar, &vp.symbol, &p.steps)?;
+                let symbol = &vars[proj_var].symbol;
+                let spec = resolve_path(&self.schema.grammar, symbol, &p.steps)?;
                 let mut f = PathFilter::from_paths(&filter_paths(&spec));
-                f.merge(&vp.filter);
-                vp.filter = f;
-                let chain = self.deep_expr(&spec, &mut rewrites, &mut fp_keys).ok();
-                let steps = compile_steps(&self.schema.grammar, &vp.symbol, &p.steps)?;
-                ProjPlan::Values { var: p.var.clone(), steps, chain }
+                f.merge(&filters[proj_var]);
+                filters[proj_var] = f;
+                match self.deep_expr(&spec, &mut rewrites, &mut fp_keys).ok() {
+                    Some((chain, display, true)) => {
+                        ProjPlan::IndexValues { var: proj_var, chain, display }
+                    }
+                    inexact => ProjPlan::ParsedValues {
+                        var: proj_var,
+                        steps: compile_steps(&self.schema.grammar, symbol, &p.steps)?,
+                        chain: inexact.map(|(expr, display, _)| (expr, display)),
+                    },
+                }
             }
         };
+
+        // What parsing must do (§6.2). Inexact candidates, and both sides
+        // of an inexact join, are parsed with the push-down filter; the
+        // projected variable is otherwise parsed whole when the projection
+        // needs objects.
+        let join_inexact = join.as_ref().is_some_and(|j| j.residual.is_some());
+        let builds_objects = !matches!(projection, ProjPlan::IndexValues { .. });
+        for (i, (vp, filter)) in vars.iter_mut().zip(filters).enumerate() {
+            vp.parse = if !vp.exact() || join_inexact {
+                Some(filter)
+            } else if builds_objects && i == proj_var {
+                Some(PathFilter::all())
+            } else {
+                None
+            };
+        }
 
         // The workload fingerprint. A single-chain plan (the common
         // shape) hashes exactly its chain key — the same key the plan
@@ -494,13 +543,13 @@ impl<'a> Planner<'a> {
                 let rspec = resolve_path(&self.schema.grammar, view_symbol, &qp.steps)?;
                 filters.extend(filter_paths(&lspec));
                 filters.extend(filter_paths(&rspec));
-                let (le, ld, lex) = self.deep_expr(&lspec, rewrites, fp_keys)?;
-                let (re, rd, rex) = self.deep_expr(&rspec, rewrites, fp_keys)?;
-                Ok(CondNode::ContentCompare {
-                    left: le,
-                    right: re,
-                    display: format!("content([{ld}]) = content([{rd}])"),
-                    exact: lex && rex,
+                let (left, ld, lex) = self.deep_expr(&lspec, rewrites, fp_keys)?;
+                let (right, rd, rex) = self.deep_expr(&rspec, rewrites, fp_keys)?;
+                let display = format!("content([{ld}]) = content([{rd}])");
+                Ok(if lex && rex {
+                    CondNode::ContentCompare { left, right, display }
+                } else {
+                    CondNode::ContentCandidates { left, right, display }
                 })
             }
             Cond::And(a, b) => Ok(CondNode::And(
@@ -511,13 +560,14 @@ impl<'a> Planner<'a> {
                 Box::new(self.plan_cond(a, view_symbol, filters, rewrites, fp_keys)?),
                 Box::new(self.plan_cond(b, view_symbol, filters, rewrites, fp_keys)?),
             )),
-            Cond::Not(a) => Ok(CondNode::Not(Box::new(self.plan_cond(
-                a,
-                view_symbol,
-                filters,
-                rewrites,
-                fp_keys,
-            )?))),
+            Cond::Not(a) => {
+                let child = Box::new(self.plan_cond(a, view_symbol, filters, rewrites, fp_keys)?);
+                Ok(if child.exact() {
+                    CondNode::Not(child)
+                } else {
+                    CondNode::NotCandidates(child)
+                })
+            }
         }
     }
 
@@ -610,12 +660,9 @@ impl<'a> Planner<'a> {
                         // exactness regardless of what is indexed.
                         let prev = names.last().expect("chain starts with the view symbol");
                         let route_from = strip_scope(prev);
-                        let unique = match self.plan_cache {
-                            Some(pc) => pc.route(route_from, next_name, || {
-                                self.unique_route(route_from, next_name)
-                            }),
-                            None => self.unique_route(route_from, next_name),
-                        };
+                        let unique = self.plan_cache.route(route_from, next_name, || {
+                            self.unique_route(route_from, next_name)
+                        });
                         if !unique {
                             exact = false;
                             hops.push(InexactHop {
@@ -755,14 +802,11 @@ impl<'a> Planner<'a> {
             // outcome per chain shape; entries only live within one
             // statistics epoch, so a hit is always byte-identical to what
             // a fresh lowering would produce.
-            let cache_key = self.plan_cache.map(|_| key.clone());
-            if let (Some(pc), Some(key)) = (self.plan_cache, cache_key.as_deref()) {
-                if let Some(cached) = pc.get(key) {
-                    rewrites.extend(cached.rewrites);
-                    empty |= cached.empty;
-                    optimized_runs.push(cached.expr);
-                    continue;
-                }
+            if let Some(cached) = self.plan_cache.get(&key) {
+                rewrites.extend(cached.rewrites);
+                empty |= cached.empty;
+                optimized_runs.push(cached.expr);
+                continue;
             }
             // With statistics, rank the certified-equivalent normal forms
             // by estimated cost; without, keep the syntactic
@@ -807,16 +851,14 @@ impl<'a> Planner<'a> {
                 run_empty = accepted;
             }
             let chosen = if accepted { opt.expr } else { ie };
-            if let (Some(pc), Some(key)) = (self.plan_cache, cache_key) {
-                pc.insert(
-                    key,
-                    CachedChain {
-                        expr: chosen.clone(),
-                        rewrites: run_rewrites.clone(),
-                        empty: run_empty,
-                    },
-                );
-            }
+            self.plan_cache.insert(
+                key,
+                CachedChain {
+                    expr: chosen.clone(),
+                    rewrites: run_rewrites.clone(),
+                    empty: run_empty,
+                },
+            );
             rewrites.extend(run_rewrites);
             empty |= run_empty;
             optimized_runs.push(chosen);
@@ -1108,21 +1150,11 @@ fn vars_of(c: &Cond) -> BTreeSet<String> {
 
 impl Plan {
     /// Whether the whole plan is answered exactly by the index phase
-    /// (§6.3): every condition leaf, the join and the projection chain are
-    /// certified exact.
+    /// (§6.3): every variable's candidates and the join are exact.
     pub fn exactness(&self) -> Exactness {
-        fn cond_exact(c: &CondNode) -> bool {
-            match c {
-                CondNode::IndexOnly { exact, .. } | CondNode::ContentCompare { exact, .. } => {
-                    *exact
-                }
-                CondNode::And(a, b) | CondNode::Or(a, b) => cond_exact(a) && cond_exact(b),
-                CondNode::Not(a) => cond_exact(a),
-            }
-        }
-        let vars_ok = self.vars.iter().all(|v| v.cond.as_ref().is_none_or(cond_exact));
-        let join_ok = self.join.as_ref().is_none_or(|j| j.exact);
-        if vars_ok && join_ok {
+        if self.vars.iter().all(VarPlan::exact)
+            && self.join.as_ref().is_none_or(|j| j.residual.is_none())
+        {
             Exactness::Exact
         } else {
             Exactness::Candidates
@@ -1144,29 +1176,22 @@ impl Plan {
             let _ = writeln!(
                 out,
                 "join {} ⋈ {}: {} [{}]",
-                j.left_var,
-                j.right_var,
+                self.vars[j.left_var].var,
+                self.vars[j.right_var].var,
                 j.display,
-                if j.exact { "exact" } else { "candidates" }
+                if j.residual.is_none() { "exact" } else { "candidates" }
             );
         }
-        match &self.projection {
-            ProjPlan::Objects { var } => {
-                let _ = writeln!(out, "project: objects of {var}");
+        let var = &self.vars[self.projection.var()].var;
+        let _ = match &self.projection {
+            ProjPlan::Objects { .. } => writeln!(out, "project: objects of {var}"),
+            ProjPlan::IndexValues { display, .. } => {
+                writeln!(out, "project: values of {var} via index [{display}] [exact]")
             }
-            ProjPlan::Values { var, chain, .. } => match chain {
-                Some((_, d, exact)) => {
-                    let _ = writeln!(
-                        out,
-                        "project: values of {var} via index [{d}] [{}]",
-                        if *exact { "exact" } else { "candidates" }
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "project: values of {var} via parsed objects");
-                }
-            },
-        }
+            ProjPlan::ParsedValues { .. } => {
+                writeln!(out, "project: values of {var} via parsed objects")
+            }
+        };
         if !self.rewrites.is_empty() {
             let certified = self.rewrites.iter().filter(|r| r.certified).count();
             let _ = writeln!(
@@ -1178,41 +1203,54 @@ impl Plan {
         out
     }
 
-    /// The abstract interpreter's verdict on every region expression the
-    /// plan evaluates: condition leaves, both content-compare and join
-    /// sides, and the index-side projection chain. The raw material of
-    /// trace schema v3's `facts` array.
-    pub fn facts(&self, interp: &AbsInterp<'_>) -> Vec<NodeFact> {
-        fn cond_facts(c: &CondNode, interp: &AbsInterp<'_>, out: &mut Vec<NodeFact>) {
+    /// Every region expression of the plan, with its pretty form where the
+    /// plan keeps one: condition leaves (both sides of a content compare,
+    /// negated children included), both join sides, and the index-side
+    /// projection chain. Trace facts and the `QOF1xx` lints walk this list.
+    pub(crate) fn region_exprs(&self) -> Vec<(Option<&str>, &RegionExpr)> {
+        fn walk<'p>(c: &'p CondNode, out: &mut Vec<(Option<&'p str>, &'p RegionExpr)>) {
             match c {
-                CondNode::IndexOnly { expr, display, .. } => {
-                    out.push(interp.fact(display.clone(), expr));
-                }
-                CondNode::ContentCompare { left, right, .. } => {
-                    out.push(interp.fact(left.to_string(), left));
-                    out.push(interp.fact(right.to_string(), right));
+                CondNode::IndexOnly { expr, display, .. } => out.push((Some(display), expr)),
+                CondNode::ContentCompare { left, right, .. }
+                | CondNode::ContentCandidates { left, right, .. } => {
+                    out.push((None, left));
+                    out.push((None, right));
                 }
                 CondNode::And(a, b) | CondNode::Or(a, b) => {
-                    cond_facts(a, interp, out);
-                    cond_facts(b, interp, out);
+                    walk(a, out);
+                    walk(b, out);
                 }
-                CondNode::Not(a) => cond_facts(a, interp, out),
+                CondNode::Not(a) | CondNode::NotCandidates(a) => walk(a, out),
             }
         }
         let mut out = Vec::new();
-        for vp in &self.vars {
-            if let Some(c) = &vp.cond {
-                cond_facts(c, interp, &mut out);
-            }
+        for c in self.vars.iter().filter_map(|vp| vp.cond.as_ref()) {
+            walk(c, &mut out);
         }
         if let Some(j) = &self.join {
-            out.push(interp.fact(j.left.to_string(), &j.left));
-            out.push(interp.fact(j.right.to_string(), &j.right));
+            out.push((None, &j.left));
+            out.push((None, &j.right));
         }
-        if let ProjPlan::Values { chain: Some((expr, display, _)), .. } = &self.projection {
-            out.push(interp.fact(display.clone(), expr));
+        match &self.projection {
+            ProjPlan::IndexValues { chain, display, .. }
+            | ProjPlan::ParsedValues { chain: Some((chain, display)), .. } => {
+                out.push((Some(display), chain));
+            }
+            ProjPlan::Objects { .. } | ProjPlan::ParsedValues { chain: None, .. } => {}
         }
         out
+    }
+
+    /// The abstract interpreter's verdict on every region expression of
+    /// the plan ([`Plan::region_exprs`]). The raw material of trace schema
+    /// v3's `facts` array.
+    pub fn facts(&self, interp: &AbsInterp<'_>) -> Vec<NodeFact> {
+        self.region_exprs()
+            .into_iter()
+            .map(|(display, expr)| {
+                interp.fact(display.map_or_else(|| expr.to_string(), str::to_owned), expr)
+            })
+            .collect()
     }
 
     /// A sound per-variable candidate-cardinality interval: the abstract
@@ -1245,6 +1283,16 @@ fn min_hi(a: Option<u64>, b: Option<u64>) -> Option<u64> {
 }
 
 impl CondNode {
+    /// Whether the candidates this node yields are the exact answer (§6.3).
+    fn exact(&self) -> bool {
+        match self {
+            CondNode::IndexOnly { exact, .. } => *exact,
+            CondNode::ContentCompare { .. } | CondNode::Not(_) => true,
+            CondNode::ContentCandidates { .. } | CondNode::NotCandidates(_) => false,
+            CondNode::And(a, b) | CondNode::Or(a, b) => a.exact() && b.exact(),
+        }
+    }
+
     /// A sound upper-bound estimate of the candidate regions this
     /// condition lets through, mirroring the executor's `eval_cond`
     /// semantics: leaves intersect with the view extent, `AND`
@@ -1255,7 +1303,10 @@ impl CondNode {
             // Content-compared and complemented candidates are view
             // regions; nothing tighter is sound (the inexact paths fall
             // back to the full view extent).
-            CondNode::ContentCompare { .. } | CondNode::Not(_) => view_hi,
+            CondNode::ContentCompare { .. }
+            | CondNode::ContentCandidates { .. }
+            | CondNode::Not(_)
+            | CondNode::NotCandidates(_) => view_hi,
             CondNode::And(a, b) => {
                 min_hi(a.estimate(interp, view_hi).hi, b.estimate(interp, view_hi).hi)
             }
@@ -1282,9 +1333,11 @@ fn describe_cond(c: &CondNode, depth: usize, out: &mut String) {
                 if *exact { "exact" } else { "candidates" }
             );
         }
-        CondNode::ContentCompare { display, exact, .. } => {
-            let _ =
-                writeln!(out, "{pad}{display} [{}]", if *exact { "exact" } else { "candidates" });
+        CondNode::ContentCompare { display, .. } => {
+            let _ = writeln!(out, "{pad}{display} [exact]");
+        }
+        CondNode::ContentCandidates { display, .. } => {
+            let _ = writeln!(out, "{pad}{display} [candidates]");
         }
         CondNode::And(a, b) => {
             let _ = writeln!(out, "{pad}AND");
@@ -1298,6 +1351,10 @@ fn describe_cond(c: &CondNode, depth: usize, out: &mut String) {
         }
         CondNode::Not(a) => {
             let _ = writeln!(out, "{pad}NOT");
+            describe_cond(a, depth + 1, out);
+        }
+        CondNode::NotCandidates(a) => {
+            let _ = writeln!(out, "{pad}NOT [candidates: all view regions]");
             describe_cond(a, depth + 1, out);
         }
     }

@@ -144,7 +144,9 @@ impl CompressedPostings {
         if n_blocks != count.div_ceil(BLOCK_LEN) {
             return None;
         }
-        let mut dir = Vec::with_capacity(n_blocks);
+        // Each directory entry takes at least two bytes of input, so a
+        // block count the remaining input cannot hold reserves no more.
+        let mut dir = Vec::with_capacity(n_blocks.min(buf.len().saturating_sub(*at) / 2));
         let mut first = 0u32;
         let mut offset = 0u64;
         for _ in 0..n_blocks {
@@ -272,6 +274,19 @@ mod tests {
                 assert!(decoded.windows(2).all(|w| w[0] < w[1]), "flip at {i}");
             }
         }
+    }
+
+    #[test]
+    fn a_huge_claimed_count_is_rejected_without_reserving_for_it() {
+        // 16 bytes that claim 2^50 postings in 2^43 blocks.
+        let count = 1u64 << 50;
+        let mut buf = Vec::new();
+        encode_u64(count, &mut buf);
+        encode_u64(count.div_ceil(BLOCK_LEN as u64), &mut buf);
+        buf.push(0);
+        assert_eq!(buf.len(), 16);
+        let mut at = 0;
+        assert!(CompressedPostings::read_from(&buf, &mut at).is_none());
     }
 
     #[test]

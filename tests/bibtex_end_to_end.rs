@@ -67,6 +67,29 @@ fn explain_shows_the_optimized_expression() {
 }
 
 #[test]
+fn explain_names_the_projection_path_that_runs() {
+    let cfg = BibtexConfig::with_refs(10);
+    let q = "SELECT r.Authors.Name.Last_Name FROM References r";
+    let (full, _) = fdb(&cfg, IndexSpec::full());
+    assert!(full
+        .explain(q)
+        .unwrap()
+        .contains("project: values of r via index [Last_Name ⊂ Authors ⊂ Reference] [exact]\n"));
+    assert_eq!(full.query(q).unwrap().stats.parse.bytes_scanned, 0);
+    // On {Reference, Key, Last_Name} the chain also reaches editors'
+    // names, so the values come from parsed references.
+    let (partial, _) = fdb(&cfg, IndexSpec::names(["Reference", "Key", "Last_Name"]));
+    assert_eq!(
+        partial.explain(q).unwrap(),
+        "var r : view References over <Reference>\n  \
+         candidates: all <Reference> regions\n\
+         project: values of r via parsed objects\n\
+         optimizer: 1 rewrite(s), 1 certified\n"
+    );
+    assert!(partial.query(q).unwrap().stats.parse.bytes_scanned > 0);
+}
+
+#[test]
 fn partial_indexing_yields_candidates_superset() {
     // §6.1's example: Zp = {Reference, Key, Last_Name}. Chang-as-editor
     // references cannot be distinguished by the index alone.
@@ -208,6 +231,38 @@ fn cross_var_join_on_referred_keys() {
     assert_eq!(result_keys(&res.values), sorted(expected));
     let via_db = run_baseline(&corpus, &bibtex::schema(), q, BaselineMode::FullLoad).unwrap();
     assert_eq!(res.values.len(), via_db.values.len());
+}
+
+#[test]
+fn exact_join_drops_pairs_whose_inexact_side_fails_its_residual() {
+    // On {Reference, Key, Last_Name} the join on keys is exact, but the
+    // author condition of the other variable is not: references with
+    // Chang only as an editor are candidates until parsing drops them,
+    // and their join partners must go with them.
+    let cfg = BibtexConfig { n_refs: 150, name_pool: 10, ..Default::default() };
+    let (text, _) = bibtex::generate(&cfg);
+    let corpus = Corpus::from_text(&text);
+    let schema = bibtex::schema();
+    let queries = [
+        "SELECT r FROM References r, References s \
+         WHERE r.Key = s.Key AND s.Authors.Name.Last_Name = \"Chang\"",
+        "SELECT r.Key FROM References r, References s \
+         WHERE r.Key = s.Key AND s.Authors.Name.Last_Name = \"Chang\"",
+        "SELECT s FROM References r, References s \
+         WHERE r.Key = s.Key AND r.Authors.Name.Last_Name = \"Chang\"",
+    ];
+    for spec in [IndexSpec::full(), IndexSpec::names(["Reference", "Key", "Last_Name"])] {
+        let db = FileDatabase::build(corpus.clone(), bibtex::schema(), spec.clone()).unwrap();
+        for q in queries {
+            let mut via_index = db.query(q).unwrap().values;
+            let mut via_db =
+                run_baseline(&corpus, &schema, q, BaselineMode::FullLoad).unwrap().values;
+            via_index.sort();
+            via_db.sort();
+            assert!(!via_db.is_empty(), "the corpus must hold Chang as an author");
+            assert_eq!(via_index, via_db, "index and baseline disagree on {q} under {spec:?}");
+        }
+    }
 }
 
 #[test]
