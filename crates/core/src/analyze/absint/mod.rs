@@ -115,11 +115,35 @@ impl AbsState {
         AbsState { domain: None, card: CardInterval::top(), empty: false, notes: Vec::new() }
     }
 
+    /// A state over this one's domain with cardinality `card`, proven
+    /// empty (with `note`) when this one is.
+    fn narrowed(self, card: CardInterval, note: &str) -> Self {
+        let st = AbsState { domain: self.domain, card, empty: false, notes: Vec::new() };
+        if self.empty {
+            st.mark_empty(note)
+        } else {
+            st
+        }
+    }
+
     fn mark_empty(mut self, note: impl Into<String>) -> Self {
         self.empty = true;
         self.card = CardInterval::zero();
         self.notes.push(note.into());
         self
+    }
+
+    /// Packages the state as a trace-schema [`NodeFact`] labelled `node`.
+    pub(crate) fn into_fact(self, node: impl Into<String>) -> NodeFact {
+        NodeFact {
+            node: node.into(),
+            domain_known: self.domain.is_some(),
+            domain: self.domain.map(|d| d.into_iter().collect()).unwrap_or_default(),
+            card_lo: self.card.lo,
+            card_hi: self.card.hi,
+            empty: self.empty,
+            notes: self.notes,
+        }
     }
 
     /// Whether two abstract states can describe the same concrete set —
@@ -171,53 +195,55 @@ impl<'a> AbsInterp<'a> {
     /// too; names the RIG does not know (e.g. scoped index keys) are
     /// conservatively compatible with everything.
     fn can_relate(&self, n: &str, m: &str) -> bool {
-        n == m
-            || !self.rig.has_node(n)
-            || !self.rig.has_node(m)
-            || self.rig.has_path(n, m)
-            || self.rig.has_path(m, n)
+        match (self.rig.node_id(n), self.rig.node_id(m)) {
+            (Some(a), Some(b)) => a == b || self.rig.reaches(a, b) || self.rig.reaches(b, a),
+            _ => true,
+        }
     }
 
     /// Like [`Self::can_relate`] but for *direct* inclusion: only the RIG
     /// edge in the stated direction (or equal spans) qualifies.
     fn can_relate_direct(&self, outer: &str, inner: &str) -> bool {
-        outer == inner
-            || !self.rig.has_node(outer)
-            || !self.rig.has_node(inner)
-            || self.rig.has_edge(outer, inner)
+        match (self.rig.node_id(outer), self.rig.node_id(inner)) {
+            (Some(o), Some(i)) => o == i || self.rig.edge(o, i),
+            _ => true,
+        }
     }
 
     /// Keeps the names of `dom` that can relate to at least one name of
     /// `other` under `relate`; `None` (⊤) on either side passes `dom`
     /// through unchanged.
     fn filter_domain(
-        dom: &Option<BTreeSet<String>>,
+        mut dom: Option<BTreeSet<String>>,
         other: &Option<BTreeSet<String>>,
         mut relate: impl FnMut(&str, &str) -> bool,
     ) -> Option<BTreeSet<String>> {
-        match (dom, other) {
-            (Some(d), Some(o)) => {
-                Some(d.iter().filter(|n| o.iter().any(|m| relate(n, m))).cloned().collect())
-            }
-            _ => dom.clone(),
+        if let (Some(d), Some(o)) = (&mut dom, other) {
+            d.retain(|n| o.iter().any(|m| relate(n, m)));
         }
+        dom
+    }
+
+    /// The cardinality interval of an indexed name: its exact region
+    /// count with statistics, `[0, ∞)` without.
+    pub(crate) fn name_card(&self, n: &str) -> CardInterval {
+        self.instance.map_or_else(CardInterval::top, |inst| {
+            CardInterval::exact(inst.get(n).map_or(0, qof_pat::RegionSet::len) as u64)
+        })
     }
 
     fn leaf_name(&self, n: &str) -> AbsState {
-        let mut st = AbsState {
+        let st = AbsState {
             domain: Some(std::iter::once(n.to_string()).collect()),
-            card: CardInterval::top(),
+            card: self.name_card(n),
             empty: false,
             notes: Vec::new(),
         };
-        if let Some(inst) = self.instance {
-            let count = inst.get(n).map_or(0, qof_pat::RegionSet::len) as u64;
-            st.card = CardInterval::exact(count);
-            if count == 0 {
-                st = st.mark_empty(format!("the index holds no `{n}` regions"));
-            }
+        if st.card.hi == Some(0) {
+            st.mark_empty(format!("the index holds no `{n}` regions"))
+        } else {
+            st
         }
-        st
     }
 
     fn word_card(&self, w: &str) -> (CardInterval, bool) {
@@ -264,13 +290,13 @@ impl<'a> AbsInterp<'a> {
             E::Intersect(a, b) => {
                 let (sa, sb) = (self.analyze(a), self.analyze(b));
                 let filtered =
-                    Self::filter_domain(&sa.domain, &sb.domain, |n, m| self.can_relate(n, m));
+                    Self::filter_domain(sa.domain, &sb.domain, |n, m| self.can_relate(n, m));
                 let card = CardInterval { lo: 0, hi: CardInterval::min_hi(sa.card.hi, sb.card.hi) };
-                let mut st =
-                    AbsState { domain: filtered.clone(), card, empty: false, notes: Vec::new() };
+                let unrelated = matches!(&filtered, Some(d) if d.is_empty());
+                let mut st = AbsState { domain: filtered, card, empty: false, notes: Vec::new() };
                 if sa.empty || sb.empty {
                     st = st.mark_empty("an intersection operand is provably empty");
-                } else if matches!(&filtered, Some(d) if d.is_empty()) {
+                } else if unrelated {
                     st = st.mark_empty(
                         "the operand region types lie in unrelated RIG components, so no span \
                          can belong to both sides",
@@ -281,49 +307,38 @@ impl<'a> AbsInterp<'a> {
             E::Difference(a, b) => {
                 let sa = self.analyze(a);
                 let card = CardInterval { lo: 0, hi: sa.card.hi };
-                let mut st =
-                    AbsState { domain: sa.domain.clone(), card, empty: false, notes: Vec::new() };
-                if sa.empty {
-                    st = st.mark_empty("the left difference operand is provably empty");
-                } else if a == b {
-                    st = st.mark_empty("`x − x` is the empty set");
+                let st = sa.narrowed(card, "the left difference operand is provably empty");
+                if !st.empty && a == b {
+                    st.mark_empty("`x − x` is the empty set")
+                } else {
+                    st
                 }
-                st
             }
             E::SelectEq(a, w) => {
                 let sa = self.analyze(a);
                 let (wc, absent) = self.word_card(w);
                 let card = CardInterval { lo: 0, hi: CardInterval::min_hi(sa.card.hi, wc.hi) };
-                let mut st =
-                    AbsState { domain: sa.domain.clone(), card, empty: false, notes: Vec::new() };
-                if sa.empty {
-                    st = st.mark_empty("the selected set is provably empty");
-                } else if absent {
-                    st = st.mark_empty(format!("word \"{w}\" does not occur in the corpus"));
+                let st = sa.narrowed(card, "the selected set is provably empty");
+                if !st.empty && absent {
+                    st.mark_empty(format!("word \"{w}\" does not occur in the corpus"))
+                } else {
+                    st
                 }
-                st
             }
             E::SelectContains(a, w) => {
                 let sa = self.analyze(a);
                 let card = CardInterval { lo: 0, hi: sa.card.hi };
-                let mut st =
-                    AbsState { domain: sa.domain.clone(), card, empty: false, notes: Vec::new() };
-                if sa.empty {
-                    st = st.mark_empty("the selected set is provably empty");
-                } else if self.words.is_some_and(|idx| !idx.contains(w)) {
-                    st = st.mark_empty(format!("word \"{w}\" does not occur in the corpus"));
+                let st = sa.narrowed(card, "the selected set is provably empty");
+                if !st.empty && self.words.is_some_and(|idx| !idx.contains(w)) {
+                    st.mark_empty(format!("word \"{w}\" does not occur in the corpus"))
+                } else {
+                    st
                 }
-                st
             }
             E::Innermost(a) | E::Outermost(a) => {
                 let sa = self.analyze(a);
                 let card = CardInterval { lo: sa.card.lo.min(1), hi: sa.card.hi };
-                let mut st =
-                    AbsState { domain: sa.domain.clone(), card, empty: false, notes: Vec::new() };
-                if sa.empty {
-                    st = st.mark_empty("the operand is provably empty");
-                }
-                st
+                sa.narrowed(card, "the operand is provably empty")
             }
             E::Including(a, b) => self.inclusion(a, b, false, false),
             E::IncludedIn(a, b) => self.inclusion(a, b, true, false),
@@ -332,12 +347,12 @@ impl<'a> AbsInterp<'a> {
             E::NestedExactly { outer, inner, .. } => {
                 let (so, si) = (self.analyze(outer), self.analyze(inner));
                 let card = CardInterval { lo: 0, hi: so.card.hi };
-                let mut st =
-                    AbsState { domain: so.domain.clone(), card, empty: false, notes: Vec::new() };
-                if so.empty || si.empty {
-                    st = st.mark_empty("a nesting operand is provably empty");
+                let st = so.narrowed(card, "a nesting operand is provably empty");
+                if !st.empty && si.empty {
+                    st.mark_empty("a nesting operand is provably empty")
+                } else {
+                    st
                 }
-                st
             }
             E::Near { left, right, .. } => {
                 let (sl, sr) = (self.analyze(left), self.analyze(right));
@@ -350,14 +365,12 @@ impl<'a> AbsInterp<'a> {
             E::SelectCountAtLeast(a, w, n) => {
                 let sa = self.analyze(a);
                 let card = CardInterval { lo: 0, hi: sa.card.hi };
-                let mut st =
-                    AbsState { domain: sa.domain.clone(), card, empty: false, notes: Vec::new() };
-                if sa.empty {
-                    st = st.mark_empty("the selected set is provably empty");
-                } else if *n >= 1 && self.words.is_some_and(|idx| !idx.contains(w)) {
-                    st = st.mark_empty(format!("word \"{w}\" does not occur in the corpus"));
+                let st = sa.narrowed(card, "the selected set is provably empty");
+                if !st.empty && *n >= 1 && self.words.is_some_and(|idx| !idx.contains(w)) {
+                    st.mark_empty(format!("word \"{w}\" does not occur in the corpus"))
+                } else {
+                    st
                 }
-                st
             }
         }
     }
@@ -377,12 +390,13 @@ impl<'a> AbsInterp<'a> {
                 self.can_relate(outer, inner)
             }
         };
-        let filtered = Self::filter_domain(&sa.domain, &sb.domain, relate);
+        let filtered = Self::filter_domain(sa.domain, &sb.domain, relate);
+        let unrelated = matches!(&filtered, Some(d) if d.is_empty());
         let card = CardInterval { lo: 0, hi: sa.card.hi };
-        let mut st = AbsState { domain: filtered.clone(), card, empty: false, notes: Vec::new() };
+        let mut st = AbsState { domain: filtered, card, empty: false, notes: Vec::new() };
         if sa.empty || sb.empty {
             st = st.mark_empty("an inclusion operand is provably empty");
-        } else if matches!(&filtered, Some(d) if d.is_empty()) {
+        } else if unrelated {
             let op = match (contained, direct) {
                 (false, false) => "⊃",
                 (false, true) => "⊃d",
@@ -399,16 +413,7 @@ impl<'a> AbsInterp<'a> {
     /// Packages the abstract state of `expr` as a trace-schema
     /// [`NodeFact`] labelled `node`.
     pub fn fact(&self, node: impl Into<String>, expr: &RegionExpr) -> NodeFact {
-        let st = self.analyze(expr);
-        NodeFact {
-            node: node.into(),
-            domain: st.domain.clone().map(|d| d.into_iter().collect()).unwrap_or_default(),
-            domain_known: st.domain.is_some(),
-            card_lo: st.card.lo,
-            card_hi: st.card.hi,
-            empty: st.empty,
-            notes: st.notes,
-        }
+        self.analyze(expr).into_fact(node)
     }
 
     /// The `QOF1xx` lint pass: walks `expr` emitting diagnostics for

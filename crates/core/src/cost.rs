@@ -208,23 +208,28 @@ impl StatsStore {
     }
 
     /// Feeds one completed query trace back into the model: every operator
-    /// node's observed output cardinality accumulates into the per-operator running means.
+    /// node's observed output cardinality accumulates into the
+    /// per-operator running means, globally and under the trace's
+    /// fingerprint (v6), so hot shapes build their own calibration
+    /// independent of the global blend. Fingerprint 0 means "not stamped"
+    /// and feeds the global means only.
     pub fn observe_trace(&self, trace: &QueryTrace) {
-        fn walk(ops: &[OpTrace], obs: &mut CardObservations) {
+        fn walk(
+            ops: &[OpTrace],
+            global: &mut CardObservations,
+            mut shape: Option<&mut CardObservations>,
+        ) {
             for op in ops {
-                obs.observe(&op.op, op.output as u64);
-                walk(&op.children, obs);
+                global.observe(op.op, op.output as u64);
+                if let Some(shape) = shape.as_deref_mut() {
+                    shape.observe(op.op, op.output as u64);
+                }
+                walk(&op.children, global, shape.as_deref_mut());
             }
         }
-        {
-            let mut obs = self.observations.lock().expect("stats observations poisoned");
-            walk(&trace.ops, &mut obs);
-        }
-        // The same observations again, keyed by the trace's fingerprint
-        // (v6): hot shapes build their own calibration independent of the
-        // global blend. 0 means "not stamped" and is skipped.
-        if trace.fingerprint != 0 {
-            let mut map = self.per_fp.lock().expect("per-fp observations poisoned");
+        let mut global = self.observations.lock().expect("stats observations poisoned");
+        let mut map = self.per_fp.lock().expect("per-fp observations poisoned");
+        let shape = (trace.fingerprint != 0).then(|| {
             if !map.contains_key(&trace.fingerprint) && map.len() >= MAX_FP_CALIBRATION_ENTRIES {
                 // Evict the least-observed fingerprint (lowest key on
                 // ties — deterministic).
@@ -234,9 +239,9 @@ impl StatsStore {
                     map.remove(&victim);
                 }
             }
-            let obs = map.entry(trace.fingerprint).or_default();
-            walk(&trace.ops, obs);
-        }
+            map.entry(trace.fingerprint).or_default()
+        });
+        walk(&trace.ops, &mut global, shape);
     }
 
     /// A snapshot of the accumulated operator observations.
@@ -629,7 +634,7 @@ mod tests {
         for _ in 0..MIN_FP_CALIBRATION_OBS {
             let trace = QueryTrace {
                 fingerprint: fp,
-                ops: vec![OpTrace { op: "⊃".into(), output: 10, ..OpTrace::default() }],
+                ops: vec![OpTrace { op: "⊃", output: 10, ..OpTrace::default() }],
                 ..QueryTrace::default()
             };
             store.observe_trace(&trace);
@@ -652,7 +657,7 @@ mod tests {
         let store = StatsStore::new();
         let trace_for = |fp: u64, n: usize| QueryTrace {
             fingerprint: fp,
-            ops: vec![OpTrace { op: "⊃".into(), output: 5, ..OpTrace::default() }; n],
+            ops: vec![OpTrace { op: "⊃", output: 5, ..OpTrace::default() }; n],
             ..QueryTrace::default()
         };
         // A heavy fingerprint, then a full sweep of one-shot shapes.

@@ -27,7 +27,7 @@ use crate::plan::{CondNode, Exactness, JoinPlan, Plan, PlanError, Planner, ProjP
 use crate::qofx::{self, QofxError};
 use crate::residual::{eval_single, path_values};
 use crate::trace::{CardEstimate, ExecTrace, PhaseTrace, QueryTrace};
-use crate::{parse_query, Query, QueryParseError, Rig};
+use crate::{parse_query, QueryParseError, Rig};
 
 /// Errors while building a [`FileDatabase`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,8 +143,9 @@ pub struct QueryResult {
     pub stats: RunStats,
 }
 
-/// A hook invoked with every completed [`QueryTrace`] — the query server's
-/// flight recorder attaches here.
+/// A hook invoked with the [`QueryTrace`] of every successful query, from
+/// [`FileDatabase::query`] as from [`FileDatabase::query_traced`] — the
+/// query server's flight recorder attaches here.
 pub type TraceHook = Box<dyn Fn(&QueryTrace) + Send + Sync>;
 
 /// A queryable view of a corpus: word index + region indices + schema.
@@ -319,7 +320,7 @@ impl FileDatabase {
         self.strict
     }
 
-    /// Injects the metrics registry traced queries record into (builder
+    /// Injects the metrics registry every query records into (builder
     /// style). The default is [`MetricsRegistry::global_arc`]; servers and
     /// concurrent tests inject [`MetricsRegistry::shared`] instances so
     /// independent workloads never share mutable counters.
@@ -336,14 +337,14 @@ impl FileDatabase {
         self.publish_index_stats();
     }
 
-    /// The registry this database records traced-query metrics into.
+    /// The registry this database records query metrics into.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 
-    /// Installs a hook invoked with every completed [`QueryTrace`] (after
-    /// metrics recording, before the trace is returned). The query server
-    /// feeds its flight recorder through this.
+    /// Installs a hook invoked with the [`QueryTrace`] of every successful
+    /// query (after metrics recording, before the result is returned). The
+    /// query server feeds its flight recorder through this.
     pub fn set_trace_hook(&mut self, hook: impl Fn(&QueryTrace) + Send + Sync + 'static) {
         self.trace_hook = Some(Box::new(hook));
     }
@@ -354,7 +355,8 @@ impl FileDatabase {
     }
 
     /// Draws the next query ID from this database's sequence (1, 2, …).
-    /// [`FileDatabase::query_traced`] draws automatically; callers that
+    /// [`FileDatabase::query`] and [`FileDatabase::query_traced`] draw
+    /// automatically; callers that
     /// must log failures under the same ID space (the query server) draw
     /// explicitly and pass the ID to [`FileDatabase::query_traced_with_id`].
     pub fn allocate_query_id(&self) -> u64 {
@@ -367,9 +369,8 @@ impl FileDatabase {
     }
 
     /// The workload-analytics table: per-fingerprint heavy hitters fed by
-    /// every traced query (see [`qof_pat::WorkloadTable`]). Untraced
-    /// queries do not report here — analytics ride the trace path so the
-    /// hot path stays untouched.
+    /// every successful query, library calls included (see
+    /// [`qof_pat::WorkloadTable`]).
     pub fn workload(&self) -> &WorkloadTable {
         &self.workload
     }
@@ -498,7 +499,8 @@ impl FileDatabase {
     }
 
     /// The abstract interpreter over this database's indexed RIG and
-    /// statistics — the one `query_traced` uses for trace facts.
+    /// statistics — the one every query uses for its trace facts and
+    /// estimates.
     pub fn abs_interp(&self) -> crate::analyze::absint::AbsInterp<'_> {
         crate::analyze::absint::AbsInterp::with_stats(
             &self.partial_rig,
@@ -529,24 +531,22 @@ impl FileDatabase {
         Ok(self.plan(src)?.describe())
     }
 
-    /// Parses, plans and runs a query.
+    /// Parses, plans and runs a query. Every query is accounted: it draws
+    /// a query ID and feeds this database's [`MetricsRegistry`], the
+    /// [`workload`](FileDatabase::workload) table, per-fingerprint
+    /// calibration and the trace hook. This is exactly
+    /// [`FileDatabase::query_traced`] with the trace dropped.
     pub fn query(&self, src: &str) -> Result<QueryResult, QueryError> {
-        self.query_ast(&parse_query(src)?)
+        self.run(src, self.allocate_query_id()).map(|(result, _)| result)
     }
 
-    /// Like [`FileDatabase::query`], but records a full [`QueryTrace`]
-    /// alongside the result: the optimizer rewrites that fired during
-    /// planning, per-phase wall times, the engine's operator tree (with
-    /// per-operator timings, cardinalities and memo outcomes) and this
-    /// run's plan-cache hit/miss delta. The run also feeds this database's [`MetricsRegistry`] (the process-wide
-    /// one unless another was injected) and draws the trace's query ID
-    /// from the database's sequence.
-    ///
-    /// Results are identical to the untraced path: the traced engine
-    /// re-enters the same memoized evaluator, so memo behavior cannot
-    /// drift.
+    /// [`FileDatabase::query`], also returning the run's [`QueryTrace`]:
+    /// the optimizer rewrites that fired during planning, per-phase wall
+    /// times, the engine's operator tree (with per-operator timings,
+    /// cardinalities and memo outcomes) and this run's plan-cache hit/miss
+    /// delta. The trace's query ID comes from the database's sequence.
     pub fn query_traced(&self, src: &str) -> Result<(QueryResult, QueryTrace), QueryError> {
-        self.query_traced_with_id(src, self.allocate_query_id())
+        self.run(src, self.allocate_query_id())
     }
 
     /// [`FileDatabase::query_traced`] with a caller-assigned query ID
@@ -557,49 +557,33 @@ impl FileDatabase {
         src: &str,
         id: u64,
     ) -> Result<(QueryResult, QueryTrace), QueryError> {
+        self.run(src, id)
+    }
+
+    /// The one query path: parse, plan and execute with the trace always
+    /// on, then record the run once — metrics, stats calibration, workload
+    /// table, trace hook. A failed query counts as an error and records
+    /// nothing else.
+    fn run(&self, src: &str, id: u64) -> Result<(QueryResult, QueryTrace), QueryError> {
         let started = Instant::now();
-        let pc_before = self.plan_cache.stats();
-        let metrics = &self.metrics;
-        let q = match parse_query(src) {
-            Ok(q) => q,
-            Err(e) => {
-                metrics.record_query(elapsed_nanos(started), false);
-                return Err(e.into());
-            }
-        };
-        let parsed = elapsed_nanos(started);
-        let plan = match self.planner().plan(&q) {
-            Ok(p) => p,
-            Err(e) => {
-                metrics.record_query(elapsed_nanos(started), false);
-                return Err(e.into());
-            }
-        };
-        let planned = elapsed_nanos(started);
-        let pc_after = self.plan_cache.stats();
         let mut tr = ExecTrace::default();
-        tr.phases.push(PhaseTrace { name: "parse".into(), start_nanos: 0, nanos: parsed });
-        tr.phases.push(PhaseTrace {
-            name: "plan".into(),
-            start_nanos: parsed,
-            nanos: planned.saturating_sub(parsed),
-        });
-        let result = match self.execute_inner(&plan, started, Some(&mut tr)) {
-            Ok(r) => r,
+        let run = self.plan_and_execute(src, started, &mut tr);
+        let total_nanos = elapsed_nanos(started);
+        let (plan, result) = match run {
+            Ok(done) => done,
             Err(e) => {
-                metrics.record_query(elapsed_nanos(started), false);
+                self.metrics.record_query(total_nanos, false);
                 return Err(e);
             }
         };
-        let total_nanos = elapsed_nanos(started);
         // Renumber the span tree pre-order so span ids are unique and
         // stable within one trace.
         renumber_spans(&mut tr.ops, &mut 1);
         // Estimated-vs-actual cardinalities: the planner's per-variable
         // intervals, matched with the phase-1 candidate counts the engine
         // observed (captured before the join prunes the states).
-        let estimates: Vec<CardEstimate> = plan
-            .var_estimates(&self.abs_interp())
+        let estimates: Vec<CardEstimate> = tr
+            .intervals
             .into_iter()
             .zip(tr.var_candidates.iter().copied())
             .map(|((var, card), observed)| CardEstimate {
@@ -614,33 +598,32 @@ impl FileDatabase {
             fingerprint: plan.fingerprint,
             query: src.to_owned(),
             plan: result.explain.clone(),
-            rewrites: plan.rewrites.clone(),
-            facts: plan.facts(&self.abs_interp()),
+            facts: tr.facts,
+            rewrites: plan.rewrites,
             estimates,
             phases: tr.phases,
             ops: tr.ops,
-            plan_cache_hits: pc_after.hits.saturating_sub(pc_before.hits),
-            plan_cache_misses: pc_after.misses.saturating_sub(pc_before.misses),
+            plan_cache_hits: tr.plan_cache_hits,
+            plan_cache_misses: tr.plan_cache_misses,
             total_nanos,
             bytes_touched: result.stats.bytes_touched(),
             candidates: result.stats.candidates,
             results: result.stats.results,
             exact_index: result.stats.exact_index,
         };
-        metrics.record_query(total_nanos, true);
-        metrics.record_plan_cache_delta(trace.plan_cache_hits, trace.plan_cache_misses);
-        metrics.record_op_trace(&trace.ops);
+        self.metrics.record_query(total_nanos, true);
+        self.metrics.record_plan_cache_delta(trace.plan_cache_hits, trace.plan_cache_misses);
+        self.metrics.record_op_trace(&trace.ops);
         // Feed the observed cardinalities back into the stats store so
         // later cost estimates calibrate against real executions.
         self.stats.observe_trace(&trace);
         self.workload.observe(&WorkloadObs {
             fingerprint: trace.fingerprint,
-            exemplar: src.to_owned(),
+            exemplar: src,
             nanos: total_nanos,
             bytes: trace.bytes_touched,
             plan_cache_hits: trace.plan_cache_hits,
             plan_cache_misses: trace.plan_cache_misses,
-            error: false,
             est_ratio: worst_estimate_ratio(&trace.estimates),
             trace_id: id,
         });
@@ -650,10 +633,33 @@ impl FileDatabase {
         Ok((result, trace))
     }
 
-    /// Runs an already-parsed query.
-    pub fn query_ast(&self, q: &Query) -> Result<QueryResult, QueryError> {
-        let plan = self.planner().plan(q)?;
-        self.execute_inner(&plan, Instant::now(), None)
+    /// Parses, plans and executes `src`, filling `tr` with the run's
+    /// phases, static facts, estimates, operator tree and plan-cache delta.
+    fn plan_and_execute(
+        &self,
+        src: &str,
+        started: Instant,
+        tr: &mut ExecTrace,
+    ) -> Result<(Plan, QueryResult), QueryError> {
+        let pc_before = self.plan_cache.stats();
+        let q = parse_query(src)?;
+        let parsed = elapsed_nanos(started);
+        let plan = self.planner().plan(&q)?;
+        // The plan's static facts and per-variable intervals are part of
+        // planning, so the `plan` phase times them.
+        (tr.facts, tr.intervals) = plan.analyze(&self.abs_interp());
+        let planned = elapsed_nanos(started);
+        let pc_after = self.plan_cache.stats();
+        tr.plan_cache_hits = pc_after.hits.saturating_sub(pc_before.hits);
+        tr.plan_cache_misses = pc_after.misses.saturating_sub(pc_before.misses);
+        tr.phases.push(PhaseTrace { name: "parse", start_nanos: 0, nanos: parsed });
+        tr.phases.push(PhaseTrace {
+            name: "plan",
+            start_nanos: parsed,
+            nanos: planned.saturating_sub(parsed),
+        });
+        let result = self.execute_inner(&plan, started, tr)?;
+        Ok((plan, result))
     }
 
     /// Runs only the index phase of a query: the candidate regions of the
@@ -775,37 +781,31 @@ impl FileDatabase {
         Ok(pairs.into_iter().map(|(a, b)| (ls.as_slice()[a], rs.as_slice()[b])).collect())
     }
 
-    /// The executor proper: it runs the plan record as it stands. With
-    /// `tr` set, every phase is timed, the engine evaluates with a trace
-    /// sink attached, and `tr` receives the phase and operator traces of
-    /// the run after the phases already in it. The untraced path pays a
-    /// handful of `Instant` reads and nothing else.
+    /// The executor proper: it runs the plan record as it stands, timing
+    /// every phase and evaluating with a trace sink attached. `tr`
+    /// receives the phase and operator traces of the run after the phases
+    /// already in it.
     fn execute_inner(
         &self,
         plan: &Plan,
         origin: Instant,
-        tr: Option<&mut ExecTrace>,
+        tr: &mut ExecTrace,
     ) -> Result<QueryResult, QueryError> {
-        let tracing = tr.is_some();
         // One monotonic origin for the whole query: the sink and every
         // phase stamp offset from it, so all spans of a query share a
         // single timeline (what the Perfetto export relies on).
         let sink = TraceSink::with_origin(origin);
         let mut stats = RunStats::default();
-        let mut phases: Vec<PhaseTrace> = Vec::new();
-        let mut end_phase = |name: &str, start_nanos: u64| {
-            if tracing {
-                let nanos = elapsed_nanos(origin).saturating_sub(start_nanos);
-                phases.push(PhaseTrace { name: name.into(), start_nanos, nanos });
-            }
+        let mut end_phase = |name, start_nanos: u64| {
+            let nanos = elapsed_nanos(origin).saturating_sub(start_nanos);
+            tr.phases.push(PhaseTrace { name, start_nanos, nanos });
         };
 
         // Phase 1: per-variable candidates through the index. Engine set-up
         // belongs to it: the first query after the index changes builds the
         // nesting forest here.
         let phase_started = elapsed_nanos(origin);
-        let engine = self.engine();
-        let engine = if tracing { engine.with_trace(&sink) } else { engine };
+        let engine = self.engine().with_trace(&sink);
         let mut candidates = self.eval_phase1(plan, &engine, &mut stats)?;
         end_phase("index-candidates", phase_started);
         // Phase-1 cardinalities, captured before the join prunes the
@@ -918,18 +918,20 @@ impl FileDatabase {
             values.sort();
             values.dedup();
         }
-        end_phase("projection", phase_started);
-
         stats.eval.absorb(&engine.stats());
         stats.parse = parser.stats();
         stats.db = db.stats();
         stats.results = result_regions.len();
-        if let Some(tr) = tr {
-            tr.phases.extend(phases);
-            tr.ops = sink.take();
-            tr.var_candidates = var_candidates;
-        }
-        Ok(QueryResult { regions: result_regions, values, db, explain: plan.describe(), stats })
+        let result =
+            QueryResult { regions: result_regions, values, db, explain: plan.describe(), stats };
+        // The run's scratch state goes inside the last phase, so the
+        // phases account for the whole execution.
+        drop(objects);
+        drop(engine);
+        end_phase("projection", phase_started);
+        tr.ops = sink.take();
+        tr.var_candidates = var_candidates;
+        Ok(result)
     }
 }
 
@@ -1125,7 +1127,7 @@ mod tests {
         assert_eq!(trace.plan, plain.explain);
         assert_eq!(trace.results, plain.regions.len());
         assert_eq!(trace.candidates, plain.stats.candidates);
-        let names: Vec<&str> = trace.phases.iter().map(|p| p.name.as_str()).collect();
+        let names: Vec<&str> = trace.phases.iter().map(|p| p.name).collect();
         assert_eq!(
             names,
             ["parse", "plan", "index-candidates", "content-join", "parse-filter", "projection"]
@@ -1137,9 +1139,14 @@ mod tests {
             trace.rewrites
         );
         assert!(trace.total_nanos > 0);
-        // The JSON surface round-trips the real thing, not just fixtures.
-        let back = crate::QueryTrace::from_json(&trace.to_json()).unwrap();
-        assert_eq!(back, trace);
+        // The JSON surface carries the real thing, not just fixtures.
+        use qof_pat::json::{get_arr, get_str, get_u64, Json};
+        let doc = Json::parse(&trace.to_json()).unwrap();
+        let obj = doc.as_obj().unwrap();
+        assert_eq!(get_str(obj, "plan").unwrap(), trace.plan);
+        assert_eq!(get_arr(obj, "phases").unwrap().len(), names.len());
+        assert_eq!(get_arr(obj, "ops").unwrap().len(), trace.ops.len());
+        assert_eq!(get_u64(obj, "results").unwrap(), trace.results as u64);
     }
 
     #[test]
@@ -1170,11 +1177,45 @@ mod tests {
     }
 
     #[test]
+    fn library_query_is_accounted_exactly_once() {
+        // `query` runs the accounted path: one success advances the query
+        // counter, the plan-cache counters, the workload table, the
+        // calibration store and the trace hook once each; a failure
+        // advances the error counter and nothing else.
+        let corpus = multi_file_corpus(2, 10);
+        let metrics = MetricsRegistry::shared();
+        let mut db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
+            .unwrap()
+            .with_metrics(std::sync::Arc::clone(&metrics));
+        let hooked = std::sync::Arc::new(AtomicU64::new(0));
+        let counter = std::sync::Arc::clone(&hooked);
+        db.set_trace_hook(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+        db.query(QUERIES[0]).unwrap();
+        let snap = metrics.snapshot();
+        assert_eq!((snap.queries, snap.query_errors), (1, 0));
+        assert_eq!(snap.query_latency.count(), 1);
+        let pc = db.plan_cache_stats();
+        assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (pc.hits, pc.misses));
+        assert_eq!((pc.hits, pc.misses), (0, 1), "one chain, one miss");
+        assert_eq!(db.workload().total_hits(), 1);
+        assert!(db.stats_store().observations().total() > 0, "calibration saw the run");
+        assert_eq!(hooked.load(Ordering::Relaxed), 1);
+
+        assert!(db.query("SELEC nope").is_err());
+        let snap = metrics.snapshot();
+        assert_eq!((snap.queries, snap.query_errors), (2, 1));
+        assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (0, 1));
+        assert_eq!(db.workload().total_hits(), 1, "failures are not folded");
+        assert_eq!(hooked.load(Ordering::Relaxed), 1, "failures produce no trace");
+    }
+
+    #[test]
     fn assembled_traces_satisfy_span_invariants() {
-        // Deterministic mirror of crates/proptests/tests/property_spans.rs
-        // (the property suite needs network to build): children nest in
-        // parents, siblings are sequential, span ids are a pre-order
-        // renumbering, phases tile the window, spans fit in total_nanos.
+        // Children nest in parents, siblings are sequential, span ids are a
+        // pre-order renumbering, phases tile the window, spans fit in
+        // total_nanos.
         fn check_nesting(ops: &[OpTrace]) {
             for op in ops {
                 let end = op.start_nanos + op.nanos;
@@ -1304,8 +1345,8 @@ mod tests {
             let costed =
                 raw_planner(&db, Some(&db.stats), &PlanCache::new()).plan(&parsed).unwrap();
             let leftmost = raw_planner(&db, None, &PlanCache::new()).plan(&parsed).unwrap();
-            let a = db.execute_inner(&costed, Instant::now(), None).unwrap();
-            let b = db.execute_inner(&leftmost, Instant::now(), None).unwrap();
+            let a = db.execute_inner(&costed, Instant::now(), &mut ExecTrace::default()).unwrap();
+            let b = db.execute_inner(&leftmost, Instant::now(), &mut ExecTrace::default()).unwrap();
             assert_same_results(&a, &b, q);
         }
     }
@@ -1371,7 +1412,7 @@ mod tests {
                 .unwrap();
         db.query(QUERIES[1]).unwrap();
         let before = db.plan_cache_stats();
-        assert!(before.entries > 0, "untraced queries also populate the plan cache");
+        assert!(before.entries > 0, "`query` populates the plan cache");
         let epoch_before = db.stats_store().epoch();
 
         let (text2, _) = bibtex::generate(&BibtexConfig { n_refs: 10, seed: 9, ..cfg });

@@ -82,7 +82,7 @@ fn begin_end(
 /// children — the span tree becomes a properly nested event stack.
 fn op_events(out: &mut String, pid: u64, tid: u64, node: &OpTrace) {
     let name = if node.detail.is_empty() {
-        node.op.clone()
+        node.op.to_owned()
     } else {
         format!("{} {}", node.op, node.detail)
     };
@@ -129,7 +129,7 @@ fn write_trace(out: &mut String, trace: &QueryTrace, first: bool) {
                 pid,
                 TID_PHASES,
                 "phase",
-                &phase.name,
+                phase.name,
                 phase.start_nanos,
                 phase.nanos,
                 "",
@@ -173,22 +173,22 @@ mod tests {
         let sink = TraceSink::new();
         sink.enter(); // ⊃
         sink.enter(); // name Reference
-        sink.exit(OpTrace { op: "name".into(), detail: "Reference".into(), ..OpTrace::default() });
+        sink.exit(OpTrace { op: "name", detail: "Reference".into(), ..OpTrace::default() });
         sink.leaf(OpTrace {
-            op: "σ".into(),
+            op: "σ",
             detail: "\"1982\"".into(),
             source: CacheSource::LocalMemo,
             ..OpTrace::default()
         });
-        sink.exit(OpTrace { op: "⊃".into(), output: 1, ..OpTrace::default() });
+        sink.exit(OpTrace { op: "⊃", output: 1, ..OpTrace::default() });
         let ops = sink.take();
         let end = ops[0].end_nanos();
         QueryTrace {
             id: 7,
             query: "SELECT r FROM References r".into(),
             phases: vec![
-                PhaseTrace { name: "index-candidates".into(), start_nanos: 0, nanos: end },
-                PhaseTrace { name: "projection".into(), start_nanos: end, nanos: 10 },
+                PhaseTrace { name: "index-candidates", start_nanos: 0, nanos: end },
+                PhaseTrace { name: "projection", start_nanos: end, nanos: 10 },
             ],
             ops,
             total_nanos: end + 10,

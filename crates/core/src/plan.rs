@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use qof_grammar::{PathFilter, StructuringSchema};
 use qof_pat::{fnv1a64, Instance, RegionExpr};
 
-use crate::analyze::absint::{certify, AbsInterp, CardInterval};
+use crate::analyze::absint::{certify, AbsInterp, AbsState, CardInterval};
 use crate::cost::{CachedChain, PlanCache, StatsStore};
 use crate::optimizer::{optimize, optimize_costed, RewriteKind};
 use crate::residual::{compile_cond, compile_steps, CompiledCond, CompiledPath};
@@ -1241,36 +1241,45 @@ impl Plan {
         out
     }
 
-    /// The abstract interpreter's verdict on every region expression of
-    /// the plan ([`Plan::region_exprs`]). The raw material of trace schema
-    /// v3's `facts` array.
-    pub fn facts(&self, interp: &AbsInterp<'_>) -> Vec<NodeFact> {
-        self.region_exprs()
-            .into_iter()
-            .map(|(display, expr)| {
-                interp.fact(display.map_or_else(|| expr.to_string(), str::to_owned), expr)
-            })
-            .collect()
-    }
-
-    /// A sound per-variable candidate-cardinality interval: the abstract
-    /// interpreter's bound for each variable's condition, capped by the
-    /// view's region count. Phase 1's actual candidate counts always fall
-    /// inside these intervals (trace schema v4 pairs the two as
+    /// One abstract interpretation of the plan, read two ways: the verdict
+    /// on every region expression ([`Plan::region_exprs`]), which is trace
+    /// schema v3's `facts` array, and a sound candidate-cardinality
+    /// interval per variable — its condition's bound, capped by the view's
+    /// region count. Phase 1's actual candidate counts always fall inside
+    /// these intervals (trace schema v4 pairs the two as
     /// [`CardEstimate`](crate::trace::CardEstimate)s).
-    pub fn var_estimates(&self, interp: &AbsInterp<'_>) -> Vec<(String, CardInterval)> {
-        self.vars
+    pub fn analyze(&self, interp: &AbsInterp<'_>) -> (Vec<NodeFact>, Vec<(String, CardInterval)>) {
+        let exprs = self.region_exprs();
+        let states: Vec<AbsState> = exprs.iter().map(|(_, expr)| interp.analyze(expr)).collect();
+        // Condition leaves are among the analyzed expressions: look their
+        // bound up by identity instead of analyzing them again.
+        let card_of = |leaf: &RegionExpr| {
+            exprs
+                .iter()
+                .position(|(_, expr)| std::ptr::eq(*expr, leaf))
+                .map_or_else(|| interp.analyze(leaf).card, |i| states[i].card)
+        };
+        let estimates = self
+            .vars
             .iter()
             .map(|vp| {
-                let view_card = interp.analyze(&RegionExpr::name(&vp.symbol)).card;
+                let view_card = interp.name_card(&vp.symbol);
                 let est = match &vp.cond {
                     // No condition: candidates are exactly the view extent.
                     None => view_card,
-                    Some(c) => c.estimate(interp, view_card.hi),
+                    Some(c) => c.estimate(&card_of, view_card.hi),
                 };
                 (vp.var.clone(), est)
             })
-            .collect()
+            .collect();
+        let facts = exprs
+            .iter()
+            .zip(states)
+            .map(|((display, expr), st)| {
+                st.into_fact(display.map_or_else(|| expr.to_string(), str::to_owned))
+            })
+            .collect();
+        (facts, estimates)
     }
 }
 
@@ -1297,9 +1306,14 @@ impl CondNode {
     /// condition lets through, mirroring the executor's `eval_cond`
     /// semantics: leaves intersect with the view extent, `AND`
     /// intersects, `OR` unions, `NOT` can fall back to the whole view.
-    fn estimate(&self, interp: &AbsInterp<'_>, view_hi: Option<u64>) -> CardInterval {
+    /// `card_of` gives an index-only leaf's bound.
+    fn estimate(
+        &self,
+        card_of: &impl Fn(&RegionExpr) -> CardInterval,
+        view_hi: Option<u64>,
+    ) -> CardInterval {
         let hi = match self {
-            CondNode::IndexOnly { expr, .. } => min_hi(interp.analyze(expr).card.hi, view_hi),
+            CondNode::IndexOnly { expr, .. } => min_hi(card_of(expr).hi, view_hi),
             // Content-compared and complemented candidates are view
             // regions; nothing tighter is sound (the inexact paths fall
             // back to the full view extent).
@@ -1308,13 +1322,13 @@ impl CondNode {
             | CondNode::Not(_)
             | CondNode::NotCandidates(_) => view_hi,
             CondNode::And(a, b) => {
-                min_hi(a.estimate(interp, view_hi).hi, b.estimate(interp, view_hi).hi)
+                min_hi(a.estimate(card_of, view_hi).hi, b.estimate(card_of, view_hi).hi)
             }
             CondNode::Or(a, b) => {
                 let sum = a
-                    .estimate(interp, view_hi)
+                    .estimate(card_of, view_hi)
                     .hi
-                    .zip(b.estimate(interp, view_hi).hi)
+                    .zip(b.estimate(card_of, view_hi).hi)
                     .map(|(x, y)| x.saturating_add(y));
                 min_hi(sum, view_hi)
             }

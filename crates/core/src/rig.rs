@@ -15,6 +15,12 @@ pub struct Rig {
     nodes: Vec<String>,
     by_name: HashMap<String, u32>,
     out: Vec<BTreeSet<u32>>,
+    /// Reachability closure: bit `t` of `reach[f]` is set iff a walk of
+    /// length ≥ 1 leads from `f` to `t`. Every query's abstract
+    /// interpretation and every optimizer rewrite asks reachability
+    /// questions, so they are answered by a bit test; every edit rebuilds
+    /// the closure (RIGs have tens of nodes).
+    reach: Vec<Vec<u64>>,
 }
 
 /// A violation of Definition 3.1: an instance region pair in direct
@@ -52,6 +58,7 @@ impl Rig {
         self.nodes.push(name.to_owned());
         self.by_name.insert(name.to_owned(), id);
         self.out.push(BTreeSet::new());
+        self.close();
         id
     }
 
@@ -59,7 +66,30 @@ impl Rig {
     pub fn add_edge(&mut self, from: &str, to: &str) {
         let f = self.add_node(from);
         let t = self.add_node(to);
-        self.out[f as usize].insert(t);
+        if self.out[f as usize].insert(t) {
+            self.close();
+        }
+    }
+
+    /// Rebuilds the reachability closure: one depth-first walk per node.
+    fn close(&mut self) {
+        let words = self.nodes.len().div_ceil(64);
+        self.reach = self
+            .out
+            .iter()
+            .map(|succ| {
+                let mut row = vec![0u64; words];
+                let mut stack: Vec<u32> = succ.iter().copied().collect();
+                while let Some(n) = stack.pop() {
+                    let (w, bit) = (n as usize / 64, 1u64 << (n % 64));
+                    if row[w] & bit == 0 {
+                        row[w] |= bit;
+                        stack.extend(&self.out[n as usize]);
+                    }
+                }
+                row
+            })
+            .collect();
     }
 
     /// Derives the RIG of a *fully indexed* natural structuring schema
@@ -157,9 +187,27 @@ impl Rig {
         }
     }
 
+    /// The id of node `name`, for the id-based queries below.
+    pub(crate) fn node_id(&self, name: &str) -> Option<u32> {
+        self.by_name.get(name).copied()
+    }
+
+    /// Whether the edge `(from, to)` exists, by node id.
+    pub(crate) fn edge(&self, from: u32, to: u32) -> bool {
+        self.out[from as usize].contains(&to)
+    }
+
+    /// Whether a walk of length ≥ 1 leads from `from` to `to`, by node id.
+    pub(crate) fn reaches(&self, from: u32, to: u32) -> bool {
+        self.reach[from as usize][to as usize / 64] & (1 << (to % 64)) != 0
+    }
+
     /// Reachability `from → to` by a walk of length ≥ 1, optionally avoiding
     /// a node entirely.
     fn reach(&self, from: u32, to: u32, avoid_node: Option<u32>) -> bool {
+        if avoid_node.is_none() {
+            return self.reaches(from, to);
+        }
         let mut seen = vec![false; self.nodes.len()];
         let mut queue = VecDeque::new();
         for &n in &self.out[from as usize] {

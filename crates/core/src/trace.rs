@@ -5,15 +5,15 @@
 //! timings, cardinalities and memo outcomes.
 //!
 //! Two renderers live here: [`QueryTrace::render`], the rustc-style pretty
-//! tree behind `qof query --explain-analyze`, and
-//! [`QueryTrace::to_json`] / [`QueryTrace::from_json`], a dependency-free
-//! JSON round trip (`--trace-json`, consumed by the bench harness and CI).
+//! tree behind `qof query --explain-analyze`, and [`QueryTrace::to_json`],
+//! dependency-free versioned JSON (`--trace-json`, consumed by the bench
+//! harness and CI).
 
 use std::fmt::Write as _;
 
-use qof_pat::json::{get_arr, get_bool, get_str, get_str_arr, get_u64, opt_u64, Json};
 use qof_pat::{CacheSource, OpTrace};
 
+use crate::analyze::absint::CardInterval;
 use crate::plan::PlanRewrite;
 
 /// Version stamp of the `--trace-json` format. Bump when a field changes
@@ -92,7 +92,7 @@ pub struct PhaseTrace {
     /// Phase name (`parse`, `plan`, `index-candidates`, `content-join`,
     /// `parse-filter`, `projection`). `index-candidates` includes engine
     /// set-up.
-    pub name: String,
+    pub name: &'static str,
     /// Start offset on the query's timeline, nanoseconds since the query
     /// began (schema v5). Phases are timed back-to-back against one
     /// clock, so each phase ends no later than the next one starts.
@@ -149,9 +149,8 @@ pub struct QueryTrace {
     pub exact_index: bool,
 }
 
-/// Scratch space the executor fills while running traced (crate-internal;
-/// [`FileDatabase::query_traced`](crate::FileDatabase::query_traced)
-/// assembles the public [`QueryTrace`] from it).
+/// Scratch space the executor fills while running a query (crate-internal;
+/// the query path assembles the public [`QueryTrace`] from it).
 #[derive(Debug, Default)]
 pub(crate) struct ExecTrace {
     pub(crate) phases: Vec<PhaseTrace>,
@@ -159,6 +158,12 @@ pub(crate) struct ExecTrace {
     /// Phase-1 candidate counts per range variable, in plan (FROM) order —
     /// the "actual" half of the v4 [`CardEstimate`]s.
     pub(crate) var_candidates: Vec<u64>,
+    /// The planner's per-variable candidate intervals, in plan order — the
+    /// "estimated" half.
+    pub(crate) intervals: Vec<(String, CardInterval)>,
+    pub(crate) facts: Vec<NodeFact>,
+    pub(crate) plan_cache_hits: u64,
+    pub(crate) plan_cache_misses: u64,
 }
 
 impl QueryTrace {
@@ -328,7 +333,7 @@ impl QueryTrace {
             let _ = write!(
                 s,
                 "{{\"name\":\"{}\",\"start_nanos\":{},\"nanos\":{}}}",
-                esc(&ph.name),
+                esc(ph.name),
                 ph.start_nanos,
                 ph.nanos
             );
@@ -347,102 +352,13 @@ impl QueryTrace {
         s.push('}');
         s
     }
-
-    /// Parses a trace back from [`QueryTrace::to_json`] output. Rejects
-    /// unknown schema versions and malformed documents with a description
-    /// of the first offence.
-    pub fn from_json(text: &str) -> Result<QueryTrace, String> {
-        let value = Json::parse(text)?;
-        let obj = value.as_obj().ok_or("top level is not an object")?;
-        let version = get_u64(obj, "schema_version")?;
-        if version != TRACE_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported trace schema version {version} (expected {TRACE_SCHEMA_VERSION})"
-            ));
-        }
-        let rewrites = get_arr(obj, "rewrites")?
-            .iter()
-            .map(|v| {
-                let o = v.as_obj().ok_or("rewrite is not an object")?;
-                Ok(PlanRewrite {
-                    proposition: get_str(o, "proposition")?,
-                    description: get_str(o, "description")?,
-                    result: get_str(o, "result")?,
-                    certified: get_bool(o, "certified")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let facts = get_arr(obj, "facts")?
-            .iter()
-            .map(|v| {
-                let o = v.as_obj().ok_or("fact is not an object")?;
-                Ok(NodeFact {
-                    node: get_str(o, "node")?,
-                    domain: get_str_arr(o, "domain")?,
-                    domain_known: get_bool(o, "domain_known")?,
-                    card_lo: get_u64(o, "card_lo")?,
-                    card_hi: opt_u64(o, "card_hi")?,
-                    empty: get_bool(o, "empty")?,
-                    notes: get_str_arr(o, "notes")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let estimates = get_arr(obj, "estimates")?
-            .iter()
-            .map(|v| {
-                let o = v.as_obj().ok_or("estimate is not an object")?;
-                Ok(CardEstimate {
-                    var: get_str(o, "var")?,
-                    est_lo: get_u64(o, "est_lo")?,
-                    est_hi: opt_u64(o, "est_hi")?,
-                    observed: get_u64(o, "observed")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let phases = get_arr(obj, "phases")?
-            .iter()
-            .map(|v| {
-                let o = v.as_obj().ok_or("phase is not an object")?;
-                Ok(PhaseTrace {
-                    name: get_str(o, "name")?,
-                    start_nanos: get_u64(o, "start_nanos")?,
-                    nanos: get_u64(o, "nanos")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let fingerprint_hex = get_str(obj, "fingerprint")?;
-        let fingerprint = u64::from_str_radix(&fingerprint_hex, 16)
-            .map_err(|_| format!("fingerprint `{fingerprint_hex}` is not a hex u64"))?;
-        Ok(QueryTrace {
-            id: get_u64(obj, "id")?,
-            fingerprint,
-            query: get_str(obj, "query")?,
-            plan: get_str(obj, "plan")?,
-            rewrites,
-            facts,
-            estimates,
-            phases,
-            ops: ops_from_json(get_arr(obj, "ops")?)?,
-            plan_cache_hits: get_u64(obj, "plan_cache_hits")?,
-            plan_cache_misses: get_u64(obj, "plan_cache_misses")?,
-            total_nanos: get_u64(obj, "total_nanos")?,
-            bytes_touched: get_u64(obj, "bytes_touched")?,
-            candidates: usize_from(get_u64(obj, "candidates")?)?,
-            results: usize_from(get_u64(obj, "results")?)?,
-            exact_index: get_bool(obj, "exact_index")?,
-        })
-    }
-}
-
-fn usize_from(n: u64) -> Result<usize, String> {
-    usize::try_from(n).map_err(|_| format!("count {n} out of range"))
 }
 
 /// One operator line of the pretty tree:
 /// `⊃  in=5 out=1  1.2µs  [12 probes] (memo)`.
 fn render_op(node: &OpTrace, prefix: &str, is_last: bool, out: &mut String) {
     let branch = if is_last { "└─ " } else { "├─ " };
-    let mut line = node.op.clone();
+    let mut line = node.op.to_owned();
     if !node.detail.is_empty() {
         let _ = write!(line, " {}", node.detail);
     }
@@ -514,7 +430,7 @@ fn ops_to_json(ops: &[OpTrace], s: &mut String) {
              \"start_nanos\":{},\"nanos\":{},\"bytes\":{},\"probes\":{},\"source\":\"{}\",\
              \"children\":",
             op.span_id,
-            esc(&op.op),
+            esc(op.op),
             esc(&op.detail),
             op.input,
             op.output,
@@ -530,41 +446,16 @@ fn ops_to_json(ops: &[OpTrace], s: &mut String) {
     s.push(']');
 }
 
-fn ops_from_json(arr: &[Json]) -> Result<Vec<OpTrace>, String> {
-    arr.iter()
-        .map(|v| {
-            let o = v.as_obj().ok_or("op node is not an object")?;
-            let source_label = get_str(o, "source")?;
-            Ok(OpTrace {
-                span_id: get_u64(o, "span_id")?,
-                start_nanos: get_u64(o, "start_nanos")?,
-                op: get_str(o, "op")?,
-                detail: get_str(o, "detail")?,
-                input: usize_from(get_u64(o, "input")?)?,
-                output: usize_from(get_u64(o, "output")?)?,
-                nanos: get_u64(o, "nanos")?,
-                bytes: get_u64(o, "bytes")?,
-                probes: get_u64(o, "probes")?,
-                source: CacheSource::from_label(&source_label)
-                    .ok_or_else(|| format!("unknown cache source `{source_label}`"))?,
-                children: ops_from_json(get_arr(o, "children")?)?,
-            })
-        })
-        .collect()
-}
-
-// The JSON reader lives in `qof_pat::json` (shared with `qof top` and the
-// bench harness); this module only keeps the writer above.
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qof_pat::json::{get, get_arr, get_str, get_u64, Json};
 
     fn sample() -> QueryTrace {
         let leaf = OpTrace {
             span_id: 2,
             start_nanos: 110,
-            op: "name".into(),
+            op: "name",
             detail: "Reference".into(),
             output: 2,
             nanos: 120,
@@ -573,7 +464,7 @@ mod tests {
         let root = OpTrace {
             span_id: 1,
             start_nanos: 100,
-            op: "⊃".into(),
+            op: "⊃",
             input: 3,
             output: 1,
             nanos: 900,
@@ -621,8 +512,8 @@ mod tests {
                 CardEstimate { var: "s".into(), est_lo: 0, est_hi: None, observed: 3 },
             ],
             phases: vec![
-                PhaseTrace { name: "index-candidates".into(), start_nanos: 0, nanos: 1_500 },
-                PhaseTrace { name: "projection".into(), start_nanos: 1_500, nanos: 2_000_000 },
+                PhaseTrace { name: "index-candidates", start_nanos: 0, nanos: 1_500 },
+                PhaseTrace { name: "projection", start_nanos: 1_500, nanos: 2_000_000 },
             ],
             ops: vec![root],
             plan_cache_hits: 2,
@@ -637,23 +528,51 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
+        // Every field reads back through the shared JSON reader as written;
+        // unbounded intervals omit their key.
         let trace = sample();
-        let json = trace.to_json();
-        assert!(json.contains("\"fingerprint\":\"deadbeef00420007\""), "{json}");
-        assert!(json.contains("\"bytes_touched\":4096"), "{json}");
-        let back = QueryTrace::from_json(&json).expect("own output parses");
-        assert_eq!(back, trace);
-        // And the round trip is a fixpoint.
-        assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
-    fn from_json_rejects_bad_versions_and_garbage() {
-        let json = sample().to_json().replace("\"schema_version\":7", "\"schema_version\":999");
-        assert!(QueryTrace::from_json(&json).unwrap_err().contains("schema version"));
-        assert!(QueryTrace::from_json("{").is_err());
-        assert!(QueryTrace::from_json("[]").is_err());
-        assert!(QueryTrace::from_json("{}").unwrap_err().contains("schema_version"));
+        let doc = Json::parse(&trace.to_json()).expect("own output parses");
+        let obj = doc.as_obj().unwrap();
+        let num = |o: &[(String, Json)], k: &str| get_u64(o, k).unwrap();
+        let item = |k: &str, i: usize| get_arr(obj, k).unwrap()[i].as_obj().unwrap().to_vec();
+        assert_eq!(num(obj, "schema_version"), TRACE_SCHEMA_VERSION);
+        assert_eq!(num(obj, "id"), 7);
+        assert_eq!(get_str(obj, "fingerprint").unwrap(), "deadbeef00420007");
+        assert_eq!(get_str(obj, "query").unwrap(), trace.query);
+        assert_eq!(get_str(obj, "plan").unwrap(), trace.plan);
+        let rewrite = item("rewrites", 0);
+        assert_eq!(get_str(&rewrite, "result").unwrap(), trace.rewrites[0].result);
+        assert_eq!(get(&rewrite, "certified").unwrap(), &Json::Bool(true));
+        let (bounded, unbounded) = (item("facts", 0), item("facts", 1));
+        assert_eq!(num(&bounded, "card_hi"), 60);
+        assert!(get(&unbounded, "card_hi").is_err());
+        assert_eq!(get(&unbounded, "empty").unwrap(), &Json::Bool(true));
+        assert_eq!(
+            get_arr(&unbounded, "notes").unwrap()[0].as_str(),
+            Some(&*trace.facts[1].notes[0])
+        );
+        assert_eq!(num(&item("estimates", 0), "est_hi"), 8);
+        assert!(get(&item("estimates", 1), "est_hi").is_err());
+        let phase = item("phases", 1);
+        assert_eq!(get_str(&phase, "name").unwrap(), "projection");
+        assert_eq!((num(&phase, "start_nanos"), num(&phase, "nanos")), (1_500, 2_000_000));
+        let root = item("ops", 0);
+        assert_eq!((num(&root, "span_id"), num(&root, "bytes"), num(&root, "probes")), (1, 15, 1));
+        let children = get_arr(&root, "children").unwrap();
+        let memo = children[1].as_obj().unwrap();
+        assert_eq!(get_str(memo, "source").unwrap(), "memo");
+        assert_eq!((num(memo, "span_id"), num(memo, "start_nanos")), (3, 240));
+        for (key, want) in [
+            ("plan_cache_hits", 2),
+            ("plan_cache_misses", 1),
+            ("total_nanos", 2_100_000),
+            ("bytes_touched", 4_096),
+            ("candidates", 5),
+            ("results", 1),
+        ] {
+            assert_eq!(num(obj, key), want, "{key}");
+        }
+        assert_eq!(get(obj, "exact_index").unwrap(), &Json::Bool(true));
     }
 
     #[test]

@@ -92,8 +92,8 @@ pub struct Engine<'a> {
     forest: &'a UniverseForest,
     stats: RefCell<EvalStats>,
     share: std::cell::Cell<bool>,
-    /// Operator trace sink. `None` (the default) keeps evaluation on the
-    /// untraced hot path — the only cost is this branch.
+    /// Operator trace sink. Every `FileDatabase` query attaches one; an
+    /// engine built without one records no spans.
     trace: Option<&'a TraceSink>,
 }
 
@@ -116,8 +116,7 @@ impl<'a> Engine<'a> {
     /// Attaches an operator trace sink: every subsequent evaluation records
     /// one [`OpTrace`] node per operator application (timings, input/output
     /// cardinalities, bytes scanned, cache outcomes). Detach by rebuilding
-    /// the engine; with no sink attached evaluation is untraced and pays
-    /// only one branch per node.
+    /// the engine.
     pub fn with_trace(mut self, sink: &'a TraceSink) -> Self {
         self.trace = Some(sink);
         self
@@ -204,7 +203,7 @@ impl<'a> Engine<'a> {
             self.stats.borrow_mut().record_op("⊂", read, inside.len());
             if let Some(sink) = self.trace {
                 sink.exit_with(|children| OpTrace {
-                    op: "⊂".to_owned(),
+                    op: "⊂",
                     detail: format!("{name} within {} regions", within.len()),
                     input: set.len() + within.len(),
                     output: inside.len(),
@@ -230,81 +229,64 @@ impl<'a> Engine<'a> {
         result
     }
 
+    /// Evaluates `expr` through the memo. With a trace sink attached,
+    /// every operator application is timed and filed into it — memo hits
+    /// as childless leaves, computed nodes as spans whose children are the
+    /// operand evaluations.
     fn eval_memo<'e>(
         &self,
         expr: &'e RegionExpr,
         cache: &mut Memo<'e, 'a>,
     ) -> Result<Operand<'a>, EvalError> {
-        if let Some(sink) = self.trace {
-            return self.eval_traced(expr, cache, sink);
-        }
         if self.share.get() {
             if let Some(hit) = cache.get(expr) {
+                if let Some(sink) = self.trace {
+                    let (op, detail) = op_parts(expr);
+                    sink.leaf(OpTrace {
+                        op,
+                        detail,
+                        output: hit.len(),
+                        source: CacheSource::LocalMemo,
+                        ..OpTrace::default()
+                    });
+                }
                 return Ok(hit.clone());
             }
         }
-        let result = self.eval_uncached(expr, cache)?;
+        // The sink stamps the span's start/duration and id itself
+        // (`enter`/`exit_with`), so the engine keeps no clock of its own.
+        let span = self.trace.map(|sink| {
+            sink.enter();
+            (sink, self.scan_counters())
+        });
+        let result = self.eval_uncached(expr, cache);
+        if let Some((sink, (bytes0, probes0))) = span {
+            let (bytes1, probes1) = self.scan_counters();
+            let (op, detail) = op_parts(expr);
+            let output = result.as_ref().map_or(0, |set| set.len());
+            sink.exit_with(|children| OpTrace {
+                op,
+                detail,
+                input: children.iter().map(|c| c.output).sum(),
+                output,
+                bytes: bytes1 - bytes0,
+                probes: probes1 - probes0,
+                source: CacheSource::Computed,
+                children,
+                ..OpTrace::default()
+            });
+        }
+        let result = result?;
         if self.share.get() {
             cache.insert(expr, result.clone());
         }
         Ok(result)
     }
 
-    /// The traced twin of [`Engine::eval_memo`]: same memo policy, but
-    /// every operator application is timed and filed into the sink — memo
-    /// hits as childless leaves, computed nodes as spans whose
-    /// children are the operand evaluations. Recursion re-enters
-    /// `eval_memo`, which re-dispatches here, so the two paths cannot drift
-    /// in memo behaviour.
-    fn eval_traced<'e>(
-        &self,
-        expr: &'e RegionExpr,
-        cache: &mut Memo<'e, 'a>,
-        sink: &TraceSink,
-    ) -> Result<Operand<'a>, EvalError> {
-        if self.share.get() {
-            if let Some(hit) = cache.get(expr) {
-                let (op, detail) = op_parts(expr);
-                sink.leaf(OpTrace {
-                    op: op.to_owned(),
-                    detail,
-                    output: hit.len(),
-                    source: CacheSource::LocalMemo,
-                    ..OpTrace::default()
-                });
-                return Ok(hit.clone());
-            }
-        }
-        let (bytes0, probes0) = {
-            let s = self.stats.borrow();
-            (s.bytes_scanned, s.word_probes)
-        };
-        // The sink stamps the span's start/duration and id itself
-        // (`enter`/`exit_with`), so the engine keeps no clock of its own.
-        sink.enter();
-        let result = self.eval_uncached(expr, cache);
-        let (bytes1, probes1) = {
-            let s = self.stats.borrow();
-            (s.bytes_scanned, s.word_probes)
-        };
-        let (op, detail) = op_parts(expr);
-        let output = result.as_ref().map_or(0, |set| set.len());
-        sink.exit_with(|children| OpTrace {
-            op: op.to_owned(),
-            detail,
-            input: children.iter().map(|c| c.output).sum(),
-            output,
-            bytes: bytes1 - bytes0,
-            probes: probes1 - probes0,
-            source: CacheSource::Computed,
-            children,
-            ..OpTrace::default()
-        });
-        let result = result?;
-        if self.share.get() {
-            cache.insert(expr, result.clone());
-        }
-        Ok(result)
+    /// Text bytes scanned and word-index probes so far.
+    fn scan_counters(&self) -> (u64, u64) {
+        let s = self.stats.borrow();
+        (s.bytes_scanned, s.word_probes)
     }
 
     /// Occurrence spans of a constant, computed index-only. A constant that
@@ -963,13 +945,13 @@ mod tests {
         let mut memo_hits = Vec::new();
         roots[0].walk(&mut |n| {
             if n.source == CacheSource::LocalMemo {
-                memo_hits.push((n.op.clone(), n.output));
+                memo_hits.push((n.op, n.output));
             }
         });
         // The second σ occurrence is served by the memo: a childless leaf
         // whose output still reports the set's true cardinality (both
         // Corliss regions — the editor's and the author's).
-        assert_eq!(memo_hits, vec![("σ".to_owned(), 2)]);
+        assert_eq!(memo_hits, vec![("σ", 2)]);
         // One extra tree node (the memo leaf) relative to computed ops.
         assert_eq!(roots[0].node_count() as u64, eng.stats().total_ops() + 1);
     }

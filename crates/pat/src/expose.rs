@@ -294,7 +294,9 @@ pub fn history_to_json(
     out
 }
 
-/// Version stamp of the `GET /workload` JSON envelope.
+/// Version stamp of the `GET /workload` JSON envelope. Within v2 the
+/// per-entry `errors` key was dropped: failed queries never reach the
+/// table, so it was always 0.
 pub const WORKLOAD_SCHEMA_VERSION: u64 = 2;
 
 /// Serializes a workload-table snapshot as the `GET /workload` document,
@@ -313,14 +315,13 @@ pub fn workload_to_json(entries: &[WorkloadEntry], capacity: usize) -> String {
         let _ = write!(
             out,
             "{{\"fingerprint\":\"{:016x}\",\"exemplar\":\"{}\",\"hits\":{},\
-             \"overcount\":{},\"errors\":{},\"total_bytes\":{},\"max_bytes\":{},\
+             \"overcount\":{},\"total_bytes\":{},\"max_bytes\":{},\
              \"plan_cache_hits\":{},\"plan_cache_misses\":{},\
              \"worst_est_ratio\":{},\"worst_est_trace\":{},\"latency\":{}}}",
             e.fingerprint,
             esc_json(&e.exemplar),
             e.hits,
             e.overcount,
-            e.errors,
             e.total_bytes,
             e.max_bytes,
             e.plan_cache_hits,
@@ -352,15 +353,6 @@ pub fn render_workload_prometheus(entries: &[WorkloadEntry]) -> String {
     for e in entries {
         let _ =
             writeln!(out, "qof_workload_hits{{fingerprint=\"{:016x}\"}} {}", e.fingerprint, e.hits);
-    }
-    let _ = writeln!(out, "# HELP qof_workload_errors Failed queries per fingerprint.");
-    let _ = writeln!(out, "# TYPE qof_workload_errors gauge");
-    for e in entries {
-        let _ = writeln!(
-            out,
-            "qof_workload_errors{{fingerprint=\"{:016x}\"}} {}",
-            e.fingerprint, e.errors
-        );
     }
     let _ = writeln!(out, "# HELP qof_workload_bytes_total Bytes touched per fingerprint.");
     let _ = writeln!(out, "# TYPE qof_workload_bytes_total gauge");
@@ -524,12 +516,11 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
         let t = WorkloadTable::new();
         t.observe(&WorkloadObs {
             fingerprint: 0xabcd,
-            exemplar: "SELECT r FROM References r".to_owned(),
+            exemplar: "SELECT r FROM References r",
             nanos: 1_000,
             bytes: 42,
             plan_cache_hits: 1,
             plan_cache_misses: 1,
-            error: false,
             est_ratio: 2.5,
             trace_id: 9,
         });
@@ -537,7 +528,7 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
         let json = workload_to_json(&snap, t.capacity());
         assert!(json.contains("\"schema_version\":2,\"capacity\":64"), "{json}");
         assert!(json.contains("\"fingerprint\":\"000000000000abcd\""), "{json}");
-        assert!(json.contains("\"hits\":1,\"overcount\":0,\"errors\":0"), "{json}");
+        assert!(json.contains("\"hits\":1,\"overcount\":0,\"total_bytes\""), "{json}");
         assert!(json.contains("\"total_bytes\":42,\"max_bytes\":42"), "{json}");
         assert!(json.contains("\"worst_est_ratio\":2.5,\"worst_est_trace\":9"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
@@ -548,7 +539,6 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
         assert_eq!(crate::json::get_arr(obj, "entries").unwrap().len(), 1);
         let text = render_workload_prometheus(&snap);
         assert!(text.contains("qof_workload_hits{fingerprint=\"000000000000abcd\"} 1"), "{text}");
-        assert!(text.contains("qof_workload_errors{fingerprint=\"000000000000abcd\"} 0"), "{text}");
         assert!(
             text.contains("qof_workload_bytes_total{fingerprint=\"000000000000abcd\"} 42"),
             "{text}"

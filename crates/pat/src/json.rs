@@ -1,6 +1,6 @@
 //! A minimal, dependency-free JSON reader shared by every surface that
-//! consumes this workspace's own JSON writers: the trace round trip
-//! (`--trace-json` / `QueryTrace::from_json`), the bench harness, and the
+//! consumes this workspace's own JSON writers: trace checks
+//! (`--trace-json`), the bench harness, the query-log analyzer, and the
 //! `qof top` dashboard scraping `/metrics?format=json` and
 //! `/metrics/history`.
 //!
@@ -109,41 +109,12 @@ pub fn get_f64(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
     get(obj, key)?.as_f64().ok_or_else(|| format!("key `{key}` is not a number"))
 }
 
-/// Required boolean field.
-pub fn get_bool(obj: &[(String, Json)], key: &str) -> Result<bool, String> {
-    match get(obj, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("key `{key}` is not a boolean")),
-    }
-}
-
 /// Required array field.
 pub fn get_arr<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a [Json], String> {
     match get(obj, key)? {
         Json::Arr(items) => Ok(items),
         _ => Err(format!("key `{key}` is not an array")),
     }
-}
-
-/// Optional unsigned field: `Ok(None)` when the key is absent (our
-/// writers omit unbounded values — the reader has no `null`).
-pub fn opt_u64(obj: &[(String, Json)], key: &str) -> Result<Option<u64>, String> {
-    match obj.iter().find(|(k, _)| k == key) {
-        None => Ok(None),
-        Some((_, Json::Num(n))) => Ok(Some(*n)),
-        Some(_) => Err(format!("key `{key}` is not a number")),
-    }
-}
-
-/// Required array-of-strings field.
-pub fn get_str_arr(obj: &[(String, Json)], key: &str) -> Result<Vec<String>, String> {
-    get_arr(obj, key)?
-        .iter()
-        .map(|v| match v {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(format!("key `{key}` holds a non-string element")),
-        })
-        .collect()
 }
 
 struct Parser {
@@ -330,8 +301,6 @@ mod tests {
         assert_eq!(get_arr(obj, "c").unwrap().len(), 2);
         assert!(get(obj, "d").unwrap().as_obj().is_some());
         assert!(get(obj, "missing").is_err());
-        assert_eq!(opt_u64(obj, "missing").unwrap(), None);
-        assert_eq!(opt_u64(obj, "a").unwrap(), Some(1));
     }
 
     #[test]

@@ -74,13 +74,16 @@ impl EvalStats {
 
 /// Observed per-operator output cardinalities — the feedback half of a
 /// cost model. Static estimates (index statistics pushed through the
-/// operators) predict cardinalities before a query runs; every traced run
+/// operators) predict cardinalities before a query runs; every query run
 /// then [`observe`](CardObservations::observe)s what each operator really
 /// produced, and the running means calibrate future estimates.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CardObservations {
-    /// Per operator label: `(observations, mean output cardinality)`.
-    per_op: BTreeMap<String, (u64, f64)>,
+    /// Per operator label ([`OpTrace::op`](crate::OpTrace)):
+    /// `(observations, mean output cardinality)`.
+    per_op: BTreeMap<&'static str, (u64, f64)>,
+    /// Observations across all operators.
+    total: u64,
 }
 
 impl CardObservations {
@@ -92,10 +95,11 @@ impl CardObservations {
     /// Records one operator application that produced `output` regions
     /// (running mean, numerically stable for long-lived servers).
     #[allow(clippy::cast_precision_loss)]
-    pub fn observe(&mut self, op: &str, output: u64) {
-        let entry = self.per_op.entry(op.to_owned()).or_insert((0, 0.0));
-        entry.0 += 1;
-        entry.1 += (output as f64 - entry.1) / entry.0 as f64;
+    pub fn observe(&mut self, op: &'static str, output: u64) {
+        self.total += 1;
+        let (n, mean) = self.per_op.entry(op).or_insert((0, 0.0));
+        *n += 1;
+        *mean += (output as f64 - *mean) / *n as f64;
     }
 
     /// Mean observed output cardinality of `op`, if ever observed.
@@ -110,14 +114,15 @@ impl CardObservations {
 
     /// Total observations across all operators.
     pub fn total(&self) -> u64 {
-        self.per_op.values().map(|&(n, _)| n).sum()
+        self.total
     }
 
     /// Merges another observation block into this one (weighted means).
     #[allow(clippy::cast_precision_loss)]
     pub fn absorb(&mut self, other: &CardObservations) {
+        self.total += other.total;
         for (op, &(n, mean)) in &other.per_op {
-            let entry = self.per_op.entry(op.clone()).or_insert((0, 0.0));
+            let entry = self.per_op.entry(op).or_insert((0, 0.0));
             let total = entry.0 + n;
             if total > 0 {
                 entry.1 = (entry.1 * entry.0 as f64 + mean * n as f64) / total as f64;

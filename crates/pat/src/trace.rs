@@ -6,13 +6,13 @@
 //!   engine, when a sink is attached ([`Engine::with_trace`]), records one
 //!   tree node per operator application: monotonic wall time, input/output
 //!   region-set cardinalities, text bytes scanned, word-index probes, and
-//!   whether the node was answered from the per-`eval` memo. With no sink
-//!   attached the hot
-//!   path pays a single branch on an `Option` — nothing is allocated and
-//!   nothing is timed.
+//!   whether the node was answered from the per-`eval` memo. Every
+//!   `FileDatabase` query attaches one; an engine used directly without a
+//!   sink records nothing.
 //! * [`MetricsRegistry`] — process-wide counters and latency histograms
-//!   (queries executed, plan-cache hit ratio, per-operator p50/p95), the
-//!   substrate for `qof stats` and for future server work. Counters are
+//!   (queries executed, plan-cache hit ratio, per-operator p50/p95), fed
+//!   once by every `FileDatabase` query and read by `qof stats` and the
+//!   server. Counters are
 //!   relaxed atomics; histograms use fixed log₂ buckets so recording never
 //!   allocates.
 //!
@@ -41,15 +41,6 @@ impl CacheSource {
             CacheSource::LocalMemo => "memo",
         }
     }
-
-    /// Parses a [`CacheSource::label`] back.
-    pub fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "computed" => CacheSource::Computed,
-            "memo" => CacheSource::LocalMemo,
-            _ => return None,
-        })
-    }
 }
 
 /// One node of an operator trace: a single operator application with its
@@ -67,7 +58,7 @@ pub struct OpTrace {
     /// Operator label: the algebra symbol (`⊃`, `σ`, `∪`, …) or the leaf
     /// kind (`name`, `word`, `prefix`), matching the keys of
     /// [`EvalStats::op_counts`](crate::EvalStats).
-    pub op: String,
+    pub op: &'static str,
     /// Operator argument, when one exists: the region name of a `name`
     /// leaf, the quoted constant of a `word`/`σ` node, a `near` gap.
     pub detail: String,
@@ -92,7 +83,7 @@ impl Default for OpTrace {
         Self {
             span_id: 0,
             start_nanos: 0,
-            op: String::new(),
+            op: "",
             detail: String::new(),
             input: 0,
             output: 0,
@@ -529,23 +520,18 @@ impl MetricsRegistry {
     /// Records one operator application's latency under its label.
     pub fn record_op(&self, op: &str, nanos: u64) {
         let mut map = self.op_latency.lock().expect("metrics lock poisoned");
-        match map.get_mut(op) {
-            Some(h) => h.record(nanos),
-            None => {
-                let mut h = Histogram::new();
-                h.record(nanos);
-                map.insert(op.to_owned(), h);
-            }
-        }
+        record_op_into(&mut map, op, nanos);
     }
 
     /// Folds every node of an operator trace into the per-op histograms
-    /// (exclusive times, so parents don't double-count their children).
+    /// (exclusive times, so parents don't double-count their children),
+    /// under one lock acquisition.
     pub fn record_op_trace(&self, roots: &[OpTrace]) {
+        let mut map = self.op_latency.lock().expect("metrics lock poisoned");
         for root in roots {
             root.walk(&mut |node| {
                 if node.source == CacheSource::Computed {
-                    self.record_op(&node.op, node.self_nanos());
+                    record_op_into(&mut map, node.op, node.self_nanos());
                 }
             });
         }
@@ -592,6 +578,19 @@ impl MetricsRegistry {
     }
 }
 
+/// Records one latency sample under `op`, allocating the label only for
+/// an operator seen for the first time.
+fn record_op_into(map: &mut BTreeMap<String, Histogram>, op: &str, nanos: u64) {
+    match map.get_mut(op) {
+        Some(h) => h.record(nanos),
+        None => {
+            let mut h = Histogram::new();
+            h.record(nanos);
+            map.insert(op.to_owned(), h);
+        }
+    }
+}
+
 /// The process-wide registry, held behind an `Arc` so embedders can clone
 /// a handle ([`MetricsRegistry::global_arc`]) and borrowers can keep the
 /// `&'static` view ([`MetricsRegistry::global`]).
@@ -604,8 +603,8 @@ fn global_arc_ref() -> &'static Arc<MetricsRegistry> {
 mod tests {
     use super::*;
 
-    fn node(op: &str, nanos: u64) -> OpTrace {
-        OpTrace { op: op.into(), nanos, ..OpTrace::default() }
+    fn node(op: &'static str, nanos: u64) -> OpTrace {
+        OpTrace { op, nanos, ..OpTrace::default() }
     }
 
     #[test]
@@ -771,13 +770,5 @@ mod tests {
         let s = reg.snapshot();
         assert_eq!((s.plan_cache_hits, s.plan_cache_misses), (0, 0));
         assert!(s.plan_cache_hit_rate().abs() < 1e-9);
-    }
-
-    #[test]
-    fn cache_source_labels_round_trip() {
-        for s in [CacheSource::Computed, CacheSource::LocalMemo] {
-            assert_eq!(CacheSource::from_label(s.label()), Some(s));
-        }
-        assert_eq!(CacheSource::from_label("nope"), None);
     }
 }

@@ -43,14 +43,15 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
-/// One completed query's contribution to the workload table.
+/// One completed query's contribution to the workload table. It borrows
+/// the query text: only an observation that opens a table entry copies it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadObs {
+pub struct WorkloadObs<'a> {
     /// The plan fingerprint (0 means "unknown" and is tracked like any
     /// other key — offline analyzers see it for pre-v6 log lines).
     pub fingerprint: u64,
     /// A representative query text for the fingerprint (first seen wins).
-    pub exemplar: String,
+    pub exemplar: &'a str,
     /// End-to-end latency, nanoseconds.
     pub nanos: u64,
     /// Bytes touched: parse-phase bytes scanned plus content bytes read.
@@ -59,8 +60,6 @@ pub struct WorkloadObs {
     pub plan_cache_hits: u64,
     /// Plan-cache misses this query scored.
     pub plan_cache_misses: u64,
-    /// Whether the query failed.
-    pub error: bool,
     /// Worst est-vs-actual cardinality ratio of this query (≥ 1.0 when
     /// estimates exist; 0.0 when the query carried none).
     pub est_ratio: f64,
@@ -82,8 +81,6 @@ pub struct WorkloadEntry {
     /// The space-saving error bound: the recycled entry's count at
     /// takeover time (0 for entries that never recycled a slot).
     pub overcount: u64,
-    /// Failed queries.
-    pub errors: u64,
     /// Log2-bucket latency histogram.
     pub latency: Histogram,
     /// Total bytes touched.
@@ -108,7 +105,6 @@ impl WorkloadEntry {
             exemplar,
             hits: 0,
             overcount: 0,
-            errors: 0,
             latency: Histogram::new(),
             total_bytes: 0,
             max_bytes: 0,
@@ -121,9 +117,6 @@ impl WorkloadEntry {
 
     fn absorb(&mut self, obs: &WorkloadObs) {
         self.hits += 1;
-        if obs.error {
-            self.errors += 1;
-        }
         self.latency.record(obs.nanos);
         self.total_bytes += obs.bytes;
         self.max_bytes = self.max_bytes.max(obs.bytes);
@@ -149,7 +142,7 @@ fn rate(hits: u64, misses: u64) -> Option<f64> {
 }
 
 /// A bounded space-saving top-K table of per-fingerprint statistics.
-/// Thread-safe; every traced query calls [`WorkloadTable::observe`].
+/// Thread-safe; every successful query calls [`WorkloadTable::observe`].
 #[derive(Debug)]
 pub struct WorkloadTable {
     entries: Mutex<Vec<WorkloadEntry>>,
@@ -194,7 +187,7 @@ impl WorkloadTable {
             return;
         }
         if entries.len() < self.capacity {
-            let mut e = WorkloadEntry::fresh(obs.fingerprint, obs.exemplar.clone());
+            let mut e = WorkloadEntry::fresh(obs.fingerprint, obs.exemplar.to_owned());
             e.absorb(obs);
             entries.push(e);
             return;
@@ -208,7 +201,7 @@ impl WorkloadTable {
             .map(|(i, _)| i)
             .expect("capacity >= 1");
         let min = entries[victim].hits;
-        let mut e = WorkloadEntry::fresh(obs.fingerprint, obs.exemplar.clone());
+        let mut e = WorkloadEntry::fresh(obs.fingerprint, obs.exemplar.to_owned());
         e.absorb(obs);
         e.hits = min + 1;
         e.overcount = min;
@@ -252,15 +245,14 @@ mod tests {
         assert_ne!(long, fnv1a64("strict=true|Reference ⊃ Last_Name".as_bytes()));
     }
 
-    fn obs(fp: u64, nanos: u64) -> WorkloadObs {
+    fn obs(fp: u64, nanos: u64) -> WorkloadObs<'static> {
         WorkloadObs {
             fingerprint: fp,
-            exemplar: format!("q{fp}"),
+            exemplar: "q",
             nanos,
             bytes: 10,
             plan_cache_hits: 1,
             plan_cache_misses: 0,
-            error: false,
             est_ratio: 1.5,
             trace_id: 7,
         }
@@ -326,15 +318,5 @@ mod tests {
         assert_eq!(snap[1].total_bytes, 10);
         // The heavy hitter was never at risk.
         assert!(snap.iter().all(|e| e.fingerprint != 2));
-    }
-
-    #[test]
-    fn error_counting() {
-        let t = WorkloadTable::new();
-        let mut e = obs(9, 10);
-        e.error = true;
-        t.observe(&e);
-        t.observe(&obs(9, 10));
-        assert_eq!(t.snapshot()[0].errors, 1);
     }
 }

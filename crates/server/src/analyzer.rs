@@ -125,12 +125,11 @@ fn fold_line(report: &mut QlogReport, line: &str) {
     report.total_bytes = report.total_bytes.saturating_add(bytes);
     report.table.observe(&WorkloadObs {
         fingerprint,
-        exemplar: json::get_str(obj, "query").unwrap_or_default(),
+        exemplar: &json::get_str(obj, "query").unwrap_or_default(),
         nanos,
         bytes,
         plan_cache_hits: json::get_u64(obj, "plan_cache_hits").unwrap_or(0),
         plan_cache_misses: json::get_u64(obj, "plan_cache_misses").unwrap_or(0),
-        error: false,
         // The qlog line does not carry cardinality estimates; the live
         // table's mis-estimation exemplar has no offline counterpart.
         est_ratio: 1.0,
@@ -201,8 +200,8 @@ pub fn render_report(report: &QlogReport) -> String {
     let _ = writeln!(out, "top fingerprints ({}):", entries.len());
     let _ = writeln!(
         out,
-        "  {:<16} {:>6} {:>5} {:>9} {:>9} {:>6}  exemplar",
-        "fingerprint", "hits", "err", "p50", "p95", "plan%"
+        "  {:<16} {:>6} {:>9} {:>9} {:>6}  exemplar",
+        "fingerprint", "hits", "p50", "p95", "plan%"
     );
     for e in &entries {
         let s = e.latency.summary();
@@ -213,10 +212,9 @@ pub fn render_report(report: &QlogReport) -> String {
         }
         let _ = writeln!(
             out,
-            "  {:016x} {:>6} {:>5} {:>8.3}ms {:>8.3}ms {:>6}  {}",
+            "  {:016x} {:>6} {:>8.3}ms {:>8.3}ms {:>6}  {}",
             e.fingerprint,
             e.hits,
-            e.errors,
             s.p50_nanos as f64 / 1e6,
             s.p95_nanos as f64 / 1e6,
             pct(e.plan_cache_hit_rate()),

@@ -172,10 +172,16 @@ mod tests {
         rec.record(&trace(7, 2_000));
         let json = rec.to_json();
         assert!(json.starts_with("{\"capacity\":4,\"slow_threshold_nanos\":1000,"));
-        // Both rings hold the trace; each copy parses back.
-        let body = json.split("\"recent\":[").nth(1).unwrap();
-        let end = body.find("],\"slow\"").unwrap();
-        let back = QueryTrace::from_json(&body[..end]).unwrap();
-        assert_eq!(back.id, 7);
+        // Both rings hold the trace, and the document parses as a whole.
+        use qof_pat::json::{get_arr, get_str, get_u64, Json};
+        let doc = Json::parse(&json).unwrap();
+        let obj = doc.as_obj().unwrap();
+        for ring in ["recent", "slow"] {
+            let traces = get_arr(obj, ring).unwrap();
+            assert_eq!(traces.len(), 1, "{ring}");
+            let t = traces[0].as_obj().unwrap();
+            assert_eq!((get_u64(t, "id").unwrap(), get_u64(t, "total_nanos").unwrap()), (7, 2_000));
+            assert_eq!(get_str(t, "query").unwrap(), "q7");
+        }
     }
 }

@@ -121,7 +121,7 @@ fn load_db(
     Ok(db)
 }
 
-/// `qof stats`: runs every query traced against the corpus, then prints the
+/// `qof stats`: runs every query against the corpus, then prints the
 /// process-wide metrics snapshot (queries executed, plan-cache hit ratio,
 /// p50/p95 operator latencies). Trailing arguments are files when they
 /// exist on disk and queries otherwise — queries contain spaces and SELECT
@@ -144,7 +144,7 @@ fn run_stats(
     let db = load_db(schema, &files, index, from_index)?;
     let registry = qof::pat::MetricsRegistry::global();
     for q in &queries {
-        if let Err(e) = db.query_traced(q) {
+        if let Err(e) = db.query(q) {
             eprintln!("error in `{q}`: {e}");
         }
         if history {
@@ -227,7 +227,7 @@ fn render_workload_table(entries: &[qof::pat::WorkloadEntry]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     if entries.is_empty() {
-        let _ = writeln!(out, "  (no traced queries yet)");
+        let _ = writeln!(out, "  (no queries yet)");
         return out;
     }
     let _ = writeln!(

@@ -1,13 +1,14 @@
 //! End-to-end tests of the observability layer: the `--explain-analyze`
 //! render (rewrite annotations, per-operator cardinalities), trace
 //! cardinalities against independently evaluated region sets, and the
-//! `--trace-json` round trip.
+//! `--trace-json` document read back with the shared JSON reader.
 
 use qof::corpus::bibtex;
 use qof::grammar::IndexSpec;
+use qof::pat::json::{get_arr, get_str, get_u64, Json};
 use qof::pat::{Engine, OpTrace, RegionExpr};
 use qof::text::Corpus;
-use qof::{FileDatabase, QueryTrace};
+use qof::{FileDatabase, TRACE_SCHEMA_VERSION};
 
 /// The paper's running example: §3.2's author query, whose optimized plan
 /// is `Reference ⊃ Authors ⊃ σ_"Chang"(Last_Name)` after the 3.5(b)
@@ -93,12 +94,30 @@ fn traced_cardinalities_equal_actual_region_set_lengths() {
 #[test]
 fn trace_json_round_trips_through_the_public_surface() {
     let (_, trace) = db().query_traced(CHANG).unwrap();
-    let json = trace.to_json();
-    let back = QueryTrace::from_json(&json).expect("own JSON parses");
-    assert_eq!(back, trace);
-    assert_eq!(back.render(), trace.render(), "rendering is a pure function of the trace");
-    // The plan text embedded in the trace is the untraced EXPLAIN, verbatim.
-    assert_eq!(trace.plan, db().explain(CHANG).unwrap());
+    let doc = Json::parse(&trace.to_json()).expect("own JSON parses");
+    let obj = doc.as_obj().unwrap();
+    assert_eq!(get_u64(obj, "schema_version").unwrap(), TRACE_SCHEMA_VERSION);
+    assert_eq!(get_u64(obj, "id").unwrap(), trace.id);
+    assert_eq!(get_str(obj, "fingerprint").unwrap(), format!("{:016x}", trace.fingerprint));
+    assert_eq!(get_str(obj, "query").unwrap(), CHANG);
+    assert_eq!(get_arr(obj, "rewrites").unwrap().len(), trace.rewrites.len());
+    assert_eq!(get_arr(obj, "facts").unwrap().len(), trace.facts.len());
+    assert_eq!(get_arr(obj, "estimates").unwrap().len(), trace.estimates.len());
+    let phases: Vec<String> = get_arr(obj, "phases")
+        .unwrap()
+        .iter()
+        .map(|p| get_str(p.as_obj().unwrap(), "name").unwrap())
+        .collect();
+    assert_eq!(phases, trace.phases.iter().map(|p| p.name).collect::<Vec<_>>());
+    let root = get_arr(obj, "ops").unwrap()[0].as_obj().unwrap();
+    assert_eq!(get_str(root, "op").unwrap(), trace.ops[0].op);
+    assert_eq!(get_u64(root, "output").unwrap(), trace.ops[0].output as u64);
+    assert_eq!(get_u64(obj, "total_nanos").unwrap(), trace.total_nanos);
+    assert_eq!(get_u64(obj, "results").unwrap(), trace.results as u64);
+    // The plan text embedded in the trace is the EXPLAIN text, verbatim.
+    let plan = get_str(obj, "plan").unwrap();
+    assert_eq!(plan, trace.plan);
+    assert_eq!(plan, db().explain(CHANG).unwrap());
 }
 
 #[test]
@@ -117,5 +136,5 @@ fn phases_account_for_a_warm_query() {
         .collect();
     ratios.sort_by(f64::total_cmp);
     let median = ratios[ratios.len() / 2];
-    assert!(median >= 0.9, "phases cover {median:.3} of total_nanos: {ratios:?}");
+    assert!(median >= 0.95, "phases cover {median:.3} of total_nanos: {ratios:?}");
 }
