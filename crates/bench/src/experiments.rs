@@ -346,40 +346,39 @@ fn e4(scale: Scale, r: &mut Recorder) {
     println!("(answers are identical in every row; smaller indexes parse more candidates)");
 }
 
-/// E5: pushing the query into candidate parsing (§6.2).
+/// E5: pushing the query into candidate parsing (§6.2), on the executor's
+/// path. Both queries parse every `Reference` candidate once; `SELECT r`
+/// builds each whole object, while projecting one path builds only the
+/// fields on it.
 fn e5(scale: Scale, r: &mut Recorder) {
     banner("E5", "push-down parsing of candidates vs full object construction (§6.2)");
-    use qof_grammar::{build_value, build_value_filtered, PathFilter};
     let n = scale.pick(400, 3200);
     let fdb = bibtex_partial(n, &["Reference", "Last_Name"]);
-    let refs = fdb.instance().get("Reference").unwrap().clone();
-    let schema = bibtex::schema();
-    let sym = schema.grammar.symbol("Reference").unwrap();
-    let filter = PathFilter::from_paths(&[vec!["Authors", "Name", "Last_Name"]]);
-    let text = fdb.corpus().text();
-    println!("{:>10} | {:>12} {:>12} | {:>12} {:>12}", "mode", "time", "nodes", "objects", "");
-    for (label, filtered) in [("full", false), ("push-down", true)] {
-        let t0 = Instant::now();
-        let mut db = qof_db::Database::new();
-        let parser = Parser::new(&schema.grammar, text);
-        for region in &refs {
-            let tree = parser.parse_symbol(sym, region.span()).unwrap();
-            if filtered {
-                build_value_filtered(&tree, &schema.grammar, text, &mut db, &filter);
-            } else {
-                build_value(&tree, &schema.grammar, text, &mut db);
-            }
-        }
-        let secs = t0.elapsed().as_secs_f64();
+    println!(
+        "{:>10} | {:>12} {:>12} | {:>12} {:>12}",
+        "mode", "time", "nodes", "objects", "parsed"
+    );
+    let mut parsed = Vec::new();
+    for (label, q) in [
+        ("full", "SELECT r FROM References r"),
+        ("push-down", "SELECT r.Authors.Name.Last_Name FROM References r"),
+    ] {
+        let secs = median_secs(3, || time_query(&fdb, q).1);
+        let (res, _) = time_query(&fdb, q);
+        let s = &res.stats;
         r.rec(format!("secs_{label}"), secs, "s");
+        r.rec(format!("value_nodes_{label}"), s.db.value_nodes as f64, "nodes");
         println!(
-            "{:>10} | {} {:>12} | {:>12}",
+            "{:>10} | {} {:>12} | {:>12} {:>12}",
             label,
             fmt_secs(secs),
-            db.stats().value_nodes,
-            db.stats().objects_created
+            s.db.value_nodes,
+            s.db.objects_created,
+            s.parse.bytes_scanned
         );
+        parsed.push(s.parse.bytes_scanned);
     }
+    assert_eq!(parsed[0], parsed[1], "both modes parse the same candidates");
     println!("(same candidates parsed; the filter skips fields the query never reads)");
 }
 
@@ -1281,6 +1280,21 @@ mod tests {
         assert!(get("index_bytes_per_corpus_byte") < 1.0, "index must be compact");
         assert!(get("open_secs") > 0.0);
         assert!(get("file_bytes") > get("corpus_bytes"));
+    }
+
+    #[test]
+    fn e5_push_down_builds_fewer_value_nodes() {
+        let report = run("e5", Scale::Small).unwrap();
+        let get = |name: &str| {
+            report
+                .measurements
+                .iter()
+                .find(|m| m.name == name)
+                .unwrap_or_else(|| panic!("missing measurement {name}"))
+                .value
+        };
+        assert!(get("value_nodes_push-down") > 0.0);
+        assert!(get("value_nodes_push-down") < get("value_nodes_full"));
     }
 
     #[test]

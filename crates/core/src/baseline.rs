@@ -12,7 +12,7 @@
 //!   paths are constructed; the whole file is still scanned and parsed.
 
 use qof_db::{Database, PathCost, Value};
-use qof_grammar::{build_value_filtered, ParseStats, Parser, PathFilter, StructuringSchema};
+use qof_grammar::{AtomText, ParseStats, Parser, PathFilter, StructuringSchema, Tape, ValueSink};
 use qof_text::Corpus;
 
 use crate::plan::PlanError;
@@ -96,28 +96,21 @@ pub fn run_baseline_ast(
         }
         extents.push((view.clone(), Vec::new()));
     }
+    // Each file is parsed once onto a tape; every view occurrence (nested
+    // ones too, each on its own) is then replayed into the value sink.
+    let mut tape = Tape::new();
+    let text = AtomText::Shared(corpus.shared_text());
     for file in corpus.files() {
-        let tree = parser.parse_root(file.span.clone()).map_err(QueryError::CandidateParse)?;
-        // Collect per-view occurrence nodes.
+        tape.clear();
+        parser
+            .parse_into(schema.grammar.root(), file.span.clone(), &mut tape)
+            .map_err(QueryError::CandidateParse)?;
         for (view, values) in &mut extents {
             let sym = schema
                 .view_symbol(view)
                 .ok_or_else(|| QueryError::Plan(format!("unknown view `{view}`")))?;
-            let mut nodes = Vec::new();
-            tree.walk(&mut |n| {
-                if n.symbol == sym {
-                    nodes.push(n.clone());
-                }
-            });
-            for node in nodes {
-                values.push(build_value_filtered(
-                    &node,
-                    &schema.grammar,
-                    corpus.text(),
-                    &mut db,
-                    &filter,
-                ));
-            }
+            let mut sink = ValueSink::new(&schema.grammar, text, &mut db, &filter);
+            tape.replay_each(sym, &mut sink, |sink| values.extend(sink.take()));
         }
     }
 

@@ -8,16 +8,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use qof_db::{Database, DbStats, Value};
+use qof_db::{Atom, Database, DbStats, Value};
 use qof_grammar::{
-    build_value_filtered, extract_regions, IndexSpec, ParseError, ParseStats, Parser,
-    StructuringSchema,
+    AtomText, IndexSpec, ParseError, ParseStats, Parser, RegionSink, StructuringSchema, ValueSink,
 };
 use qof_pat::{
     Engine, EvalError, EvalStats, Instance, MetricsRegistry, OpTrace, Region, RegionSet, TraceSink,
     WorkloadObs, WorkloadTable,
 };
-use qof_text::{CompressedWordIndex, Corpus, Tokenizer, WordIndex, WordLookup};
+use qof_text::{CompressedWordIndex, Corpus, Pos, Tokenizer, WordIndex, WordLookup};
 
 use qof_db::PathCost;
 
@@ -197,19 +196,16 @@ impl FileDatabase {
         spec: IndexSpec,
     ) -> Result<Self, BuildError> {
         let tokenizer = Tokenizer::new();
-        let mut instance = Instance::new();
-        {
+        let instance = {
+            let mut regions = RegionSink::new(&schema.grammar, &spec);
             let parser = Parser::new(&schema.grammar, corpus.text());
             for file in corpus.files() {
-                let tree = parser
-                    .parse_root(file.span.clone())
+                parser
+                    .parse_into(schema.grammar.root(), file.span.clone(), &mut regions)
                     .map_err(|error| BuildError::Parse { file: file.name.clone(), error })?;
-                let file_instance = extract_regions(&tree, &schema.grammar, &spec);
-                for (name, set) in file_instance.iter() {
-                    instance.merge(name, set.clone());
-                }
             }
-        }
+            regions.finish()
+        };
         let words = build_word_index(&corpus, &tokenizer, &spec, &instance);
         Ok(Self::from_parts(corpus, IndexBackend::Mem(words), schema, spec, instance))
     }
@@ -386,19 +382,20 @@ impl FileDatabase {
     /// RIGs depend only on the grammar and are unchanged.
     pub fn add_file(&mut self, name: impl Into<String>, contents: &str) -> Result<(), BuildError> {
         let name = name.into();
-        // Parse into a scratch copy first so a malformed file leaves the
-        // database untouched.
-        let mut probe = self.corpus.clone();
-        let id = probe.push_file(name.clone(), contents);
-        let span = probe.file(id).expect("just pushed").span.clone();
+        // Parse the file on its own text, at the offset it will land on,
+        // so a malformed file leaves the database untouched; only then
+        // append it to the corpus.
+        let base = self.corpus.next_file_start();
         let file_instance = {
-            let parser = Parser::new(&self.schema.grammar, probe.text());
-            let tree = parser
-                .parse_root(span.clone())
-                .map_err(|error| BuildError::Parse { file: name, error })?;
-            extract_regions(&tree, &self.schema.grammar, &self.spec)
+            let grammar = &self.schema.grammar;
+            let mut regions = RegionSink::new(grammar, &self.spec);
+            Parser::with_base(grammar, contents, base)
+                .parse_into(grammar.root(), base..base + contents.len() as Pos, &mut regions)
+                .map_err(|error| BuildError::Parse { file: name.clone(), error })?;
+            regions.finish()
         };
-        self.corpus = probe;
+        let id = self.corpus.push_file(name, contents);
+        let span = self.corpus.file(id).expect("just pushed").span.clone();
         for (rname, set) in file_instance.iter() {
             self.instance.merge(rname, set.clone());
         }
@@ -828,37 +825,36 @@ impl FileDatabase {
         // pass their residual.
         let phase_started = elapsed_nanos(origin);
         let mut db = Database::new();
-        let parser = Parser::new(&self.schema.grammar, self.corpus.text());
-        // objects[var]: region -> built value
-        let mut objects: Vec<HashMap<Region, Value>> = vec![HashMap::new(); plan.vars.len()];
+        let grammar = &self.schema.grammar;
+        let parser = Parser::new(grammar, self.corpus.text());
+        let text = AtomText::Shared(self.corpus.shared_text());
+        // objects[var]: the surviving candidates and their values, in
+        // region order.
+        let mut objects: Vec<Vec<(Region, Value)>> = vec![Vec::new(); plan.vars.len()];
         for (i, vp) in plan.vars.iter().enumerate() {
             let Some(filter) = &vp.parse else { continue };
-            let sym = self.schema.grammar.symbol(&vp.symbol).ok_or_else(|| {
+            let sym = grammar.symbol(&vp.symbol).ok_or_else(|| {
                 QueryError::Internal(format!(
                     "view symbol `{}` vanished from the grammar",
                     vp.symbol
                 ))
             })?;
-            let mut survivors: Vec<Region> = Vec::new();
+            let mut sink = ValueSink::new(grammar, text, &mut db, filter);
             for region in &candidates[i] {
-                let tree =
-                    parser.parse_symbol(sym, region.span()).map_err(QueryError::CandidateParse)?;
-                let value = build_value_filtered(
-                    &tree,
-                    &self.schema.grammar,
-                    self.corpus.text(),
-                    &mut db,
-                    filter,
-                );
+                parser
+                    .parse_into(sym, region.span(), &mut sink)
+                    .map_err(QueryError::CandidateParse)?;
+                let value = sink.take().ok_or_else(|| {
+                    QueryError::Internal("a candidate parse built no value".to_owned())
+                })?;
                 let keep = vp.residual.as_ref().is_none_or(|cond| {
-                    eval_single(&db, &vp.var, &value, cond, &mut PathCost::default())
+                    eval_single(sink.db(), &vp.var, &value, cond, &mut PathCost::default())
                 });
                 if keep {
-                    survivors.push(*region);
-                    objects[i].insert(*region, value);
+                    objects[i].push((*region, value));
                 }
             }
-            candidates[i] = RegionSet::from_regions(survivors);
+            candidates[i] = RegionSet::from_sorted(objects[i].iter().map(|(r, _)| *r).collect());
         }
 
         // Phase 3b: a join keeps the pairs whose both sides survived
@@ -869,7 +865,9 @@ impl FileDatabase {
                 candidates[li].contains(l)
                     && candidates[ri].contains(r)
                     && j.residual.as_ref().is_none_or(|(lsteps, rsteps)| {
-                        let (Some(lv), Some(rv)) = (objects[li].get(l), objects[ri].get(r)) else {
+                        let (Some(lv), Some(rv)) =
+                            (value_at(&objects[li], l), value_at(&objects[ri], r))
+                        else {
                             return false;
                         };
                         let mut cost = PathCost::default();
@@ -891,9 +889,11 @@ impl FileDatabase {
         match &plan.projection {
             ProjPlan::Objects { .. } => {
                 // Each projected object moves out of the run's database:
-                // a result holds one copy of its objects, not two.
+                // a result holds one copy of its objects, not two. Both
+                // lists are in region order, so one pass pairs them.
+                let mut survivors = std::mem::take(&mut objects[var]).into_iter();
                 for region in &result_regions {
-                    if let Some(v) = objects[var].remove(region) {
+                    if let Some((_, v)) = survivors.find(|(r, _)| r == region) {
                         values.push(deref_top(&mut db, v));
                     }
                 }
@@ -904,12 +904,13 @@ impl FileDatabase {
                 let deep = engine.eval_within(chain, &result_regions)?;
                 for (_, item) in group_by_container(&result_regions, &deep) {
                     stats.content_bytes += u64::from(item.len());
-                    values.push(Value::Str(self.corpus.slice(item.span()).to_owned()));
+                    let text = self.corpus.shared_text();
+                    values.push(Value::Str(Atom::shared(text, item.start, item.end)));
                 }
             }
             ProjPlan::ParsedValues { steps, .. } => {
                 let mut cost = PathCost::default();
-                for v in result_regions.iter().filter_map(|r| objects[var].get(r)) {
+                for v in result_regions.iter().filter_map(|r| value_at(&objects[var], r)) {
                     values.extend(path_values(&db, v, steps, &mut cost).into_iter().cloned());
                 }
             }
@@ -969,6 +970,11 @@ fn renumber_spans(ops: &mut [OpTrace], next: &mut u64) {
         *next += 1;
         renumber_spans(&mut op.children, next);
     }
+}
+
+/// The value of `region` among a variable's survivors (in region order).
+fn value_at<'v>(objects: &'v [(Region, Value)], region: &Region) -> Option<&'v Value> {
+    objects.binary_search_by(|(r, _)| r.cmp(region)).ok().map(|i| &objects[i].1)
 }
 
 /// Dereferences a top-level object reference, moving the object's value
@@ -1433,6 +1439,45 @@ mod tests {
         let first: *const UniverseForest = db.instance().forest();
         db.query(QUERIES[1]).unwrap();
         assert!(std::ptr::eq(first, db.instance().forest()), "the second query rebuilt the forest");
+    }
+
+    #[test]
+    fn add_file_indexes_as_a_fresh_build_and_a_malformed_file_changes_nothing() {
+        let (text, _) =
+            bibtex::generate(&BibtexConfig { n_refs: 10, seed: 77, ..Default::default() });
+        let scoped = IndexSpec::names(["Reference", "Last_Name"]).with_scoped("Editors", "Name");
+        for spec in [IndexSpec::full(), scoped] {
+            let mut db =
+                FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), spec.clone())
+                    .unwrap();
+            let (corpus, instance) = (db.corpus().clone(), db.instance().clone());
+            let err = db.add_file("broken.bib", &text[..text.len() / 2]).unwrap_err();
+            assert!(err.to_string().contains("broken.bib"));
+            assert_eq!(db.corpus(), &corpus, "a rejected file leaves the corpus as it was");
+            assert_eq!(db.instance(), &instance);
+            // The clone above shared the text; once it is gone the text
+            // grows in place.
+            drop(corpus);
+            let before = Arc::as_ptr(db.corpus().shared_text());
+            db.add_file("late.bib", &text).unwrap();
+            assert_eq!(Arc::as_ptr(db.corpus().shared_text()), before, "an unshared corpus copied");
+            let fresh = FileDatabase::build(db.corpus().clone(), bibtex::schema(), spec).unwrap();
+            assert_eq!(db.instance(), fresh.instance());
+        }
+    }
+
+    #[test]
+    fn results_keep_the_text_they_were_built_from_across_add_file() {
+        let mut db =
+            FileDatabase::build(multi_file_corpus(1, 10), bibtex::schema(), IndexSpec::full())
+                .unwrap();
+        let held = db.query("SELECT r.Key FROM References r").unwrap();
+        let keys: Vec<String> = held.values.iter().map(ToString::to_string).collect();
+        let (text, _) =
+            bibtex::generate(&BibtexConfig { n_refs: 5, seed: 3, ..Default::default() });
+        db.add_file("late.bib", &text).unwrap();
+        assert_eq!(held.values.iter().map(ToString::to_string).collect::<Vec<_>>(), keys);
+        assert_eq!(db.query("SELECT r.Key FROM References r").unwrap().stats.results, 15);
     }
 
     #[test]

@@ -482,20 +482,15 @@ impl<'a> Planner<'a> {
             }
         };
 
-        // What parsing must do (§6.2). Inexact candidates, and both sides
-        // of an inexact join, are parsed with the push-down filter; the
-        // projected variable is otherwise parsed whole when the projection
-        // needs objects.
+        // What parsing must do (§6.2). Inexact candidates, both sides of an
+        // inexact join, and the projected variable of a projection the index
+        // cannot answer are parsed with the push-down filter (which keeps
+        // everything for `SELECT r`).
         let join_inexact = join.as_ref().is_some_and(|j| j.residual.is_some());
-        let builds_objects = !matches!(projection, ProjPlan::IndexValues { .. });
+        let parses_projection = !matches!(projection, ProjPlan::IndexValues { .. });
         for (i, (vp, filter)) in vars.iter_mut().zip(filters).enumerate() {
-            vp.parse = if !vp.exact() || join_inexact {
-                Some(filter)
-            } else if builds_objects && i == proj_var {
-                Some(PathFilter::all())
-            } else {
-                None
-            };
+            let needed = !vp.exact() || join_inexact || (parses_projection && i == proj_var);
+            vp.parse = needed.then_some(filter);
         }
 
         // The workload fingerprint. A single-chain plan (the common

@@ -24,8 +24,8 @@ mod value;
 
 pub use path::{eval_path, eval_path_counted, DbStep, PathCost};
 pub use schema::{validate, ClassDef, TypeDef, TypeError};
-pub use store::{Database, DbStats, Oid};
-pub use value::{Fields, Value};
+pub use store::{Database, DbMark, DbStats, Oid};
+pub use value::{Atom, Fields, Value};
 
 /// Joins two value lists on string keys extracted by the given paths,
 /// returning index pairs `(i, j)` with matching keys. Build side is `left`.

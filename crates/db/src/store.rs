@@ -29,9 +29,15 @@ pub struct DbStats {
 /// The in-memory object database.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    objects: Vec<(String, Value)>,
-    extents: BTreeMap<String, Vec<Oid>>,
-    field_names: Vec<Arc<str>>,
+    objects: Vec<(Arc<str>, Value)>,
+    extents: BTreeMap<Arc<str>, Vec<Oid>>,
+    stats: DbStats,
+}
+
+/// A point [`Database::rollback`] returns the database to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DbMark {
+    objects: usize,
     stats: DbStats,
 }
 
@@ -44,29 +50,48 @@ impl Database {
     /// Creates an object of `class` with the given value; registers it in
     /// the class extent and returns its identity.
     pub fn new_object(&mut self, class: &str, value: Value) -> Oid {
+        let class = match self.extents.get_key_value(class) {
+            Some((shared, _)) => Arc::clone(shared),
+            None => Arc::from(class),
+        };
+        let nodes = value.node_count() as u64;
+        self.new_object_counted(&class, value, nodes)
+    }
+
+    /// [`Database::new_object`] for a builder that counted the value's
+    /// `value_nodes` while building it and holds the class name shared.
+    pub fn new_object_counted(&mut self, class: &Arc<str>, value: Value, value_nodes: u64) -> Oid {
         let oid = Oid(self.objects.len() as u32);
         self.stats.objects_created += 1;
-        self.stats.value_nodes += value.node_count() as u64;
-        self.objects.push((class.to_owned(), value));
-        match self.extents.get_mut(class) {
+        self.stats.value_nodes += value_nodes;
+        self.objects.push((Arc::clone(class), value));
+        match self.extents.get_mut(&**class) {
             Some(extent) => extent.push(oid),
             None => {
-                self.extents.insert(class.to_owned(), vec![oid]);
+                self.extents.insert(Arc::clone(class), vec![oid]);
             }
         }
         oid
     }
 
-    /// The shared string for a tuple field name: the tuples built into one
-    /// database hold one allocation per distinct field name, not one per
-    /// field.
-    pub fn field_name(&mut self, name: &str) -> Arc<str> {
-        if let Some(shared) = self.field_names.iter().find(|n| ***n == *name) {
-            return Arc::clone(shared);
+    /// The current state, for a later [`Database::rollback`].
+    pub fn mark(&self) -> DbMark {
+        DbMark { objects: self.objects.len(), stats: self.stats }
+    }
+
+    /// Forgets every object created since `mark`: the objects, their
+    /// extent entries and their share of the statistics.
+    pub fn rollback(&mut self, mark: DbMark) {
+        if self.objects.len() <= mark.objects {
+            return;
         }
-        let shared: Arc<str> = name.into();
-        self.field_names.push(Arc::clone(&shared));
-        shared
+        for (class, _) in self.objects.drain(mark.objects..) {
+            if let Some(extent) = self.extents.get_mut(&*class) {
+                extent.retain(|oid| (oid.0 as usize) < mark.objects);
+            }
+        }
+        self.extents.retain(|_, extent| !extent.is_empty());
+        self.stats = mark.stats;
     }
 
     /// The value of an object.
@@ -85,7 +110,7 @@ impl Database {
 
     /// The class of an object.
     pub fn class_of(&self, oid: Oid) -> Option<&str> {
-        self.objects.get(oid.0 as usize).map(|(c, _)| c.as_str())
+        self.objects.get(oid.0 as usize).map(|(c, _)| &**c)
     }
 
     /// All objects of a class, in creation order.
@@ -95,7 +120,7 @@ impl Database {
 
     /// Class names with a non-empty extent.
     pub fn classes(&self) -> impl Iterator<Item = &str> {
-        self.extents.keys().map(String::as_str)
+        self.extents.keys().map(|c| &**c)
     }
 
     /// Total number of objects.
@@ -139,13 +164,21 @@ mod tests {
     }
 
     #[test]
-    fn field_names_are_shared() {
+    fn rollback_forgets_objects_extents_and_stats() {
         let mut db = Database::new();
-        let a = db.field_name("Year");
-        let b = db.field_name("Year");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(&*db.field_name("Key"), "Key");
-        assert!(!Arc::ptr_eq(&a, &db.field_name("Key")));
+        let a = db.new_object("R", Value::str("r1"));
+        let mark = db.mark();
+        let stats = db.stats();
+        let class: Arc<str> = "R".into();
+        db.new_object_counted(&class, Value::str("r2"), 1);
+        db.new_object("S", Value::str("s1"));
+        db.rollback(mark);
+        assert_eq!(db.object_count(), 1);
+        assert_eq!(db.extent("R"), &[a]);
+        assert!(db.extent("S").is_empty());
+        assert_eq!(db.classes().collect::<Vec<_>>(), ["R"]);
+        assert_eq!(db.stats(), stats);
+        assert_eq!(db.new_object("R", Value::str("r3")), Oid(1), "identities are reused");
     }
 
     #[test]

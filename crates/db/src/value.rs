@@ -4,15 +4,90 @@
 
 use crate::Oid;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// The text of a string atom: a range of a shared string.
+///
+/// Atoms parsed from a corpus share the corpus text instead of copying it
+/// ([`Atom::shared`]); atoms made from owned strings hold their own.
+/// Equality, order, hashing, `Debug` and `Display` are those of the `str`
+/// the atom covers, so an atom behaves exactly as the `String` it
+/// replaces.
+#[derive(Clone)]
+pub struct Atom {
+    text: Arc<String>,
+    start: u32,
+    end: u32,
+}
+
+impl Atom {
+    /// The atom covering `start..end` of a shared text.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds or not on `char` boundaries.
+    pub fn shared(text: &Arc<String>, start: u32, end: u32) -> Atom {
+        assert!(text.get(start as usize..end as usize).is_some(), "atom range {start}..{end}");
+        Atom { text: Arc::clone(text), start, end }
+    }
+
+    /// The atom's text.
+    pub fn as_str(&self) -> &str {
+        &self.text[self.start as usize..self.end as usize]
+    }
+}
+
+impl From<String> for Atom {
+    fn from(s: String) -> Atom {
+        let end = u32::try_from(s.len()).expect("atoms are shorter than 4 GiB");
+        Atom { text: Arc::new(s), start: 0, end }
+    }
+}
+
+impl PartialEq for Atom {
+    fn eq(&self, other: &Atom) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Atom {}
+
+impl PartialOrd for Atom {
+    fn partial_cmp(&self, other: &Atom) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Atom {
+    fn cmp(&self, other: &Atom) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl Hash for Atom {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for Atom {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Atom {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
 
 /// The fields of a tuple value, kept sorted by name in one vector.
 ///
 /// Equality, order, hashing and `Debug` output are those of a
 /// `BTreeMap<String, Value>` with the same entries; a tuple costs one
 /// allocation for its fields instead of one per B-tree node, and field
-/// names are shared strings (see
-/// [`Database::field_name`](crate::Database::field_name)).
+/// names are shared strings (a grammar interns each name once).
 #[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fields(Vec<(Arc<str>, Value)>);
 
@@ -25,6 +100,13 @@ impl Fields {
     /// No fields, with room for `n`.
     pub fn with_capacity(n: usize) -> Fields {
         Fields(Vec::with_capacity(n))
+    }
+
+    /// Fields from `(name, value)` pairs whose names are strictly
+    /// ascending (debug-checked): no search, no shifting.
+    pub fn from_sorted(fields: Vec<(Arc<str>, Value)>) -> Fields {
+        debug_assert!(fields.windows(2).all(|w| w[0].0 < w[1].0), "field names not ascending");
+        Fields(fields)
     }
 
     fn position(&self, name: &str) -> Result<usize, usize> {
@@ -78,7 +160,7 @@ impl<K: Into<Arc<str>>> FromIterator<(K, Value)> for Fields {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// An atomic string.
-    Str(String),
+    Str(Atom),
     /// An atomic integer.
     Int(i64),
     /// A tuple of named fields.
@@ -94,7 +176,7 @@ pub enum Value {
 impl Value {
     /// A string atom.
     pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
+        Value::Str(Atom::from(s.into()))
     }
 
     /// A tuple from `(field, value)` pairs.
@@ -102,18 +184,21 @@ impl Value {
         Value::Tuple(fields.into_iter().collect())
     }
 
-    /// A set; sorts and dedups its elements.
+    /// A set; sorts and dedups its elements (items that already arrive
+    /// strictly ascending are taken as they are).
     pub fn set(items: impl IntoIterator<Item = Value>) -> Value {
         let mut v: Vec<Value> = items.into_iter().collect();
-        v.sort();
-        v.dedup();
+        if !v.windows(2).all(|w| w[0] < w[1]) {
+            v.sort();
+            v.dedup();
+        }
         Value::Set(v)
     }
 
     /// The string contents, if this is a string atom.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -220,6 +305,44 @@ mod tests {
         };
         use std::hash::Hash;
         assert_eq!(hash(&|s| fields.hash(s)), hash(&|s| map.hash(s)));
+    }
+
+    #[test]
+    fn atoms_behave_like_the_strings_they_cover() {
+        let text = Arc::new("xx Chang yy".to_owned());
+        let shared = Value::Str(Atom::shared(&text, 3, 8));
+        let owned = Value::str("Chang");
+        assert_eq!(shared, owned);
+        assert_eq!(format!("{shared:?}"), format!("{:?}", Value::str("Chang")));
+        assert_eq!(format!("{shared:?}"), r#"Str("Chang")"#);
+        assert_eq!(shared.to_string(), owned.to_string());
+        assert_eq!(shared.cmp(&Value::str("Chb")), "Chang".cmp("Chb"));
+        let hash = |v: &Value| {
+            let mut s = std::collections::hash_map::DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        assert_eq!(hash(&shared), hash(&owned));
+        let hash_of = |h: &dyn Fn(&mut std::collections::hash_map::DefaultHasher)| {
+            let mut s = std::collections::hash_map::DefaultHasher::new();
+            h(&mut s);
+            s.finish()
+        };
+        let atom = Atom::shared(&text, 3, 8);
+        assert_eq!(
+            hash_of(&|s| atom.hash(s)),
+            hash_of(&|s| "Chang".to_owned().hash(s)),
+            "an atom hashes as its String did"
+        );
+        assert_eq!(Arc::strong_count(&text), 3, "atoms share the text");
+    }
+
+    #[test]
+    fn ascending_set_items_are_kept_as_they_come() {
+        let items = vec![Value::Int(1), Value::Int(2), Value::Int(3)];
+        assert_eq!(Value::set(items.clone()), Value::Set(items));
+        let s = Value::set([Value::Int(2), Value::Int(1), Value::Int(2)]);
+        assert_eq!(s, Value::Set(vec![Value::Int(1), Value::Int(2)]));
     }
 
     #[test]

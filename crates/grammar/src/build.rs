@@ -1,13 +1,15 @@
-//! Value building: executing the `$$ := …` annotations on a parse tree to
-//! produce database values (§4.1), and the §6.2 *push-down* variant that
-//! only constructs the parts of the value a query actually needs ("the
+//! Value building: executing the `$$ := …` annotations on what the parser
+//! recognizes to produce database values (§4.1), with the §6.2 *push-down*
+//! that only constructs the parts of the value a query actually needs ("the
 //! structuring schema can be optimized by pushing the query into the parsing
 //! process, so that only objects that meet the query selection criteria are
 //! built").
 
-use crate::{Grammar, ParseNode, ValueBuilder};
-use qof_db::{Database, Fields, Value};
+use crate::{Grammar, ParseNode, Sink, SymbolId, ValueBuilder};
+use qof_db::{Atom, Database, DbMark, Fields, Value};
+use qof_text::Span;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A trie over attribute names describing which paths of a value a query
 /// needs. `keep_all` keeps the whole subtree (e.g. `SELECT r`).
@@ -63,14 +65,260 @@ impl PathFilter {
     }
 }
 
+/// The filter that keeps everything (the children of a `keep_all` node).
+static KEEP_ALL: PathFilter = PathFilter { keep_all: true, children: BTreeMap::new() };
+
+/// Where atoms get their text.
+#[derive(Clone, Copy)]
+pub enum AtomText<'t> {
+    /// A shared text (the corpus): atoms point into it.
+    Shared(&'t Arc<String>),
+    /// A borrowed text: atoms copy their piece of it.
+    Copied(&'t str),
+}
+
+impl<'t> AtomText<'t> {
+    fn slice(self, span: Span) -> &'t str {
+        let text = match self {
+            AtomText::Shared(text) => text.as_str(),
+            AtomText::Copied(text) => text,
+        };
+        &text[span.start as usize..span.end as usize]
+    }
+
+    fn atom(self, span: Span) -> Atom {
+        match self {
+            AtomText::Shared(text) => Atom::shared(text, span.start, span.end),
+            AtomText::Copied(_) => Atom::from(self.slice(span).to_owned()),
+        }
+    }
+}
+
+/// The value sink: executes the `$$ := …` annotations as the parser goes,
+/// building only what the [`PathFilter`] keeps (§6.2). A node the filter
+/// drops is still recognized, but nothing of its subtree is allocated.
+///
+/// Finished values wait for their parent on one stack. A tuple sorts its
+/// fields by the grammar's name ranks and takes them in one vector; an
+/// object is created when its node is left, with its value nodes counted
+/// on the way. A rolled-back attempt truncates the stack and removes its
+/// objects from the database.
+pub struct ValueSink<'a, 'd> {
+    grammar: &'a Grammar,
+    text: AtomText<'a>,
+    filter: &'a PathFilter,
+    db: &'d mut Database,
+    frames: Vec<Frame<'a>>,
+    /// Finished values waiting for their parent, with their symbols.
+    values: Vec<(SymbolId, Value)>,
+    /// Depth inside a dropped subtree (0 when building).
+    skip: u32,
+    /// Value nodes built so far, an object counting as one node.
+    nodes: u64,
+    done: Option<Value>,
+}
+
+/// A node being built.
+struct Frame<'a> {
+    builder: &'a ValueBuilder,
+    filter: &'a PathFilter,
+    /// `values.len()` when the node was entered: its children are above.
+    base: usize,
+    /// `nodes` when the node was entered.
+    nodes: u64,
+}
+
+/// A [`ValueSink`] checkpoint.
+#[derive(Clone, Copy)]
+pub struct ValueMark {
+    frames: usize,
+    values: usize,
+    skip: u32,
+    nodes: u64,
+    db: DbMark,
+}
+
+impl<'a, 'd> ValueSink<'a, 'd> {
+    /// A sink building values of `grammar` into `db`; below each node it
+    /// is fed it keeps what `filter` keeps.
+    pub fn new(
+        grammar: &'a Grammar,
+        text: AtomText<'a>,
+        db: &'d mut Database,
+        filter: &'a PathFilter,
+    ) -> Self {
+        Self {
+            grammar,
+            text,
+            filter,
+            db,
+            frames: Vec::new(),
+            values: Vec::new(),
+            skip: 0,
+            nodes: 0,
+            done: None,
+        }
+    }
+
+    /// The database the objects go to.
+    pub fn db(&self) -> &Database {
+        self.db
+    }
+
+    /// The value of the last complete node fed to the sink.
+    pub fn take(&mut self) -> Option<Value> {
+        self.done.take()
+    }
+
+    /// The filter for a new child of the open node, or `None` to drop it.
+    fn child_filter(&self, symbol: SymbolId) -> Option<&'a PathFilter> {
+        let Some(parent) = self.frames.last() else { return Some(self.filter) };
+        match parent.builder {
+            // Value-transparent: the first child takes the filter unchanged
+            // (choice branches never appear in query paths).
+            ValueBuilder::Child => (self.values.len() == parent.base).then_some(parent.filter),
+            ValueBuilder::Atom | ValueBuilder::AtomInt => None,
+            ValueBuilder::Set
+            | ValueBuilder::List
+            | ValueBuilder::TupleAuto
+            | ValueBuilder::ObjectAuto(_) => {
+                if parent.filter.keep_all {
+                    Some(&KEEP_ALL)
+                } else {
+                    parent.filter.child(self.grammar.name(symbol))
+                }
+            }
+        }
+    }
+
+    /// Assembles the value of the node in `frame` from its children.
+    fn assemble(&mut self, frame: &Frame<'a>, span: Span) -> Value {
+        let value = match frame.builder {
+            ValueBuilder::Atom => Value::Str(self.text.atom(span)),
+            ValueBuilder::AtomInt => Value::Int(self.text.slice(span).trim().parse().unwrap_or(0)),
+            ValueBuilder::Child => {
+                if self.values.len() > frame.base {
+                    return self.values.pop().expect("a child value").1;
+                }
+                Value::str("")
+            }
+            ValueBuilder::List => {
+                Value::List(self.values.drain(frame.base..).map(|(_, v)| v).collect())
+            }
+            ValueBuilder::Set => {
+                let mut items: Vec<Value> =
+                    self.values.drain(frame.base..).map(|(_, v)| v).collect();
+                if !items.windows(2).all(|w| w[0] < w[1]) {
+                    items.sort();
+                    let mut kept: Vec<Value> = Vec::with_capacity(items.len());
+                    for item in items {
+                        if kept.last() == Some(&item) {
+                            // A duplicate is no node of the set.
+                            self.nodes -= item.node_count() as u64;
+                        } else {
+                            kept.push(item);
+                        }
+                    }
+                    items = kept;
+                }
+                Value::Set(items)
+            }
+            ValueBuilder::TupleAuto | ValueBuilder::ObjectAuto(_) => {
+                let grammar = self.grammar;
+                let fields = &mut self.values[frame.base..];
+                let rank = |(s, _): &(SymbolId, Value)| grammar.name_rank(*s);
+                if !fields.windows(2).all(|w| rank(&w[0]) < rank(&w[1])) {
+                    // Stable: of a name given twice, the last value wins.
+                    fields.sort_by_key(rank);
+                }
+                let mut sorted: Vec<(Arc<str>, Value)> = Vec::with_capacity(fields.len());
+                let (mut last, mut dropped) = (None, 0);
+                for (symbol, value) in self.values.drain(frame.base..) {
+                    if last == Some(symbol) {
+                        let (_, old) = sorted.pop().expect("the field given before");
+                        dropped += old.node_count() as u64;
+                    }
+                    sorted.push((Arc::clone(grammar.field_name(symbol)), value));
+                    last = Some(symbol);
+                }
+                self.nodes -= dropped;
+                Value::Tuple(Fields::from_sorted(sorted))
+            }
+        };
+        self.nodes += 1;
+        value
+    }
+}
+
+impl Sink for ValueSink<'_, '_> {
+    type Mark = ValueMark;
+
+    fn enter(&mut self, symbol: SymbolId) {
+        if self.skip > 0 {
+            self.skip += 1;
+            return;
+        }
+        match self.child_filter(symbol) {
+            Some(filter) => self.frames.push(Frame {
+                builder: &self.grammar.rule(symbol).builder,
+                filter,
+                base: self.values.len(),
+                nodes: self.nodes,
+            }),
+            None => self.skip = 1,
+        }
+    }
+
+    fn leave(&mut self, symbol: SymbolId, span: Span) {
+        if self.skip > 0 {
+            self.skip -= 1;
+            return;
+        }
+        let frame = self.frames.pop().expect("leave matches an enter");
+        let mut value = self.assemble(&frame, span);
+        if let ValueBuilder::ObjectAuto(class) = frame.builder {
+            let nodes = self.nodes - frame.nodes;
+            value = Value::Ref(self.db.new_object_counted(class, value, nodes));
+            self.nodes = frame.nodes + 1;
+        }
+        if self.frames.is_empty() {
+            self.done = Some(value);
+        } else {
+            self.values.push((symbol, value));
+        }
+    }
+
+    fn mark(&self) -> ValueMark {
+        ValueMark {
+            frames: self.frames.len(),
+            values: self.values.len(),
+            skip: self.skip,
+            nodes: self.nodes,
+            db: self.db.mark(),
+        }
+    }
+
+    fn rollback(&mut self, mark: ValueMark) {
+        self.frames.truncate(mark.frames);
+        self.values.truncate(mark.values);
+        self.skip = mark.skip;
+        self.nodes = mark.nodes;
+        self.db.rollback(mark.db);
+        if mark.frames == 0 {
+            self.done = None;
+        }
+    }
+}
+
 /// Builds the full database value of a parse node.
 pub fn build_value(node: &ParseNode, grammar: &Grammar, text: &str, db: &mut Database) -> Value {
-    build_inner(node, grammar, text, db, &PathFilter::all())
+    build_value_filtered(node, grammar, text, db, &KEEP_ALL)
 }
 
 /// Builds only the parts of the value on paths the filter keeps; skipped
 /// tuple fields are absent, skipped set contents are empty. Construction
-/// cost is observable through [`Database::stats`].
+/// cost is observable through [`Database::stats`]. Replays the tree into a
+/// [`ValueSink`].
 pub fn build_value_filtered(
     node: &ParseNode,
     grammar: &Grammar,
@@ -78,71 +326,9 @@ pub fn build_value_filtered(
     db: &mut Database,
     filter: &PathFilter,
 ) -> Value {
-    build_inner(node, grammar, text, db, filter)
-}
-
-fn build_inner(
-    node: &ParseNode,
-    grammar: &Grammar,
-    text: &str,
-    db: &mut Database,
-    filter: &PathFilter,
-) -> Value {
-    let rule = grammar.rule(node.symbol);
-    match &rule.builder {
-        ValueBuilder::Atom => {
-            Value::Str(text[node.span.start as usize..node.span.end as usize].to_owned())
-        }
-        ValueBuilder::AtomInt => {
-            let s = &text[node.span.start as usize..node.span.end as usize];
-            Value::Int(s.trim().parse().unwrap_or(0))
-        }
-        ValueBuilder::Child => {
-            // Value-transparent wrapper: the filter passes through unchanged
-            // (choice branches never appear in query paths).
-            match node.children.first() {
-                Some(c) => build_inner(c, grammar, text, db, filter),
-                None => Value::Str(String::new()),
-            }
-        }
-        ValueBuilder::Set | ValueBuilder::List => {
-            let items: Vec<Value> = node
-                .children
-                .iter()
-                .filter_map(|c| {
-                    let name = grammar.name(c.symbol);
-                    if filter.keep_all {
-                        Some(build_inner(c, grammar, text, db, &PathFilter::all()))
-                    } else {
-                        filter.child(name).map(|sub| build_inner(c, grammar, text, db, sub))
-                    }
-                })
-                .collect();
-            if matches!(rule.builder, ValueBuilder::Set) {
-                Value::set(items)
-            } else {
-                Value::List(items)
-            }
-        }
-        ValueBuilder::TupleAuto | ValueBuilder::ObjectAuto(_) => {
-            let mut fields = Fields::with_capacity(node.children.len());
-            for c in &node.children {
-                let name = grammar.name(c.symbol);
-                if filter.keep_all {
-                    let value = build_inner(c, grammar, text, db, &PathFilter::all());
-                    fields.insert(db.field_name(name), value);
-                } else if let Some(sub) = filter.child(name) {
-                    let value = build_inner(c, grammar, text, db, sub);
-                    fields.insert(db.field_name(name), value);
-                }
-            }
-            let tuple = Value::Tuple(fields);
-            match &rule.builder {
-                ValueBuilder::ObjectAuto(class) => Value::Ref(db.new_object(class, tuple)),
-                _ => tuple,
-            }
-        }
-    }
+    let mut sink = ValueSink::new(grammar, AtomText::Copied(text), db, filter);
+    node.replay(&mut sink);
+    sink.take().expect("a replayed tree is complete")
 }
 
 #[cfg(test)]
@@ -192,6 +378,28 @@ mod tests {
         assert_eq!(e0.field("Key").unwrap().as_str(), Some("k1"));
         assert_eq!(e0.field("Year").unwrap().as_int(), Some(1982));
         assert_eq!(e0.field("Authors").unwrap().elements().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn field_names_are_shared() {
+        let g = grammar();
+        let text = "[k1:chang|1982][k2:milo|1993]";
+        let tree = tree_of(text, &g);
+        let mut db = Database::new();
+        build_value(&tree, &g, text, &mut db);
+        let names: Vec<Vec<&str>> = db
+            .extent("Entry")
+            .iter()
+            .map(|&oid| match db.deref(oid).unwrap() {
+                Value::Tuple(fields) => fields.iter().map(|(name, _)| name).collect(),
+                other => panic!("expected tuple, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(names[0], ["Authors", "Key", "Year"]);
+        assert_eq!(names[0], names[1]);
+        for (a, b) in names[0].iter().zip(&names[1]) {
+            assert!(std::ptr::eq(a.as_ptr(), b.as_ptr()), "one allocation per field name: {a}");
+        }
     }
 
     #[test]
@@ -265,5 +473,33 @@ mod tests {
         assert!(a.child("Entry").unwrap().keeps("Key"));
         assert!(a.child("Entry").unwrap().keeps("Year"));
         assert!(!a.child("Entry").unwrap().keeps("Authors"));
+    }
+
+    #[test]
+    fn counted_value_nodes_match_the_objects_built() {
+        let g = grammar();
+        // Duplicate authors collapse in the set and drop out of the count.
+        let text = "[k1:chang,corliss,chang|1982][k2:milo|1993]";
+        let tree = tree_of(text, &g);
+        for filter in [PathFilter::all(), PathFilter::from_paths(&[vec!["Entry", "Authors"]])] {
+            let mut db = Database::new();
+            build_value_filtered(&tree, &g, text, &mut db, &filter);
+            let nodes: usize =
+                db.extent("Entry").iter().map(|o| db.deref(*o).unwrap().node_count()).sum();
+            assert_eq!(db.stats().value_nodes, nodes as u64);
+        }
+    }
+
+    #[test]
+    fn atoms_share_the_text_they_come_from() {
+        let g = grammar();
+        let text = Arc::new("[k1:chang|1982]".to_owned());
+        let mut db = Database::new();
+        let mut sink = ValueSink::new(&g, AtomText::Shared(&text), &mut db, &KEEP_ALL);
+        Parser::new(&g, &text).parse_into(g.root(), 0..text.len() as u32, &mut sink).unwrap();
+        drop(sink);
+        assert_eq!(Arc::strong_count(&text), 3, "Key and the author share the text");
+        let obj = db.deref(db.extent("Entry")[0]).unwrap();
+        assert_eq!(obj.field("Key").unwrap().as_str(), Some("k1"));
     }
 }

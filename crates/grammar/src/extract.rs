@@ -1,4 +1,5 @@
-//! Region extraction: turning a parse tree into a region-index instance.
+//! Region extraction: turning what the parser recognizes into a
+//! region-index instance.
 //!
 //! Under **full indexing** (§5) every non-terminal except the grammar root
 //! is a region name, instantiated by all its occurrences in the parse tree.
@@ -8,8 +9,9 @@
 //! occurrences under a given ancestor; the scoped instance is registered
 //! under the name `"Scope.Name"`.
 
-use crate::{Grammar, ParseNode};
+use crate::{Grammar, ParseNode, Sink, SymbolId};
 use qof_pat::{Instance, Region, RegionSet};
+use qof_text::Span;
 use std::collections::BTreeSet;
 
 /// Which regions to index.
@@ -85,68 +87,137 @@ impl IndexSpec {
     }
 }
 
-/// Extracts the region instance of `spec` from a parse tree. The grammar
-/// root is never indexed (following §4.2). Instances for every requested
-/// name are present even when empty, so partial indexes distinguish
-/// "indexed but absent" from "not indexed".
-pub fn extract_regions(tree: &ParseNode, grammar: &Grammar, spec: &IndexSpec) -> Instance {
-    let mut buckets: std::collections::BTreeMap<String, Vec<Region>> =
-        std::collections::BTreeMap::new();
-    if spec.is_full() {
-        for (id, name) in grammar.symbols() {
-            if id != grammar.root() {
-                buckets.entry(name.to_owned()).or_default();
-            }
-        }
-    } else {
-        for n in spec.plain_names() {
-            buckets.entry(n.to_owned()).or_default();
-        }
-    }
-    for (scope, name) in spec.scoped_names() {
-        buckets.entry(IndexSpec::scoped_key(scope, name)).or_default();
-    }
+/// The region sink: region extraction as the parser goes. Each indexed
+/// node's region lands in its name's bucket when the node is left; a
+/// rolled-back attempt takes its regions out again. The grammar root is
+/// never indexed (following §4.2). Instances for every requested name are
+/// present even when empty, so partial indexes distinguish "indexed but
+/// absent" from "not indexed".
+#[derive(Debug)]
+pub struct RegionSink {
+    names: Vec<String>,
+    buckets: Vec<Vec<Region>>,
+    /// Per symbol: the bucket of its plain entry, if indexed.
+    plain: Vec<Option<u32>>,
+    /// `(scope, name, bucket)` of every selective entry on grammar symbols.
+    scoped: Vec<(SymbolId, SymbolId, u32)>,
+    /// The open nodes, outermost first (kept with scoped entries only).
+    open: Vec<SymbolId>,
+    /// The bucket of each region pushed since the last commit, so a
+    /// rollback can pop them.
+    log: Vec<u32>,
+}
 
-    // Stack of active scope names for selective entries.
-    fn walk(
-        node: &ParseNode,
-        grammar: &Grammar,
-        spec: &IndexSpec,
-        scopes: &mut Vec<String>,
-        buckets: &mut std::collections::BTreeMap<String, Vec<Region>>,
-    ) {
-        let name = grammar.name(node.symbol);
-        let is_root = node.symbol == grammar.root();
-        if !is_root {
-            if spec.covers(name) {
-                buckets
-                    .get_mut(name)
-                    .expect("bucket pre-created")
-                    .push(Region::new(node.span.start, node.span.end));
+impl RegionSink {
+    /// A sink extracting the regions `spec` asks for.
+    pub fn new(grammar: &Grammar, spec: &IndexSpec) -> Self {
+        let mut names: Vec<String> = if spec.is_full() {
+            grammar
+                .symbols()
+                .filter(|&(id, _)| id != grammar.root())
+                .map(|(_, n)| n.to_owned())
+                .collect()
+        } else {
+            spec.plain_names().map(str::to_owned).collect()
+        };
+        let mut plain = vec![None; grammar.symbol_count()];
+        for (i, name) in names.iter().enumerate() {
+            match grammar.symbol(name) {
+                Some(id) if id != grammar.root() => plain[id.0 as usize] = Some(i as u32),
+                _ => {}
             }
-            for (scope, scoped_name) in spec.scoped_names() {
-                if scoped_name == name && scopes.iter().any(|s| s == scope) {
-                    buckets
-                        .get_mut(&IndexSpec::scoped_key(scope, scoped_name))
-                        .expect("bucket pre-created")
-                        .push(Region::new(node.span.start, node.span.end));
+        }
+        let mut scoped = Vec::new();
+        for (scope, name) in spec.scoped_names() {
+            let key = IndexSpec::scoped_key(scope, name);
+            let bucket = match names.iter().position(|n| *n == key) {
+                Some(i) => i as u32,
+                None => {
+                    names.push(key);
+                    (names.len() - 1) as u32
+                }
+            };
+            if let (Some(s), Some(n)) = (grammar.symbol(scope), grammar.symbol(name)) {
+                if n != grammar.root() {
+                    scoped.push((s, n, bucket));
                 }
             }
         }
-        scopes.push(name.to_owned());
-        for c in &node.children {
-            walk(c, grammar, spec, scopes, buckets);
+        Self {
+            buckets: vec![Vec::new(); names.len()],
+            names,
+            plain,
+            scoped,
+            open: Vec::new(),
+            log: Vec::new(),
         }
-        scopes.pop();
     }
-    let mut scopes = Vec::new();
-    walk(tree, grammar, spec, &mut scopes, &mut buckets);
 
-    let mut instance = Instance::new();
-    for (name, regions) in buckets {
-        instance.insert(name, RegionSet::from_regions(regions));
+    fn push(&mut self, bucket: u32, region: Region) {
+        self.buckets[bucket as usize].push(region);
+        self.log.push(bucket);
     }
-    instance
+
+    /// The instance of everything extracted.
+    pub fn finish(self) -> Instance {
+        let mut instance = Instance::new();
+        for (name, mut regions) in self.names.into_iter().zip(self.buckets) {
+            regions.shrink_to_fit();
+            instance.insert(name, RegionSet::from_regions(regions));
+        }
+        instance
+    }
+}
+
+impl Sink for RegionSink {
+    type Mark = (usize, usize);
+
+    fn enter(&mut self, symbol: SymbolId) {
+        if !self.scoped.is_empty() {
+            self.open.push(symbol);
+        }
+    }
+
+    fn leave(&mut self, symbol: SymbolId, span: Span) {
+        let region = Region::new(span.start, span.end);
+        if let Some(bucket) = self.plain[symbol.0 as usize] {
+            self.push(bucket, region);
+        }
+        if self.scoped.is_empty() {
+            return;
+        }
+        // The node itself is the last open one; only its ancestors scope it.
+        self.open.pop();
+        for i in 0..self.scoped.len() {
+            let (scope, name, bucket) = self.scoped[i];
+            if name == symbol && self.open.contains(&scope) {
+                self.push(bucket, region);
+            }
+        }
+    }
+
+    fn mark(&self) -> (usize, usize) {
+        (self.log.len(), self.open.len())
+    }
+
+    fn rollback(&mut self, (log, open): (usize, usize)) {
+        for bucket in self.log.drain(log..) {
+            self.buckets[bucket as usize].pop();
+        }
+        self.open.truncate(open);
+    }
+
+    fn commit(&mut self) {
+        self.log.clear();
+    }
+}
+
+/// Extracts the region instance of `spec` from a parse tree, by replaying
+/// it into a [`RegionSink`].
+pub fn extract_regions(tree: &ParseNode, grammar: &Grammar, spec: &IndexSpec) -> Instance {
+    let mut sink = RegionSink::new(grammar, spec);
+    tree.replay(&mut sink);
+    sink.finish()
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Interned identifier of a grammar symbol (non-terminal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,8 +48,8 @@ pub enum ValueBuilder {
     /// `$$ := tuple(B1: $1, …, Bn: $n)` with fields named by child symbols.
     TupleAuto,
     /// `$$ := new(Class, tuple(…))` — creates an object and yields a
-    /// reference to it.
-    ObjectAuto(String),
+    /// reference to it. The class name is shared by every object built.
+    ObjectAuto(Arc<str>),
     /// `$$ := $1` for a single-child rule (wrappers, choice branches).
     Child,
     /// The token text as a string atom.
@@ -131,7 +132,11 @@ impl std::error::Error for GrammarError {}
 /// A validated grammar.
 #[derive(Debug, Clone)]
 pub struct Grammar {
-    symbols: Vec<String>,
+    /// Symbol names, interned once: tuple fields share them.
+    symbols: Vec<Arc<str>>,
+    /// Each symbol's position in name order, so tuple fields sort by
+    /// integer instead of by string.
+    name_ranks: Vec<u32>,
     by_name: HashMap<String, SymbolId>,
     rules: Vec<Rule>,
     root: SymbolId,
@@ -159,6 +164,18 @@ impl Grammar {
         &self.symbols[id.0 as usize]
     }
 
+    /// The shared name of a symbol: the field name of the values its
+    /// nodes contribute to a tuple.
+    pub(crate) fn field_name(&self, id: SymbolId) -> &Arc<str> {
+        &self.symbols[id.0 as usize]
+    }
+
+    /// The position of a symbol's name among all names in sorted order:
+    /// `name_rank(a) < name_rank(b)` iff `name(a) < name(b)`.
+    pub(crate) fn name_rank(&self, id: SymbolId) -> u32 {
+        self.name_ranks[id.0 as usize]
+    }
+
     /// Looks a symbol up by name.
     pub fn symbol(&self, name: &str) -> Option<SymbolId> {
         self.by_name.get(name).copied()
@@ -171,7 +188,7 @@ impl Grammar {
 
     /// All symbols in insertion order.
     pub fn symbols(&self) -> impl Iterator<Item = (SymbolId, &str)> {
-        self.symbols.iter().enumerate().map(|(i, s)| (SymbolId(i as u32), s.as_str()))
+        self.symbols.iter().enumerate().map(|(i, s)| (SymbolId(i as u32), &**s))
     }
 
     /// Number of symbols.
@@ -440,7 +457,14 @@ impl GrammarBuilder {
         }
         let rules: Vec<Rule> = rules.into_iter().map(Option::unwrap).collect();
         let root = by_name[&self.root];
-        Ok(Grammar { symbols, by_name, rules, root, skip_ws: self.skip_ws })
+        let mut order: Vec<usize> = (0..symbols.len()).collect();
+        order.sort_by(|&a, &b| symbols[a].cmp(&symbols[b]));
+        let mut name_ranks = vec![0; symbols.len()];
+        for (rank, &i) in order.iter().enumerate() {
+            name_ranks[i] = rank as u32;
+        }
+        let symbols = symbols.into_iter().map(Arc::from).collect();
+        Ok(Grammar { symbols, name_ranks, by_name, rules, root, skip_ws: self.skip_ws })
     }
 }
 
@@ -512,6 +536,18 @@ mod tests {
         let item = g.symbol("Item").unwrap();
         assert_eq!(g.children_of(s), vec![item]);
         assert_eq!(g.children_of(item), vec![g.symbol("Word").unwrap()]);
+    }
+
+    #[test]
+    fn name_ranks_follow_name_order() {
+        let g = tiny();
+        let mut by_rank: Vec<(u32, &str)> =
+            g.symbols().map(|(id, n)| (g.name_rank(id), n)).collect();
+        by_rank.sort_unstable();
+        assert_eq!(by_rank.iter().map(|(_, n)| *n).collect::<Vec<_>>(), ["Item", "S", "Word"]);
+        let item = g.symbol("Item").unwrap();
+        assert!(std::ptr::eq(&**g.field_name(item), &**g.field_name(item)));
+        assert_eq!(&**g.field_name(item), "Item");
     }
 
     #[test]

@@ -16,16 +16,19 @@
 //!
 //! The crate provides:
 //!
-//! * a backtracking recursive-descent [`Parser`] (our stand-in for Yacc)
-//!   producing spanned [`ParseNode`] trees and counting bytes scanned;
-//! * region extraction ([`extract_regions`]) turning a parse tree into a
-//!   region-index [`Instance`](qof_pat::Instance) under full, partial or
-//!   *selective* (region-scoped, §7) indexing — the [`IndexSpec`];
-//! * value building ([`build_value`]) executing the annotations against a
-//!   [`Database`](qof_db::Database), and [`build_value_filtered`] — the
-//!   §6.2 optimization that *pushes the query into the parsing process* so
-//!   only objects on needed paths are constructed;
-//! * parse-tree rendering ([`render_tree`]) reproducing Figures 2 and 3.
+//! * a backtracking recursive-descent [`Parser`] (our stand-in for Yacc):
+//!   one walk that reports every node it recognizes, with its exact span,
+//!   to a [`Sink`], and counts bytes scanned;
+//! * the region sink ([`RegionSink`]) building a region-index
+//!   [`Instance`](qof_pat::Instance) under full, partial or *selective*
+//!   (region-scoped, §7) indexing — the [`IndexSpec`];
+//! * the value sink ([`ValueSink`]) executing the annotations against a
+//!   [`Database`](qof_db::Database) with a [`PathFilter`] — the §6.2
+//!   optimization that *pushes the query into the parsing process* so only
+//!   objects on needed paths are constructed;
+//! * a thin tree API for tools and tests: [`ParseNode`] trees from
+//!   [`Parser::parse_root`], replayed into the sinks by [`extract_regions`]
+//!   and [`build_value`], and rendered by [`render_tree`] (Figures 2 and 3).
 
 mod build;
 mod extract;
@@ -34,12 +37,12 @@ mod parser;
 mod render;
 mod schema;
 
-pub use build::{build_value, build_value_filtered, PathFilter};
-pub use extract::{extract_regions, IndexSpec};
+pub use build::{build_value, build_value_filtered, AtomText, PathFilter, ValueMark, ValueSink};
+pub use extract::{extract_regions, IndexSpec, RegionSink};
 pub use grammar::{
     lit, nt, Grammar, GrammarBuilder, GrammarError, Rule, RuleBody, SeqTerm, SymbolId, Term,
     TokenPattern, ValueBuilder,
 };
-pub use parser::{ParseError, ParseNode, ParseStats, Parser};
+pub use parser::{ParseError, ParseNode, ParseStats, Parser, Sink, Tape};
 pub use render::render_tree;
 pub use schema::StructuringSchema;

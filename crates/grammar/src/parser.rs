@@ -1,12 +1,49 @@
 //! A backtracking recursive-descent parser for structuring-schema grammars —
-//! the role Yacc plays in the paper's prototype ([AJ74]). Produces parse
-//! trees whose nodes carry exact byte spans, which is what region extraction
-//! and value building consume. Counts bytes scanned so the harness can
-//! report how much file text each strategy touches.
+//! the role Yacc plays in the paper's prototype ([AJ74]).
+//!
+//! One walk recognizes the text and reports each derivation node to a
+//! [`Sink`], in pre-order on entry and post-order on exit, with the node's
+//! exact byte span. The sinks do the real work: region extraction
+//! ([`RegionSink`](crate::RegionSink)), value building
+//! ([`ValueSink`](crate::ValueSink)), a recorded [`Tape`] for replays, and
+//! the [`ParseNode`] tree the public tree API returns. Backtracking leaves
+//! no trace in a sink: before each alternative and each repetition item
+//! the walk takes a [`Sink::mark`], and a failed attempt
+//! [rolls back](Sink::rollback) to it. Counts bytes scanned and nodes
+//! recognized so the harness can report how much file text each strategy
+//! touches.
 
 use crate::{Grammar, RuleBody, SymbolId, Term, TokenPattern};
 use qof_text::{Pos, Span};
 use std::fmt;
+
+/// Receives the derivation nodes a [`Parser`] recognizes.
+///
+/// Every node is announced by [`Sink::enter`] before its children and
+/// closed by [`Sink::leave`] after them. An attempt that fails may leave
+/// nodes entered but never left; the parser then rolls the sink back to the
+/// mark it took before the attempt, and the sink must forget everything it
+/// received since.
+pub trait Sink {
+    /// A checkpoint: cheap to take, since the parser takes one per
+    /// alternative and per repetition item.
+    type Mark: Copy;
+
+    /// A node of `symbol` starts.
+    fn enter(&mut self, symbol: SymbolId);
+
+    /// The node entered last and not yet left ends; it covers `span`.
+    fn leave(&mut self, symbol: SymbolId, span: Span);
+
+    /// The current state.
+    fn mark(&self) -> Self::Mark;
+
+    /// Forgets everything received since `mark`.
+    fn rollback(&mut self, mark: Self::Mark);
+
+    /// A whole parse succeeded: no rollback will reach before this point.
+    fn commit(&mut self) {}
+}
 
 /// A node of the parse tree: a symbol, its span and its children.
 ///
@@ -35,20 +72,174 @@ impl ParseNode {
             c.walk(f);
         }
     }
+
+    /// Reports this subtree to a sink, as the parser reported it.
+    pub fn replay<S: Sink>(&self, sink: &mut S) {
+        sink.enter(self.symbol);
+        for c in &self.children {
+            c.replay(sink);
+        }
+        sink.leave(self.symbol, self.span.clone());
+    }
 }
 
-/// A parse failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The sink behind the tree API: builds [`ParseNode`]s.
+#[derive(Default)]
+struct TreeSink {
+    /// Open nodes, outermost first; each collects its finished children.
+    open: Vec<ParseNode>,
+    done: Option<ParseNode>,
+}
+
+impl Sink for TreeSink {
+    type Mark = (usize, usize);
+
+    fn enter(&mut self, symbol: SymbolId) {
+        self.open.push(ParseNode { symbol, span: 0..0, children: Vec::new() });
+    }
+
+    fn leave(&mut self, _: SymbolId, span: Span) {
+        let mut node = self.open.pop().expect("leave matches an enter");
+        node.span = span;
+        match self.open.last_mut() {
+            Some(parent) => parent.children.push(node),
+            None => self.done = Some(node),
+        }
+    }
+
+    fn mark(&self) -> (usize, usize) {
+        (self.open.len(), self.open.last().map_or(0, |n| n.children.len()))
+    }
+
+    fn rollback(&mut self, (open, children): (usize, usize)) {
+        self.open.truncate(open);
+        match self.open.last_mut() {
+            Some(top) => top.children.truncate(children),
+            None => self.done = None,
+        }
+    }
+}
+
+/// A parse recorded as its enter and leave events: a flat vector instead
+/// of a tree, so nodes can be replayed into other sinks, nested ones
+/// included, without building a [`ParseNode`] per node.
+#[derive(Debug, Default)]
+pub struct Tape {
+    events: Vec<Event>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Enter(SymbolId),
+    Leave(SymbolId, Pos, Pos),
+}
+
+impl Sink for Tape {
+    type Mark = usize;
+
+    fn enter(&mut self, symbol: SymbolId) {
+        self.events.push(Event::Enter(symbol));
+    }
+
+    fn leave(&mut self, symbol: SymbolId, span: Span) {
+        self.events.push(Event::Leave(symbol, span.start, span.end));
+    }
+
+    fn mark(&self) -> usize {
+        self.events.len()
+    }
+
+    fn rollback(&mut self, mark: usize) {
+        self.events.truncate(mark);
+    }
+}
+
+impl Tape {
+    /// An empty tape.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forgets the recording.
+    pub fn clear(&mut self) {
+        self.events.clear();
+    }
+
+    /// Replays the subtree of every recorded node of `symbol` into `sink`,
+    /// in pre-order (a node before the nodes nested in it), and calls
+    /// `each` after each one.
+    pub fn replay_each<S: Sink>(
+        &self,
+        symbol: SymbolId,
+        sink: &mut S,
+        mut each: impl FnMut(&mut S),
+    ) {
+        for (i, e) in self.events.iter().enumerate() {
+            if !matches!(e, Event::Enter(s) if *s == symbol) {
+                continue;
+            }
+            let mut depth = 0usize;
+            for e in &self.events[i..] {
+                match *e {
+                    Event::Enter(s) => {
+                        depth += 1;
+                        sink.enter(s);
+                    }
+                    Event::Leave(s, start, end) => {
+                        depth -= 1;
+                        sink.leave(s, start..end);
+                        if depth == 0 {
+                            break;
+                        }
+                    }
+                }
+            }
+            each(sink);
+        }
+    }
+}
+
+/// A parse failure. The expected text is formatted only when the error is
+/// displayed.
+#[derive(Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte position of the failure.
     pub at: Pos,
-    /// What the parser expected.
-    pub expected: String,
+    expected: Expected,
+}
+
+/// What the parser expected where it failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Expected {
+    EndOf(String),
+    AlternativeOf(String),
+    Literal(String),
+    Token(String, TokenPattern),
+}
+
+impl fmt::Display for Expected {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expected::EndOf(name) => write!(f, "end of {name} region"),
+            Expected::AlternativeOf(name) => write!(f, "one alternative of {name}"),
+            Expected::Literal(lit) => write!(f, "literal {lit:?}"),
+            Expected::Token(name, pattern) => write!(f, "{name} token ({pattern:?})"),
+        }
+    }
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "parse error at byte {}: expected {}", self.at, self.expected)
+    }
+}
+
+impl fmt::Debug for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ParseError")
+            .field("at", &self.at)
+            .field("expected", &self.expected.to_string())
+            .finish()
     }
 }
 
@@ -59,23 +250,31 @@ impl std::error::Error for ParseError {}
 pub struct ParseStats {
     /// Bytes of file text consumed by successful parses.
     pub bytes_scanned: u64,
-    /// Parse-tree nodes produced.
+    /// Derivation nodes recognized by successful parses.
     pub nodes_built: u64,
 }
 
 /// The parser. Borrow the corpus text and a grammar; call
-/// [`Parser::parse_root`] for a whole span or [`Parser::parse_symbol`] for a
-/// candidate region located by the index.
+/// [`Parser::parse_into`] to report a span to a sink, or
+/// [`Parser::parse_root`] / [`Parser::parse_symbol`] for a tree.
 pub struct Parser<'a> {
     grammar: &'a Grammar,
     text: &'a str,
+    base: Pos,
     stats: std::cell::Cell<ParseStats>,
 }
 
 impl<'a> Parser<'a> {
     /// Creates a parser over the full corpus text.
     pub fn new(grammar: &'a Grammar, text: &'a str) -> Self {
-        Self { grammar, text, stats: std::cell::Cell::new(ParseStats::default()) }
+        Self::with_base(grammar, text, 0)
+    }
+
+    /// Creates a parser over `text` placed at offset `base` of a larger
+    /// text (a file about to be appended to a corpus): spans passed in,
+    /// spans reported and error positions are all in the larger text.
+    pub fn with_base(grammar: &'a Grammar, text: &'a str, base: Pos) -> Self {
+        Self { grammar, text, base, stats: std::cell::Cell::new(ParseStats::default()) }
     }
 
     /// Accumulated scan statistics.
@@ -89,160 +288,247 @@ impl<'a> Parser<'a> {
         self.parse_symbol(self.grammar.root(), span)
     }
 
-    /// Parses `symbol` across `span` — used to parse the candidate regions
-    /// located by an inclusion expression (§6.2). The span must be consumed
-    /// entirely (modulo whitespace when the grammar skips it).
+    /// Parses `symbol` across `span` into a tree.
     pub fn parse_symbol(&self, symbol: SymbolId, span: Span) -> Result<ParseNode, ParseError> {
-        let (node, mut at) = self.parse_at(symbol, span.start, span.end)?;
-        at = self.skip_ws(at, span.end);
-        if at != span.end {
-            return Err(ParseError {
-                at,
-                expected: format!("end of {} region", self.grammar.name(symbol)),
-            });
+        let mut tree = TreeSink::default();
+        self.parse_into(symbol, span, &mut tree)?;
+        Ok(tree.done.expect("a successful parse leaves its root"))
+    }
+
+    /// Parses `symbol` across `span`, reporting every node to `sink` — used
+    /// to parse the candidate regions located by an inclusion expression
+    /// (§6.2). The span must be consumed entirely (modulo whitespace when
+    /// the grammar skips it). On failure the sink is rolled back to where
+    /// it was.
+    ///
+    /// # Panics
+    /// Panics if `span` lies outside the parser's text.
+    pub fn parse_into<S: Sink>(
+        &self,
+        symbol: SymbolId,
+        span: Span,
+        sink: &mut S,
+    ) -> Result<(), ParseError> {
+        let (start, limit) = (span.start.wrapping_sub(self.base), span.end.wrapping_sub(self.base));
+        assert!(
+            start <= limit && limit as usize <= self.text.len(),
+            "span {span:?} lies outside the parser's text"
+        );
+        let mark = sink.mark();
+        let mut walk = Walk {
+            grammar: self.grammar,
+            text: self.text.as_bytes(),
+            base: self.base,
+            skip_ws: self.grammar.skips_whitespace(),
+            sink,
+            nodes: 0,
+        };
+        let parsed = walk.node(symbol, start, limit).and_then(|end| {
+            let end = walk.skip_ws(end, limit);
+            if end == limit {
+                Ok(())
+            } else {
+                Err(Fail { at: end, want: Want::EndOf(symbol) })
+            }
+        });
+        let nodes = walk.nodes;
+        match parsed {
+            Ok(()) => {
+                let mut s = self.stats.get();
+                s.bytes_scanned += u64::from(span.end - span.start);
+                s.nodes_built += nodes;
+                self.stats.set(s);
+                sink.commit();
+                Ok(())
+            }
+            Err(fail) => {
+                sink.rollback(mark);
+                Err(self.error(fail))
+            }
         }
-        let mut s = self.stats.get();
-        s.bytes_scanned += u64::from(span.end - span.start);
-        s.nodes_built += node.node_count() as u64;
-        self.stats.set(s);
-        Ok(node)
+    }
+
+    /// The public error for a failure of the walk.
+    fn error(&self, fail: Fail<'_>) -> ParseError {
+        let name = |s: SymbolId| self.grammar.name(s).to_owned();
+        let expected = match fail.want {
+            Want::EndOf(s) => Expected::EndOf(name(s)),
+            Want::AlternativeOf(s) => Expected::AlternativeOf(name(s)),
+            Want::Literal(lit) => Expected::Literal(lit.to_owned()),
+            Want::Token(s, pattern) => Expected::Token(name(s), pattern.clone()),
+        };
+        ParseError { at: fail.at + self.base, expected }
+    }
+}
+
+/// A failure inside the walk: a position and what was wanted there, with
+/// nothing allocated or formatted. Most failures are expected — a
+/// repetition ends, an alternative does not apply — and are dropped.
+#[derive(Clone, Copy)]
+struct Fail<'a> {
+    /// Offset in the parser's text.
+    at: Pos,
+    want: Want<'a>,
+}
+
+#[derive(Clone, Copy)]
+enum Want<'a> {
+    EndOf(SymbolId),
+    AlternativeOf(SymbolId),
+    Literal(&'a str),
+    Token(SymbolId, &'a TokenPattern),
+}
+
+/// One parse: the recursive descent proper. Positions are offsets in the
+/// parser's text; the sink receives them moved by `base`.
+struct Walk<'p, 'a, S> {
+    grammar: &'a Grammar,
+    text: &'a [u8],
+    base: Pos,
+    skip_ws: bool,
+    sink: &'p mut S,
+    /// Nodes recognized so far (rolled back with the sink).
+    nodes: u64,
+}
+
+impl<'a, S: Sink> Walk<'_, 'a, S> {
+    fn mark(&self) -> (S::Mark, u64) {
+        (self.sink.mark(), self.nodes)
+    }
+
+    fn rollback(&mut self, (mark, nodes): (S::Mark, u64)) {
+        self.sink.rollback(mark);
+        self.nodes = nodes;
+    }
+
+    fn leave(&mut self, symbol: SymbolId, start: Pos, end: Pos) {
+        self.nodes += 1;
+        self.sink.leave(symbol, start + self.base..end + self.base);
     }
 
     fn skip_ws(&self, mut at: Pos, limit: Pos) -> Pos {
-        if !self.grammar.skips_whitespace() {
+        if !self.skip_ws {
             return at;
         }
-        let bytes = self.text.as_bytes();
-        while at < limit && (bytes[at as usize] as char).is_ascii_whitespace() {
+        while at < limit && self.text[at as usize].is_ascii_whitespace() {
             at += 1;
         }
         at
     }
 
-    /// Parses `symbol` starting at `at`, not reading past `limit`.
-    /// Returns the node and the position after it.
-    fn parse_at(
-        &self,
-        symbol: SymbolId,
-        at: Pos,
-        limit: Pos,
-    ) -> Result<(ParseNode, Pos), ParseError> {
-        let rule = self.grammar.rule(symbol);
-        match &rule.body {
-            RuleBody::Token(p) => self.parse_token(symbol, p, at, limit),
+    /// Parses `symbol` starting at `at`, not reading past `limit`, and
+    /// returns the position after it (which is where its span ends).
+    fn node(&mut self, symbol: SymbolId, at: Pos, limit: Pos) -> Result<Pos, Fail<'a>> {
+        let grammar = self.grammar;
+        match &grammar.rule(symbol).body {
+            RuleBody::Token(p) => {
+                let (start, end) = self.token(symbol, p, at, limit)?;
+                self.sink.enter(symbol);
+                self.leave(symbol, start, end);
+                Ok(end)
+            }
             RuleBody::Seq(terms) => {
                 let start = self.skip_ws(at, limit);
+                self.sink.enter(symbol);
                 let mut cur = start;
-                let mut children = Vec::with_capacity(
-                    terms.iter().filter(|t| matches!(t, Term::NonTerm(_))).count(),
-                );
                 for term in terms {
                     cur = self.skip_ws(cur, limit);
-                    match term {
-                        Term::Lit(l) => {
-                            cur = self.expect_lit(l, cur, limit)?;
-                        }
-                        Term::NonTerm(s) => {
-                            let (child, next) = self.parse_at(*s, cur, limit)?;
-                            children.push(child);
-                            cur = next;
-                        }
-                    }
+                    cur = match term {
+                        Term::Lit(l) => self.expect_lit(l, cur, limit)?,
+                        Term::NonTerm(s) => self.node(*s, cur, limit)?,
+                    };
                 }
-                let span = start..cur;
-                Ok((ParseNode { symbol, span, children }, cur))
+                self.leave(symbol, start, cur);
+                Ok(cur)
             }
             RuleBody::Repeat { item, sep, open, close } => {
                 let start = self.skip_ws(at, limit);
+                self.sink.enter(symbol);
                 let mut cur = start;
                 if let Some(open) = open {
                     cur = self.expect_lit(open, cur, limit)?;
                 }
-                let mut children = Vec::new();
-                let mut end = cur;
+                let mut first = true;
                 loop {
-                    let probe = if children.is_empty() {
-                        cur
-                    } else if let Some(sep) = sep {
-                        // Separators are matched exactly, at the raw position
-                        // after the previous item (they often carry their own
-                        // surrounding whitespace, e.g. `" and "`). A missing
-                        // separator ends every repetition, so probing for it
-                        // builds no error.
-                        match self.match_lit(sep, cur, limit) {
+                    let probe = match sep {
+                        // Separators are matched exactly, at the raw
+                        // position after the previous item (they often
+                        // carry their own surrounding whitespace, e.g.
+                        // `" and "`). A missing separator ends every
+                        // repetition.
+                        Some(sep) if !first => match self.match_lit(sep, cur, limit) {
                             Some(p) => p,
                             None => break,
-                        }
-                    } else {
-                        cur
+                        },
+                        _ => cur,
                     };
-                    match self.parse_at(*item, probe, limit) {
-                        Ok((child, next)) => {
-                            end = child.span.end;
-                            children.push(child);
-                            cur = next;
+                    let mark = self.mark();
+                    match self.node(*item, probe, limit) {
+                        Ok(next) => cur = next,
+                        Err(_) => {
+                            self.rollback(mark);
+                            break;
                         }
-                        Err(_) => break,
                     }
+                    first = false;
                 }
                 if let Some(close) = close {
                     let ws = self.skip_ws(cur, limit);
                     cur = self.expect_lit(close, ws, limit)?;
-                    end = cur;
                 }
                 // Without delimiters, an empty repetition derives the empty
-                // string at `start`; with them the span covers the brackets.
-                let span = if open.is_some() || close.is_some() {
-                    start..cur
-                } else {
-                    start..end.max(start)
-                };
-                Ok((ParseNode { symbol, span, children }, cur))
+                // string at `start`; with them the span covers the
+                // brackets.
+                self.leave(symbol, start, cur);
+                Ok(cur)
             }
             RuleBody::Choice(alts) => {
-                let mut furthest: Option<ParseError> = None;
+                // The choice node covers its alternative's span, which
+                // starts past any whitespace whatever the alternative.
+                let start = self.skip_ws(at, limit);
+                self.sink.enter(symbol);
+                let mut furthest: Option<Fail<'a>> = None;
                 for alt in alts {
-                    match self.parse_at(*alt, at, limit) {
-                        Ok((child, next)) => {
-                            let span = child.span.clone();
-                            return Ok((ParseNode { symbol, span, children: vec![child] }, next));
+                    let mark = self.mark();
+                    match self.node(*alt, at, limit) {
+                        Ok(next) => {
+                            self.leave(symbol, start, next);
+                            return Ok(next);
                         }
                         Err(e) => {
-                            if furthest.as_ref().is_none_or(|f| e.at > f.at) {
+                            self.rollback(mark);
+                            if furthest.is_none_or(|f| e.at > f.at) {
                                 furthest = Some(e);
                             }
                         }
                     }
                 }
-                Err(furthest.unwrap_or(ParseError {
-                    at,
-                    expected: format!("one alternative of {}", self.grammar.name(symbol)),
-                }))
+                Err(furthest.unwrap_or(Fail { at, want: Want::AlternativeOf(symbol) }))
             }
         }
     }
 
-    fn expect_lit(&self, lit: &str, at: Pos, limit: Pos) -> Result<Pos, ParseError> {
-        self.match_lit(lit, at, limit)
-            .ok_or_else(|| ParseError { at, expected: format!("literal {lit:?}") })
+    fn expect_lit(&self, lit: &'a str, at: Pos, limit: Pos) -> Result<Pos, Fail<'a>> {
+        self.match_lit(lit, at, limit).ok_or(Fail { at, want: Want::Literal(lit) })
     }
 
     /// The position after `lit` if the text at `at` starts with it.
     fn match_lit(&self, lit: &str, at: Pos, limit: Pos) -> Option<Pos> {
         let end = at as usize + lit.len();
-        (end <= limit as usize && &self.text.as_bytes()[at as usize..end] == lit.as_bytes())
+        (end <= limit as usize && &self.text[at as usize..end] == lit.as_bytes())
             .then_some(end as Pos)
     }
 
-    fn parse_token(
+    /// The trimmed span of a `pattern` token at `at`.
+    fn token(
         &self,
         symbol: SymbolId,
-        pattern: &TokenPattern,
+        pattern: &'a TokenPattern,
         at: Pos,
         limit: Pos,
-    ) -> Result<(ParseNode, Pos), ParseError> {
+    ) -> Result<(Pos, Pos), Fail<'a>> {
         let start = self.skip_ws(at, limit);
-        let bytes = self.text.as_bytes();
+        let bytes = self.text;
         let s = start as usize;
         let lim = limit as usize;
         let is_word = |c: u8| c.is_ascii_alphanumeric() || c == b'_' || c == b'\'' || c == b'-';
@@ -291,7 +577,7 @@ impl<'a> Parser<'a> {
                     e += 1;
                 }
                 // Trim trailing whitespace out of the token span.
-                while e > s && (bytes[e - 1] as char).is_ascii_whitespace() {
+                while e > s && bytes[e - 1].is_ascii_whitespace() {
                     e -= 1;
                 }
                 e
@@ -305,12 +591,9 @@ impl<'a> Parser<'a> {
             }
         };
         if end == s {
-            return Err(ParseError {
-                at: start,
-                expected: format!("{} token ({pattern:?})", self.grammar.name(symbol)),
-            });
+            return Err(Fail { at: start, want: Want::Token(symbol, pattern) });
         }
-        Ok((ParseNode { symbol, span: start..end as Pos, children: Vec::new() }, end as Pos))
+        Ok((start, end as Pos))
     }
 }
 
@@ -466,5 +749,97 @@ mod tests {
         let mut names = Vec::new();
         tree.walk(&mut |n| names.push(g.name(n.symbol).to_owned()));
         assert_eq!(names, ["S", "Item", "Word", "Item", "Word"]);
+    }
+
+    /// `S → Item*`, `Item → Long | Short`; `Long` fails after its `Word`.
+    fn backtracking_grammar() -> Grammar {
+        Grammar::builder("S")
+            .repeat("S", "Item", None, ValueBuilder::Set)
+            .choice("Item", &["Long", "Short"], ValueBuilder::Child)
+            .seq("Long", [lit("("), nt("Word"), lit("!"), lit(")")], ValueBuilder::TupleAuto)
+            .seq("Short", [lit("("), nt("Word"), lit(")")], ValueBuilder::TupleAuto)
+            .token("Word", TokenPattern::Word, ValueBuilder::Atom)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn failed_alternatives_leave_no_events() {
+        let g = backtracking_grammar();
+        let text = "(a) (b!)";
+        let mut tape = Tape::new();
+        let p = Parser::new(&g, text);
+        p.parse_into(g.root(), 0..text.len() as Pos, &mut tape).unwrap();
+        let tree = p.parse_root(0..text.len() as Pos).unwrap();
+        let mut replayed = Tape::new();
+        tree.replay(&mut replayed);
+        assert_eq!(format!("{tape:?}"), format!("{replayed:?}"), "the tape holds the tree only");
+        assert_eq!(tree.node_count(), 7);
+        assert_eq!(p.stats().nodes_built, 2 * 7, "nodes of failed attempts are not counted");
+    }
+
+    #[test]
+    fn a_failed_parse_rolls_the_sink_back() {
+        let g = backtracking_grammar();
+        let text = "(a) (b";
+        let mut tape = Tape::new();
+        let p = Parser::new(&g, "(z)");
+        p.parse_into(g.root(), 0..3, &mut tape).unwrap();
+        let recorded = format!("{tape:?}");
+        let p = Parser::new(&g, text);
+        let err = p.parse_into(g.root(), 0..text.len() as Pos, &mut tape).unwrap_err();
+        assert_eq!(err.to_string(), "parse error at byte 4: expected end of S region");
+        assert_eq!(format!("{tape:?}"), recorded);
+        assert_eq!(p.stats(), ParseStats::default(), "failed parses count nothing");
+    }
+
+    #[test]
+    fn error_texts_are_formatted_on_display() {
+        let g = list_grammar();
+        let p = Parser::new(&g, "(alpha");
+        let item = g.symbol("Item").unwrap();
+        let err = p.parse_symbol(item, 0..6).unwrap_err();
+        assert_eq!(err.to_string(), r#"parse error at byte 6: expected literal ")""#);
+        assert_eq!(format!("{err:?}"), r#"ParseError { at: 6, expected: "literal \")\"" }"#);
+        let err = p.parse_symbol(item, 0..1).unwrap_err();
+        assert_eq!(err.to_string(), "parse error at byte 1: expected Word token (Word)");
+        let v = Grammar::builder("V").choice("V", &[], ValueBuilder::Child).build().unwrap();
+        let err = Parser::new(&v, "x").parse_root(0..1).unwrap_err();
+        assert_eq!(err.to_string(), "parse error at byte 0: expected one alternative of V");
+    }
+
+    #[test]
+    fn a_based_parser_reports_positions_in_the_larger_text() {
+        let g = list_grammar();
+        let whole = "(alpha) (beta)";
+        let file = "(beta)";
+        let base = 8;
+        let tree = Parser::new(&g, whole).parse_root(base..whole.len() as Pos).unwrap();
+        let p = Parser::with_base(&g, file, base);
+        assert_eq!(p.parse_root(base..base + file.len() as Pos).unwrap(), tree);
+        let item = g.symbol("Item").unwrap();
+        let err = p.parse_symbol(item, base..base + 3).unwrap_err();
+        assert_eq!(err.at, base + 3, "the word ends the span; `)` is missing");
+    }
+
+    #[test]
+    fn the_tape_replays_nested_nodes_outer_first() {
+        let g = Grammar::builder("T")
+            .seq("T", [lit("("), nt("Inner"), lit(")")], ValueBuilder::TupleAuto)
+            .choice("Inner", &["T", "Word"], ValueBuilder::Child)
+            .token("Word", TokenPattern::Word, ValueBuilder::Atom)
+            .build()
+            .unwrap();
+        let text = "((x))";
+        let mut tape = Tape::new();
+        Parser::new(&g, text).parse_into(g.root(), 0..5, &mut tape).unwrap();
+        let mut spans = Vec::new();
+        let mut sink = Tape::new();
+        tape.replay_each(g.root(), &mut sink, |t| {
+            let Some(Event::Leave(_, start, end)) = t.events.last() else { panic!("a node") };
+            spans.push((*start, *end));
+            t.clear();
+        });
+        assert_eq!(spans, [(0, 5), (1, 4)]);
     }
 }

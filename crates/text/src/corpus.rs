@@ -2,6 +2,7 @@
 //! space, mirroring how PAT indexes a whole file system as one logical text.
 
 use crate::{Pos, Span};
+use std::sync::Arc;
 
 /// Identifier of a file within a [`Corpus`] (its insertion index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -21,9 +22,13 @@ pub struct FileEntry {
 /// Files are separated by a single `\n` so that no token can straddle a file
 /// boundary. All higher layers (word index, region indices, parse trees)
 /// address the corpus through global byte offsets.
+///
+/// The text is shared ([`Corpus::shared_text`]): values parsed from the
+/// corpus hold string atoms that point into it rather than copies, and a
+/// clone of the corpus costs no copy of the text.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Corpus {
-    text: String,
+    text: Arc<String>,
     files: Vec<FileEntry>,
 }
 
@@ -56,7 +61,7 @@ impl CorpusBuilder {
 
     /// Finalizes the corpus.
     pub fn build(self) -> Corpus {
-        Corpus { text: self.text, files: self.files }
+        Corpus { text: Arc::new(self.text), files: self.files }
     }
 }
 
@@ -70,6 +75,12 @@ impl Corpus {
 
     /// The complete global text.
     pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The global text as a shared string, for values that keep pieces of
+    /// it (see [`Corpus`]).
+    pub fn shared_text(&self) -> &Arc<String> {
         &self.text
     }
 
@@ -130,20 +141,28 @@ impl Corpus {
             }
             prev_end = end;
         }
-        Ok(Corpus { text, files })
+        Ok(Corpus { text: Arc::new(text), files })
+    }
+
+    /// Where [`Corpus::push_file`] will place the next file's first byte.
+    pub fn next_file_start(&self) -> Pos {
+        self.len() + Pos::from(!self.files.is_empty())
     }
 
     /// Appends a file to the corpus (the incremental-indexing path), with
     /// the same separator convention as [`CorpusBuilder::add_file`].
     /// Returns the new file's id; its span starts past all existing text,
-    /// so existing offsets remain valid.
+    /// so existing offsets remain valid. The text grows in place unless
+    /// values still share it, in which case they keep the old text.
     pub fn push_file(&mut self, name: impl Into<String>, contents: &str) -> FileId {
+        let start = self.next_file_start();
+        let text = Arc::make_mut(&mut self.text);
         if !self.files.is_empty() {
-            self.text.push('\n');
+            text.push('\n');
         }
-        let start = self.text.len() as Pos;
-        self.text.push_str(contents);
-        let end = self.text.len() as Pos;
+        text.push_str(contents);
+        let end = text.len() as Pos;
+        debug_assert_eq!(end - contents.len() as Pos, start);
         let id = FileId(self.files.len() as u32);
         self.files.push(FileEntry { name: name.into(), span: start..end });
         id
@@ -198,10 +217,23 @@ mod tests {
     #[test]
     fn push_file_appends_with_separator() {
         let mut c = Corpus::from_text("aaa");
+        assert_eq!(c.next_file_start(), 4);
         let id = c.push_file("b", "bbb");
         assert_eq!(c.text(), "aaa\nbbb");
         assert_eq!(c.file(id).unwrap().span, 4..7);
         assert_eq!(c.file_of(5), Some(id));
+    }
+
+    #[test]
+    fn push_file_grows_the_text_in_place_unless_it_is_shared() {
+        let mut c = Corpus::from_text("aaa");
+        let before = Arc::as_ptr(c.shared_text());
+        c.push_file("b", "bbb");
+        assert_eq!(Arc::as_ptr(c.shared_text()), before, "no copy while unshared");
+        let held = Arc::clone(c.shared_text());
+        c.push_file("c", "ccc");
+        assert_eq!(held.as_str(), "aaa\nbbb", "a holder keeps the text it saw");
+        assert_eq!(c.text(), "aaa\nbbb\nccc");
     }
 
     #[test]
