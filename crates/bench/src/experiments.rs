@@ -17,7 +17,7 @@ use qof_core::{
 };
 use qof_corpus::{bibtex, logs};
 use qof_grammar::{render_tree, IndexSpec, Parser};
-use qof_pat::{direct_including, direct_including_layered, Engine, RegionExpr};
+use qof_pat::{direct_including_counted, direct_including_layered, Engine, RegionExpr};
 use qof_text::{Corpus, Tokenizer, WordIndex};
 
 use crate::report::{ExperimentReport, Measurement};
@@ -268,12 +268,14 @@ fn e2(scale: Scale, r: &mut Recorder) {
     println!("(query work only; index construction is the text system's offline service)");
 }
 
-/// E3: the cost of ⊃d vs ⊃ as nesting deepens (§3.1's layered program).
+/// E3: the cost of ⊃d vs ⊃ as nesting deepens (§3.1's layered program),
+/// over every heading and over one σ-selected heading, where the
+/// navigated forest kernel's work follows the selection.
 fn e3(scale: Scale, r: &mut Recorder) {
     banner("E3", "⊃ vs ⊃d (forest) vs ⊃d (paper's layered program) — §3.1");
     println!(
-        "{:>6} {:>9} | {:>10} {:>10} {:>12} | {:>8}",
-        "depth", "regions", "⊃", "⊃d fast", "⊃d layered", "d/plain"
+        "{:>6} {:>9} {:>6} | {:>10} {:>10} {:>12} | {:>8}",
+        "depth", "regions", "heads", "⊃", "⊃d fast", "⊃d layered", "d/plain"
     );
     for depth in scale.pick(vec![2, 4], vec![2, 4, 6, 8]) {
         let fdb = sgml_full(depth, 4);
@@ -281,33 +283,42 @@ fn e3(scale: Scale, r: &mut Recorder) {
         let heads = fdb.instance().get("Head").unwrap().clone();
         let universe = fdb.instance().universe();
         let forest = fdb.instance().forest();
-        let t_plain = median_secs(9, || {
-            let t = Instant::now();
-            std::hint::black_box(sections.including(&heads));
-            t.elapsed().as_secs_f64()
-        });
-        let t_fast = median_secs(9, || {
-            let t = Instant::now();
-            std::hint::black_box(direct_including(&sections, &heads, forest));
-            t.elapsed().as_secs_f64()
-        });
-        let t_layered = median_secs(9, || {
-            let t = Instant::now();
-            std::hint::black_box(direct_including_layered(&sections, &heads, &universe));
-            t.elapsed().as_secs_f64()
-        });
-        r.rec(format!("plain_secs_depth{depth}"), t_plain, "s");
-        r.rec(format!("forest_secs_depth{depth}"), t_fast, "s");
-        r.rec(format!("layered_secs_depth{depth}"), t_layered, "s");
-        println!(
-            "{:>6} {:>9} | {} {} {} | {:>7.1}x",
-            depth,
-            universe.len(),
-            fmt_secs(t_plain),
-            fmt_secs(t_fast),
-            fmt_secs(t_layered),
-            t_layered / t_plain.max(1e-12)
-        );
+        let middle = heads.as_slice()[heads.len() / 2];
+        let text = &fdb.corpus().text()[middle.start as usize..middle.end as usize];
+        let engine = Engine::new(fdb.corpus(), fdb.word_index(), fdb.instance());
+        let selected = engine.eval(&RegionExpr::name("Head").select_eq(text)).unwrap();
+        for (row, witnesses) in [("", &heads), ("sel_", &selected)] {
+            let t_plain = median_secs(9, || {
+                let t = Instant::now();
+                std::hint::black_box(sections.including(witnesses));
+                t.elapsed().as_secs_f64()
+            });
+            // Section is an indexed name, so the engine's kernel runs
+            // without the membership scan.
+            let t_fast = median_secs(9, || {
+                let t = Instant::now();
+                std::hint::black_box(direct_including_counted(&sections, witnesses, forest, true));
+                t.elapsed().as_secs_f64()
+            });
+            let t_layered = median_secs(9, || {
+                let t = Instant::now();
+                std::hint::black_box(direct_including_layered(&sections, witnesses, &universe));
+                t.elapsed().as_secs_f64()
+            });
+            r.rec(format!("plain_{row}secs_depth{depth}"), t_plain, "s");
+            r.rec(format!("forest_{row}secs_depth{depth}"), t_fast, "s");
+            r.rec(format!("layered_{row}secs_depth{depth}"), t_layered, "s");
+            println!(
+                "{:>6} {:>9} {:>6} | {} {} {} | {:>7.1}x",
+                depth,
+                universe.len(),
+                witnesses.len(),
+                fmt_secs(t_plain),
+                fmt_secs(t_fast),
+                fmt_secs(t_layered),
+                t_layered / t_plain.max(1e-12)
+            );
+        }
     }
     println!("(the layered program is the paper's evidence that ⊃d is the expensive operator)");
 }

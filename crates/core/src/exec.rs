@@ -377,9 +377,11 @@ impl FileDatabase {
     }
 
     /// Incrementally indexes another file: appends it to the corpus, parses
-    /// it, merges its regions and extends the word index. Existing offsets
-    /// stay valid (the new file's span lies past all previous text). The
-    /// RIGs depend only on the grammar and are unchanged.
+    /// it, appends its regions and extends the word index. Existing offsets
+    /// stay valid (the new file's span lies past all previous text), so a
+    /// nesting forest already built is extended in place rather than
+    /// dropped ([`Instance::append`]). The RIGs depend only on the grammar
+    /// and are unchanged.
     pub fn add_file(&mut self, name: impl Into<String>, contents: &str) -> Result<(), BuildError> {
         let name = name.into();
         // Parse the file on its own text, at the offset it will land on,
@@ -396,9 +398,7 @@ impl FileDatabase {
         };
         let id = self.corpus.push_file(name, contents);
         let span = self.corpus.file(id).expect("just pushed").span.clone();
-        for (rname, set) in file_instance.iter() {
-            self.instance.merge(rname, set.clone());
-        }
+        self.instance.append(&file_instance);
         // Incremental indexing mutates the in-memory index; a compressed
         // (`.qofx`-paged) backend materializes itself first and the
         // database runs in memory from here on.
@@ -799,8 +799,8 @@ impl FileDatabase {
         };
 
         // Phase 1: per-variable candidates through the index. Engine set-up
-        // belongs to it: the first query after the index changes builds the
-        // nesting forest here.
+        // is O(1); a `⊃d`, `⊂d` or `⊃^n` operator fetches the nesting forest,
+        // and the first one since build or open builds it inside its span.
         let phase_started = elapsed_nanos(origin);
         let engine = self.engine().with_trace(&sink);
         let mut candidates = self.eval_phase1(plan, &engine, &mut stats)?;
@@ -1431,14 +1431,73 @@ mod tests {
         assert!(db.plan_cache_stats().entries > 0);
     }
 
+    /// A corpus of `files` SGML documents with self-nested sections, and
+    /// the longest heading of a nested section in the first one: the
+    /// constant of a query whose plan keeps `⊃d`.
+    fn sgml_corpus(files: u64, top_sections: usize) -> (Corpus, String) {
+        use qof_corpus::sgml;
+        let mut b = qof_text::CorpusBuilder::new();
+        let mut head = String::new();
+        for seed in 0..files {
+            let cfg = sgml::SgmlConfig {
+                top_sections,
+                max_depth: 4,
+                subsections: (1, 3),
+                paragraphs: (1, 2),
+                para_words: 4,
+                seed,
+            };
+            let (text, truth) = sgml::generate(&cfg);
+            if seed == 0 {
+                let nested = truth.sections.iter().filter(|s| s.depth > 0);
+                head = nested.max_by_key(|s| s.head.len()).expect("a nested section").head.clone();
+            }
+            b.add_file(format!("d{seed}.sgml"), &text);
+        }
+        (b.build(), head)
+    }
+
+    fn nested_head_query(head: &str) -> String {
+        format!("SELECT s FROM Sections s WHERE s.Subsections.Section.Head = \"{head}\"")
+    }
+
     #[test]
     fn queries_share_one_forest_per_index() {
         let db = FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), IndexSpec::full())
             .unwrap();
-        db.query(QUERIES[0]).unwrap();
+        for q in QUERIES {
+            db.query(q).unwrap();
+        }
+        assert!(!db.instance().has_forest(), "lookups without ⊃d built the forest");
+        let (corpus, head) = sgml_corpus(2, 4);
+        let db =
+            FileDatabase::build(corpus, qof_corpus::sgml::schema(), IndexSpec::full()).unwrap();
+        let q = nested_head_query(&head);
+        assert!(!db.query(&q).unwrap().values.is_empty());
+        assert!(db.instance().has_forest(), "⊃d fetches the forest");
         let first: *const UniverseForest = db.instance().forest();
-        db.query(QUERIES[1]).unwrap();
+        db.query(&q).unwrap();
         assert!(std::ptr::eq(first, db.instance().forest()), "the second query rebuilt the forest");
+    }
+
+    /// The index work of a selective `⊃d` chain follows its matches: eight
+    /// times the sections, none of them matching, charge the same regions.
+    #[test]
+    fn selective_direct_inclusion_work_does_not_grow_with_the_corpus() {
+        let run = |files| {
+            let (corpus, head) = sgml_corpus(files, 12);
+            let db =
+                FileDatabase::build(corpus, qof_corpus::sgml::schema(), IndexSpec::full()).unwrap();
+            let result = db.query(&nested_head_query(&head)).unwrap();
+            (result, db.instance().get("Section").unwrap().len())
+        };
+        let ((a, sections_a), (b, sections_b)) = (run(1), run(8));
+        assert!(sections_b >= 8 * sections_a * 3 / 4, "{sections_a} → {sections_b} sections");
+        assert!(!a.values.is_empty());
+        assert_eq!(a.values, b.values);
+        assert!(a.stats.eval.ops("⊃d") > 0);
+        let (ra, rb) = (a.stats.eval.regions_consumed, b.stats.eval.regions_consumed);
+        assert_eq!(ra, rb, "regions consumed grew from {ra} to {rb} with the corpus");
     }
 
     #[test]
@@ -1481,7 +1540,7 @@ mod tests {
     }
 
     #[test]
-    fn add_file_rebuilds_the_forest_of_the_grown_index() {
+    fn add_file_extends_a_built_forest_to_the_fresh_build() {
         let (text, _) = bibtex::generate(&BibtexConfig {
             n_refs: 10,
             seed: 77,
@@ -1492,12 +1551,14 @@ mod tests {
         for spec in [IndexSpec::full(), partial] {
             let mut db =
                 FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), spec).unwrap();
-            // Build the forest before the write, so a stale cache would show.
-            db.query(QUERIES[0]).unwrap();
+            // Build the forest before the write, so the write extends it.
+            db.instance().forest();
             db.add_file("late.bib", &text).unwrap();
+            assert!(db.instance().has_forest(), "add_file dropped the forest");
             let fresh = UniverseForest::build(&db.instance().universe());
             let cached = db.instance().forest();
             assert_eq!(cached.regions(), fresh.regions());
+            assert_eq!(cached.is_properly_nested(), fresh.is_properly_nested());
             for i in 0..fresh.len() {
                 assert_eq!(cached.parent_of(i), fresh.parent_of(i), "parent of region {i}");
             }
@@ -1505,11 +1566,25 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_add_file_leaves_a_built_forest_unchanged() {
+        let mut db =
+            FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), IndexSpec::full())
+                .unwrap();
+        let (text, _) = bibtex::generate(&BibtexConfig { n_refs: 10, ..Default::default() });
+        let built: *const UniverseForest = db.instance().forest();
+        let regions = db.instance().forest().regions().to_vec();
+        db.add_file("broken.bib", &text[..text.len() / 2]).unwrap_err();
+        assert!(std::ptr::eq(built, db.instance().forest()), "the forest was rebuilt");
+        assert_eq!(db.instance().forest().regions(), regions);
+    }
+
+    #[test]
     fn direct_inclusion_after_add_file_matches_a_fresh_build() {
         let mut db =
             FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), IndexSpec::full())
                 .unwrap();
-        db.query(QUERIES[0]).unwrap();
+        // A forest built before the write is extended by it.
+        db.instance().forest();
         let (text, _) = bibtex::generate(&BibtexConfig {
             n_refs: 10,
             seed: 77,

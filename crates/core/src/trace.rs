@@ -90,8 +90,10 @@ pub struct CardEstimate {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTrace {
     /// Phase name (`parse`, `plan`, `index-candidates`, `content-join`,
-    /// `parse-filter`, `projection`). `index-candidates` includes engine
-    /// set-up.
+    /// `parse-filter`, `projection`). `index-candidates` includes the
+    /// O(1) engine set-up and, on the first `⊃d`, `⊂d` or `⊃^n` query
+    /// since the index was built or opened, the nesting-forest build
+    /// inside that operator's span.
     pub name: &'static str,
     /// Start offset on the query's timeline, nanoseconds since the query
     /// began (schema v5). Phases are timed back-to-back against one

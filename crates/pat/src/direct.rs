@@ -4,10 +4,13 @@
 //!
 //! Three implementations are provided:
 //!
-//! * [`direct_including`] — the production path: `O((|R|+|S|+|U|) log)` using
-//!   the universe nesting forest; falls back to the brute-force oracle when
-//!   the universe is not properly nested or the operands contain extents
-//!   outside the universe.
+//! * [`direct_including`] — the production path: it navigates the universe
+//!   nesting forest from the operand that holds the witnesses, in
+//!   `O(|S| · (log |U| + steps) + |S| · log |R|)`; it falls back to the
+//!   brute-force oracle when the universe is not properly nested or the
+//!   other operand contains extents outside the universe. The `_counted`
+//!   forms take that operand's membership as a known bit and return the
+//!   regions read.
 //! * [`direct_including_layered`] — the paper's while-loop program, verbatim
 //!   (modulo the strictness of the betweenness test, which the formal
 //!   definition requires): it iterates over nested layers of `R`, using only
@@ -21,64 +24,82 @@ use crate::{Region, RegionSet, UniverseForest};
 
 /// `R ⊃d S` relative to the indexed universe described by `forest`.
 pub fn direct_including(r: &RegionSet, s: &RegionSet, forest: &UniverseForest) -> RegionSet {
-    if !forest.is_properly_nested() || !forest.covers(r) {
-        let universe = RegionSet::from_regions(forest.regions().to_vec());
-        return direct_including_naive(r, s, &universe);
+    direct_including_counted(r, s, forest, forest.covers(r)).0
+}
+
+/// [`direct_including`] for a caller that knows whether every member of
+/// `r` has its extents in the universe (`r_indexed`), plus the regions
+/// read: enclosure probes and parent steps, and the `∩` with `r`.
+pub fn direct_including_counted(
+    r: &RegionSet,
+    s: &RegionSet,
+    forest: &UniverseForest,
+    r_indexed: bool,
+) -> (RegionSet, usize) {
+    if !forest.is_properly_nested() || !r_indexed {
+        return naive_fallback(r, s, forest, direct_including_naive);
     }
     // r ⊇d s  ⇔  r ⊇ s ∧ ¬(p(s) ⊊ r), where p(s) is the deepest strict
     // indexed enclosure of s. For r with extents in the universe this means
-    // extents(r) == extents(s) or extents(r) == p(s); when p(s) does not
-    // exist, any r ⊇ s qualifies.
-    let enclosures = forest.strict_enclosures(s);
+    // extents(r) == extents(s) or extents(r) == p(s): every other indexed
+    // region strictly including s also includes p(s).
+    let (enclosures, mut read) = forest.strict_enclosures(s);
     let mut targets: Vec<Region> = Vec::with_capacity(s.len() * 2);
-    let mut unparented: Vec<Region> = Vec::new();
-    for (sr, p) in s.iter().zip(&enclosures) {
+    for (sr, p) in s.iter().zip(enclosures) {
         targets.push(*sr);
-        match p {
-            Some(p) => targets.push(*p),
-            None => unparented.push(*sr),
-        }
+        targets.extend(p.map(|p| forest.regions()[p]));
     }
-    let targets = RegionSet::from_regions(targets);
-    let mut out = r.intersect(&targets);
-    if !unparented.is_empty() {
-        out = out.union(&r.including(&RegionSet::from_regions(unparented)));
-    }
-    out
+    let (out, intersected) = r.intersect_counted(&RegionSet::from_regions(targets));
+    read += intersected;
+    (out, read)
 }
 
 /// `R ⊂d S` relative to the indexed universe described by `forest`.
 pub fn direct_included_in(r: &RegionSet, s: &RegionSet, forest: &UniverseForest) -> RegionSet {
-    if !forest.is_properly_nested() || !forest.covers(s) {
-        let universe = RegionSet::from_regions(forest.regions().to_vec());
-        return direct_included_in_naive(r, s, &universe);
+    direct_included_in_counted(r, s, forest, forest.covers(s)).0
+}
+
+/// [`direct_included_in`] for a caller that knows whether every member of
+/// `s` has its extents in the universe (`s_indexed`), plus the regions
+/// read: enclosure probes and parent steps, and one membership probe of
+/// `s` per tested region.
+pub fn direct_included_in_counted(
+    r: &RegionSet,
+    s: &RegionSet,
+    forest: &UniverseForest,
+    s_indexed: bool,
+) -> (RegionSet, usize) {
+    if !forest.is_properly_nested() || !s_indexed {
+        return naive_fallback(r, s, forest, direct_included_in_naive);
     }
-    // x ⊂d S ⇔ ∃s ∈ S: s ⊇ x ∧ ¬(p(x) ⊊ s) ⇔ x ∈ S, or p(x) ∈ S, or
-    // (p(x) = None ∧ ∃s ⊇ x).
-    let enclosures = forest.strict_enclosures(r);
+    // x ⊂d S ⇔ ∃s ∈ S: s ⊇ x ∧ ¬(p(x) ⊊ s) ⇔ x ∈ S or p(x) ∈ S, since S
+    // holds indexed extents only.
+    let (enclosures, mut read) = forest.strict_enclosures(r);
     let mut hits: Vec<Region> = Vec::new();
-    let mut unparented: Vec<Region> = Vec::new();
-    for (x, p) in r.iter().zip(&enclosures) {
-        match p {
-            Some(p) => {
-                if s.contains(x) || s.contains(p) {
-                    hits.push(*x);
-                }
-            }
-            None => {
-                if s.contains(x) {
-                    hits.push(*x);
-                } else {
-                    unparented.push(*x);
-                }
-            }
+    for (x, p) in r.iter().zip(enclosures) {
+        read += 1;
+        let hit = s.contains(x)
+            || p.is_some_and(|p| {
+                read += 1;
+                s.contains(&forest.regions()[p])
+            });
+        if hit {
+            hits.push(*x);
         }
     }
-    let mut out = RegionSet::from_regions(hits);
-    if !unparented.is_empty() {
-        out = out.union(&RegionSet::from_regions(unparented).included_in(s));
-    }
-    out
+    (RegionSet::from_sorted(hits), read)
+}
+
+/// The oracle over the forest's universe, for operands the forest cannot
+/// answer; it reads the universe once and every `(r, s)` pair.
+fn naive_fallback(
+    r: &RegionSet,
+    s: &RegionSet,
+    forest: &UniverseForest,
+    naive: fn(&RegionSet, &RegionSet, &RegionSet) -> RegionSet,
+) -> (RegionSet, usize) {
+    let universe = RegionSet::from_sorted(forest.regions().to_vec());
+    (naive(r, s, &universe), forest.len() + r.len() * s.len())
 }
 
 /// The paper's layered while-program for `R ⊃d S` (§3.1), using only the

@@ -11,8 +11,8 @@ use std::rc::Rc;
 use qof_text::{Corpus, Pos, WordLookup};
 
 use crate::{
-    direct_included_in, direct_including, CacheSource, EvalStats, Instance, OpTrace, Region,
-    RegionExpr, RegionSet, TraceSink, UniverseForest,
+    direct_included_in_counted, direct_including_counted, CacheSource, EvalStats, Instance,
+    OpTrace, Region, RegionExpr, RegionSet, TraceSink, UniverseForest,
 };
 
 /// Errors raised during evaluation.
@@ -38,10 +38,15 @@ impl std::error::Error for EvalError {}
 /// records that no member includes another ([`RegionSet::is_flat`]), known
 /// without a scan: indexed names carry the instance's bit, and an operator
 /// whose output is a subset of its left operand passes that bit on.
+/// `indexed` records that every member has its extents in the universe,
+/// so the direct-inclusion kernels skip their membership scan: true for
+/// names, kept by those same subset operators and by `∪` of two indexed
+/// operands.
 #[derive(Clone)]
 struct Operand<'a> {
     set: Shared<'a>,
     flat: bool,
+    indexed: bool,
 }
 
 #[derive(Clone)]
@@ -62,8 +67,8 @@ impl Deref for Operand<'_> {
 }
 
 impl Operand<'_> {
-    fn computed(set: RegionSet, flat: bool) -> Self {
-        Operand { set: Shared::Computed(Rc::new(set)), flat }
+    fn computed(set: RegionSet, flat: bool, indexed: bool) -> Self {
+        Operand { set: Shared::Computed(Rc::new(set)), flat, indexed }
     }
 
     /// The owned set; copies only an indexed set or one still shared.
@@ -89,7 +94,6 @@ pub struct Engine<'a> {
     corpus: &'a Corpus,
     words: &'a dyn WordLookup,
     instance: &'a Instance,
-    forest: &'a UniverseForest,
     stats: RefCell<EvalStats>,
     share: std::cell::Cell<bool>,
     /// Operator trace sink. Every `FileDatabase` query attaches one; an
@@ -98,15 +102,15 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds an engine over `instance`'s shared nesting forest
-    /// ([`Instance::forest`]), which is built only if no earlier engine or
-    /// caller has needed it since the instance last changed.
+    /// Builds an engine over `instance` in O(1). The engine holds no
+    /// nesting forest: `⊃d`, `⊂d` and `⊃^n` fetch the instance's shared one
+    /// ([`Instance::forest`]) when they run, so only a query with such an
+    /// operator can pay for building it.
     pub fn new(corpus: &'a Corpus, words: &'a dyn WordLookup, instance: &'a Instance) -> Self {
         Self {
             corpus,
             words,
             instance,
-            forest: instance.forest(),
             stats: RefCell::new(EvalStats::new()),
             share: std::cell::Cell::new(true),
             trace: None,
@@ -132,9 +136,10 @@ impl<'a> Engine<'a> {
         self.instance
     }
 
-    /// The universe nesting forest.
-    pub fn forest(&self) -> &UniverseForest {
-        self.forest
+    /// The instance's universe nesting forest, built here if no caller has
+    /// needed it since the instance last changed.
+    pub fn forest(&self) -> &'a UniverseForest {
+        self.instance.forest()
     }
 
     /// Accumulated statistics since construction or the last reset.
@@ -212,7 +217,7 @@ impl<'a> Engine<'a> {
                     ..OpTrace::default()
                 });
             }
-            memo.insert(leaf, Operand::computed(inside, self.instance.is_flat(name)));
+            memo.insert(leaf, Operand::computed(inside, self.instance.is_flat(name), true));
         }
         let out = self.eval_memo(expr, &mut memo)?;
         drop(memo);
@@ -384,132 +389,141 @@ impl<'a> Engine<'a> {
             self.stats.borrow_mut().record_op(op, consumed, out.len());
         };
         // Operators whose output is a subset of their left operand keep its
-        // flatness; `ι` and `ω` outputs are flat by definition.
-        let (out, flat) = match expr {
+        // flatness and indexedness; `ι` and `ω` outputs are flat by
+        // definition.
+        let (out, flat, indexed) = match expr {
             Name(n) => {
                 let s = self.name_set(n)?;
                 record("name", 0, s);
-                return Ok(Operand { set: Shared::Indexed(s), flat: self.instance.is_flat(n) });
+                let flat = self.instance.is_flat(n);
+                return Ok(Operand { set: Shared::Indexed(s), flat, indexed: true });
             }
             Word(w) => {
                 let s = self.word_spans(w);
                 record("word", 0, &s);
                 // Distinct occurrences of one constant share its length.
-                (s, true)
+                (s, true, false)
             }
             Prefix(p) => {
                 let s = self.prefix_spans(p);
                 record("prefix", 0, &s);
-                (s, false)
+                (s, false, false)
             }
             Union(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
                 let out = x.union(&y);
                 record("∪", x.len() + y.len(), &out);
-                (out, false)
+                (out, false, x.indexed && y.indexed)
             }
             Intersect(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
                 let (out, read) = x.intersect_counted(&y);
                 record("∩", read, &out);
-                (out, x.flat || y.flat)
+                (out, x.flat || y.flat, x.indexed || y.indexed)
             }
             Difference(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
                 let (out, read) = x.difference_counted(&y);
                 record("−", read, &out);
-                (out, x.flat)
+                (out, x.flat, x.indexed)
             }
             SelectEq(e, w) => {
                 let x = self.eval_memo(e, cache)?;
                 let occ = self.word_spans(w);
                 let (out, read) = x.intersect_counted(&occ);
                 record("σ", read, &out);
-                (out, true)
+                (out, true, x.indexed)
             }
             SelectContains(e, w) => {
                 let x = self.eval_memo(e, cache)?;
                 let occ = self.word_spans(w);
                 let (out, read) = x.including_counted(&occ, x.flat, false);
                 record("σ∋", read, &out);
-                (out, x.flat)
+                (out, x.flat, x.indexed)
             }
             Innermost(e) => {
                 let x = self.eval_memo(e, cache)?;
                 let out = x.innermost();
                 record("ι", x.len(), &out);
-                (out, true)
+                (out, true, x.indexed)
             }
             Outermost(e) => {
                 let x = self.eval_memo(e, cache)?;
                 let out = x.outermost();
                 record("ω", x.len(), &out);
-                (out, true)
+                (out, true, x.indexed)
             }
             Including(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
                 let (out, read) = x.including_counted(&y, x.flat, false);
                 record("⊃", read, &out);
-                (out, x.flat)
+                (out, x.flat, x.indexed)
             }
             IncludedIn(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
                 let (out, read) = x.included_in_counted(&y, y.flat, false);
                 record("⊂", read, &out);
-                (out, x.flat)
+                (out, x.flat, x.indexed)
             }
             DirectIncluding(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
-                let out = direct_including(&x, &y, self.forest);
-                // ⊃d consults the whole universe, which is what makes it
-                // "significantly more expensive than the simple inclusion".
-                record("⊃d", x.len() + y.len() + self.forest.len(), &out);
-                (out, x.flat)
+                let (out, read) = direct_including_counted(&x, &y, self.forest(), x.indexed);
+                record("⊃d", read, &out);
+                (out, x.flat, x.indexed)
             }
             DirectIncludedIn(a, b) => {
                 let (x, y) = (self.eval_memo(a, cache)?, self.eval_memo(b, cache)?);
-                let out = direct_included_in(&x, &y, self.forest);
-                record("⊂d", x.len() + y.len() + self.forest.len(), &out);
-                (out, x.flat)
+                let (out, read) = direct_included_in_counted(&x, &y, self.forest(), y.indexed);
+                record("⊂d", read, &out);
+                (out, x.flat, x.indexed)
             }
             NestedExactly { outer, inner, depth } => {
                 let (x, y) = (self.eval_memo(outer, cache)?, self.eval_memo(inner, cache)?);
-                let out = self.nested_exactly(&x, &y, *depth);
-                record("⊃^n", x.len() + y.len(), &out);
-                (out, x.flat)
+                let (out, read) = self.nested_exactly(&x, &y, *depth);
+                record("⊃^n", read, &out);
+                (out, x.flat, x.indexed)
             }
             Near { left, right, gap } => {
                 let (x, y) = (self.eval_memo(left, cache)?, self.eval_memo(right, cache)?);
                 let out = near(&x, &y, *gap);
                 record("near", x.len() + y.len(), &out);
-                (out, false)
+                (out, false, false)
             }
             SelectCountAtLeast(e, w, n) => {
                 let x = self.eval_memo(e, cache)?;
                 let occ = self.word_spans(w);
                 let out = count_at_least(&x, &occ, *n);
                 record("σ≥n", x.len() + occ.len(), &out);
-                (out, x.flat)
+                (out, x.flat, x.indexed)
             }
         };
-        Ok(Operand::computed(out, flat))
+        Ok(Operand::computed(out, flat, indexed))
     }
 
     /// Members of `outer` that include a member of `inner` with exactly
-    /// `depth` indexed regions strictly in between. Exact when `outer`'s
-    /// extents are indexed (always true for translated queries).
-    fn nested_exactly(&self, outer: &RegionSet, inner: &RegionSet, depth: u32) -> RegionSet {
-        let enclosures = self.forest.strict_enclosures(inner);
-        let mut candidates: Vec<Region> = Vec::new();
-        for p in enclosures.into_iter().flatten() {
-            // Walk `depth` more strict enclosures up from the first one.
-            if let Some(pi) = self.forest.find(&p) {
-                if let Some(anc) = self.forest.ancestor_at(pi, depth) {
-                    candidates.push(self.forest.regions()[anc]);
-                }
-            }
-        }
-        outer.intersect(&RegionSet::from_regions(candidates))
+    /// `depth` indexed regions strictly in between, plus the regions read
+    /// (enclosure probes, parent steps and the `∩` with `outer`). Exact
+    /// when `outer`'s extents are indexed (always true for translated
+    /// queries).
+    fn nested_exactly(
+        &self,
+        outer: &RegionSet,
+        inner: &RegionSet,
+        depth: u32,
+    ) -> (RegionSet, usize) {
+        let forest = self.forest();
+        let (enclosures, mut read) = forest.strict_enclosures(inner);
+        // Walk `depth` more strict enclosures up from the first one.
+        let candidates: Vec<Region> = enclosures
+            .into_iter()
+            .flatten()
+            .filter_map(|p| {
+                read += depth as usize;
+                forest.ancestor_at(p, depth).map(|anc| forest.regions()[anc])
+            })
+            .collect();
+        let (out, intersected) = outer.intersect_counted(&RegionSet::from_regions(candidates));
+        (out, read + intersected)
     }
 }
 
@@ -615,6 +629,7 @@ fn count_at_least(set: &RegionSet, occurrences: &RegionSet, n: u32) -> RegionSet
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{direct_included_in_naive, direct_including_naive};
     use qof_text::{Tokenizer, WordIndex};
 
     /// A miniature BibTeX-like corpus with a hand-built instance:
@@ -658,6 +673,48 @@ mod tests {
         let b = Engine::new(&c, &w, &i);
         assert!(std::ptr::eq(a.forest(), b.forest()));
         assert!(std::ptr::eq(a.forest(), i.forest()));
+    }
+
+    #[test]
+    fn only_forest_operators_build_the_forest() {
+        let (c, w, i) = fixture();
+        let eng = Engine::new(&c, &w, &i);
+        let authors = || RegionExpr::name("Authors");
+        eng.eval(&RegionExpr::name("Reference").including(authors())).unwrap();
+        assert!(!i.has_forest(), "set-up and ⊃ need no forest");
+        eng.eval(&RegionExpr::name("Reference").direct_including(authors())).unwrap();
+        assert!(i.has_forest());
+    }
+
+    #[test]
+    fn direct_inclusion_answers_for_unindexed_operands_too() {
+        // A phrase span is no indexed extent: the kernels must not take it
+        // for a universe member (its `indexed` bit stays false). It
+        // directly includes the author Corliss, but the editor Corliss only
+        // through Editors.
+        let (c, w, i) = fixture();
+        let eng = Engine::new(&c, &w, &i);
+        let universe = i.universe();
+        let last = || RegionExpr::name("Last_Name");
+        let phrase = || RegionExpr::word("EDITOR = Corliss AUTHOR = Corliss");
+        let either = || RegionExpr::name("Authors").union(RegionExpr::name("Editors"));
+        let mixed = || either().union(phrase());
+        for (r, s) in [(either(), last()), (phrase(), last()), (mixed(), last())] {
+            let want =
+                direct_including_naive(&eng.eval(&r).unwrap(), &eng.eval(&s).unwrap(), &universe);
+            assert_eq!(eng.eval(&r.clone().direct_including(s)).unwrap(), want, "{r:?} ⊃d");
+        }
+        for (r, s) in [(last(), either()), (last(), phrase()), (last(), mixed())] {
+            let want =
+                direct_included_in_naive(&eng.eval(&r).unwrap(), &eng.eval(&s).unwrap(), &universe);
+            assert_eq!(eng.eval(&r.direct_included_in(s.clone())).unwrap(), want, "⊂d {s:?}");
+        }
+        let author_corliss = RegionSet::from_regions(vec![Region::new(43, 50)]);
+        assert_eq!(eng.eval(&last().direct_included_in(phrase())).unwrap(), author_corliss);
+        assert_eq!(
+            eng.eval(&phrase().direct_including(last())).unwrap(),
+            eng.eval(&phrase()).unwrap()
+        );
     }
 
     #[test]

@@ -9,8 +9,9 @@ use std::sync::OnceLock;
 /// region name `Rᵢ`.
 ///
 /// The nesting forest of the whole instance ([`Instance::forest`]) is built
-/// on first use and kept until the instance changes, so every query over an
-/// unchanged index shares one forest. Whether each name's set is
+/// when a direct-inclusion operator first needs it, and every later query
+/// shares it. [`Instance::append`] extends a built forest in place; other
+/// writes drop it. Whether each name's set is
 /// [flat](RegionSet::is_flat) is decided once per write, so queries read it
 /// without a scan ([`Instance::is_flat`]).
 #[derive(Debug, Clone, Default)]
@@ -44,26 +45,48 @@ impl Instance {
         self.forest = OnceLock::new();
     }
 
-    /// Merges regions into an existing name (union), creating it if absent.
-    pub fn merge(&mut self, name: &str, regions: RegionSet) {
+    /// Merges another instance into this one: each of its names' regions
+    /// are unioned into that name, which is created if absent. This is how
+    /// `add_file` indexes a new file. A built forest survives when all of
+    /// `tail` lies past the universe (the new file lands past the corpus
+    /// end): it is extended in place with `tail`'s regions
+    /// ([`UniverseForest::extend`]). Otherwise it is dropped.
+    pub fn append(&mut self, tail: &Instance) {
+        let forest = self.forest.take();
+        for (name, regions) in tail.iter() {
+            self.merge(name, regions.clone());
+        }
+        if let Some(mut forest) = forest {
+            if forest.extend(&tail.universe()) {
+                self.forest = OnceLock::from(forest);
+            }
+        }
+    }
+
+    /// Unions `regions` into `name`'s set, creating it if absent, and keeps
+    /// the flatness bit; the caller decides the forest's fate.
+    fn merge(&mut self, name: &str, regions: RegionSet) {
         let Some(existing) = self.names.get_mut(name) else {
-            return self.insert(name, regions);
+            self.set_flat(name, regions.is_flat());
+            self.names.insert(name.to_owned(), regions);
+            return;
         };
-        // Regions appended past the existing ones (a new file) leave the
-        // union flat iff both sides are and the seam is: O(new), not O(all).
+        // Regions appended past the existing ones (a new file) are copied
+        // onto the end, and leave the union flat iff both sides are and the
+        // seam is: O(new), not O(all).
         let was_flat = self.flat.contains(name);
-        let seam = match (existing.as_slice().last(), regions.as_slice().first()) {
-            (_, None) => Some(was_flat),
-            (None, Some(_)) => Some(regions.is_flat()),
-            (Some(last), Some(first)) if last < first => Some(
-                was_flat && last.start < first.start && last.end < first.end && regions.is_flat(),
-            ),
-            _ => None,
+        let flat = match (existing.as_slice().last(), regions.as_slice().first()) {
+            (_, None) => was_flat,
+            (Some(&last), Some(&first)) if last < first => {
+                existing.append_sorted(&regions);
+                was_flat && last.start < first.start && last.end < first.end && regions.is_flat()
+            }
+            _ => {
+                *existing = existing.union(&regions);
+                existing.is_flat()
+            }
         };
-        *existing = existing.union(&regions);
-        let flat = seam.unwrap_or_else(|| existing.is_flat());
         self.set_flat(name, flat);
-        self.forest = OnceLock::new();
     }
 
     fn set_flat(&mut self, name: &str, flat: bool) {
@@ -129,11 +152,18 @@ impl Instance {
     }
 
     /// The nesting forest of [`Instance::universe`], built on the first
-    /// call and shared by every later one until [`Instance::insert`] or
-    /// [`Instance::merge`] changes the instance. Concurrent first calls
-    /// wait on a single build.
+    /// call and shared by every later one. [`Instance::append`] extends it
+    /// in place when it can; [`Instance::insert`] and any other append drop
+    /// it, and the next call rebuilds it. Concurrent first calls wait on a single
+    /// build.
     pub fn forest(&self) -> &UniverseForest {
         self.forest.get_or_init(|| UniverseForest::build(&self.universe()))
+    }
+
+    /// Whether the nesting forest is built (and so shared by the next
+    /// [`Instance::forest`] call).
+    pub fn has_forest(&self) -> bool {
+        self.forest.get().is_some()
     }
 
     /// Restricts the instance to the given names (partial indexing, §6).
@@ -159,6 +189,13 @@ mod tests {
 
     fn rs(pairs: &[(u32, u32)]) -> RegionSet {
         RegionSet::from_regions(pairs.iter().map(|&(a, b)| Region::new(a, b)).collect())
+    }
+
+    /// Appends one name's regions.
+    fn append(i: &mut Instance, name: &str, regions: RegionSet) {
+        let mut tail = Instance::new();
+        tail.insert(name, regions);
+        i.append(&tail);
     }
 
     #[test]
@@ -187,8 +224,8 @@ mod tests {
     fn merge_unions() {
         let mut i = Instance::new();
         i.insert("A", rs(&[(0, 10)]));
-        i.merge("A", rs(&[(20, 30)]));
-        i.merge("B", rs(&[(5, 6)]));
+        append(&mut i, "A", rs(&[(20, 30)]));
+        append(&mut i, "B", rs(&[(5, 6)]));
         assert_eq!(i.get("A").unwrap().len(), 2);
         assert_eq!(i.get("B").unwrap().len(), 1);
     }
@@ -199,11 +236,43 @@ mod tests {
         i.insert("A", rs(&[(0, 100)]));
         let first: *const UniverseForest = i.forest();
         assert!(std::ptr::eq(first, i.forest()));
-        i.merge("B", rs(&[(10, 20)]));
+        append(&mut i, "B", rs(&[(10, 20)]));
         assert_eq!(i.forest().regions(), i.universe().as_slice());
         assert_eq!(i.forest().parent_of(1), Some(0));
         i.insert("C", rs(&[(30, 40)]));
         assert_eq!(i.forest().len(), 3);
+    }
+
+    #[test]
+    fn append_extends_a_built_forest_and_drops_it_otherwise() {
+        let mut i = Instance::new();
+        i.insert("A", rs(&[(0, 100), (10, 20)]));
+        i.insert("B", rs(&[(30, 40)]));
+        let mut tail = Instance::new();
+        tail.insert("A", rs(&[(100, 200)]));
+        tail.insert("C", rs(&[(120, 130)]));
+        // Unbuilt: append builds nothing.
+        let mut unbuilt = i.clone();
+        unbuilt.append(&tail);
+        assert!(!unbuilt.has_forest());
+        // Built: extended in place, equal to a fresh build of the union.
+        i.forest();
+        i.append(&tail);
+        let extended = i.forest.get().expect("the forest survives an append past the end");
+        let fresh = UniverseForest::build(&i.universe());
+        assert_eq!(extended.regions(), fresh.regions());
+        assert_eq!(extended.parent_of(4), Some(3));
+        assert_eq!(
+            i.get("A").unwrap().as_slice(),
+            rs(&[(0, 100), (10, 20), (100, 200)]).as_slice()
+        );
+        assert!(i.has("C") && !i.is_flat("A"));
+        // A tail reaching back into the universe drops it.
+        let mut inside = Instance::new();
+        inside.insert("B", rs(&[(50, 60)]));
+        i.append(&inside);
+        assert!(!i.has_forest());
+        assert_eq!(i.forest().len(), 6);
     }
 
     #[test]
@@ -223,16 +292,16 @@ mod tests {
         i.insert("A", rs(&[(0, 10), (20, 30)]));
         i.insert("B", rs(&[(0, 10), (2, 5)]));
         assert!(i.is_flat("A") && !i.is_flat("B") && !i.is_flat("C"));
-        i.merge("A", rs(&[(40, 50), (60, 70)]));
+        append(&mut i, "A", rs(&[(40, 50), (60, 70)]));
         assert!(i.is_flat("A"), "appended past the end");
-        i.merge("A", rs(&[(65, 68)]));
+        append(&mut i, "A", rs(&[(65, 68)]));
         assert!(!i.is_flat("A"), "appended inside the last region");
         i.insert("A", rs(&[(0, 10), (20, 30)]));
-        i.merge("A", rs(&[(22, 25)]));
+        append(&mut i, "A", rs(&[(22, 25)]));
         assert!(!i.is_flat("A"));
         i.insert("A", rs(&[(40, 50)]));
         assert!(i.is_flat("A"));
-        i.merge("C", rs(&[(1, 2)]));
+        append(&mut i, "C", rs(&[(1, 2)]));
         assert!(i.is_flat("C"));
         let p = i.restrict_to(["A", "B"]);
         assert!(p.is_flat("A") && !p.is_flat("B") && !p.is_flat("C"));

@@ -121,6 +121,16 @@ impl RegionSet {
         RegionSet { regions: out }
     }
 
+    /// Union with `tail` when all of `tail` sorts after every member, in
+    /// place and in `O(|tail|)` (debug-checked).
+    pub(crate) fn append_sorted(&mut self, tail: &RegionSet) {
+        debug_assert!(
+            self.regions.last().zip(tail.regions.first()).is_none_or(|(l, f)| l < f),
+            "tail does not sort after the set"
+        );
+        self.regions.extend_from_slice(&tail.regions);
+    }
+
     /// Whether no member includes another. In canonical order that holds
     /// exactly when starts and ends both strictly ascend, so one pass over
     /// neighbours decides it. Flat sets unlock the probing inclusion
@@ -496,7 +506,11 @@ fn gallop_pays_off(small: usize, large: usize) -> bool {
 /// (`before` must hold on a prefix), found by an exponential probe from
 /// the front followed by a binary search within the last doubling window.
 /// Adds the regions it compared to `*reads`.
-fn gallop(regions: &[Region], before: impl Fn(&Region) -> bool, reads: &mut usize) -> usize {
+pub(crate) fn gallop(
+    regions: &[Region],
+    before: impl Fn(&Region) -> bool,
+    reads: &mut usize,
+) -> usize {
     // Invariant: `before` holds on regions[..lo] and fails at regions[hi]
     // (or hi == len).
     let (mut lo, mut hi, mut step) = (0usize, regions.len(), 1usize);

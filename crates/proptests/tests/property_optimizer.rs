@@ -69,7 +69,9 @@ fn build_instance(rig: &Rig, choices: &[u8]) -> Instance {
         inst: &mut Instance,
         pick: &mut dyn FnMut(usize) -> usize,
     ) {
-        inst.merge(name, RegionSet::from_regions(vec![qof::pat::Region::new(start, end)]));
+        let mut region = Instance::new();
+        region.insert(name, RegionSet::from_regions(vec![qof::pat::Region::new(start, end)]));
+        inst.append(&region);
         if depth >= 4 || end - start < 8 {
             return;
         }

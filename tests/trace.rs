@@ -122,8 +122,8 @@ fn trace_json_round_trips_through_the_public_surface() {
 
 #[test]
 fn phases_account_for_a_warm_query() {
-    // Parse and plan are phases, and engine set-up is O(1) once the index's
-    // nesting forest exists, so the phases cover nearly all of a warm query.
+    // Parse and plan are phases, and engine set-up is O(1), so the phases
+    // cover nearly all of a warm query.
     // The median over several runs keeps one descheduled run from deciding.
     let fdb = db();
     fdb.query(CHANG).unwrap();
