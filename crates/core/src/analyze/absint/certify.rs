@@ -2,27 +2,27 @@
 //! §3.3/§3.5 step the optimizer recorded.
 //!
 //! The optimizer's trace is replayed step by step from the original
-//! chain. Each step must (1) structurally apply to the current chain,
-//! (2) satisfy the Proposition 3.5 side condition it claims, and (3)
-//! carry the abstract state across: the [`AbsState`]s of the chain
-//! before and after the step must be [compatible](AbsState::compatible)
-//! (a rewrite preserves the concrete result set, so the two
-//! over-approximations must share at least one concretization). A
-//! Proposition 3.3 `∅` verdict is certified by replaying the per-hop
-//! dead-edge test — the structural ground truth — and confirming the
-//! interpreter agrees the `∅` encoding is empty.
+//! chain by [`replay`], the one trace replay. Each step must (1) apply to
+//! the current chain at its recorded hop, (2) satisfy the Proposition 3.5
+//! side condition it claims, and (3) carry the abstract state across: the
+//! [`AbsState`]s of the chain before and after the step must be
+//! [compatible](AbsState::compatible) (a rewrite preserves the concrete
+//! result set, so the two over-approximations must share at least one
+//! concretization). A Proposition 3.3 `∅` verdict is certified by the
+//! replay's per-hop dead-edge test — the structural ground truth — and by
+//! confirming the interpreter agrees the `∅` encoding is empty.
 //!
-//! Unlike `analyze::verify` (which turns violations into `QOF030`
-//! diagnostics), the certifier returns a per-step verdict so the
-//! planner can annotate each `PlanRewrite` as certified or not, surface
-//! `QOF110` for failures, and — under `--strict` — fall back to the
-//! unoptimized chain.
+//! Unlike `analyze::verify` (which turns replay failures into `QOF030`
+//! diagnostics), the certifier returns a per-step verdict so the planner
+//! can annotate each `PlanRewrite` as certified or not, surface `QOF110`
+//! for failures, and keep a run whose steps do not all certify
+//! unoptimized.
 
 use super::{AbsInterp, AbsState};
-use crate::analyze::verify::weaken_licensed;
+use crate::analyze::verify::replay;
 use crate::analyze::{Code, Diagnostic, Severity};
-use crate::optimizer::{is_trivially_empty, Optimized, RewriteKind};
-use crate::{ChainOp, InclusionExpr, Rig};
+use crate::optimizer::Optimized;
+use crate::{InclusionExpr, Rig};
 
 /// The verdict on one optimizer step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,24 +73,21 @@ pub fn certify(
     out: &Optimized,
     interp: &AbsInterp<'_>,
 ) -> CertifyResult {
+    let replay = replay(original, rig, out);
     if out.trivially_empty {
-        let structurally_empty = is_trivially_empty(original, rig);
         // The planner encodes a Proposition 3.3 verdict as `x − x`; the
         // interpreter must prove that encoding empty. (The chain itself
         // may *not* be abstractly provable: the loose domain rule admits
         // reverse-path inclusions that equal-span regions could satisfy,
-        // so the per-hop structural replay above is the authoritative
-        // test, exactly as in `is_trivially_empty`.)
+        // so the replay's per-hop structural test is the authoritative
+        // one, exactly as in `is_trivially_empty`.)
         let head = qof_pat::RegionExpr::name(&original.names()[0]);
-        let abs_agrees = interp.analyze(&head.clone().difference(head)).empty;
-        let step = if !structurally_empty {
-            StepCert::fail("a per-hop replay finds no dead RIG edge or path")
-        } else if !out.trace.is_empty() {
-            StepCert::fail("a trivially empty expression must not also be rewritten")
-        } else if !abs_agrees {
-            StepCert::fail("the abstract state of the ∅ encoding is not provably empty")
-        } else {
-            StepCert::ok()
+        let step = match replay.empty_fault {
+            Some(fault) => StepCert::fail(fault),
+            None if !interp.analyze(&head.clone().difference(head)).empty => {
+                StepCert::fail("the abstract state of the ∅ encoding is not provably empty")
+            }
+            None => StepCert::ok(),
         };
         let certified = step.certified;
         return CertifyResult {
@@ -100,81 +97,30 @@ pub fn certify(
         };
     }
 
-    let mut names: Vec<String> = original.names().to_vec();
-    let mut ops: Vec<ChainOp> = original.ops().to_vec();
-    let mut steps = Vec::with_capacity(out.trace.len());
-    let mut broken = false;
-    for rw in &out.trace {
-        if broken {
-            steps.push(StepCert::fail("an earlier step failed to replay"));
-            continue;
-        }
-        let pre = interp.analyze(&original.with_chain(names.clone(), ops.clone()).to_region_expr());
-        let step = match &rw.kind {
-            RewriteKind::Weaken { a, b } => {
-                match (0..ops.len())
-                    .find(|&i| names[i] == *a && names[i + 1] == *b && ops[i] == ChainOp::Direct)
-                {
-                    None => {
-                        broken = true;
-                        StepCert::fail(format!(
-                            "`weaken {a} ⊃d {b}` does not apply to the current chain"
-                        ))
-                    }
-                    Some(i) => {
-                        let licensed = weaken_licensed(rig, original.direction(), &names, i);
-                        ops[i] = ChainOp::Incl;
-                        if licensed {
-                            StepCert::ok()
-                        } else {
-                            StepCert::fail(format!(
-                                "`weaken {a} ⊃d {b}` violates Proposition 3.5(a)"
-                            ))
-                        }
-                    }
-                }
-            }
-            RewriteKind::Shorten { a, via, b } => {
-                match (0..names.len().saturating_sub(2)).find(|&i| {
-                    names[i] == *a
-                        && names[i + 1] == *via
-                        && names[i + 2] == *b
-                        && ops[i] == ChainOp::Incl
-                        && ops[i + 1] == ChainOp::Incl
-                }) {
-                    None => {
-                        broken = true;
-                        StepCert::fail(format!(
-                            "`drop {via} from {a} ⊃ {via} ⊃ {b}` does not apply to the current \
-                             chain"
-                        ))
-                    }
-                    Some(i) => {
-                        let licensed = rig.all_paths_pass_through(a, b, via);
-                        names.remove(i + 1);
-                        ops.remove(i);
-                        if licensed {
-                            StepCert::ok()
-                        } else {
-                            StepCert::fail(format!(
-                                "`drop {via} from {a} ⊃ {via} ⊃ {b}` violates Proposition 3.5(b)"
-                            ))
-                        }
-                    }
-                }
-            }
-        };
-        let step = if step.certified {
-            let post =
-                interp.analyze(&original.with_chain(names.clone(), ops.clone()).to_region_expr());
-            check_states(&pre, &post)
-        } else {
-            step
-        };
-        steps.push(step);
-    }
-    let replay_matches = !broken && names == out.expr.names() && ops == out.expr.ops();
-    CertifyResult { steps, empty_step: None, replay_matches }
+    let mut pre = interp.analyze(&original.to_region_expr());
+    let mut steps: Vec<StepCert> = replay
+        .steps
+        .iter()
+        .zip(&out.trace)
+        .map(|(step, rw)| {
+            let post = interp.analyze(&step.after.to_region_expr());
+            let cert = if !step.applies {
+                StepCert::fail(format!("`{}` does not apply to the current chain", step.what))
+            } else if !step.licensed {
+                StepCert::fail(format!(
+                    "`{}` violates Proposition {}",
+                    step.what,
+                    rw.kind.proposition()
+                ))
+            } else {
+                check_states(&pre, &post)
+            };
+            pre = post;
+            cert
+        })
+        .collect();
+    steps.resize(out.trace.len(), StepCert::fail("the replay stopped before this step"));
+    CertifyResult { steps, empty_step: None, replay_matches: replay.lands }
 }
 
 /// Renders an uncertified rewrite as the `QOF110` diagnostic `qof check`
@@ -191,8 +137,8 @@ pub fn uncertified_diagnostic(
         format!("optimizer rewrite [{proposition}] `{description}` failed certification"),
     )
     .with_note(
-        "the abstract interpreter could not prove the step sound; `--strict` suppresses \
-         uncertified rewrites",
+        "the abstract interpreter could not prove the step sound, so the planner leaves \
+         this chain unoptimized",
     );
     if let Some(r) = reason {
         d = d.with_note(r);
@@ -216,7 +162,7 @@ fn check_states(pre: &AbsState, post: &AbsState) -> StepCert {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{optimize, Direction, Rewrite};
+    use crate::{optimize, ChainOp, Direction, Rewrite, RewriteKind};
 
     fn names(v: &[&str]) -> Vec<String> {
         v.iter().map(ToString::to_string).collect()
@@ -274,7 +220,7 @@ mod tests {
             expr: e.with_chain(names(&["A", "C"]), vec![ChainOp::Incl]),
             trivially_empty: false,
             trace: vec![Rewrite {
-                kind: RewriteKind::Shorten { a: "A".into(), via: "B".into(), b: "C".into() },
+                kind: RewriteKind::Shorten { at: 0 },
                 description: String::new(),
                 result: String::new(),
             }],

@@ -9,16 +9,16 @@
 //! `x − x`, …). The domains are *sound over-approximations*: the
 //! concrete result's cardinality always lies in the interval, and a
 //! node proven `empty` evaluates to ∅ on any instance consistent with
-//! the RIG (the property tests in `crates/proptests` check exactly
-//! this).
+//! the RIG (`tests/absint_properties.rs` checks exactly this).
 //!
 //! Two consumers sit on top:
 //!
 //! * [`certify`](crate::analyze::absint::certify) — replays every
-//!   §3.3/§3.5 rewrite the optimizer recorded and checks the pre/post
+//!   §3.3/§3.5 rewrite the optimizer recorded (through the one trace
+//!   replay, [`crate::analyze::verify::replay`]) and checks the pre/post
 //!   abstract states are compatible (certified steps are annotated in
-//!   `QueryTrace` and EXPLAIN; uncertifiable steps raise `QOF110` and,
-//!   under `--strict`, suppress the rewrite);
+//!   `QueryTrace` and EXPLAIN; an uncertifiable step raises `QOF110` and
+//!   leaves its chain unoptimized);
 //! * [`lint_expr`](AbsInterp::lint_expr) — the `QOF1xx` lint family in
 //!   `qof check` (provably-empty subexpressions, dead `∪`/`−` branches,
 //!   redundant intersections, inclusion over disjoint RIG components).

@@ -1,9 +1,12 @@
-//! Plan self-verification (`QOF030`, `QOF031`).
+//! Plan self-verification (`QOF030`, `QOF031`) and the one rewrite replay.
 //!
-//! The optimizer's output is *checked, not trusted*: every [`Rewrite`] it
-//! emits is replayed against the side conditions of Proposition 3.5, and
-//! the confluence claim of Theorem 3.6 is probed by reducing the same
-//! expression under the opposite application order.
+//! The optimizer's output is *checked, not trusted*: [`replay`] re-applies
+//! every recorded [`Rewrite`](crate::Rewrite) at its hop, starting from the
+//! original chain, re-checks the Proposition 3.5 side condition there, and
+//! reports whether the replay lands on the optimized chain. It is the only
+//! trace replay: [`verify_rewrites`] maps its failures to `QOF030`
+//! diagnostics, and the certifier ([`crate::certify`]) adds the
+//! abstract-state leg on top.
 //!
 //! On confluence the implementation deliberately deviates from the paper:
 //! property testing found RIGs where the normal form is order-dependent
@@ -15,154 +18,169 @@
 //! [`optimize`](crate::optimize) itself.
 
 use super::{Code, Diagnostic, Severity};
-use crate::optimizer::{is_trivially_empty, Optimized, RewriteKind};
-use crate::{ChainOp, Direction, InclusionExpr, Rig};
+use crate::optimizer::{is_trivially_empty, normal_forms, weaken_why, Optimized, RewriteKind};
+use crate::{ChainOp, InclusionExpr, Rig};
 
-/// Replays every rewrite in `out.trace` from `original`, re-checking the
-/// Proposition 3.5 side condition each one claims, and confirms the replay
-/// lands exactly on `out.expr`. Any violation is a `QOF030` error.
-pub fn verify_rewrites(original: &InclusionExpr, rig: &Rig, out: &Optimized) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
+/// One trace step as [`replay`] found it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplayStep {
+    /// The step spelled against the chain it replays on, e.g.
+    /// `weaken A ⊃d B at hop 0`.
+    pub what: String,
+    /// Whether the chain has the step's shape at its hop: a `⊃d` to
+    /// weaken, or two `⊃` hops to shorten.
+    pub applies: bool,
+    /// Whether Proposition 3.5 licenses the step there.
+    pub licensed: bool,
+    /// The chain after the step (unchanged when it does not apply).
+    pub after: InclusionExpr,
+}
+
+/// What replaying an optimizer trace found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Replay {
+    /// Why the optimizer's Proposition 3.3 `∅` verdict is wrong, when it
+    /// is: it disagrees with the per-hop dead-edge test, or an `∅` verdict
+    /// carries rewrites. No step is replayed then.
+    pub empty_fault: Option<String>,
+    /// The replayed steps in trace order. Replay stops after the first
+    /// step that does not apply, so later steps may be missing.
+    pub steps: Vec<ReplayStep>,
+    /// Whether the `∅` verdict holds, every step applied, and the replay
+    /// landed exactly on the optimized chain.
+    pub lands: bool,
+}
+
+/// Replays `out`, the optimizer's verdict on `original` over `rig`, step
+/// by step at each recorded hop.
+pub fn replay(original: &InclusionExpr, rig: &Rig, out: &Optimized) -> Replay {
     let empty = is_trivially_empty(original, rig);
-    if out.trivially_empty != empty {
-        diags.push(Diagnostic::new(
-            Code::Qof030,
-            Severity::Error,
-            format!(
-                "optimizer marked `{original}` trivially_empty={}, but Proposition 3.3 says {}",
-                out.trivially_empty, empty
-            ),
-        ));
-        return diags;
-    }
-    if empty {
-        if !out.trace.is_empty() {
-            diags.push(Diagnostic::new(
-                Code::Qof030,
-                Severity::Error,
-                "a trivially empty expression must not be rewritten".to_string(),
-            ));
-        }
-        return diags;
+    let empty_fault = if out.trivially_empty != empty {
+        Some(format!(
+            "the optimizer marked `{original}` trivially_empty={}, but Proposition 3.3 says {empty}",
+            out.trivially_empty
+        ))
+    } else if empty && !out.trace.is_empty() {
+        Some("a trivially empty expression must not also be rewritten".to_string())
+    } else {
+        None
+    };
+    if empty || out.trivially_empty {
+        return Replay { lands: empty_fault.is_none(), empty_fault, steps: Vec::new() };
     }
 
     let mut names: Vec<String> = original.names().to_vec();
     let mut ops: Vec<ChainOp> = original.ops().to_vec();
+    let mut steps = Vec::with_capacity(out.trace.len());
     for rw in &out.trace {
-        match &rw.kind {
-            RewriteKind::Weaken { a, b } => {
-                let Some(i) = (0..ops.len())
-                    .find(|&i| names[i] == *a && names[i + 1] == *b && ops[i] == ChainOp::Direct)
-                else {
-                    diags.push(Diagnostic::new(
-                        Code::Qof030,
-                        Severity::Error,
-                        format!("rewrite `weaken {a} ⊃d {b}` does not apply to the current chain"),
-                    ));
-                    return diags;
-                };
-                if !weaken_licensed(rig, original.direction(), &names, i) {
-                    diags.push(
-                        Diagnostic::new(
-                            Code::Qof030,
-                            Severity::Error,
-                            format!("rewrite `weaken {a} ⊃d {b}` violates Proposition 3.5(a)"),
-                        )
-                        .with_note(
-                            "the edge is not the only path and the hop is not a licensed \
-                             endpoint hop",
-                        ),
-                    );
+        let (what, applies, licensed) = match rw.kind {
+            RewriteKind::Weaken { at } => {
+                let applies = ops.get(at) == Some(&ChainOp::Direct);
+                if applies {
+                    let what = format!("weaken {} ⊃d {} at hop {at}", names[at], names[at + 1]);
+                    let licensed = weaken_why(rig, original.direction(), &names, at).is_some();
+                    ops[at] = ChainOp::Incl;
+                    (what, true, licensed)
+                } else {
+                    (format!("weaken hop {at}"), false, false)
                 }
-                ops[i] = ChainOp::Incl;
             }
-            RewriteKind::Shorten { a, via, b } => {
-                let Some(i) = (0..names.len().saturating_sub(2)).find(|&i| {
-                    names[i] == *a
-                        && names[i + 1] == *via
-                        && names[i + 2] == *b
-                        && ops[i] == ChainOp::Incl
-                        && ops[i + 1] == ChainOp::Incl
-                }) else {
-                    diags.push(Diagnostic::new(
-                        Code::Qof030,
-                        Severity::Error,
-                        format!(
-                            "rewrite `drop {via} from {a} ⊃ {via} ⊃ {b}` does not apply to \
-                             the current chain"
-                        ),
-                    ));
-                    return diags;
-                };
-                if !rig.all_paths_pass_through(a, b, via) {
-                    diags.push(
-                        Diagnostic::new(
-                            Code::Qof030,
-                            Severity::Error,
-                            format!(
-                                "rewrite `drop {via} from {a} ⊃ {via} ⊃ {b}` violates \
-                                 Proposition 3.5(b)"
-                            ),
-                        )
-                        .with_note(format!(
-                            "some path from `{a}` to `{b}` avoids `{via}`, so dropping the \
-                             `{via}` test admits extra results"
-                        )),
-                    );
+            RewriteKind::Shorten { at } => {
+                let incl = |i: usize| ops.get(i) == Some(&ChainOp::Incl);
+                if incl(at) && incl(at + 1) {
+                    let (a, via, b) = (&names[at], &names[at + 1], &names[at + 2]);
+                    let what = format!("drop {via} from {a} ⊃ {via} ⊃ {b} at hop {at}");
+                    let licensed = rig.all_paths_pass_through(a, b, via);
+                    names.remove(at + 1);
+                    ops.remove(at);
+                    (what, true, licensed)
+                } else {
+                    (format!("shorten hops {at} and {}", at + 1), false, false)
                 }
-                names.remove(i + 1);
-                ops.remove(i);
             }
+        };
+        let after = original.with_chain(names.clone(), ops.clone());
+        steps.push(ReplayStep { what, applies, licensed, after });
+        if !applies {
+            return Replay { empty_fault: None, steps, lands: false };
         }
     }
-    if names != out.expr.names() || ops != out.expr.ops() {
+    let lands = names == out.expr.names() && ops == out.expr.ops();
+    Replay { empty_fault: None, steps, lands }
+}
+
+/// Replays every rewrite in `out.trace` from `original` ([`replay`]) and
+/// reports each failure as a `QOF030` error: a wrong `∅` verdict, a step
+/// that does not apply at its hop, a step Proposition 3.5 does not
+/// license, or a replay that misses the optimized expression.
+pub fn verify_rewrites(original: &InclusionExpr, rig: &Rig, out: &Optimized) -> Vec<Diagnostic> {
+    let error = |message: String| Diagnostic::new(Code::Qof030, Severity::Error, message);
+    let replay = replay(original, rig, out);
+    if let Some(fault) = replay.empty_fault {
+        return vec![error(fault)];
+    }
+    let mut diags = Vec::new();
+    for (step, rw) in replay.steps.iter().zip(&out.trace) {
+        if !step.applies {
+            diags.push(error(format!(
+                "rewrite `{}` does not apply to the current chain",
+                step.what
+            )));
+            return diags;
+        }
+        if !step.licensed {
+            let note = match rw.kind {
+                RewriteKind::Weaken { .. } => {
+                    "the edge is not the only path and the hop is not a licensed endpoint hop"
+                }
+                RewriteKind::Shorten { .. } => {
+                    "some path between the outer names avoids the dropped one, so dropping its \
+                     test admits extra results"
+                }
+            };
+            diags.push(
+                error(format!(
+                    "rewrite `{}` violates Proposition {}",
+                    step.what,
+                    rw.kind.proposition()
+                ))
+                .with_note(note),
+            );
+        }
+    }
+    if !replay.lands {
+        let landed = replay.steps.last().map_or(original, |s| &s.after);
         diags.push(
-            Diagnostic::new(
-                Code::Qof030,
-                Severity::Error,
-                format!("the trace does not reproduce the optimized expression `{}`", out.expr),
-            )
-            .with_note(format!("replay landed on `{}`", original.with_chain(names, ops))),
+            error(format!("the trace does not reproduce the optimized expression `{}`", out.expr))
+                .with_note(format!("replay landed on `{landed}`")),
         );
     }
     diags
 }
 
-/// Whether Proposition 3.5(a) licenses weakening the hop at `i`:
-/// the edge is the only path, or the hop touches the chain's existential
-/// endpoint and every path runs through the edge at that end.
-pub(crate) fn weaken_licensed(rig: &Rig, dir: Direction, names: &[String], i: usize) -> bool {
-    let (a, b) = (&names[i], &names[i + 1]);
-    if rig.only_path_edge(a, b) {
-        return true;
-    }
-    match dir {
-        Direction::Including => i + 1 == names.len() - 1 && rig.all_paths_start_with_edge(a, b),
-        Direction::IncludedIn => i == 0 && rig.all_paths_end_with_edge(a, b),
-    }
-}
-
-/// Probes Theorem 3.6: reduces `expr` applying shortenings leftmost-first
-/// and rightmost-first. Divergent normal forms of equal cost are a
-/// `QOF031` warning (the documented counterexample class); a cost
-/// divergence is a `QOF031` error.
+/// Probes Theorem 3.6 over every normal form of `expr` ([`normal_forms`]).
+/// Divergent normal forms of equal cost are a `QOF031` warning (the
+/// documented counterexample class); a cost divergence is a `QOF031`
+/// error.
 pub fn check_confluence(expr: &InclusionExpr, rig: &Rig) -> Vec<Diagnostic> {
-    if is_trivially_empty(expr, rig) {
+    let forms = normal_forms(expr, rig);
+    let [first, rest @ ..] = forms.as_slice() else { return Vec::new() };
+    let cost = |e: &InclusionExpr| (e.ops().len(), e.direct_ops());
+    let Some(other) =
+        rest.iter().find(|f| cost(&f.expr) != cost(&first.expr)).or_else(|| rest.first())
+    else {
         return Vec::new();
-    }
-    let (ln, lo) = reduce(expr, rig, false);
-    let (rn, ro) = reduce(expr, rig, true);
-    if ln == rn && lo == ro {
-        return Vec::new();
-    }
-    let cost = |ops: &[ChainOp]| (ops.len(), ops.iter().filter(|o| **o == ChainOp::Direct).count());
-    let left = expr.with_chain(ln, lo.clone());
-    let right = expr.with_chain(rn, ro.clone());
-    if cost(&lo) == cost(&ro) {
+    };
+    let (first, other) = (&first.expr, &other.expr);
+    if cost(first) == cost(other) {
         vec![Diagnostic::new(
             Code::Qof031,
             Severity::Warning,
-            format!("normal form is order-dependent: leftmost gives `{left}`, rightmost `{right}`"),
+            format!(
+                "normal form is order-dependent: {} normal forms, e.g. leftmost-first `{first}` \
+                 and `{other}`",
+                forms.len()
+            ),
         )
         .with_note(
             "a known counterexample class to Theorem 3.6; the forms are cost-identical \
@@ -173,48 +191,17 @@ pub fn check_confluence(expr: &InclusionExpr, rig: &Rig) -> Vec<Diagnostic> {
         vec![Diagnostic::new(
             Code::Qof031,
             Severity::Error,
-            format!("normal forms diverge in cost: leftmost gives `{left}`, rightmost `{right}`"),
+            format!(
+                "normal forms diverge in cost: leftmost-first gives `{first}`, another `{other}`"
+            ),
         )]
     }
-}
-
-/// The §3.2 reduction with a controllable shortening order. Weakening
-/// (step 1) is position-independent; only step 2's scan order varies.
-fn reduce(expr: &InclusionExpr, rig: &Rig, rightmost: bool) -> (Vec<String>, Vec<ChainOp>) {
-    let mut names: Vec<String> = expr.names().to_vec();
-    let mut ops: Vec<ChainOp> = expr.ops().to_vec();
-    for (i, op) in ops.iter_mut().enumerate() {
-        if *op == ChainOp::Direct && weaken_licensed(rig, expr.direction(), &names, i) {
-            *op = ChainOp::Incl;
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let idx: Vec<usize> = if rightmost {
-            (0..names.len().saturating_sub(2)).rev().collect()
-        } else {
-            (0..names.len().saturating_sub(2)).collect()
-        };
-        for i in idx {
-            if ops[i] != ChainOp::Incl || ops[i + 1] != ChainOp::Incl {
-                continue;
-            }
-            if rig.all_paths_pass_through(&names[i], &names[i + 2], &names[i + 1]) {
-                names.remove(i + 1);
-                ops.remove(i);
-                changed = true;
-                break;
-            }
-        }
-    }
-    (names, ops)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize;
+    use crate::{optimize, Direction};
 
     fn names(v: &[&str]) -> Vec<String> {
         v.iter().map(ToString::to_string).collect()
@@ -252,7 +239,7 @@ mod tests {
             expr: e.with_chain(names(&["A", "C"]), vec![ChainOp::Incl]),
             trivially_empty: false,
             trace: vec![crate::Rewrite {
-                kind: RewriteKind::Shorten { a: "A".into(), via: "B".into(), b: "C".into() },
+                kind: RewriteKind::Shorten { at: 0 },
                 description: String::new(),
                 result: String::new(),
             }],

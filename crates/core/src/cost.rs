@@ -388,10 +388,10 @@ struct PlanCacheInner {
 }
 
 /// A bounded FIFO cache of per-chain lowering results, keyed on the
-/// chain's normalized region-expression spelling plus the strict flag
-/// (callers build the key with [`PlanCache::chain_key`]). Entries belong
-/// to one statistics epoch: [`PlanCache::bump_epoch`] clears them all, so
-/// a stale plan can never outlive the index state it was ranked against.
+/// chain's normalized region-expression spelling (callers build the key
+/// with [`PlanCache::chain_key`]). Entries belong to one statistics epoch:
+/// [`PlanCache::bump_epoch`] clears them all, so a stale plan can never
+/// outlive the index state it was ranked against.
 ///
 /// Beside the lowerings it keeps the planner's §6.3 route verdicts
 /// ([`PlanCache::route`]), which the planner needs before it can form a
@@ -435,9 +435,9 @@ impl PlanCache {
 
     /// The canonical cache key of one lowering: the chain's *normalized*
     /// region-expression spelling (so commutative re-spellings share an
-    /// entry) plus the strict flag (strict mode may suppress rewrites).
-    pub fn chain_key(expr: &InclusionExpr, strict: bool) -> String {
-        format!("strict={strict}|{}", expr.to_region_expr().normalized())
+    /// entry).
+    pub fn chain_key(expr: &InclusionExpr) -> String {
+        expr.to_region_expr().normalized().to_string()
     }
 
     /// The epoch the resident entries belong to.
@@ -711,9 +711,11 @@ mod tests {
     }
 
     #[test]
-    fn chain_key_shares_commutative_spellings_and_splits_strict() {
+    fn chain_key_is_the_normalized_chain_spelling() {
         let e = chain(&["A", "B"]);
-        assert_eq!(PlanCache::chain_key(&e, false), PlanCache::chain_key(&e, false));
-        assert_ne!(PlanCache::chain_key(&e, false), PlanCache::chain_key(&e, true));
+        assert_eq!(PlanCache::chain_key(&e), e.to_region_expr().normalized().to_string());
+        assert_eq!(PlanCache::chain_key(&e), PlanCache::chain_key(&chain(&["A", "B"])));
+        let direct = InclusionExpr::including(names(&["A", "B"]), vec![ChainOp::Direct], None);
+        assert_ne!(PlanCache::chain_key(&e), PlanCache::chain_key(&direct));
     }
 }

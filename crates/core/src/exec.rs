@@ -162,7 +162,6 @@ pub struct FileDatabase {
     metrics: Arc<MetricsRegistry>,
     query_counter: AtomicU64,
     trace_hook: Option<TraceHook>,
-    strict: bool,
     workload: WorkloadTable,
 }
 
@@ -238,7 +237,6 @@ impl FileDatabase {
             metrics: MetricsRegistry::global_arc(),
             query_counter: AtomicU64::new(0),
             trace_hook: None,
-            strict: false,
             workload: WorkloadTable::new(),
         };
         db.publish_index_stats();
@@ -292,28 +290,6 @@ impl FileDatabase {
             Ok(db) => Ok((db, None)),
             Err(why) => Ok((rebuild(schema)?, Some(why))),
         }
-    }
-
-    /// Enables strict planning (builder style): an optimizer rewrite the
-    /// abstract-interpretation certifier cannot certify is suppressed
-    /// instead of merely flagged in the trace.
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.set_strict(strict);
-        self
-    }
-
-    /// Sets strict planning in place. Plans change shape, so any memoized
-    /// lowerings are dropped.
-    pub fn set_strict(&mut self, strict: bool) {
-        if self.strict != strict {
-            self.plan_cache.clear();
-        }
-        self.strict = strict;
-    }
-
-    /// Whether strict planning is enabled.
-    pub fn strict(&self) -> bool {
-        self.strict
     }
 
     /// Injects the metrics registry every query records into (builder
@@ -489,8 +465,7 @@ impl FileDatabase {
             full_rig: &self.full_rig,
             partial_rig: &self.partial_rig,
             full_indexing: self.spec.is_full(),
-            strict: self.strict,
-            stats: Some(&self.stats),
+            stats: &self.stats,
             plan_cache: &self.plan_cache,
         }
     }
@@ -1329,12 +1304,12 @@ mod tests {
 
     // -- cost model, estimates and plan cache -------------------------------
 
-    /// A planner over `db`'s indexes with the cost model switched on or
-    /// off and a cold plan cache — the two plan-selection policies side by
-    /// side over identical inputs.
+    /// A planner over `db`'s indexes with the given statistics (an empty
+    /// store ranks every normal form alike) and a cold plan cache — two
+    /// plan-selection policies side by side over identical inputs.
     fn raw_planner<'a>(
         db: &'a FileDatabase,
-        stats: Option<&'a StatsStore>,
+        stats: &'a StatsStore,
         plan_cache: &'a PlanCache,
     ) -> Planner<'a> {
         Planner { stats, plan_cache, ..db.planner() }
@@ -1348,9 +1323,9 @@ mod tests {
         let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
         for q in QUERIES {
             let parsed = parse_query(q).unwrap();
-            let costed =
-                raw_planner(&db, Some(&db.stats), &PlanCache::new()).plan(&parsed).unwrap();
-            let leftmost = raw_planner(&db, None, &PlanCache::new()).plan(&parsed).unwrap();
+            let costed = raw_planner(&db, &db.stats, &PlanCache::new()).plan(&parsed).unwrap();
+            let leftmost =
+                raw_planner(&db, &StatsStore::new(), &PlanCache::new()).plan(&parsed).unwrap();
             let a = db.execute_inner(&costed, Instant::now(), &mut ExecTrace::default()).unwrap();
             let b = db.execute_inner(&leftmost, Instant::now(), &mut ExecTrace::default()).unwrap();
             assert_same_results(&a, &b, q);

@@ -65,7 +65,9 @@ pub use optimizer::{
     is_trivially_empty, normal_forms, optimize, optimize_costed, Optimized, Rewrite, RewriteKind,
 };
 pub use perfetto::{trace_to_perfetto, traces_to_perfetto};
-pub use plan::{Exactness, InexactHop, InexactReason, Plan, PlanError, PlanRewrite, Planner};
+pub use plan::{
+    lower_run, Exactness, InexactHop, InexactReason, Plan, PlanError, PlanRewrite, Planner,
+};
 pub use qofx::{inspect_qofx, QofxError, QofxSummary, QOFX_MAGIC, QOFX_VERSION};
 pub use query::{parse_query, Cond, Projection, QPath, QStep, Query, QueryParseError, RightHand};
 pub use residual::{

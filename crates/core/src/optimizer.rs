@@ -5,6 +5,9 @@
 //! Step 1 weakens `⊃d` to `⊃` wherever Proposition 3.5(a) licenses it;
 //! step 2 repeatedly shortens `Ri ⊃ Rj ⊃ Rk` to `Ri ⊃ Rk` wherever
 //! Proposition 3.5(b) licenses it, until no more changes can be done.
+//! Both steps are written once, on `Reduct`: [`optimize`] follows the
+//! leftmost shortening each time, and [`normal_forms`] explores every
+//! order, so `optimize` is always `normal_forms`' first form.
 //!
 //! The paper claims (Theorem 3.6, via Sethi's finite Church–Rosser theorem)
 //! that the normal form is *unique*. Property testing found a
@@ -12,7 +15,7 @@
 //! `A ⊃d B ⊃d E ⊃d F` reduces to either `A ⊃ E ⊃ F` or `A ⊃ B ⊃ F`
 //! depending on which shortening fires first. All normal forms observed are
 //! semantically equivalent and cost-identical (see
-//! `tests/property_optimizer.rs`), so this implementation simply applies
+//! `tests/optimizer_properties.rs`), so this implementation simply applies
 //! rewrites leftmost-first for a canonical, deterministic result.
 //!
 //! Projection chains (`⊂`/`⊂d`) are handled identically: the chain is kept
@@ -20,27 +23,35 @@
 
 use crate::{ChainOp, Direction, InclusionExpr, Rig};
 
-/// The structural identity of a rewrite, machine-checkable against the
-/// Proposition 3.5 side conditions (the self-verification pass of
-/// [`crate::analyze::verify`] replays these against the RIG).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The structural identity of a rewrite: which Proposition 3.5 step fired,
+/// and at which hop of the chain as it stood before the step. A chain may
+/// repeat a name pair (self-nested grammars), so only the position
+/// locates the hop; [`crate::analyze::verify::replay`] re-checks each step
+/// exactly there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewriteKind {
-    /// Proposition 3.5(a): `a ⊃d b` weakened to `a ⊃ b`.
+    /// Proposition 3.5(a): hop `at`, `names[at] ⊃d names[at + 1]`,
+    /// weakened to `⊃`.
     Weaken {
-        /// Containing name of the weakened hop.
-        a: String,
-        /// Contained name of the weakened hop.
-        b: String,
+        /// The weakened hop.
+        at: usize,
     },
-    /// Proposition 3.5(b): `a ⊃ via ⊃ b` shortened to `a ⊃ b`.
+    /// Proposition 3.5(b): `names[at] ⊃ names[at + 1] ⊃ names[at + 2]`
+    /// shortened to `names[at] ⊃ names[at + 2]`.
     Shorten {
-        /// Containing end of the shortened sub-chain.
-        a: String,
-        /// The dropped middle name.
-        via: String,
-        /// Contained end of the shortened sub-chain.
-        b: String,
+        /// The first of the two merged hops.
+        at: usize,
     },
+}
+
+impl RewriteKind {
+    /// The proposition that licenses the step: `3.5(a)` or `3.5(b)`.
+    pub fn proposition(self) -> &'static str {
+        match self {
+            RewriteKind::Weaken { .. } => "3.5(a)",
+            RewriteKind::Shorten { .. } => "3.5(b)",
+        }
+    }
 }
 
 /// One applied rewrite, for EXPLAIN output, the examples, and the
@@ -88,55 +99,23 @@ pub fn is_trivially_empty(expr: &InclusionExpr, rig: &Rig) -> bool {
 /// uniqueness). Runs in time polynomial in the chain length (each graph
 /// predicate is one or two reachability queries).
 pub fn optimize(expr: &InclusionExpr, rig: &Rig) -> Optimized {
-    let mut trace = Vec::new();
-    if is_trivially_empty(expr, rig) {
-        let out = Optimized { expr: expr.clone(), trivially_empty: true, trace };
-        self_verify(expr, rig, &out);
-        return out;
-    }
-
-    let mut names: Vec<String> = expr.names().to_vec();
-    let mut ops: Vec<ChainOp> = expr.ops().to_vec();
-
-    // Step 1: replace ⊃d/⊂d by ⊃/⊂ where Proposition 3.5(a) applies (see
-    // `weaken_why` for the rule and its projection dualization).
-    for i in 0..ops.len() {
-        if ops[i] != ChainOp::Direct {
-            continue;
+    let out = if is_trivially_empty(expr, rig) {
+        empty_verdict(expr)
+    } else {
+        let mut r = Reduct::weakened(expr, rig);
+        loop {
+            let Some(at) = r.shortenings(rig).next() else { break };
+            r.shorten(expr, at);
         }
-        if let Some(rw) = weaken_at(expr, rig, &names, &mut ops, i) {
-            trace.push(rw);
-        }
-    }
-
-    // Step 2: repeatedly shorten Ri ⊃ Rj ⊃ Rk to Ri ⊃ Rk when every path
-    // from Ri to Rk passes through Rj (Proposition 3.5(b)).
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..names.len().saturating_sub(2) {
-            if ops[i] != ChainOp::Incl || ops[i + 1] != ChainOp::Incl {
-                continue;
-            }
-            let (a, m, b) = (names[i].clone(), names[i + 1].clone(), names[i + 2].clone());
-            if rig.all_paths_pass_through(&a, &b, &m) {
-                names.remove(i + 1);
-                ops.remove(i);
-                let cur = expr.with_chain(names.clone(), ops.clone());
-                trace.push(Rewrite {
-                    kind: RewriteKind::Shorten { a: a.clone(), via: m.clone(), b: b.clone() },
-                    description: format!("drop {m}: every path from {a} to {b} passes through {m}"),
-                    result: cur.to_string(),
-                });
-                changed = true;
-                break;
-            }
-        }
-    }
-
-    let out = Optimized { expr: expr.with_chain(names, ops), trivially_empty: false, trace };
+        r.finish(expr)
+    };
     self_verify(expr, rig, &out);
     out
+}
+
+/// The Proposition 3.3 verdict: the expression unchanged, flagged empty.
+fn empty_verdict(expr: &InclusionExpr) -> Optimized {
+    Optimized { expr: expr.clone(), trivially_empty: true, trace: Vec::new() }
 }
 
 /// Proposition 3.5(a)'s side condition at hop `i`, with the human-readable
@@ -148,7 +127,7 @@ pub fn optimize(expr: &InclusionExpr, rig: &Rig) -> Optimized {
 /// edge" (the paper's §5.2 symmetry claim needs this dualization —
 /// property testing caught the literal rule producing wrong projections on
 /// self-nested regions).
-fn weaken_why(rig: &Rig, dir: Direction, names: &[String], i: usize) -> Option<String> {
+pub(crate) fn weaken_why(rig: &Rig, dir: Direction, names: &[String], i: usize) -> Option<String> {
     let (a, b) = (&names[i], &names[i + 1]);
     if rig.only_path_edge(a, b) {
         return Some(format!("({a}, {b}) is the only path from {a} to {b}"));
@@ -167,24 +146,73 @@ fn weaken_why(rig: &Rig, dir: Direction, names: &[String], i: usize) -> Option<S
     None
 }
 
-/// Applies the step-1 weakening at hop `i` if licensed, mutating `ops` and
-/// returning the recorded rewrite.
-fn weaken_at(
-    expr: &InclusionExpr,
-    rig: &Rig,
-    names: &[String],
-    ops: &mut [ChainOp],
-    i: usize,
-) -> Option<Rewrite> {
-    let why = weaken_why(rig, expr.direction(), names, i)?;
-    ops[i] = ChainOp::Incl;
-    let (a, b) = (names[i].clone(), names[i + 1].clone());
-    let cur = expr.with_chain(names.to_vec(), ops.to_vec());
-    Some(Rewrite {
-        kind: RewriteKind::Weaken { a: a.clone(), b: b.clone() },
-        description: format!("weaken direct inclusion {a} → {b}: {why}"),
-        result: cur.to_string(),
-    })
+/// A chain part-way through the §3.2 reduction, with the rewrites that
+/// produced it.
+#[derive(Clone)]
+struct Reduct {
+    names: Vec<String>,
+    ops: Vec<ChainOp>,
+    trace: Vec<Rewrite>,
+}
+
+impl Reduct {
+    /// Step 1: weakens every `⊃d` Proposition 3.5(a) licenses. A hop's
+    /// license depends only on the names and its position, never on the
+    /// other operators, so one left-to-right pass is order-independent.
+    fn weakened(expr: &InclusionExpr, rig: &Rig) -> Self {
+        let mut r =
+            Reduct { names: expr.names().to_vec(), ops: expr.ops().to_vec(), trace: Vec::new() };
+        for at in 0..r.ops.len() {
+            if r.ops[at] != ChainOp::Direct {
+                continue;
+            }
+            if let Some(why) = weaken_why(rig, expr.direction(), &r.names, at) {
+                r.ops[at] = ChainOp::Incl;
+                let (a, b) = (&r.names[at], &r.names[at + 1]);
+                let description = format!("weaken direct inclusion {a} → {b}: {why}");
+                r.record(expr, RewriteKind::Weaken { at }, description);
+            }
+        }
+        r
+    }
+
+    /// Step 2's choices, leftmost first: the hops `at` where
+    /// `names[at] ⊃ names[at + 1] ⊃ names[at + 2]` may drop its middle
+    /// name because every path between the outer two passes through it
+    /// (Proposition 3.5(b)).
+    fn shortenings<'r>(&'r self, rig: &'r Rig) -> impl Iterator<Item = usize> + 'r {
+        (0..self.names.len().saturating_sub(2)).filter(move |&at| {
+            self.ops[at] == ChainOp::Incl
+                && self.ops[at + 1] == ChainOp::Incl
+                && rig.all_paths_pass_through(
+                    &self.names[at],
+                    &self.names[at + 2],
+                    &self.names[at + 1],
+                )
+        })
+    }
+
+    /// Applies the step-2 shortening at `at` (one of [`Reduct::shortenings`]).
+    fn shorten(&mut self, expr: &InclusionExpr, at: usize) {
+        let m = self.names.remove(at + 1);
+        self.ops.remove(at);
+        let (a, b) = (&self.names[at], &self.names[at + 1]);
+        let description = format!("drop {m}: every path from {a} to {b} passes through {m}");
+        self.record(expr, RewriteKind::Shorten { at }, description);
+    }
+
+    fn record(&mut self, expr: &InclusionExpr, kind: RewriteKind, description: String) {
+        let result = expr.with_chain(self.names.clone(), self.ops.clone()).to_string();
+        self.trace.push(Rewrite { kind, description, result });
+    }
+
+    fn finish(self, expr: &InclusionExpr) -> Optimized {
+        Optimized {
+            expr: expr.with_chain(self.names, self.ops),
+            trivially_empty: false,
+            trace: self.trace,
+        }
+    }
 }
 
 /// Bound on the normal forms [`normal_forms`] enumerates and on the
@@ -199,65 +227,38 @@ const MAX_REDUCTION_STATES: usize = 512;
 /// weakenings are order-independent and applied once, then every order of
 /// step 2's shortenings is explored depth-first, deduplicating reduction
 /// states. The *first* returned form is always the canonical leftmost-first
-/// result of [`optimize`]; on confluent inputs (the overwhelmingly common
-/// case, per Theorem 3.6) the result is that single form.
+/// result of [`optimize`], trace and all; on confluent inputs (the
+/// overwhelmingly common case, per Theorem 3.6) the result is that single
+/// form.
 pub fn normal_forms(expr: &InclusionExpr, rig: &Rig) -> Vec<Optimized> {
     if is_trivially_empty(expr, rig) {
-        return vec![Optimized { expr: expr.clone(), trivially_empty: true, trace: Vec::new() }];
+        return vec![empty_verdict(expr)];
     }
-
-    let names: Vec<String> = expr.names().to_vec();
-    let mut ops: Vec<ChainOp> = expr.ops().to_vec();
-    let mut weaken_trace: Vec<Rewrite> = Vec::new();
-    for i in 0..ops.len() {
-        if ops[i] != ChainOp::Direct {
-            continue;
-        }
-        if let Some(rw) = weaken_at(expr, rig, &names, &mut ops, i) {
-            weaken_trace.push(rw);
-        }
-    }
-
     let mut forms: Vec<Optimized> = Vec::new();
     let mut visited: Vec<(Vec<String>, Vec<ChainOp>)> = Vec::new();
-    let mut stack: Vec<(Vec<String>, Vec<ChainOp>, Vec<Rewrite>)> =
-        vec![(names, ops, weaken_trace)];
-    // Depth-first with choices pushed in *descending* index order, so the
+    let mut stack = vec![Reduct::weakened(expr, rig)];
+    // Depth-first with choices pushed in *descending* order, so the
     // leftmost choice is popped (and its fixpoint recorded) first.
-    while let Some((names, ops, trace)) = stack.pop() {
+    while let Some(r) = stack.pop() {
         if visited.len() >= MAX_REDUCTION_STATES || forms.len() >= MAX_NORMAL_FORMS {
             break;
         }
-        if visited.iter().any(|(n, o)| *n == names && *o == ops) {
+        if visited.iter().any(|(n, o)| *n == r.names && *o == r.ops) {
             continue;
         }
-        visited.push((names.clone(), ops.clone()));
-        let choices: Vec<usize> = (0..names.len().saturating_sub(2))
-            .filter(|&i| {
-                ops[i] == ChainOp::Incl
-                    && ops[i + 1] == ChainOp::Incl
-                    && rig.all_paths_pass_through(&names[i], &names[i + 2], &names[i + 1])
-            })
-            .collect();
+        visited.push((r.names.clone(), r.ops.clone()));
+        let choices: Vec<usize> = r.shortenings(rig).collect();
         if choices.is_empty() {
-            let expr_now = expr.with_chain(names, ops);
-            if !forms.iter().any(|f| f.expr == expr_now) {
-                forms.push(Optimized { expr: expr_now, trivially_empty: false, trace });
+            let form = r.finish(expr);
+            if !forms.iter().any(|f| f.expr == form.expr) {
+                forms.push(form);
             }
             continue;
         }
-        for &i in choices.iter().rev() {
-            let (mut n2, mut o2, mut t2) = (names.clone(), ops.clone(), trace.clone());
-            let (a, m, b) = (n2[i].clone(), n2[i + 1].clone(), n2[i + 2].clone());
-            n2.remove(i + 1);
-            o2.remove(i);
-            let cur = expr.with_chain(n2.clone(), o2.clone());
-            t2.push(Rewrite {
-                kind: RewriteKind::Shorten { a: a.clone(), via: m.clone(), b: b.clone() },
-                description: format!("drop {m}: every path from {a} to {b} passes through {m}"),
-                result: cur.to_string(),
-            });
-            stack.push((n2, o2, t2));
+        for &at in choices.iter().rev() {
+            let mut next = r.clone();
+            next.shorten(expr, at);
+            stack.push(next);
         }
     }
     forms

@@ -11,7 +11,7 @@ use qof_pat::{fnv1a64, Instance, RegionExpr};
 
 use crate::analyze::absint::{certify, AbsInterp, AbsState, CardInterval};
 use crate::cost::{CachedChain, PlanCache, StatsStore};
-use crate::optimizer::{optimize, optimize_costed, RewriteKind};
+use crate::optimizer::{optimize_costed, Optimized};
 use crate::residual::{compile_cond, compile_steps, CompiledCond, CompiledPath};
 use crate::trace::NodeFact;
 use crate::translate::{filter_paths, resolve_path, PathSpec, SkOp, TranslateError};
@@ -182,8 +182,43 @@ pub struct PlanRewrite {
     pub result: String,
     /// Whether the abstract-interpretation certifier signed the step off
     /// (structural replay + Proposition 3.5 side condition + compatible
-    /// pre/post abstract states).
+    /// pre/post abstract states). A chain runs rewritten only when every
+    /// one of its steps is certified.
     pub certified: bool,
+}
+
+/// The lowering the planner runs and caches for one optimizer run: every
+/// recorded step goes through the abstract-interpretation certifier
+/// ([`certify`]), and `opt` is applied only when all of them certify.
+/// Otherwise the run keeps `original`, unoptimized, and its rewrites are
+/// recorded as uncertified (`qof check` reports them as `QOF110`).
+pub fn lower_run(original: &InclusionExpr, rig: &Rig, opt: Optimized) -> CachedChain {
+    let cert = certify(original, rig, &opt, &AbsInterp::new(rig));
+    let accepted = cert.all_certified();
+    let mut rewrites: Vec<PlanRewrite> = opt
+        .trace
+        .iter()
+        .zip(&cert.steps)
+        .map(|(rw, step)| PlanRewrite {
+            proposition: rw.kind.proposition().to_owned(),
+            description: rw.description.clone(),
+            result: rw.result.clone(),
+            certified: step.certified,
+        })
+        .collect();
+    if opt.trivially_empty {
+        rewrites.push(PlanRewrite {
+            proposition: "3.3".to_owned(),
+            description: format!("`{original}` is provably empty: a hop has no RIG edge or path"),
+            result: "∅".to_owned(),
+            certified: cert.empty_step.as_ref().is_some_and(|s| s.certified),
+        });
+    }
+    CachedChain {
+        expr: if accepted { opt.expr } else { original.clone() },
+        rewrites,
+        empty: accepted && opt.trivially_empty,
+    }
 }
 
 /// A complete query plan.
@@ -259,12 +294,10 @@ pub struct Planner<'a> {
     pub partial_rig: &'a Rig,
     /// Whether the index spec covers every non-terminal (full indexing).
     pub full_indexing: bool,
-    /// Strict mode: a rewrite the certifier cannot certify is *suppressed*
-    /// (the run stays unoptimized) instead of merely flagged.
-    pub strict: bool,
-    /// Index statistics for cost-ranked normal-form selection; `None`
-    /// falls back to the purely syntactic leftmost-first optimizer.
-    pub stats: Option<&'a StatsStore>,
+    /// Index statistics for cost-ranked normal-form selection. An empty
+    /// store ranks every form alike, which keeps the leftmost-first
+    /// canonical form.
+    pub stats: &'a StatsStore,
     /// Memoized per-chain lowering results and route verdicts.
     pub plan_cache: &'a PlanCache,
 }
@@ -498,13 +531,13 @@ impl<'a> Planner<'a> {
         // cache memoizes under and per-fingerprint calibration reads, so
         // the feedback loop closes on the identical value. Multi-chain
         // plans hash all keys in planning order; a bare scan hashes the
-        // strict flag and view symbols (so scans of different views
-        // differ). All material is deterministic spelling — the hash is
-        // identical across processes for the same query shape.
+        // view symbols (so scans of different views differ). All material
+        // is deterministic spelling — the hash is identical across
+        // processes for the same query shape.
         let fingerprint = match fp_keys.as_slice() {
             [single] => fnv1a64(single.as_bytes()),
             keys => {
-                let mut material = format!("plan|strict={}", self.strict);
+                let mut material = String::from("plan");
                 for vp in &vars {
                     let _ = write!(material, "|var:{}", vp.symbol);
                 }
@@ -784,7 +817,7 @@ impl<'a> Planner<'a> {
             // The chain key (the plan cache's own key) doubles as the
             // workload-fingerprint material and the per-fingerprint
             // calibration key — one spelling, three consumers.
-            let key = PlanCache::chain_key(&ie, self.strict);
+            let key = PlanCache::chain_key(&ie);
             fp_keys.push(key.clone());
             // Scoped keys are not RIG nodes; skip optimization for runs
             // containing them (they are already short).
@@ -803,60 +836,19 @@ impl<'a> Planner<'a> {
                 optimized_runs.push(cached.expr);
                 continue;
             }
-            // With statistics, rank the certified-equivalent normal forms
-            // by estimated cost; without, keep the syntactic
-            // leftmost-first canonical form. Hot shapes rank with their
-            // own calibration (keyed on the chain fingerprint) instead of
-            // the global per-operator blend.
+            // Rank the normal forms by estimated cost; ties (an empty
+            // store among them) keep the leftmost-first canonical form.
+            // Hot shapes rank with their own calibration (keyed on the
+            // chain fingerprint) instead of the global per-operator blend.
             let chain_fp = fnv1a64(key.as_bytes());
-            let opt = match self.stats {
-                Some(st) => {
-                    optimize_costed(&ie, self.partial_rig, &|e| st.estimate_cost_fp(e, chain_fp))
-                }
-                None => optimize(&ie, self.partial_rig),
-            };
-            // Every recorded step goes through the abstract-interpretation
-            // certifier; a verdict the certifier rejects is flagged in the
-            // trace and — under strict mode — suppressed entirely.
-            let interp = AbsInterp::new(self.partial_rig);
-            let cert = certify(&ie, self.partial_rig, &opt, &interp);
-            let accepted = !self.strict || cert.all_certified();
-            let mut run_rewrites: Vec<PlanRewrite> = Vec::new();
-            for (rw, step) in opt.trace.iter().zip(&cert.steps) {
-                let proposition = match &rw.kind {
-                    RewriteKind::Weaken { .. } => "3.5(a)",
-                    RewriteKind::Shorten { .. } => "3.5(b)",
-                };
-                run_rewrites.push(PlanRewrite {
-                    proposition: proposition.to_owned(),
-                    description: rw.description.clone(),
-                    result: rw.result.clone(),
-                    certified: step.certified,
-                });
-            }
-            let mut run_empty = false;
-            if opt.trivially_empty {
-                let step_ok = cert.empty_step.as_ref().is_some_and(|s| s.certified);
-                run_rewrites.push(PlanRewrite {
-                    proposition: "3.3".to_owned(),
-                    description: format!("`{ie}` is provably empty: a hop has no RIG edge or path"),
-                    result: "∅".to_owned(),
-                    certified: step_ok,
-                });
-                run_empty = accepted;
-            }
-            let chosen = if accepted { opt.expr } else { ie };
-            self.plan_cache.insert(
-                key,
-                CachedChain {
-                    expr: chosen.clone(),
-                    rewrites: run_rewrites.clone(),
-                    empty: run_empty,
-                },
-            );
-            rewrites.extend(run_rewrites);
-            empty |= run_empty;
-            optimized_runs.push(chosen);
+            let opt = optimize_costed(&ie, self.partial_rig, &|e| {
+                self.stats.estimate_cost_fp(e, chain_fp)
+            });
+            let lowered = lower_run(&ie, self.partial_rig, opt);
+            self.plan_cache.insert(key, lowered.clone());
+            rewrites.extend(lowered.rewrites);
+            empty |= lowered.empty;
+            optimized_runs.push(lowered.expr);
         }
 
         // Reassemble: fold runs right-to-left with NestedExactly links.

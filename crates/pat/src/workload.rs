@@ -240,9 +240,9 @@ mod tests {
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
         // Lane-widened digest of a >8-byte input: pinned so any change
         // to the folding order is caught.
-        let long = fnv1a64("strict=false|Reference ⊃ Last_Name".as_bytes());
-        assert_eq!(long, fnv1a64("strict=false|Reference ⊃ Last_Name".as_bytes()));
-        assert_ne!(long, fnv1a64("strict=true|Reference ⊃ Last_Name".as_bytes()));
+        let long = fnv1a64("plan|chain:Reference ⊃ Last_Name".as_bytes());
+        assert_eq!(long, fnv1a64("plan|chain:Reference ⊃ Last_Name".as_bytes()));
+        assert_ne!(long, fnv1a64("plan|chain:Reference ⊃d Last_Name".as_bytes()));
     }
 
     fn obs(fp: u64, nanos: u64) -> WorkloadObs<'static> {

@@ -47,7 +47,7 @@ fn usage() -> ExitCode {
         "usage:\n  \
          qof generate <schema> <count>\n  \
          qof rig <schema> [indexed,names]\n  \
-         qof query   <schema> [--index A,B,C] [--from-index F.qofx] [--strict]\n              \
+         qof query   <schema> [--index A,B,C] [--from-index F.qofx]\n              \
          [--explain-analyze] [--trace-json FILE] [--trace-perfetto FILE]\n              \
          [<file>...] <query>\n  \
          qof explain <schema> [--index A,B,C] [--from-index F.qofx] [<file>...] <query>\n  \
@@ -61,7 +61,7 @@ fn usage() -> ExitCode {
          qof index inspect <F.qofx>\n  \
          qof qlog analyze  <query.log> [--json]\n  \
          qof advise  <schema> [--costed] [<file>...] <query>...\n  \
-         qof check   <schema> [--index A,B,C] [--json] [--strict] [<query>...]\n\
+         qof check   <schema> [--index A,B,C] [--json] [<query>...]\n\
          schemas: bibtex mail logs sgml code"
     );
     ExitCode::from(2)
@@ -632,7 +632,6 @@ fn run() -> Result<ExitCode, String> {
             let mut rest: Vec<String> = args[2..].to_vec();
             let mut index: Option<String> = None;
             let mut from_index: Option<String> = None;
-            let mut strict = false;
             let mut explain_analyze = false;
             let mut trace_json: Option<String> = None;
             let mut trace_perfetto: Option<String> = None;
@@ -662,10 +661,6 @@ fn run() -> Result<ExitCode, String> {
                         }
                         from_index = Some(rest[1].clone());
                         rest.drain(..2);
-                    }
-                    Some("--strict") => {
-                        strict = true;
-                        rest.remove(0);
                     }
                     Some("--explain-analyze") => {
                         explain_analyze = true;
@@ -793,8 +788,7 @@ fn run() -> Result<ExitCode, String> {
             if files.is_empty() && from_index.is_none() {
                 return Ok(usage());
             }
-            let db = load_db(schema, files, index.as_deref(), from_index.as_deref())?
-                .with_strict(strict);
+            let db = load_db(schema, files, index.as_deref(), from_index.as_deref())?;
             if cmd == "explain" {
                 print!("{}", db.explain(query).map_err(|e| e.to_string())?);
             } else if explain_analyze || trace_json.is_some() || trace_perfetto.is_some() {
@@ -934,7 +928,6 @@ fn run() -> Result<ExitCode, String> {
             let mut rest: Vec<String> = args[2..].to_vec();
             let mut index: Option<String> = None;
             let mut json = false;
-            let mut strict = false;
             loop {
                 match rest.first().map(String::as_str) {
                     Some("--index") => {
@@ -946,10 +939,6 @@ fn run() -> Result<ExitCode, String> {
                     }
                     Some("--json") => {
                         json = true;
-                        rest.remove(0);
-                    }
-                    Some("--strict") => {
-                        strict = true;
                         rest.remove(0);
                     }
                     _ => break,
@@ -971,8 +960,7 @@ fn run() -> Result<ExitCode, String> {
             if !rest.is_empty() {
                 let text = generate_by_name(name, 3).expect("known schema");
                 let db = FileDatabase::build(Corpus::from_text(&text), schema, spec)
-                    .map_err(|e| e.to_string())?
-                    .with_strict(strict);
+                    .map_err(|e| e.to_string())?;
                 for query in &rest {
                     checks.push(("query", Some(query), db.check(query)));
                 }

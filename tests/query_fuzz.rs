@@ -1,0 +1,154 @@
+//! Seeded end-to-end query loop over all five schemas. Queries are random
+//! walks down each schema's grammar from its view symbol — repeats
+//! allowed, so self-nested paths such as `Subsections.Section.Subsections`
+//! occur — used as `=` selections and as projections, under a full and a
+//! partial index. Half of them then take 1–3 byte mutations, as untrusted
+//! query text would. Every input must come back `Ok` or as a typed error,
+//! never as a panic, and every rewrite of a planned query must certify.
+//!
+//! The loop runs through `FileDatabase::query_traced`, so in a debug build
+//! every optimizer call also self-verifies (`QOF030`/`QOF031`). Every case
+//! runs on its own seed drawn from a fixed `StdRng` stream; a failure
+//! prints the case's seed and query text.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
+use qof::grammar::{IndexSpec, StructuringSchema};
+use qof::text::Corpus;
+use qof::FileDatabase;
+
+/// Cases per schema and index.
+const CASES: usize = 100;
+
+/// A schema, one of its views, and a small generated corpus over it.
+fn corpora() -> Vec<(StructuringSchema, String)> {
+    vec![
+        (bibtex::schema(), bibtex::generate(&bibtex::BibtexConfig::with_refs(20)).0),
+        (sgml::schema(), sgml::generate(&sgml::SgmlConfig::default()).0),
+        (
+            code::schema(),
+            code::generate(&code::CodeConfig { n_functions: 12, ..Default::default() }).0,
+        ),
+        (
+            logs::schema(),
+            logs::generate(&logs::LogConfig { n_sessions: 12, ..Default::default() }).0,
+        ),
+        (
+            mail::schema(),
+            mail::generate(&mail::MailConfig { n_messages: 12, ..Default::default() }).0,
+        ),
+    ]
+}
+
+/// A random walk of 1–5 steps down the grammar from `symbol`, spelled as
+/// attribute names; it stops early at a token.
+fn grammar_walk(schema: &StructuringSchema, symbol: &str, rng: &mut StdRng) -> Vec<String> {
+    let g = &schema.grammar;
+    let mut at = g.symbol(symbol).expect("view symbol");
+    let mut steps = Vec::new();
+    for _ in 0..rng.random_range(1..6) {
+        let children = g.children_of(at);
+        if children.is_empty() {
+            break;
+        }
+        at = children[rng.random_range(0..children.len())];
+        steps.push(g.name(at).to_owned());
+    }
+    steps
+}
+
+/// A query over `view` built from a grammar walk: an `=` selection, a
+/// projection, or both.
+fn random_query(
+    schema: &StructuringSchema,
+    (view, symbol): (&str, &str),
+    words: &[&str],
+    rng: &mut StdRng,
+) -> String {
+    let path = |rng: &mut StdRng| format!("v.{}", grammar_walk(schema, symbol, rng).join("."));
+    let word = words[rng.random_range(0..words.len())];
+    match rng.random_range(0..3) {
+        0 => format!("SELECT v FROM {view} v WHERE {} = \"{word}\"", path(rng)),
+        1 => format!("SELECT {} FROM {view} v", path(rng)),
+        _ => {
+            let projected = path(rng);
+            format!("SELECT {projected} FROM {view} v WHERE {} = \"{word}\"", path(rng))
+        }
+    }
+}
+
+/// Overwrites, deletes or inserts 1–3 bytes, drawing new bytes from the
+/// query language's own punctuation as well as arbitrary ones.
+fn mutate(query: &str, rng: &mut StdRng) -> String {
+    const PUNCT: &[u8] = b".\"*+=()^, XAND OR NOT SELECT FROM WHERE";
+    let mut bytes = query.as_bytes().to_vec();
+    for _ in 0..rng.random_range(1..4) {
+        let byte = if rng.random_range(0..2) == 0 {
+            PUNCT[rng.random_range(0..PUNCT.len())]
+        } else {
+            rng.random_range(0..256) as u8
+        };
+        let at = rng.random_range(0..=bytes.len());
+        match rng.random_range(0..3) {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Runs `query`: it must not panic, and a planned query's rewrites must
+/// all certify.
+fn run(db: &FileDatabase, query: &str) -> Result<(), String> {
+    match catch_unwind(AssertUnwindSafe(|| db.query_traced(query))) {
+        Err(_) => Err("panicked".into()),
+        Ok(Err(_)) => Ok(()),
+        Ok(Ok((_, trace))) => match trace.rewrites.iter().find(|rw| !rw.certified) {
+            Some(rw) => Err(format!("uncertified rewrite {rw:?}")),
+            None => Ok(()),
+        },
+    }
+}
+
+#[test]
+fn random_and_mutated_queries_never_panic_and_always_certify() {
+    let mut seeds = StdRng::seed_from_u64(0xf022_9e71);
+    let mut planned = 0;
+    for (schema, text) in corpora() {
+        let (view, symbol) = schema.views().next().expect("a view");
+        let (view, symbol) = (view.to_owned(), symbol.to_owned());
+        let words: Vec<&str> =
+            text.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty()).collect();
+        let corpus = Corpus::from_text(&text);
+        // A full index, and a partial one: the view plus every other
+        // symbol the walk can reach from it, halved.
+        let mut rng = StdRng::seed_from_u64(seeds.next_u64());
+        let mut partial = IndexSpec::names([symbol.as_str()]);
+        for (_, name) in schema.grammar.symbols() {
+            if rng.random_range(0..2) == 0 {
+                partial = partial.with_name(name);
+            }
+        }
+        for spec in [IndexSpec::full(), partial] {
+            let db = FileDatabase::build(corpus.clone(), schema.clone(), spec).unwrap();
+            for i in 0..CASES {
+                let seed = seeds.next_u64();
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let mut query = random_query(&schema, (&view, &symbol), &words, rng);
+                if rng.random_range(0..2) == 0 {
+                    query = mutate(&query, rng);
+                } else {
+                    planned += 1;
+                }
+                if let Err(msg) = run(&db, &query) {
+                    panic!("{view}, case {i} (seed {seed:#x}): {msg} on `{query}`");
+                }
+            }
+        }
+    }
+    assert!(planned > CASES * 4, "unmutated queries: {planned}");
+}
