@@ -359,17 +359,18 @@ fn e4(scale: Scale, r: &mut Recorder) {
 
 /// E5: pushing the query into candidate parsing (§6.2), on the executor's
 /// path. Both queries parse every `Reference` candidate once; `SELECT r`
-/// builds each whole object, while projecting one path builds only the
-/// fields on it.
+/// builds each whole object and reads all of it, while projecting one
+/// path builds only the fields on it and stops reading after `Authors`,
+/// the last field it keeps.
 fn e5(scale: Scale, r: &mut Recorder) {
     banner("E5", "push-down parsing of candidates vs full object construction (§6.2)");
     let n = scale.pick(400, 3200);
     let fdb = bibtex_partial(n, &["Reference", "Last_Name"]);
     println!(
-        "{:>10} | {:>12} {:>12} | {:>12} {:>12}",
-        "mode", "time", "nodes", "objects", "parsed"
+        "{:>10} | {:>12} {:>12} | {:>12} {:>12} {:>12}",
+        "mode", "time", "nodes", "objects", "candidates", "parsed"
     );
-    let mut parsed = Vec::new();
+    let (mut candidates, mut parsed) = (Vec::new(), Vec::new());
     for (label, q) in [
         ("full", "SELECT r FROM References r"),
         ("push-down", "SELECT r.Authors.Name.Last_Name FROM References r"),
@@ -379,18 +380,23 @@ fn e5(scale: Scale, r: &mut Recorder) {
         let s = &res.stats;
         r.rec(format!("secs_{label}"), secs, "s");
         r.rec(format!("value_nodes_{label}"), s.db.value_nodes as f64, "nodes");
+        r.rec(format!("candidates_{label}"), s.candidates as f64, "regions");
+        r.rec(format!("bytes_scanned_{label}"), s.parse.bytes_scanned as f64, "bytes");
         println!(
-            "{:>10} | {} {:>12} | {:>12} {:>12}",
+            "{:>10} | {} {:>12} | {:>12} {:>12} {:>12}",
             label,
             fmt_secs(secs),
             s.db.value_nodes,
             s.db.objects_created,
+            s.candidates,
             s.parse.bytes_scanned
         );
+        candidates.push(s.candidates);
         parsed.push(s.parse.bytes_scanned);
     }
-    assert_eq!(parsed[0], parsed[1], "both modes parse the same candidates");
-    println!("(same candidates parsed; the filter skips fields the query never reads)");
+    assert_eq!(candidates[0], candidates[1], "both modes parse the same candidates");
+    assert!(parsed[1] < parsed[0], "push-down stops reading after its last field");
+    println!("(same candidates; the filter skips fields and the text after the last one kept)");
 }
 
 /// E6: the select–project–join hybrid (§5.2).

@@ -514,6 +514,11 @@ fn check_with_planner(
                      approximates it",
                     hop.to, hop.from
                 ),
+                InexactReason::SameName => format!(
+                    "both ends of `{0} ⊃d {0}` are `{0}` regions, and inclusion also pairs \
+                     each region with itself",
+                    hop.from
+                ),
             };
             let mut d = Diagnostic::new(
                 Code::Qof011,

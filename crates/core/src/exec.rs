@@ -816,8 +816,10 @@ impl FileDatabase {
             })?;
             let mut sink = ValueSink::new(grammar, text, &mut db, filter);
             for region in &candidates[i] {
+                // Candidates are regions of `sym`, which the index build
+                // recognized: the parse may stop at the last kept field.
                 parser
-                    .parse_into(sym, region.span(), &mut sink)
+                    .parse_indexed(sym, region.span(), &mut sink)
                     .map_err(QueryError::CandidateParse)?;
                 let value = sink.take().ok_or_else(|| {
                     QueryError::Internal("a candidate parse built no value".to_owned())
@@ -1749,6 +1751,63 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Rewrites the `name` regions of `built`'s `.qofx` file with `craft`
+    /// and a valid checksum, and opens the result.
+    fn open_crafted(
+        built: &FileDatabase,
+        tag: &str,
+        name: &str,
+        craft: impl FnOnce(&mut Vec<Region>),
+    ) -> Result<FileDatabase, QofxError> {
+        let path = temp_qofx(tag);
+        built.persist(&path).unwrap();
+        let parts = qofx::read_qofx(&path).unwrap();
+        let mut instance = parts.instance.clone();
+        let mut regions = instance.get(name).unwrap().as_slice().to_vec();
+        craft(&mut regions);
+        instance.insert(name, RegionSet::from_sorted(regions));
+        qofx::write_qofx(&path, &parts.corpus, &parts.words, &instance, &parts.spec).unwrap();
+        let opened = FileDatabase::open(&path, built.schema().clone());
+        std::fs::remove_file(&path).ok();
+        opened
+    }
+
+    #[test]
+    fn checksum_valid_regions_past_the_text_or_inside_a_character_are_rejected() {
+        // The last `Reference` region's length rewritten to 16383: a
+        // query parsing it would read past the corpus text.
+        let built =
+            FileDatabase::build(multi_file_corpus(1, 20), bibtex::schema(), IndexSpec::full())
+                .unwrap();
+        let len = built.corpus().len();
+        let opened = open_crafted(&built, "past-end", "Reference", |regions| {
+            let last = regions.last_mut().unwrap();
+            last.end = last.start + 16383;
+            assert!(last.end > len);
+        });
+        match opened {
+            Err(QofxError::Corrupt(why)) => assert!(why.contains("of Reference"), "{why}"),
+            other => panic!("a region past the text must not open: {:?}", other.err()),
+        }
+
+        // A region ending inside the two bytes of `é`.
+        use qof_grammar::{lit, nt, Grammar, TokenPattern, ValueBuilder};
+        let g = Grammar::builder("Doc")
+            .repeat("Doc", "Item", None, ValueBuilder::Set)
+            .seq("Item", [lit("\""), nt("Body"), lit("\"")], ValueBuilder::TupleAuto)
+            .token("Body", TokenPattern::Until("\"".into()), ValueBuilder::Atom)
+            .build()
+            .unwrap();
+        let schema = StructuringSchema::new(g).with_view("Items", "Item");
+        let built =
+            FileDatabase::build(Corpus::from_text("\"é\""), schema, IndexSpec::full()).unwrap();
+        assert_eq!(built.instance().get("Body").unwrap().as_slice(), [Region::new(1, 3)]);
+        match open_crafted(&built, "split-char", "Body", |regions| regions[0].end = 2) {
+            Err(QofxError::Corrupt(why)) => assert!(why.contains("splits a character"), "{why}"),
+            other => panic!("a region splitting a character must not open: {:?}", other.err()),
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use qof_grammar::{PathFilter, StructuringSchema};
+use qof_grammar::{PathFilter, StructuringSchema, ValueBuilder};
 use qof_pat::{fnv1a64, Instance, RegionExpr};
 
 use crate::analyze::absint::{certify, AbsInterp, AbsState, CardInterval};
@@ -135,8 +135,10 @@ pub enum ProjPlan {
         /// Position of the projected variable in [`Plan::vars`].
         var: usize,
     },
-    /// `SELECT r.p` whose deep regions the index locates exactly: values
-    /// are read from the text of those regions, nothing is parsed.
+    /// `SELECT r.p` of an atom whose deep regions the index locates
+    /// exactly, over a view that does not nest in itself or over all of
+    /// its regions: values are read from the text of those regions,
+    /// nothing is parsed.
     IndexValues {
         /// Position of the projected variable in [`Plan::vars`].
         var: usize,
@@ -151,8 +153,9 @@ pub enum ProjPlan {
         var: usize,
         /// Compiled path to evaluate on the parsed objects.
         steps: CompiledPath,
-        /// The inexact index-side chain and its pretty form, when one
-        /// exists; kept for facts and lints, not evaluated.
+        /// The index-side chain and its pretty form, when one exists (an
+        /// inexact one, or an exact one to a non-atomic attribute); kept
+        /// for facts and lints, not evaluated.
         chain: Option<(RegionExpr, String)>,
     },
 }
@@ -318,6 +321,11 @@ pub enum InexactReason {
     /// The target attribute itself is not indexed; the deepest indexed
     /// name only approximates it.
     TargetNotIndexed,
+    /// Both ends of a `⊃d` hop are regions of one name (a self-loop of the
+    /// partial RIG, such as `Section → Section` with `Subsections` not
+    /// indexed): inclusion pairs every region with itself, so the hop
+    /// also matches at depth zero.
+    SameName,
 }
 
 /// One hop of a query path that the index cannot answer exactly, with the
@@ -502,14 +510,26 @@ impl<'a> Planner<'a> {
                 let mut f = PathFilter::from_paths(&filter_paths(&spec));
                 f.merge(&filters[proj_var]);
                 filters[proj_var] = f;
+                // A region's text is the value of an atom only: sets,
+                // tuples and integers are built by parsing. And the chain
+                // collects the items inside a result at any depth, so a
+                // self-nested view whose results are some of its regions
+                // would also collect the items of the views nested in them.
+                let grammar = &self.schema.grammar;
+                let atoms = spec.alternatives.iter().all(|alt| {
+                    let last = alt.names.last().and_then(|n| grammar.symbol(n));
+                    last.is_some_and(|s| grammar.rule(s).builder == ValueBuilder::Atom)
+                });
+                let every_region = vars[proj_var].cond.is_none() && join.is_none();
+                let from_index = atoms && (every_region || !self.full_rig.on_cycle(symbol));
                 match self.deep_expr(&spec, &mut rewrites, &mut fp_keys).ok() {
-                    Some((chain, display, true)) => {
+                    Some((chain, display, true)) if from_index => {
                         ProjPlan::IndexValues { var: proj_var, chain, display }
                     }
-                    inexact => ProjPlan::ParsedValues {
+                    parsed => ProjPlan::ParsedValues {
                         var: proj_var,
                         steps: compile_steps(&self.schema.grammar, symbol, &p.steps)?,
-                        chain: inexact.map(|(expr, display, _)| (expr, display)),
+                        chain: parsed.map(|(expr, display, _)| (expr, display)),
                     },
                 }
             }
@@ -691,12 +711,17 @@ impl<'a> Planner<'a> {
                         let unique = self.plan_cache.route(route_from, next_name, || {
                             self.unique_route(route_from, next_name)
                         });
-                        if !unique {
+                        let reason = if *prev == kept {
+                            Some(InexactReason::SameName)
+                        } else {
+                            (!unique).then_some(InexactReason::AmbiguousRoute)
+                        };
+                        if let Some(reason) = reason {
                             exact = false;
                             hops.push(InexactHop {
                                 from: route_from.to_owned(),
                                 to: next_name.clone(),
-                                reason: InexactReason::AmbiguousRoute,
+                                reason,
                             });
                         }
                         ops.push(EOp::Direct);

@@ -274,7 +274,10 @@ fn decode_corpus(buf: &[u8]) -> Result<Corpus, QofxError> {
     Corpus::from_parts(text, files).map_err(QofxError::Corrupt)
 }
 
-fn decode_regions(buf: &[u8]) -> Result<Instance, QofxError> {
+/// Decodes the region sets over the corpus `text`. A region must lie in
+/// the text and start and end on character boundaries: queries slice the
+/// text at region ends and parse candidates up to them.
+fn decode_regions(buf: &[u8], text: &str) -> Result<Instance, QofxError> {
     let at = &mut 0usize;
     let n_names = decode_u64(buf, at).ok_or(QofxError::Truncated)?;
     let n_names = usize::try_from(n_names).map_err(|_| QofxError::Truncated)?;
@@ -295,6 +298,12 @@ fn decode_regions(buf: &[u8]) -> Result<Instance, QofxError> {
             let len = decode_u32(buf, at).ok_or(QofxError::Truncated)?;
             let start = prev_start.checked_add(gap).ok_or(QofxError::Truncated)?;
             let end = start.checked_add(len).ok_or(QofxError::Truncated)?;
+            if !(text.is_char_boundary(start as usize) && text.is_char_boundary(end as usize)) {
+                return Err(QofxError::Corrupt(format!(
+                    "region {start}..{end} of {name} lies outside the corpus text or splits a \
+                     character"
+                )));
+            }
             let r = Region::new(start, end);
             // `from_sorted` trusts canonical order; verify it here so a
             // checksum-colliding file can't smuggle in an unsorted set.
@@ -418,7 +427,7 @@ pub(crate) fn read_qofx(path: &Path) -> Result<QofxContents, QofxError> {
     if *at != word_buf.len() {
         return Err(QofxError::Corrupt("trailing bytes after word section".to_owned()));
     }
-    let instance = decode_regions(section_slice(&data, &sections[2])?)?;
+    let instance = decode_regions(section_slice(&data, &sections[2])?, corpus.text())?;
     let spec = decode_spec(section_slice(&data, &sections[3])?)?;
     Ok(QofxContents { corpus, words, instance, spec })
 }

@@ -96,7 +96,9 @@ impl<'t> AtomText<'t> {
 
 /// The value sink: executes the `$$ := …` annotations as the parser goes,
 /// building only what the [`PathFilter`] keeps (§6.2). A node the filter
-/// drops is still recognized, but nothing of its subtree is allocated.
+/// drops is still recognized, but nothing of its subtree is allocated;
+/// [`Parser::parse_indexed`](crate::Parser::parse_indexed) asks
+/// [`Sink::keeps`] and does not read a candidate past its last kept field.
 ///
 /// Finished values wait for their parent on one stack. A tuple sorts its
 /// fields by the grammar's name ranks and takes them in one vector; an
@@ -107,6 +109,9 @@ pub struct ValueSink<'a, 'd> {
     grammar: &'a Grammar,
     text: AtomText<'a>,
     filter: &'a PathFilter,
+    /// Per symbol: whether `filter` keeps a field of its name, worked out
+    /// once per sink so [`Sink::keeps`] looks no name up per candidate.
+    kept: Vec<bool>,
     db: &'d mut Database,
     frames: Vec<Frame<'a>>,
     /// Finished values waiting for their parent, with their symbols.
@@ -147,10 +152,17 @@ impl<'a, 'd> ValueSink<'a, 'd> {
         db: &'d mut Database,
         filter: &'a PathFilter,
     ) -> Self {
+        let mut kept = vec![filter.keep_all; grammar.symbol_count()];
+        for name in filter.children.keys() {
+            if let Some(symbol) = grammar.symbol(name) {
+                kept[symbol.0 as usize] = true;
+            }
+        }
         Self {
             grammar,
             text,
             filter,
+            kept,
             db,
             frames: Vec::new(),
             values: Vec::new(),
@@ -295,6 +307,21 @@ impl Sink for ValueSink<'_, '_> {
             skip: self.skip,
             nodes: self.nodes,
             db: self.db.mark(),
+        }
+    }
+
+    fn keeps(&self, symbol: SymbolId) -> bool {
+        if self.skip > 0 {
+            return false;
+        }
+        let Some(parent) = self.frames.last() else { return true };
+        match parent.builder {
+            // Only the first child is built, which `keeps` cannot tell
+            // from the symbol alone.
+            ValueBuilder::Child => true,
+            ValueBuilder::Atom | ValueBuilder::AtomInt => false,
+            _ if std::ptr::eq(parent.filter, self.filter) => self.kept[symbol.0 as usize],
+            _ => parent.filter.keeps(self.grammar.name(symbol)),
         }
     }
 

@@ -9,9 +9,10 @@
 //! the [`ParseNode`] tree the public tree API returns. Backtracking leaves
 //! no trace in a sink: before each alternative and each repetition item
 //! the walk takes a [`Sink::mark`], and a failed attempt
-//! [rolls back](Sink::rollback) to it. Counts bytes scanned and nodes
-//! recognized so the harness can report how much file text each strategy
-//! touches.
+//! [rolls back](Sink::rollback) to it. [`Parser::parse_indexed`] parses
+//! a region the index holds and stops after the last field its sink
+//! keeps. Counts the bytes each walk read and the nodes it recognized, so
+//! the harness can report how much file text each strategy touches.
 
 use crate::{Grammar, RuleBody, SymbolId, Term, TokenPattern};
 use qof_text::{Pos, Span};
@@ -43,6 +44,15 @@ pub trait Sink {
 
     /// A whole parse succeeded: no rollback will reach before this point.
     fn commit(&mut self) {}
+
+    /// Whether a node of `symbol` entered now, under the open node, would
+    /// leave anything in the sink. [`Parser::parse_indexed`] asks about
+    /// the children of its root and skips the suffix after the last one
+    /// kept, so a sink answering `false` must keep nothing of that node.
+    fn keeps(&self, symbol: SymbolId) -> bool {
+        let _ = symbol;
+        true
+    }
 }
 
 /// A node of the parse tree: a symbol, its span and its children.
@@ -295,11 +305,10 @@ impl<'a> Parser<'a> {
         Ok(tree.done.expect("a successful parse leaves its root"))
     }
 
-    /// Parses `symbol` across `span`, reporting every node to `sink` — used
-    /// to parse the candidate regions located by an inclusion expression
-    /// (§6.2). The span must be consumed entirely (modulo whitespace when
-    /// the grammar skips it). On failure the sink is rolled back to where
-    /// it was.
+    /// Parses `symbol` across `span`, reporting every node to `sink`. The
+    /// span must be consumed entirely (modulo whitespace when the grammar
+    /// skips it), so this validates every byte of it. On failure the sink
+    /// is rolled back to where it was.
     ///
     /// # Panics
     /// Panics if `span` lies outside the parser's text.
@@ -308,6 +317,39 @@ impl<'a> Parser<'a> {
         symbol: SymbolId,
         span: Span,
         sink: &mut S,
+    ) -> Result<(), ParseError> {
+        self.parse(symbol, span, sink, false)
+    }
+
+    /// Parses a candidate region located by an inclusion expression
+    /// (§6.2): like [`Parser::parse_into`], but the caller guarantees that
+    /// `span` is a region of `symbol` in the region index, so the index
+    /// build has already recognized all of it. When `symbol`'s rule is a
+    /// sequence whose last non-terminal the sink does not
+    /// [keep](Sink::keeps), the walk stops after the last term the sink
+    /// keeps and leaves the root at `span.end`: the suffix is neither read
+    /// nor counted in [`ParseStats`]. A span that is no such region may
+    /// then be accepted on the strength of its prefix.
+    ///
+    /// # Panics
+    /// Panics if `span` lies outside the parser's text.
+    pub fn parse_indexed<S: Sink>(
+        &self,
+        symbol: SymbolId,
+        span: Span,
+        sink: &mut S,
+    ) -> Result<(), ParseError> {
+        self.parse(symbol, span, sink, true)
+    }
+
+    /// The walk behind [`Parser::parse_into`] and, with `indexed`,
+    /// [`Parser::parse_indexed`].
+    fn parse<S: Sink>(
+        &self,
+        symbol: SymbolId,
+        span: Span,
+        sink: &mut S,
+        indexed: bool,
     ) -> Result<(), ParseError> {
         let (start, limit) = (span.start.wrapping_sub(self.base), span.end.wrapping_sub(self.base));
         assert!(
@@ -322,8 +364,13 @@ impl<'a> Parser<'a> {
             skip_ws: self.grammar.skips_whitespace(),
             sink,
             nodes: 0,
+            stopped_at: None,
         };
-        let parsed = walk.node(symbol, start, limit).and_then(|end| {
+        let root = match &self.grammar.rule(symbol).body {
+            RuleBody::Seq(terms) if indexed => walk.seq(symbol, terms, start, limit, true),
+            _ => walk.node(symbol, start, limit),
+        };
+        let parsed = root.and_then(|end| {
             let end = walk.skip_ws(end, limit);
             if end == limit {
                 Ok(())
@@ -331,11 +378,11 @@ impl<'a> Parser<'a> {
                 Err(Fail { at: end, want: Want::EndOf(symbol) })
             }
         });
-        let nodes = walk.nodes;
+        let (nodes, read_to) = (walk.nodes, walk.stopped_at.unwrap_or(limit));
         match parsed {
             Ok(()) => {
                 let mut s = self.stats.get();
-                s.bytes_scanned += u64::from(span.end - span.start);
+                s.bytes_scanned += u64::from(read_to - start);
                 s.nodes_built += nodes;
                 self.stats.set(s);
                 sink.commit();
@@ -389,6 +436,8 @@ struct Walk<'p, 'a, S> {
     sink: &'p mut S,
     /// Nodes recognized so far (rolled back with the sink).
     nodes: u64,
+    /// Where an indexed root stopped reading, if it skipped a suffix.
+    stopped_at: Option<Pos>,
 }
 
 impl<'a, S: Sink> Walk<'_, 'a, S> {
@@ -427,20 +476,7 @@ impl<'a, S: Sink> Walk<'_, 'a, S> {
                 self.leave(symbol, start, end);
                 Ok(end)
             }
-            RuleBody::Seq(terms) => {
-                let start = self.skip_ws(at, limit);
-                self.sink.enter(symbol);
-                let mut cur = start;
-                for term in terms {
-                    cur = self.skip_ws(cur, limit);
-                    cur = match term {
-                        Term::Lit(l) => self.expect_lit(l, cur, limit)?,
-                        Term::NonTerm(s) => self.node(*s, cur, limit)?,
-                    };
-                }
-                self.leave(symbol, start, cur);
-                Ok(cur)
-            }
+            RuleBody::Seq(terms) => self.seq(symbol, terms, at, limit, false),
             RuleBody::Repeat { item, sep, open, close } => {
                 let start = self.skip_ws(at, limit);
                 self.sink.enter(symbol);
@@ -505,6 +541,50 @@ impl<'a, S: Sink> Walk<'_, 'a, S> {
                 }
                 Err(furthest.unwrap_or(Fail { at, want: Want::AlternativeOf(symbol) }))
             }
+        }
+    }
+
+    /// Parses a sequence node of `symbol` like [`Walk::node`]. An
+    /// `indexed` node is a region of the index ending at `limit`: if the
+    /// sink drops its last non-terminal, the walk stops after the last
+    /// term the sink keeps and leaves the node at `limit`.
+    fn seq(
+        &mut self,
+        symbol: SymbolId,
+        terms: &'a [Term],
+        at: Pos,
+        limit: Pos,
+        indexed: bool,
+    ) -> Result<Pos, Fail<'a>> {
+        let start = self.skip_ws(at, limit);
+        self.sink.enter(symbol);
+        let walked = if indexed { self.kept_prefix(terms) } else { terms.len() };
+        let mut cur = start;
+        for term in &terms[..walked] {
+            cur = self.skip_ws(cur, limit);
+            cur = match term {
+                Term::Lit(l) => self.expect_lit(l, cur, limit)?,
+                Term::NonTerm(s) => self.node(*s, cur, limit)?,
+            };
+        }
+        if walked < terms.len() {
+            self.stopped_at = Some(cur);
+            cur = limit;
+        }
+        self.leave(symbol, start, cur);
+        Ok(cur)
+    }
+
+    /// How many of an indexed root's `terms` the walk reads: all of them
+    /// when the sink keeps the last non-terminal, else those up to the
+    /// last non-terminal it keeps.
+    fn kept_prefix(&self, terms: &[Term]) -> usize {
+        let kept = |t: &Term| matches!(t, Term::NonTerm(s) if self.sink.keeps(*s));
+        match terms.iter().rposition(|t| matches!(t, Term::NonTerm(_))) {
+            Some(last) if !kept(&terms[last]) => {
+                terms[..last].iter().rposition(kept).map_or(0, |k| k + 1)
+            }
+            _ => terms.len(),
         }
     }
 
@@ -820,6 +900,77 @@ mod tests {
         let item = g.symbol("Item").unwrap();
         let err = p.parse_symbol(item, base..base + 3).unwrap_err();
         assert_eq!(err.at, base + 3, "the word ends the span; `)` is missing");
+    }
+
+    /// `T → ( A , B )`: a tuple whose last field is `B`.
+    fn pair_grammar() -> Grammar {
+        Grammar::builder("T")
+            .seq("T", [lit("("), nt("A"), lit(","), nt("B"), lit(")")], ValueBuilder::TupleAuto)
+            .token("A", TokenPattern::Word, ValueBuilder::Atom)
+            .token("B", TokenPattern::Word, ValueBuilder::Atom)
+            .build()
+            .unwrap()
+    }
+
+    /// Parses `text` as a `T` into a value sink keeping `paths`, with
+    /// `parse_into` or `parse_indexed`; returns the value and the stats.
+    fn pair_value(
+        text: &str,
+        paths: &[Vec<&str>],
+        indexed: bool,
+    ) -> (Result<qof_db::Value, ParseError>, ParseStats) {
+        let g = pair_grammar();
+        let filter = crate::PathFilter::from_paths(paths);
+        let mut db = qof_db::Database::new();
+        let mut sink = crate::ValueSink::new(&g, crate::AtomText::Copied(text), &mut db, &filter);
+        let p = Parser::new(&g, text);
+        let span = 0..text.len() as Pos;
+        let parsed = if indexed {
+            p.parse_indexed(g.root(), span, &mut sink)
+        } else {
+            p.parse_into(g.root(), span, &mut sink)
+        };
+        (parsed.map(|()| sink.take().unwrap()), p.stats())
+    }
+
+    #[test]
+    fn an_indexed_parse_stops_after_the_last_kept_field() {
+        let text = "(ab,cd)";
+        let (full, full_stats) = pair_value(text, &[vec!["A"]], false);
+        let (lean, lean_stats) = pair_value(text, &[vec!["A"]], true);
+        assert_eq!(full.unwrap(), lean.unwrap());
+        assert_eq!(full_stats, ParseStats { bytes_scanned: 7, nodes_built: 3 });
+        assert_eq!(lean_stats, ParseStats { bytes_scanned: 3, nodes_built: 2 }, "`(ab` and T, A");
+        // Keeping the last field, or everything, reads every byte.
+        for paths in [vec![vec!["B"]], vec![vec![]]] {
+            let (value, stats) = pair_value(text, &paths, true);
+            assert_eq!(value, pair_value(text, &paths, false).0);
+            assert_eq!(stats.bytes_scanned, 7);
+        }
+        // Keeping nothing reads nothing past the root's start.
+        let (_, stats) = pair_value(text, &[], true);
+        assert_eq!(stats, ParseStats { bytes_scanned: 0, nodes_built: 1 });
+    }
+
+    #[test]
+    fn a_malformed_suffix_fails_every_parse_that_reads_it() {
+        let text = "(ab,%)";
+        let (lean, _) = pair_value(text, &[vec!["A"]], true);
+        assert!(lean.is_ok(), "the index vouches for the suffix an indexed parse skips");
+        let (full, stats) = pair_value(text, &[vec!["A"]], false);
+        assert_eq!(full.unwrap_err().to_string(), "parse error at byte 4: expected B token (Word)");
+        assert_eq!(stats, ParseStats::default());
+        // A sink that keeps everything (the tape, the region sink) makes
+        // an indexed parse read, and validate, the whole span.
+        let g = pair_grammar();
+        let p = Parser::new(&g, text);
+        let mut tape = Tape::new();
+        assert!(p.parse_indexed(g.root(), 0..6, &mut tape).is_err());
+        let mut regions = crate::RegionSink::new(&g, &crate::IndexSpec::full());
+        assert!(p.parse_indexed(g.root(), 0..6, &mut regions).is_err());
+        let p = Parser::new(&g, "(ab,cd)");
+        p.parse_indexed(g.root(), 0..7, &mut tape).unwrap();
+        assert_eq!(p.stats().bytes_scanned, 7);
     }
 
     #[test]
