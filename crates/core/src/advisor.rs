@@ -9,11 +9,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use qof_grammar::StructuringSchema;
+use qof_grammar::{resolve_path, SkOp, StructuringSchema};
 
 use crate::cost::StatsStore;
 use crate::optimizer::{optimize, optimize_costed};
-use crate::translate::{resolve_path, SkOp};
 use crate::{ChainOp, Cond, InclusionExpr, Projection, Query, Rig, RightHand};
 
 /// The advisor's output.

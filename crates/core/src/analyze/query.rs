@@ -12,13 +12,12 @@ use super::absint::AbsInterp;
 use super::{did_you_mean, locate, Code, Diagnostic, Severity};
 use crate::optimizer::optimize;
 use crate::plan::{InexactReason, Plan, PlanError, Planner};
-use crate::translate::{resolve_path, SkOp, Skeleton, TranslateError};
 use crate::{
     parse_query, ChainOp, Cond, Direction, InclusionExpr, Projection, QPath, QStep, Query, Rig,
     RightHand,
 };
 use qof_db::TypeDef;
-use qof_grammar::StructuringSchema;
+use qof_grammar::{resolve_path, PathError, SkOp, Skeleton, StructuringSchema, ValueBuilder};
 
 /// Statically checks one query against a schema and its RIG. With a
 /// [`Planner`] (i.e. an index spec), also checks index-dependent facts:
@@ -130,11 +129,11 @@ fn translate_diag(
     grammar: &qof_grammar::Grammar,
     symbol: &str,
     path: &QPath,
-    e: &TranslateError,
+    e: &PathError,
     src: &str,
 ) -> Diagnostic {
     match e {
-        TranslateError::NoSuchAttribute { attribute, under } => {
+        PathError::NoSuchAttribute { attribute, under } => {
             let mut d = Diagnostic::new(
                 Code::Qof022,
                 Severity::Error,
@@ -159,7 +158,7 @@ fn translate_diag(
             }
             d
         }
-        TranslateError::UnknownSymbol(s) => {
+        PathError::UnknownSymbol(s) => {
             let mut d = Diagnostic::new(
                 Code::Qof022,
                 Severity::Error,
@@ -173,7 +172,7 @@ fn translate_diag(
             }
             d
         }
-        TranslateError::VariableAtEnd => {
+        PathError::VariableAtEnd => {
             let mut d = Diagnostic::new(
                 Code::Qof020,
                 Severity::Error,
@@ -185,10 +184,6 @@ fn translate_diag(
                 d = d.with_span(span);
             }
             d
-        }
-        TranslateError::UnknownView(v) => {
-            // Normally caught at the FROM clause; keep a fallback.
-            Diagnostic::new(Code::Qof021, Severity::Error, format!("unknown view `{v}`"))
         }
     }
     .with_note(format!("path resolved against view symbol `{symbol}`"))
@@ -422,35 +417,22 @@ fn type_name(t: &TypeDef) -> &'static str {
     }
 }
 
-/// The atomic type a path lands on, following the class annotations of the
-/// database schema (§4.1). Variables (`*X`, `X1`) defeat static typing;
-/// the walk gives up and the comparison goes unchecked.
+/// The atomic type a path lands on: the builder of the symbol its value
+/// comes from (§4.1), when every derivation alternative agrees.
 fn terminal_type(schema: &StructuringSchema, q: &Query, p: &QPath) -> Option<TypeDef> {
-    let view = q.view_of(&p.var)?;
-    let symbol = schema.view_symbol_name(view)?;
-    let class = schema.classes.iter().find(|c| c.name == symbol)?;
-    let mut ty = class.ty.clone();
-    for step in &p.steps {
-        let QStep::Attr(name) = step else { return None };
-        ty = strip_containers(schema, ty)?;
-        let TypeDef::Tuple(fields) = ty else { return None };
-        ty = fields.get(name)?.clone();
-    }
-    match strip_containers(schema, ty)? {
-        t @ (TypeDef::Str | TypeDef::Int) => Some(t),
-        _ => None,
-    }
-}
-
-/// Dereferences sets, lists and class references down to the element type.
-fn strip_containers(schema: &StructuringSchema, mut ty: TypeDef) -> Option<TypeDef> {
-    loop {
-        ty = match ty {
-            TypeDef::Set(t) | TypeDef::List(t) => *t,
-            TypeDef::Class(c) => schema.classes.iter().find(|k| k.name == c)?.ty.clone(),
-            other => return Some(other),
-        };
-    }
+    let grammar = &schema.grammar;
+    let symbol = schema.view_symbol_name(q.view_of(&p.var)?)?;
+    let spec = resolve_path(grammar, symbol, &p.steps).ok()?;
+    let mut types = spec.alternatives.iter().map(|alt| {
+        let end = grammar.symbol(alt.names.last()?)?;
+        match grammar.rule(end).builder {
+            ValueBuilder::Atom => Some(TypeDef::Str),
+            ValueBuilder::AtomInt => Some(TypeDef::Int),
+            _ => None,
+        }
+    });
+    let first = types.next()??;
+    types.all(|t| t.as_ref() == Some(&first)).then_some(first)
 }
 
 /// The planner-dependent checks: `QOF026` (view not indexed), `QOF011`

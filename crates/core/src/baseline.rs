@@ -12,15 +12,14 @@
 //!   paths are constructed; the whole file is still scanned and parsed.
 
 use qof_db::{Database, PathCost, Value};
-use qof_grammar::{AtomText, ParseStats, Parser, PathFilter, StructuringSchema, Tape, ValueSink};
+use qof_grammar::{
+    resolve_path, AtomText, ParseStats, Parser, PathFilter, PathSpec, StructuringSchema, SymbolId,
+    Tape, ValueSink,
+};
 use qof_text::Corpus;
 
-use crate::plan::PlanError;
-use crate::residual::{
-    compile_cond, compile_steps, eval_pair, eval_single, path_values, CompiledCond, CompiledPath,
-};
-use crate::translate::{filter_paths, resolve_path};
-use crate::{parse_query, Cond, Projection, Query, QueryError, RightHand};
+use crate::residual::{compile_cond, eval_pair, eval_single, path_values, CompiledCond};
+use crate::{parse_query, Projection, Query, QueryError};
 
 /// Which baseline pipeline to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,55 +77,18 @@ pub fn run_baseline_ast(
     if q.ranges.len() > 2 {
         return Err(QueryError::Plan("at most two range variables".into()));
     }
-    // The push-down filter for ReducedLoad: every path the query mentions.
-    let filter = match mode {
-        BaselineMode::FullLoad => PathFilter::all(),
-        BaselineMode::ReducedLoad => reduced_filter(schema, q)?,
-    };
-
-    // Load phase: parse every file, build the (possibly filtered) values of
-    // the view symbol's occurrences.
-    let mut db = Database::new();
-    let parser = Parser::new(&schema.grammar, corpus.text());
     // All views in this query share one load when they coincide.
-    let mut extents: Vec<(String, Vec<Value>)> = Vec::new();
+    let mut extents: Vec<(String, SymbolId, Vec<Value>)> = Vec::new();
     for (view, _) in &q.ranges {
-        if extents.iter().any(|(v, _)| v == view) {
+        if extents.iter().any(|(v, _, _)| v == view) {
             continue;
         }
-        extents.push((view.clone(), Vec::new()));
+        let sym = schema
+            .view_symbol(view)
+            .ok_or_else(|| QueryError::Plan(format!("unknown view `{view}`")))?;
+        extents.push((view.clone(), sym, Vec::new()));
     }
-    // Each file is parsed once onto a tape; every view occurrence (nested
-    // ones too, each on its own) is then replayed into the value sink.
-    let mut tape = Tape::new();
-    let text = AtomText::Shared(corpus.shared_text());
-    for file in corpus.files() {
-        tape.clear();
-        parser
-            .parse_into(schema.grammar.root(), file.span.clone(), &mut tape)
-            .map_err(QueryError::CandidateParse)?;
-        for (view, values) in &mut extents {
-            let sym = schema
-                .view_symbol(view)
-                .ok_or_else(|| QueryError::Plan(format!("unknown view `{view}`")))?;
-            let mut sink = ValueSink::new(&schema.grammar, text, &mut db, &filter);
-            tape.replay_each(sym, &mut sink, |sink| values.extend(sink.take()));
-        }
-    }
-
-    let mut stats = BaselineStats {
-        parse: parser.stats(),
-        scanned_objects: extents.iter().map(|(_, v)| v.len()).sum(),
-        ..BaselineStats::default()
-    };
-
-    // Evaluate.
-    let extent_of = |var: &str| -> Option<&[Value]> {
-        let view = q.view_of(var)?;
-        extents.iter().find(|(v, _)| v == view).map(|(_, vals)| vals.as_slice())
-    };
-
-    // Compile the condition and projection paths grammar-aware.
+    // Resolve the condition and projection paths (qof_grammar::resolve_path).
     let view_symbol_of = |var: &str| -> Option<String> {
         q.view_of(var).and_then(|view| schema.view_symbol_name(view)).map(str::to_owned)
     };
@@ -137,10 +99,10 @@ pub fn run_baseline_ast(
                 .map_err(|e| QueryError::Plan(e.to_string()))?,
         ),
     };
-    let proj_steps: Option<CompiledPath> = match &q.select {
+    let proj_steps: Option<PathSpec> = match &q.select {
         Projection::Var(_) => None,
         Projection::Path(p) => Some(
-            compile_steps(
+            resolve_path(
                 &schema.grammar,
                 &view_symbol_of(&p.var)
                     .ok_or_else(|| QueryError::Plan(format!("unknown variable `{}`", p.var)))?,
@@ -148,6 +110,49 @@ pub fn run_baseline_ast(
             )
             .map_err(|e| QueryError::Plan(e.to_string()))?,
         ),
+    };
+
+    // The push-down filter for ReducedLoad: every path the query mentions.
+    let filter = match (mode, &proj_steps) {
+        (BaselineMode::ReducedLoad, Some(proj)) => {
+            let mut paths: Vec<Vec<String>> = proj.field_paths().collect();
+            if let Some(c) = &compiled_where {
+                c.field_paths(&mut paths);
+            }
+            PathFilter::from_paths(&paths)
+        }
+        _ => PathFilter::all(),
+    };
+
+    // Load phase: parse every file, build the (possibly filtered) values of
+    // the view symbol's occurrences.
+    let mut db = Database::new();
+    let parser = Parser::new(&schema.grammar, corpus.text());
+    // Each file is parsed once onto a tape; every view occurrence (nested
+    // ones too, each on its own) is then replayed into the value sink.
+    let mut tape = Tape::new();
+    let text = AtomText::Shared(corpus.shared_text());
+    for file in corpus.files() {
+        tape.clear();
+        parser
+            .parse_into(schema.grammar.root(), file.span.clone(), &mut tape)
+            .map_err(QueryError::CandidateParse)?;
+        for (_, sym, values) in &mut extents {
+            let mut sink = ValueSink::new(&schema.grammar, text, &mut db, &filter);
+            tape.replay_each(*sym, &mut sink, |sink| values.extend(sink.take()));
+        }
+    }
+
+    let mut stats = BaselineStats {
+        parse: parser.stats(),
+        scanned_objects: extents.iter().map(|(_, _, v)| v.len()).sum(),
+        ..BaselineStats::default()
+    };
+
+    // Evaluate.
+    let extent_of = |var: &str| -> Option<&[Value]> {
+        let view = q.view_of(var)?;
+        extents.iter().find(|(v, _, _)| v == view).map(|(_, _, vals)| vals.as_slice())
     };
 
     let proj_var = q.projected_var();
@@ -212,7 +217,7 @@ fn project(
     db: &Database,
     v: &Value,
     select: &Projection,
-    steps: &Option<CompiledPath>,
+    steps: &Option<PathSpec>,
     out: &mut Vec<Value>,
     cost: &mut PathCost,
 ) {
@@ -231,69 +236,30 @@ fn project(
     }
 }
 
-/// Builds the `ReducedLoad` filter from every path in the query.
-fn reduced_filter(schema: &StructuringSchema, q: &Query) -> Result<PathFilter, PlanError> {
-    let mut paths: Vec<Vec<String>> = Vec::new();
-    let mut add_path = |var: &str, steps: &[crate::QStep]| -> Result<(), PlanError> {
-        let view = q
-            .view_of(var)
-            .ok_or_else(|| PlanError::Unsupported(format!("unknown variable `{var}`")))?;
-        let sym =
-            schema.view_symbol_name(view).ok_or_else(|| PlanError::UnknownView(view.to_owned()))?;
-        let spec = resolve_path(&schema.grammar, sym, steps)?;
-        paths.extend(filter_paths(&spec));
-        Ok(())
-    };
-    type AddPath<'a> = dyn FnMut(&str, &[crate::QStep]) -> Result<(), PlanError> + 'a;
-    fn walk(c: &Cond, add: &mut AddPath<'_>) -> Result<(), PlanError> {
-        match c {
-            Cond::Eq(p, rhs) => {
-                add(&p.var, &p.steps)?;
-                if let RightHand::Path(qp) = rhs {
-                    add(&qp.var, &qp.steps)?;
-                }
-                Ok(())
-            }
-            Cond::And(a, b) | Cond::Or(a, b) => {
-                walk(a, add)?;
-                walk(b, add)
-            }
-            Cond::Not(a) => walk(a, add),
-        }
-    }
-    if let Some(w) = &q.where_ {
-        walk(w, &mut add_path)?;
-    }
-    match &q.select {
-        Projection::Var(_) => return Ok(PathFilter::all()),
-        Projection::Path(p) => add_path(&p.var, &p.steps)?,
-    }
-    Ok(PathFilter::from_paths(&paths))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // Baseline correctness is exercised end-to-end in the integration
     // tests, which compare it against the index executor and the corpus
-    // ground truths. Here: the filter construction only.
+    // ground truths. Here: what the reduced load builds.
+    fn fields_built(q: &str) -> Vec<String> {
+        let corpus = Corpus::from_text("[k1:chang,milo|x][k2:corliss|y]");
+        let res = run_baseline(&corpus, &test_schema(), q, BaselineMode::ReducedLoad).unwrap();
+        let object = res.db.deref(res.db.extent("Entry")[0]).unwrap();
+        let Value::Tuple(fields) = object else { panic!("an Entry is a tuple: {object:?}") };
+        fields.iter().map(|(name, _)| name.to_owned()).collect()
+    }
+
     #[test]
     fn reduced_filter_keeps_query_paths() {
-        let schema = test_schema();
-        let q = parse_query("SELECT r.Key FROM Entries r WHERE r.Names.Name = \"chang\"").unwrap();
-        let f = reduced_filter(&schema, &q).unwrap();
-        assert!(f.keeps("Names"));
-        assert!(f.keeps("Key"));
-        assert!(!f.keeps("Other"));
+        let q = "SELECT r.Key FROM Entries r WHERE r.Names.Name = \"chang\"";
+        assert_eq!(fields_built(q), ["Key", "Names"]);
     }
 
     #[test]
     fn select_star_keeps_everything() {
-        let schema = test_schema();
-        let q = parse_query("SELECT r FROM Entries r").unwrap();
-        let f = reduced_filter(&schema, &q).unwrap();
-        assert!(f.keeps("Anything"));
+        assert_eq!(fields_built("SELECT r FROM Entries r"), ["Key", "Names", "Other"]);
     }
 
     fn test_schema() -> StructuringSchema {

@@ -18,7 +18,8 @@
 //!    subset (§6.1).
 //! 3. An XSQL-like query ([`Query`], parsed by [`parse_query`]) is
 //!    *translated* into inclusion expressions ([`InclusionExpr`]) over the
-//!    indexed region names (§5.1).
+//!    indexed region names (§5.1), along the region chains
+//!    [`qof_grammar::resolve_path`] gives each of its paths.
 //! 4. The [`optimize`] algorithm (§3.2) rewrites each expression into its
 //!    unique most efficient version: `⊃d` weakened to `⊃` and chains
 //!    shortened, justified by Propositions 3.3 and 3.5 and Theorem 3.6.
@@ -47,7 +48,6 @@ mod query;
 mod residual;
 mod rig;
 mod trace;
-mod translate;
 
 pub use advisor::{advise, advise_costed, Advice};
 pub use analyze::absint::{
@@ -70,10 +70,6 @@ pub use plan::{
 };
 pub use qofx::{inspect_qofx, QofxError, QofxSummary, QOFX_MAGIC, QOFX_VERSION};
 pub use query::{parse_query, Cond, Projection, QPath, QStep, Query, QueryParseError, RightHand};
-pub use residual::{
-    compile_cond, compile_steps, db_steps_for, eval_pair, eval_single, path_values, CompiledCond,
-    CompiledPath,
-};
+pub use residual::{compile_cond, eval_pair, eval_single, path_values, CompiledCond};
 pub use rig::{Rig, RigViolation};
 pub use trace::{CardEstimate, NodeFact, PhaseTrace, QueryTrace, TRACE_SCHEMA_VERSION};
-pub use translate::{PathSpec, TranslateError};

@@ -6,15 +6,16 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use qof_grammar::{PathFilter, StructuringSchema, ValueBuilder};
+use qof_grammar::{
+    resolve_path, PathError, PathFilter, PathSpec, SkOp, Skeleton, StructuringSchema, ValueBuilder,
+};
 use qof_pat::{fnv1a64, Instance, RegionExpr};
 
 use crate::analyze::absint::{certify, AbsInterp, AbsState, CardInterval};
 use crate::cost::{CachedChain, PlanCache, StatsStore};
 use crate::optimizer::{optimize_costed, Optimized};
-use crate::residual::{compile_cond, compile_steps, CompiledCond, CompiledPath};
+use crate::residual::CompiledCond;
 use crate::trace::NodeFact;
-use crate::translate::{filter_paths, resolve_path, PathSpec, SkOp, TranslateError};
 use crate::{ChainOp, Cond, Direction, InclusionExpr, Projection, QPath, Query, Rig, SelectKind};
 
 #[cfg(test)]
@@ -122,7 +123,7 @@ pub struct JoinPlan {
     pub right: RegionExpr,
     /// The compiled left and right paths that re-check parsed pairs,
     /// present only when the index locates either side inexactly.
-    pub residual: Option<(CompiledPath, CompiledPath)>,
+    pub residual: Option<(PathSpec, PathSpec)>,
     /// Pretty form.
     pub display: String,
 }
@@ -151,8 +152,8 @@ pub enum ProjPlan {
     ParsedValues {
         /// Position of the projected variable in [`Plan::vars`].
         var: usize,
-        /// Compiled path to evaluate on the parsed objects.
-        steps: CompiledPath,
+        /// Resolved path to evaluate on the parsed objects.
+        steps: PathSpec,
         /// The index-side chain and its pretty form, when one exists (an
         /// inexact one, or an exact one to a non-atomic attribute); kept
         /// for facts and lints, not evaluated.
@@ -249,7 +250,7 @@ pub struct Plan {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// Path translation failed.
-    Translate(TranslateError),
+    Translate(PathError),
     /// The FROM clause references an unknown view.
     UnknownView(String),
     /// The view's non-terminal is not indexed, so candidates cannot be
@@ -278,8 +279,8 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-impl From<TranslateError> for PlanError {
-    fn from(e: TranslateError) -> Self {
+impl From<PathError> for PlanError {
+    fn from(e: PathError) -> Self {
         PlanError::Translate(e)
     }
 }
@@ -443,24 +444,26 @@ impl<'a> Planner<'a> {
         let mut fp_keys: Vec<String> = Vec::new();
         let mut filters: Vec<PathFilter> = Vec::new();
         for (vp, conds) in vars.iter_mut().zip(local) {
-            let mut filter_specs: Vec<Vec<String>> = Vec::new();
-            let planned = conds
-                .iter()
-                .map(|c| {
-                    self.plan_cond(c, &vp.symbol, &mut filter_specs, &mut rewrites, &mut fp_keys)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            vp.cond = planned.into_iter().reduce(|a, b| CondNode::And(Box::new(a), Box::new(b)));
+            let mut field_paths: Vec<Vec<String>> = Vec::new();
+            let mut compiled: Option<CompiledCond> = None;
+            for c in &conds {
+                let (node, cond) = self.plan_cond(c, &vp.symbol, &mut rewrites, &mut fp_keys)?;
+                cond.field_paths(&mut field_paths);
+                vp.cond = Some(match vp.cond.take() {
+                    Some(prev) => CondNode::And(Box::new(prev), Box::new(node)),
+                    None => node,
+                });
+                compiled = Some(match compiled {
+                    Some(prev) => CompiledCond::And(Box::new(prev), Box::new(cond)),
+                    None => cond,
+                });
+            }
             // Inexact candidates are parsed and re-checked against the
             // whole local condition (§6.2).
             if vp.cond.as_ref().is_some_and(|c| !c.exact()) {
-                let folded = conds.into_iter().reduce(|a, b| Cond::And(Box::new(a), Box::new(b)));
-                let symbol = vp.symbol.clone();
-                vp.residual = folded
-                    .map(|c| compile_cond(&self.schema.grammar, &move |_| Some(symbol.clone()), &c))
-                    .transpose()?;
+                vp.residual = compiled;
             }
-            filters.push(PathFilter::from_paths(&filter_specs));
+            filters.push(PathFilter::from_paths(&field_paths));
         }
 
         // Plan the join.
@@ -472,20 +475,13 @@ impl<'a> Planner<'a> {
                 let rspec = resolve_path(&self.schema.grammar, rsym, &qp.steps)?;
                 let (le, ld, lex) = self.deep_expr(&lspec, &mut rewrites, &mut fp_keys)?;
                 let (re, rd, rex) = self.deep_expr(&rspec, &mut rewrites, &mut fp_keys)?;
-                let residual = if lex && rex {
-                    None
-                } else {
-                    Some((
-                        compile_steps(&self.schema.grammar, lsym, &p.steps)?,
-                        compile_steps(&self.schema.grammar, rsym, &qp.steps)?,
-                    ))
-                };
                 // Extend the push-down filters with the join paths.
                 for (i, spec) in [(li, &lspec), (ri, &rspec)] {
-                    let mut f = PathFilter::from_paths(&filter_paths(spec));
+                    let mut f = PathFilter::from_paths(&spec.field_paths().collect::<Vec<_>>());
                     f.merge(&filters[i]);
                     filters[i] = f;
                 }
+                let residual = (!(lex && rex)).then_some((lspec, rspec));
                 Some(JoinPlan {
                     left_var: li,
                     left: le,
@@ -507,7 +503,7 @@ impl<'a> Planner<'a> {
             Projection::Path(p) => {
                 let symbol = &vars[proj_var].symbol;
                 let spec = resolve_path(&self.schema.grammar, symbol, &p.steps)?;
-                let mut f = PathFilter::from_paths(&filter_paths(&spec));
+                let mut f = PathFilter::from_paths(&spec.field_paths().collect::<Vec<_>>());
                 f.merge(&filters[proj_var]);
                 filters[proj_var] = f;
                 // A region's text is the value of an atom only: sets,
@@ -528,7 +524,7 @@ impl<'a> Planner<'a> {
                     }
                     parsed => ProjPlan::ParsedValues {
                         var: proj_var,
-                        steps: compile_steps(&self.schema.grammar, symbol, &p.steps)?,
+                        steps: spec,
                         chain: parsed.map(|(expr, display, _)| (expr, display)),
                     },
                 }
@@ -570,53 +566,63 @@ impl<'a> Planner<'a> {
         Ok(Plan { vars, join, projection, rewrites, fingerprint })
     }
 
-    /// Plans a single-variable condition.
+    /// Plans a single-variable condition, and compiles it for the
+    /// residual check from the same resolved paths.
     fn plan_cond(
         &self,
         cond: &Cond,
         view_symbol: &str,
-        filters: &mut Vec<Vec<String>>,
         rewrites: &mut Vec<PlanRewrite>,
         fp_keys: &mut Vec<String>,
-    ) -> Result<CondNode, PlanError> {
-        match cond {
+    ) -> Result<(CondNode, CompiledCond), PlanError> {
+        let resolve = |p: &QPath| resolve_path(&self.schema.grammar, view_symbol, &p.steps);
+        let mut sub = |c: &Cond| self.plan_cond(c, view_symbol, rewrites, fp_keys);
+        Ok(match cond {
             Cond::Eq(p, crate::RightHand::Const(w)) => {
-                let spec = resolve_path(&self.schema.grammar, view_symbol, &p.steps)?;
-                filters.extend(filter_paths(&spec));
-                let (expr, display, exact) = self.container_expr(&spec, w, rewrites, fp_keys)?;
-                Ok(CondNode::IndexOnly { expr, display, exact })
+                let paths = resolve(p)?;
+                let (expr, display, exact) = self.container_expr(&paths, w, rewrites, fp_keys)?;
+                let compiled =
+                    CompiledCond::EqConst { var: p.var.clone(), paths, value: w.clone() };
+                (CondNode::IndexOnly { expr, display, exact }, compiled)
             }
             Cond::Eq(p, crate::RightHand::Path(qp)) => {
-                let lspec = resolve_path(&self.schema.grammar, view_symbol, &p.steps)?;
-                let rspec = resolve_path(&self.schema.grammar, view_symbol, &qp.steps)?;
-                filters.extend(filter_paths(&lspec));
-                filters.extend(filter_paths(&rspec));
-                let (left, ld, lex) = self.deep_expr(&lspec, rewrites, fp_keys)?;
-                let (right, rd, rex) = self.deep_expr(&rspec, rewrites, fp_keys)?;
+                let (lpaths, rpaths) = (resolve(p)?, resolve(qp)?);
+                let (left, ld, lex) = self.deep_expr(&lpaths, rewrites, fp_keys)?;
+                let (right, rd, rex) = self.deep_expr(&rpaths, rewrites, fp_keys)?;
                 let display = format!("content([{ld}]) = content([{rd}])");
-                Ok(if lex && rex {
+                let node = if lex && rex {
                     CondNode::ContentCompare { left, right, display }
                 } else {
                     CondNode::ContentCandidates { left, right, display }
-                })
+                };
+                let (lvar, rvar) = (p.var.clone(), qp.var.clone());
+                (node, CompiledCond::EqPath { lvar, lpaths, rvar, rpaths })
             }
-            Cond::And(a, b) => Ok(CondNode::And(
-                Box::new(self.plan_cond(a, view_symbol, filters, rewrites, fp_keys)?),
-                Box::new(self.plan_cond(b, view_symbol, filters, rewrites, fp_keys)?),
-            )),
-            Cond::Or(a, b) => Ok(CondNode::Or(
-                Box::new(self.plan_cond(a, view_symbol, filters, rewrites, fp_keys)?),
-                Box::new(self.plan_cond(b, view_symbol, filters, rewrites, fp_keys)?),
-            )),
+            Cond::And(a, b) => {
+                let ((na, ca), (nb, cb)) = (sub(a)?, sub(b)?);
+                (
+                    CondNode::And(Box::new(na), Box::new(nb)),
+                    CompiledCond::And(Box::new(ca), Box::new(cb)),
+                )
+            }
+            Cond::Or(a, b) => {
+                let ((na, ca), (nb, cb)) = (sub(a)?, sub(b)?);
+                (
+                    CondNode::Or(Box::new(na), Box::new(nb)),
+                    CompiledCond::Or(Box::new(ca), Box::new(cb)),
+                )
+            }
             Cond::Not(a) => {
-                let child = Box::new(self.plan_cond(a, view_symbol, filters, rewrites, fp_keys)?);
-                Ok(if child.exact() {
+                let (child, compiled) = sub(a)?;
+                let child = Box::new(child);
+                let node = if child.exact() {
                     CondNode::Not(child)
                 } else {
                     CondNode::NotCandidates(child)
-                })
+                };
+                (node, CompiledCond::Not(Box::new(compiled)))
             }
-        }
+        })
     }
 
     /// Builds the candidate expression producing **view regions** for a
@@ -666,7 +672,7 @@ impl<'a> Planner<'a> {
     /// connecting operators and the §6.3 exactness.
     fn project_chain(
         &self,
-        alt: &crate::translate::Skeleton,
+        alt: &Skeleton,
         selector: Option<(SelectKind, String)>,
     ) -> ProjectedChain {
         let mut names: Vec<String> = vec![alt.names[0].clone()];
@@ -784,7 +790,7 @@ impl<'a> Planner<'a> {
         &self,
         view_symbol: &str,
         steps: &[crate::QStep],
-    ) -> Result<Vec<InexactHop>, TranslateError> {
+    ) -> Result<Vec<InexactHop>, PathError> {
         let spec = resolve_path(&self.schema.grammar, view_symbol, steps)?;
         let mut hops: Vec<InexactHop> = Vec::new();
         for alt in &spec.alternatives {

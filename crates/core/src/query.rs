@@ -15,21 +15,7 @@
 
 use std::fmt;
 
-/// One step of a query path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum QStep {
-    /// A named attribute.
-    Attr(String),
-    /// `*X`: any attribute path (including the empty one).
-    Star(String),
-    /// A run of `n` single-attribute variables (`X1.…​.Xn`).
-    Vars(u32),
-    /// `A+`: a transitive-closure step — the path passes through at least
-    /// one `A`, at any depth (the §5.3 path *regular* expressions: "it is
-    /// possible to evaluate paths with a regular expression involving a
-    /// transitive closure, with just an inclusion expression").
-    Plus(String),
-}
+pub use qof_grammar::QStep;
 
 /// A path rooted at a range variable: `r.Authors.Name.Last_Name`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

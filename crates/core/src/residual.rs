@@ -2,20 +2,15 @@
 //! filter parsed candidate objects (§6.2's second phase) and by the
 //! standard-database baseline.
 //!
-//! Compilation is grammar-aware: a query step into a `Repeat` item becomes
-//! an element traversal, a transparent choice branch contributes no step,
-//! and everything else is a tuple-field access. Because a query path may
-//! resolve to several derivation alternatives, a compiled path is a *set*
-//! of step lists; a value matches when any alternative does.
+//! A compiled path is the [`PathSpec`] that [`resolve_path`] gives it: the
+//! steps come from the same answer as the region chain the planner lowers
+//! and the push-down filter. Because a query path may resolve to several
+//! derivation alternatives, a value matches when any alternative does.
 
-use qof_db::{eval_path_counted, Database, DbStep, PathCost, Value};
-use qof_grammar::{Grammar, RuleBody};
+use qof_db::{eval_path_counted, Database, PathCost, Value};
+use qof_grammar::{resolve_path, Grammar, PathError, PathSpec};
 
-use crate::translate::{resolve_path, SkOp, Skeleton, TranslateError};
-use crate::{Cond, QStep, RightHand};
-
-/// A compiled path: one step list per derivation alternative.
-pub type CompiledPath = Vec<Vec<DbStep>>;
+use crate::{Cond, RightHand};
 
 /// A condition with all paths compiled to database steps.
 #[derive(Debug, Clone)]
@@ -25,7 +20,7 @@ pub enum CompiledCond {
         /// The range variable the path roots at.
         var: String,
         /// The compiled path alternatives.
-        paths: CompiledPath,
+        paths: PathSpec,
         /// The constant.
         value: String,
     },
@@ -34,11 +29,11 @@ pub enum CompiledCond {
         /// Left variable.
         lvar: String,
         /// Left path alternatives.
-        lpaths: CompiledPath,
+        lpaths: PathSpec,
         /// Right variable.
         rvar: String,
         /// Right path alternatives.
-        rpaths: CompiledPath,
+        rpaths: PathSpec,
     },
     /// Conjunction.
     And(Box<CompiledCond>, Box<CompiledCond>),
@@ -48,53 +43,22 @@ pub enum CompiledCond {
     Not(Box<CompiledCond>),
 }
 
-/// Compiles one skeleton to database steps.
-pub fn db_steps_for(grammar: &Grammar, alt: &Skeleton) -> Vec<DbStep> {
-    let mut out = Vec::new();
-    for (i, op) in alt.ops.iter().enumerate() {
-        let parent = &alt.names[i];
-        let name = &alt.names[i + 1];
-        match op {
-            SkOp::Adjacent => {
-                let Some(psym) = grammar.symbol(parent) else { continue };
-                match &grammar.rule(psym).body {
-                    RuleBody::Repeat { .. } => out.push(DbStep::Elements),
-                    // A choice node's value IS its branch's value: stepping
-                    // into the branch is the identity in value space.
-                    RuleBody::Choice(_) => {}
-                    _ => out.push(DbStep::Field(name.clone())),
-                }
+impl CompiledCond {
+    /// The push-down filter paths of every path in the condition.
+    pub fn field_paths(&self, out: &mut Vec<Vec<String>>) {
+        match self {
+            CompiledCond::EqConst { paths, .. } => out.extend(paths.field_paths()),
+            CompiledCond::EqPath { lpaths, rpaths, .. } => {
+                out.extend(lpaths.field_paths());
+                out.extend(rpaths.field_paths());
             }
-            SkOp::Star => {
-                out.push(DbStep::AnyPath);
-                out.push(DbStep::Field(name.clone()));
+            CompiledCond::And(a, b) | CompiledCond::Or(a, b) => {
+                a.field_paths(out);
+                b.field_paths(out);
             }
-            SkOp::Closure => {
-                // The closure target is not a value field; the next step's
-                // field access discriminates within the AnyPath frontier.
-                out.push(DbStep::AnyPath);
-            }
-            SkOp::Exact(n) => {
-                out.push(DbStep::Exactly(*n));
-                out.push(DbStep::Field(name.clone()));
-            }
+            CompiledCond::Not(a) => a.field_paths(out),
         }
     }
-    out
-}
-
-/// Compiles a query path rooted at `view_symbol` into step-list
-/// alternatives.
-pub fn compile_steps(
-    grammar: &Grammar,
-    view_symbol: &str,
-    steps: &[QStep],
-) -> Result<CompiledPath, TranslateError> {
-    let spec = resolve_path(grammar, view_symbol, steps)?;
-    let mut out: CompiledPath =
-        spec.alternatives.iter().map(|alt| db_steps_for(grammar, alt)).collect();
-    out.dedup();
-    Ok(out)
 }
 
 /// Compiles a condition; `view_symbol_of` maps a range variable to the
@@ -103,21 +67,20 @@ pub fn compile_cond(
     grammar: &Grammar,
     view_symbol_of: &dyn Fn(&str) -> Option<String>,
     cond: &Cond,
-) -> Result<CompiledCond, TranslateError> {
-    let sym = |var: &str| {
-        view_symbol_of(var).ok_or_else(|| TranslateError::UnknownSymbol(var.to_owned()))
-    };
+) -> Result<CompiledCond, PathError> {
+    let sym =
+        |var: &str| view_symbol_of(var).ok_or_else(|| PathError::UnknownSymbol(var.to_owned()));
     Ok(match cond {
         Cond::Eq(p, RightHand::Const(w)) => CompiledCond::EqConst {
             var: p.var.clone(),
-            paths: compile_steps(grammar, &sym(&p.var)?, &p.steps)?,
+            paths: resolve_path(grammar, &sym(&p.var)?, &p.steps)?,
             value: w.clone(),
         },
         Cond::Eq(p, RightHand::Path(q)) => CompiledCond::EqPath {
             lvar: p.var.clone(),
-            lpaths: compile_steps(grammar, &sym(&p.var)?, &p.steps)?,
+            lpaths: resolve_path(grammar, &sym(&p.var)?, &p.steps)?,
             rvar: q.var.clone(),
-            rpaths: compile_steps(grammar, &sym(&q.var)?, &q.steps)?,
+            rpaths: resolve_path(grammar, &sym(&q.var)?, &q.steps)?,
         },
         Cond::And(a, b) => CompiledCond::And(
             Box::new(compile_cond(grammar, view_symbol_of, a)?),
@@ -135,12 +98,16 @@ pub fn compile_cond(
 pub fn path_values<'a>(
     db: &'a Database,
     value: &'a Value,
-    paths: &CompiledPath,
+    paths: &PathSpec,
     cost: &mut PathCost,
 ) -> Vec<&'a Value> {
     let mut out: Vec<&Value> = Vec::new();
-    for steps in paths {
-        out.extend(eval_path_counted(db, value, steps, cost));
+    for (i, alt) in paths.alternatives.iter().enumerate() {
+        // Alternatives that differ only in their region chains evaluate
+        // alike.
+        if paths.alternatives[..i].iter().all(|a| a.steps != alt.steps) {
+            out.extend(eval_path_counted(db, value, &alt.steps, cost));
+        }
     }
     out.sort_unstable();
     out.dedup_by(|a, b| a == b);
@@ -210,6 +177,7 @@ pub fn eval_pair(
 mod tests {
     use super::*;
     use crate::parse_query;
+    use qof_db::DbStep;
     use qof_grammar::{lit, nt, TokenPattern, ValueBuilder};
 
     fn grammar() -> Grammar {
@@ -226,22 +194,6 @@ mod tests {
             .token("Last_Name", TokenPattern::Word, ValueBuilder::Atom)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn repeat_items_compile_to_elements() {
-        let g = grammar();
-        let steps: Vec<QStep> =
-            ["Authors", "Name", "Last_Name"].iter().map(|s| QStep::Attr(s.to_string())).collect();
-        let compiled = compile_steps(&g, "Entry", &steps).unwrap();
-        assert_eq!(
-            compiled,
-            vec![vec![
-                DbStep::Field("Authors".into()),
-                DbStep::Elements,
-                DbStep::Field("Last_Name".into()),
-            ]]
-        );
     }
 
     #[test]
@@ -265,14 +217,35 @@ mod tests {
         assert!(!eval_single(&db, "r", &miss, &cc, &mut cost));
     }
 
+    fn compiled(q: &str) -> PathSpec {
+        let q = parse_query(q).unwrap();
+        match compile_cond(&grammar(), &|_| Some("Entry".to_owned()), q.where_.as_ref().unwrap()) {
+            Ok(CompiledCond::EqConst { paths, .. }) => paths,
+            other => panic!("expected an `=` condition: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeat_items_compile_to_elements() {
+        let paths = compiled("SELECT r FROM Entries r WHERE r.Authors.Name.Last_Name = \"x\"");
+        assert_eq!(paths.alternatives.len(), 1);
+        assert_eq!(
+            paths.alternatives[0].steps,
+            [DbStep::Field("Authors".into()), DbStep::Elements, DbStep::Field("Last_Name".into())]
+        );
+    }
+
     #[test]
     fn star_and_vars_compile() {
-        let g = grammar();
-        let steps = vec![QStep::Star("X".into()), QStep::Attr("Last_Name".into())];
-        let compiled = compile_steps(&g, "Entry", &steps).unwrap();
-        assert_eq!(compiled[0], vec![DbStep::AnyPath, DbStep::Field("Last_Name".into())]);
-        let steps2 = vec![QStep::Vars(2), QStep::Attr("Last_Name".into())];
-        let compiled2 = compile_steps(&g, "Entry", &steps2).unwrap();
-        assert_eq!(compiled2[0], vec![DbStep::Exactly(2), DbStep::Field("Last_Name".into())]);
+        let star = compiled("SELECT r FROM Entries r WHERE r.*X.Last_Name = \"x\"");
+        assert_eq!(
+            star.alternatives[0].steps,
+            [DbStep::AnyPath, DbStep::Field("Last_Name".into())]
+        );
+        let vars = compiled("SELECT r FROM Entries r WHERE r.X1.X2.Last_Name = \"x\"");
+        assert_eq!(
+            vars.alternatives[0].steps,
+            [DbStep::Exactly(2), DbStep::Field("Last_Name".into())]
+        );
     }
 }

@@ -26,6 +26,9 @@
 //!   [`Database`](qof_db::Database) with a [`PathFilter`] — the §6.2
 //!   optimization that *pushes the query into the parsing process* so only
 //!   objects on needed paths are constructed;
+//! * the view-path resolver ([`resolve_path`]): what each step of a query
+//!   path names in the database view, answered at once as a region chain,
+//!   database path steps and a push-down filter path (§4.1, §5.1);
 //! * a thin tree API for tools and tests: [`ParseNode`] trees from
 //!   [`Parser::parse_root`], replayed into the sinks by [`extract_regions`]
 //!   and [`build_value`], and rendered by [`render_tree`] (Figures 2 and 3).
@@ -36,6 +39,7 @@ mod grammar;
 mod parser;
 mod render;
 mod schema;
+mod translate;
 
 pub use build::{build_value, build_value_filtered, AtomText, PathFilter, ValueMark, ValueSink};
 pub use extract::{extract_regions, IndexSpec, RegionSink};
@@ -46,3 +50,4 @@ pub use grammar::{
 pub use parser::{ParseError, ParseNode, ParseStats, Parser, Sink, Tape};
 pub use render::render_tree;
 pub use schema::StructuringSchema;
+pub use translate::{resolve_path, PathError, PathSpec, QStep, SkOp, Skeleton};

@@ -11,6 +11,13 @@ use std::net::{SocketAddr, TcpStream};
 /// Largest request body the server accepts (1 MiB — queries are small).
 pub const MAX_BODY: usize = 1 << 20;
 
+/// Longest request line or header line the server reads, its line end
+/// included (8 KiB).
+pub const MAX_LINE: usize = 8 << 10;
+
+/// Most header lines one request may carry.
+pub const MAX_HEADERS: usize = 100;
+
 /// A parsed HTTP request: method, path, query string, body.
 #[derive(Debug)]
 pub struct Request {
@@ -60,16 +67,32 @@ impl RequestError {
     }
 }
 
-/// Reads one request from the stream. Returns `Ok(None)` on a clean EOF
-/// (the client closed a keep-alive connection between requests).
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, RequestError> {
-    let malformed = |m: &str| RequestError::Malformed(m.to_owned());
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(RequestError::io("read request line", &e)),
+/// Reads one line of at most [`MAX_LINE`] bytes. Returns `Ok(None)` on EOF
+/// before the first byte.
+fn read_line<R: BufRead>(reader: &mut R, context: &str) -> Result<Option<String>, RequestError> {
+    let mut line = Vec::new();
+    reader
+        .take(MAX_LINE as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| RequestError::io(context, &e))?;
+    if line.is_empty() {
+        return Ok(None);
     }
+    if line.len() == MAX_LINE && line.last() != Some(&b'\n') {
+        return Err(RequestError::Malformed(format!("{context}: longer than {MAX_LINE} bytes")));
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| RequestError::Malformed(format!("{context}: not UTF-8")))
+}
+
+/// Reads one request from the stream. Returns `Ok(None)` on a clean EOF
+/// (the client closed a keep-alive connection between requests). Every
+/// line is bounded by [`MAX_LINE`], the header count by [`MAX_HEADERS`]
+/// and the body by [`MAX_BODY`], so no request allocates without bound.
+pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, RequestError> {
+    let malformed = |m: &str| RequestError::Malformed(m.to_owned());
+    let Some(line) = read_line(reader, "read request line")? else { return Ok(None) };
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| malformed("empty request line"))?.to_uppercase();
     let target = parts.next().ok_or_else(|| malformed("request line missing path"))?;
@@ -79,12 +102,16 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>
     let mut content_length = 0usize;
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
+    let mut headers = 0;
     loop {
-        let mut h = String::new();
-        reader.read_line(&mut h).map_err(|e| RequestError::io("read header", &e))?;
+        let h = read_line(reader, "read header")?.unwrap_or_default();
         let h = h.trim_end();
         if h.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(malformed(&format!("more than {MAX_HEADERS} headers")));
         }
         let Some((name, value)) = h.split_once(':') else { continue };
         let value = value.trim();
@@ -224,6 +251,82 @@ pub fn esc_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reads `bytes` as one request: a request within the caps, `None`
+    /// for no bytes, or a typed error, never a panic.
+    fn read_within_caps(bytes: &[u8]) -> Result<(), String> {
+        let read = std::panic::catch_unwind(|| read_request(&mut std::io::Cursor::new(bytes)));
+        match read {
+            Err(_) => Err("panicked".into()),
+            Ok(Ok(Some(req))) if req.path.len() + req.query.len() >= MAX_LINE => {
+                Err(format!("a {}-byte target passed the line cap", req.path.len()))
+            }
+            Ok(Ok(Some(req))) if req.body.len() > MAX_BODY => {
+                Err(format!("a {}-byte body passed the body cap", req.body.len()))
+            }
+            Ok(Ok(None)) if !bytes.is_empty() => Err("bytes read as a clean EOF".into()),
+            Ok(Err(RequestError::TimedOut)) => Err("a cursor timed out".into()),
+            Ok(_) => Ok(()),
+        }
+    }
+
+    #[test]
+    fn mutated_requests_never_panic_and_stay_within_the_caps() {
+        use qof_corpus::{Rng, StdRng};
+        let requests: [&[u8]; 3] = [
+            b"POST /query?explain=1 HTTP/1.1\r\nContent-Length: 16\r\n\r\nSELECT r FROM R r",
+            b"GET /metrics?format=json HTTP/1.0\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+            b"POST /shutdown HTTP/1.1\r\n\r\n",
+        ];
+        let mut seeds = StdRng::seed_from_u64(0x4777_7e57);
+        for case in 0..2000 {
+            let seed = seeds.next_u64();
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let mut bytes = requests[rng.random_range(0..requests.len())].to_vec();
+            for _ in 0..rng.random_range(1..4) {
+                let at = rng.random_range(0..=bytes.len());
+                let byte = [b'\r', b'\n', b':', b' ', b'9', rng.random_range(0..256) as u8]
+                    [rng.random_range(0..6)];
+                match rng.random_range(0..5) {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    // A line longer than the cap.
+                    2 => {
+                        let run = vec![byte; rng.random_range(MAX_LINE / 2..MAX_LINE * 2)];
+                        bytes.splice(at..at, run);
+                    }
+                    // More headers than the cap.
+                    3 => {
+                        let header = b"X-Pad: 1\r\n".repeat(rng.random_range(1..MAX_HEADERS * 2));
+                        bytes.splice(at..at, header);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            if let Err(msg) = read_within_caps(&bytes) {
+                panic!("case {case} (seed {seed:#x}): {msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn endless_lines_and_headers_are_malformed() {
+        // Without a newline a stream never ends a line: the cap ends it.
+        let mut endless = BufReader::new(std::io::repeat(b'a'));
+        assert!(matches!(read_request(&mut endless), Err(RequestError::Malformed(_))));
+        let mut long_header = b"GET / HTTP/1.1\r\nX: ".to_vec();
+        long_header.resize(MAX_LINE * 2, b'x');
+        let read = read_request(&mut std::io::Cursor::new(long_header));
+        assert!(matches!(read, Err(RequestError::Malformed(_))));
+        let many = [&b"GET / HTTP/1.1\r\n"[..], &b"X: y\r\n".repeat(MAX_HEADERS + 1), b"\r\n"];
+        let read = read_request(&mut std::io::Cursor::new(many.concat()));
+        assert!(matches!(read, Err(RequestError::Malformed(m)) if m.contains("headers")));
+        let most = [&b"GET / HTTP/1.1\r\n"[..], &b"X: y\r\n".repeat(MAX_HEADERS), b"\r\n"];
+        let read = read_request(&mut std::io::Cursor::new(most.concat()));
+        assert!(matches!(read, Ok(Some(req)) if req.path == "/"));
+    }
 
     #[test]
     fn query_param_parsing() {

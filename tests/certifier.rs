@@ -94,7 +94,7 @@ fn real_rewrites_across_schemas_always_certify() {
             &bib_text,
             "SELECT r FROM References r WHERE r.Authors.Name.First_Name = \"A\"",
         ),
-        (sgml::schema(), &sgml_text, "SELECT s FROM Sections s WHERE s.Paras.Para.Text = \"x\""),
+        (sgml::schema(), &sgml_text, "SELECT s FROM Sections s WHERE s.Paras.Para = \"x\""),
     ] {
         let fdb = FileDatabase::build(Corpus::from_text(text), schema, IndexSpec::full()).unwrap();
         let (_, trace) = fdb.query_traced(query).unwrap();
@@ -183,7 +183,7 @@ fn forged_uncertified_trace_leaves_the_run_unoptimized() {
 /// themselves, so the same name pair occurs at two hops of one chain.
 const REPEATED_HOPS: [(&str, &str); 2] = [
     ("sgml", "SELECT s FROM Sections s WHERE s.Subsections.Section.Subsections = \"intro\""),
-    ("code", "SELECT f FROM Functions f WHERE f.Body.Stmt.If.Nested.Stmt.If = \"f1\""),
+    ("code", "SELECT f FROM Functions f WHERE f.Body.Stmt.Nested.Stmt.Nested = \"f1\""),
 ];
 
 #[test]

@@ -164,6 +164,40 @@ fn qof023_type_mismatch() {
     // Numeric constants (and prefixes) are fine.
     let diags = check_query(&schema, &rig, None, "SELECT e FROM Entries e WHERE e.Pid = \"1234\"");
     assert!(!codes(&diags).contains(&Code::Qof023), "{:?}", codes(&diags));
+
+    // The type is the builder of the symbol the path's value comes from,
+    // through set items and value-transparent nodes; no class annotation
+    // is needed.
+    let g = Grammar::builder("Entry")
+        .seq("Entry", [lit("["), nt("Items"), lit("]")], ValueBuilder::TupleAuto)
+        .repeat("Items", "Item", None, ValueBuilder::Set)
+        .seq("Item", [lit("("), nt("Pid"), lit(")")], ValueBuilder::Child)
+        .token("Pid", TokenPattern::Number, ValueBuilder::AtomInt)
+        .build()
+        .unwrap();
+    let rig = Rig::from_grammar(&g);
+    let schema = StructuringSchema::new(g).with_view("Entries", "Entry");
+    for path in ["e.Items.Item", "e.*X.Pid"] {
+        let q = format!("SELECT e FROM Entries e WHERE {path} = \"abc\"");
+        let d = find(&check_query(&schema, &rig, None, &q), Code::Qof023).clone();
+        assert!(d.message.contains(&format!("`{path}`")), "{}", d.message);
+    }
+    let g = Grammar::builder("Entry")
+        .seq("Entry", [lit("["), nt("Items"), lit("]")], ValueBuilder::TupleAuto)
+        .repeat("Items", "Item", None, ValueBuilder::Set)
+        .seq("Item", [lit("("), nt("Pid"), lit(")")], ValueBuilder::TupleAuto)
+        .token("Pid", TokenPattern::Number, ValueBuilder::AtomInt)
+        .build()
+        .unwrap();
+    let rig = Rig::from_grammar(&g);
+    let schema = StructuringSchema::new(g).with_view("Entries", "Entry");
+    let diags = check_query(
+        &schema,
+        &rig,
+        None,
+        "SELECT e FROM Entries e WHERE e.Items.Item.Pid = \"abc\"",
+    );
+    find(&diags, Code::Qof023);
 }
 
 #[test]

@@ -6,11 +6,18 @@
 //! Every case draws its corpus seed, query and index mask from a fixed
 //! `StdRng` stream, so the suite runs offline and the same cases run every
 //! time; a failure prints the three draws, which reproduce it alone.
+//!
+//! Most cases run on BibTeX. The code and sgml cases cross a `Child` node
+//! (code's `Stmt → Call | If`, sgml's `Para → <p> Text </p>`), whose value
+//! is its child's.
 
+mod common;
+
+use common::shown;
 use qof::baseline::{run_baseline, BaselineMode};
 use qof::corpus::bibtex::{self, BibtexConfig};
-use qof::corpus::{Rng, StdRng};
-use qof::grammar::IndexSpec;
+use qof::corpus::{code, sgml, Rng, StdRng};
+use qof::grammar::{IndexSpec, StructuringSchema};
 use qof::text::Corpus;
 use qof::FileDatabase;
 
@@ -167,5 +174,96 @@ fn reduced_load_always_agrees_with_full_load() {
             return Err(format!("reduced load built more value nodes; {at}"));
         }
         Ok(())
+    });
+}
+
+/// Query shapes over one schema: `{w}` in a query takes a value the
+/// baseline returns for `words`.
+struct Shapes {
+    schema: fn() -> StructuringSchema,
+    generate: fn(u64) -> String,
+    view_symbol: &'static str,
+    optional: &'static [&'static str],
+    words: &'static str,
+    queries: &'static [&'static str],
+}
+
+const CHILD_SHAPES: [Shapes; 2] = [
+    Shapes {
+        schema: code::schema,
+        generate: |seed| {
+            code::generate(&code::CodeConfig {
+                n_functions: 20,
+                seed,
+                if_percent: 40,
+                ..Default::default()
+            })
+            .0
+        },
+        view_symbol: "Function",
+        optional: &["FnName", "Body", "Stmt", "Call", "Callee", "If", "Nested"],
+        words: "SELECT f.Stmt+.Callee FROM Functions f",
+        queries: &[
+            "SELECT f FROM Functions f WHERE f.Body.Stmt.Callee = \"{w}\"",
+            "SELECT f.FnName FROM Functions f WHERE f.Body.Stmt.Nested.Stmt.Callee = \"{w}\"",
+            "SELECT f FROM Functions f WHERE f.Stmt+.Callee = \"{w}\"",
+            "SELECT f.Body.Stmt.Callee FROM Functions f",
+            "SELECT f.Body.Stmt.Nested.Stmt.Callee FROM Functions f",
+            "SELECT f.Stmt+.Callee FROM Functions f",
+        ],
+    },
+    Shapes {
+        schema: sgml::schema,
+        generate: |seed| sgml::generate(&sgml::SgmlConfig { seed, ..Default::default() }).0,
+        view_symbol: "Section",
+        optional: &["Head", "Paras", "Para", "Text", "Subsections"],
+        words: "SELECT s.Paras.Para FROM Sections s",
+        queries: &[
+            "SELECT s FROM Sections s WHERE s.Paras.Para = \"{w}\"",
+            "SELECT s.Head FROM Sections s WHERE s.Paras.Para = \"{w}\"",
+            "SELECT s.Paras.Para FROM Sections s",
+            "SELECT s.Paras.Para FROM Sections s WHERE s.Head = \"{w}\"",
+        ],
+    },
+];
+
+#[test]
+fn child_node_shapes_match_the_baseline_under_any_index_subset() {
+    run_cases("child shapes", 120, |rng| {
+        let shapes = &CHILD_SHAPES[rng.random_range(0..CHILD_SHAPES.len())];
+        let seed = rng.random_range(0..4) as u64;
+        let corpus = Corpus::from_text(&(shapes.generate)(seed));
+        let schema = (shapes.schema)();
+        let words = run_baseline(&corpus, &schema, shapes.words, BaselineMode::FullLoad).unwrap();
+        let heads =
+            run_baseline(&corpus, &schema, "SELECT s.Head FROM Sections s", BaselineMode::FullLoad);
+        let mut pool: Vec<&str> = words.values.iter().filter_map(|v| v.as_str()).collect();
+        if let Ok(heads) = &heads {
+            pool.extend(heads.values.iter().filter_map(|v| v.as_str()));
+        }
+        let word = pool[rng.random_range(0..pool.len())];
+        let q = shapes.queries[rng.random_range(0..shapes.queries.len())].replace("{w}", word);
+        let mask = rng.random_range(0..1usize << shapes.optional.len());
+        let spec = if mask == 0 {
+            IndexSpec::full()
+        } else {
+            let mut spec = IndexSpec::names([shapes.view_symbol]);
+            for (i, name) in shapes.optional.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    spec = spec.with_name(name);
+                }
+            }
+            spec
+        };
+        let db = FileDatabase::build(corpus.clone(), schema.clone(), spec).unwrap();
+        let via_index = db.query(&q).map_err(|e| format!("{q}: {e}"))?;
+        let via_db = run_baseline(&corpus, &schema, &q, BaselineMode::FullLoad).unwrap();
+        if shown(&via_index.values, &via_index.db) == shown(&via_db.values, &via_db.db) {
+            Ok(())
+        } else {
+            Err(format!(
+                "corpus seed {seed}, index mask {mask:#b}: index and baseline disagree on {q}"
+            ))
+        }
     });
 }

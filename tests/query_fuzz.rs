@@ -5,6 +5,9 @@
 //! partial index. Half of them then take 1–3 byte mutations, as untrusted
 //! query text would. Every input must come back `Ok` or as a typed error,
 //! never as a panic, and every rewrite of a planned query must certify.
+//! Every unmutated query must also mean what it means to the database
+//! baseline (`run_baseline`, full load): the same values, or an error on
+//! both sides.
 //!
 //! The loop runs through `FileDatabase::query_traced`, so in a debug build
 //! every optimizer call also self-verifies (`QOF030`/`QOF031`). Every case
@@ -13,6 +16,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use qof::baseline::{run_baseline, BaselineMode};
 use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
 use qof::grammar::{IndexSpec, StructuringSchema};
 use qof::text::Corpus;
@@ -114,6 +118,24 @@ fn run(db: &FileDatabase, query: &str) -> Result<(), String> {
     }
 }
 
+/// The index and the baseline return the same sorted values for `query`,
+/// or both fail.
+fn agrees_with_baseline(db: &FileDatabase, query: &str) -> Result<(), String> {
+    let sorted = |values: &[qof::db::Value]| {
+        let mut out: Vec<String> = values.iter().map(ToString::to_string).collect();
+        out.sort();
+        out
+    };
+    let ours = db.query(query).map(|r| sorted(&r.values));
+    let base = run_baseline(db.corpus(), db.schema(), query, BaselineMode::FullLoad)
+        .map(|r| sorted(&r.values));
+    match (ours, base) {
+        (Ok(a), Ok(b)) if a == b => Ok(()),
+        (Err(_), Err(_)) => Ok(()),
+        (a, b) => Err(format!("index {a:?} against baseline {b:?}")),
+    }
+}
+
 #[test]
 fn random_and_mutated_queries_never_panic_and_always_certify() {
     let mut seeds = StdRng::seed_from_u64(0xf022_9e71);
@@ -139,12 +161,20 @@ fn random_and_mutated_queries_never_panic_and_always_certify() {
                 let seed = seeds.next_u64();
                 let rng = &mut StdRng::seed_from_u64(seed);
                 let mut query = random_query(&schema, (&view, &symbol), &words, rng);
-                if rng.random_range(0..2) == 0 {
+                let mutated = rng.random_range(0..2) == 0;
+                if mutated {
                     query = mutate(&query, rng);
                 } else {
                     planned += 1;
                 }
-                if let Err(msg) = run(&db, &query) {
+                let checked = run(&db, &query).and_then(|()| {
+                    if mutated {
+                        Ok(())
+                    } else {
+                        agrees_with_baseline(&db, &query)
+                    }
+                });
+                if let Err(msg) = checked {
                     panic!("{view}, case {i} (seed {seed:#x}): {msg} on `{query}`");
                 }
             }
