@@ -92,7 +92,6 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("a1", "ablation: common-subexpression sharing in boolean queries (§5.2)"),
     ("a2", "analyzer: qof check latency and rewrite-certifier overhead"),
     ("a3", "cost model: cardinality-estimation error and plan-cache hit rate"),
-    ("a4", "observability: tracing overhead (traced vs untraced) and history-ring footprint"),
     ("a5", "workload analytics: fingerprint aggregation overhead and heavy-hitter accuracy"),
 ];
 
@@ -125,7 +124,6 @@ pub fn run(id: &str, scale: Scale) -> Option<ExperimentReport> {
         "a1" => a1(scale, &mut r),
         "a2" => a2(scale, &mut r),
         "a3" => a3(scale, &mut r),
-        "a4" => a4(scale, &mut r),
         "a5" => a5(scale, &mut r),
         _ => unreachable!("id came from EXPERIMENTS"),
     }
@@ -1023,67 +1021,6 @@ fn a3(scale: Scale, r: &mut Recorder) {
     }
 }
 
-fn a4(scale: Scale, r: &mut Recorder) {
-    banner("A4", "observability: tracing overhead and history-ring footprint");
-    let workload = [
-        CHANG_AUTHOR,
-        CHANG_STAR,
-        EDITOR_IS_AUTHOR,
-        "SELECT r FROM References r WHERE r.Year = \"1982\"",
-    ];
-    println!(
-        "{:>8} | {:>10} {:>10} {:>9} | {:>10} {:>10}",
-        "refs", "untraced", "traced", "overhead", "ring cap", "ring bytes"
-    );
-    for n in scale.pick(vec![200usize], vec![800usize, 3200]) {
-        let fdb = bibtex_full(n);
-        // "Untraced" times `query`, which runs the same accounted path as
-        // `query_traced` and drops the trace, so the overhead is ≈ 1.0×.
-        // Warm both first so the plan cache and page cache state are
-        // identical for the timed passes.
-        for q in &workload {
-            fdb.query(q).unwrap();
-            fdb.query_traced(q).unwrap();
-        }
-        let passes = scale.pick(5usize, 11);
-        let t_plain = median_secs(passes, || {
-            let t = Instant::now();
-            for q in &workload {
-                std::hint::black_box(fdb.query(q).unwrap());
-            }
-            t.elapsed().as_secs_f64() / workload.len() as f64
-        });
-        let t_traced = median_secs(passes, || {
-            let t = Instant::now();
-            for q in &workload {
-                std::hint::black_box(fdb.query_traced(q).unwrap());
-            }
-            t.elapsed().as_secs_f64() / workload.len() as f64
-        });
-        let overhead = t_traced / t_plain.max(f64::EPSILON);
-        // The time-series ring at its configured capacity: a fixed,
-        // corpus-independent upper bound on resident bytes.
-        let history = qof_pat::MetricsHistory::default();
-        let ring_cap = history.capacity();
-        let ring_bytes = history.approx_max_bytes();
-        r.rec(format!("untraced_pass_secs_{n}"), t_plain, "s");
-        r.rec(format!("traced_pass_secs_{n}"), t_traced, "s");
-        r.rec(format!("trace_overhead_x_{n}"), overhead, "x");
-        println!(
-            "{:>8} | {} {} {:>8.2}x | {:>10} {:>10}",
-            n,
-            fmt_secs(t_plain),
-            fmt_secs(t_traced),
-            overhead,
-            ring_cap,
-            ring_bytes,
-        );
-    }
-    let history = qof_pat::MetricsHistory::default();
-    r.rec("history_ring_capacity", history.capacity() as f64, "samples");
-    r.rec("history_ring_max_bytes", history.approx_max_bytes() as f64, "bytes");
-}
-
 fn a5(scale: Scale, r: &mut Recorder) {
     use qof_pat::{WorkloadObs, WorkloadTable};
     banner("A5", "workload analytics: fingerprint aggregation overhead and heavy-hitter accuracy");
@@ -1235,28 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn a4_reports_tracing_overhead_and_ring_footprint() {
-        let report = run("a4", Scale::Small).unwrap();
-        let get = |name: &str| {
-            report
-                .measurements
-                .iter()
-                .find(|m| m.name == name || m.name.starts_with(name))
-                .unwrap_or_else(|| panic!("missing measurement {name}"))
-                .value
-        };
-        assert!(get("untraced_pass_secs_") > 0.0);
-        assert!(get("traced_pass_secs_") > 0.0);
-        // A timing assertion loose enough for a loaded CI box: tracing must
-        // not change the asymptotics of a query (it stamps spans, it does
-        // not re-execute work).
-        assert!(get("trace_overhead_x_") < 10.0, "tracing blew up query time");
-        assert!(get("history_ring_capacity") >= 1.0);
-        // The ring's worst case stays small enough to forget about.
-        assert!(get("history_ring_max_bytes") < 1024.0 * 1024.0, "ring footprint must be bounded");
-    }
-
-    #[test]
     fn a5_reports_analytics_overhead_and_heavy_hitters() {
         let report = run("a5", Scale::Small).unwrap();
         let get = |name: &str| {
@@ -1322,5 +1237,6 @@ mod tests {
         assert_eq!(ids, dedup);
         assert!(ids.contains(&"e12"));
         assert!(!ids.contains(&"e11"), "e11 is retired");
+        assert!(!ids.contains(&"a4"), "a4 is retired");
     }
 }

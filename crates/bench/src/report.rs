@@ -8,10 +8,10 @@
 //!   "scale": "small",
 //!   "total_wall_secs": 1.25,
 //!   "experiments": [
-//!     { "id": "a4", "title": "…", "wall_secs": 0.42,
+//!     { "id": "a5", "title": "…", "wall_secs": 0.42,
 //!       "trace": { "schema_version": 7, "query": "…", "phases": [], … },
 //!       "measurements": [
-//!         { "name": "trace_overhead_ratio", "value": 1.1, "unit": "x" }
+//!         { "name": "analytics_overhead_pct_200", "value": 0.4, "unit": "%" }
 //!       ] }
 //!   ]
 //! }
@@ -32,7 +32,7 @@
 //! (sink-assigned `span_id`, timeline `start_nanos` offsets on ops, phases
 //! and shards) — a consumer reading v4 must be span-aware; the `a4`
 //! observability experiment rode along as data, and the retired `e11`
-//! experiment left the canonical order without a bump.
+//! and `a4` experiments left the canonical order without a bump.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -51,7 +51,8 @@ pub struct Measurement {
 /// Everything one experiment run reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
-    /// Experiment id (`f2`, `e1` … `e13`, `a1` … `a5`).
+    /// Experiment id (`f2`, `e1` … `e13`, `a1` … `a5`; `e11` and `a4` are
+    /// retired).
     pub id: &'static str,
     /// Human title, matching the harness banner.
     pub title: &'static str,

@@ -585,6 +585,7 @@ impl FileDatabase {
         };
         self.metrics.record_query(total_nanos, true);
         self.metrics.record_plan_cache_delta(trace.plan_cache_hits, trace.plan_cache_misses);
+        self.metrics.record_phases(trace.phases.iter().map(|p| (p.name, p.nanos)));
         self.metrics.record_op_trace(&trace.ops);
         // Feed the observed cardinalities back into the stats store so
         // later cost estimates calibrate against real executions.
@@ -1179,6 +1180,16 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!((snap.queries, snap.query_errors), (1, 0));
         assert_eq!(snap.query_latency.count(), 1);
+        type Counts = std::collections::BTreeMap<String, u64>;
+        let phase_counts = |snap: &qof_pat::MetricsSnapshot| -> Counts {
+            snap.phase_latency.iter().map(|(name, h)| (name.clone(), h.count())).collect()
+        };
+        let want: Counts =
+            ["parse", "plan", "index-candidates", "content-join", "parse-filter", "projection"]
+                .into_iter()
+                .map(|name| (name.to_owned(), 1))
+                .collect();
+        assert_eq!(phase_counts(&snap), want, "each phase counted once");
         let pc = db.plan_cache_stats();
         assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (pc.hits, pc.misses));
         assert_eq!((pc.hits, pc.misses), (0, 1), "one chain, one miss");
@@ -1190,6 +1201,7 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!((snap.queries, snap.query_errors), (2, 1));
         assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (0, 1));
+        assert_eq!(phase_counts(&snap), want, "a failure advances no phase");
         assert_eq!(db.workload().total_hits(), 1, "failures are not folded");
         assert_eq!(hooked.load(Ordering::Relaxed), 1, "failures produce no trace");
     }

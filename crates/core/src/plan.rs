@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use qof_grammar::{
-    resolve_path, PathError, PathFilter, PathSpec, SkOp, Skeleton, StructuringSchema, ValueBuilder,
+    resolve_path, PathError, PathFilter, PathSpec, SkOp, Skeleton, StructuringSchema,
 };
 use qof_pat::{fnv1a64, Instance, RegionExpr};
 
@@ -475,13 +475,17 @@ impl<'a> Planner<'a> {
                 let rspec = resolve_path(&self.schema.grammar, rsym, &qp.steps)?;
                 let (le, ld, lex) = self.deep_expr(&lspec, &mut rewrites, &mut fp_keys)?;
                 let (re, rd, rex) = self.deep_expr(&rspec, &mut rewrites, &mut fp_keys)?;
+                // Pairs are matched by region text, which is the value
+                // of atoms only.
+                let g = &self.schema.grammar;
+                let exact = lex && rex && lspec.text_is_value(g) && rspec.text_is_value(g);
                 // Extend the push-down filters with the join paths.
                 for (i, spec) in [(li, &lspec), (ri, &rspec)] {
                     let mut f = PathFilter::from_paths(&spec.field_paths().collect::<Vec<_>>());
                     f.merge(&filters[i]);
                     filters[i] = f;
                 }
-                let residual = (!(lex && rex)).then_some((lspec, rspec));
+                let residual = (!exact).then_some((lspec, rspec));
                 Some(JoinPlan {
                     left_var: li,
                     left: le,
@@ -506,16 +510,11 @@ impl<'a> Planner<'a> {
                 let mut f = PathFilter::from_paths(&spec.field_paths().collect::<Vec<_>>());
                 f.merge(&filters[proj_var]);
                 filters[proj_var] = f;
-                // A region's text is the value of an atom only: sets,
-                // tuples and integers are built by parsing. And the chain
+                // Only an atom's region text is its value. And the chain
                 // collects the items inside a result at any depth, so a
                 // self-nested view whose results are some of its regions
                 // would also collect the items of the views nested in them.
-                let grammar = &self.schema.grammar;
-                let atoms = spec.alternatives.iter().all(|alt| {
-                    let last = alt.names.last().and_then(|n| grammar.symbol(n));
-                    last.is_some_and(|s| grammar.rule(s).builder == ValueBuilder::Atom)
-                });
+                let atoms = spec.text_is_value(&self.schema.grammar);
                 let every_region = vars[proj_var].cond.is_none() && join.is_none();
                 let from_index = atoms && (every_region || !self.full_rig.on_cycle(symbol));
                 match self.deep_expr(&spec, &mut rewrites, &mut fp_keys).ok() {
@@ -590,7 +589,9 @@ impl<'a> Planner<'a> {
                 let (left, ld, lex) = self.deep_expr(&lpaths, rewrites, fp_keys)?;
                 let (right, rd, rex) = self.deep_expr(&rpaths, rewrites, fp_keys)?;
                 let display = format!("content([{ld}]) = content([{rd}])");
-                let node = if lex && rex {
+                // Region texts compare as values only between atoms.
+                let g = &self.schema.grammar;
+                let node = if lex && rex && lpaths.text_is_value(g) && rpaths.text_is_value(g) {
                     CondNode::ContentCompare { left, right, display }
                 } else {
                     CondNode::ContentCandidates { left, right, display }

@@ -97,6 +97,17 @@ impl PathSpec {
     pub fn field_paths(&self) -> impl Iterator<Item = Vec<String>> + '_ {
         self.alternatives.iter().map(|alt| alt.fields.clone())
     }
+
+    /// Whether the path's region text is its value: every alternative ends
+    /// on an `Atom` symbol. Sets, tuples and integers are built by parsing,
+    /// so two such regions of one text can hold different values (a set of
+    /// one tuple spans the same text as that tuple).
+    pub fn text_is_value(&self, grammar: &Grammar) -> bool {
+        self.alternatives.iter().all(|alt| {
+            let last = alt.names.last().and_then(|n| grammar.symbol(n));
+            last.is_some_and(|s| grammar.rule(s).builder == ValueBuilder::Atom)
+        })
+    }
 }
 
 /// Why a path does not resolve.

@@ -6,7 +6,8 @@
 //!   body of the query server's `GET /metrics`. Counters become `counter`
 //!   series; the log₂ latency histograms become native Prometheus
 //!   `histogram` series (`_bucket{le=…}` cumulative counts, `_sum`,
-//!   `_count`), with per-operator histograms labelled `{op="⊃"}`.
+//!   `_count`), with per-phase histograms labelled `{phase="plan"}` and
+//!   per-operator histograms labelled `{op="⊃"}`.
 //! * [`snapshot_to_json`] — a dependency-free JSON document with the same
 //!   counters and full bucket contents, the body of `qof stats --json` and
 //!   of `GET /metrics?format=json`.
@@ -14,15 +15,11 @@
 //! All durations are nanoseconds in the JSON document and seconds in the
 //! Prometheus rendering (Prometheus' base-unit convention).
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::history::HistorySample;
-use crate::slo::{SloSpec, SloStatus};
 use crate::trace::{Histogram, MetricsSnapshot};
 use crate::workload::WorkloadEntry;
-
-/// Version stamp of the `/metrics/history` JSON envelope.
-pub const HISTORY_SCHEMA_VERSION: u64 = 2;
 
 /// Escapes a Prometheus label value (`\`, `"`, newline).
 fn esc_label(s: &str) -> String {
@@ -120,18 +117,40 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
     let _ = writeln!(out, "# HELP qof_query_latency_seconds End-to-end query latency.");
     let _ = writeln!(out, "# TYPE qof_query_latency_seconds histogram");
     histogram_series(&mut out, "qof_query_latency_seconds", "", &snap.query_latency);
-    if !snap.op_latency.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP qof_op_latency_seconds Per-operator evaluation latency (exclusive time)."
-        );
-        let _ = writeln!(out, "# TYPE qof_op_latency_seconds histogram");
-        for (op, h) in &snap.op_latency {
-            let label = format!("op=\"{}\"", esc_label(op));
-            histogram_series(&mut out, "qof_op_latency_seconds", &label, h);
-        }
-    }
+    labelled_family(
+        &mut out,
+        "qof_phase_latency_seconds",
+        "Per-phase latency of successful queries.",
+        "phase",
+        &snap.phase_latency,
+    );
+    labelled_family(
+        &mut out,
+        "qof_op_latency_seconds",
+        "Per-operator evaluation latency (exclusive time).",
+        "op",
+        &snap.op_latency,
+    );
     out
+}
+
+/// Emits one histogram family with a `{key="…"}` label per entry, or
+/// nothing when no entry has been recorded.
+fn labelled_family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    key: &str,
+    histograms: &BTreeMap<String, Histogram>,
+) {
+    if histograms.is_empty() {
+        return;
+    }
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} histogram");
+    for (label, h) in histograms {
+        histogram_series(out, name, &format!("{key}=\"{}\"", esc_label(label)), h);
+    }
 }
 
 /// One histogram as a JSON object: count, sum, the p50/p95 summary, and
@@ -178,117 +197,19 @@ pub fn snapshot_to_json(snap: &MetricsSnapshot) -> String {
     }
     let _ = write!(out, "}},\"corpus_bytes\":{}", snap.corpus_bytes);
     let _ = write!(out, ",\"query_latency\":{}", histogram_json(&snap.query_latency));
-    out.push_str(",\"op_latency\":{");
-    for (i, (op, h)) in snap.op_latency.iter().enumerate() {
+    let _ = write!(out, ",\"phase_latency\":{}", labelled_json(&snap.phase_latency));
+    let _ = write!(out, ",\"op_latency\":{}}}", labelled_json(&snap.op_latency));
+    out
+}
+
+/// Labelled histograms as one JSON object keyed by label.
+fn labelled_json(histograms: &BTreeMap<String, Histogram>) -> String {
+    let mut out = String::from("{");
+    for (i, (label, h)) in histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{}", esc_json(op), histogram_json(h));
-    }
-    out.push_str("}}");
-    out
-}
-
-/// Renders the evaluated SLO state as Prometheus gauges — appended after
-/// [`render_prometheus`] by the server when `--slo` is set, so the base
-/// exposition (and its golden test) stays byte-identical without SLOs.
-pub fn render_slo_prometheus(spec: &SloSpec, status: &SloStatus) -> String {
-    let mut out = String::new();
-    #[allow(clippy::cast_precision_loss)]
-    if let Some(target) = spec.p95_nanos {
-        let _ = writeln!(out, "# HELP qof_slo_latency_p95_target_seconds Declared p95 objective.");
-        let _ = writeln!(out, "# TYPE qof_slo_latency_p95_target_seconds gauge");
-        let _ = writeln!(out, "qof_slo_latency_p95_target_seconds {}", secs(target));
-    }
-    if let Some(budget) = spec.error_budget {
-        let _ = writeln!(out, "# HELP qof_slo_error_budget Declared error-rate budget (fraction).");
-        let _ = writeln!(out, "# TYPE qof_slo_error_budget gauge");
-        let _ = writeln!(out, "qof_slo_error_budget {budget}");
-    }
-    let objectives = [("latency", status.latency.as_ref()), ("error", status.error.as_ref())];
-    let _ = writeln!(
-        out,
-        "# HELP qof_slo_burn_rate Error-budget burn rate per objective and window \
-         (1 = budget consumed exactly at accrual speed)."
-    );
-    let _ = writeln!(out, "# TYPE qof_slo_burn_rate gauge");
-    for (name, obj) in objectives {
-        if let Some(o) = obj {
-            let _ = writeln!(
-                out,
-                "qof_slo_burn_rate{{objective=\"{name}\",window=\"short\"}} {}",
-                o.burn_short
-            );
-            let _ = writeln!(
-                out,
-                "qof_slo_burn_rate{{objective=\"{name}\",window=\"long\"}} {}",
-                o.burn_long
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "# HELP qof_slo_breach Whether the objective burns over threshold in both windows."
-    );
-    let _ = writeln!(out, "# TYPE qof_slo_breach gauge");
-    for (name, obj) in objectives {
-        if let Some(o) = obj {
-            let _ =
-                writeln!(out, "qof_slo_breach{{objective=\"{name}\"}} {}", u8::from(o.breached));
-        }
-    }
-    out
-}
-
-/// One [`SloStatus`] as a JSON object (embedded in the history envelope).
-fn slo_status_json(spec: &SloSpec, status: &SloStatus) -> String {
-    let mut out = format!("{{\"declared\":\"{}\"", esc_json(&spec.describe()));
-    for (name, obj) in [("latency", status.latency.as_ref()), ("error", status.error.as_ref())] {
-        if let Some(o) = obj {
-            let _ = write!(
-                out,
-                ",\"{name}\":{{\"burn_short\":{},\"burn_long\":{},\"breached\":{}}}",
-                o.burn_short, o.burn_long, o.breached
-            );
-        }
-    }
-    let _ = write!(out, ",\"breached\":{}}}", status.breached());
-    out
-}
-
-/// Serializes a trailing window of history samples (plus the evaluated SLO
-/// state, when objectives are declared) as the `GET /metrics/history`
-/// document, also printed by `qof stats --history`.
-pub fn history_to_json(
-    samples: &[HistorySample],
-    window_ms: u64,
-    now_ms: u64,
-    slo: Option<(&SloSpec, &SloStatus)>,
-) -> String {
-    let mut out = format!(
-        "{{\"schema_version\":{HISTORY_SCHEMA_VERSION},\"now_ms\":{now_ms},\
-         \"window_ms\":{window_ms},\"samples\":["
-    );
-    for (i, s) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"ts_ms\":{},\"dur_ms\":{},\"queries\":{},\"query_errors\":{},\
-             \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"latency\":{}}}",
-            s.ts_ms,
-            s.dur_ms,
-            s.queries,
-            s.query_errors,
-            s.plan_cache_hits,
-            s.plan_cache_misses,
-            histogram_json(&s.latency)
-        );
-    }
-    out.push(']');
-    if let Some((spec, status)) = slo {
-        let _ = write!(out, ",\"slo\":{}", slo_status_json(spec, status));
+        let _ = write!(out, "\"{}\":{}", esc_json(label), histogram_json(h));
     }
     out.push('}');
     out
@@ -458,7 +379,7 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
         assert!(!text.contains("qof_index_bytes"), "no gauge until a database publishes");
         let json = snapshot_to_json(&snap);
         assert!(json.contains("\"queries\":0"));
-        assert!(json.contains("\"op_latency\":{}"));
+        assert!(json.contains("\"phase_latency\":{},\"op_latency\":{}"), "{json}");
         assert!(json.contains("\"index_bytes\":{},\"corpus_bytes\":0"), "{json}");
     }
 
@@ -481,33 +402,33 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
     }
 
     #[test]
-    fn label_escaping() {
-        assert_eq!(esc_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc_label("⊃"), "⊃");
+    fn phase_histograms_render_in_both_surfaces() {
+        let reg = MetricsRegistry::new();
+        reg.record_phases([("parse", 100), ("index-candidates", 600)]);
+        let snap = reg.snapshot();
+        let text = render_prometheus(&snap);
+        assert!(text.contains("# TYPE qof_phase_latency_seconds histogram"), "{text}");
+        assert!(
+            text.contains("qof_phase_latency_seconds_count{phase=\"index-candidates\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("qof_phase_latency_seconds_bucket{phase=\"parse\",le=\"0.000000128\"} 1"),
+            "{text}"
+        );
+        let json = snapshot_to_json(&snap);
+        let parsed = crate::json::Json::parse(&json).expect("snapshot parses");
+        let obj = parsed.as_obj().unwrap();
+        let phases = crate::json::get(obj, "phase_latency").unwrap().as_obj().unwrap();
+        let parse = crate::json::get(phases, "parse").unwrap().as_obj().unwrap();
+        assert_eq!(crate::json::get_u64(parse, "count").unwrap(), 1);
+        assert_eq!(crate::json::get_u64(parse, "sum_nanos").unwrap(), 100);
     }
 
     #[test]
-    fn history_json_envelope() {
-        let reg = MetricsRegistry::new();
-        reg.record_query(1_000, true);
-        reg.record_history_sample(1_000);
-        reg.record_query(2_000, false);
-        reg.record_history_sample(2_000);
-        let samples = reg.history().samples(0, 2_000);
-        let json = history_to_json(&samples, 60_000, 2_000, None);
-        assert!(json.contains("\"schema_version\":2"), "{json}");
-        assert!(json.contains("\"now_ms\":2000,\"window_ms\":60000"), "{json}");
-        assert!(json.contains("\"ts_ms\":1000,\"dur_ms\":0,\"queries\":1"), "{json}");
-        assert!(json.contains("\"ts_ms\":2000,\"dur_ms\":1000,\"queries\":1"), "{json}");
-        assert!(json.contains("\"query_errors\":1"), "{json}");
-        assert!(!json.contains("\"slo\""), "no slo key without objectives: {json}");
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(json.matches(open).count(), json.matches(close).count());
-        }
-        // Our own reader parses the envelope (qof top consumes it).
-        let parsed = crate::json::Json::parse(&json).expect("envelope parses");
-        let obj = parsed.as_obj().unwrap();
-        assert_eq!(crate::json::get_arr(obj, "samples").unwrap().len(), 2);
+    fn label_escaping() {
+        assert_eq!(esc_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(esc_label("⊃"), "⊃");
     }
 
     #[test]
@@ -547,32 +468,5 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
             text.contains("qof_workload_latency_seconds_count{fingerprint=\"000000000000abcd\"} 1"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn slo_gauges_and_json() {
-        use crate::slo::SloSpec;
-        let spec = SloSpec::parse("p95=50ms,err=1%").unwrap();
-        let reg = MetricsRegistry::new();
-        for _ in 0..10 {
-            reg.record_query(1_000, false); // all errors, all fast
-        }
-        reg.record_history_sample(1_000);
-        let status = spec.evaluate(reg.history(), 1_000);
-        let text = render_slo_prometheus(&spec, &status);
-        assert!(text.contains("qof_slo_latency_p95_target_seconds 0.05"), "{text}");
-        assert!(text.contains("qof_slo_error_budget 0.01"), "{text}");
-        assert!(
-            text.contains("qof_slo_burn_rate{objective=\"error\",window=\"short\"} 100"),
-            "{text}"
-        );
-        assert!(text.contains("qof_slo_breach{objective=\"error\"} 1"), "{text}");
-        assert!(text.contains("qof_slo_breach{objective=\"latency\"} 0"), "{text}");
-        let samples = reg.history().samples(0, 1_000);
-        let json = history_to_json(&samples, 0, 1_000, Some((&spec, &status)));
-        assert!(json.contains("\"slo\":{\"declared\":\"p95≤50ms, err≤1%\""), "{json}");
-        assert!(json.contains("\"breached\":true}"), "{json}");
-        let parsed = crate::json::Json::parse(&json).expect("envelope parses");
-        assert!(parsed.as_obj().is_some());
     }
 }

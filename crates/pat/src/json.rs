@@ -1,8 +1,6 @@
 //! A minimal, dependency-free JSON reader shared by every surface that
 //! consumes this workspace's own JSON writers: trace checks
-//! (`--trace-json`), the bench harness, the query-log analyzer, and the
-//! `qof top` dashboard scraping `/metrics?format=json` and
-//! `/metrics/history`.
+//! (`--trace-json`), the bench harness and the query-log analyzer.
 //!
 //! It parses exactly the subset our writers emit — objects, arrays,
 //! strings with escapes, unsigned integers, floats, booleans — and keeps

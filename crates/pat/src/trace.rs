@@ -327,35 +327,6 @@ impl Histogram {
         self.sum += other.sum;
     }
 
-    /// The bucket-wise difference `self − earlier` — the histogram of just
-    /// the samples recorded since `earlier` was snapshotted (the history
-    /// ring's delta encoding). Saturating, so a reset between snapshots
-    /// degrades to a partial delta instead of underflowing.
-    pub fn diff(&self, earlier: &Histogram) -> Histogram {
-        let mut out = Histogram::new();
-        for (i, (a, b)) in self.buckets.iter().zip(&earlier.buckets).enumerate() {
-            out.buckets[i] = a.saturating_sub(*b);
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        out
-    }
-
-    /// Samples recorded above `threshold_nanos`, bucket-granular: a sample
-    /// counts once its entire bucket lies at or above the threshold, so
-    /// the answer is exact when the threshold is a bucket boundary (a
-    /// power of two) and within one bucket (2×) otherwise — the same
-    /// resolution as [`Histogram::quantile`]. The SLO burn-rate evaluator
-    /// uses this to count latency-budget violations.
-    pub fn count_over(&self, threshold_nanos: u64) -> u64 {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| (1u64 << i) >= threshold_nanos)
-            .map(|(_, &n)| n)
-            .sum()
-    }
-
     /// The raw per-bucket sample counts (not cumulative), bucket `i`
     /// covering `[2^i, 2^(i+1))` nanoseconds and the last bucket open-ended.
     pub fn bucket_counts(&self) -> &[u64; HISTOGRAM_BUCKETS] {
@@ -409,10 +380,10 @@ pub struct MetricsRegistry {
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
     query_latency: Mutex<Histogram>,
+    phase_latency: Mutex<BTreeMap<String, Histogram>>,
     op_latency: Mutex<BTreeMap<String, Histogram>>,
     index_bytes: Mutex<BTreeMap<String, u64>>,
     corpus_bytes: AtomicU64,
-    history: crate::history::MetricsHistory,
 }
 
 /// A point-in-time copy of a [`MetricsRegistry`]: counters plus the *full*
@@ -431,6 +402,9 @@ pub struct MetricsSnapshot {
     pub plan_cache_misses: u64,
     /// End-to-end query latency.
     pub query_latency: Histogram,
+    /// Per-phase latency of successful queries, keyed by phase name
+    /// (`parse`, `plan`, `index-candidates`, …).
+    pub phase_latency: BTreeMap<String, Histogram>,
     /// Per-operator latency, keyed by operator label.
     pub op_latency: BTreeMap<String, Histogram>,
     /// Resident index footprint in bytes, keyed by backend label
@@ -520,7 +494,16 @@ impl MetricsRegistry {
     /// Records one operator application's latency under its label.
     pub fn record_op(&self, op: &str, nanos: u64) {
         let mut map = self.op_latency.lock().expect("metrics lock poisoned");
-        record_op_into(&mut map, op, nanos);
+        record_labelled(&mut map, op, nanos);
+    }
+
+    /// Records one query's phase timings (`(name, nanos)` pairs) into the
+    /// per-phase histograms, under one lock acquisition.
+    pub fn record_phases<'a>(&self, phases: impl IntoIterator<Item = (&'a str, u64)>) {
+        let mut map = self.phase_latency.lock().expect("metrics lock poisoned");
+        for (name, nanos) in phases {
+            record_labelled(&mut map, name, nanos);
+        }
     }
 
     /// Folds every node of an operator trace into the per-op histograms
@@ -531,23 +514,10 @@ impl MetricsRegistry {
         for root in roots {
             root.walk(&mut |node| {
                 if node.source == CacheSource::Computed {
-                    record_op_into(&mut map, node.op, node.self_nanos());
+                    record_labelled(&mut map, node.op, node.self_nanos());
                 }
             });
         }
-    }
-
-    /// The registry's time-series history ring.
-    pub fn history(&self) -> &crate::history::MetricsHistory {
-        &self.history
-    }
-
-    /// Takes a snapshot and records its delta into the history ring,
-    /// stamped with the caller's wall clock (milliseconds since the Unix
-    /// epoch). Called once per interval by the server's snapshot ticker
-    /// or by `qof stats --history`; never on the query hot path.
-    pub fn record_history_sample(&self, ts_ms: u64) {
-        self.history.record(ts_ms, self.snapshot());
     }
 
     /// A point-in-time copy of every counter and histogram.
@@ -558,6 +528,7 @@ impl MetricsRegistry {
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
             query_latency: self.query_latency.lock().expect("metrics lock poisoned").clone(),
+            phase_latency: self.phase_latency.lock().expect("metrics lock poisoned").clone(),
             op_latency: self.op_latency.lock().expect("metrics lock poisoned").clone(),
             index_bytes: self.index_bytes.lock().expect("metrics lock poisoned").clone(),
             corpus_bytes: self.corpus_bytes.load(Ordering::Relaxed),
@@ -571,22 +542,22 @@ impl MetricsRegistry {
         self.plan_cache_hits.store(0, Ordering::Relaxed);
         self.plan_cache_misses.store(0, Ordering::Relaxed);
         *self.query_latency.lock().expect("metrics lock poisoned") = Histogram::new();
+        self.phase_latency.lock().expect("metrics lock poisoned").clear();
         self.op_latency.lock().expect("metrics lock poisoned").clear();
         self.index_bytes.lock().expect("metrics lock poisoned").clear();
         self.corpus_bytes.store(0, Ordering::Relaxed);
-        self.history.clear();
     }
 }
 
-/// Records one latency sample under `op`, allocating the label only for
-/// an operator seen for the first time.
-fn record_op_into(map: &mut BTreeMap<String, Histogram>, op: &str, nanos: u64) {
-    match map.get_mut(op) {
+/// Records one latency sample under `label`, allocating the label only
+/// the first time it is seen.
+fn record_labelled(map: &mut BTreeMap<String, Histogram>, label: &str, nanos: u64) {
+    match map.get_mut(label) {
         Some(h) => h.record(nanos),
         None => {
             let mut h = Histogram::new();
             h.record(nanos);
-            map.insert(op.to_owned(), h);
+            map.insert(label.to_owned(), h);
         }
     }
 }
@@ -734,10 +705,16 @@ mod tests {
         assert_eq!(s.op_latency["⊃"].count(), 2);
         assert_eq!(s.op_latency["σ"].count(), 1);
         assert_eq!(s.query_latency.count(), 2);
+        reg.record_phases([("parse", 10), ("plan", 20)]);
+        reg.record_phases([("parse", 30), ("plan", 40)]);
+        let s = reg.snapshot();
+        assert_eq!(s.phase_latency["parse"].count(), 2);
+        assert_eq!(s.phase_latency["plan"].sum(), 60);
         reg.reset();
         let s = reg.snapshot();
         assert_eq!(s.queries, 0);
         assert!(s.op_latency.is_empty());
+        assert!(s.phase_latency.is_empty());
     }
 
     #[test]

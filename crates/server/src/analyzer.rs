@@ -15,8 +15,9 @@ use qof_pat::{workload_to_json, WorkloadObs, WorkloadTable};
 
 use crate::http::esc_json;
 
-/// Schema version of the `qof qlog analyze --json` envelope.
-pub const QLOG_REPORT_SCHEMA_VERSION: u64 = 1;
+/// Schema version of the `qof qlog analyze --json` envelope. Version 2
+/// dropped the `warnings` count: the log holds query lines only.
+pub const QLOG_REPORT_SCHEMA_VERSION: u64 = 2;
 
 /// What one replay of a query-log chain saw.
 pub struct QlogReport {
@@ -26,8 +27,6 @@ pub struct QlogReport {
     pub queries: u64,
     /// Failed query lines (`"outcome":"error"`).
     pub errors: u64,
-    /// Operational warning lines (`"level":"warn"`) — not queries.
-    pub warnings: u64,
     /// Lines that failed to parse as qlog JSON.
     pub malformed: u64,
     /// Smallest query ID seen.
@@ -87,10 +86,6 @@ fn fold_line(report: &mut QlogReport, line: &str) {
         report.malformed += 1;
         return;
     };
-    if matches!(json::get(obj, "level"), Ok(Json::Str(level)) if level == "warn") {
-        report.warnings += 1;
-        return;
-    }
     let (Ok(id), Ok(outcome)) = (json::get_u64(obj, "id"), json::get_str(obj, "outcome")) else {
         report.malformed += 1;
         return;
@@ -146,7 +141,6 @@ pub fn analyze_qlog(path: &Path) -> std::io::Result<QlogReport> {
         files: files.clone(),
         queries: 0,
         errors: 0,
-        warnings: 0,
         malformed: 0,
         first_id: None,
         last_id: None,
@@ -176,8 +170,8 @@ pub fn render_report(report: &QlogReport) -> String {
     }
     let _ = writeln!(
         out,
-        "lines: {} ok, {} error, {} warn, {} malformed",
-        report.queries, report.errors, report.warnings, report.malformed
+        "lines: {} ok, {} error, {} malformed",
+        report.queries, report.errors, report.malformed
     );
     if let (Some(first), Some(last)) = (report.first_id, report.last_id) {
         let verdict = if report.ids_contiguous() {
@@ -238,8 +232,8 @@ pub fn report_json(report: &QlogReport) -> String {
     }
     let _ = write!(
         out,
-        "],\"queries\":{},\"errors\":{},\"warnings\":{},\"malformed\":{}",
-        report.queries, report.errors, report.warnings, report.malformed
+        "],\"queries\":{},\"errors\":{},\"malformed\":{}",
+        report.queries, report.errors, report.malformed
     );
     if let (Some(first), Some(last)) = (report.first_id, report.last_id) {
         let _ = write!(out, ",\"first_id\":{first},\"last_id\":{last}");
@@ -298,10 +292,9 @@ mod tests {
                 log.log_success(&trace(id, fp, 1_000_000));
             }
             log.log_error(7, "SELEC nope", "syntax", 5_000);
-            log.log_warn("SLO breach");
         }
         let report = analyze_qlog(&path).unwrap();
-        assert_eq!((report.queries, report.errors, report.warnings), (6, 1, 1));
+        assert_eq!((report.queries, report.errors), (6, 1));
         assert_eq!((report.first_id, report.last_id), (Some(1), Some(7)));
         assert!(report.ids_contiguous());
         assert_eq!(report.total_bytes, 600);

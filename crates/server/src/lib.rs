@@ -14,10 +14,8 @@
 //!   `?explain=1` to attach the full [`QueryTrace`] to the response.
 //! * `GET /metrics` — Prometheus text exposition (v0.0.4) of the server's
 //!   [`MetricsRegistry`]; `?format=json` returns the same snapshot as the
-//!   `qof stats --json` document (both renderers live in `qof_pat`). With
-//!   `--slo`, `qof_slo_*` burn-rate gauges are appended.
-//! * `GET /metrics/history?window=SECONDS` — the time-series ring: one
-//!   delta sample per `--history-interval-ms` tick, plus SLO state.
+//!   `qof stats --json` document (both renderers live in `qof_pat`): query
+//!   and per-operator latency, and one latency histogram per query phase.
 //! * `GET /healthz` — liveness plus uptime and query count.
 //! * `GET /flight-recorder` — the last N traces and recent slow traces;
 //!   `?format=perfetto` exports the whole window as a Chrome trace-event
@@ -44,13 +42,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 use qof_core::{trace_to_perfetto, traces_to_perfetto, FileDatabase};
-pub use qof_pat::SloSpec;
 use qof_pat::{
-    history_to_json, render_prometheus, render_slo_prometheus, render_workload_prometheus,
-    snapshot_to_json, workload_to_json, MetricsRegistry,
+    render_prometheus, render_workload_prometheus, snapshot_to_json, workload_to_json,
+    MetricsRegistry,
 };
 
 pub use analyzer::{
@@ -58,7 +55,7 @@ pub use analyzer::{
 };
 pub use http::Client;
 use http::{esc_json, read_request, write_response, Request, RequestError};
-pub use qlog::{error_line, normalize_query, success_line, warn_line, QueryLog, DEFAULT_QLOG_KEEP};
+pub use qlog::{error_line, normalize_query, success_line, QueryLog, DEFAULT_QLOG_KEEP};
 pub use recorder::FlightRecorder;
 
 /// Server tuning knobs.
@@ -77,14 +74,6 @@ pub struct ServerConfig {
     /// Socket write timeout in milliseconds (0 disables): bounds how long
     /// a response write may block on a peer that stops draining.
     pub write_timeout_ms: u64,
-    /// Interval between metrics-history snapshots in milliseconds
-    /// (0 disables the sampler thread — `/metrics/history` stays empty).
-    pub history_interval_ms: u64,
-    /// Service-level objectives (`--slo p95=50ms,err=0.1%`). When set, the
-    /// sampler evaluates multi-window burn rates each tick, `/metrics`
-    /// grows `qof_slo_*` gauges, and a breach writes one WARN line to the
-    /// query log.
-    pub slo: Option<SloSpec>,
 }
 
 impl Default for ServerConfig {
@@ -94,8 +83,6 @@ impl Default for ServerConfig {
             recorder_capacity: 64,
             read_timeout_ms: 30_000,
             write_timeout_ms: 30_000,
-            history_interval_ms: 1_000,
-            slo: None,
         }
     }
 }
@@ -116,18 +103,6 @@ struct State {
     addr: SocketAddr,
     read_timeout: Option<std::time::Duration>,
     write_timeout: Option<std::time::Duration>,
-    slo: Option<SloSpec>,
-    /// Whether the last sampler tick saw the SLO breached — the WARN line
-    /// is edge-triggered (written once per excursion, not once per tick).
-    slo_breached: AtomicBool,
-}
-
-/// Milliseconds since the Unix epoch — the timestamp axis of the metrics
-/// history (shared with the query log's `ts_ms`).
-fn wall_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
 }
 
 /// A running server: its bound address and the means to stop it.
@@ -135,7 +110,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<State>,
     accept: Option<JoinHandle<()>>,
-    sampler: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -169,10 +143,6 @@ impl ServerHandle {
         // wakes it so it can observe the flag.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        // The sampler sleeps in short steps and exits on the flag.
-        if let Some(t) = self.sampler.take() {
             let _ = t.join();
         }
     }
@@ -213,31 +183,7 @@ pub fn serve(
         addr,
         read_timeout: timeout(config.read_timeout_ms),
         write_timeout: timeout(config.write_timeout_ms),
-        slo: config.slo.clone(),
-        slo_breached: AtomicBool::new(false),
     });
-
-    // The history sampler: one snapshot per interval into the registry's
-    // ring, plus the SLO burn-rate check. Sleeps in short steps so a
-    // shutdown is observed within ~100 ms regardless of the interval.
-    let sampler = if config.history_interval_ms > 0 {
-        let tick_state = Arc::clone(&state);
-        let interval = Duration::from_millis(config.history_interval_ms);
-        let step = interval.min(Duration::from_millis(100));
-        Some(std::thread::Builder::new().name("qof-history".into()).spawn(move || {
-            let mut next = Instant::now() + interval;
-            while !tick_state.shutdown.load(Ordering::SeqCst) {
-                std::thread::sleep(step);
-                if Instant::now() < next {
-                    continue;
-                }
-                next = Instant::now() + interval;
-                sampler_tick(&tick_state);
-            }
-        })?)
-    } else {
-        None
-    };
 
     let accept_state = Arc::clone(&state);
     let accept = std::thread::Builder::new().name("qof-accept".into()).spawn(move || {
@@ -253,23 +199,7 @@ pub fn serve(
         }
     })?;
 
-    Ok(ServerHandle { addr, state, accept: Some(accept), sampler })
-}
-
-/// One sampler tick: snapshot the registry into the history ring, then
-/// evaluate the SLO and write the edge-triggered WARN line on a fresh
-/// breach.
-fn sampler_tick(state: &State) {
-    let ts = wall_ms();
-    state.metrics.record_history_sample(ts);
-    if let Some(spec) = &state.slo {
-        let status = spec.evaluate(state.metrics.history(), ts);
-        let breached = status.breached();
-        let was = state.slo_breached.swap(breached, Ordering::SeqCst);
-        if breached && !was {
-            state.log.log_warn(&format!("SLO burn-rate breach: {}", status.summary()));
-        }
-    }
+    Ok(ServerHandle { addr, state, accept: Some(accept) })
 }
 
 /// Serves one connection until the client closes it, asks to, stalls past
@@ -325,17 +255,9 @@ fn route(state: &State, req: &Request) -> (u16, &'static str, String) {
             if req.query_param("format") == Some("json") {
                 (200, JSON, snapshot_to_json(&snap))
             } else {
-                let mut body = render_prometheus(&snap);
-                // SLO gauges ride along after the base exposition, which
-                // stays byte-identical when no objectives are declared.
-                if let Some(spec) = &state.slo {
-                    let status = spec.evaluate(state.metrics.history(), wall_ms());
-                    body.push_str(&render_slo_prometheus(spec, &status));
-                }
-                (200, PROM, body)
+                (200, PROM, render_prometheus(&snap))
             }
         }
-        ("GET", "/metrics/history") => handle_history(state, req),
         ("GET", "/healthz") => {
             let snap = state.metrics.snapshot();
             let body = format!(
@@ -378,32 +300,6 @@ fn route(state: &State, req: &Request) -> (u16, &'static str, String) {
         }
         _ => (404, JSON, "{\"error\":\"not found\"}".to_owned()),
     }
-}
-
-/// `GET /metrics/history?window=SECONDS`: the trailing window of history
-/// samples (all of the ring when `window` is absent or `0`), plus the
-/// evaluated SLO state when objectives are declared.
-fn handle_history(state: &State, req: &Request) -> (u16, &'static str, String) {
-    const JSON: &str = "application/json";
-    let window_secs: u64 = match req.query_param("window") {
-        None => 0,
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                return (
-                    400,
-                    JSON,
-                    format!("{{\"error\":\"bad window `{}`: want seconds\"}}", esc_json(raw)),
-                )
-            }
-        },
-    };
-    let now = wall_ms();
-    let window_ms = window_secs.saturating_mul(1_000);
-    let samples = state.metrics.history().samples(window_ms, now);
-    let status = state.slo.as_ref().map(|spec| spec.evaluate(state.metrics.history(), now));
-    let slo = state.slo.as_ref().zip(status.as_ref());
-    (200, JSON, history_to_json(&samples, window_ms, now, slo))
 }
 
 /// `GET /flight-recorder/{id}`: one retained trace by query ID, as trace

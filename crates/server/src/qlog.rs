@@ -2,10 +2,7 @@
 //! successes and failures alike — carrying the query ID, the normalized
 //! query text, timings, cardinalities, the run's plan-cache delta and the
 //! outcome. `qof_queries_total` in `/metrics` and the number of *query*
-//! lines written here advance in lockstep; CI asserts that. Operational
-//! warnings (the SLO burn-rate monitor) are also appended here as
-//! `"level":"warn"` lines, which deliberately do **not** advance the
-//! query-line counter.
+//! lines written here advance in lockstep; CI asserts that.
 //!
 //! With `--qlog-max-bytes` the log rotates: when appending a line would
 //! push the current file past the cap, `query.log` is renamed to
@@ -70,12 +67,6 @@ pub fn error_line(id: u64, query: &str, error: &str, total_nanos: u64, ts_ms: u1
         esc_json(&normalize_query(query)),
         esc_json(error),
     )
-}
-
-/// The warning line for an operational event (no trailing newline) — not
-/// a query, so it never advances the query-line counter.
-pub fn warn_line(message: &str, ts_ms: u128) -> String {
-    format!("{{\"ts_ms\":{ts_ms},\"level\":\"warn\",\"message\":\"{}\"}}", esc_json(message))
 }
 
 /// Where log lines go: a plain stream, or a size-capped rotating file.
@@ -179,8 +170,7 @@ impl QueryLog {
         })
     }
 
-    /// Query lines written so far (warnings are not counted — this mirrors
-    /// `qof_queries_total`).
+    /// Lines written so far — this mirrors `qof_queries_total`.
     pub fn lines_written(&self) -> u64 {
         self.lines.load(Ordering::Relaxed)
     }
@@ -209,13 +199,6 @@ impl QueryLog {
         if self.append(&error_line(id, query, error, total_nanos, now_ms())) {
             self.lines.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Appends an operational warning (`"level":"warn"`). Warnings share
-    /// the log but are not queries: the line counter — and thus the
-    /// `qof_queries_total` cross-check — does not move.
-    pub fn log_warn(&self, message: &str) {
-        self.append(&warn_line(message, now_ms()));
     }
 }
 
@@ -268,15 +251,6 @@ mod tests {
         log.log_success(&QueryTrace { id: 1, ..Default::default() });
         log.log_error(2, "bad", "nope", 10);
         assert_eq!(log.lines_written(), 2);
-    }
-
-    #[test]
-    fn warnings_are_written_but_not_counted() {
-        let log = QueryLog::discard();
-        log.log_success(&QueryTrace { id: 1, ..Default::default() });
-        log.log_warn("SLO breach");
-        assert_eq!(log.lines_written(), 1, "warn lines must not move the query counter");
-        assert!(warn_line("SLO breach", 7).contains("\"level\":\"warn\""));
     }
 
     #[test]

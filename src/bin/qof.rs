@@ -51,12 +51,11 @@ fn usage() -> ExitCode {
          [--explain-analyze] [--trace-json FILE] [--trace-perfetto FILE]\n              \
          [<file>...] <query>\n  \
          qof explain <schema> [--index A,B,C] [--from-index F.qofx] [<file>...] <query>\n  \
-         qof stats   <schema> [--index A,B,C] [--from-index F.qofx] [--json] [--history]\n              \
+         qof stats   <schema> [--index A,B,C] [--from-index F.qofx] [--json]\n              \
          [--workload] [<file>...] <query>...\n  \
          qof serve   <schema> [--index A,B,C] [--from-index F.qofx]\n              \
          [--port P] [--log FILE] [--qlog-max-bytes N] [--slow-ms MS] [--recorder N]\n              \
-         [--timeout-ms MS] [--history-interval-ms MS] [--slo p95=50ms,err=0.1%] [<file>...]\n  \
-         qof top     [--host H] [--port P] [--interval-ms MS] [--frames N] [--once]\n  \
+         [--timeout-ms MS] [<file>...]\n  \
          qof index build   <schema> [--index A,B,C] --out F.qofx <file>...\n  \
          qof index inspect <F.qofx>\n  \
          qof qlog analyze  <query.log> [--json]\n  \
@@ -123,17 +122,15 @@ fn load_db(
 
 /// `qof stats`: runs every query against the corpus, then prints the
 /// process-wide metrics snapshot (queries executed, plan-cache hit ratio,
-/// p50/p95 operator latencies). Trailing arguments are files when they
+/// p50/p95 phase and operator latencies). Trailing arguments are files when they
 /// exist on disk and queries otherwise — queries contain spaces and SELECT
 /// keywords, never bare readable paths.
-#[allow(clippy::too_many_arguments)] // one parameter per CLI flag, dispatched once
 fn run_stats(
     schema: StructuringSchema,
     rest: Vec<String>,
     index: Option<&str>,
     from_index: Option<&str>,
     json: bool,
-    history: bool,
     workload: bool,
 ) -> Result<ExitCode, String> {
     let (files, queries): (Vec<String>, Vec<String>) =
@@ -147,25 +144,6 @@ fn run_stats(
         if let Err(e) = db.query(q) {
             eprintln!("error in `{q}`: {e}");
         }
-        if history {
-            // One history sample per query: the ring then holds the
-            // per-query deltas, like the server's periodic sampler does
-            // per interval.
-            registry.record_history_sample(wall_ms());
-        }
-    }
-    if history {
-        // The same envelope the server's `GET /metrics/history` serves.
-        let now = wall_ms();
-        let samples = registry.history().samples(0, now);
-        if samples.is_empty() {
-            return Err("metrics history ring is empty — a sampler that never ran records \
-                        nothing (a server started with --history-interval-ms 0 has the same \
-                        symptom); re-run with sampling enabled"
-                .to_owned());
-        }
-        println!("{}", qof::pat::history_to_json(&samples, 0, now, None));
-        return Ok(ExitCode::SUCCESS);
     }
     if workload {
         let table = db.workload();
@@ -208,6 +186,16 @@ fn run_stats(
         fmt_nanos(ql.p95_nanos),
         ql.count
     );
+    println!("phase latencies:");
+    for (phase, h) in &snap.phase_latency {
+        let s = h.summary();
+        println!(
+            "  {phase:<18} p50 {:>8}  p95 {:>8}  ×{}",
+            fmt_nanos(s.p50_nanos),
+            fmt_nanos(s.p95_nanos),
+            s.count
+        );
+    }
     println!("operator latencies:");
     for (op, h) in &snap.op_latency {
         let s = h.summary();
@@ -221,8 +209,7 @@ fn run_stats(
     Ok(ExitCode::SUCCESS)
 }
 
-/// The human rendering of a workload snapshot, shared by
-/// `qof stats --workload` and the `qof top` pane.
+/// The human rendering of a workload snapshot (`qof stats --workload`).
 fn render_workload_table(entries: &[qof::pat::WorkloadEntry]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -255,13 +242,6 @@ fn render_workload_table(entries: &[qof::pat::WorkloadEntry]) -> String {
     out
 }
 
-/// Milliseconds since the Unix epoch (the metrics-history time axis).
-fn wall_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-}
-
 /// `qof serve` knobs beyond the shared query flags.
 struct ServeOpts {
     port: u16,
@@ -270,8 +250,6 @@ struct ServeOpts {
     slow_ms: u64,
     recorder: usize,
     timeout_ms: u64,
-    history_interval_ms: u64,
-    slo: Option<String>,
 }
 
 /// `qof serve`: loads the corpus once, then serves queries over HTTP until
@@ -283,14 +261,10 @@ fn run_serve(
     from_index: Option<&str>,
     opts: &ServeOpts,
 ) -> Result<ExitCode, String> {
-    use qof::server::{serve, QueryLog, ServerConfig, SloSpec, DEFAULT_QLOG_KEEP};
+    use qof::server::{serve, QueryLog, ServerConfig, DEFAULT_QLOG_KEEP};
     if files.is_empty() && from_index.is_none() {
         return Ok(usage());
     }
-    let slo = match opts.slo.as_deref() {
-        None => None,
-        Some(spec) => Some(SloSpec::parse(spec).map_err(|e| format!("--slo: {e}"))?),
-    };
     let started = std::time::Instant::now();
     let db = load_db(schema, files, index, from_index)?;
     eprintln!(
@@ -314,14 +288,11 @@ fn run_serve(
         recorder_capacity: opts.recorder,
         read_timeout_ms: opts.timeout_ms,
         write_timeout_ms: opts.timeout_ms,
-        history_interval_ms: opts.history_interval_ms,
-        slo,
     };
     let handle = serve(db, listener, log, &config).map_err(|e| e.to_string())?;
     eprintln!("qof serve: listening on http://{}", handle.addr());
     eprintln!("  POST /query            query text in body (?explain=1 for a trace)");
     eprintln!("  GET  /metrics          Prometheus text (?format=json)");
-    eprintln!("  GET  /metrics/history  time-series ring (?window=SECONDS)");
     eprintln!("  GET  /healthz          liveness");
     eprintln!("  GET  /flight-recorder  retained traces (/{{id}}, ?format=perfetto)");
     eprintln!("  GET  /workload         per-fingerprint heavy hitters (?format=prometheus)");
@@ -329,240 +300,6 @@ fn run_serve(
     handle.wait();
     eprintln!("qof serve: shut down");
     Ok(ExitCode::SUCCESS)
-}
-
-/// `qof top`: a live terminal dashboard over a running `qof serve`
-/// instance — QPS, latency quantiles, plan-cache hit rate, SLO burn state and
-/// the slowest retained queries, refreshed in place with ANSI clears.
-/// Scrapes the same HTTP surfaces any monitoring stack would:
-/// `/metrics?format=json`, `/metrics/history`, `/healthz` and
-/// `/flight-recorder`.
-fn run_top(mut rest: Vec<String>) -> Result<ExitCode, String> {
-    let mut host = "127.0.0.1".to_owned();
-    let mut port: u16 = 7878;
-    let mut interval_ms: u64 = 1_000;
-    let mut frames: u64 = 0; // 0 = run until interrupted
-    let mut once = false;
-    loop {
-        match rest.first().map(String::as_str) {
-            Some("--host") => {
-                if rest.len() < 2 {
-                    return Ok(usage());
-                }
-                host = rest[1].clone();
-                rest.drain(..2);
-            }
-            Some("--port") => {
-                if rest.len() < 2 {
-                    return Ok(usage());
-                }
-                port = rest[1].parse().map_err(|_| "--port needs a port".to_owned())?;
-                rest.drain(..2);
-            }
-            Some("--interval-ms") => {
-                if rest.len() < 2 {
-                    return Ok(usage());
-                }
-                interval_ms =
-                    rest[1].parse().map_err(|_| "--interval-ms needs milliseconds".to_owned())?;
-                rest.drain(..2);
-            }
-            Some("--frames") => {
-                if rest.len() < 2 {
-                    return Ok(usage());
-                }
-                frames = rest[1].parse().map_err(|_| "--frames needs a count".to_owned())?;
-                rest.drain(..2);
-            }
-            Some("--once") => {
-                once = true;
-                rest.remove(0);
-            }
-            Some(_) => return Ok(usage()),
-            None => break,
-        }
-    }
-    if once {
-        frames = 1;
-    }
-    use std::net::ToSocketAddrs;
-    let addr = format!("{host}:{port}")
-        .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve {host}:{port}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("cannot resolve {host}:{port}"))?;
-    let mut n = 0u64;
-    loop {
-        n += 1;
-        let frame = qof::server::Client::connect(addr)
-            .map_err(|e| format!("cannot connect to {addr}: {e}"))
-            .and_then(|mut c| top_frame(&mut c, &format!("http://{host}:{port}"), n));
-        match frame {
-            Ok(text) => {
-                if !once {
-                    // Clear + home: the dashboard repaints in place.
-                    print!("\x1b[2J\x1b[H");
-                }
-                println!("{text}");
-            }
-            Err(e) => {
-                if once {
-                    return Err(e);
-                }
-                print!("\x1b[2J\x1b[H");
-                println!("qof top: {e} (retrying)");
-            }
-        }
-        if frames > 0 && n >= frames {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(100)));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Scrapes one `qof top` frame. Every document it reads is produced by
-/// this workspace's own writers, parsed back with `qof::pat::json`.
-fn top_frame(client: &mut qof::server::Client, base: &str, frame: u64) -> Result<String, String> {
-    use qof::pat::json::{get, get_arr, get_f64, get_str, get_u64, Json};
-    use std::fmt::Write as _;
-
-    fn fetch(client: &mut qof::server::Client, path: &str) -> Result<Json, String> {
-        let (status, body) = client.get(path)?;
-        if status != 200 {
-            return Err(format!("GET {path} → HTTP {status}"));
-        }
-        Json::parse(&body).map_err(|e| format!("GET {path}: bad JSON: {e}"))
-    }
-
-    let health = fetch(client, "/healthz")?;
-    let metrics = fetch(client, "/metrics?format=json")?;
-    let history = fetch(client, "/metrics/history?window=60")?;
-    let recorder = fetch(client, "/flight-recorder")?;
-    let workload = fetch(client, "/workload")?;
-
-    let mut out = String::new();
-    let h = health.as_obj().ok_or("healthz: not an object")?;
-    let uptime_ms = get_u64(h, "uptime_ms")?;
-    let _ = writeln!(
-        out,
-        "qof top — {base} — uptime {} — frame {frame}",
-        fmt_nanos(uptime_ms.saturating_mul(1_000_000))
-    );
-    out.push('\n');
-
-    let m = metrics.as_obj().ok_or("metrics: not an object")?;
-    let queries = get_u64(m, "queries")?;
-    let errors = get_u64(m, "query_errors")?;
-    let lat = get(m, "query_latency")?.as_obj().ok_or("metrics: query_latency")?;
-
-    // QPS over the trailing 60 s window: the history ring's deltas give
-    // both the numerator and the covered wall time.
-    let hist = history.as_obj().ok_or("history: not an object")?;
-    let samples = get_arr(hist, "samples")?;
-    if samples.is_empty() {
-        // Without this the dashboard renders an all-zero frame with no
-        // explanation; the usual cause is a sampler that was never started.
-        return Err("metrics history is empty — the server's sampler has not recorded a tick \
-                    (a server started with --history-interval-ms 0 never samples; restart it \
-                    with a positive interval)"
-            .to_owned());
-    }
-    let mut win_queries = 0u64;
-    let mut win_errors = 0u64;
-    let mut win_ms = 0u64;
-    for s in samples {
-        let s = s.as_obj().ok_or("history: sample")?;
-        win_queries += get_u64(s, "queries")?;
-        win_errors += get_u64(s, "query_errors")?;
-        win_ms += get_u64(s, "dur_ms")?;
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let qps = if win_ms == 0 { 0.0 } else { win_queries as f64 * 1_000.0 / win_ms as f64 };
-    let _ = writeln!(
-        out,
-        "queries   {queries} total ({errors} errors) — {qps:.1} q/s over {} samples/60s \
-         ({win_queries} queries, {win_errors} errors)",
-        samples.len()
-    );
-    let _ = writeln!(
-        out,
-        "latency   p50 {}   p95 {}",
-        fmt_nanos(get_u64(lat, "p50_nanos")?),
-        fmt_nanos(get_u64(lat, "p95_nanos")?)
-    );
-    let _ = writeln!(out, "plan      {:.1}% cache hit", get_f64(m, "plan_cache_hit_rate")? * 100.0);
-
-    // SLO state rides in the history envelope when `--slo` is declared.
-    if let Ok(slo) = get(hist, "slo") {
-        let s = slo.as_obj().ok_or("history: slo")?;
-        let mut line = String::from("slo       ");
-        for name in ["latency", "error"] {
-            if let Ok(obj) = get(s, name) {
-                let o = obj.as_obj().ok_or("history: slo objective")?;
-                let _ = write!(
-                    line,
-                    "{name} burn {:.2}/{:.2}{}   ",
-                    get_f64(o, "burn_short")?,
-                    get_f64(o, "burn_long")?,
-                    if get(o, "breached")? == &Json::Bool(true) { " BREACH" } else { "" }
-                );
-            }
-        }
-        let _ = writeln!(out, "{}", line.trim_end());
-    }
-
-    // Slowest retained queries, across both flight-recorder rings.
-    let rec = recorder.as_obj().ok_or("recorder: not an object")?;
-    let mut slow: Vec<(u64, u64, String)> = Vec::new();
-    for ring in ["recent", "slow"] {
-        for t in get_arr(rec, ring)? {
-            let t = t.as_obj().ok_or("recorder: trace")?;
-            let id = get_u64(t, "id")?;
-            if slow.iter().all(|(have, _, _)| *have != id) {
-                slow.push((id, get_u64(t, "total_nanos")?, get_str(t, "query")?));
-            }
-        }
-    }
-    slow.sort_by_key(|entry| std::cmp::Reverse(entry.1));
-    slow.truncate(5);
-    out.push('\n');
-    let _ = writeln!(out, "slowest retained queries");
-    if slow.is_empty() {
-        let _ = writeln!(out, "  (none yet)");
-    }
-    for (id, nanos, query) in &slow {
-        let mut q: String = query.split_whitespace().collect::<Vec<_>>().join(" ");
-        if q.chars().count() > 60 {
-            q = q.chars().take(59).collect::<String>() + "…";
-        }
-        let _ = writeln!(out, "  #{id:<5} {:>9}  {q}", fmt_nanos(*nanos));
-    }
-
-    // Hottest query shapes, from the server's workload table.
-    let w = workload.as_obj().ok_or("workload: not an object")?;
-    let entries = get_arr(w, "entries")?;
-    out.push('\n');
-    let _ = writeln!(out, "hot query shapes (by fingerprint)");
-    if entries.is_empty() {
-        let _ = writeln!(out, "  (none yet)");
-    }
-    for e in entries.iter().take(5) {
-        let e = e.as_obj().ok_or("workload: entry")?;
-        let lat = get(e, "latency")?.as_obj().ok_or("workload: latency")?;
-        let mut q: String = get_str(e, "exemplar")?;
-        if q.chars().count() > 44 {
-            q = q.chars().take(43).collect::<String>() + "…";
-        }
-        let _ = writeln!(
-            out,
-            "  {} ×{:<5} p95 {:>9}  {q}",
-            get_str(e, "fingerprint")?,
-            get_u64(e, "hits")?,
-            fmt_nanos(get_u64(lat, "p95_nanos")?),
-        );
-    }
-    Ok(out)
 }
 
 /// Minimal JSON string escaping for the `check --json` envelope (query
@@ -636,7 +373,6 @@ fn run() -> Result<ExitCode, String> {
             let mut trace_json: Option<String> = None;
             let mut trace_perfetto: Option<String> = None;
             let mut json = false;
-            let mut history = false;
             let mut workload = false;
             let mut port: u16 = 7878;
             let mut log_path: Option<String> = None;
@@ -644,8 +380,6 @@ fn run() -> Result<ExitCode, String> {
             let mut slow_ms: u64 = 100;
             let mut recorder: usize = 64;
             let mut timeout_ms: u64 = 30_000;
-            let mut history_interval_ms: u64 = 1_000;
-            let mut slo: Option<String> = None;
             loop {
                 match rest.first().map(String::as_str) {
                     Some("--index") => {
@@ -682,10 +416,6 @@ fn run() -> Result<ExitCode, String> {
                     }
                     Some("--json") => {
                         json = true;
-                        rest.remove(0);
-                    }
-                    Some("--history") => {
-                        history = true;
                         rest.remove(0);
                     }
                     Some("--workload") => {
@@ -741,22 +471,6 @@ fn run() -> Result<ExitCode, String> {
                         })?;
                         rest.drain(..2);
                     }
-                    Some("--history-interval-ms") => {
-                        if rest.len() < 2 {
-                            return Ok(usage());
-                        }
-                        history_interval_ms = rest[1].parse().map_err(|_| {
-                            "--history-interval-ms needs milliseconds (0 disables)".to_owned()
-                        })?;
-                        rest.drain(..2);
-                    }
-                    Some("--slo") => {
-                        if rest.len() < 2 {
-                            return Ok(usage());
-                        }
-                        slo = Some(rest[1].clone());
-                        rest.drain(..2);
-                    }
                     _ => break,
                 }
             }
@@ -767,21 +481,12 @@ fn run() -> Result<ExitCode, String> {
                     index.as_deref(),
                     from_index.as_deref(),
                     json,
-                    history,
                     workload,
                 );
             }
             if cmd == "serve" {
-                let opts = ServeOpts {
-                    port,
-                    log_path,
-                    qlog_max_bytes,
-                    slow_ms,
-                    recorder,
-                    timeout_ms,
-                    history_interval_ms,
-                    slo,
-                };
+                let opts =
+                    ServeOpts { port, log_path, qlog_max_bytes, slow_ms, recorder, timeout_ms };
                 return run_serve(schema, &rest, index.as_deref(), from_index.as_deref(), &opts);
             }
             let Some((query, files)) = rest.split_last() else { return Ok(usage()) };
@@ -832,7 +537,6 @@ fn run() -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        "top" => run_top(args[1..].to_vec()),
         "qlog" => match args.get(1).map(String::as_str) {
             Some("analyze") => {
                 let mut rest: Vec<String> = args[2..].to_vec();

@@ -1,8 +1,10 @@
 //! Seeded mutation loop over `.qofx` files whose checksum still holds.
-//! Each case overwrites 1–3 bytes of the region (REGN), word-index (WORD)
-//! or corpus (CORP) section of a persisted database and recomputes the
-//! header checksum, so the structural decoders — not the checksum — must
-//! catch what is wrong. `FileDatabase::open` must return `Ok` or a typed `QofxError`;
+//! Each case overwrites 1–3 bytes of one target in a persisted database —
+//! the corpus (CORP), word-index (WORD), region (REGN) or index-spec
+//! (SPEC) section, or the header outside its checksum field (magic,
+//! version, flags and the section table) — and recomputes the header
+//! checksum, so the structural decoders — not the checksum — must catch
+//! what is wrong. `FileDatabase::open` must return `Ok` or a typed `QofxError`;
 //! a database it does open must answer a fixed query list without a
 //! panic (a typed query error is fine). The list includes partial-index
 //! projections whose candidate parses stop at the last kept field.
@@ -40,13 +42,20 @@ fn section(file: &[u8], i: usize) -> std::ops::Range<usize> {
     offset..offset + len
 }
 
-/// Mutates 1–3 bytes of the REGN, WORD or CORP section and reseals the
-/// file with a valid checksum.
+/// Mutates 1–3 bytes of one section, or of the header outside the
+/// checksum field (bytes 16..24), and reseals the file with a valid
+/// checksum.
 fn mutate(clean: &[u8], rng: &mut StdRng) -> Vec<u8> {
     let mut file = clean.to_vec();
-    let target = section(&file, rng.random_range(0..3));
+    let target = rng.random_range(0..5);
     for _ in 0..rng.random_range(1..4) {
-        let at = rng.random_range(target.clone());
+        let at = match target {
+            4 => match rng.random_range(0..80) {
+                at @ 0..16 => at,
+                at => at + 8,
+            },
+            i => rng.random_range(section(clean, i)),
+        };
         file[at] = match rng.random_range(0..3) {
             0 => file[at] ^ (1 << rng.random_range(0..8)),
             1 => file[at].wrapping_add(rng.random_range(1..4) as u8),

@@ -239,3 +239,40 @@ fn resolved_steps_reach_what_the_region_chain_reaches() {
         }
     }
 }
+
+#[test]
+fn content_compares_of_non_atomic_paths_compare_values() {
+    // Only an atom's value is its region text. A session with one request
+    // has a `Requests` region and a `Request` region of the same text, yet
+    // a set of one tuple is not that tuple, so neither compare holds.
+    let text = logs::generate(&logs::LogConfig { n_sessions: 12, ..Default::default() }).0;
+    for spec in [IndexSpec::full(), IndexSpec::names(["Session", "Requests", "Request"])] {
+        let at = format!("logs, {spec:?}");
+        let db = FileDatabase::build(Corpus::from_text(&text), logs::schema(), spec).unwrap();
+        for q in [
+            "SELECT v FROM Sessions v WHERE v.Requests.Request = v.Requests",
+            "SELECT v FROM Sessions v, Sessions w WHERE v.Requests.Request = w.Requests",
+        ] {
+            let [index, baseline] = both_sides(&db, q);
+            assert_eq!(index, baseline, "{at}: index and baseline disagree on {q}");
+        }
+    }
+    // Compares between atoms along exact chains stay exact index answers.
+    let cfg = bibtex::BibtexConfig {
+        n_refs: 60,
+        name_pool: 6,
+        editors_per_ref: (1, 2),
+        referred_per_ref: (1, 2),
+        ..Default::default()
+    };
+    let text = bibtex::generate(&cfg).0;
+    let same_var =
+        "SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name";
+    let cross_var = "SELECT r FROM References r, References s WHERE r.Referred.RefKey = s.Key";
+    let db =
+        FileDatabase::build(Corpus::from_text(&text), bibtex::schema(), IndexSpec::full()).unwrap();
+    for q in [same_var, cross_var] {
+        check(&db, "bibtex, full", q, &Expect::Values(None));
+        assert!(db.query(q).unwrap().stats.exact_index, "{q} needs no residual");
+    }
+}
