@@ -31,7 +31,7 @@ use super::{Code, Diagnostic, Severity};
 use crate::trace::NodeFact;
 use crate::Rig;
 use qof_pat::{Instance, RegionExpr};
-use qof_text::WordLookup;
+use qof_text::WordIndex;
 use std::collections::BTreeSet;
 
 /// An interval `[lo, hi]` of possible result cardinalities; `hi == None`
@@ -172,7 +172,7 @@ impl AbsState {
 pub struct AbsInterp<'a> {
     rig: &'a Rig,
     instance: Option<&'a Instance>,
-    words: Option<&'a dyn WordLookup>,
+    words: Option<&'a WordIndex>,
 }
 
 impl<'a> AbsInterp<'a> {
@@ -185,7 +185,7 @@ impl<'a> AbsInterp<'a> {
     /// An interpreter with index statistics: `Name` leaves get exact
     /// counts from `instance`, `word(w)`/`σ_w` get `frequency(w)` bounds
     /// and absent-word emptiness facts from `words`.
-    pub fn with_stats(rig: &'a Rig, instance: &'a Instance, words: &'a dyn WordLookup) -> Self {
+    pub fn with_stats(rig: &'a Rig, instance: &'a Instance, words: &'a WordIndex) -> Self {
         AbsInterp { rig, instance: Some(instance), words: Some(words) }
     }
 

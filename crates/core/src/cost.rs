@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use qof_pat::{CardObservations, Instance, OpTrace};
-use qof_text::WordLookup;
+use qof_text::WordIndex;
 
 use crate::plan::PlanRewrite;
 use crate::trace::QueryTrace;
@@ -136,7 +136,7 @@ impl StatsStore {
     }
 
     /// Gathers statistics from a freshly built index.
-    pub fn from_index(instance: &Instance, words: &dyn WordLookup, rig: &Rig) -> Self {
+    pub fn from_index(instance: &Instance, words: &WordIndex, rig: &Rig) -> Self {
         let mut store = StatsStore::new();
         store.refresh_from_index(instance, words, rig);
         store
@@ -145,7 +145,7 @@ impl StatsStore {
     /// Re-gathers the index-derived statistics (after `add_file`) and
     /// advances the epoch. Observed operator cardinalities survive the
     /// refresh: they describe the workload, not the corpus.
-    pub fn refresh_from_index(&mut self, instance: &Instance, words: &dyn WordLookup, rig: &Rig) {
+    pub fn refresh_from_index(&mut self, instance: &Instance, words: &WordIndex, rig: &Rig) {
         self.names.clear();
         self.total_regions = 0;
         for (name, set) in instance.iter() {
@@ -158,12 +158,11 @@ impl StatsStore {
         }
         self.word_freqs.clear();
         self.total_postings = 0;
-        // Counts come from the backend's dictionary alone: a compressed
-        // backend refreshes statistics without decoding a single posting.
-        words.for_each_word_count(&mut |word, f| {
+        for (word, positions) in words.iter() {
+            let f = positions.len() as u64;
             self.word_freqs.insert(word.to_owned(), f);
             self.total_postings += f;
-        });
+        }
         self.fan_out.clear();
         for node in rig.nodes() {
             self.fan_out.insert(node.to_owned(), rig.successors(node).len());

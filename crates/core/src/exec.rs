@@ -10,17 +10,17 @@ use std::time::Instant;
 
 use qof_db::{Atom, Database, DbStats, Value};
 use qof_grammar::{
-    AtomText, IndexSpec, ParseError, ParseStats, Parser, RegionSink, StructuringSchema, ValueSink,
+    AtomText, IndexSpec, ParseError, ParseStats, Parser, PathFilter, PathSpec, RegionSink,
+    StructuringSchema, ValueSink,
 };
 use qof_pat::{
     Engine, EvalError, EvalStats, Instance, MetricsRegistry, OpTrace, Region, RegionSet, TraceSink,
     WorkloadObs, WorkloadTable,
 };
-use qof_text::{CompressedWordIndex, Corpus, Pos, Tokenizer, WordIndex, WordLookup};
+use qof_text::{Corpus, Pos, Tokenizer, WordIndex};
 
 use qof_db::PathCost;
 
-use crate::backend::IndexBackend;
 use crate::cost::{PlanCache, PlanCacheStats, StatsStore};
 use crate::plan::{CondNode, Exactness, JoinPlan, Plan, PlanError, Planner, ProjPlan};
 use crate::qofx::{self, QofxError};
@@ -151,7 +151,7 @@ pub type TraceHook = Box<dyn Fn(&QueryTrace) + Send + Sync>;
 pub struct FileDatabase {
     corpus: Corpus,
     tokenizer: Tokenizer,
-    backend: IndexBackend,
+    words: WordIndex,
     schema: StructuringSchema,
     spec: IndexSpec,
     instance: Instance,
@@ -206,14 +206,14 @@ impl FileDatabase {
             regions.finish()
         };
         let words = build_word_index(&corpus, &tokenizer, &spec, &instance);
-        Ok(Self::from_parts(corpus, IndexBackend::Mem(words), schema, spec, instance))
+        Ok(Self::from_parts(corpus, words, schema, spec, instance))
     }
 
     /// Assembles a database from its indexed parts, deriving the RIGs and
     /// index statistics, and publishes the index-footprint gauges.
     fn from_parts(
         corpus: Corpus,
-        backend: IndexBackend,
+        words: WordIndex,
         schema: StructuringSchema,
         spec: IndexSpec,
         instance: Instance,
@@ -222,11 +222,11 @@ impl FileDatabase {
         let indexed: std::collections::BTreeSet<String> =
             instance.names().filter(|n| !n.contains('.')).map(str::to_owned).collect();
         let partial_rig = full_rig.partial(&indexed);
-        let stats = StatsStore::from_index(&instance, backend.lookup(), &partial_rig);
+        let stats = StatsStore::from_index(&instance, &words, &partial_rig);
         let db = Self {
             corpus,
             tokenizer: Tokenizer::new(),
-            backend,
+            words,
             schema,
             spec,
             instance,
@@ -243,35 +243,27 @@ impl FileDatabase {
         db
     }
 
-    /// Writes the database to a `.qofx` index file: corpus, compressed
+    /// Writes the database to a `.qofx` index file: corpus, delta-coded
     /// word index, region indices and the index spec, checksummed (see
     /// [`crate::qofx`] for the layout). The structuring schema is *not*
     /// stored — [`FileDatabase::open`] takes it again. Returns the file
     /// size in bytes.
     pub fn persist(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<u64> {
-        let compressed_holder;
-        let words: &CompressedWordIndex = match &self.backend {
-            IndexBackend::Mem(w) => {
-                compressed_holder = CompressedWordIndex::from_word_index(w);
-                &compressed_holder
-            }
-            IndexBackend::Qofx(c) => c,
-        };
-        qofx::write_qofx(path.as_ref(), &self.corpus, words, &self.instance, &self.spec)
+        qofx::write_qofx(path.as_ref(), &self.corpus, &self.words, &self.instance, &self.spec)
     }
 
-    /// Reopens a persisted database from a `.qofx` file in O(1) work
-    /// relative to corpus size: nothing is re-parsed or re-tokenized; the
-    /// file is read once for checksum validation, and posting lists stay
-    /// on disk, paged in lazily per word. `schema` must be the schema the
-    /// database was built with (it is deliberately not persisted — it is
-    /// named configuration, not derived data).
+    /// Reopens a persisted database from a `.qofx` file without re-parsing
+    /// or re-tokenizing anything: the file is read once, checksummed, and
+    /// every section is decoded and checked from that buffer, the word
+    /// index into the same [`WordIndex`] `build` makes. `schema` must be
+    /// the schema the database was built with (it is deliberately not
+    /// persisted — it is named configuration, not derived data).
     pub fn open(
         path: impl AsRef<std::path::Path>,
         schema: StructuringSchema,
     ) -> Result<Self, QofxError> {
         let qofx::QofxContents { corpus, words, instance, spec } = qofx::read_qofx(path.as_ref())?;
-        Ok(Self::from_parts(corpus, IndexBackend::Qofx(words), schema, spec, instance))
+        Ok(Self::from_parts(corpus, words, schema, spec, instance))
     }
 
     /// [`FileDatabase::open`], falling back to `rebuild` when the file is
@@ -303,7 +295,7 @@ impl FileDatabase {
 
     /// Injects the metrics registry in place, republishing the index
     /// footprint gauges into it (gauges live in the registry, so a fresh
-    /// registry would otherwise report no backend at all).
+    /// registry would otherwise report no index at all).
     pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
         self.metrics = metrics;
         self.publish_index_stats();
@@ -375,23 +367,19 @@ impl FileDatabase {
         let id = self.corpus.push_file(name, contents);
         let span = self.corpus.file(id).expect("just pushed").span.clone();
         self.instance.append(&file_instance);
-        // Incremental indexing mutates the in-memory index; a compressed
-        // (`.qofx`-paged) backend materializes itself first and the
-        // database runs in memory from here on.
-        let words = self.backend.make_mem();
         // A selectively-built word index (§7) must learn the new file's
         // scoped regions before the append, or the scope filter would drop
         // every new occurrence.
         if let Some(scope_name) = self.spec.word_scope() {
             if let Some(set) = file_instance.get(scope_name) {
-                words.extend_scope(set.iter().map(qof_pat::Region::span));
+                self.words.extend_scope(set.iter().map(qof_pat::Region::span));
             }
         }
-        words.append_span(&self.corpus, &self.tokenizer, span);
+        self.words.append_span(&self.corpus, &self.tokenizer, span);
         // Every memoized plan was ranked against statistics of the smaller
         // corpus: re-gather statistics (advancing the epoch), and
         // invalidate the plan cache with it.
-        self.stats.refresh_from_index(&self.instance, self.backend.lookup(), &self.partial_rig);
+        self.stats.refresh_from_index(&self.instance, &self.words, &self.partial_rig);
         self.plan_cache.bump_epoch();
         self.publish_index_stats();
         Ok(())
@@ -412,35 +400,20 @@ impl FileDatabase {
         &self.instance
     }
 
-    /// The word index, behind the backend-neutral lookup trait (the
-    /// database may be running on the in-memory or the compressed
-    /// backend; see [`FileDatabase::backend_label`]).
-    pub fn word_index(&self) -> &dyn WordLookup {
-        self.backend.lookup()
+    /// The word index.
+    pub fn word_index(&self) -> &WordIndex {
+        &self.words
     }
 
-    /// Which index backend answers word lookups: `"mem"` for the
-    /// in-memory inverted index, `"qofx"` for the compressed
-    /// file-paged index.
-    pub fn backend_label(&self) -> &'static str {
-        self.backend.label()
-    }
-
-    /// Resident bytes of the word-index backend (dictionary + whatever
-    /// posting data is held in memory; for the compressed backend the
-    /// paged blob is not counted).
+    /// Resident bytes of the word index (dictionary and posting lists).
     pub fn index_bytes(&self) -> u64 {
-        self.backend.lookup().index_bytes() as u64
+        self.words.stats().approx_bytes as u64
     }
 
-    /// Publishes the index-footprint gauges (`qof_index_bytes{backend=…}`,
+    /// Publishes the index-footprint gauges (`qof_index_bytes`,
     /// `qof_corpus_bytes`) into this database's metrics registry.
     fn publish_index_stats(&self) {
-        self.metrics.record_index_bytes(
-            self.backend.label(),
-            self.backend.lookup().index_bytes() as u64,
-            u64::from(self.corpus.len()),
-        );
+        self.metrics.record_index_bytes(self.index_bytes(), u64::from(self.corpus.len()));
     }
 
     /// The index specification this database was built with.
@@ -477,7 +450,7 @@ impl FileDatabase {
         crate::analyze::absint::AbsInterp::with_stats(
             &self.partial_rig,
             &self.instance,
-            self.backend.lookup(),
+            &self.words,
         )
     }
 
@@ -655,7 +628,7 @@ impl FileDatabase {
     }
 
     fn engine(&self) -> Engine<'_> {
-        Engine::new(&self.corpus, self.backend.lookup(), &self.instance)
+        Engine::new(&self.corpus, &self.words, &self.instance)
     }
 
     /// Evaluates a planned condition to its candidate view regions.
@@ -726,32 +699,72 @@ impl FileDatabase {
     }
 
     /// Phase 2 of execution: the pairs of candidates whose join paths
-    /// share a content.
+    /// share a value. Paths that end on atoms along exact chains pair by
+    /// the text of the regions the index locates, which is the atoms'
+    /// value. Any other join parses each candidate as far as its path and
+    /// pairs by the values the path reaches: a set's text carries its
+    /// order and separators, and an inexact chain may locate a region
+    /// that encloses the attribute rather than the attribute itself.
     fn join_pairs(
         &self,
         engine: &Engine<'_>,
+        plan: &Plan,
         j: &JoinPlan,
         candidates: &[RegionSet],
         content_bytes: &mut u64,
     ) -> Result<Vec<(Region, Region)>, QueryError> {
         let (ls, rs) = (&candidates[j.left_var], &candidates[j.right_var]);
-        let lg = group_by_container(ls, &engine.eval(&j.left)?);
-        let rg = group_by_container(rs, &engine.eval(&j.right)?);
-        let mut table: HashMap<&str, Vec<usize>> = HashMap::new();
-        for (ci, item) in &lg {
-            *content_bytes += u64::from(item.len());
-            table.entry(self.corpus.slice(item.span())).or_default().push(*ci);
-        }
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (ci, item) in &rg {
-            *content_bytes += u64::from(item.len());
-            if let Some(l) = table.get(self.corpus.slice(item.span())) {
-                pairs.extend(l.iter().map(|&l| (l, *ci)));
+        let pairs = match &j.residual {
+            None => {
+                let left = group_by_container(ls, &engine.eval(&j.left)?);
+                let right = group_by_container(rs, &engine.eval(&j.right)?);
+                *content_bytes +=
+                    left.iter().chain(&right).map(|(_, item)| u64::from(item.len())).sum::<u64>();
+                let text = |(ci, item): (usize, Region)| (ci, self.corpus.slice(item.span()));
+                pair_by_key(left.into_iter().map(text), right.into_iter().map(text))
             }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
+            Some((lspec, rspec)) => {
+                let mut db = Database::new();
+                let (lsym, rsym) = (&plan.vars[j.left_var].symbol, &plan.vars[j.right_var].symbol);
+                let left = self.path_keys(&mut db, lsym, ls, lspec, content_bytes)?;
+                pair_by_key(left, self.path_keys(&mut db, rsym, rs, rspec, content_bytes)?)
+            }
+        };
         Ok(pairs.into_iter().map(|(a, b)| (ls.as_slice()[a], rs.as_slice()[b])).collect())
+    }
+
+    /// Each candidate of the view `symbol`, by position, with every value
+    /// `spec` reaches from it; candidates are parsed into `db` only as far
+    /// as the path needs.
+    fn path_keys(
+        &self,
+        db: &mut Database,
+        symbol: &str,
+        candidates: &RegionSet,
+        spec: &PathSpec,
+        content_bytes: &mut u64,
+    ) -> Result<Vec<(usize, Value)>, QueryError> {
+        let grammar = &self.schema.grammar;
+        let sym = grammar.symbol(symbol).ok_or_else(|| {
+            QueryError::Internal(format!("view symbol `{symbol}` vanished from the grammar"))
+        })?;
+        let filter = PathFilter::from_paths(&spec.field_paths().collect::<Vec<_>>());
+        let parser = Parser::new(grammar, self.corpus.text());
+        let text = AtomText::Shared(self.corpus.shared_text());
+        let mut sink = ValueSink::new(grammar, text, db, &filter);
+        let mut keys = Vec::new();
+        for (i, region) in candidates.iter().enumerate() {
+            parser
+                .parse_indexed(sym, region.span(), &mut sink)
+                .map_err(QueryError::CandidateParse)?;
+            let value = sink.take().ok_or_else(|| {
+                QueryError::Internal("a candidate parse built no value".to_owned())
+            })?;
+            let reached = path_values(sink.db(), &value, spec, &mut PathCost::default());
+            keys.extend(reached.into_iter().map(|v| (i, v.clone())));
+        }
+        *content_bytes += parser.stats().bytes_scanned;
+        Ok(keys)
     }
 
     /// The executor proper: it runs the plan record as it stands, timing
@@ -789,7 +802,7 @@ impl FileDatabase {
         let phase_started = elapsed_nanos(origin);
         let mut pairs: Vec<(Region, Region)> = Vec::new();
         if let Some(j) = &plan.join {
-            pairs = self.join_pairs(&engine, j, &candidates, &mut stats.content_bytes)?;
+            pairs = self.join_pairs(&engine, plan, j, &candidates, &mut stats.content_bytes)?;
             candidates[j.left_var] = RegionSet::from_regions(pairs.iter().map(|p| p.0).collect());
             candidates[j.right_var] = RegionSet::from_regions(pairs.iter().map(|p| p.1).collect());
         }
@@ -962,6 +975,26 @@ fn deref_top(db: &mut Database, v: Value) -> Value {
         Value::Ref(oid) => db.take(oid).unwrap_or(v),
         other => other,
     }
+}
+
+/// The `(left, right)` position pairs whose keys agree, sorted and unique.
+fn pair_by_key<K: std::hash::Hash + Eq>(
+    left: impl IntoIterator<Item = (usize, K)>,
+    right: impl IntoIterator<Item = (usize, K)>,
+) -> Vec<(usize, usize)> {
+    let mut table: HashMap<K, Vec<usize>> = HashMap::new();
+    for (i, key) in left {
+        table.entry(key).or_default().push(i);
+    }
+    let mut pairs = Vec::new();
+    for (i, key) in right {
+        if let Some(l) = table.get(&key) {
+            pairs.extend(l.iter().map(|&l| (l, i)));
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 /// Pairs `(container index, item)` for every item lying inside a container.
@@ -1679,9 +1712,15 @@ mod tests {
             "index overhead ({overhead} B) larger than corpus ({} B)",
             built.corpus().len()
         );
-        let opened = FileDatabase::open(&path, bibtex::schema()).unwrap();
-        assert_eq!(opened.backend_label(), "qofx");
-        assert_eq!(built.backend_label(), "mem");
+        let metrics = std::sync::Arc::new(MetricsRegistry::default());
+        let opened = FileDatabase::open(&path, bibtex::schema())
+            .unwrap()
+            .with_metrics(std::sync::Arc::clone(&metrics));
+        // The reopened word index is the built one: same resident bytes,
+        // published as the one index gauge.
+        assert_eq!(opened.index_bytes(), built.index_bytes());
+        assert_eq!(metrics.snapshot().index_bytes, Some(opened.index_bytes()));
+        assert_eq!(metrics.snapshot().corpus_bytes, u64::from(opened.corpus().len()));
         assert_eq!(opened.corpus().text(), built.corpus().text());
         assert_eq!(opened.instance(), built.instance());
         assert_eq!(opened.index_spec(), built.index_spec());
@@ -1787,6 +1826,28 @@ mod tests {
     }
 
     #[test]
+    fn checksum_valid_postings_past_the_text_are_rejected() {
+        // One more `Chang` posting, two bytes before the end of the text:
+        // the word it places would run past the corpus.
+        let built =
+            FileDatabase::build(multi_file_corpus(1, 20), bibtex::schema(), IndexSpec::full())
+                .unwrap();
+        let path = temp_qofx("posting-past-end");
+        built.persist(&path).unwrap();
+        let parts = qofx::read_qofx(&path).unwrap();
+        let mut lists: HashMap<String, Vec<Pos>> =
+            parts.words.iter().map(|(w, p)| (w.to_owned(), p.to_vec())).collect();
+        lists.get_mut("Chang").unwrap().push(parts.corpus.len() - 2);
+        let words = WordIndex::from_lists(lists, false, None);
+        qofx::write_qofx(&path, &parts.corpus, &words, &parts.instance, &parts.spec).unwrap();
+        match FileDatabase::open(&path, bibtex::schema()) {
+            Err(QofxError::Corrupt(why)) => assert!(why.contains("runs past"), "{why}"),
+            other => panic!("a posting past the text must not open: {:?}", other.err()),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn checksum_valid_regions_past_the_text_or_inside_a_character_are_rejected() {
         // The last `Reference` region's length rewritten to 16383: a
         // query parsing it would read past the corpus text.
@@ -1835,7 +1896,7 @@ mod tests {
         })
         .unwrap();
         assert!(why.is_none());
-        assert_eq!(db.backend_label(), "qofx");
+        assert_eq!(db.index_bytes(), built.index_bytes());
         // Corrupt file: rebuilds, reports why.
         let mut bad = std::fs::read(&path).unwrap();
         let mid = bad.len() / 2;
@@ -1846,71 +1907,11 @@ mod tests {
         })
         .unwrap();
         assert!(matches!(why, Some(QofxError::ChecksumMismatch { .. })), "got {why:?}");
-        assert_eq!(db.backend_label(), "mem");
         for q in QUERIES {
             let a = built.query(q).unwrap();
             let b = db.query(q).unwrap();
             assert_same_results(&a, &b, q);
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn add_file_materializes_a_compressed_backend() {
-        let corpus = multi_file_corpus(2, 10);
-        let built = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
-        let path = temp_qofx("materialize");
-        built.persist(&path).unwrap();
-        let mut opened = FileDatabase::open(&path, bibtex::schema()).unwrap();
-        assert_eq!(opened.backend_label(), "qofx");
-        let (text, _) = bibtex::generate(&BibtexConfig {
-            n_refs: 5,
-            seed: 77,
-            name_pool: 8,
-            ..Default::default()
-        });
-        opened.add_file("late.bib", &text).unwrap();
-        assert_eq!(opened.backend_label(), "mem", "writes run on the in-memory index");
-        // The grown database answers like a from-scratch build over the
-        // same files.
-        let rebuilt =
-            FileDatabase::build(opened.corpus().clone(), bibtex::schema(), IndexSpec::full())
-                .unwrap();
-        assert_eq!(opened.word_index().postings(), rebuilt.word_index().postings());
-        for q in QUERIES {
-            let a = opened.query(q).unwrap();
-            let b = rebuilt.query(q).unwrap();
-            assert_same_results(&a, &b, q);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn index_bytes_gauge_tracks_the_backend() {
-        // Large enough that posting storage, not per-entry dictionary
-        // headers, dominates the in-memory footprint.
-        let corpus = multi_file_corpus(4, 40);
-        let metrics = std::sync::Arc::new(MetricsRegistry::default());
-        let built = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_metrics(std::sync::Arc::clone(&metrics));
-        let snap = metrics.snapshot();
-        assert_eq!(snap.index_bytes.len(), 1);
-        assert_eq!(snap.index_bytes.get("mem").copied(), Some(built.index_bytes()));
-        assert_eq!(snap.corpus_bytes, u64::from(built.corpus().len()));
-        let path = temp_qofx("gauge");
-        built.persist(&path).unwrap();
-        let opened = FileDatabase::open(&path, bibtex::schema())
-            .unwrap()
-            .with_metrics(std::sync::Arc::clone(&metrics));
-        let snap = metrics.snapshot();
-        assert_eq!(snap.index_bytes.get("qofx").copied(), Some(opened.index_bytes()));
-        assert!(
-            opened.index_bytes() < built.index_bytes(),
-            "paged backend must be lighter than the in-memory one ({} vs {})",
-            opened.index_bytes(),
-            built.index_bytes()
-        );
         std::fs::remove_file(&path).ok();
     }
 

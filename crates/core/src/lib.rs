@@ -35,7 +35,6 @@
 
 mod advisor;
 pub mod analyze;
-mod backend;
 pub mod baseline;
 mod cost;
 mod exec;

@@ -22,11 +22,13 @@
 //!
 //! * **CORP** — the file table (names + spans) and the global text,
 //!   byte-exact, so reopened offsets mean what built offsets meant.
-//! * **WORD** — the compressed word index: scope spans, the dictionary
-//!   (word, count, payload length), then one blob of delta-coded varint
-//!   posting blocks. On open the blob is *not* loaded: the reader keeps
-//!   the file handle and pages posting bytes on demand
-//!   ([`PostingsSource::Paged`](qof_text::PostingsSource)).
+//! * **WORD** — the word index: scope spans, the dictionary sorted by
+//!   word (word, count, byte length of its list), then one blob of the
+//!   posting lists. A list is delta-coded in blocks of 128 postings: its
+//!   count, its block count, per block the first posting (as a gap from
+//!   the previous block's) and the payload length, then the payloads of
+//!   varint gaps. Open decodes and checks every list into the same
+//!   [`WordIndex`] that `build` makes.
 //! * **REGN** — every region name's set, delta-coded: per region a varint
 //!   start gap (starts are non-decreasing in canonical order) and a
 //!   varint length.
@@ -36,12 +38,15 @@
 //! Corruption anywhere — a flipped bit, a truncated tail — fails the
 //! checksum before any section is parsed; the structural decoders behind
 //! it are still fully defensive, so even a file that collides on the
-//! checksum is rejected rather than trusted.
+//! checksum is rejected rather than trusted. Open reads the file once and
+//! decodes every section from that buffer; nothing is read from the file
+//! afterwards.
 
 use qof_grammar::IndexSpec;
 use qof_pat::{fnv1a64, Instance, Region, RegionSet};
 use qof_text::varint::{decode_u32, decode_u64, encode_u32, encode_u64};
-use qof_text::{CompressedWordIndex, Corpus, FileEntry, Pos};
+use qof_text::{Corpus, FileEntry, Pos, Span, WordIndex};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -55,6 +60,9 @@ pub const QOFX_VERSION: u32 = 1;
 
 const HEADER_LEN: usize = 88;
 const FLAG_CASE_FOLD: u32 = 1;
+
+/// Postings per block of a WORD-section posting list.
+const BLOCK_LEN: usize = 128;
 
 /// Why a `.qofx` file could not be opened.
 #[derive(Debug)]
@@ -123,7 +131,7 @@ impl From<io::Error> for QofxError {
 /// Everything a `.qofx` file reconstructs.
 pub(crate) struct QofxContents {
     pub corpus: Corpus,
-    pub words: CompressedWordIndex,
+    pub words: WordIndex,
     pub instance: Instance,
     pub spec: IndexSpec,
 }
@@ -141,6 +149,58 @@ fn encode_corpus(corpus: &Corpus, out: &mut Vec<u8>) {
     let text = corpus.text();
     encode_u64(text.len() as u64, out);
     out.extend_from_slice(text.as_bytes());
+}
+
+/// Appends one posting list in its wire form: count, block count, per
+/// block the first posting's gap from the previous block's first and the
+/// payload length, then the payloads (the gaps inside each block).
+fn encode_list(postings: &[Pos], out: &mut Vec<u8>) {
+    let mut payload = Vec::new();
+    let mut dir = Vec::with_capacity(postings.len().div_ceil(BLOCK_LEN));
+    for block in postings.chunks(BLOCK_LEN) {
+        let start = payload.len();
+        for pair in block.windows(2) {
+            encode_u32(pair[1] - pair[0], &mut payload);
+        }
+        dir.push((block[0], payload.len() - start));
+    }
+    encode_u64(postings.len() as u64, out);
+    encode_u64(dir.len() as u64, out);
+    let mut prev_first = 0;
+    for (first, len) in dir {
+        encode_u32(first - prev_first, out);
+        encode_u64(len as u64, out);
+        prev_first = first;
+    }
+    out.extend_from_slice(&payload);
+}
+
+fn encode_words(words: &WordIndex, out: &mut Vec<u8>) {
+    match words.scope() {
+        None => out.push(0),
+        Some(spans) => {
+            out.push(1);
+            encode_u64(spans.len() as u64, out);
+            for s in spans {
+                encode_u32(s.start, out);
+                encode_u32(s.end, out);
+            }
+        }
+    }
+    let mut lists: Vec<(&str, &[Pos])> = words.iter().collect();
+    lists.sort_unstable_by_key(|&(word, _)| word);
+    encode_u64(lists.len() as u64, out);
+    let mut blob = Vec::new();
+    for (word, positions) in lists {
+        let start = blob.len();
+        encode_list(positions, &mut blob);
+        encode_u64(word.len() as u64, out);
+        out.extend_from_slice(word.as_bytes());
+        encode_u64(positions.len() as u64, out);
+        encode_u32((blob.len() - start) as u32, out);
+    }
+    encode_u64(blob.len() as u64, out);
+    out.extend_from_slice(&blob);
 }
 
 fn encode_regions(instance: &Instance, out: &mut Vec<u8>) {
@@ -192,14 +252,14 @@ fn encode_spec(spec: &IndexSpec, out: &mut Vec<u8>) {
 pub(crate) fn write_qofx(
     path: &Path,
     corpus: &Corpus,
-    words: &CompressedWordIndex,
+    words: &WordIndex,
     instance: &Instance,
     spec: &IndexSpec,
 ) -> io::Result<u64> {
     let mut corp = Vec::new();
     encode_corpus(corpus, &mut corp);
     let mut word = Vec::new();
-    words.serialize(&mut word)?;
+    encode_words(words, &mut word);
     let mut regn = Vec::new();
     encode_regions(instance, &mut regn);
     let mut spec_bytes = Vec::new();
@@ -272,6 +332,121 @@ fn decode_corpus(buf: &[u8]) -> Result<Corpus, QofxError> {
         return Err(QofxError::Corrupt("trailing bytes after corpus text".to_owned()));
     }
     Corpus::from_parts(text, files).map_err(QofxError::Corrupt)
+}
+
+fn decode_len(buf: &[u8], at: &mut usize) -> Result<usize, QofxError> {
+    let n = decode_u64(buf, at).ok_or(QofxError::Truncated)?;
+    usize::try_from(n).map_err(|_| QofxError::Truncated)
+}
+
+/// Decodes one posting list, which must fill `buf` exactly: `count`
+/// postings (at least one) in full blocks, the last one excepted, that
+/// ascend strictly. `None` on any disagreement.
+fn decode_list(buf: &[u8], count: u64) -> Option<Vec<Pos>> {
+    let at = &mut 0usize;
+    // Every posting takes a byte at least, so a count `buf` cannot hold
+    // is rejected before anything is reserved for it.
+    if decode_u64(buf, at)? != count || count == 0 || count > buf.len() as u64 {
+        return None;
+    }
+    let count = usize::try_from(count).ok()?;
+    let n_blocks = usize::try_from(decode_u64(buf, at)?).ok()?;
+    if n_blocks != count.div_ceil(BLOCK_LEN) {
+        return None;
+    }
+    let mut dir = Vec::with_capacity(n_blocks);
+    let mut first = 0u32;
+    for _ in 0..n_blocks {
+        first = first.checked_add(decode_u32(buf, at)?)?;
+        dir.push((first, usize::try_from(decode_u64(buf, at)?).ok()?));
+    }
+    let mut out = Vec::with_capacity(count);
+    for (b, (first, len)) in dir.into_iter().enumerate() {
+        if out.last().is_some_and(|&last| last >= first) {
+            return None;
+        }
+        let end = at.checked_add(len)?;
+        let mut cur = first;
+        out.push(cur);
+        while *at < end {
+            let gap = decode_u32(buf, at).filter(|&gap| gap > 0)?;
+            cur = cur.checked_add(gap)?;
+            out.push(cur);
+        }
+        if *at != end || out.len() != count.min((b + 1) * BLOCK_LEN) {
+            return None;
+        }
+    }
+    (*at == buf.len()).then_some(out)
+}
+
+/// Decodes the WORD section into a [`WordIndex`], checking every posting
+/// list: its count against the dictionary's, its order, and that each word
+/// it places ends inside the corpus text of `text_len` bytes.
+fn decode_words(buf: &[u8], case_fold: bool, text_len: usize) -> Result<WordIndex, QofxError> {
+    let at = &mut 0usize;
+    let scope = match buf.first().copied() {
+        Some(0) => {
+            *at = 1;
+            None
+        }
+        Some(1) => {
+            *at = 1;
+            let n = decode_len(buf, at)?;
+            let mut spans: Vec<Span> = Vec::with_capacity(n.min(buf.len() / 2));
+            for _ in 0..n {
+                let start = decode_u32(buf, at).ok_or(QofxError::Truncated)?;
+                let end = decode_u32(buf, at).ok_or(QofxError::Truncated)?;
+                if start > end {
+                    return Err(QofxError::Corrupt("inverted scope span".to_owned()));
+                }
+                spans.push(start..end);
+            }
+            Some(spans)
+        }
+        _ => return Err(QofxError::Corrupt("bad scope tag in word section".to_owned())),
+    };
+    let n_words = decode_len(buf, at)?;
+    // A dictionary entry takes three bytes at least.
+    let mut dict: Vec<(String, u64, usize)> = Vec::with_capacity(n_words.min(buf.len() / 3));
+    let mut blob_len = 0usize;
+    for _ in 0..n_words {
+        let word = decode_str(buf, at, "dictionary word")?;
+        let count = decode_u64(buf, at).ok_or(QofxError::Truncated)?;
+        let len = decode_u32(buf, at).ok_or(QofxError::Truncated)? as usize;
+        if dict.last().is_some_and(|(prev, _, _)| *prev >= word) {
+            return Err(QofxError::Corrupt("dictionary is not sorted".to_owned()));
+        }
+        blob_len = blob_len.checked_add(len).ok_or(QofxError::Truncated)?;
+        dict.push((word, count, len));
+    }
+    if decode_len(buf, at)? != blob_len {
+        return Err(QofxError::Corrupt(
+            "postings blob length disagrees with dictionary".to_owned(),
+        ));
+    }
+    let mut blob = &buf[*at..];
+    if blob.len() < blob_len {
+        return Err(QofxError::Truncated);
+    }
+    if blob.len() > blob_len {
+        return Err(QofxError::Corrupt("trailing bytes after word section".to_owned()));
+    }
+    let mut lists = HashMap::with_capacity(dict.len());
+    for (word, count, len) in dict {
+        let (list, rest) = blob.split_at(len);
+        blob = rest;
+        let positions = decode_list(list, count)
+            .ok_or_else(|| QofxError::Corrupt(format!("posting list of `{word}` is malformed")))?;
+        let last = positions.last().map_or(0, |&p| p as usize);
+        if last + word.len() > text_len {
+            return Err(QofxError::Corrupt(format!(
+                "a posting of `{word}` runs past the corpus text"
+            )));
+        }
+        lists.insert(word, positions);
+    }
+    Ok(WordIndex::from_lists(lists, case_fold, scope))
 }
 
 /// Decodes the region sets over the corpus `text`. A region must lie in
@@ -381,9 +556,8 @@ fn section_slice<'a>(data: &'a [u8], s: &Section) -> Result<&'a [u8], QofxError>
     data.get(offset..end).ok_or(QofxError::Truncated)
 }
 
-/// Reads, checksums and decodes a `.qofx` file. The returned word index
-/// pages its posting blob from `path` on demand — the blob bytes read
-/// here for the checksum are dropped with the rest of the file buffer.
+/// Reads, checksums and decodes a `.qofx` file: one read, and every
+/// section is decoded from that buffer, the word index included.
 pub(crate) fn read_qofx(path: &Path) -> Result<QofxContents, QofxError> {
     let mut data = std::fs::read(path)?;
     if data.len() < HEADER_LEN {
@@ -418,15 +592,8 @@ pub(crate) fn read_qofx(path: &Path) -> Result<QofxContents, QofxError> {
         });
     }
     let corpus = decode_corpus(section_slice(&data, &sections[0])?)?;
-    let word_buf = section_slice(&data, &sections[1])?;
     let case_fold = flags & FLAG_CASE_FOLD != 0;
-    let at = &mut 0usize;
-    let words =
-        CompressedWordIndex::deserialize(word_buf, at, case_fold, Some((path, sections[1].offset)))
-            .map_err(QofxError::Corrupt)?;
-    if *at != word_buf.len() {
-        return Err(QofxError::Corrupt("trailing bytes after word section".to_owned()));
-    }
+    let words = decode_words(section_slice(&data, &sections[1])?, case_fold, corpus.text().len())?;
     let instance = decode_regions(section_slice(&data, &sections[2])?, corpus.text())?;
     let spec = decode_spec(section_slice(&data, &sections[3])?)?;
     Ok(QofxContents { corpus, words, instance, spec })
@@ -478,11 +645,123 @@ pub fn inspect_qofx(path: &Path) -> Result<QofxSummary, QofxError> {
         file_bytes,
         files: contents.corpus.files().len(),
         corpus_bytes: u64::from(contents.corpus.len()),
-        distinct_words: contents.words.distinct_words(),
+        distinct_words: contents.words.stats().distinct_words,
         postings: contents.words.postings(),
         region_names: contents.instance.name_count(),
         regions: contents.instance.region_count(),
         full_index: contents.spec.is_full(),
         checksum,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qof_text::{Tokenizer, WordIndexBuilder};
+
+    fn sample(n: usize, stride: u32) -> Vec<Pos> {
+        (0..n as u32)
+            .map(|i| i * stride + (i % 7))
+            .scan(0, |acc, v| {
+                *acc = (*acc).max(v) + 1;
+                Some(*acc)
+            })
+            .collect()
+    }
+
+    fn encoded(postings: &[Pos]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_list(postings, &mut buf);
+        buf
+    }
+
+    #[test]
+    fn round_trips_across_block_boundaries() {
+        for n in [1, 2, BLOCK_LEN - 1, BLOCK_LEN, BLOCK_LEN + 1, 3 * BLOCK_LEN + 17] {
+            let postings = sample(n, 13);
+            let buf = encoded(&postings);
+            assert_eq!(decode_list(&buf, n as u64), Some(postings), "n={n}");
+        }
+    }
+
+    #[test]
+    fn wire_form_rejects_truncation_and_bit_flips() {
+        let postings = sample(2 * BLOCK_LEN + 40, 21);
+        let count = postings.len() as u64;
+        let buf = encoded(&postings);
+        for cut in [0, 1, buf.len() / 2, buf.len() - 1] {
+            assert_eq!(decode_list(&buf[..cut], count), None, "cut at {cut} must not decode");
+        }
+        // Flipping any byte either fails to decode or still decodes to a
+        // valid (ascending, right-count) list — never a panic.
+        for i in 0..buf.len() {
+            let mut bad = buf.clone();
+            bad[i] ^= 0x40;
+            if let Some(decoded) = decode_list(&bad, count) {
+                assert_eq!(decoded.len(), postings.len());
+                assert!(decoded.windows(2).all(|w| w[0] < w[1]), "flip at {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_huge_claimed_count_is_rejected_without_reserving_for_it() {
+        // 16 bytes that claim 2^50 postings in 2^43 blocks.
+        let count = 1u64 << 50;
+        let mut buf = Vec::new();
+        encode_u64(count, &mut buf);
+        encode_u64(count.div_ceil(BLOCK_LEN as u64), &mut buf);
+        buf.push(0);
+        assert_eq!(buf.len(), 16);
+        assert_eq!(decode_list(&buf, count), None);
+    }
+
+    #[test]
+    fn gaps_compress_dense_lists() {
+        // Dense positions (small gaps) must land well under 4 bytes per
+        // posting — the raw Vec<u32> footprint.
+        let postings: Vec<Pos> = (0..4096u32).map(|i| i * 3).collect();
+        let bytes = encoded(&postings).len();
+        assert!(bytes < postings.len() * 2, "{bytes} bytes for {} postings", postings.len());
+    }
+
+    fn sample_index(scoped: bool) -> (Corpus, WordIndex) {
+        let corpus = Corpus::from_text(
+            "the Quick brown fox jumps over the lazy dog the quick fox again and again \
+             zebra apple Apple APPLE banana the the the",
+        );
+        let tok = Tokenizer::new();
+        let index = if scoped {
+            WordIndexBuilder::new(&tok).scoped_to(vec![0..60, 80..120]).build(&corpus)
+        } else {
+            WordIndex::build(&corpus, &tok)
+        };
+        (corpus, index)
+    }
+
+    #[test]
+    fn serialization_round_trips_in_memory() {
+        for scoped in [false, true] {
+            let (corpus, index) = sample_index(scoped);
+            let mut buf = Vec::new();
+            encode_words(&index, &mut buf);
+            let back = decode_words(&buf, index.case_fold(), corpus.text().len()).unwrap();
+            assert_eq!(back.scope(), index.scope());
+            assert_eq!(back.postings(), index.postings());
+            assert_eq!(back.stats(), index.stats());
+            for (word, positions) in index.iter() {
+                assert_eq!(back.positions(word), positions, "{word} (scoped={scoped})");
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_sections_are_rejected_not_panicking() {
+        let (corpus, index) = sample_index(false);
+        let mut buf = Vec::new();
+        encode_words(&index, &mut buf);
+        for cut in [0, 1, buf.len() / 3, buf.len() - 1] {
+            assert!(decode_words(&buf[..cut], true, corpus.text().len()).is_err(), "cut at {cut}");
+        }
+    }
 }

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use qof_text::{Corpus, Pos, WordLookup};
+use qof_text::{Corpus, Pos, WordIndex};
 
 use crate::{
     direct_included_in_counted, direct_including_counted, CacheSource, EvalStats, Instance,
@@ -92,7 +92,7 @@ type Memo<'e, 'a> = HashMap<&'e RegionExpr, Operand<'a>>;
 /// [`EvalStats`], which higher layers read to report scan-volume tradeoffs.
 pub struct Engine<'a> {
     corpus: &'a Corpus,
-    words: &'a dyn WordLookup,
+    words: &'a WordIndex,
     instance: &'a Instance,
     stats: RefCell<EvalStats>,
     share: std::cell::Cell<bool>,
@@ -106,7 +106,7 @@ impl<'a> Engine<'a> {
     /// nesting forest: `⊃d`, `⊂d` and `⊃^n` fetch the instance's shared one
     /// ([`Instance::forest`]) when they run, so only a query with such an
     /// operator can pay for building it.
-    pub fn new(corpus: &'a Corpus, words: &'a dyn WordLookup, instance: &'a Instance) -> Self {
+    pub fn new(corpus: &'a Corpus, words: &'a WordIndex, instance: &'a Instance) -> Self {
         Self {
             corpus,
             words,
@@ -347,7 +347,7 @@ impl<'a> Engine<'a> {
                 // characters; verify the aligned span (PAT would compare the
                 // sistring at `base`). Counted as scanned bytes.
                 verify_bytes += w.len() as u64;
-                text[base as usize..].starts_with(w)
+                text.get(base as usize..).is_some_and(|rest| rest.starts_with(w))
             })
             .map(|base| Region::new(base, base + w.len() as Pos))
             .collect();
@@ -363,13 +363,11 @@ impl<'a> Engine<'a> {
     fn prefix_spans(&self, prefix: &str) -> RegionSet {
         let mut spans = Vec::new();
         let mut probes = 0usize;
-        self.words.for_each_word(&mut |word, positions| {
-            if word.starts_with(prefix) {
-                probes += positions.len();
-                let len = word.len() as Pos;
-                spans.extend(positions.iter().map(|&p| Region::new(p, p + len)));
-            }
-        });
+        for (word, positions) in self.words.iter().filter(|(word, _)| word.starts_with(prefix)) {
+            probes += positions.len();
+            let len = word.len() as Pos;
+            spans.extend(positions.iter().map(|&p| Region::new(p, p + len)));
+        }
         self.stats.borrow_mut().record_word_probe(probes);
         RegionSet::from_regions(spans)
     }

@@ -101,15 +101,10 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "# TYPE {name} counter");
         let _ = writeln!(out, "{name} {value}");
     }
-    if !snap.index_bytes.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP qof_index_bytes Resident word-index footprint in bytes, by backend."
-        );
+    if let Some(bytes) = snap.index_bytes {
+        let _ = writeln!(out, "# HELP qof_index_bytes Resident word-index footprint in bytes.");
         let _ = writeln!(out, "# TYPE qof_index_bytes gauge");
-        for (backend, bytes) in &snap.index_bytes {
-            let _ = writeln!(out, "qof_index_bytes{{backend=\"{}\"}} {bytes}", esc_label(backend));
-        }
+        let _ = writeln!(out, "qof_index_bytes {bytes}");
         let _ = writeln!(out, "# HELP qof_corpus_bytes Corpus text bytes behind the index.");
         let _ = writeln!(out, "# TYPE qof_corpus_bytes gauge");
         let _ = writeln!(out, "qof_corpus_bytes {}", snap.corpus_bytes);
@@ -188,14 +183,12 @@ pub fn snapshot_to_json(snap: &MetricsSnapshot) -> String {
         snap.plan_cache_hits, snap.plan_cache_misses
     );
     let _ = write!(out, ",\"plan_cache_hit_rate\":{}", snap.plan_cache_hit_rate());
-    out.push_str(",\"index_bytes\":{");
-    for (i, (backend, bytes)) in snap.index_bytes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{bytes}", esc_json(backend));
-    }
-    let _ = write!(out, "}},\"corpus_bytes\":{}", snap.corpus_bytes);
+    let _ = write!(
+        out,
+        ",\"index_bytes\":{},\"corpus_bytes\":{}",
+        snap.index_bytes.unwrap_or(0),
+        snap.corpus_bytes
+    );
     let _ = write!(out, ",\"query_latency\":{}", histogram_json(&snap.query_latency));
     let _ = write!(out, ",\"phase_latency\":{}", labelled_json(&snap.phase_latency));
     let _ = write!(out, ",\"op_latency\":{}}}", labelled_json(&snap.op_latency));
@@ -310,7 +303,7 @@ mod tests {
         reg.record_plan_cache(false);
         reg.record_op("⊃", 600); // le 1024ns
         reg.record_op("σ", 100); // le 128ns
-        reg.record_index_bytes("qofx", 4096, 10_000);
+        reg.record_index_bytes(4096, 10_000);
         reg.snapshot()
     }
 
@@ -330,9 +323,9 @@ qof_plan_cache_hits_total 2
 # HELP qof_plan_cache_misses_total Optimized-plan cache misses.
 # TYPE qof_plan_cache_misses_total counter
 qof_plan_cache_misses_total 1
-# HELP qof_index_bytes Resident word-index footprint in bytes, by backend.
+# HELP qof_index_bytes Resident word-index footprint in bytes.
 # TYPE qof_index_bytes gauge
-qof_index_bytes{backend=\"qofx\"} 4096
+qof_index_bytes 4096
 # HELP qof_corpus_bytes Corpus text bytes behind the index.
 # TYPE qof_corpus_bytes gauge
 qof_corpus_bytes 10000
@@ -380,7 +373,7 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
         let json = snapshot_to_json(&snap);
         assert!(json.contains("\"queries\":0"));
         assert!(json.contains("\"phase_latency\":{},\"op_latency\":{}"), "{json}");
-        assert!(json.contains("\"index_bytes\":{},\"corpus_bytes\":0"), "{json}");
+        assert!(json.contains("\"index_bytes\":0,\"corpus_bytes\":0"), "{json}");
     }
 
     #[test]
@@ -391,7 +384,7 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
         assert!(!json.contains("\"cache_hits\""), "{json}");
         assert!(json.contains("\"plan_cache_hits\":2,\"plan_cache_misses\":1"), "{json}");
         assert!(json.contains("\"plan_cache_hit_rate\":0.6666666666666666"), "{json}");
-        assert!(json.contains("\"index_bytes\":{\"qofx\":4096},\"corpus_bytes\":10000"), "{json}");
+        assert!(json.contains("\"index_bytes\":4096,\"corpus_bytes\":10000"), "{json}");
         assert!(json.contains("\"le_nanos\":1024,\"count\":2"), "{json}");
         assert!(json.contains("\"⊃\""));
         // Structural sanity: balanced braces, no trailing commas.

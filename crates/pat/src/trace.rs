@@ -382,7 +382,7 @@ pub struct MetricsRegistry {
     query_latency: Mutex<Histogram>,
     phase_latency: Mutex<BTreeMap<String, Histogram>>,
     op_latency: Mutex<BTreeMap<String, Histogram>>,
-    index_bytes: Mutex<BTreeMap<String, u64>>,
+    index_bytes: Mutex<Option<u64>>,
     corpus_bytes: AtomicU64,
 }
 
@@ -407,10 +407,10 @@ pub struct MetricsSnapshot {
     pub phase_latency: BTreeMap<String, Histogram>,
     /// Per-operator latency, keyed by operator label.
     pub op_latency: BTreeMap<String, Histogram>,
-    /// Resident index footprint in bytes, keyed by backend label
-    /// (`mem`, `qofx`) — a gauge, set by whichever database last
-    /// published its footprint into this registry.
-    pub index_bytes: BTreeMap<String, u64>,
+    /// Resident word-index footprint in bytes — a gauge, set by whichever
+    /// database last published its footprint into this registry (`None`
+    /// until one has).
+    pub index_bytes: Option<u64>,
     /// Corpus text size in bytes behind the published index (gauge).
     pub corpus_bytes: u64,
 }
@@ -464,14 +464,11 @@ impl MetricsRegistry {
     }
 
     /// Publishes a database's index footprint: the resident bytes of its
-    /// word-index backend (gauge semantics — set, not add) and the corpus
-    /// bytes it indexes. A database re-publishes after every mutation and
-    /// whenever a registry is injected, so scrapes always see the current
-    /// backend's footprint.
-    pub fn record_index_bytes(&self, backend: &str, bytes: u64, corpus_bytes: u64) {
-        let mut map = self.index_bytes.lock().expect("metrics lock poisoned");
-        map.clear();
-        map.insert(backend.to_owned(), bytes);
+    /// word index (gauge semantics — set, not add) and the corpus bytes it
+    /// indexes. A database re-publishes after every mutation and whenever
+    /// a registry is injected, so scrapes always see the current footprint.
+    pub fn record_index_bytes(&self, bytes: u64, corpus_bytes: u64) {
+        *self.index_bytes.lock().expect("metrics lock poisoned") = Some(bytes);
         self.corpus_bytes.store(corpus_bytes, Ordering::Relaxed);
     }
 
@@ -530,7 +527,7 @@ impl MetricsRegistry {
             query_latency: self.query_latency.lock().expect("metrics lock poisoned").clone(),
             phase_latency: self.phase_latency.lock().expect("metrics lock poisoned").clone(),
             op_latency: self.op_latency.lock().expect("metrics lock poisoned").clone(),
-            index_bytes: self.index_bytes.lock().expect("metrics lock poisoned").clone(),
+            index_bytes: *self.index_bytes.lock().expect("metrics lock poisoned"),
             corpus_bytes: self.corpus_bytes.load(Ordering::Relaxed),
         }
     }
@@ -544,7 +541,7 @@ impl MetricsRegistry {
         *self.query_latency.lock().expect("metrics lock poisoned") = Histogram::new();
         self.phase_latency.lock().expect("metrics lock poisoned").clear();
         self.op_latency.lock().expect("metrics lock poisoned").clear();
-        self.index_bytes.lock().expect("metrics lock poisoned").clear();
+        *self.index_bytes.lock().expect("metrics lock poisoned") = None;
         self.corpus_bytes.store(0, Ordering::Relaxed);
     }
 }

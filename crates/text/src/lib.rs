@@ -13,20 +13,14 @@
 //! `start..end` pair. Everything higher in the stack (regions, the region
 //! algebra, structuring schemas) is expressed in terms of these offsets.
 
-mod compressed;
 mod corpus;
-mod postings;
 mod token;
 pub mod varint;
 mod word_index;
-mod word_lookup;
 
-pub use compressed::{CompressedWordIndex, PostingsSource};
 pub use corpus::{Corpus, CorpusBuilder, FileEntry, FileId};
-pub use postings::{CompressedPostings, BLOCK_LEN};
 pub use token::{Token, Tokenizer};
 pub use word_index::{WordIndex, WordIndexBuilder, WordStats};
-pub use word_lookup::WordLookup;
 
 /// A byte offset into the global corpus text.
 pub type Pos = u32;

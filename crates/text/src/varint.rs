@@ -1,7 +1,7 @@
 //! LEB128 variable-length integers — the byte-level substrate of the
-//! compressed posting lists and of the `.qofx` on-disk index format
-//! (DESIGN.md §13). Little-endian base-128: seven payload bits per byte,
-//! high bit set on every byte except the last.
+//! `.qofx` on-disk index format (DESIGN.md §13), whose posting lists and
+//! region runs are delta-coded varints. Little-endian base-128: seven
+//! payload bits per byte, high bit set on every byte except the last.
 
 /// Appends `value` to `out` as an unsigned LEB128 varint (1–5 bytes for
 /// `u32`, 1–10 for `u64`).

@@ -129,6 +129,11 @@ impl WordIndex {
         }
     }
 
+    /// Total number of indexed occurrences.
+    pub fn postings(&self) -> usize {
+        self.postings
+    }
+
     /// Iterates over `(word, positions)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[Pos])> {
         self.map.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
@@ -141,28 +146,26 @@ impl WordIndex {
     }
 
     /// Whether lookups fold case (set by the build tokenizer).
-    pub(crate) fn case_fold(&self) -> bool {
+    pub fn case_fold(&self) -> bool {
         self.case_fold
     }
 
     /// The selective-indexing scope spans, if any.
-    pub(crate) fn scope(&self) -> Option<&[Span]> {
+    pub fn scope(&self) -> Option<&[Span]> {
         self.scope.as_deref()
     }
 
-    /// Reassembles an index from its parts — the compressed backend's
-    /// materialization path ([`CompressedWordIndex::to_word_index`]).
-    ///
-    /// [`CompressedWordIndex::to_word_index`]:
-    ///     crate::CompressedWordIndex::to_word_index
-    pub(crate) fn from_parts(
-        map: HashMap<String, Vec<Pos>>,
-        postings: usize,
+    /// Reassembles an index from its posting lists, as a persisted index
+    /// is reopened. Each list must ascend strictly; the caller checks that
+    /// of untrusted input before it gets here.
+    pub fn from_lists(
+        lists: HashMap<String, Vec<Pos>>,
         case_fold: bool,
         scope: Option<Vec<Span>>,
     ) -> Self {
-        debug_assert_eq!(postings, map.values().map(Vec::len).sum::<usize>());
-        WordIndex { map, postings, case_fold, scope }
+        debug_assert!(lists.values().all(|l| l.windows(2).all(|w| w[0] < w[1])));
+        let postings = lists.values().map(Vec::len).sum();
+        WordIndex { map: lists, postings, case_fold, scope }
     }
 
     /// Extends the scope of a selectively built index with more spans

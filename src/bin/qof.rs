@@ -170,12 +170,12 @@ fn run_stats(
         snap.plan_cache_hits,
         snap.plan_cache_misses
     );
-    for (backend, bytes) in &snap.index_bytes {
+    if let Some(bytes) = snap.index_bytes {
         #[allow(clippy::cast_precision_loss)]
         let per_byte =
-            if snap.corpus_bytes == 0 { 0.0 } else { *bytes as f64 / snap.corpus_bytes as f64 };
+            if snap.corpus_bytes == 0 { 0.0 } else { bytes as f64 / snap.corpus_bytes as f64 };
         println!(
-            "index bytes:        {bytes} ({backend}) — {per_byte:.3} per corpus byte ({} corpus bytes)",
+            "index bytes:        {bytes} — {per_byte:.3} per corpus byte ({} corpus bytes)",
             snap.corpus_bytes
         );
     }
@@ -268,8 +268,7 @@ fn run_serve(
     let started = std::time::Instant::now();
     let db = load_db(schema, files, index, from_index)?;
     eprintln!(
-        "qof serve: {} backend ready in {:.1}ms ({} index bytes)",
-        db.backend_label(),
+        "qof serve: ready in {:.1}ms ({} index bytes)",
         started.elapsed().as_secs_f64() * 1e3,
         db.index_bytes()
     );

@@ -11,6 +11,10 @@
 //!
 //! Every case runs on its own seed drawn from a fixed `StdRng` stream; a
 //! failure prints the case's seed.
+//!
+//! Crafted cases follow: a checksum-valid WORD section whose posting list
+//! disagrees with itself must not open, and an opened database reads
+//! nothing more from its file.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -18,8 +22,9 @@ use qof::corpus::bibtex::{self, BibtexConfig};
 use qof::corpus::{Rng, StdRng};
 use qof::grammar::IndexSpec;
 use qof::pat::fnv1a64;
+use qof::text::varint::decode_u64;
 use qof::text::Corpus;
-use qof::FileDatabase;
+use qof::{FileDatabase, QofxError};
 
 /// Cases per persisted database.
 const CASES: usize = 150;
@@ -42,6 +47,13 @@ fn section(file: &[u8], i: usize) -> std::ops::Range<usize> {
     offset..offset + len
 }
 
+/// Recomputes the header checksum of `file` after an edit.
+fn reseal(file: &mut [u8]) {
+    file[16..24].fill(0);
+    let checksum = fnv1a64(file);
+    file[16..24].copy_from_slice(&checksum.to_le_bytes());
+}
+
 /// Mutates 1–3 bytes of one section, or of the header outside the
 /// checksum field (bytes 16..24), and reseals the file with a valid
 /// checksum.
@@ -62,9 +74,7 @@ fn mutate(clean: &[u8], rng: &mut StdRng) -> Vec<u8> {
             _ => rng.random_range(0..256) as u8,
         };
     }
-    file[16..24].fill(0);
-    let checksum = fnv1a64(&file);
-    file[16..24].copy_from_slice(&checksum.to_le_bytes());
+    reseal(&mut file);
     file
 }
 
@@ -108,4 +118,98 @@ fn mutated_region_and_corpus_sections_never_panic() {
         std::fs::remove_file(&path).ok();
     }
     assert!(opened >= CASES / 10, "only {opened} mutated files opened");
+}
+
+/// Where `word`'s entry lies in the WORD section of an unscoped index: the
+/// file offset of its dictionary count and of its posting list, whose
+/// wire form starts with the list's own count.
+fn locate(file: &[u8], word: &str) -> (usize, usize) {
+    let words = section(file, 1);
+    let buf = &file[words.clone()];
+    assert_eq!(buf[0], 0, "an unscoped index");
+    let at = &mut 1;
+    let mut found = None;
+    let mut offset = 0;
+    for _ in 0..decode_u64(buf, at).unwrap() {
+        let len = decode_u64(buf, at).unwrap() as usize;
+        let this = &buf[*at..*at + len];
+        *at += len;
+        let count_at = *at;
+        decode_u64(buf, at).unwrap();
+        if this == word.as_bytes() {
+            found = Some((count_at, offset));
+        }
+        offset += decode_u64(buf, at).unwrap() as usize;
+    }
+    decode_u64(buf, at).unwrap(); // the blob length
+    let (count_at, list_at) = found.unwrap_or_else(|| panic!("`{word}` is indexed"));
+    (words.start + count_at, words.start + *at + list_at)
+}
+
+/// Adds one to the varint at `at` (its low seven bits are not all set,
+/// so its length stays).
+fn bump(file: &mut [u8], at: usize) {
+    assert_ne!(file[at] & 0x7f, 0x7f);
+    file[at] += 1;
+}
+
+#[test]
+fn checksum_valid_word_lists_that_disagree_with_themselves_do_not_open() {
+    let text = bibtex::generate(&BibtexConfig { n_refs: 12, name_pool: 8, ..Default::default() }).0;
+    let db =
+        FileDatabase::build(Corpus::from_text(&text), bibtex::schema(), IndexSpec::full()).unwrap();
+    let path = std::env::temp_dir().join(format!("qof-word-craft-{}.qofx", std::process::id()));
+    db.persist(&path).unwrap();
+    let clean = std::fs::read(&path).unwrap();
+    let (count_at, list_at) = locate(&clean, "Chang");
+    let mut crafted: Vec<(&str, Vec<u8>)> = Vec::new();
+    // The list's own count, one more than the postings it holds.
+    let mut file = clean.clone();
+    bump(&mut file, list_at);
+    crafted.push(("list count", file));
+    // The dictionary's count of the word, one more than its list's.
+    let mut file = clean.clone();
+    bump(&mut file, count_at);
+    crafted.push(("dictionary count", file));
+    // The first gap of the list set to zero: two equal postings.
+    let mut file = clean.clone();
+    let at = &mut list_at.clone();
+    decode_u64(&file, at).unwrap(); // count
+    assert_eq!(decode_u64(&file, at), Some(1), "one block");
+    decode_u64(&file, at).unwrap(); // first posting
+    decode_u64(&file, at).unwrap(); // payload length
+    file[*at] = 0;
+    crafted.push(("zero gap", file));
+    for (what, mut file) in crafted {
+        reseal(&mut file);
+        std::fs::write(&path, &file).unwrap();
+        match FileDatabase::open(&path, bibtex::schema()) {
+            Err(QofxError::Corrupt(why)) => assert!(why.contains("Chang"), "{what}: {why}"),
+            Err(e) => panic!("{what}: {e}"),
+            Ok(_) => panic!("{what}: a corrupt posting list opened"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn rewriting_the_file_after_open_changes_no_answer() {
+    let cfg = |seed| BibtexConfig { n_refs: 12, name_pool: 8, seed, ..Default::default() };
+    let build = |seed| {
+        let text = bibtex::generate(&cfg(seed)).0;
+        FileDatabase::build(Corpus::from_text(&text), bibtex::schema(), IndexSpec::full()).unwrap()
+    };
+    let (db, other) = (build(1), build(2));
+    let path = std::env::temp_dir().join(format!("qof-rewrite-{}.qofx", std::process::id()));
+    other.persist(&path).unwrap();
+    let other_file = std::fs::read(&path).unwrap();
+    db.persist(&path).unwrap();
+    let opened = FileDatabase::open(&path, bibtex::schema()).unwrap();
+    std::fs::write(&path, other_file).unwrap();
+    for q in QUERIES {
+        let (want, got) = (db.query(q).unwrap(), opened.query(q).unwrap());
+        assert_eq!(want.regions, got.regions, "{q}");
+        assert_eq!(want.values, got.values, "{q}");
+    }
+    std::fs::remove_file(&path).ok();
 }
