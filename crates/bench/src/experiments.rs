@@ -91,7 +91,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("e13", "persistent index (.qofx): reopen vs rebuild"),
     ("a1", "ablation: common-subexpression sharing in boolean queries (§5.2)"),
     ("a2", "analyzer: qof check latency and rewrite-certifier overhead"),
-    ("a3", "cost model: cardinality-estimation error and plan-cache hit rate"),
+    ("a3", "planner intervals: cardinality-estimation error and plan-cache hit rate"),
     ("a5", "workload analytics: fingerprint aggregation overhead and heavy-hitter accuracy"),
 ];
 
@@ -930,14 +930,14 @@ fn a2(scale: Scale, r: &mut Recorder) {
     }
 }
 
-/// A3: how good the cost model's numbers are, and what the plan cache
-/// buys. A mixed workload runs several passes over the corpus; the first
-/// pass measures estimation quality (planner intervals vs the phase-1
-/// cardinalities the engine then observed), the repeats measure the plan
-/// cache. Soundness — every observation inside its interval — is asserted,
-/// not just reported.
+/// A3: how tight the planner's cardinality intervals are, and what the
+/// plan cache buys. A mixed workload runs several passes over the corpus;
+/// the first pass measures estimation quality (planner intervals vs the
+/// phase-1 cardinalities the engine then observed), the repeats measure
+/// the plan cache. Soundness — every observation inside its interval — is
+/// asserted, not just reported.
 fn a3(scale: Scale, r: &mut Recorder) {
-    banner("A3", "cost model: cardinality-estimation error and plan-cache hit rate");
+    banner("A3", "planner intervals: cardinality-estimation error and plan-cache hit rate");
     let workload = [
         CHANG_AUTHOR,
         CHANG_STAR,

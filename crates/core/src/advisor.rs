@@ -11,8 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use qof_grammar::{resolve_path, SkOp, StructuringSchema};
 
-use crate::cost::StatsStore;
-use crate::optimizer::{optimize, optimize_costed};
+use crate::optimizer::optimize;
 use crate::{ChainOp, Cond, InclusionExpr, Projection, Query, Rig, RightHand};
 
 /// The advisor's output.
@@ -32,30 +31,6 @@ pub struct Advice {
 /// Computes a sufficient index set for the workload. Queries that fail to
 /// translate are skipped with a note.
 pub fn advise(schema: &StructuringSchema, full_rig: &Rig, queries: &[Query]) -> Advice {
-    advise_impl(schema, full_rig, queries, None)
-}
-
-/// [`advise`] with a cost model: where the optimizer's reduction is
-/// non-confluent, the certified-equivalent normal form the statistics rank
-/// cheapest drives the index set (so the advice indexes the names the
-/// engine would actually touch), and each recommendation is annotated with
-/// its estimated cost. With no usable statistics the advice degrades to
-/// exactly [`advise`]'s.
-pub fn advise_costed(
-    schema: &StructuringSchema,
-    full_rig: &Rig,
-    queries: &[Query],
-    stats: &StatsStore,
-) -> Advice {
-    advise_impl(schema, full_rig, queries, Some(stats))
-}
-
-fn advise_impl(
-    schema: &StructuringSchema,
-    full_rig: &Rig,
-    queries: &[Query],
-    stats: Option<&StatsStore>,
-) -> Advice {
     let mut advice = Advice::default();
     for q in queries {
         for (view, _) in &q.ranges {
@@ -87,20 +62,7 @@ fn advise_impl(
                     })
                     .collect();
                 let e = InclusionExpr::including(alt.names.clone(), ops, None);
-                let opt = match stats {
-                    Some(st) => {
-                        let opt = optimize_costed(&e, full_rig, &|c| st.estimate_cost(c));
-                        if !opt.trivially_empty {
-                            advice.notes.push(format!(
-                                "estimated cost of {}: {:.1}",
-                                opt.expr,
-                                st.estimate_cost(&opt.expr)
-                            ));
-                        }
-                        opt
-                    }
-                    None => optimize(&e, full_rig),
-                };
+                let opt = optimize(&e, full_rig);
                 if opt.trivially_empty {
                     advice.notes.push(format!("expression {e} is trivially empty"));
                     continue;
@@ -273,27 +235,6 @@ mod tests {
         rig.add_edge("B", "D");
         let seps = separators_for(&rig, "A", "B");
         assert_eq!(seps, ["C"].iter().map(ToString::to_string).collect());
-    }
-
-    #[test]
-    fn costed_advice_matches_uncosted_on_empty_stats_and_annotates_costs() {
-        let (schema, rig) = bib_schema();
-        let q =
-            parse_query("SELECT r FROM References r WHERE r.Authors.Name.Last_Name = \"Chang\"")
-                .unwrap();
-        let stats = StatsStore::new();
-        let plain = advise(&schema, &rig, std::slice::from_ref(&q));
-        let costed = advise_costed(&schema, &rig, &[q], &stats);
-        // Ties keep the canonical form, so the recommended set is identical…
-        assert_eq!(costed.index_set, plain.index_set);
-        assert_eq!(costed.separators, plain.separators);
-        // …but every surviving expression carries its estimate.
-        assert!(
-            costed.notes.iter().any(|n| n.starts_with("estimated cost of ")),
-            "{:?}",
-            costed.notes
-        );
-        assert!(!plain.notes.iter().any(|n| n.starts_with("estimated cost of ")));
     }
 
     #[test]

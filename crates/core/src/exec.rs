@@ -21,8 +21,8 @@ use qof_text::{Corpus, Pos, Tokenizer, WordIndex};
 
 use qof_db::PathCost;
 
-use crate::cost::{PlanCache, PlanCacheStats, StatsStore};
 use crate::plan::{CondNode, Exactness, JoinPlan, Plan, PlanError, Planner, ProjPlan};
+use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::qofx::{self, QofxError};
 use crate::residual::{eval_single, path_values};
 use crate::trace::{CardEstimate, ExecTrace, PhaseTrace, QueryTrace};
@@ -157,7 +157,6 @@ pub struct FileDatabase {
     instance: Instance,
     full_rig: Rig,
     partial_rig: Rig,
-    stats: StatsStore,
     plan_cache: PlanCache,
     metrics: Arc<MetricsRegistry>,
     query_counter: AtomicU64,
@@ -209,8 +208,8 @@ impl FileDatabase {
         Ok(Self::from_parts(corpus, words, schema, spec, instance))
     }
 
-    /// Assembles a database from its indexed parts, deriving the RIGs and
-    /// index statistics, and publishes the index-footprint gauges.
+    /// Assembles a database from its indexed parts, deriving the RIGs from
+    /// the grammar and the spec, and publishes the index-footprint gauges.
     fn from_parts(
         corpus: Corpus,
         words: WordIndex,
@@ -220,9 +219,8 @@ impl FileDatabase {
     ) -> Self {
         let full_rig = Rig::from_grammar(&schema.grammar);
         let indexed: std::collections::BTreeSet<String> =
-            instance.names().filter(|n| !n.contains('.')).map(str::to_owned).collect();
+            spec.instance_names(&schema.grammar).into_iter().filter(|n| !n.contains('.')).collect();
         let partial_rig = full_rig.partial(&indexed);
-        let stats = StatsStore::from_index(&instance, &words, &partial_rig);
         let db = Self {
             corpus,
             tokenizer: Tokenizer::new(),
@@ -232,7 +230,6 @@ impl FileDatabase {
             instance,
             full_rig,
             partial_rig,
-            stats,
             plan_cache: PlanCache::new(),
             metrics: MetricsRegistry::global_arc(),
             query_counter: AtomicU64::new(0),
@@ -257,12 +254,25 @@ impl FileDatabase {
     /// every section is decoded and checked from that buffer, the word
     /// index into the same [`WordIndex`] `build` makes. `schema` must be
     /// the schema the database was built with (it is deliberately not
-    /// persisted — it is named configuration, not derived data).
+    /// persisted — it is named configuration, not derived data). A file
+    /// whose region names are not the ones its spec builds under `schema`
+    /// is corrupt: planning reads the spec, while the engine reads the
+    /// regions.
     pub fn open(
         path: impl AsRef<std::path::Path>,
         schema: StructuringSchema,
     ) -> Result<Self, QofxError> {
         let qofx::QofxContents { corpus, words, instance, spec } = qofx::read_qofx(path.as_ref())?;
+        let mut expected = spec.instance_names(&schema.grammar);
+        expected.sort();
+        if !instance.names().eq(expected.iter().map(String::as_str)) {
+            let found: Vec<&str> = instance.names().collect();
+            return Err(QofxError::Corrupt(format!(
+                "REGN names [{}] are not the names the index spec builds: [{}]",
+                found.join(", "),
+                expected.join(", ")
+            )));
+        }
         Ok(Self::from_parts(corpus, words, schema, spec, instance))
     }
 
@@ -327,11 +337,6 @@ impl FileDatabase {
         self.query_counter.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// The index statistics store driving cost-ranked plan selection.
-    pub fn stats_store(&self) -> &StatsStore {
-        &self.stats
-    }
-
     /// The workload-analytics table: per-fingerprint heavy hitters fed by
     /// every successful query, library calls included (see
     /// [`qof_pat::WorkloadTable`]).
@@ -349,7 +354,7 @@ impl FileDatabase {
     /// stay valid (the new file's span lies past all previous text), so a
     /// nesting forest already built is extended in place rather than
     /// dropped ([`Instance::append`]). The RIGs depend only on the grammar
-    /// and are unchanged.
+    /// and the spec, so every plan cached before the call stays valid.
     pub fn add_file(&mut self, name: impl Into<String>, contents: &str) -> Result<(), BuildError> {
         let name = name.into();
         // Parse the file on its own text, at the offset it will land on,
@@ -376,11 +381,6 @@ impl FileDatabase {
             }
         }
         self.words.append_span(&self.corpus, &self.tokenizer, span);
-        // Every memoized plan was ranked against statistics of the smaller
-        // corpus: re-gather statistics (advancing the epoch), and
-        // invalidate the plan cache with it.
-        self.stats.refresh_from_index(&self.instance, &self.words, &self.partial_rig);
-        self.plan_cache.bump_epoch();
         self.publish_index_stats();
         Ok(())
     }
@@ -438,7 +438,6 @@ impl FileDatabase {
             full_rig: &self.full_rig,
             partial_rig: &self.partial_rig,
             full_indexing: self.spec.is_full(),
-            stats: &self.stats,
             plan_cache: &self.plan_cache,
         }
     }
@@ -478,9 +477,9 @@ impl FileDatabase {
 
     /// Parses, plans and runs a query. Every query is accounted: it draws
     /// a query ID and feeds this database's [`MetricsRegistry`], the
-    /// [`workload`](FileDatabase::workload) table, per-fingerprint
-    /// calibration and the trace hook. This is exactly
-    /// [`FileDatabase::query_traced`] with the trace dropped.
+    /// [`workload`](FileDatabase::workload) table and the trace hook.
+    /// This is exactly [`FileDatabase::query_traced`] with the trace
+    /// dropped.
     pub fn query(&self, src: &str) -> Result<QueryResult, QueryError> {
         self.run(src, self.allocate_query_id()).map(|(result, _)| result)
     }
@@ -506,9 +505,8 @@ impl FileDatabase {
     }
 
     /// The one query path: parse, plan and execute with the trace always
-    /// on, then record the run once — metrics, stats calibration, workload
-    /// table, trace hook. A failed query counts as an error and records
-    /// nothing else.
+    /// on, then record the run once — metrics, workload table, trace
+    /// hook. A failed query counts as an error and records nothing else.
     fn run(&self, src: &str, id: u64) -> Result<(QueryResult, QueryTrace), QueryError> {
         let started = Instant::now();
         let mut tr = ExecTrace::default();
@@ -560,9 +558,6 @@ impl FileDatabase {
         self.metrics.record_plan_cache_delta(trace.plan_cache_hits, trace.plan_cache_misses);
         self.metrics.record_phases(trace.phases.iter().map(|p| (p.name, p.nanos)));
         self.metrics.record_op_trace(&trace.ops);
-        // Feed the observed cardinalities back into the stats store so
-        // later cost estimates calibrate against real executions.
-        self.stats.observe_trace(&trace);
         self.workload.observe(&WorkloadObs {
             fingerprint: trace.fingerprint,
             exemplar: src,
@@ -1196,9 +1191,9 @@ mod tests {
     #[test]
     fn library_query_is_accounted_exactly_once() {
         // `query` runs the accounted path: one success advances the query
-        // counter, the plan-cache counters, the workload table, the
-        // calibration store and the trace hook once each; a failure
-        // advances the error counter and nothing else.
+        // counter, the plan-cache counters, the workload table and the
+        // trace hook once each; a failure advances the error counter and
+        // nothing else.
         let corpus = multi_file_corpus(2, 10);
         let metrics = MetricsRegistry::shared();
         let mut db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
@@ -1227,7 +1222,6 @@ mod tests {
         assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (pc.hits, pc.misses));
         assert_eq!((pc.hits, pc.misses), (0, 1), "one chain, one miss");
         assert_eq!(db.workload().total_hits(), 1);
-        assert!(db.stats_store().observations().total() > 0, "calibration saw the run");
         assert_eq!(hooked.load(Ordering::Relaxed), 1);
 
         assert!(db.query("SELEC nope").is_err());
@@ -1349,35 +1343,7 @@ mod tests {
         assert_eq!(seen.lock().unwrap().len(), 2, "cleared hook no longer fires");
     }
 
-    // -- cost model, estimates and plan cache -------------------------------
-
-    /// A planner over `db`'s indexes with the given statistics (an empty
-    /// store ranks every normal form alike) and a cold plan cache — two
-    /// plan-selection policies side by side over identical inputs.
-    fn raw_planner<'a>(
-        db: &'a FileDatabase,
-        stats: &'a StatsStore,
-        plan_cache: &'a PlanCache,
-    ) -> Planner<'a> {
-        Planner { stats, plan_cache, ..db.planner() }
-    }
-
-    #[test]
-    fn cost_ranked_plans_are_result_identical_to_leftmost_first() {
-        // Cost ranking only ever picks among certified-equivalent normal
-        // forms, so whatever the statistics say, results cannot move.
-        let corpus = multi_file_corpus(4, 20);
-        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
-        for q in QUERIES {
-            let parsed = parse_query(q).unwrap();
-            let costed = raw_planner(&db, &db.stats, &PlanCache::new()).plan(&parsed).unwrap();
-            let leftmost =
-                raw_planner(&db, &StatsStore::new(), &PlanCache::new()).plan(&parsed).unwrap();
-            let a = db.execute_inner(&costed, Instant::now(), &mut ExecTrace::default()).unwrap();
-            let b = db.execute_inner(&leftmost, Instant::now(), &mut ExecTrace::default()).unwrap();
-            assert_same_results(&a, &b, q);
-        }
-    }
+    // -- estimates and plan cache -------------------------------------------
 
     #[test]
     fn plan_cache_hit_is_byte_identical_to_a_fresh_optimize() {
@@ -1431,26 +1397,60 @@ mod tests {
         }
     }
 
+    /// Runs `queries` on `db`, grows it by `extra` with `add_file`, and
+    /// checks that every query then plans from the cache — no miss, no
+    /// route search — into the plan, rewrites and answers of a fresh
+    /// build of the grown corpus.
+    fn cached_plans_survive_add_file(
+        mut db: FileDatabase,
+        extra: &str,
+        queries: &[String],
+        spec: &IndexSpec,
+    ) {
+        for q in queries {
+            db.query(q).unwrap();
+        }
+        let entries = db.plan_cache_stats().entries;
+        assert!(entries > 0, "`query` populates the plan cache");
+        db.add_file("extra", extra).unwrap();
+        assert_eq!(db.plan_cache_stats().entries, entries, "add_file keeps every lowering");
+        let fresh =
+            FileDatabase::build(db.corpus().clone(), db.schema().clone(), spec.clone()).unwrap();
+        let searches = || crate::plan::ROUTE_SEARCHES.with(std::cell::Cell::get);
+        for q in queries {
+            let before = searches();
+            let (got, trace) = db.query_traced(q).unwrap();
+            assert_eq!(searches(), before, "{q}: a route verdict was searched again");
+            assert!(trace.plan_cache_hits > 0, "{q}: no hit after add_file");
+            assert_eq!(trace.plan_cache_misses, 0, "{q}");
+            let (want, fresh_trace) = fresh.query_traced(q).unwrap();
+            assert_eq!(trace.plan, fresh_trace.plan, "{q}");
+            assert_eq!(trace.rewrites, fresh_trace.rewrites, "{q}");
+            assert_same_results(&got, &want, q);
+        }
+    }
+
     #[test]
-    fn add_file_bumps_the_stats_epoch_and_clears_the_plan_cache() {
+    fn a_plan_cached_before_add_file_is_a_hit_after_it() {
         let cfg = BibtexConfig { n_refs: 20, name_pool: 8, ..Default::default() };
         let (text, _) = bibtex::generate(&cfg);
-        let mut db =
-            FileDatabase::build(Corpus::from_text(&text), bibtex::schema(), IndexSpec::full())
+        let (extra, _) = bibtex::generate(&BibtexConfig { n_refs: 10, seed: 9, ..cfg });
+        let queries: Vec<String> = QUERIES.iter().map(ToString::to_string).collect();
+        let partial = IndexSpec::names(["Reference", "Key", "Authors", "Last_Name"]);
+        for spec in [IndexSpec::full(), partial] {
+            let db = FileDatabase::build(Corpus::from_text(&text), bibtex::schema(), spec.clone())
                 .unwrap();
-        db.query(QUERIES[1]).unwrap();
-        let before = db.plan_cache_stats();
-        assert!(before.entries > 0, "`query` populates the plan cache");
-        let epoch_before = db.stats_store().epoch();
-
-        let (text2, _) = bibtex::generate(&BibtexConfig { n_refs: 10, seed: 9, ..cfg });
-        db.add_file("extra.bib", &text2).unwrap();
-        let after = db.plan_cache_stats();
-        assert_eq!(after.entries, 0, "stale lowerings must not survive an index change");
-        assert_eq!(db.stats_store().epoch(), epoch_before + 1);
-        // Re-planning repopulates against the new statistics.
-        db.query(QUERIES[1]).unwrap();
-        assert!(db.plan_cache_stats().entries > 0);
+            cached_plans_survive_add_file(db, &extra, &queries, &spec);
+        }
+        // sgml keeps `⊃d` and needs route verdicts.
+        let (corpus, head) = sgml_corpus(1, 4);
+        let (extra, _) = sgml_corpus(1, 3);
+        let extra = extra.text().to_owned();
+        let spec = IndexSpec::full();
+        let db = FileDatabase::build(corpus, qof_corpus::sgml::schema(), spec.clone()).unwrap();
+        let q = nested_head_query(&head);
+        assert!(db.plan(&q).unwrap().describe().contains("⊃d"), "the sgml plan keeps ⊃d");
+        cached_plans_survive_add_file(db, &extra, &[q], &spec);
     }
 
     /// A corpus of `files` SGML documents with self-nested sections, and
@@ -1826,6 +1826,49 @@ mod tests {
     }
 
     #[test]
+    fn open_rejects_region_names_the_spec_does_not_build() {
+        // The planner reads the spec's names (the partial RIG, the route
+        // verdicts); the engine reads the file's regions. Where the two
+        // disagree, the first `add_file` indexes a missing name in the new
+        // file only, and chains through it then lose the old files'
+        // answers.
+        let spec = IndexSpec::names(["Reference", "Key", "Authors", "Last_Name"]);
+        let built =
+            FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), spec.clone()).unwrap();
+        let path = temp_qofx("regn-names");
+        built.persist(&path).unwrap();
+        let parts = qofx::read_qofx(&path).unwrap();
+        let mut without = Instance::new();
+        for (name, set) in parts.instance.iter().filter(|(name, _)| *name != "Authors") {
+            without.insert(name, set.clone());
+        }
+        let mut extra = parts.instance.clone();
+        extra.insert("Year", RegionSet::new());
+        for (what, instance) in [("a missing name", without), ("an extra name", extra)] {
+            qofx::write_qofx(&path, &parts.corpus, &parts.words, &instance, &parts.spec).unwrap();
+            match FileDatabase::open(&path, bibtex::schema()) {
+                Err(QofxError::Corrupt(why)) => assert!(why.contains("REGN names"), "{why}"),
+                other => panic!("{what} opened: {:?}", other.err()),
+            }
+        }
+        // The clean file opens, and grows like a fresh build.
+        built.persist(&path).unwrap();
+        let mut opened = FileDatabase::open(&path, bibtex::schema()).unwrap();
+        std::fs::remove_file(&path).ok();
+        let (text, _) = bibtex::generate(&BibtexConfig {
+            n_refs: 10,
+            seed: 5,
+            name_pool: 8,
+            ..Default::default()
+        });
+        opened.add_file("late.bib", &text).unwrap();
+        let fresh = FileDatabase::build(opened.corpus().clone(), bibtex::schema(), spec).unwrap();
+        for q in QUERIES {
+            assert_same_results(&opened.query(q).unwrap(), &fresh.query(q).unwrap(), q);
+        }
+    }
+
+    #[test]
     fn checksum_valid_postings_past_the_text_are_rejected() {
         // One more `Chang` posting, two bytes before the end of the text:
         // the word it places would run past the corpus.
@@ -1940,11 +1983,6 @@ mod tests {
             }
         }
         assert!(first_searches > 0, "the direct hops of the first plans need route searches");
-        // A new epoch forgets the verdicts.
-        db.plan_cache.bump_epoch();
-        let before = searches();
-        db.planner().plan(&parse_query(QUERIES[0]).unwrap()).unwrap();
-        assert!(searches() > before);
     }
 
     /// Pairs of `(container, item)` a projection reads, restricted or not,

@@ -36,37 +36,33 @@
 mod advisor;
 pub mod analyze;
 pub mod baseline;
-mod cost;
 mod exec;
 mod incl;
 mod optimizer;
 pub mod perfetto;
 mod plan;
+mod plan_cache;
 pub mod qofx;
 mod query;
 mod residual;
 mod rig;
 mod trace;
 
-pub use advisor::{advise, advise_costed, Advice};
+pub use advisor::{advise, Advice};
 pub use analyze::absint::{
     certify, uncertified_diagnostic, AbsInterp, AbsState, CardInterval, CertifyResult, StepCert,
 };
 pub use analyze::{
     check_index, check_query, check_schema, render_all, Code, Diagnostic, Severity, Span,
 };
-pub use cost::{
-    CachedChain, CostEstimate, PlanCache, PlanCacheStats, StatsStore, DEFAULT_PLAN_CACHE_ENTRIES,
-};
 pub use exec::{BuildError, FileDatabase, QueryError, QueryResult, RunStats, TraceHook};
 pub use incl::{ChainOp, Direction, InclusionExpr, SelectKind};
-pub use optimizer::{
-    is_trivially_empty, normal_forms, optimize, optimize_costed, Optimized, Rewrite, RewriteKind,
-};
+pub use optimizer::{is_trivially_empty, normal_forms, optimize, Optimized, Rewrite, RewriteKind};
 pub use perfetto::{trace_to_perfetto, traces_to_perfetto};
 pub use plan::{
     lower_run, Exactness, InexactHop, InexactReason, Plan, PlanError, PlanRewrite, Planner,
 };
+pub use plan_cache::{CachedChain, PlanCache, PlanCacheStats, DEFAULT_PLAN_CACHE_ENTRIES};
 pub use qofx::{inspect_qofx, QofxError, QofxSummary, QOFX_MAGIC, QOFX_VERSION};
 pub use query::{parse_query, Cond, Projection, QPath, QStep, Query, QueryParseError, RightHand};
 pub use residual::{compile_cond, eval_pair, eval_single, path_values, CompiledCond};

@@ -264,32 +264,6 @@ pub fn normal_forms(expr: &InclusionExpr, rig: &Rig) -> Vec<Optimized> {
     forms
 }
 
-/// Cost-ranked optimization: enumerates the normal forms of `expr` and
-/// returns the one minimizing `cost`, preferring the canonical
-/// leftmost-first form on ties (so confluent inputs — and absent
-/// statistics — behave exactly like [`optimize`]). Every returned form is
-/// built from licensed Proposition 3.5 rewrites and self-verifies like the
-/// syntactic path.
-pub fn optimize_costed(
-    expr: &InclusionExpr,
-    rig: &Rig,
-    cost: &dyn Fn(&InclusionExpr) -> f64,
-) -> Optimized {
-    let forms = normal_forms(expr, rig);
-    let mut best = 0usize;
-    let mut best_cost = f64::INFINITY;
-    for (k, form) in forms.iter().enumerate() {
-        let c = cost(&form.expr);
-        if c < best_cost {
-            best = k;
-            best_cost = c;
-        }
-    }
-    let out = forms.into_iter().nth(best).expect("normal_forms returns at least one form");
-    self_verify(expr, rig, &out);
-    out
-}
-
 /// The plan self-verification pass: replays every emitted [`Rewrite`]
 /// against Proposition 3.5's side conditions and checks the confluence
 /// claim of Theorem 3.6 (see [`crate::analyze::verify`]). Active in debug
@@ -570,41 +544,5 @@ mod tests {
         let forms = normal_forms(&e, &bib_rig());
         assert_eq!(forms.len(), 1);
         assert!(forms[0].trivially_empty);
-    }
-
-    #[test]
-    fn optimize_costed_picks_the_cheaper_form_and_keeps_canonical_on_ties() {
-        let g = non_confluent_rig();
-        let e = InclusionExpr::all_direct(Direction::Including, names(&["A", "B", "E", "F"]), None);
-        let canonical = optimize(&e, &g);
-        // A constant cost function ties everything: the canonical form wins.
-        let tied = optimize_costed(&e, &g, &|_| 1.0);
-        assert_eq!(tied.expr, canonical.expr);
-        assert_eq!(tied.trace, canonical.trace);
-        // A cost function that penalizes the canonical spelling flips the
-        // choice to the other normal form.
-        let other = optimize_costed(&e, &g, &|x| {
-            if x.to_string() == canonical.expr.to_string() {
-                10.0
-            } else {
-                1.0
-            }
-        });
-        assert_ne!(other.expr, canonical.expr);
-        assert!(other.expr.to_string() == "A ⊃ B ⊃ F" || other.expr.to_string() == "A ⊃ E ⊃ F");
-    }
-
-    #[test]
-    fn optimize_costed_matches_optimize_on_confluent_inputs() {
-        let e1 = InclusionExpr::all_direct(
-            Direction::Including,
-            names(&["Reference", "Authors", "Name", "Last_Name"]),
-            Some((SelectKind::Eq, "Chang".into())),
-        );
-        let g = bib_rig();
-        // Any cost function at all: a single form leaves nothing to rank.
-        let costed = optimize_costed(&e1, &g, &|x| x.names().len() as f64);
-        let plain = optimize(&e1, &g);
-        assert_eq!(costed, plain);
     }
 }

@@ -12,8 +12,8 @@ use qof_grammar::{
 use qof_pat::{fnv1a64, Instance, RegionExpr};
 
 use crate::analyze::absint::{certify, AbsInterp, AbsState, CardInterval};
-use crate::cost::{CachedChain, PlanCache, StatsStore};
-use crate::optimizer::{optimize_costed, Optimized};
+use crate::optimizer::{optimize, Optimized};
+use crate::plan_cache::{CachedChain, PlanCache};
 use crate::residual::CompiledCond;
 use crate::trace::NodeFact;
 use crate::{ChainOp, Cond, Direction, InclusionExpr, Projection, QPath, Query, Rig, SelectKind};
@@ -298,10 +298,6 @@ pub struct Planner<'a> {
     pub partial_rig: &'a Rig,
     /// Whether the index spec covers every non-terminal (full indexing).
     pub full_indexing: bool,
-    /// Index statistics for cost-ranked normal-form selection. An empty
-    /// store ranks every form alike, which keeps the leftmost-first
-    /// canonical form.
-    pub stats: &'a StatsStore,
     /// Memoized per-chain lowering results and route verdicts.
     pub plan_cache: &'a PlanCache,
 }
@@ -543,12 +539,11 @@ impl<'a> Planner<'a> {
 
         // The workload fingerprint. A single-chain plan (the common
         // shape) hashes exactly its chain key — the same key the plan
-        // cache memoizes under and per-fingerprint calibration reads, so
-        // the feedback loop closes on the identical value. Multi-chain
-        // plans hash all keys in planning order; a bare scan hashes the
-        // view symbols (so scans of different views differ). All material
-        // is deterministic spelling — the hash is identical across
-        // processes for the same query shape.
+        // cache memoizes under. Multi-chain plans hash all keys in
+        // planning order; a bare scan hashes the view symbols (so scans of
+        // different views differ). All material is deterministic spelling
+        // — the hash is identical across processes for the same query
+        // shape.
         let fingerprint = match fp_keys.as_slice() {
             [single] => fnv1a64(single.as_bytes()),
             keys => {
@@ -847,8 +842,7 @@ impl<'a> Planner<'a> {
                 Direction::IncludedIn => InclusionExpr::included_in(names, ops, selector),
             };
             // The chain key (the plan cache's own key) doubles as the
-            // workload-fingerprint material and the per-fingerprint
-            // calibration key — one spelling, three consumers.
+            // workload-fingerprint material.
             let key = PlanCache::chain_key(&ie);
             fp_keys.push(key.clone());
             // Scoped keys are not RIG nodes; skip optimization for runs
@@ -859,24 +853,16 @@ impl<'a> Planner<'a> {
                 continue;
             }
             // The plan cache memoizes the whole optimize-and-certify
-            // outcome per chain shape; entries only live within one
-            // statistics epoch, so a hit is always byte-identical to what
-            // a fresh lowering would produce.
+            // outcome per chain shape; both read only the chain and the
+            // partial RIG, so a hit is always byte-identical to what a
+            // fresh lowering would produce.
             if let Some(cached) = self.plan_cache.get(&key) {
                 rewrites.extend(cached.rewrites);
                 empty |= cached.empty;
                 optimized_runs.push(cached.expr);
                 continue;
             }
-            // Rank the normal forms by estimated cost; ties (an empty
-            // store among them) keep the leftmost-first canonical form.
-            // Hot shapes rank with their own calibration (keyed on the
-            // chain fingerprint) instead of the global per-operator blend.
-            let chain_fp = fnv1a64(key.as_bytes());
-            let opt = optimize_costed(&ie, self.partial_rig, &|e| {
-                self.stats.estimate_cost_fp(e, chain_fp)
-            });
-            let lowered = lower_run(&ie, self.partial_rig, opt);
+            let lowered = lower_run(&ie, self.partial_rig, optimize(&ie, self.partial_rig));
             self.plan_cache.insert(key, lowered.clone());
             rewrites.extend(lowered.rewrites);
             empty |= lowered.empty;

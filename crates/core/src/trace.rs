@@ -23,7 +23,7 @@ use crate::plan::PlanRewrite;
 /// query server uses to correlate responses, query-log lines and
 /// flight-recorder entries. v3 added the abstract interpreter: `facts`
 /// (per-plan-node [`NodeFact`]s) and a `certified` flag on every rewrite
-/// (the certifier's verdict). v4 added the cost model: `estimates`
+/// (the certifier's verdict). v4 added cardinality estimates: `estimates`
 /// (per-variable estimated-vs-actual candidate cardinalities,
 /// [`CardEstimate`]) and the `plan_cache_hits`/`plan_cache_misses` pair
 /// recording how much planning work this run reused. v5 made the trace a

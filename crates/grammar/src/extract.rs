@@ -85,6 +85,29 @@ impl IndexSpec {
     pub fn word_scope(&self) -> Option<&str> {
         self.word_scope.as_deref()
     }
+
+    /// The names of the instance this spec builds over `grammar`: every
+    /// non-root symbol under full indexing, else the plain names, then the
+    /// scoped keys. Every build of the spec, and every file added to it,
+    /// registers exactly these names.
+    pub fn instance_names(&self, grammar: &Grammar) -> Vec<String> {
+        let mut names: Vec<String> = if self.all {
+            grammar
+                .symbols()
+                .filter(|&(id, _)| id != grammar.root())
+                .map(|(_, n)| n.to_owned())
+                .collect()
+        } else {
+            self.names.iter().cloned().collect()
+        };
+        for (scope, name) in &self.scoped {
+            let key = IndexSpec::scoped_key(scope, name);
+            if !names.contains(&key) {
+                names.push(key);
+            }
+        }
+        names
+    }
 }
 
 /// The region sink: region extraction as the parser goes. Each indexed
@@ -111,15 +134,7 @@ pub struct RegionSink {
 impl RegionSink {
     /// A sink extracting the regions `spec` asks for.
     pub fn new(grammar: &Grammar, spec: &IndexSpec) -> Self {
-        let mut names: Vec<String> = if spec.is_full() {
-            grammar
-                .symbols()
-                .filter(|&(id, _)| id != grammar.root())
-                .map(|(_, n)| n.to_owned())
-                .collect()
-        } else {
-            spec.plain_names().map(str::to_owned).collect()
-        };
+        let names = spec.instance_names(grammar);
         let mut plain = vec![None; grammar.symbol_count()];
         for (i, name) in names.iter().enumerate() {
             match grammar.symbol(name) {
@@ -130,13 +145,8 @@ impl RegionSink {
         let mut scoped = Vec::new();
         for (scope, name) in spec.scoped_names() {
             let key = IndexSpec::scoped_key(scope, name);
-            let bucket = match names.iter().position(|n| *n == key) {
-                Some(i) => i as u32,
-                None => {
-                    names.push(key);
-                    (names.len() - 1) as u32
-                }
-            };
+            let bucket =
+                names.iter().position(|n| *n == key).expect("a scoped key is named") as u32;
             if let (Some(s), Some(n)) = (grammar.symbol(scope), grammar.symbol(name)) {
                 if n != grammar.root() {
                     scoped.push((s, n, bucket));

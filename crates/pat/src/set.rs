@@ -19,7 +19,7 @@
 //!
 //! Nested outer operands and unskewed pairs keep the sweep. The `*_counted`
 //! forms also return the regions an operator read, the unit the engine's
-//! statistics and the cost model share.
+//! statistics count.
 
 use crate::Region;
 use qof_text::Pos;

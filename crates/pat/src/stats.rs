@@ -72,66 +72,6 @@ impl EvalStats {
     }
 }
 
-/// Observed per-operator output cardinalities — the feedback half of a
-/// cost model. Static estimates (index statistics pushed through the
-/// operators) predict cardinalities before a query runs; every query run
-/// then [`observe`](CardObservations::observe)s what each operator really
-/// produced, and the running means calibrate future estimates.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CardObservations {
-    /// Per operator label ([`OpTrace::op`](crate::OpTrace)):
-    /// `(observations, mean output cardinality)`.
-    per_op: BTreeMap<&'static str, (u64, f64)>,
-    /// Observations across all operators.
-    total: u64,
-}
-
-impl CardObservations {
-    /// No observations yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one operator application that produced `output` regions
-    /// (running mean, numerically stable for long-lived servers).
-    #[allow(clippy::cast_precision_loss)]
-    pub fn observe(&mut self, op: &'static str, output: u64) {
-        self.total += 1;
-        let (n, mean) = self.per_op.entry(op).or_insert((0, 0.0));
-        *n += 1;
-        *mean += (output as f64 - *mean) / *n as f64;
-    }
-
-    /// Mean observed output cardinality of `op`, if ever observed.
-    pub fn mean(&self, op: &str) -> Option<f64> {
-        self.per_op.get(op).map(|&(_, mean)| mean)
-    }
-
-    /// Number of observations recorded for `op`.
-    pub fn count(&self, op: &str) -> u64 {
-        self.per_op.get(op).map_or(0, |&(n, _)| n)
-    }
-
-    /// Total observations across all operators.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Merges another observation block into this one (weighted means).
-    #[allow(clippy::cast_precision_loss)]
-    pub fn absorb(&mut self, other: &CardObservations) {
-        self.total += other.total;
-        for (op, &(n, mean)) in &other.per_op {
-            let entry = self.per_op.entry(op).or_insert((0, 0.0));
-            let total = entry.0 + n;
-            if total > 0 {
-                entry.1 = (entry.1 * entry.0 as f64 + mean * n as f64) / total as f64;
-            }
-            entry.0 = total;
-        }
-    }
-}
-
 impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -182,23 +122,6 @@ mod tests {
         assert_eq!(a.ops("∩"), 1);
         assert_eq!(a.bytes_scanned, 5);
         assert_eq!(a.regions_consumed, 7);
-    }
-
-    #[test]
-    fn observations_track_running_means() {
-        let mut o = CardObservations::new();
-        assert_eq!(o.mean("⊃"), None);
-        o.observe("⊃", 10);
-        o.observe("⊃", 20);
-        o.observe("σ", 4);
-        assert!((o.mean("⊃").unwrap() - 15.0).abs() < 1e-9);
-        assert_eq!(o.count("⊃"), 2);
-        assert_eq!(o.total(), 3);
-        let mut other = CardObservations::new();
-        other.observe("⊃", 60);
-        o.absorb(&other);
-        assert!((o.mean("⊃").unwrap() - 30.0).abs() < 1e-9, "weighted merge");
-        assert_eq!(o.count("⊃"), 3);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use qof::corpus::{bibtex, code, logs, mail, sgml};
 use qof::grammar::{IndexSpec, StructuringSchema};
 use qof::text::{Corpus, CorpusBuilder};
-use qof::{advise, advise_costed, parse_query, FileDatabase, Rig, Severity};
+use qof::{advise, parse_query, FileDatabase, Rig, Severity};
 
 fn schema_by_name(name: &str) -> Option<StructuringSchema> {
     Some(match name {
@@ -59,7 +59,7 @@ fn usage() -> ExitCode {
          qof index build   <schema> [--index A,B,C] --out F.qofx <file>...\n  \
          qof index inspect <F.qofx>\n  \
          qof qlog analyze  <query.log> [--json]\n  \
-         qof advise  <schema> [--costed] [<file>...] <query>...\n  \
+         qof advise  <schema> <query>...\n  \
          qof check   <schema> [--index A,B,C] [--json] [<query>...]\n\
          schemas: bibtex mail logs sgml code"
     );
@@ -720,37 +720,14 @@ fn run() -> Result<ExitCode, String> {
         "advise" => {
             let Some(name) = args.get(1) else { return Ok(usage()) };
             let schema = schema_by_name(name).ok_or_else(|| format!("unknown schema `{name}`"))?;
-            let mut rest: Vec<String> = args[2..].to_vec();
-            let costed = rest.first().map(String::as_str) == Some("--costed");
-            if costed {
-                rest.remove(0);
-            }
-            // With `--costed`, leading arguments naming readable files form
-            // the corpus the statistics come from; everything else is a
-            // query. Without files, statistics come from a small generated
-            // sample of the schema's format.
-            let (files, query_srcs): (Vec<String>, Vec<String>) =
-                rest.into_iter().partition(|a| std::path::Path::new(a).is_file());
-            let queries: Vec<_> = query_srcs
+            let queries: Vec<_> = args[2..]
                 .iter()
                 .map(|q| parse_query(q).map_err(|e| e.to_string()))
                 .collect::<Result<_, _>>()?;
             if queries.is_empty() {
                 return Ok(usage());
             }
-            let rig = Rig::from_grammar(&schema.grammar);
-            let advice = if costed {
-                let db = if files.is_empty() {
-                    let text = generate_by_name(name, 20).expect("known schema");
-                    FileDatabase::build(Corpus::from_text(&text), schema.clone(), IndexSpec::full())
-                        .map_err(|e| e.to_string())?
-                } else {
-                    build_db(schema.clone(), &files, None)?
-                };
-                advise_costed(&schema, &rig, &queries, db.stats_store())
-            } else {
-                advise(&schema, &rig, &queries)
-            };
+            let advice = advise(&schema, &Rig::from_grammar(&schema.grammar), &queries);
             println!("index set: {}", advice.index_set.into_iter().collect::<Vec<_>>().join(","));
             for note in &advice.notes {
                 println!("note: {note}");
