@@ -747,14 +747,18 @@ fn e13(scale: Scale, r: &mut Recorder) {
     let names: Vec<String> = corpus.files().iter().map(|f| f.name.clone()).collect();
     drop(corpus);
 
-    // Cold build: what a server without a persisted index must do.
+    // Cold build: what a server without a persisted index must do, timed
+    // by phase: reading the files into a corpus, the region sweep that
+    // parses them, and the word index.
     let t = Instant::now();
     let mut builder = qof_text::CorpusBuilder::new();
     for name in &names {
         let text = std::fs::read_to_string(src_dir.join(name)).expect("read source file");
         builder.add_file(name.clone(), &text);
     }
-    let mem = FileDatabase::build(builder.build(), bibtex::schema(), IndexSpec::full())
+    let corpus = builder.build();
+    let t_assembly = t.elapsed().as_secs_f64();
+    let (mem, phases) = FileDatabase::build_timed(corpus, bibtex::schema(), IndexSpec::full())
         .expect("generated corpus indexes");
     let t_build = t.elapsed().as_secs_f64();
     std::fs::remove_dir_all(&src_dir).ok();
@@ -790,6 +794,9 @@ fn e13(scale: Scale, r: &mut Recorder) {
     let speedup = t_build / t_open.max(1e-9);
 
     r.rec("build_secs", t_build, "s");
+    r.rec("build_assembly_secs", t_assembly, "s");
+    r.rec("build_region_sweep_secs", phases.region_sweep.as_secs_f64(), "s");
+    r.rec("build_word_index_secs", phases.word_index.as_secs_f64(), "s");
     r.rec("persist_secs", t_persist, "s");
     r.rec("open_secs", t_open, "s");
     r.rec("cold_start_speedup", speedup, "x");
@@ -797,12 +804,15 @@ fn e13(scale: Scale, r: &mut Recorder) {
     r.rec("corpus_bytes", corpus_bytes as f64, "B");
     r.rec("index_bytes_per_corpus_byte", per_byte, "ratio");
     println!(
-        "{:>10} | {:>9} | {:>9} | {:>9} | {:>7}",
-        "build", "persist", "reopen", "speedup", "idx B/B"
+        "{:>10} | {:>9} | {:>9} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7}",
+        "build", "assembly", "regions", "words", "persist", "reopen", "speedup", "idx B/B"
     );
     println!(
-        "{} | {} | {} | {:>8.1}x | {:>7.3}",
+        "{} | {} | {} | {} | {} | {} | {:>8.1}x | {:>7.3}",
         fmt_secs(t_build),
+        fmt_secs(t_assembly),
+        fmt_secs(phases.region_sweep.as_secs_f64()),
+        fmt_secs(phases.word_index.as_secs_f64()),
         fmt_secs(t_persist),
         fmt_secs(t_open),
         speedup,
@@ -1197,6 +1207,9 @@ mod tests {
                 .value
         };
         assert!(get("cold_start_speedup") > 1.0, "reopen must beat rebuild");
+        let phases = ["build_assembly_secs", "build_region_sweep_secs", "build_word_index_secs"];
+        assert!(phases.iter().all(|p| get(p) > 0.0));
+        assert!(phases.iter().map(|p| get(p)).sum::<f64>() <= get("build_secs"));
         assert!(get("index_bytes_per_corpus_byte") < 1.0, "index must be compact");
         assert!(get("open_secs") > 0.0);
         assert!(get("file_bytes") > get("corpus_bytes"));

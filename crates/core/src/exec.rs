@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use qof_db::{Atom, Database, DbStats, Value};
 use qof_grammar::{
@@ -185,6 +185,15 @@ fn build_word_index(
     }
 }
 
+/// Where the time of a [`FileDatabase::build`] went.
+#[derive(Debug, Clone, Copy)]
+pub struct BuildPhases {
+    /// Parsing every file and extracting the spec's regions.
+    pub region_sweep: Duration,
+    /// Tokenizing the corpus into the word index.
+    pub word_index: Duration,
+}
+
 impl FileDatabase {
     /// Parses every file of the corpus with the schema's grammar, extracts
     /// the regions requested by `spec`, and builds the word index.
@@ -193,7 +202,17 @@ impl FileDatabase {
         schema: StructuringSchema,
         spec: IndexSpec,
     ) -> Result<Self, BuildError> {
+        Self::build_timed(corpus, schema, spec).map(|(db, _)| db)
+    }
+
+    /// [`FileDatabase::build`], also reporting how long each phase took.
+    pub fn build_timed(
+        corpus: Corpus,
+        schema: StructuringSchema,
+        spec: IndexSpec,
+    ) -> Result<(Self, BuildPhases), BuildError> {
         let tokenizer = Tokenizer::new();
+        let started = Instant::now();
         let instance = {
             let mut regions = RegionSink::new(&schema.grammar, &spec);
             let parser = Parser::new(&schema.grammar, corpus.text());
@@ -204,8 +223,10 @@ impl FileDatabase {
             }
             regions.finish()
         };
+        let swept = Instant::now();
         let words = build_word_index(&corpus, &tokenizer, &spec, &instance);
-        Ok(Self::from_parts(corpus, words, schema, spec, instance))
+        let phases = BuildPhases { region_sweep: swept - started, word_index: swept.elapsed() };
+        Ok((Self::from_parts(corpus, words, schema, spec, instance), phases))
     }
 
     /// Assembles a database from its indexed parts, deriving the RIGs from

@@ -453,6 +453,17 @@ fn decode_words(buf: &[u8], case_fold: bool, text_len: usize) -> Result<WordInde
 /// the text and start and end on character boundaries: queries slice the
 /// text at region ends and parse candidates up to them.
 fn decode_regions(buf: &[u8], text: &str) -> Result<Instance, QofxError> {
+    // In ASCII text every offset up to its length is a character boundary,
+    // so once the text is known ASCII the test is a bound on `end` (and
+    // `start <= end`).
+    let ascii = text.is_ascii();
+    let in_text = |start: Pos, end: Pos| {
+        if ascii {
+            end as usize <= text.len()
+        } else {
+            text.is_char_boundary(start as usize) && text.is_char_boundary(end as usize)
+        }
+    };
     let at = &mut 0usize;
     let n_names = decode_u64(buf, at).ok_or(QofxError::Truncated)?;
     let n_names = usize::try_from(n_names).map_err(|_| QofxError::Truncated)?;
@@ -473,7 +484,7 @@ fn decode_regions(buf: &[u8], text: &str) -> Result<Instance, QofxError> {
             let len = decode_u32(buf, at).ok_or(QofxError::Truncated)?;
             let start = prev_start.checked_add(gap).ok_or(QofxError::Truncated)?;
             let end = start.checked_add(len).ok_or(QofxError::Truncated)?;
-            if !(text.is_char_boundary(start as usize) && text.is_char_boundary(end as usize)) {
+            if !in_text(start, end) {
                 return Err(QofxError::Corrupt(format!(
                     "region {start}..{end} of {name} lies outside the corpus text or splits a \
                      character"

@@ -14,14 +14,27 @@ pub struct Token<'a> {
 
 /// Splits corpus text into word tokens.
 ///
-/// A word character is ASCII alphanumeric by default; additional characters
-/// (e.g. `-` or `_`) can be admitted. Matching can be case-folded, in which
-/// case the index stores lowercase keys while spans always refer to the
-/// original text.
-#[derive(Debug, Clone, Default)]
+/// A word character is ASCII alphanumeric by default; additional ASCII
+/// characters (e.g. `-` or `_`) can be admitted. Word characters are ASCII
+/// only, so a token never starts or ends inside a multi-byte UTF-8
+/// sequence. Matching can be case-folded, in which case the index stores
+/// lowercase keys while spans always refer to the original text.
+#[derive(Debug, Clone)]
 pub struct Tokenizer {
-    extra: Vec<char>,
+    /// `word[b]`: whether byte `b` is a word character. Only ASCII bytes
+    /// ever are.
+    word: [bool; 256],
     case_fold: bool,
+}
+
+impl Default for Tokenizer {
+    fn default() -> Self {
+        let mut word = [false; 256];
+        for b in 0..0x80u8 {
+            word[usize::from(b)] = b.is_ascii_alphanumeric();
+        }
+        Self { word, case_fold: false }
+    }
 }
 
 impl Tokenizer {
@@ -31,8 +44,16 @@ impl Tokenizer {
     }
 
     /// Admits additional word characters such as `-` or `'`.
+    ///
+    /// # Panics
+    /// Panics if a character is not ASCII: the tokenizer classifies bytes,
+    /// and a non-ASCII word character would cut tokens inside UTF-8
+    /// sequences.
     pub fn with_extra_chars(mut self, chars: &[char]) -> Self {
-        self.extra.extend_from_slice(chars);
+        for &c in chars {
+            assert!(c.is_ascii(), "extra word character {c:?} is not ASCII");
+            self.word[c as usize] = true;
+        }
         self
     }
 
@@ -56,10 +77,6 @@ impl Tokenizer {
         }
     }
 
-    fn is_word_char(&self, c: char) -> bool {
-        c.is_ascii_alphanumeric() || self.extra.contains(&c)
-    }
-
     /// Iterates over the tokens of `text`, with spans offset by `base`
     /// (the position of `text` within the global corpus).
     pub fn tokenize<'a>(
@@ -67,36 +84,19 @@ impl Tokenizer {
         text: &'a str,
         base: Pos,
     ) -> impl Iterator<Item = Token<'a>> + 'a {
-        TokenIter { tok: self, text, base, at: 0 }
-    }
-}
-
-struct TokenIter<'a> {
-    tok: &'a Tokenizer,
-    text: &'a str,
-    base: Pos,
-    at: usize,
-}
-
-impl<'a> Iterator for TokenIter<'a> {
-    type Item = Token<'a>;
-
-    fn next(&mut self) -> Option<Token<'a>> {
-        let bytes = self.text.as_bytes();
-        // Skip non-word bytes. Word chars are ASCII, so byte-wise advance is
-        // safe: multi-byte UTF-8 sequences contain no ASCII bytes.
-        while self.at < bytes.len() && !self.tok.is_word_char(bytes[self.at] as char) {
-            self.at += 1;
-        }
-        if self.at >= bytes.len() {
-            return None;
-        }
-        let start = self.at;
-        while self.at < bytes.len() && self.tok.is_word_char(bytes[self.at] as char) {
-            self.at += 1;
-        }
-        let span = (self.base + start as Pos)..(self.base + self.at as Pos);
-        Some(Token { text: &self.text[start..self.at], span })
+        let word = &self.word;
+        let bytes = text.as_bytes();
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let start = at + bytes[at..].iter().position(|&b| word[usize::from(b)])?;
+            at = bytes[start..]
+                .iter()
+                .position(|&b| !word[usize::from(b)])
+                .map_or(bytes.len(), |len| start + len);
+            // Word bytes are ASCII, so `start` and `at` are char boundaries.
+            let span = (base + start as Pos)..(base + at as Pos);
+            Some(Token { text: &text[start..at], span })
+        })
     }
 }
 
@@ -129,6 +129,20 @@ mod tests {
     fn extra_chars_join_words() {
         let t = Tokenizer::new().with_extra_chars(&['-']);
         assert_eq!(words(&t, "pre-processor runs"), ["pre-processor", "runs"]);
+    }
+
+    #[test]
+    fn ascii_extra_chars_leave_multibyte_text_whole() {
+        // U+9000 is E9 80 80 in UTF-8: its lead byte is the Latin-1 code
+        // of `é`, which once made the tokenizer cut a token inside it.
+        let t = Tokenizer::new().with_extra_chars(&['-']);
+        assert_eq!(words(&t, "a-b \u{9000}x-\u{9000} é-"), ["a-b", "x-", "-"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not ASCII")]
+    fn non_ascii_extra_chars_are_rejected() {
+        let _ = Tokenizer::new().with_extra_chars(&['é']);
     }
 
     #[test]

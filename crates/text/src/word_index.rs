@@ -56,28 +56,14 @@ impl<'a> WordIndexBuilder<'a> {
 
     /// Tokenizes the corpus and builds the index.
     pub fn build(self, corpus: &Corpus) -> WordIndex {
-        let mut map: HashMap<String, Vec<Pos>> = HashMap::new();
-        let mut postings = 0usize;
-        // Running maximum of span ends among scope spans whose start <= token
-        // start; a token is in scope iff that max covers its end.
-        let scope = self.scope.as_deref();
-        let mut scope_idx = 0usize;
-        let mut max_end: Pos = 0;
-        for tok in self.tokenizer.tokenize(corpus.text(), 0) {
-            if let Some(spans) = scope {
-                while scope_idx < spans.len() && spans[scope_idx].start <= tok.span.start {
-                    max_end = max_end.max(spans[scope_idx].end);
-                    scope_idx += 1;
-                }
-                if tok.span.end > max_end {
-                    continue;
-                }
-            }
-            let key = self.tokenizer.normalize(tok.text);
-            map.entry(key).or_default().push(tok.span.start);
-            postings += 1;
-        }
-        WordIndex { map, postings, case_fold: self.tokenizer.folds_case(), scope: self.scope }
+        let mut index = WordIndex {
+            map: HashMap::new(),
+            postings: 0,
+            case_fold: self.tokenizer.folds_case(),
+            scope: self.scope,
+        };
+        index.index_text(self.tokenizer, corpus.text(), 0);
+        index
     }
 }
 
@@ -193,13 +179,23 @@ impl WordIndex {
     /// Panics in debug builds if an out-of-order position is appended.
     pub fn append_span(&mut self, corpus: &Corpus, tokenizer: &Tokenizer, span: Span) {
         debug_assert_eq!(self.case_fold, tokenizer.folds_case(), "tokenizer mode must match");
-        let text = corpus.slice(span.clone());
-        // Same running-max sweep as the builder: a token is in scope iff
-        // some scope span starting at or before it covers its end.
-        let scope = self.scope.as_deref();
+        self.index_text(tokenizer, corpus.slice(span.clone()), span.start);
+    }
+
+    /// Appends the in-scope word occurrences of `text`, which starts at
+    /// global position `base`, to their posting lists. A word is looked
+    /// up by `&str`; only a word not seen before allocates its key.
+    fn index_text(&mut self, tokenizer: &Tokenizer, text: &str, base: Pos) {
+        let Self { map, postings, scope, .. } = self;
+        // A token is in scope iff some scope span starting at or before it
+        // covers its end: keep the running maximum of those spans' ends.
+        let scope = scope.as_deref();
         let mut scope_idx = 0usize;
         let mut max_end: Pos = 0;
-        for tok in tokenizer.tokenize(text, span.start) {
+        // Tokens are ASCII, so case folding is ASCII lowercasing, done in
+        // one reused buffer.
+        let mut folded = String::new();
+        for tok in tokenizer.tokenize(text, base) {
             if let Some(spans) = scope {
                 while scope_idx < spans.len() && spans[scope_idx].start <= tok.span.start {
                     max_end = max_end.max(spans[scope_idx].end);
@@ -209,11 +205,24 @@ impl WordIndex {
                     continue;
                 }
             }
-            let key = tokenizer.normalize(tok.text);
-            let list = self.map.entry(key).or_default();
-            debug_assert!(list.last().is_none_or(|&p| p < tok.span.start));
-            list.push(tok.span.start);
-            self.postings += 1;
+            let word = if tokenizer.folds_case() {
+                folded.clear();
+                folded.push_str(tok.text);
+                folded.make_ascii_lowercase();
+                folded.as_str()
+            } else {
+                tok.text
+            };
+            match map.get_mut(word) {
+                Some(list) => {
+                    debug_assert!(list.last().is_none_or(|&p| p < tok.span.start));
+                    list.push(tok.span.start);
+                }
+                None => {
+                    map.insert(word.to_owned(), vec![tok.span.start]);
+                }
+            }
+            *postings += 1;
         }
     }
 }
@@ -272,9 +281,11 @@ mod tests {
     fn scoped_index_requires_full_containment() {
         let c = Corpus::from_text("abcdef");
         let t = Tokenizer::new();
-        // Token 0..6; scope 0..3 cuts it in half: not indexed.
-        let i = WordIndexBuilder::new(&t).scoped_to(Vec::from([0..3])).build(&c);
-        assert!(i.positions("abcdef").is_empty());
+        // Token 0..6; scopes 0..3 and 0..5 cut it: not indexed.
+        for end in [3, 5] {
+            let i = WordIndexBuilder::new(&t).scoped_to(Vec::from([0..end])).build(&c);
+            assert!(i.positions("abcdef").is_empty());
+        }
     }
 
     #[test]

@@ -1,0 +1,257 @@
+//! Word-index equivalence: the byte-class tokenizer and the shared posting
+//! push of `WordIndex::build` and `append_span` must index exactly what a
+//! plain build indexes — tokens split by a `char` predicate, a `normalize`
+//! per token, and a map `entry` per posting.
+//!
+//! The indexes are compared on all five generated corpora, case-sensitive
+//! and case-folded, over the whole text and under a §7 word scope, built
+//! in one go from the first file and then extended file by file. The
+//! tokenizer is compared on seeded random strings that mix ASCII letters,
+//! punctuation and multi-byte UTF-8.
+
+use std::collections::BTreeMap;
+
+use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
+use qof::grammar::{IndexSpec, StructuringSchema};
+use qof::pat::Region;
+use qof::text::{Corpus, CorpusBuilder, Pos, Span, Tokenizer, WordIndex, WordIndexBuilder};
+use qof::FileDatabase;
+
+/// One generated corpus: its files, schema and a region name to scope the
+/// word index to.
+struct Case {
+    name: &'static str,
+    files: Vec<String>,
+    schema: StructuringSchema,
+    scope: &'static str,
+}
+
+/// Three files of one generator, on seeds 1 to 3.
+fn files(generate: impl Fn(u64) -> String) -> Vec<String> {
+    (1..=3).map(generate).collect()
+}
+
+fn cases() -> Vec<Case> {
+    vec![
+        Case {
+            name: "bibtex",
+            files: files(|seed| {
+                bibtex::generate(&bibtex::BibtexConfig { n_refs: 12, seed, ..Default::default() }).0
+            }),
+            schema: bibtex::schema(),
+            scope: "Authors",
+        },
+        Case {
+            name: "mail",
+            files: files(|seed| {
+                mail::generate(&mail::MailConfig { n_messages: 6, seed, ..Default::default() }).0
+            }),
+            schema: mail::schema(),
+            scope: "Recipients",
+        },
+        Case {
+            name: "logs",
+            files: files(|seed| {
+                logs::generate(&logs::LogConfig { n_sessions: 6, seed, ..Default::default() }).0
+            }),
+            schema: logs::schema(),
+            scope: "Requests",
+        },
+        Case {
+            name: "sgml",
+            files: files(|seed| {
+                sgml::generate(&sgml::SgmlConfig { top_sections: 3, seed, ..Default::default() }).0
+            }),
+            schema: sgml::schema(),
+            scope: "Subsections",
+        },
+        Case {
+            name: "code",
+            files: files(|seed| {
+                code::generate(&code::CodeConfig { n_functions: 6, seed, ..Default::default() }).0
+            }),
+            schema: code::schema(),
+            scope: "If",
+        },
+    ]
+}
+
+/// The `(start, end)` byte offsets of the maximal runs of word characters
+/// in `text`, found `char` by `char`.
+fn reference_tokens(text: &str, extra: &[char]) -> Vec<(usize, usize)> {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || extra.contains(&c);
+    let mut tokens = Vec::new();
+    let mut start = None;
+    for (at, c) in text.char_indices() {
+        match (is_word(c), start) {
+            (true, None) => start = Some(at),
+            (false, Some(s)) => {
+                tokens.push((s, at));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    if let Some(s) = start {
+        tokens.push((s, text.len()));
+    }
+    tokens
+}
+
+/// The word index of `corpus` built the plain way: every token inside some
+/// `scope` span (every token, without a scope) is normalized by `tokenizer`
+/// and its start pushed through `entry`.
+fn reference_index(
+    corpus: &Corpus,
+    tokenizer: &Tokenizer,
+    scope: Option<&[Span]>,
+) -> BTreeMap<String, Vec<Pos>> {
+    let covered = |start: Pos, end: Pos| {
+        scope.is_none_or(|spans| spans.iter().any(|s| s.start <= start && end <= s.end))
+    };
+    let mut map: BTreeMap<String, Vec<Pos>> = BTreeMap::new();
+    for (start, end) in reference_tokens(corpus.text(), &[]) {
+        let (start_pos, end_pos) = (start as Pos, end as Pos);
+        if covered(start_pos, end_pos) {
+            let key = tokenizer.normalize(&corpus.text()[start..end]);
+            map.entry(key).or_default().push(start_pos);
+        }
+    }
+    map
+}
+
+fn assert_same(case: &str, index: &WordIndex, reference: &BTreeMap<String, Vec<Pos>>) {
+    let got: BTreeMap<String, Vec<Pos>> =
+        index.iter().map(|(w, p)| (w.to_owned(), p.to_vec())).collect();
+    assert_eq!(got.len(), reference.len(), "{case}: distinct words");
+    for (word, positions) in reference {
+        assert_eq!(got.get(word), Some(positions), "{case}: postings of `{word}`");
+    }
+    assert_eq!(index.postings(), reference.values().map(Vec::len).sum::<usize>(), "{case}");
+}
+
+fn region_spans(db: &FileDatabase, name: &str) -> Vec<Span> {
+    let set = db.instance().get(name).unwrap_or_else(|| panic!("no regions named {name}"));
+    let spans: Vec<Span> = set.iter().map(Region::span).collect();
+    assert!(!spans.is_empty(), "{name}: an empty scope tests nothing");
+    spans
+}
+
+/// The spans of `spans` that lie inside `outer`.
+fn inside(spans: &[Span], outer: &Span) -> Vec<Span> {
+    spans.iter().filter(|s| outer.start <= s.start && s.end <= outer.end).cloned().collect()
+}
+
+#[test]
+fn build_then_append_matches_the_reference_on_every_corpus() {
+    for case in cases() {
+        let mut all = CorpusBuilder::new();
+        for (i, text) in case.files.iter().enumerate() {
+            all.add_file(format!("f{i}"), text);
+        }
+        let all = all.build();
+        let db = FileDatabase::build(all.clone(), case.schema.clone(), IndexSpec::full()).unwrap();
+        let scope_spans = region_spans(&db, case.scope);
+        for tokenizer in [Tokenizer::new(), Tokenizer::new().case_insensitive()] {
+            for scope in [None, Some(scope_spans.as_slice())] {
+                let label = format!(
+                    "{} fold={} scoped={}",
+                    case.name,
+                    tokenizer.folds_case(),
+                    scope.is_some()
+                );
+                // Build over the first file, then append the others one by
+                // one, growing the scope by each file's spans first.
+                let mut corpus = Corpus::from_text(&case.files[0]);
+                let mut builder = WordIndexBuilder::new(&tokenizer);
+                if let Some(spans) = scope {
+                    builder = builder.scoped_to(inside(spans, &(0..corpus.len())));
+                }
+                let mut index = builder.build(&corpus);
+                for (i, text) in case.files.iter().enumerate().skip(1) {
+                    let id = corpus.push_file(format!("f{i}"), text);
+                    let span = corpus.file(id).unwrap().span.clone();
+                    if let Some(spans) = scope {
+                        index.extend_scope(inside(spans, &span));
+                    }
+                    index.append_span(&corpus, &tokenizer, span);
+                }
+                assert_eq!(corpus.text(), all.text(), "{label}: corpus offsets");
+                assert_same(&label, &index, &reference_index(&all, &tokenizer, scope));
+                // Building over the whole text at once agrees as well.
+                let mut whole = WordIndexBuilder::new(&tokenizer);
+                if let Some(spans) = scope {
+                    whole = whole.scoped_to(spans.to_vec());
+                }
+                assert_same(&label, &whole.build(&all), &reference_index(&all, &tokenizer, scope));
+            }
+        }
+    }
+}
+
+#[test]
+fn build_and_add_file_match_the_reference_through_the_database() {
+    for case in cases() {
+        for spec in [IndexSpec::full(), IndexSpec::full().with_word_scope(case.scope)] {
+            let label = format!("{} scope={:?}", case.name, spec.word_scope());
+            let mut db =
+                FileDatabase::build(Corpus::from_text(&case.files[0]), case.schema.clone(), spec)
+                    .unwrap();
+            for (i, text) in case.files.iter().enumerate().skip(1) {
+                db.add_file(format!("f{i}"), text).unwrap();
+            }
+            let scope = db.index_spec().word_scope().map(|name| region_spans(&db, name));
+            let reference = reference_index(db.corpus(), &Tokenizer::new(), scope.as_deref());
+            assert_same(&label, db.word_index(), &reference);
+        }
+    }
+}
+
+/// A random string of ASCII letters and digits, punctuation, whitespace
+/// and two-, three- and four-byte UTF-8 characters.
+fn random_text(rng: &mut StdRng) -> String {
+    const PIECES: &[&str] = &[
+        "a",
+        "Z",
+        "q",
+        "7",
+        "0",
+        "-",
+        "_",
+        "'",
+        " ",
+        ",",
+        ".",
+        "\n",
+        "\t",
+        "é",
+        "ü",
+        "\u{80}",
+        "\u{9000}",
+        "€",
+        "\u{1F600}",
+        "ÿ",
+    ];
+    let len = rng.random_range(0..48);
+    (0..len).map(|_| PIECES[rng.random_range(0..PIECES.len())]).collect()
+}
+
+#[test]
+fn tokenizer_matches_a_char_predicate_on_random_text() {
+    let extras: [&[char]; 3] = [&[], &['-'], &['-', '_', '\'']];
+    let mut seeds = StdRng::seed_from_u64(0x70ce_17e5);
+    for i in 0..4000 {
+        let seed = seeds.next_u64();
+        let text = random_text(&mut StdRng::seed_from_u64(seed));
+        let extra = extras[i % extras.len()];
+        let tokenizer = Tokenizer::new().with_extra_chars(extra);
+        let base = 1000;
+        let got: Vec<(usize, usize, &str)> = tokenizer
+            .tokenize(&text, base)
+            .map(|t| ((t.span.start - base) as usize, (t.span.end - base) as usize, t.text))
+            .collect();
+        let want: Vec<(usize, usize, &str)> =
+            reference_tokens(&text, extra).into_iter().map(|(s, e)| (s, e, &text[s..e])).collect();
+        assert_eq!(got, want, "seed {seed:#x}, extra {extra:?}, text {text:?}");
+    }
+}
