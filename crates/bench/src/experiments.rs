@@ -12,8 +12,7 @@ use std::time::Instant;
 
 use qof_core::baseline::BaselineMode;
 use qof_core::{
-    advise, certify, optimize, parse_query, AbsInterp, Direction, FileDatabase, InclusionExpr, Rig,
-    SelectKind,
+    advise, certify, optimize, parse_query, Direction, FileDatabase, InclusionExpr, Rig, SelectKind,
 };
 use qof_corpus::{bibtex, logs};
 use qof_grammar::{render_tree, IndexSpec, Parser};
@@ -91,7 +90,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("e13", "persistent index (.qofx): reopen vs rebuild"),
     ("a1", "ablation: common-subexpression sharing in boolean queries (§5.2)"),
     ("a2", "analyzer: qof check latency and rewrite-certifier overhead"),
-    ("a3", "planner intervals: cardinality-estimation error and plan-cache hit rate"),
+    ("a3", "plan cache: hit rate, cold pass and warm pass"),
     ("a5", "workload analytics: fingerprint aggregation overhead and heavy-hitter accuracy"),
 ];
 
@@ -909,8 +908,8 @@ fn a2(scale: Scale, r: &mut Recorder) {
             }
             t.elapsed().as_secs_f64() / queries.len() as f64
         });
-        // The certifier micro-benchmark: replay + abstract states for the
-        // golden chain's two-step rewrite, amortized over a tight loop.
+        // The certifier micro-benchmark: the trace replay for the golden
+        // chain's two-step rewrite, amortized over a tight loop.
         let rig = fdb.partial_rig();
         let chain = InclusionExpr::all_direct(
             Direction::Including,
@@ -918,11 +917,10 @@ fn a2(scale: Scale, r: &mut Recorder) {
             None,
         );
         let opt = optimize(&chain, rig);
-        let interp = AbsInterp::new(rig);
         let t_cert = median_secs(9, || {
             let t = Instant::now();
             for _ in 0..100 {
-                std::hint::black_box(certify(&chain, rig, &opt, &interp));
+                std::hint::black_box(certify(&chain, rig, &opt));
             }
             t.elapsed().as_secs_f64() / 100.0
         });
@@ -940,14 +938,11 @@ fn a2(scale: Scale, r: &mut Recorder) {
     }
 }
 
-/// A3: how tight the planner's cardinality intervals are, and what the
-/// plan cache buys. A mixed workload runs several passes over the corpus;
-/// the first pass measures estimation quality (planner intervals vs the
-/// phase-1 cardinalities the engine then observed), the repeats measure
-/// the plan cache. Soundness — every observation inside its interval — is
-/// asserted, not just reported.
+/// A3: what the plan cache buys. A mixed workload runs one cold pass —
+/// every chain misses the cache and is optimized and certified — and then
+/// warm passes of the same queries, which plan from the cache.
 fn a3(scale: Scale, r: &mut Recorder) {
-    banner("A3", "planner intervals: cardinality-estimation error and plan-cache hit rate");
+    banner("A3", "plan cache: hit rate, cold pass and warm pass");
     let workload = [
         CHANG_AUTHOR,
         CHANG_STAR,
@@ -955,38 +950,19 @@ fn a3(scale: Scale, r: &mut Recorder) {
         "SELECT r FROM References r WHERE r.Year = \"1982\"",
     ];
     println!(
-        "{:>8} | {:>9} {:>8} | {:>9} {:>10} | {:>10} {:>10}",
-        "refs", "rel err", "sound", "pc hits", "pc misses", "1st pass", "warm pass"
+        "{:>8} | {:>9} {:>10} {:>8} | {:>10} {:>10}",
+        "refs", "pc hits", "pc misses", "hit rate", "1st pass", "warm pass"
     );
     for n in scale.pick(vec![200usize], vec![800usize, 3200]) {
         let fdb = bibtex_full(n);
-        // Pass 1 (cold): every chain misses the plan cache; collect the
-        // estimated-vs-actual pairs.
         let t = Instant::now();
-        let mut rel_err_sum = 0.0;
-        let mut est_count = 0u64;
-        let mut sound = 0u64;
         for q in &workload {
             let (_, trace) = fdb.query_traced(q).unwrap();
-            for e in &trace.estimates {
-                // Point estimate: the interval midpoint when bounded above,
-                // else the lower bound.
-                let point = match e.est_hi {
-                    Some(hi) => (e.est_lo as f64 + hi as f64) / 2.0,
-                    None => e.est_lo as f64,
-                };
-                rel_err_sum += (point - e.observed as f64).abs() / (e.observed as f64).max(1.0);
-                est_count += 1;
-                let inside = e.est_lo <= e.observed && e.est_hi.is_none_or(|hi| e.observed <= hi);
-                assert!(inside, "unsound estimate for {q}: {e:?}");
-                sound += u64::from(inside);
-            }
             if *q == CHANG_AUTHOR {
                 r.attach_trace(trace.to_json());
             }
         }
         let t_cold = t.elapsed().as_secs_f64() / workload.len() as f64;
-        // Warm passes: identical queries, so planning comes from the cache.
         let passes = scale.pick(3usize, 9);
         let t_warm = median_secs(passes, || {
             let t = Instant::now();
@@ -996,23 +972,18 @@ fn a3(scale: Scale, r: &mut Recorder) {
             t.elapsed().as_secs_f64() / workload.len() as f64
         });
         let pc = fdb.plan_cache_stats();
-        let mean_rel_err = rel_err_sum / est_count.max(1) as f64;
-        let sound_rate = sound as f64 / est_count.max(1) as f64;
         let hit_rate = pc.hits as f64 / (pc.hits + pc.misses).max(1) as f64;
-        r.rec(format!("estimate_mean_rel_error_{n}"), mean_rel_err, "x");
-        r.rec(format!("estimate_sound_rate_{n}"), sound_rate, "ratio");
         r.rec(format!("plan_cache_hit_rate_{n}"), hit_rate, "ratio");
         r.rec(format!("plan_cache_hits_{n}"), pc.hits as f64, "count");
         r.rec(format!("plan_cache_misses_{n}"), pc.misses as f64, "count");
         r.rec(format!("cold_pass_secs_{n}"), t_cold, "s");
         r.rec(format!("warm_pass_secs_{n}"), t_warm, "s");
         println!(
-            "{:>8} | {:>8.2}x {:>7.0}% | {:>9} {:>10} | {} {}",
+            "{:>8} | {:>9} {:>10} {:>7.0}% | {} {}",
             n,
-            mean_rel_err,
-            sound_rate * 100.0,
             pc.hits,
             pc.misses,
+            hit_rate * 100.0,
             fmt_secs(t_cold),
             fmt_secs(t_warm),
         );
@@ -1068,8 +1039,6 @@ fn a5(scale: Scale, r: &mut Recorder) {
                 bytes: tr.bytes_touched,
                 plan_cache_hits: tr.plan_cache_hits,
                 plan_cache_misses: tr.plan_cache_misses,
-                est_ratio: 1.0,
-                trace_id: tr.id,
             })
             .collect();
         let table = WorkloadTable::new();
@@ -1114,8 +1083,6 @@ fn a5(scale: Scale, r: &mut Recorder) {
                 bytes: 10,
                 plan_cache_hits: 1,
                 plan_cache_misses: 0,
-                est_ratio: 1.0,
-                trace_id: fp,
             });
             if fp == 1 {
                 true_hot += 1;
@@ -1146,27 +1113,22 @@ mod tests {
     }
 
     #[test]
-    fn a3_reports_estimation_error_and_plan_cache_hit_rate() {
+    fn a3_reports_plan_cache_hit_rate_and_pass_times() {
         let report = run("a3", Scale::Small).unwrap();
         let names: Vec<&str> = report.measurements.iter().map(|m| m.name.as_str()).collect();
-        assert!(names.iter().any(|n| n.starts_with("estimate_mean_rel_error_")), "{names:?}");
-        assert!(names.iter().any(|n| n.starts_with("plan_cache_hit_rate_")), "{names:?}");
+        for stem in ["plan_cache_hit_rate_", "cold_pass_secs_", "warm_pass_secs_"] {
+            assert!(names.iter().any(|n| n.starts_with(stem)), "{stem}: {names:?}");
+        }
         let hit_rate = report
             .measurements
             .iter()
             .find(|m| m.name.starts_with("plan_cache_hit_rate_"))
             .unwrap();
         assert!(hit_rate.value > 0.0, "warm passes must hit the plan cache");
-        let sound = report
-            .measurements
-            .iter()
-            .find(|m| m.name.starts_with("estimate_sound_rate_"))
-            .unwrap();
-        assert!((sound.value - 1.0).abs() < f64::EPSILON, "intervals must be sound");
-        // The embedded trace is a v7 document with estimates.
+        // The embedded trace is a v8 document: no estimates.
         let trace = report.trace_json.as_deref().unwrap();
-        assert!(trace.contains("\"schema_version\":7"), "{trace}");
-        assert!(trace.contains("\"estimates\":["), "{trace}");
+        assert!(trace.contains("\"schema_version\":8"), "{trace}");
+        assert!(!trace.contains("\"estimates\""), "{trace}");
     }
 
     #[test]
@@ -1188,9 +1150,9 @@ mod tests {
         // sweep and its count bound contains the true count.
         let (hits, over) = (get("hot_shape_hits"), get("hot_shape_overcount"));
         assert!(hits - over <= 4096.0 && hits >= 4096.0 / 64.0, "hot shape bound");
-        // The embedded trace is a v7 document carrying the fingerprint.
+        // The embedded trace is a v8 document carrying the fingerprint.
         let trace = report.trace_json.as_deref().unwrap();
-        assert!(trace.contains("\"schema_version\":7"), "{trace}");
+        assert!(trace.contains("\"schema_version\":8"), "{trace}");
         assert!(trace.contains("\"fingerprint\":\""), "{trace}");
         assert!(trace.contains("\"bytes_touched\":"), "{trace}");
     }

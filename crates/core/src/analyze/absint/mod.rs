@@ -2,26 +2,24 @@
 //!
 //! Every [`RegionExpr`] node is assigned an [`AbsState`]: a **static
 //! domain** (which region types the result's spans can belong to,
-//! derived from the RIG's inclusion closure), a **cardinality interval**
-//! (exact leaf counts from index statistics when available, `[0, ∞)`
-//! otherwise), and an **emptiness fact** (`σ_w` on a word absent from
-//! the index, inclusion chains contradicting the RIG's partial order,
-//! `x − x`, …). The domains are *sound over-approximations*: the
-//! concrete result's cardinality always lies in the interval, and a
-//! node proven `empty` evaluates to ∅ on any instance consistent with
-//! the RIG (`tests/absint_properties.rs` checks exactly this).
+//! derived from the RIG's inclusion closure) and an **emptiness fact**
+//! (inclusion chains contradicting the RIG's partial order, `x − x`, …).
+//! Both come from the RIG alone — no index statistics — so a state
+//! depends only on the expression and the RIG. The facts are *sound
+//! over-approximations*: every span of the concrete result is a region of
+//! a type the domain names, and a node proven `empty` evaluates to ∅ on
+//! any instance consistent with the RIG (`tests/absint_properties.rs`
+//! checks both).
 //!
 //! Two consumers sit on top:
 //!
-//! * [`certify`](crate::analyze::absint::certify) — replays every
-//!   §3.3/§3.5 rewrite the optimizer recorded (through the one trace
-//!   replay, [`crate::analyze::verify::replay`]) and checks the pre/post
-//!   abstract states are compatible (certified steps are annotated in
-//!   `QueryTrace` and EXPLAIN; an uncertifiable step raises `QOF110` and
-//!   leaves its chain unoptimized);
+//! * the query trace's per-plan-node facts ([`AbsInterp::fact`]);
 //! * [`lint_expr`](AbsInterp::lint_expr) — the `QOF1xx` lint family in
 //!   `qof check` (provably-empty subexpressions, dead `∪`/`−` branches,
 //!   redundant intersections, inclusion over disjoint RIG components).
+//!
+//! The rewrite certifier ([`certify`]) lives here too; it signs steps off
+//! from the one trace replay, [`crate::analyze::verify::replay`].
 
 mod certify;
 
@@ -30,70 +28,8 @@ pub use certify::{certify, uncertified_diagnostic, CertifyResult, StepCert};
 use super::{Code, Diagnostic, Severity};
 use crate::trace::NodeFact;
 use crate::Rig;
-use qof_pat::{Instance, RegionExpr};
-use qof_text::WordIndex;
+use qof_pat::RegionExpr;
 use std::collections::BTreeSet;
-
-/// An interval `[lo, hi]` of possible result cardinalities; `hi == None`
-/// means unbounded (`∞`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CardInterval {
-    /// Inclusive lower bound.
-    pub lo: u64,
-    /// Inclusive upper bound; `None` is `∞`.
-    pub hi: Option<u64>,
-}
-
-impl CardInterval {
-    /// The no-information interval `[0, ∞)`.
-    pub fn top() -> Self {
-        CardInterval { lo: 0, hi: None }
-    }
-
-    /// A singleton interval `[n, n]`.
-    pub fn exact(n: u64) -> Self {
-        CardInterval { lo: n, hi: Some(n) }
-    }
-
-    /// The empty-set interval `[0, 0]`.
-    pub fn zero() -> Self {
-        CardInterval::exact(0)
-    }
-
-    /// Whether a concrete cardinality lies in the interval.
-    pub fn contains(&self, n: u64) -> bool {
-        self.lo <= n && self.hi.is_none_or(|hi| n <= hi)
-    }
-
-    /// Whether two intervals share at least one value.
-    pub fn overlaps(&self, other: &CardInterval) -> bool {
-        self.hi.is_none_or(|hi| other.lo <= hi) && other.hi.is_none_or(|hi| self.lo <= hi)
-    }
-
-    fn min_hi(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-        match (a, b) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (Some(x), None) | (None, Some(x)) => Some(x),
-            (None, None) => None,
-        }
-    }
-
-    fn add_hi(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-        match (a, b) {
-            (Some(x), Some(y)) => Some(x.saturating_add(y)),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for CardInterval {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.hi {
-            Some(hi) => write!(f, "[{}, {}]", self.lo, hi),
-            None => write!(f, "[{}, ∞)", self.lo),
-        }
-    }
-}
 
 /// The abstract state of one expression node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,8 +38,6 @@ pub struct AbsState {
     /// every span in the concrete result is a region of at least one type
     /// in `D`; `None` is ⊤ (no claim — e.g. raw word spans).
     pub domain: Option<BTreeSet<String>>,
-    /// Possible result cardinalities.
-    pub card: CardInterval,
     /// Whether the node is *proven* to evaluate to ∅.
     pub empty: bool,
     /// Human-readable evidence for the facts above.
@@ -112,13 +46,17 @@ pub struct AbsState {
 
 impl AbsState {
     fn top() -> Self {
-        AbsState { domain: None, card: CardInterval::top(), empty: false, notes: Vec::new() }
+        Self::over(None)
     }
 
-    /// A state over this one's domain with cardinality `card`, proven
-    /// empty (with `note`) when this one is.
-    fn narrowed(self, card: CardInterval, note: &str) -> Self {
-        let st = AbsState { domain: self.domain, card, empty: false, notes: Vec::new() };
+    fn over(domain: Option<BTreeSet<String>>) -> Self {
+        AbsState { domain, empty: false, notes: Vec::new() }
+    }
+
+    /// A state over this one's domain, proven empty (with `note`) when
+    /// this one is.
+    fn narrowed(self, note: &str) -> Self {
+        let st = Self::over(self.domain);
         if self.empty {
             st.mark_empty(note)
         } else {
@@ -128,65 +66,21 @@ impl AbsState {
 
     fn mark_empty(mut self, note: impl Into<String>) -> Self {
         self.empty = true;
-        self.card = CardInterval::zero();
         self.notes.push(note.into());
         self
     }
-
-    /// Packages the state as a trace-schema [`NodeFact`] labelled `node`.
-    pub(crate) fn into_fact(self, node: impl Into<String>) -> NodeFact {
-        NodeFact {
-            node: node.into(),
-            domain_known: self.domain.is_some(),
-            domain: self.domain.map(|d| d.into_iter().collect()).unwrap_or_default(),
-            card_lo: self.card.lo,
-            card_hi: self.card.hi,
-            empty: self.empty,
-            notes: self.notes,
-        }
-    }
-
-    /// Whether two abstract states can describe the same concrete set —
-    /// the compatibility test the rewrite certifier applies to pre/post
-    /// states. The empty set inhabits every domain, so disjoint domains
-    /// only conflict when both states also require a non-empty result.
-    pub fn compatible(&self, other: &AbsState) -> bool {
-        if !self.card.overlaps(&other.card) {
-            return false;
-        }
-        if self.empty != other.empty && (self.card.lo > 0 || other.card.lo > 0) {
-            return false;
-        }
-        if let (Some(a), Some(b)) = (&self.domain, &other.domain) {
-            if a.is_disjoint(b) && self.card.lo > 0 && other.card.lo > 0 {
-                return false;
-            }
-        }
-        true
-    }
 }
 
-/// The abstract interpreter. Constructed from a [`Rig`] alone it reasons
-/// purely structurally; [`AbsInterp::with_stats`] adds index statistics
-/// for exact leaf cardinalities and absent-word emptiness facts.
+/// The abstract interpreter: it reasons purely structurally, from a
+/// [`Rig`] alone.
 pub struct AbsInterp<'a> {
     rig: &'a Rig,
-    instance: Option<&'a Instance>,
-    words: Option<&'a WordIndex>,
 }
 
 impl<'a> AbsInterp<'a> {
-    /// A purely structural interpreter: domains and RIG facts only, all
-    /// cardinality intervals `[0, ∞)` at the leaves.
+    /// An interpreter over `rig`.
     pub fn new(rig: &'a Rig) -> Self {
-        AbsInterp { rig, instance: None, words: None }
-    }
-
-    /// An interpreter with index statistics: `Name` leaves get exact
-    /// counts from `instance`, `word(w)`/`σ_w` get `frequency(w)` bounds
-    /// and absent-word emptiness facts from `words`.
-    pub fn with_stats(rig: &'a Rig, instance: &'a Instance, words: &'a WordIndex) -> Self {
-        AbsInterp { rig, instance: Some(instance), words: Some(words) }
+        AbsInterp { rig }
     }
 
     /// Whether spans of types `n` and `m` can stand in an inclusion
@@ -224,152 +118,73 @@ impl<'a> AbsInterp<'a> {
         dom
     }
 
-    /// The cardinality interval of an indexed name: its exact region
-    /// count with statistics, `[0, ∞)` without.
-    pub(crate) fn name_card(&self, n: &str) -> CardInterval {
-        self.instance.map_or_else(CardInterval::top, |inst| {
-            CardInterval::exact(inst.get(n).map_or(0, qof_pat::RegionSet::len) as u64)
-        })
-    }
-
-    fn leaf_name(&self, n: &str) -> AbsState {
-        let st = AbsState {
-            domain: Some(std::iter::once(n.to_string()).collect()),
-            card: self.name_card(n),
-            empty: false,
-            notes: Vec::new(),
-        };
-        if st.card.hi == Some(0) {
-            st.mark_empty(format!("the index holds no `{n}` regions"))
-        } else {
-            st
-        }
-    }
-
-    fn word_card(&self, w: &str) -> (CardInterval, bool) {
-        match self.words {
-            Some(idx) => {
-                let f = idx.frequency(w) as u64;
-                (CardInterval::exact(f), f == 0)
-            }
-            None => (CardInterval::top(), false),
-        }
-    }
-
     /// Computes the abstract state of `expr` bottom-up.
     pub fn analyze(&self, expr: &RegionExpr) -> AbsState {
         use RegionExpr as E;
         match expr {
-            E::Name(n) => self.leaf_name(n),
-            E::Word(w) => {
-                let (card, absent) = self.word_card(w);
-                let st = AbsState { domain: None, card, empty: false, notes: Vec::new() };
-                if absent {
-                    st.mark_empty(format!("word \"{w}\" does not occur in the corpus"))
-                } else {
-                    st
-                }
-            }
-            E::Prefix(_) => AbsState::top(),
+            E::Name(n) => AbsState::over(Some(std::iter::once(n.to_string()).collect())),
+            E::Word(_) | E::Prefix(_) => AbsState::top(),
             E::Union(a, b) => {
                 let (sa, sb) = (self.analyze(a), self.analyze(b));
                 let domain = match (&sa.domain, &sb.domain) {
                     (Some(da), Some(db)) => Some(da.union(db).cloned().collect()),
                     _ => None,
                 };
-                let card = CardInterval {
-                    lo: sa.card.lo.max(sb.card.lo),
-                    hi: CardInterval::add_hi(sa.card.hi, sb.card.hi),
-                };
-                let mut st = AbsState { domain, card, empty: false, notes: Vec::new() };
+                let st = AbsState::over(domain);
                 if sa.empty && sb.empty {
-                    st = st.mark_empty("both union operands are provably empty");
+                    st.mark_empty("both union operands are provably empty")
+                } else {
+                    st
                 }
-                st
             }
             E::Intersect(a, b) => {
                 let (sa, sb) = (self.analyze(a), self.analyze(b));
                 let filtered =
                     Self::filter_domain(sa.domain, &sb.domain, |n, m| self.can_relate(n, m));
-                let card = CardInterval { lo: 0, hi: CardInterval::min_hi(sa.card.hi, sb.card.hi) };
                 let unrelated = matches!(&filtered, Some(d) if d.is_empty());
-                let mut st = AbsState { domain: filtered, card, empty: false, notes: Vec::new() };
+                let st = AbsState::over(filtered);
                 if sa.empty || sb.empty {
-                    st = st.mark_empty("an intersection operand is provably empty");
+                    st.mark_empty("an intersection operand is provably empty")
                 } else if unrelated {
-                    st = st.mark_empty(
+                    st.mark_empty(
                         "the operand region types lie in unrelated RIG components, so no span \
                          can belong to both sides",
-                    );
+                    )
+                } else {
+                    st
                 }
-                st
             }
             E::Difference(a, b) => {
-                let sa = self.analyze(a);
-                let card = CardInterval { lo: 0, hi: sa.card.hi };
-                let st = sa.narrowed(card, "the left difference operand is provably empty");
+                let st = self.analyze(a).narrowed("the left difference operand is provably empty");
                 if !st.empty && a == b {
                     st.mark_empty("`x − x` is the empty set")
                 } else {
                     st
                 }
             }
-            E::SelectEq(a, w) => {
-                let sa = self.analyze(a);
-                let (wc, absent) = self.word_card(w);
-                let card = CardInterval { lo: 0, hi: CardInterval::min_hi(sa.card.hi, wc.hi) };
-                let st = sa.narrowed(card, "the selected set is provably empty");
-                if !st.empty && absent {
-                    st.mark_empty(format!("word \"{w}\" does not occur in the corpus"))
-                } else {
-                    st
-                }
-            }
-            E::SelectContains(a, w) => {
-                let sa = self.analyze(a);
-                let card = CardInterval { lo: 0, hi: sa.card.hi };
-                let st = sa.narrowed(card, "the selected set is provably empty");
-                if !st.empty && self.words.is_some_and(|idx| !idx.contains(w)) {
-                    st.mark_empty(format!("word \"{w}\" does not occur in the corpus"))
-                } else {
-                    st
-                }
+            E::SelectEq(a, _) | E::SelectContains(a, _) | E::SelectCountAtLeast(a, _, _) => {
+                self.analyze(a).narrowed("the selected set is provably empty")
             }
             E::Innermost(a) | E::Outermost(a) => {
-                let sa = self.analyze(a);
-                let card = CardInterval { lo: sa.card.lo.min(1), hi: sa.card.hi };
-                sa.narrowed(card, "the operand is provably empty")
+                self.analyze(a).narrowed("the operand is provably empty")
             }
             E::Including(a, b) => self.inclusion(a, b, false, false),
             E::IncludedIn(a, b) => self.inclusion(a, b, true, false),
             E::DirectIncluding(a, b) => self.inclusion(a, b, false, true),
             E::DirectIncludedIn(a, b) => self.inclusion(a, b, true, true),
             E::NestedExactly { outer, inner, .. } => {
-                let (so, si) = (self.analyze(outer), self.analyze(inner));
-                let card = CardInterval { lo: 0, hi: so.card.hi };
-                let st = so.narrowed(card, "a nesting operand is provably empty");
-                if !st.empty && si.empty {
+                let st = self.analyze(outer).narrowed("a nesting operand is provably empty");
+                if !st.empty && self.analyze(inner).empty {
                     st.mark_empty("a nesting operand is provably empty")
                 } else {
                     st
                 }
             }
             E::Near { left, right, .. } => {
-                let (sl, sr) = (self.analyze(left), self.analyze(right));
-                let mut st = AbsState::top();
-                if sl.empty || sr.empty {
-                    st = st.mark_empty("a near() operand is provably empty");
-                }
-                st
-            }
-            E::SelectCountAtLeast(a, w, n) => {
-                let sa = self.analyze(a);
-                let card = CardInterval { lo: 0, hi: sa.card.hi };
-                let st = sa.narrowed(card, "the selected set is provably empty");
-                if !st.empty && *n >= 1 && self.words.is_some_and(|idx| !idx.contains(w)) {
-                    st.mark_empty(format!("word \"{w}\" does not occur in the corpus"))
+                if self.analyze(left).empty || self.analyze(right).empty {
+                    AbsState::top().mark_empty("a near() operand is provably empty")
                 } else {
-                    st
+                    AbsState::top()
                 }
             }
         }
@@ -392,10 +207,9 @@ impl<'a> AbsInterp<'a> {
         };
         let filtered = Self::filter_domain(sa.domain, &sb.domain, relate);
         let unrelated = matches!(&filtered, Some(d) if d.is_empty());
-        let card = CardInterval { lo: 0, hi: sa.card.hi };
-        let mut st = AbsState { domain: filtered, card, empty: false, notes: Vec::new() };
+        let st = AbsState::over(filtered);
         if sa.empty || sb.empty {
-            st = st.mark_empty("an inclusion operand is provably empty");
+            st.mark_empty("an inclusion operand is provably empty")
         } else if unrelated {
             let op = match (contained, direct) {
                 (false, false) => "⊃",
@@ -403,17 +217,25 @@ impl<'a> AbsInterp<'a> {
                 (true, false) => "⊂",
                 (true, true) => "⊂d",
             };
-            st = st.mark_empty(format!(
+            st.mark_empty(format!(
                 "no `{op}` relation between the operand region types is satisfiable per the RIG"
-            ));
+            ))
+        } else {
+            st
         }
-        st
     }
 
     /// Packages the abstract state of `expr` as a trace-schema
     /// [`NodeFact`] labelled `node`.
     pub fn fact(&self, node: impl Into<String>, expr: &RegionExpr) -> NodeFact {
-        self.analyze(expr).into_fact(node)
+        let st = self.analyze(expr);
+        NodeFact {
+            node: node.into(),
+            domain_known: st.domain.is_some(),
+            domain: st.domain.map(|d| d.into_iter().collect()).unwrap_or_default(),
+            empty: st.empty,
+            notes: st.notes,
+        }
     }
 
     /// The `QOF1xx` lint pass: walks `expr` emitting diagnostics for
@@ -549,7 +371,6 @@ mod tests {
         let e = RegionExpr::name("Title").including(RegionExpr::name("Last_Name"));
         let st = i.analyze(&e);
         assert!(st.empty, "Title has no RIG path to/from Last_Name");
-        assert_eq!(st.card, CardInterval::zero());
     }
 
     #[test]
@@ -572,12 +393,11 @@ mod tests {
     }
 
     #[test]
-    fn union_interval_sums_and_maxes() {
+    fn union_domain_is_the_union_of_operand_domains() {
         let g = bib_rig();
         let i = AbsInterp::new(&g);
         let e = RegionExpr::name("Title").union(RegionExpr::name("Key"));
         let st = i.analyze(&e);
-        assert_eq!(st.card, CardInterval::top());
         assert_eq!(st.domain, Some(["Key".to_string(), "Title".to_string()].into_iter().collect()));
     }
 
@@ -595,20 +415,5 @@ mod tests {
         out.clear();
         i.lint_expr(&live.clone().intersect(live), &mut out);
         assert_eq!(out.iter().filter(|d| d.code == Code::Qof102).count(), 1);
-    }
-
-    #[test]
-    fn compatible_states_tolerate_coarsening() {
-        let precise = AbsState {
-            domain: Some(std::iter::once("A".to_string()).collect()),
-            card: CardInterval::exact(3),
-            empty: false,
-            notes: Vec::new(),
-        };
-        let coarse = AbsState::top();
-        assert!(precise.compatible(&coarse));
-        assert!(coarse.compatible(&precise));
-        let empty = AbsState::top().mark_empty("x");
-        assert!(!precise.compatible(&empty), "exact 3 vs proven ∅ must conflict");
     }
 }

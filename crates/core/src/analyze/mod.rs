@@ -26,7 +26,7 @@ use std::fmt;
 /// Stable diagnostic codes. The numeric ranges group the checks:
 /// `QOF00x` schema, `QOF01x` RIG/index, `QOF02x` query, `QOF03x`
 /// optimizer self-verification, `QOF1xx` abstract interpretation
-/// (static domains, cardinality intervals, emptiness facts) and the
+/// (static domains, emptiness facts) and the
 /// rewrite certifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]

@@ -520,9 +520,8 @@ fn check_with_planner(
 
 /// The abstract-interpretation leg of the planner checks: `QOF110` for
 /// every rewrite the certifier refused, then the `QOF100`–`QOF103` lints
-/// over each region expression the plan evaluates. The interpreter runs
-/// RIG-only here — `qof check` plans against a synthetic sample corpus
-/// whose index statistics would be misleading as evidence.
+/// over each region expression the plan evaluates, from the same RIG-only
+/// interpreter the query trace's facts come from.
 fn check_plan_absint(
     planner: &Planner<'_>,
     plan: &Plan,

@@ -5,8 +5,8 @@
 //! original chain, re-checks the Proposition 3.5 side condition there, and
 //! reports whether the replay lands on the optimized chain. It is the only
 //! trace replay: [`verify_rewrites`] maps its failures to `QOF030`
-//! diagnostics, and the certifier ([`crate::certify`]) adds the
-//! abstract-state leg on top.
+//! diagnostics, and the certifier ([`crate::certify`]) turns them into
+//! per-step verdicts.
 //!
 //! On confluence the implementation deliberately deviates from the paper:
 //! property testing found RIGs where the normal form is order-dependent

@@ -21,11 +21,12 @@ use qof_text::{Corpus, Pos, Tokenizer, WordIndex};
 
 use qof_db::PathCost;
 
+use crate::analyze::absint::AbsInterp;
 use crate::plan::{CondNode, Exactness, JoinPlan, Plan, PlanError, Planner, ProjPlan};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::qofx::{self, QofxError};
 use crate::residual::{eval_single, path_values};
-use crate::trace::{CardEstimate, ExecTrace, PhaseTrace, QueryTrace};
+use crate::trace::{ExecTrace, PhaseTrace, QueryTrace};
 use crate::{parse_query, QueryParseError, Rig};
 
 /// Errors while building a [`FileDatabase`].
@@ -463,17 +464,6 @@ impl FileDatabase {
         }
     }
 
-    /// The abstract interpreter over this database's indexed RIG and
-    /// statistics — the one every query uses for its trace facts and
-    /// estimates.
-    pub fn abs_interp(&self) -> crate::analyze::absint::AbsInterp<'_> {
-        crate::analyze::absint::AbsInterp::with_stats(
-            &self.partial_rig,
-            &self.instance,
-            &self.words,
-        )
-    }
-
     /// Statically checks a query against this database's schema, RIG and
     /// index spec — **without executing anything**. Returns the structured
     /// diagnostics of the [`analyze`](crate::analyze) subsystem: syntax
@@ -543,20 +533,6 @@ impl FileDatabase {
         // Renumber the span tree pre-order so span ids are unique and
         // stable within one trace.
         renumber_spans(&mut tr.ops, &mut 1);
-        // Estimated-vs-actual cardinalities: the planner's per-variable
-        // intervals, matched with the phase-1 candidate counts the engine
-        // observed (captured before the join prunes the states).
-        let estimates: Vec<CardEstimate> = tr
-            .intervals
-            .into_iter()
-            .zip(tr.var_candidates.iter().copied())
-            .map(|((var, card), observed)| CardEstimate {
-                var,
-                est_lo: card.lo,
-                est_hi: card.hi,
-                observed,
-            })
-            .collect();
         let trace = QueryTrace {
             id,
             fingerprint: plan.fingerprint,
@@ -564,7 +540,6 @@ impl FileDatabase {
             plan: result.explain.clone(),
             facts: tr.facts,
             rewrites: plan.rewrites,
-            estimates,
             phases: tr.phases,
             ops: tr.ops,
             plan_cache_hits: tr.plan_cache_hits,
@@ -586,8 +561,6 @@ impl FileDatabase {
             bytes: trace.bytes_touched,
             plan_cache_hits: trace.plan_cache_hits,
             plan_cache_misses: trace.plan_cache_misses,
-            est_ratio: worst_estimate_ratio(&trace.estimates),
-            trace_id: id,
         });
         if let Some(hook) = &self.trace_hook {
             hook(&trace);
@@ -596,7 +569,7 @@ impl FileDatabase {
     }
 
     /// Parses, plans and executes `src`, filling `tr` with the run's
-    /// phases, static facts, estimates, operator tree and plan-cache delta.
+    /// phases, static facts, operator tree and plan-cache delta.
     fn plan_and_execute(
         &self,
         src: &str,
@@ -607,9 +580,9 @@ impl FileDatabase {
         let q = parse_query(src)?;
         let parsed = elapsed_nanos(started);
         let plan = self.planner().plan(&q)?;
-        // The plan's static facts and per-variable intervals are part of
-        // planning, so the `plan` phase times them.
-        (tr.facts, tr.intervals) = plan.analyze(&self.abs_interp());
+        // The plan's static facts are part of planning, so the `plan`
+        // phase times them.
+        tr.facts = plan.facts(&AbsInterp::new(&self.partial_rig));
         let planned = elapsed_nanos(started);
         let pc_after = self.plan_cache.stats();
         tr.plan_cache_hits = pc_after.hits.saturating_sub(pc_before.hits);
@@ -810,9 +783,6 @@ impl FileDatabase {
         let engine = self.engine().with_trace(&sink);
         let mut candidates = self.eval_phase1(plan, &engine, &mut stats)?;
         end_phase("index-candidates", phase_started);
-        // Phase-1 cardinalities, captured before the join prunes the
-        // candidates: these are what the planner's intervals estimate.
-        let var_candidates: Vec<u64> = candidates.iter().map(|c| c.len() as u64).collect();
 
         // Phase 2: cross-variable content join.
         let phase_started = elapsed_nanos(origin);
@@ -938,7 +908,6 @@ impl FileDatabase {
         drop(engine);
         end_phase("projection", phase_started);
         tr.ops = sink.take();
-        tr.var_candidates = var_candidates;
         Ok(result)
     }
 }
@@ -946,27 +915,6 @@ impl FileDatabase {
 /// Monotonic elapsed time in nanoseconds, saturating at `u64::MAX`.
 fn elapsed_nanos(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Worst estimated-vs-actual cardinality ratio across a trace's per-variable
-/// estimates, for the workload table's mis-estimation exemplar. The estimate
-/// interval collapses to its midpoint (unbounded highs fall back to the low
-/// bound) and both sides get +1 smoothing so empty results don't divide by
-/// zero; ratios below 1 are inverted so under- and over-estimates rank alike.
-fn worst_estimate_ratio(estimates: &[CardEstimate]) -> f64 {
-    estimates
-        .iter()
-        .map(|e| {
-            let hi = e.est_hi.unwrap_or(e.est_lo);
-            let mid = (e.est_lo as f64 + hi as f64) / 2.0;
-            let ratio = (mid + 1.0) / (e.observed as f64 + 1.0);
-            if ratio < 1.0 {
-                1.0 / ratio
-            } else {
-                ratio
-            }
-        })
-        .fold(1.0_f64, f64::max)
 }
 
 /// Renumbers a span forest pre-order, continuing from `next` — used to
@@ -1364,7 +1312,7 @@ mod tests {
         assert_eq!(seen.lock().unwrap().len(), 2, "cleared hook no longer fires");
     }
 
-    // -- estimates and plan cache -------------------------------------------
+    // -- plan cache ------------------------------------------------------------
 
     #[test]
     fn plan_cache_hit_is_byte_identical_to_a_fresh_optimize() {
@@ -1381,6 +1329,7 @@ mod tests {
         // same plan text, same recorded rewrites, same results.
         assert_eq!(t1.plan, t2.plan);
         assert_eq!(t1.rewrites, t2.rewrites);
+        assert_eq!(t1.facts, t2.facts);
         assert_same_results(&r1, &r2, q);
         let pc = db.plan_cache_stats();
         assert_eq!(pc.hits, t2.plan_cache_hits);
@@ -1389,32 +1338,24 @@ mod tests {
     }
 
     #[test]
-    fn estimated_intervals_bound_observed_candidates() {
-        // Every estimate the planner publishes is a sound interval: the
-        // phase-1 candidate count the engine then observes falls inside.
-        let corpus = multi_file_corpus(4, 20);
-        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
-        for q in QUERIES {
-            let (_, trace) = db.query_traced(q).unwrap();
-            assert!(!trace.estimates.is_empty(), "no estimates for {q}");
-            for e in &trace.estimates {
-                assert!(
-                    e.est_lo <= e.observed,
-                    "{q}: var {} observed {} below lo {}",
-                    e.var,
-                    e.observed,
-                    e.est_lo
-                );
-                if let Some(hi) = e.est_hi {
-                    assert!(
-                        e.observed <= hi,
-                        "{q}: var {} observed {} above hi {}",
-                        e.var,
-                        e.observed,
-                        hi
-                    );
-                }
-            }
+    fn facts_and_plans_depend_on_the_query_and_rig_only() {
+        // Two databases over one schema and index spec that differ only in
+        // corpus: `Key000030` occurs in the larger one alone.
+        let db = |n| {
+            let (text, _) = bibtex::generate(&BibtexConfig::with_refs(n));
+            FileDatabase::build(Corpus::from_text(&text), bibtex::schema(), IndexSpec::full())
+                .unwrap()
+        };
+        let (small, large) = (db(8), db(40));
+        assert_eq!(small.word_index().frequency("Key000030"), 0);
+        assert!(large.word_index().frequency("Key000030") > 0);
+        let absent = "SELECT r FROM References r WHERE r.Key = \"Key000030\"";
+        for q in QUERIES.iter().chain([&absent]) {
+            let (_, ts) = small.query_traced(q).unwrap();
+            let (_, tl) = large.query_traced(q).unwrap();
+            assert!(!ts.facts.is_empty(), "{q}");
+            assert_eq!(ts.facts, tl.facts, "{q}");
+            assert_eq!(ts.plan, tl.plan, "{q}");
         }
     }
 

@@ -50,7 +50,7 @@ mod trace;
 
 pub use advisor::{advise, Advice};
 pub use analyze::absint::{
-    certify, uncertified_diagnostic, AbsInterp, AbsState, CardInterval, CertifyResult, StepCert,
+    certify, uncertified_diagnostic, AbsInterp, AbsState, CertifyResult, StepCert,
 };
 pub use analyze::{
     check_index, check_query, check_schema, render_all, Code, Diagnostic, Severity, Span,
@@ -69,4 +69,4 @@ pub use qofx::{inspect_qofx, QofxError, QofxSummary, QOFX_MAGIC, QOFX_VERSION};
 pub use query::{parse_query, Cond, Projection, QPath, QStep, Query, QueryParseError, RightHand};
 pub use residual::{compile_cond, eval_pair, eval_single, path_values, CompiledCond};
 pub use rig::{Rig, RigViolation};
-pub use trace::{CardEstimate, NodeFact, PhaseTrace, QueryTrace, TRACE_SCHEMA_VERSION};
+pub use trace::{NodeFact, PhaseTrace, QueryTrace, TRACE_SCHEMA_VERSION};

@@ -11,7 +11,7 @@ use qof_grammar::{
 };
 use qof_pat::{fnv1a64, Instance, RegionExpr};
 
-use crate::analyze::absint::{certify, AbsInterp, AbsState, CardInterval};
+use crate::analyze::absint::{certify, AbsInterp};
 use crate::optimizer::{optimize, Optimized};
 use crate::plan_cache::{CachedChain, PlanCache};
 use crate::residual::CompiledCond;
@@ -184,20 +184,21 @@ pub struct PlanRewrite {
     pub description: String,
     /// The inclusion expression after this rewrite (`∅` for 3.3).
     pub result: String,
-    /// Whether the abstract-interpretation certifier signed the step off
-    /// (structural replay + Proposition 3.5 side condition + compatible
-    /// pre/post abstract states). A chain runs rewritten only when every
-    /// one of its steps is certified.
+    /// Whether the certifier signed the step off: replaying the
+    /// optimizer trace, the step applies at its hop, meets its
+    /// proposition's side condition, and the replay lands on the
+    /// optimized chain (for 3.3, the per-hop dead-edge test agrees). A
+    /// chain runs rewritten only when every one of its steps is certified.
     pub certified: bool,
 }
 
 /// The lowering the planner runs and caches for one optimizer run: every
-/// recorded step goes through the abstract-interpretation certifier
-/// ([`certify`]), and `opt` is applied only when all of them certify.
+/// recorded step goes through the certifier ([`certify`]), and `opt` is
+/// applied only when all of them certify.
 /// Otherwise the run keeps `original`, unoptimized, and its rewrites are
 /// recorded as uncertified (`qof check` reports them as `QOF110`).
 pub fn lower_run(original: &InclusionExpr, rig: &Rig, opt: Optimized) -> CachedChain {
-    let cert = certify(original, rig, &opt, &AbsInterp::new(rig));
+    let cert = certify(original, rig, &opt);
     let accepted = cert.all_certified();
     let mut rewrites: Vec<PlanRewrite> = opt
         .trace
@@ -1246,53 +1247,16 @@ impl Plan {
         out
     }
 
-    /// One abstract interpretation of the plan, read two ways: the verdict
-    /// on every region expression ([`Plan::region_exprs`]), which is trace
-    /// schema v3's `facts` array, and a sound candidate-cardinality
-    /// interval per variable — its condition's bound, capped by the view's
-    /// region count. Phase 1's actual candidate counts always fall inside
-    /// these intervals (trace schema v4 pairs the two as
-    /// [`CardEstimate`](crate::trace::CardEstimate)s).
-    pub fn analyze(&self, interp: &AbsInterp<'_>) -> (Vec<NodeFact>, Vec<(String, CardInterval)>) {
-        let exprs = self.region_exprs();
-        let states: Vec<AbsState> = exprs.iter().map(|(_, expr)| interp.analyze(expr)).collect();
-        // Condition leaves are among the analyzed expressions: look their
-        // bound up by identity instead of analyzing them again.
-        let card_of = |leaf: &RegionExpr| {
-            exprs
-                .iter()
-                .position(|(_, expr)| std::ptr::eq(*expr, leaf))
-                .map_or_else(|| interp.analyze(leaf).card, |i| states[i].card)
-        };
-        let estimates = self
-            .vars
-            .iter()
-            .map(|vp| {
-                let view_card = interp.name_card(&vp.symbol);
-                let est = match &vp.cond {
-                    // No condition: candidates are exactly the view extent.
-                    None => view_card,
-                    Some(c) => c.estimate(&card_of, view_card.hi),
-                };
-                (vp.var.clone(), est)
+    /// The abstract interpreter's verdict on every region expression
+    /// ([`Plan::region_exprs`]): trace schema v3's `facts` array. It
+    /// reads the plan and the interpreter's RIG only.
+    pub fn facts(&self, interp: &AbsInterp<'_>) -> Vec<NodeFact> {
+        self.region_exprs()
+            .into_iter()
+            .map(|(display, expr)| {
+                interp.fact(display.map_or_else(|| expr.to_string(), str::to_owned), expr)
             })
-            .collect();
-        let facts = exprs
-            .iter()
-            .zip(states)
-            .map(|((display, expr), st)| {
-                st.into_fact(display.map_or_else(|| expr.to_string(), str::to_owned))
-            })
-            .collect();
-        (facts, estimates)
-    }
-}
-
-fn min_hi(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (Some(x), None) | (None, Some(x)) => Some(x),
-        (None, None) => None,
+            .collect()
     }
 }
 
@@ -1305,40 +1269,6 @@ impl CondNode {
             CondNode::ContentCandidates { .. } | CondNode::NotCandidates(_) => false,
             CondNode::And(a, b) | CondNode::Or(a, b) => a.exact() && b.exact(),
         }
-    }
-
-    /// A sound upper-bound estimate of the candidate regions this
-    /// condition lets through, mirroring the executor's `eval_cond`
-    /// semantics: leaves intersect with the view extent, `AND`
-    /// intersects, `OR` unions, `NOT` can fall back to the whole view.
-    /// `card_of` gives an index-only leaf's bound.
-    fn estimate(
-        &self,
-        card_of: &impl Fn(&RegionExpr) -> CardInterval,
-        view_hi: Option<u64>,
-    ) -> CardInterval {
-        let hi = match self {
-            CondNode::IndexOnly { expr, .. } => min_hi(card_of(expr).hi, view_hi),
-            // Content-compared and complemented candidates are view
-            // regions; nothing tighter is sound (the inexact paths fall
-            // back to the full view extent).
-            CondNode::ContentCompare { .. }
-            | CondNode::ContentCandidates { .. }
-            | CondNode::Not(_)
-            | CondNode::NotCandidates(_) => view_hi,
-            CondNode::And(a, b) => {
-                min_hi(a.estimate(card_of, view_hi).hi, b.estimate(card_of, view_hi).hi)
-            }
-            CondNode::Or(a, b) => {
-                let sum = a
-                    .estimate(card_of, view_hi)
-                    .hi
-                    .zip(b.estimate(card_of, view_hi).hi)
-                    .map(|(x, y)| x.saturating_add(y));
-                min_hi(sum, view_hi)
-            }
-        };
-        CardInterval { lo: 0, hi }
     }
 }
 

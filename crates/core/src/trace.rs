@@ -13,7 +13,6 @@ use std::fmt::Write as _;
 
 use qof_pat::{CacheSource, OpTrace};
 
-use crate::analyze::absint::CardInterval;
 use crate::plan::PlanRewrite;
 
 /// Version stamp of the `--trace-json` format. Bump when a field changes
@@ -24,8 +23,8 @@ use crate::plan::PlanRewrite;
 /// flight-recorder entries. v3 added the abstract interpreter: `facts`
 /// (per-plan-node [`NodeFact`]s) and a `certified` flag on every rewrite
 /// (the certifier's verdict). v4 added cardinality estimates: `estimates`
-/// (per-variable estimated-vs-actual candidate cardinalities,
-/// [`CardEstimate`]) and the `plan_cache_hits`/`plan_cache_misses` pair
+/// (per-variable estimated-vs-actual candidate cardinalities) and the
+/// `plan_cache_hits`/`plan_cache_misses` pair
 /// recording how much planning work this run reused. v5 made the trace a
 /// true span tree: every op node carries `span_id` (unique in the trace)
 /// and `start_nanos` (its start offset on the query's shared monotonic
@@ -40,12 +39,17 @@ use crate::plan::PlanRewrite;
 /// subexpression cache, and with them the `shards`, `cache_hits` and
 /// `cache_misses` keys; every other field is unchanged. The `parse` and
 /// `plan` phases came later within v7: phase names are values, not keys,
-/// so no consumer's parsing changes.
-pub const TRACE_SCHEMA_VERSION: u64 = 7;
+/// so no consumer's parsing changes. v8 removed the statistics half of
+/// the abstract interpreter: no `estimates` key, and facts carry no
+/// `card_lo`/`card_hi` — a fact is a static domain and an emptiness
+/// verdict from the RIG alone, so it depends only on the plan and the
+/// RIG. Facts no longer report a word absent from the corpus (the
+/// phase-1 candidate count still shows it).
+pub const TRACE_SCHEMA_VERSION: u64 = 8;
 
 /// The abstract interpreter's verdict on one plan node (trace schema v3):
-/// a static domain, a cardinality interval and an emptiness fact, as
-/// computed by [`AbsInterp`](crate::analyze::absint::AbsInterp).
+/// a static domain and an emptiness fact, as computed from the RIG by
+/// [`AbsInterp`](crate::analyze::absint::AbsInterp).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeFact {
     /// The plan node's display label.
@@ -56,34 +60,10 @@ pub struct NodeFact {
     /// Whether `domain` is a real claim (`false` means ⊤: raw word or
     /// position spans with no region type).
     pub domain_known: bool,
-    /// Lower cardinality bound, inclusive.
-    pub card_lo: u64,
-    /// Upper cardinality bound, inclusive; `None` is unbounded (the JSON
-    /// form omits the key).
-    pub card_hi: Option<u64>,
     /// Whether the node is proven to evaluate to ∅.
     pub empty: bool,
     /// Human-readable evidence.
     pub notes: Vec<String>,
-}
-
-/// Estimated vs actual candidate cardinality of one range variable
-/// (trace schema v4): the abstract interpreter's interval for the
-/// variable's index condition, next to the candidate count phase 1
-/// actually produced. The interval is sound, so
-/// `est_lo ≤ observed ≤ est_hi` whenever the estimate comes from the
-/// certified machinery — the bench harness reports the midpoint error.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CardEstimate {
-    /// The range variable.
-    pub var: String,
-    /// Estimated lower bound on the candidate count, inclusive.
-    pub est_lo: u64,
-    /// Estimated upper bound, inclusive; `None` is unbounded (the JSON
-    /// form omits the key).
-    pub est_hi: Option<u64>,
-    /// Candidate regions phase 1 actually produced for the variable.
-    pub observed: u64,
 }
 
 /// Wall time of one executor phase.
@@ -126,9 +106,6 @@ pub struct QueryTrace {
     pub rewrites: Vec<PlanRewrite>,
     /// Per-plan-node abstract facts (schema v3).
     pub facts: Vec<NodeFact>,
-    /// Per-variable estimated vs actual candidate cardinalities (schema
-    /// v4).
-    pub estimates: Vec<CardEstimate>,
     /// Executor phases with wall times, in execution order.
     pub phases: Vec<PhaseTrace>,
     /// Operator trace of the engine.
@@ -157,12 +134,6 @@ pub struct QueryTrace {
 pub(crate) struct ExecTrace {
     pub(crate) phases: Vec<PhaseTrace>,
     pub(crate) ops: Vec<OpTrace>,
-    /// Phase-1 candidate counts per range variable, in plan (FROM) order —
-    /// the "actual" half of the v4 [`CardEstimate`]s.
-    pub(crate) var_candidates: Vec<u64>,
-    /// The planner's per-variable candidate intervals, in plan order — the
-    /// "estimated" half.
-    pub(crate) intervals: Vec<(String, CardInterval)>,
     pub(crate) facts: Vec<NodeFact>,
     pub(crate) plan_cache_hits: u64,
     pub(crate) plan_cache_misses: u64,
@@ -202,36 +173,11 @@ impl QueryTrace {
                 } else {
                     "⊤".to_string()
                 };
-                let card = match fact.card_hi {
-                    Some(hi) => format!("[{}, {hi}]", fact.card_lo),
-                    None => format!("[{}, ∞)", fact.card_lo),
-                };
                 let empty = if fact.empty { "  ∅" } else { "" };
-                let _ = writeln!(out, "  {}: domain {domain}, card {card}{empty}", fact.node);
+                let _ = writeln!(out, "  {}: domain {domain}{empty}", fact.node);
                 for note in &fact.notes {
                     let _ = writeln!(out, "      note: {note}");
                 }
-            }
-        }
-        if !self.estimates.is_empty() {
-            let _ = writeln!(out, "cardinality estimates:");
-            for est in &self.estimates {
-                let interval = match est.est_hi {
-                    Some(hi) => format!("[{}, {hi}]", est.est_lo),
-                    None => format!("[{}, ∞)", est.est_lo),
-                };
-                let bounded = if est.est_lo <= est.observed
-                    && est.est_hi.is_none_or(|hi| est.observed <= hi)
-                {
-                    ""
-                } else {
-                    "  ⚠ outside interval"
-                };
-                let _ = writeln!(
-                    out,
-                    "  {}: estimated {interval}, actual {}{bounded}",
-                    est.var, est.observed
-                );
             }
         }
         let _ = writeln!(out, "phases:");
@@ -300,13 +246,11 @@ impl QueryTrace {
                 }
                 let _ = write!(s, "\"{}\"", esc(name));
             }
-            let _ =
-                write!(s, "],\"domain_known\":{},\"card_lo\":{}", fact.domain_known, fact.card_lo);
-            // The reader has no `null`: an unbounded interval omits the key.
-            if let Some(hi) = fact.card_hi {
-                let _ = write!(s, ",\"card_hi\":{hi}");
-            }
-            let _ = write!(s, ",\"empty\":{},\"notes\":[", fact.empty);
+            let _ = write!(
+                s,
+                "],\"domain_known\":{},\"empty\":{},\"notes\":[",
+                fact.domain_known, fact.empty
+            );
             for (j, note) in fact.notes.iter().enumerate() {
                 if j > 0 {
                     s.push(',');
@@ -314,18 +258,6 @@ impl QueryTrace {
                 let _ = write!(s, "\"{}\"", esc(note));
             }
             s.push_str("]}");
-        }
-        s.push_str("],\"estimates\":[");
-        for (i, est) in self.estimates.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"var\":\"{}\",\"est_lo\":{}", esc(&est.var), est.est_lo);
-            // Same convention as `card_hi`: unbounded omits the key.
-            if let Some(hi) = est.est_hi {
-                let _ = write!(s, ",\"est_hi\":{hi}");
-            }
-            let _ = write!(s, ",\"observed\":{}}}", est.observed);
         }
         s.push_str("],\"phases\":[");
         for (i, ph) in self.phases.iter().enumerate() {
@@ -494,24 +426,16 @@ mod tests {
                     node: "Reference ⊃ Authors".into(),
                     domain: vec!["Reference".into()],
                     domain_known: true,
-                    card_lo: 0,
-                    card_hi: Some(60),
                     empty: false,
                     notes: Vec::new(),
                 },
                 NodeFact {
-                    node: "word(\"zzz\")".into(),
+                    node: "near(Year ⊃ Title, word(\"zzz\"), 3)".into(),
                     domain: Vec::new(),
                     domain_known: false,
-                    card_lo: 0,
-                    card_hi: None,
                     empty: true,
-                    notes: vec!["word \"zzz\" does not occur in the corpus".into()],
+                    notes: vec!["a near() operand is provably empty".into()],
                 },
-            ],
-            estimates: vec![
-                CardEstimate { var: "r".into(), est_lo: 2, est_hi: Some(8), observed: 5 },
-                CardEstimate { var: "s".into(), est_lo: 0, est_hi: None, observed: 3 },
             ],
             phases: vec![
                 PhaseTrace { name: "index-candidates", start_nanos: 0, nanos: 1_500 },
@@ -530,8 +454,7 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        // Every field reads back through the shared JSON reader as written;
-        // unbounded intervals omit their key.
+        // Every field reads back through the shared JSON reader as written.
         let trace = sample();
         let doc = Json::parse(&trace.to_json()).expect("own output parses");
         let obj = doc.as_obj().unwrap();
@@ -545,16 +468,15 @@ mod tests {
         let rewrite = item("rewrites", 0);
         assert_eq!(get_str(&rewrite, "result").unwrap(), trace.rewrites[0].result);
         assert_eq!(get(&rewrite, "certified").unwrap(), &Json::Bool(true));
-        let (bounded, unbounded) = (item("facts", 0), item("facts", 1));
-        assert_eq!(num(&bounded, "card_hi"), 60);
-        assert!(get(&unbounded, "card_hi").is_err());
-        assert_eq!(get(&unbounded, "empty").unwrap(), &Json::Bool(true));
-        assert_eq!(
-            get_arr(&unbounded, "notes").unwrap()[0].as_str(),
-            Some(&*trace.facts[1].notes[0])
-        );
-        assert_eq!(num(&item("estimates", 0), "est_hi"), 8);
-        assert!(get(&item("estimates", 1), "est_hi").is_err());
+        let (known, top) = (item("facts", 0), item("facts", 1));
+        assert_eq!(get_arr(&known, "domain").unwrap()[0].as_str(), Some("Reference"));
+        assert_eq!(get(&known, "domain_known").unwrap(), &Json::Bool(true));
+        assert_eq!(get(&top, "domain_known").unwrap(), &Json::Bool(false));
+        assert_eq!(get(&top, "empty").unwrap(), &Json::Bool(true));
+        assert_eq!(get_arr(&top, "notes").unwrap()[0].as_str(), Some(&*trace.facts[1].notes[0]));
+        // v8: no cardinality anywhere.
+        assert!(get(&known, "card_lo").is_err() && get(&known, "card_hi").is_err());
+        assert!(get(obj, "estimates").is_err());
         let phase = item("phases", 1);
         assert_eq!(get_str(&phase, "name").unwrap(), "projection");
         assert_eq!((num(&phase, "start_nanos"), num(&phase, "nanos")), (1_500, 2_000_000));
@@ -587,13 +509,10 @@ mod tests {
         assert!(text.contains("[3.5(b)] drop Name"));
         assert!(text.contains("✓ certified"));
         assert!(text.contains("static facts:"));
-        assert!(text.contains("domain {Reference}, card [0, 60]"));
-        assert!(text.contains("domain ⊤, card [0, ∞)  ∅"));
-        assert!(text.contains("note: word \"zzz\""));
-        assert!(text.contains("cardinality estimates:"));
-        assert!(text.contains("r: estimated [2, 8], actual 5"));
-        assert!(text.contains("s: estimated [0, ∞), actual 3"));
-        assert!(!text.contains("⚠ outside interval"));
+        assert!(text.contains("Reference ⊃ Authors: domain {Reference}\n"));
+        assert!(text.contains("domain ⊤  ∅"));
+        assert!(text.contains("note: a near() operand"));
+        assert!(!text.contains("card") && !text.contains("estimate"));
         assert!(text.contains("index-candidates"));
         assert!(text.contains("└─ ⊃  in=3 out=1"));
         assert!(text.contains("(memo hit)"));

@@ -210,8 +210,9 @@ fn labelled_json(histograms: &BTreeMap<String, Histogram>) -> String {
 
 /// Version stamp of the `GET /workload` JSON envelope. Within v2 the
 /// per-entry `errors` key was dropped: failed queries never reach the
-/// table, so it was always 0.
-pub const WORKLOAD_SCHEMA_VERSION: u64 = 2;
+/// table, so it was always 0. v3 dropped `worst_est_ratio` and
+/// `worst_est_trace`: queries no longer carry cardinality estimates.
+pub const WORKLOAD_SCHEMA_VERSION: u64 = 3;
 
 /// Serializes a workload-table snapshot as the `GET /workload` document,
 /// also printed by `qof stats --workload` and rebuilt offline by
@@ -230,8 +231,7 @@ pub fn workload_to_json(entries: &[WorkloadEntry], capacity: usize) -> String {
             out,
             "{{\"fingerprint\":\"{:016x}\",\"exemplar\":\"{}\",\"hits\":{},\
              \"overcount\":{},\"total_bytes\":{},\"max_bytes\":{},\
-             \"plan_cache_hits\":{},\"plan_cache_misses\":{},\
-             \"worst_est_ratio\":{},\"worst_est_trace\":{},\"latency\":{}}}",
+             \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"latency\":{}}}",
             e.fingerprint,
             esc_json(&e.exemplar),
             e.hits,
@@ -240,8 +240,6 @@ pub fn workload_to_json(entries: &[WorkloadEntry], capacity: usize) -> String {
             e.max_bytes,
             e.plan_cache_hits,
             e.plan_cache_misses,
-            e.worst_est_ratio,
-            e.worst_est_trace,
             histogram_json(&e.latency)
         );
     }
@@ -435,16 +433,15 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
             bytes: 42,
             plan_cache_hits: 1,
             plan_cache_misses: 1,
-            est_ratio: 2.5,
-            trace_id: 9,
         });
         let snap = t.snapshot();
         let json = workload_to_json(&snap, t.capacity());
-        assert!(json.contains("\"schema_version\":2,\"capacity\":64"), "{json}");
+        assert!(json.contains("\"schema_version\":3,\"capacity\":64"), "{json}");
         assert!(json.contains("\"fingerprint\":\"000000000000abcd\""), "{json}");
         assert!(json.contains("\"hits\":1,\"overcount\":0,\"total_bytes\""), "{json}");
         assert!(json.contains("\"total_bytes\":42,\"max_bytes\":42"), "{json}");
-        assert!(json.contains("\"worst_est_ratio\":2.5,\"worst_est_trace\":9"), "{json}");
+        assert!(json.contains("\"plan_cache_misses\":1,\"latency\":{"), "{json}");
+        assert!(!json.contains("worst_est"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(json.matches(open).count(), json.matches(close).count());
         }

@@ -60,11 +60,6 @@ pub struct WorkloadObs<'a> {
     pub plan_cache_hits: u64,
     /// Plan-cache misses this query scored.
     pub plan_cache_misses: u64,
-    /// Worst est-vs-actual cardinality ratio of this query (≥ 1.0 when
-    /// estimates exist; 0.0 when the query carried none).
-    pub est_ratio: f64,
-    /// The trace id, kept as the estimation-error exemplar.
-    pub trace_id: u64,
 }
 
 /// Aggregated statistics for one fingerprint.
@@ -91,11 +86,6 @@ pub struct WorkloadEntry {
     pub plan_cache_hits: u64,
     /// Plan-cache misses.
     pub plan_cache_misses: u64,
-    /// Worst est-vs-actual ratio seen (0.0 until a query carries
-    /// estimates).
-    pub worst_est_ratio: f64,
-    /// Trace id of the query behind [`Self::worst_est_ratio`].
-    pub worst_est_trace: u64,
 }
 
 impl WorkloadEntry {
@@ -110,8 +100,6 @@ impl WorkloadEntry {
             max_bytes: 0,
             plan_cache_hits: 0,
             plan_cache_misses: 0,
-            worst_est_ratio: 0.0,
-            worst_est_trace: 0,
         }
     }
 
@@ -122,10 +110,6 @@ impl WorkloadEntry {
         self.max_bytes = self.max_bytes.max(obs.bytes);
         self.plan_cache_hits += obs.plan_cache_hits;
         self.plan_cache_misses += obs.plan_cache_misses;
-        if obs.est_ratio > self.worst_est_ratio {
-            self.worst_est_ratio = obs.est_ratio;
-            self.worst_est_trace = obs.trace_id;
-        }
     }
 
     /// Plan-cache hit rate, `None` before any lookup.
@@ -253,8 +237,6 @@ mod tests {
             bytes: 10,
             plan_cache_hits: 1,
             plan_cache_misses: 0,
-            est_ratio: 1.5,
-            trace_id: 7,
         }
     }
 
@@ -274,26 +256,6 @@ mod tests {
         assert_eq!(snap[0].plan_cache_hit_rate(), Some(1.0));
         assert_eq!(snap[1].hits, 1);
         assert_eq!(t.total_hits(), 3);
-    }
-
-    #[test]
-    fn keeps_worst_estimation_exemplar() {
-        let t = WorkloadTable::new();
-        let mut a = obs(1, 10);
-        a.est_ratio = 2.0;
-        a.trace_id = 11;
-        let mut b = obs(1, 10);
-        b.est_ratio = 8.0;
-        b.trace_id = 22;
-        let mut c = obs(1, 10);
-        c.est_ratio = 3.0;
-        c.trace_id = 33;
-        t.observe(&a);
-        t.observe(&b);
-        t.observe(&c);
-        let snap = t.snapshot();
-        assert_eq!(snap[0].worst_est_ratio, 8.0);
-        assert_eq!(snap[0].worst_est_trace, 22);
     }
 
     #[test]

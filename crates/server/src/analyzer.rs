@@ -125,10 +125,6 @@ fn fold_line(report: &mut QlogReport, line: &str) {
         bytes,
         plan_cache_hits: json::get_u64(obj, "plan_cache_hits").unwrap_or(0),
         plan_cache_misses: json::get_u64(obj, "plan_cache_misses").unwrap_or(0),
-        // The qlog line does not carry cardinality estimates; the live
-        // table's mis-estimation exemplar has no offline counterpart.
-        est_ratio: 1.0,
-        trace_id: id,
     });
 }
 

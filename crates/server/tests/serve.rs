@@ -40,12 +40,10 @@ fn healthz_metrics_and_query_roundtrip() {
     assert_eq!(status, 200);
     assert!(body.contains("\"id\":2"), "{body}");
     assert!(body.contains("\"trace\":{"), "{body}");
-    assert!(body.contains("\"schema_version\":7"), "{body}");
-    // v4+: estimated-vs-actual cardinalities and plan-cache counters ride
-    // along in every explain response.
-    assert!(body.contains("\"estimates\":["), "{body}");
-    assert!(body.contains("\"est_lo\":"), "{body}");
-    assert!(body.contains("\"observed\":"), "{body}");
+    assert!(body.contains("\"schema_version\":8"), "{body}");
+    // v8: no cardinality estimates; plan-cache counters ride along in
+    // every explain response.
+    assert!(!body.contains("\"estimates\""), "{body}");
     assert!(body.contains("\"plan_cache_hits\":"), "{body}");
     assert!(body.contains("\"plan_cache_misses\":"), "{body}");
 
@@ -207,7 +205,7 @@ fn perfetto_endpoints_export_recorded_traces() {
     assert!(body.contains("\"process_name\"") && body.contains("query 1:"), "{body}");
     let (status, body) = client.get("/flight-recorder/1").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":7"), "{body}");
+    assert!(body.contains("\"schema_version\":8"), "{body}");
     let (status, _) = client.get("/flight-recorder/999").unwrap();
     assert_eq!(status, 404);
     let (status, _) = client.get("/flight-recorder/xyz").unwrap();
@@ -231,7 +229,7 @@ fn workload_endpoint_aggregates_fingerprints() {
 
     let (status, body) = client.get("/workload").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":2"), "{body}");
+    assert!(body.contains("\"schema_version\":3"), "{body}");
     assert!(body.contains("\"capacity\":64"), "{body}");
     assert!(body.contains("\"hits\":2"), "{body}");
     assert!(body.contains("\"hits\":1"), "{body}");

@@ -13,8 +13,8 @@ use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
 use qof::grammar::{IndexSpec, StructuringSchema};
 use qof::text::Corpus;
 use qof::{
-    certify, lower_run, normal_forms, optimize, uncertified_diagnostic, AbsInterp, ChainOp,
-    FileDatabase, InclusionExpr, Optimized, Rewrite, RewriteKind, Rig, Severity,
+    certify, lower_run, normal_forms, optimize, uncertified_diagnostic, ChainOp, FileDatabase,
+    InclusionExpr, Optimized, Rewrite, RewriteKind, Rig, Severity,
 };
 
 /// The §3.2 running example plus the other shapes the trace suite
@@ -73,12 +73,15 @@ fn static_facts_appear_in_trace_json_and_render() {
     assert!(!trace.facts.is_empty(), "the traced plan must carry node facts");
     let json = trace.to_json();
     assert!(json.contains("\"facts\":["), "{json}");
-    assert!(json.contains("\"card_lo\":"), "{json}");
+    assert!(json.contains("\"domain_known\":true"), "{json}");
     let text = trace.render();
     assert!(text.contains("static facts:"), "{text}");
-    // Index statistics are available on the query path, so the root
-    // fact's interval must be bounded above.
-    assert!(trace.facts.iter().any(|f| f.card_hi.is_some()), "{:?}", trace.facts);
+    // Every plan node of an indexed chain has a RIG-derived domain.
+    assert!(
+        trace.facts.iter().any(|f| f.domain_known && !f.domain.is_empty()),
+        "{:?}",
+        trace.facts
+    );
 }
 
 /// Across every built-in corpus schema, no real optimizer verdict may
@@ -125,8 +128,7 @@ fn forged_shortcut_fails_certification_and_renders_qof110() {
             result: "A ⊃ C".into(),
         }],
     };
-    let interp = AbsInterp::new(&rig);
-    let cert = certify(&original, &rig, &forged, &interp);
+    let cert = certify(&original, &rig, &forged);
     assert!(!cert.all_certified());
     let step = &cert.steps[0];
     assert!(!step.certified);
@@ -278,7 +280,6 @@ fn optimizer_and_certifier_agree_on_generated_chains() {
             if nodes.is_empty() {
                 continue;
             }
-            let interp = AbsInterp::new(rig);
             for _ in 0..CHAINS_PER_RIG {
                 let (names, ops) = draw_chain(&mut rng, rig, &nodes);
                 if names.len() < 2 {
@@ -294,7 +295,7 @@ fn optimizer_and_certifier_agree_on_generated_chains() {
                     let forms = normal_forms(&e, rig);
                     assert_eq!(forms[0], optimize(&e, rig), "{at}");
                     for form in &forms {
-                        let cert = certify(&e, rig, form, &interp);
+                        let cert = certify(&e, rig, form);
                         assert!(cert.all_certified(), "{at}: `{}` {cert:?}", form.expr);
                         let diags = verify_rewrites(&e, rig, form);
                         assert!(diags.is_empty(), "{at}: {diags:?}");

@@ -8,7 +8,7 @@ use qof::grammar::{lit, nt, Grammar, IndexSpec, StructuringSchema, TokenPattern,
 use qof::pat::RegionExpr;
 use qof::text::Corpus;
 use qof::{
-    check_index, check_query, check_schema, render_all, Code, Direction, FileDatabase,
+    check_index, check_query, check_schema, render_all, AbsInterp, Code, Direction, FileDatabase,
     InclusionExpr, Optimized, Rewrite, RewriteKind, Rig, Severity,
 };
 
@@ -379,15 +379,16 @@ fn malformed_queries_error_never_panic() {
 
 // --- QOF1xx: the abstract-interpretation lint family ---------------------
 
-/// The interpreter the `qof check` query path uses is RIG-only; the
-/// traced-query path adds index statistics. These tests exercise both
-/// through the public surface.
+/// These tests drive the interpreter `qof check` runs: RIG-only, over the
+/// database's indexed RIG.
 #[test]
 fn qof100_provably_empty_subexpression() {
     let db = bibtex_db(IndexSpec::full());
-    let interp = db.abs_interp();
-    // With word statistics, an absent word proves σ/⊃ subtrees empty.
-    let expr = RegionExpr::name("Reference").including(RegionExpr::word("zzzqqxyzzy"));
+    let interp = AbsInterp::new(db.partial_rig());
+    // Year and Title are RIG siblings, so `Year ⊃ Title` is empty and so
+    // is every inclusion over it.
+    let dead = RegionExpr::name("Year").including(RegionExpr::name("Title"));
+    let expr = RegionExpr::name("Reference").including(dead);
     let mut out = Vec::new();
     interp.lint_expr(&expr, &mut out);
     let d = find(&out, Code::Qof100);
@@ -400,8 +401,8 @@ fn qof100_provably_empty_subexpression() {
 #[test]
 fn qof101_dead_union_and_difference_branches() {
     let db = bibtex_db(IndexSpec::full());
-    let interp = db.abs_interp();
-    let dead = RegionExpr::word("zzzqqxyzzy");
+    let interp = AbsInterp::new(db.partial_rig());
+    let dead = RegionExpr::name("Year").including(RegionExpr::name("Title"));
     let mut out = Vec::new();
     interp.lint_expr(&RegionExpr::name("Year").union(dead.clone()), &mut out);
     let d = find(&out, Code::Qof101);
@@ -416,7 +417,7 @@ fn qof101_dead_union_and_difference_branches() {
 #[test]
 fn qof102_redundant_intersection() {
     let db = bibtex_db(IndexSpec::full());
-    let interp = db.abs_interp();
+    let interp = AbsInterp::new(db.partial_rig());
     let mut out = Vec::new();
     interp.lint_expr(&RegionExpr::name("Year").intersect(RegionExpr::name("Year")), &mut out);
     let d = find(&out, Code::Qof102);
@@ -429,7 +430,7 @@ fn qof103_inclusion_across_disjoint_rig_components() {
     // Year and Title are RIG siblings: no inclusion path in either
     // direction, so `Year ⊃ Title` is unsatisfiable by Proposition 3.3.
     let db = bibtex_db(IndexSpec::full());
-    let interp = db.abs_interp();
+    let interp = AbsInterp::new(db.partial_rig());
     let mut out = Vec::new();
     interp.lint_expr(&RegionExpr::name("Year").including(RegionExpr::name("Title")), &mut out);
     let d = find(&out, Code::Qof103);

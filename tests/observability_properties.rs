@@ -285,8 +285,6 @@ fn obs(fp: u64) -> WorkloadObs<'static> {
         bytes: 8,
         plan_cache_hits: 0,
         plan_cache_misses: 1,
-        est_ratio: 1.0,
-        trace_id: fp,
     }
 }
 

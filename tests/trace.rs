@@ -102,7 +102,7 @@ fn trace_json_round_trips_through_the_public_surface() {
     assert_eq!(get_str(obj, "query").unwrap(), CHANG);
     assert_eq!(get_arr(obj, "rewrites").unwrap().len(), trace.rewrites.len());
     assert_eq!(get_arr(obj, "facts").unwrap().len(), trace.facts.len());
-    assert_eq!(get_arr(obj, "estimates").unwrap().len(), trace.estimates.len());
+    assert!(get_arr(obj, "estimates").is_err(), "v8 carries no estimates");
     let phases: Vec<String> = get_arr(obj, "phases")
         .unwrap()
         .iter()
