@@ -32,8 +32,6 @@ pub struct ReplayStep {
     pub applies: bool,
     /// Whether Proposition 3.5 licenses the step there.
     pub licensed: bool,
-    /// The chain after the step (unchanged when it does not apply).
-    pub after: InclusionExpr,
 }
 
 /// What replaying an optimizer trace found.
@@ -46,6 +44,9 @@ pub struct Replay {
     /// The replayed steps in trace order. Replay stops after the first
     /// step that does not apply, so later steps may be missing.
     pub steps: Vec<ReplayStep>,
+    /// The chain the replay stopped on: after the last step replayed, or
+    /// the original chain when no step was.
+    pub landed: InclusionExpr,
     /// Whether the `∅` verdict holds, every step applied, and the replay
     /// landed exactly on the optimized chain.
     pub lands: bool,
@@ -66,7 +67,12 @@ pub fn replay(original: &InclusionExpr, rig: &Rig, out: &Optimized) -> Replay {
         None
     };
     if empty || out.trivially_empty {
-        return Replay { lands: empty_fault.is_none(), empty_fault, steps: Vec::new() };
+        return Replay {
+            lands: empty_fault.is_none(),
+            empty_fault,
+            steps: Vec::new(),
+            landed: original.clone(),
+        };
     }
 
     let mut names: Vec<String> = original.names().to_vec();
@@ -99,14 +105,14 @@ pub fn replay(original: &InclusionExpr, rig: &Rig, out: &Optimized) -> Replay {
                 }
             }
         };
-        let after = original.with_chain(names.clone(), ops.clone());
-        steps.push(ReplayStep { what, applies, licensed, after });
+        steps.push(ReplayStep { what, applies, licensed });
         if !applies {
-            return Replay { empty_fault: None, steps, lands: false };
+            let landed = original.with_chain(names, ops);
+            return Replay { empty_fault: None, steps, landed, lands: false };
         }
     }
     let lands = names == out.expr.names() && ops == out.expr.ops();
-    Replay { empty_fault: None, steps, lands }
+    Replay { empty_fault: None, steps, landed: original.with_chain(names, ops), lands }
 }
 
 /// Replays every rewrite in `out.trace` from `original` ([`replay`]) and
@@ -149,10 +155,9 @@ pub fn verify_rewrites(original: &InclusionExpr, rig: &Rig, out: &Optimized) -> 
         }
     }
     if !replay.lands {
-        let landed = replay.steps.last().map_or(original, |s| &s.after);
         diags.push(
             error(format!("the trace does not reproduce the optimized expression `{}`", out.expr))
-                .with_note(format!("replay landed on `{landed}`")),
+                .with_note(format!("replay landed on `{}`", replay.landed)),
         );
     }
     diags

@@ -1,7 +1,8 @@
 //! The executor: builds a [`FileDatabase`] over a corpus (parse once,
 //! extract the configured indices — the service the text system provides),
 //! then runs planned queries: index phase → optional content join →
-//! candidate parsing with push-down → residual filtering → projection.
+//! check (candidate parsing with push-down, residual filtering) →
+//! projection, which builds whole objects for the results only.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use qof_db::{Atom, Database, DbStats, Value};
 use qof_grammar::{
-    AtomText, IndexSpec, ParseError, ParseStats, Parser, PathFilter, PathSpec, RegionSink,
-    StructuringSchema, ValueSink,
+    AtomText, IndexSpec, ParseError, ParseStats, Parser, PathFilter, PathSpec, RegionSink, Sink,
+    StructuringSchema, SymbolId, ValueSink,
 };
 use qof_pat::{
     Engine, EvalError, EvalStats, Instance, MetricsRegistry, OpTrace, Region, RegionSet, TraceSink,
@@ -19,13 +20,11 @@ use qof_pat::{
 };
 use qof_text::{Corpus, Pos, Tokenizer, WordIndex};
 
-use qof_db::PathCost;
-
 use crate::analyze::absint::AbsInterp;
 use crate::plan::{CondNode, Exactness, JoinPlan, Plan, PlanError, Planner, ProjPlan};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::qofx::{self, QofxError};
-use crate::residual::{eval_single, path_values};
+use crate::residual::{eval_single, path_values, paths_meet};
 use crate::trace::{ExecTrace, PhaseTrace, QueryTrace};
 use crate::{parse_query, QueryParseError, Rig};
 
@@ -616,6 +615,13 @@ impl FileDatabase {
         Ok((regions, exact, stats))
     }
 
+    /// The grammar symbol of a view the plan ranges over.
+    fn view_symbol(&self, symbol: &str) -> Result<SymbolId, QueryError> {
+        self.schema.grammar.symbol(symbol).ok_or_else(|| {
+            QueryError::Internal(format!("view symbol `{symbol}` vanished from the grammar"))
+        })
+    }
+
     fn engine(&self) -> Engine<'_> {
         Engine::new(&self.corpus, &self.words, &self.instance)
     }
@@ -734,22 +740,15 @@ impl FileDatabase {
         content_bytes: &mut u64,
     ) -> Result<Vec<(usize, Value)>, QueryError> {
         let grammar = &self.schema.grammar;
-        let sym = grammar.symbol(symbol).ok_or_else(|| {
-            QueryError::Internal(format!("view symbol `{symbol}` vanished from the grammar"))
-        })?;
+        let sym = self.view_symbol(symbol)?;
         let filter = PathFilter::from_paths(&spec.field_paths().collect::<Vec<_>>());
         let parser = Parser::new(grammar, self.corpus.text());
         let text = AtomText::Shared(self.corpus.shared_text());
         let mut sink = ValueSink::new(grammar, text, db, &filter);
         let mut keys = Vec::new();
         for (i, region) in candidates.iter().enumerate() {
-            parser
-                .parse_indexed(sym, region.span(), &mut sink)
-                .map_err(QueryError::CandidateParse)?;
-            let value = sink.take().ok_or_else(|| {
-                QueryError::Internal("a candidate parse built no value".to_owned())
-            })?;
-            let reached = path_values(sink.db(), &value, spec, &mut PathCost::default());
+            let value = parse_candidate(&parser, sym, region, &mut sink)?;
+            let reached = path_values(sink.db(), &value, spec, None);
             keys.extend(reached.into_iter().map(|v| (i, v.clone())));
         }
         *content_bytes += parser.stats().bytes_scanned;
@@ -796,42 +795,26 @@ impl FileDatabase {
         stats.candidates = candidates.iter().map(RegionSet::len).sum();
         stats.exact_index = plan.exactness() == Exactness::Exact;
 
-        // Phase 3: parse the candidates the plan names, keeping those that
-        // pass their residual.
+        // Phase 3, check: parse the candidates the plan names as far as
+        // their checks read (the plan's check filter), keeping those that
+        // pass their residual. A rejected candidate is rolled back, so it
+        // leaves no object behind.
         let phase_started = elapsed_nanos(origin);
         let mut db = Database::new();
         let grammar = &self.schema.grammar;
         let parser = Parser::new(grammar, self.corpus.text());
         let text = AtomText::Shared(self.corpus.shared_text());
-        // objects[var]: the surviving candidates and their values, in
-        // region order.
+        // objects[var]: the surviving candidates and their checked values,
+        // in region order.
         let mut objects: Vec<Vec<(Region, Value)>> = vec![Vec::new(); plan.vars.len()];
         for (i, vp) in plan.vars.iter().enumerate() {
             let Some(filter) = &vp.parse else { continue };
-            let sym = grammar.symbol(&vp.symbol).ok_or_else(|| {
-                QueryError::Internal(format!(
-                    "view symbol `{}` vanished from the grammar",
-                    vp.symbol
-                ))
-            })?;
+            let sym = self.view_symbol(&vp.symbol)?;
             let mut sink = ValueSink::new(grammar, text, &mut db, filter);
-            for region in &candidates[i] {
-                // Candidates are regions of `sym`, which the index build
-                // recognized: the parse may stop at the last kept field.
-                parser
-                    .parse_indexed(sym, region.span(), &mut sink)
-                    .map_err(QueryError::CandidateParse)?;
-                let value = sink.take().ok_or_else(|| {
-                    QueryError::Internal("a candidate parse built no value".to_owned())
-                })?;
-                let keep = vp.residual.as_ref().is_none_or(|cond| {
-                    eval_single(sink.db(), &vp.var, &value, cond, &mut PathCost::default())
-                });
-                if keep {
-                    objects[i].push((*region, value));
-                }
-            }
-            candidates[i] = RegionSet::from_sorted(objects[i].iter().map(|(r, _)| *r).collect());
+            objects[i] = parse_regions(&parser, sym, &candidates[i], &mut sink, |db, value| {
+                vp.residual.as_ref().is_none_or(|cond| eval_single(db, &vp.var, value, cond, None))
+            })?;
+            candidates[i] = regions_of(&objects[i]);
         }
 
         // Phase 3b: a join keeps the pairs whose both sides survived
@@ -841,16 +824,13 @@ impl FileDatabase {
             pairs.retain(|(l, r)| {
                 candidates[li].contains(l)
                     && candidates[ri].contains(r)
-                    && j.residual.as_ref().is_none_or(|(lsteps, rsteps)| {
+                    && j.residual.as_ref().is_none_or(|(lpaths, rpaths)| {
                         let (Some(lv), Some(rv)) =
                             (value_at(&objects[li], l), value_at(&objects[ri], r))
                         else {
                             return false;
                         };
-                        let mut cost = PathCost::default();
-                        let ls = path_values(&db, lv, lsteps, &mut cost);
-                        let rs = path_values(&db, rv, rsteps, &mut cost);
-                        ls.iter().any(|a| rs.contains(a))
+                        paths_meet(&db, lv, lpaths, rv, rpaths, None)
                     })
             });
             candidates[li] = RegionSet::from_regions(pairs.iter().map(|p| p.0).collect());
@@ -861,19 +841,27 @@ impl FileDatabase {
         // Phase 4: projection.
         let phase_started = elapsed_nanos(origin);
         let var = plan.projection.var();
-        let result_regions = candidates.swap_remove(var);
+        let mut result_regions = candidates.swap_remove(var);
         let mut values: Vec<Value> = Vec::new();
         match &plan.projection {
             ProjPlan::Objects { .. } => {
-                // Each projected object moves out of the run's database:
-                // a result holds one copy of its objects, not two. Both
-                // lists are in region order, so one pass pairs them.
-                let mut survivors = std::mem::take(&mut objects[var]).into_iter();
-                for region in &result_regions {
-                    if let Some((_, v)) = survivors.find(|(r, _)| r == region) {
-                        values.push(deref_top(&mut db, v));
-                    }
+                // Build: the results parse whole into a database of their
+                // own, which replaces the check pass's. The result's
+                // regions are read off the objects built, as phase 3 reads
+                // its survivors; DESIGN.md §20 says why that matters to the
+                // next query. Each object then moves out of the database:
+                // a result holds one copy of its objects, not two.
+                let sym = self.view_symbol(&plan.vars[var].symbol)?;
+                let mut built = Database::new();
+                let all = PathFilter::all();
+                let mut sink = ValueSink::new(grammar, text, &mut built, &all);
+                objects[var] =
+                    parse_regions(&parser, sym, &result_regions, &mut sink, |_, _| true)?;
+                result_regions = regions_of(&objects[var]);
+                for (_, v) in std::mem::take(&mut objects[var]) {
+                    values.push(deref_top(&mut built, v));
                 }
+                db = built;
             }
             ProjPlan::IndexValues { chain, .. } => {
                 // Only items inside a result are projected, so the chain
@@ -886,9 +874,8 @@ impl FileDatabase {
                 }
             }
             ProjPlan::ParsedValues { steps, .. } => {
-                let mut cost = PathCost::default();
                 for v in result_regions.iter().filter_map(|r| value_at(&objects[var], r)) {
-                    values.extend(path_values(&db, v, steps, &mut cost).into_iter().cloned());
+                    values.extend(path_values(&db, v, steps, None).into_iter().cloned());
                 }
             }
         }
@@ -925,6 +912,47 @@ fn renumber_spans(ops: &mut [OpTrace], next: &mut u64) {
         *next += 1;
         renumber_spans(&mut op.children, next);
     }
+}
+
+/// Parses the candidate `region` of `sym` into `sink` and returns its
+/// value. Candidates are regions of `sym`, which the index build
+/// recognized: the parse may stop at the last field the sink keeps.
+fn parse_candidate(
+    parser: &Parser<'_>,
+    sym: SymbolId,
+    region: &Region,
+    sink: &mut ValueSink<'_, '_>,
+) -> Result<Value, QueryError> {
+    parser.parse_indexed(sym, region.span(), sink).map_err(QueryError::CandidateParse)?;
+    sink.take().ok_or_else(|| QueryError::Internal("a candidate parse built no value".to_owned()))
+}
+
+/// Parses each of `regions`, candidates of `sym`, into `sink`, and keeps
+/// those that `keep` accepts, with their values, in region order. A
+/// rejected candidate is rolled back: it leaves no object behind.
+fn parse_regions(
+    parser: &Parser<'_>,
+    sym: SymbolId,
+    regions: &RegionSet,
+    sink: &mut ValueSink<'_, '_>,
+    mut keep: impl FnMut(&Database, &Value) -> bool,
+) -> Result<Vec<(Region, Value)>, QueryError> {
+    let mut kept = Vec::new();
+    for region in regions {
+        let mark = sink.mark();
+        let value = parse_candidate(parser, sym, region, sink)?;
+        if keep(sink.db(), &value) {
+            kept.push((*region, value));
+        } else {
+            sink.rollback(mark);
+        }
+    }
+    Ok(kept)
+}
+
+/// The regions of a variable's parsed candidates.
+fn regions_of(objects: &[(Region, Value)]) -> RegionSet {
+    RegionSet::from_sorted(objects.iter().map(|(r, _)| *r).collect())
 }
 
 /// The value of `region` among a variable's survivors (in region order).
@@ -1094,6 +1122,60 @@ mod tests {
         assert_eq!(a.regions, b.regions, "regions differ for {q}");
         assert_eq!(a.values, b.values, "values differ for {q}");
         assert_eq!(a.stats.exact_index, b.stats.exact_index, "exactness differs for {q}");
+    }
+
+    /// A `SELECT r` whose candidates the index only approximates: the
+    /// check pass parses them as far as the residual reads and rolls back
+    /// those it rejects; the build pass parses the results whole.
+    #[test]
+    fn check_then_build_keeps_the_objects_of_results_only() {
+        let corpus = multi_file_corpus(2, 40);
+        let q = "SELECT r FROM References r WHERE r.Editors.Name.Last_Name = \
+                 r.Authors.Name.Last_Name";
+        let spec = IndexSpec::names(["Reference", "Last_Name"]);
+        let db = FileDatabase::build(corpus.clone(), bibtex::schema(), spec).unwrap();
+        let plan = db.plan(q).unwrap();
+        assert!(plan.vars[0].residual.is_some(), "the partial index only approximates {q}");
+        let filter = plan.vars[0].parse.as_ref().expect("inexact candidates are checked");
+        let res = db.query(q).unwrap();
+        let (candidates, _, _) = db.query_regions(q).unwrap();
+        assert!(!res.regions.is_empty(), "{q} has answers");
+        assert!(res.regions.len() < candidates.len(), "the residual rejects some candidates");
+
+        // The result's database holds the objects of the results and
+        // nothing else, and `RunStats::db` counts it: as many value nodes
+        // as an exact plan builds for the same answer.
+        let full = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
+        let exact = full.query(q).unwrap();
+        assert_eq!((&res.regions, &res.values), (&exact.regions, &exact.values));
+        assert_eq!(res.db.object_count(), res.regions.len());
+        assert_eq!(res.db.extent("Reference").len(), res.regions.len());
+        assert_eq!(res.stats.db, res.db.stats());
+        assert_eq!(res.stats.db, exact.stats.db);
+
+        // `RunStats::parse` counts both passes: every candidate as far as
+        // the check filter reads, then every result whole.
+        let grammar = &db.schema().grammar;
+        let sym = grammar.symbol("Reference").unwrap();
+        let parser = Parser::new(grammar, db.corpus().text());
+        let mut scratch = Database::new();
+        let text = AtomText::Shared(db.corpus().shared_text());
+        let mut sink = ValueSink::new(grammar, text, &mut scratch, filter);
+        for region in &candidates {
+            parse_candidate(&parser, sym, region, &mut sink).unwrap();
+        }
+        let checked = parser.stats().bytes_scanned;
+        let whole: u64 = res.regions.iter().map(|r| u64::from(r.len())).sum();
+        assert!(checked < candidates.iter().map(|r| u64::from(r.len())).sum::<u64>());
+        assert_eq!(res.stats.parse.bytes_scanned, checked + whole);
+
+        // A `SELECT r.p` keeps its one pass, whose database is the
+        // result's: the candidates the residual rejects were rolled back.
+        let keys = db.query(&q.replacen("SELECT r ", "SELECT r.Key ", 1)).unwrap();
+        assert_eq!(keys.regions, res.regions);
+        assert_eq!(keys.db.object_count(), res.regions.len());
+        assert_eq!(keys.stats.db, keys.db.stats());
+        assert_eq!(keys.stats.parse.bytes_scanned, checked);
     }
 
     #[test]

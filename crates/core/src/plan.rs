@@ -95,10 +95,12 @@ pub struct VarPlan {
     /// The residual filter: the compiled local condition, present only
     /// when the index candidates are a superset of the answer.
     pub residual: Option<CompiledCond>,
-    /// The parse filter, present only when the candidates are parsed: to
-    /// check the residual, to re-check an inexact join, or to build the
-    /// projection. It keeps every path the query touches on this variable,
-    /// or everything when whole objects are built.
+    /// The check filter, present only when the candidates are parsed
+    /// before the projection: to check the residual, to re-check an
+    /// inexact join, or to evaluate a `SELECT r.p` on parsed values. It
+    /// keeps the paths those read on this variable and no more; a
+    /// `SELECT r` builds its results whole afterwards
+    /// ([`ProjPlan::Objects`]).
     pub parse: Option<PathFilter>,
 }
 
@@ -131,7 +133,8 @@ pub struct JoinPlan {
 /// Plan for the projection: where its values come from.
 #[derive(Debug, Clone)]
 pub enum ProjPlan {
-    /// `SELECT r`: whole objects, built from parsed candidates.
+    /// `SELECT r`: whole objects, built from the result regions once every
+    /// check has passed.
     Objects {
         /// Position of the projected variable in [`Plan::vars`].
         var: usize,
@@ -496,11 +499,8 @@ impl<'a> Planner<'a> {
 
         // Plan the projection.
         let projection = match &q.select {
-            // SELECT r builds whole objects: keep everything.
-            Projection::Var(_) => {
-                filters[proj_var] = PathFilter::all();
-                ProjPlan::Objects { var: proj_var }
-            }
+            // SELECT r builds whole objects, of its results only.
+            Projection::Var(_) => ProjPlan::Objects { var: proj_var },
             Projection::Path(p) => {
                 let symbol = &vars[proj_var].symbol;
                 let spec = resolve_path(&self.schema.grammar, symbol, &p.steps)?;
@@ -527,12 +527,12 @@ impl<'a> Planner<'a> {
             }
         };
 
-        // What parsing must do (§6.2). Inexact candidates, both sides of an
-        // inexact join, and the projected variable of a projection the index
-        // cannot answer are parsed with the push-down filter (which keeps
-        // everything for `SELECT r`).
+        // What the check pass parses (§6.2). Inexact candidates, both sides
+        // of an inexact join, and the projected variable of a `SELECT r.p`
+        // evaluated on parsed values are parsed with the push-down filter:
+        // the paths their checks and projection read.
         let join_inexact = join.as_ref().is_some_and(|j| j.residual.is_some());
-        let parses_projection = !matches!(projection, ProjPlan::IndexValues { .. });
+        let parses_projection = matches!(projection, ProjPlan::ParsedValues { .. });
         for (i, (vp, filter)) in vars.iter_mut().zip(filters).enumerate() {
             let needed = !vp.exact() || join_inexact || (parses_projection && i == proj_var);
             vp.parse = needed.then_some(filter);

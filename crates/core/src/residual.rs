@@ -7,7 +7,9 @@
 //! and the push-down filter. Because a query path may resolve to several
 //! derivation alternatives, a value matches when any alternative does.
 
-use qof_db::{eval_path_counted, Database, PathCost, Value};
+use std::ops::ControlFlow;
+
+use qof_db::{eval_path_counted, walk_path, Database, DbStep, PathCost, Value};
 use qof_grammar::{resolve_path, Grammar, PathError, PathSpec};
 
 use crate::{Cond, RightHand};
@@ -94,24 +96,68 @@ pub fn compile_cond(
     })
 }
 
-/// The union of a compiled path's results over its alternatives.
+/// The steps of a compiled path's alternatives, each once: alternatives
+/// that differ only in their region chains evaluate alike.
+fn distinct_steps(paths: &PathSpec) -> impl Iterator<Item = &[DbStep]> {
+    let alts = &paths.alternatives;
+    alts.iter()
+        .enumerate()
+        .filter(|(i, alt)| alts[..*i].iter().all(|a| a.steps != alt.steps))
+        .map(|(_, alt)| alt.steps.as_slice())
+}
+
+/// The union of a compiled path's results over its alternatives, sorted
+/// and without duplicates. `cost`, when given, counts the traversal.
 pub fn path_values<'a>(
     db: &'a Database,
     value: &'a Value,
     paths: &PathSpec,
-    cost: &mut PathCost,
+    cost: Option<&mut PathCost>,
 ) -> Vec<&'a Value> {
-    let mut out: Vec<&Value> = Vec::new();
-    for (i, alt) in paths.alternatives.iter().enumerate() {
-        // Alternatives that differ only in their region chains evaluate
-        // alike.
-        if paths.alternatives[..i].iter().all(|a| a.steps != alt.steps) {
-            out.extend(eval_path_counted(db, value, &alt.steps, cost));
-        }
-    }
+    let mut uncounted = PathCost::default();
+    let cost = cost.unwrap_or(&mut uncounted);
+    let mut out: Vec<&Value> =
+        distinct_steps(paths).flat_map(|steps| eval_path_counted(db, value, steps, cost)).collect();
     out.sort_unstable();
     out.dedup_by(|a, b| a == b);
     out
+}
+
+/// Whether a value a compiled path reaches from `value` satisfies `hit`;
+/// the walk stops at the first that does.
+fn reaches<'a>(
+    db: &'a Database,
+    value: &'a Value,
+    paths: &PathSpec,
+    cost: &mut PathCost,
+    hit: &mut impl FnMut(&'a Value) -> bool,
+) -> bool {
+    distinct_steps(paths).any(|steps| {
+        let mut stop = |v| if hit(v) { ControlFlow::Break(()) } else { ControlFlow::Continue(()) };
+        walk_path(db, value, steps, cost, &mut stop).is_break()
+    })
+}
+
+/// Whether `lpaths` from `lv` and `rpaths` from `rv` reach a common value,
+/// found without collecting either side. `cost`, when given, counts the
+/// traversal.
+pub(crate) fn paths_meet(
+    db: &Database,
+    lv: &Value,
+    lpaths: &PathSpec,
+    rv: &Value,
+    rpaths: &PathSpec,
+    cost: Option<&mut PathCost>,
+) -> bool {
+    let mut uncounted = PathCost::default();
+    let cost = cost.unwrap_or(&mut uncounted);
+    let mut right = PathCost::default();
+    let meet = reaches(db, lv, lpaths, cost, &mut |x| {
+        reaches(db, rv, rpaths, &mut right, &mut |y| x == y)
+    });
+    cost.nodes_visited += right.nodes_visited;
+    cost.derefs += right.derefs;
+    meet
 }
 
 /// Evaluates a compiled condition against a single binding `var = value`.
@@ -121,12 +167,14 @@ pub fn eval_single(
     var: &str,
     value: &Value,
     cond: &CompiledCond,
-    cost: &mut PathCost,
+    cost: Option<&mut PathCost>,
 ) -> bool {
     eval_pair(db, var, value, "\u{0}", value, cond, cost)
 }
 
-/// Evaluates a compiled condition against a pair of bindings.
+/// Evaluates a compiled condition against a pair of bindings. Each `=`
+/// stops walking its paths at the first match. `cost`, when given, counts
+/// the traversal.
 pub fn eval_pair(
     db: &Database,
     v1: &str,
@@ -134,8 +182,10 @@ pub fn eval_pair(
     v2: &str,
     b: &Value,
     cond: &CompiledCond,
-    cost: &mut PathCost,
+    cost: Option<&mut PathCost>,
 ) -> bool {
+    let mut uncounted = PathCost::default();
+    let cost = cost.unwrap_or(&mut uncounted);
     let binding = |var: &str| -> Option<&Value> {
         if var == v1 {
             Some(a)
@@ -148,7 +198,7 @@ pub fn eval_pair(
     match cond {
         CompiledCond::EqConst { var, paths, value } => binding(var).is_some_and(|v| {
             let prefix = value.strip_suffix('*').filter(|p| !p.is_empty());
-            path_values(db, v, paths, cost).iter().any(|x| {
+            reaches(db, v, paths, cost, &mut |x| {
                 x.as_str().is_some_and(|s| match prefix {
                     Some(p) => s.starts_with(p),
                     None => s == value.as_str(),
@@ -159,17 +209,17 @@ pub fn eval_pair(
             let (Some(lv), Some(rv)) = (binding(lvar), binding(rvar)) else {
                 return false;
             };
-            let ls = path_values(db, lv, lpaths, cost);
-            let rs = path_values(db, rv, rpaths, cost);
-            ls.iter().any(|x| rs.iter().any(|y| x == y))
+            paths_meet(db, lv, lpaths, rv, rpaths, Some(cost))
         }
         CompiledCond::And(x, y) => {
-            eval_pair(db, v1, a, v2, b, x, cost) && eval_pair(db, v1, a, v2, b, y, cost)
+            eval_pair(db, v1, a, v2, b, x, Some(&mut *cost))
+                && eval_pair(db, v1, a, v2, b, y, Some(cost))
         }
         CompiledCond::Or(x, y) => {
-            eval_pair(db, v1, a, v2, b, x, cost) || eval_pair(db, v1, a, v2, b, y, cost)
+            eval_pair(db, v1, a, v2, b, x, Some(&mut *cost))
+                || eval_pair(db, v1, a, v2, b, y, Some(cost))
         }
-        CompiledCond::Not(x) => !eval_pair(db, v1, a, v2, b, x, cost),
+        CompiledCond::Not(x) => !eval_pair(db, v1, a, v2, b, x, Some(cost)),
     }
 }
 
@@ -177,7 +227,6 @@ pub fn eval_pair(
 mod tests {
     use super::*;
     use crate::parse_query;
-    use qof_db::DbStep;
     use qof_grammar::{lit, nt, TokenPattern, ValueBuilder};
 
     fn grammar() -> Grammar {
@@ -212,9 +261,8 @@ mod tests {
             ("Key", Value::str("k2")),
             ("Authors", Value::set([Value::tuple([("Last_Name", Value::str("Milo"))])])),
         ]);
-        let mut cost = PathCost::default();
-        assert!(eval_single(&db, "r", &hit, &cc, &mut cost));
-        assert!(!eval_single(&db, "r", &miss, &cc, &mut cost));
+        assert!(eval_single(&db, "r", &hit, &cc, None));
+        assert!(!eval_single(&db, "r", &miss, &cc, None));
     }
 
     fn compiled(q: &str) -> PathSpec {

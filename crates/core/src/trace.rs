@@ -73,7 +73,10 @@ pub struct PhaseTrace {
     /// `parse-filter`, `projection`). `index-candidates` includes the
     /// O(1) engine set-up and, on the first `⊃d`, `⊂d` or `⊃^n` query
     /// since the index was built or opened, the nesting-forest build
-    /// inside that operator's span.
+    /// inside that operator's span. `parse-filter` is the check pass:
+    /// candidates parsed as far as their checks read, residuals, and the
+    /// join re-check. `projection` includes the build pass, which parses
+    /// the results of a `SELECT r` whole.
     pub name: &'static str,
     /// Start offset on the query's timeline, nanoseconds since the query
     /// began (schema v5). Phases are timed back-to-back against one

@@ -11,7 +11,8 @@
 //!   sets, lists and object references, matching the data model of the
 //!   paper's structuring schemas (§4.1);
 //! * a [`Database`] with named classes, object identity and class extents;
-//! * object-oriented *path expressions* ([`DbStep`], [`eval_path`]) including
+//! * object-oriented *path expressions* ([`DbStep`], [`eval_path`], and the
+//!   depth-first [`walk_path`] that can stop early) including
 //!   the `*X` any-path traversal of XSQL (§5.3), with traversal-cost
 //!   accounting — the paper's claim that path variables are expensive in a
 //!   traditional OODBMS is measured through these counters;
@@ -22,7 +23,7 @@ mod schema;
 mod store;
 mod value;
 
-pub use path::{eval_path, eval_path_counted, DbStep, PathCost};
+pub use path::{eval_path, eval_path_counted, walk_path, DbStep, PathCost};
 pub use schema::{validate, ClassDef, TypeDef, TypeError};
 pub use store::{Database, DbMark, DbStats, Oid};
 pub use value::{Atom, Fields, Value};

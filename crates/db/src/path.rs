@@ -3,6 +3,8 @@
 //! traverses every element, as in `r.Authors.Name.Last_Name` where `Authors`
 //! is a `set(Name)`.
 
+use std::ops::ControlFlow;
+
 use crate::{Database, Value};
 
 /// One step of a compiled database path.
@@ -39,45 +41,72 @@ pub fn eval_path<'a>(db: &'a Database, value: &'a Value, steps: &[DbStep]) -> Ve
     eval_path_counted(db, value, steps, &mut cost)
 }
 
-/// Evaluates a compiled path, accumulating traversal costs.
+/// Evaluates a compiled path, accumulating traversal costs. Paths produce
+/// sets of values: what [`walk_path`] reaches, sorted, with the values
+/// reached by several routes once.
 pub fn eval_path_counted<'a>(
     db: &'a Database,
     value: &'a Value,
     steps: &[DbStep],
     cost: &mut PathCost,
 ) -> Vec<&'a Value> {
-    let mut frontier: Vec<&'a Value> = vec![resolve(db, value, cost)];
-    for step in steps {
-        let mut next: Vec<&'a Value> = Vec::new();
-        match step {
-            DbStep::Field(name) => {
-                for v in frontier {
-                    field_step(db, v, name, &mut next, cost);
-                }
-            }
-            DbStep::Elements => {
-                for v in frontier {
-                    element_step(db, v, &mut next, cost);
-                }
-            }
-            DbStep::AnyPath => {
-                for v in frontier {
-                    reachable(db, v, &mut next, cost);
-                }
-            }
-            DbStep::Exactly(n) => {
-                for v in frontier {
-                    exactly_n(db, v, *n, &mut next, cost);
+    let mut out: Vec<&'a Value> = Vec::new();
+    let _ = walk_path(db, value, steps, cost, &mut |v| {
+        out.push(v);
+        ControlFlow::<()>::Continue(())
+    });
+    out.sort_unstable();
+    out.dedup_by(|a, b| a == b);
+    out
+}
+
+/// Walks a compiled path depth first and calls `visit` on every value it
+/// reaches, with object references dereferenced; a `Break` from `visit`
+/// ends the walk and is returned. Nothing is allocated, and a value reached
+/// by several routes is visited once per route.
+pub fn walk_path<'a, B>(
+    db: &'a Database,
+    value: &'a Value,
+    steps: &[DbStep],
+    cost: &mut PathCost,
+    visit: &mut impl FnMut(&'a Value) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let value = resolve(db, value, cost);
+    walk(db, value, steps, cost, visit)
+}
+
+/// [`walk_path`] from a value already resolved.
+fn walk<'a, B>(
+    db: &'a Database,
+    v: &'a Value,
+    steps: &[DbStep],
+    cost: &mut PathCost,
+    visit: &mut impl FnMut(&'a Value) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let Some((step, rest)) = steps.split_first() else { return visit(v) };
+    match step {
+        // Field access on tuples. Collections are **not** transparent:
+        // compiled paths make element traversal explicit with
+        // `Elements`, keeping the step count aligned with the region chains
+        // of the grammar (one step per region, §5.3).
+        DbStep::Field(name) => {
+            if let Value::Tuple(m) = resolve(db, v, cost) {
+                if let Some(x) = m.get(name) {
+                    return walk(db, resolve(db, x, cost), rest, cost, visit);
                 }
             }
         }
-        // Set semantics: paths produce sets of values, so duplicates reached
-        // through different routes collapse.
-        next.sort_unstable();
-        next.dedup_by(|a, b| a == b);
-        frontier = next;
+        DbStep::Elements => {
+            if let Value::Set(items) | Value::List(items) = resolve(db, v, cost) {
+                for item in items {
+                    walk(db, resolve(db, item, cost), rest, cost, visit)?;
+                }
+            }
+        }
+        DbStep::AnyPath => return reachable(db, v, rest, cost, visit),
+        DbStep::Exactly(n) => return exactly_n(db, v, *n, rest, cost, visit),
     }
-    frontier
+    ControlFlow::Continue(())
 }
 
 fn resolve<'a>(db: &'a Database, v: &'a Value, cost: &mut PathCost) -> &'a Value {
@@ -90,82 +119,63 @@ fn resolve<'a>(db: &'a Database, v: &'a Value, cost: &mut PathCost) -> &'a Value
     }
 }
 
-/// Field access on tuples. Collections are **not** transparent: compiled
-/// paths make element traversal explicit with [`DbStep::Elements`], keeping
-/// the step count aligned with the region chains of the grammar (one step
-/// per region, §5.3).
-fn field_step<'a>(
+/// Walks `rest` from every value reachable from `v`, `v` itself included:
+/// the `*X` closure.
+fn reachable<'a, B>(
     db: &'a Database,
     v: &'a Value,
-    name: &str,
-    out: &mut Vec<&'a Value>,
+    rest: &[DbStep],
     cost: &mut PathCost,
-) {
+    visit: &mut impl FnMut(&'a Value) -> ControlFlow<B>,
+) -> ControlFlow<B> {
     let v = resolve(db, v, cost);
-    if let Value::Tuple(m) = v {
-        if let Some(x) = m.get(name) {
-            out.push(resolve(db, x, cost));
-        }
-    }
-}
-
-/// Set/list element traversal.
-fn element_step<'a>(db: &'a Database, v: &'a Value, out: &mut Vec<&'a Value>, cost: &mut PathCost) {
-    let v = resolve(db, v, cost);
-    if let Value::Set(items) | Value::List(items) = v {
-        for item in items {
-            out.push(resolve(db, item, cost));
-        }
-    }
-}
-
-/// Every value reachable from `v`, including `v` itself — the `*X` closure.
-fn reachable<'a>(db: &'a Database, v: &'a Value, out: &mut Vec<&'a Value>, cost: &mut PathCost) {
-    let v = resolve(db, v, cost);
-    out.push(v);
+    walk(db, v, rest, cost, visit)?;
     match v {
         Value::Tuple(m) => {
             for x in m.values() {
-                reachable(db, x, out, cost);
+                reachable(db, x, rest, cost, visit)?;
             }
         }
         Value::Set(items) | Value::List(items) => {
             for x in items {
-                reachable(db, x, out, cost);
+                reachable(db, x, rest, cost, visit)?;
             }
         }
         _ => {}
     }
+    ControlFlow::Continue(())
 }
 
-/// Values reachable by exactly `n` hops, where a hop is a field access or a
-/// set/list element entry — mirroring the one-region-per-step accounting of
-/// the region algebra's exact-nesting operator (§5.3).
-fn exactly_n<'a>(
+/// Walks `rest` from the values reachable by exactly `n` hops, where a hop
+/// is a field access or a set/list element entry — mirroring the
+/// one-region-per-step accounting of the region algebra's exact-nesting
+/// operator (§5.3).
+fn exactly_n<'a, B>(
     db: &'a Database,
     v: &'a Value,
     n: u32,
-    out: &mut Vec<&'a Value>,
+    rest: &[DbStep],
     cost: &mut PathCost,
-) {
-    if n == 0 {
-        out.push(resolve(db, v, cost));
-        return;
-    }
+    visit: &mut impl FnMut(&'a Value) -> ControlFlow<B>,
+) -> ControlFlow<B> {
     let v = resolve(db, v, cost);
+    if n == 0 {
+        return walk(db, v, rest, cost, visit);
+    }
     match v {
         Value::Tuple(m) => {
             for x in m.values() {
-                exactly_n(db, x, n - 1, out, cost);
+                exactly_n(db, x, n - 1, rest, cost, visit)?;
             }
         }
         Value::Set(items) | Value::List(items) => {
             for x in items {
-                exactly_n(db, x, n - 1, out, cost);
+                exactly_n(db, x, n - 1, rest, cost, visit)?;
             }
         }
         _ => {}
     }
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
@@ -254,6 +264,23 @@ mod tests {
         let mut cost = PathCost::default();
         eval_path_counted(&db, &r, &[DbStep::AnyPath], &mut cost);
         assert!(cost.nodes_visited as usize >= r.node_count());
+    }
+
+    #[test]
+    fn walk_stops_at_the_first_break() {
+        let db = Database::new();
+        let r = reference();
+        let steps = [DbStep::AnyPath, DbStep::Field("Last_Name".into())];
+        let mut seen = 0;
+        let found = walk_path(&db, &r, &steps, &mut PathCost::default(), &mut |v| {
+            seen += 1;
+            match v.as_str() {
+                Some(name) if name.starts_with('C') => ControlFlow::Break(name),
+                _ => ControlFlow::Continue(()),
+            }
+        });
+        assert!(matches!(found, ControlFlow::Break("Chang" | "Corliss")), "{found:?}");
+        assert!(seen < 3, "the walk went on after the first hit: {seen} visits");
     }
 
     #[test]

@@ -80,17 +80,22 @@ impl Database {
     }
 
     /// Forgets every object created since `mark`: the objects, their
-    /// extent entries and their share of the statistics.
+    /// extent entries and their share of the statistics. The work is in
+    /// proportion to the objects forgotten, not to those kept.
     pub fn rollback(&mut self, mark: DbMark) {
         if self.objects.len() <= mark.objects {
             return;
         }
-        for (class, _) in self.objects.drain(mark.objects..) {
+        for (class, _) in self.objects.drain(mark.objects..).rev() {
+            // Oids ascend within an extent, and the newest object is undone
+            // first: it is its extent's last entry.
             if let Some(extent) = self.extents.get_mut(&*class) {
-                extent.retain(|oid| (oid.0 as usize) < mark.objects);
+                extent.pop();
+                if extent.is_empty() {
+                    self.extents.remove(&*class);
+                }
             }
         }
-        self.extents.retain(|_, extent| !extent.is_empty());
         self.stats = mark.stats;
     }
 
@@ -179,6 +184,55 @@ mod tests {
         assert_eq!(db.classes().collect::<Vec<_>>(), ["R"]);
         assert_eq!(db.stats(), stats);
         assert_eq!(db.new_object("R", Value::str("r3")), Oid(1), "identities are reused");
+    }
+
+    /// Objects spelled out, class extents, and statistics.
+    type Spelled = (Vec<String>, Vec<(String, Vec<Oid>)>, DbStats);
+
+    /// Everything a database tells about its objects, for comparing two.
+    fn spelled(db: &Database) -> Spelled {
+        let objects = (0..db.object_count() as u32)
+            .map(|i| format!("{:?} {:?}", db.class_of(Oid(i)), db.deref(Oid(i))))
+            .collect();
+        let extents = db.classes().map(|c| (c.to_owned(), db.extent(c).to_vec())).collect();
+        (objects, extents, db.stats())
+    }
+
+    #[test]
+    fn interleaved_rollbacks_leave_what_a_rebuild_of_the_kept_objects_makes() {
+        // Each round creates a few objects of several classes and keeps
+        // them or rolls them back; the kept ones, created again in a fresh
+        // database, must give the same objects, extents, classes and stats.
+        let classes = ["R", "S", "T"];
+        let (mut db, mut rebuilt) = (Database::new(), Database::new());
+        for round in 0..40usize {
+            let mark = db.mark();
+            let made: Vec<(&str, Value)> = (0..1 + round % 4)
+                .map(|k| {
+                    let class = classes[(round * 7 + k) % classes.len()];
+                    let value = Value::tuple([("N", Value::str(format!("{round}.{k}")))]);
+                    (class, value)
+                })
+                .collect();
+            for (class, value) in &made {
+                db.new_object(class, value.clone());
+            }
+            if round % 3 == 1 {
+                db.rollback(mark);
+                assert_eq!(db.mark(), mark, "round {round}");
+            } else {
+                for (class, value) in made {
+                    rebuilt.new_object(class, value);
+                }
+            }
+            assert_eq!(spelled(&db), spelled(&rebuilt), "round {round}");
+        }
+        // A rollback to the very start empties every extent.
+        let mut db = Database::new();
+        let start = db.mark();
+        db.new_object("R", Value::str("r"));
+        db.rollback(start);
+        assert_eq!(spelled(&db), spelled(&Database::new()));
     }
 
     #[test]

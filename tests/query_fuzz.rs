@@ -9,13 +9,21 @@
 //! baseline (`run_baseline`, full load): the same values, or an error on
 //! both sides.
 //!
+//! A second loop draws content compares within one variable (`v.p = v.q`)
+//! and `AND`/`OR`/`NOT` mixes, under a full index and two partial ones,
+//! and checks them against the baseline with nested objects compared by
+//! content.
+//!
 //! The loop runs through `FileDatabase::query_traced`, so in a debug build
 //! every optimizer call also self-verifies (`QOF030`/`QOF031`). Every case
 //! runs on its own seed drawn from a fixed `StdRng` stream; a failure
 //! prints the case's seed and query text.
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use common::shown;
 use qof::baseline::{run_baseline, BaselineMode};
 use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
 use qof::grammar::{IndexSpec, StructuringSchema};
@@ -82,6 +90,27 @@ fn random_query(
     }
 }
 
+/// A condition on `v`: an `=` to a word, a content compare of two paths
+/// (`v.p = v.q`), or, below `depth`, an `AND`, `OR` or `NOT` of smaller
+/// ones.
+fn random_cond(
+    schema: &StructuringSchema,
+    (view, symbol): (&str, &str),
+    words: &[&str],
+    depth: u32,
+    rng: &mut StdRng,
+) -> String {
+    let path = |rng: &mut StdRng| format!("v.{}", grammar_walk(schema, symbol, rng).join("."));
+    let sub = |rng: &mut StdRng| random_cond(schema, (view, symbol), words, depth - 1, rng);
+    match rng.random_range(0..if depth == 0 { 2 } else { 5 }) {
+        0 => format!("{} = \"{}\"", path(rng), words[rng.random_range(0..words.len())]),
+        1 => format!("{} = {}", path(rng), path(rng)),
+        2 => format!("({} AND {})", sub(rng), sub(rng)),
+        3 => format!("({} OR {})", sub(rng), sub(rng)),
+        _ => format!("NOT {}", sub(rng)),
+    }
+}
+
 /// Overwrites, deletes or inserts 1–3 bytes, drawing new bytes from the
 /// query language's own punctuation as well as arbitrary ones.
 fn mutate(query: &str, rng: &mut StdRng) -> String {
@@ -136,6 +165,20 @@ fn agrees_with_baseline(db: &FileDatabase, query: &str) -> Result<(), String> {
     }
 }
 
+/// [`agrees_with_baseline`] with object references shown as the objects
+/// they name, for answers that hold nested objects: identities differ
+/// between two databases, contents must not.
+fn same_objects_as_baseline(db: &FileDatabase, query: &str) -> Result<(), String> {
+    let ours = db.query(query).map(|r| shown(&r.values, &r.db));
+    let base = run_baseline(db.corpus(), db.schema(), query, BaselineMode::FullLoad)
+        .map(|r| shown(&r.values, &r.db));
+    match (ours, base) {
+        (Ok(a), Ok(b)) if a == b => Ok(()),
+        (Err(_), Err(_)) => Ok(()),
+        (a, b) => Err(format!("index {a:?} against baseline {b:?}")),
+    }
+}
+
 #[test]
 fn random_and_mutated_queries_never_panic_and_always_certify() {
     let mut seeds = StdRng::seed_from_u64(0xf022_9e71);
@@ -181,4 +224,56 @@ fn random_and_mutated_queries_never_panic_and_always_certify() {
         }
     }
     assert!(planned > CASES * 4, "unmutated queries: {planned}");
+}
+
+/// Content compares within one variable (`v.p = v.q`) and `AND`/`OR`/`NOT`
+/// mixes of them and of `=` selections, projected as objects or as a
+/// path, under partial indexes (where most of them leave a residual for
+/// the check pass) and a full one: every answer is the baseline's.
+#[test]
+fn content_compares_and_boolean_mixes_match_the_baseline() {
+    let mut seeds = StdRng::seed_from_u64(0xc0_4e7e);
+    let (mut agreed, mut residuals) = (0, 0);
+    for (schema, text) in corpora() {
+        let (view, symbol) = schema.views().next().expect("a view");
+        let (view, symbol) = (view.to_owned(), symbol.to_owned());
+        let words: Vec<&str> =
+            text.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty()).collect();
+        let corpus = Corpus::from_text(&text);
+        let mut specs = vec![IndexSpec::full()];
+        for _ in 0..2 {
+            let mut rng = StdRng::seed_from_u64(seeds.next_u64());
+            let mut partial = IndexSpec::names([symbol.as_str()]);
+            for (_, name) in schema.grammar.symbols() {
+                if rng.random_range(0..3) == 0 {
+                    partial = partial.with_name(name);
+                }
+            }
+            specs.push(partial);
+        }
+        for spec in specs {
+            let db = FileDatabase::build(corpus.clone(), schema.clone(), spec).unwrap();
+            for i in 0..CASES / 2 {
+                let seed = seeds.next_u64();
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let cond = random_cond(&schema, (&view, &symbol), &words, 2, rng);
+                let select = if rng.random_range(0..2) == 0 {
+                    "v".to_owned()
+                } else {
+                    format!("v.{}", grammar_walk(&schema, &symbol, rng).join("."))
+                };
+                let query = format!("SELECT {select} FROM {view} v WHERE {cond}");
+                let checked = run(&db, &query).and_then(|()| same_objects_as_baseline(&db, &query));
+                if let Err(msg) = checked {
+                    panic!("{view}, case {i} (seed {seed:#x}): {msg} on `{query}`");
+                }
+                agreed += usize::from(db.query(&query).is_ok());
+                residuals +=
+                    usize::from(db.plan(&query).is_ok_and(|plan| plan.vars[0].residual.is_some()));
+            }
+        }
+    }
+    let cases = CASES / 2 * 3 * 5;
+    assert!(agreed * 2 > cases, "{agreed} of {cases} queries planned and ran");
+    assert!(residuals * 4 > cases, "only {residuals} of {cases} queries left a residual");
 }
