@@ -21,7 +21,7 @@ use qof_pat::{
 use qof_text::{Corpus, Pos, Tokenizer, WordIndex};
 
 use crate::analyze::absint::AbsInterp;
-use crate::plan::{CondNode, Exactness, JoinPlan, Plan, PlanError, Planner, ProjPlan};
+use crate::plan::{CompareTest, CondNode, Exactness, JoinPlan, Plan, PlanError, Planner, ProjPlan};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::qofx::{self, QofxError};
 use crate::residual::{eval_single, path_values, paths_meet};
@@ -636,28 +636,12 @@ impl FileDatabase {
     ) -> Result<RegionSet, QueryError> {
         match node {
             CondNode::IndexOnly { expr, .. } => Ok(engine.eval(expr)?.intersect(view)),
-            CondNode::ContentCompare { left, right, .. } => {
-                let lg = group_by_container(view, &engine.eval(left)?);
-                let rg = group_by_container(view, &engine.eval(right)?);
-                let mut l_strings: HashMap<usize, Vec<&str>> = HashMap::new();
-                for (ci, item) in lg {
-                    *content_bytes += u64::from(item.len());
-                    l_strings.entry(ci).or_default().push(self.corpus.slice(item.span()));
-                }
-                let mut hits: Vec<Region> = Vec::new();
-                for (ci, item) in rg {
-                    *content_bytes += u64::from(item.len());
-                    let s = self.corpus.slice(item.span());
-                    if l_strings.get(&ci).is_some_and(|ls| ls.contains(&s)) {
-                        hits.push(view.as_slice()[ci]);
-                    }
-                }
-                Ok(RegionSet::from_regions(hits))
-            }
-            CondNode::ContentCandidates { left, right, .. } => {
-                let l = engine.eval(left)?;
-                let r = engine.eval(right)?;
-                Ok(view.including(&l).intersect(&view.including(&r)))
+            CondNode::ContentCompare { left, right, test, .. } => {
+                // One memo for both sides: what they share, or a whole side
+                // compared with itself, is evaluated once.
+                let sides = engine.eval_all(&[left, right])?;
+                let right = (left != right).then_some(&sides[1]);
+                Ok(compare_views(&self.corpus, view, &sides[0], right, *test, content_bytes))
             }
             CondNode::And(a, b) => Ok(self
                 .eval_cond(engine, a, view, content_bytes)?
@@ -989,11 +973,70 @@ fn pair_by_key<K: std::hash::Hash + Eq>(
     pairs
 }
 
+/// The views whose located regions pass a content compare's `test`
+/// (DESIGN.md §21). `right` is `None` when both sides are one expression,
+/// whose regions then stand on both sides. Each region is keyed by the
+/// view holding it; for the text test a view's regions are sorted by text,
+/// so that equal texts lie side by side. An empty region may pair with
+/// itself, since two empty atoms can share it.
+fn compare_views(
+    corpus: &Corpus,
+    view: &RegionSet,
+    left: &RegionSet,
+    right: Option<&RegionSet>,
+    test: CompareTest,
+    content_bytes: &mut u64,
+) -> RegionSet {
+    let bytes = corpus.text().as_bytes();
+    let text = |r: &Region| &bytes[r.start as usize..r.end as usize];
+    // (view, located region, sides it stands on: 1 left, 2 right)
+    let mut keyed = Vec::with_capacity(left.len() + right.map_or(0, RegionSet::len));
+    let sides = [(left, if right.is_some() { 1 } else { 3 })].into_iter();
+    for (set, side) in sides.chain(right.map(|r| (r, 2))) {
+        for_each_in_container(view, set, |ci, item| keyed.push((view.as_slice()[ci], item, side)));
+    }
+    // Items come in region order, so the views interleave only where they
+    // nest; then a stable sort groups each view's regions.
+    if !keyed.is_sorted_by_key(|e| e.0) {
+        keyed.sort_by_key(|e| e.0);
+    }
+    let both = |run: &[(Region, Region, u8)]| run.iter().fold(0, |acc, e| acc | e.2) == 3;
+    let mut hits = Vec::new();
+    for in_view in keyed.chunk_by_mut(|a, b| a.0 == b.0) {
+        let CompareTest::Text { distinct } = test else {
+            if both(in_view) {
+                hits.push(in_view[0].0);
+            }
+            continue;
+        };
+        *content_bytes += in_view.iter().map(|e| u64::from(e.1.len())).sum::<u64>();
+        in_view.sort_unstable_by(|a, b| text(&a.1).cmp(text(&b.1)));
+        if in_view.chunk_by(|a, b| text(&a.1) == text(&b.1)).any(|run| {
+            let first = run[0].1;
+            both(run) && (!distinct || first.is_empty() || run.iter().any(|e| e.1 != first))
+        }) {
+            hits.push(in_view[0].0);
+        }
+    }
+    RegionSet::from_sorted(hits)
+}
+
 /// Pairs `(container index, item)` for every item lying inside a container.
 /// Containers may nest (self-nested views); an item maps to each container
 /// that includes it.
 fn group_by_container(containers: &RegionSet, items: &RegionSet) -> Vec<(usize, Region)> {
     let mut out = Vec::new();
+    for_each_in_container(containers, items, |c, item| out.push((c, item)));
+    out
+}
+
+/// Calls `f(container index, item)` for every item lying inside a
+/// container, in item order: one sweep with a stack of open containers.
+fn for_each_in_container(
+    containers: &RegionSet,
+    items: &RegionSet,
+    mut f: impl FnMut(usize, Region),
+) {
     let cs = containers.as_slice();
     let mut stack: Vec<usize> = Vec::new();
     let mut ci = 0usize;
@@ -1018,11 +1061,10 @@ fn group_by_container(containers: &RegionSet, items: &RegionSet) -> Vec<(usize, 
         }
         for &c in &stack {
             if cs[c].includes(item) {
-                out.push((c, *item));
+                f(c, *item);
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -1065,6 +1107,39 @@ mod tests {
         let items = rs(&[(5, 10), (8, 12)]);
         let got = group_by_container(&containers, &items);
         assert_eq!(got, vec![(0, Region::new(5, 10))]);
+    }
+
+    #[test]
+    fn a_region_pairs_with_itself_only_when_the_paths_may_meet() {
+        // Two views: the first holds "xx" once, the second twice.
+        let corpus = Corpus::from_text("[xx yy] [xx xx]");
+        let view = rs(&[(0, 7), (8, 15)]);
+        let names = rs(&[(1, 3), (4, 6), (9, 11), (12, 14)]);
+        let pass = |left: &RegionSet, right: Option<&RegionSet>, test: CompareTest| {
+            let mut bytes = 0;
+            (compare_views(&corpus, &view, left, right, test, &mut bytes), bytes)
+        };
+        let (text, distinct) =
+            (CompareTest::Text { distinct: false }, CompareTest::Text { distinct: true });
+        // Paths that reach different atoms need two regions of one text:
+        // the first view's only equal pair is "xx" with itself. Shared
+        // sides read each region once.
+        let second = rs(&[(8, 15)]);
+        assert_eq!(pass(&names, None, distinct), (second.clone(), 8));
+        assert_eq!(pass(&names, Some(&names), distinct), (second.clone(), 16));
+        // Identical paths may meet in one atom: every view with a region.
+        assert_eq!(pass(&names, None, text).0, view);
+        assert_eq!(pass(&names, Some(&names), text).0, view);
+        // One region per side: "xx" pairs in the second view only, where
+        // the two sides locate different regions.
+        let (left, right) = (rs(&[(1, 3), (9, 11)]), rs(&[(1, 3), (12, 14)]));
+        assert_eq!(pass(&left, Some(&right), distinct).0, second);
+        // Inclusion keeps every view that locates a region on each side,
+        // and reads no text.
+        assert_eq!(pass(&left, Some(&right), CompareTest::Inclusion), (view.clone(), 0));
+        // Two empty atoms can share a region, so an empty one pairs with
+        // itself even for disjoint paths.
+        assert_eq!(pass(&rs(&[(2, 2)]), None, distinct).0, rs(&[(0, 7)]));
     }
 
     #[test]
@@ -1122,6 +1197,74 @@ mod tests {
         assert_eq!(a.regions, b.regions, "regions differ for {q}");
         assert_eq!(a.values, b.values, "values differ for {q}");
         assert_eq!(a.stats.exact_index, b.stats.exact_index, "exactness differs for {q}");
+    }
+
+    /// The test a same-variable compare runs, from the plan: text where
+    /// both chains end on the atoms' own regions along fixed paths,
+    /// inclusion where a chain ends above the atom or a path has a
+    /// variable step and the index is inexact.
+    #[test]
+    fn a_compare_pairs_by_text_only_where_the_chains_reach_the_atoms() {
+        let corpus = multi_file_corpus(1, 30);
+        let editor_author = "r.Editors.Name.Last_Name = r.Authors.Name.Last_Name";
+        let cases: &[(&[&str], &str, CompareTest, bool)] = &[
+            (&[], editor_author, CompareTest::Text { distinct: true }, true),
+            (
+                &["Reference", "Last_Name"],
+                editor_author,
+                CompareTest::Text { distinct: true },
+                false,
+            ),
+            (
+                &["Reference", "Last_Name"],
+                "r.Authors.Name.Last_Name = r.Authors.Name.Last_Name",
+                CompareTest::Text { distinct: false },
+                false,
+            ),
+            (
+                &["Reference", "Last_Name"],
+                "r.Authors.Name.First_Name = r.Authors.Name.Last_Name",
+                CompareTest::Inclusion,
+                false,
+            ),
+            (&["Reference", "Name"], editor_author, CompareTest::Inclusion, false),
+            (
+                &["Reference", "Last_Name"],
+                "r.*X.Last_Name = r.Authors.Name.Last_Name",
+                CompareTest::Inclusion,
+                false,
+            ),
+            (
+                &[],
+                "r.*X.Last_Name = r.Authors.Name.Last_Name",
+                CompareTest::Text { distinct: false },
+                true,
+            ),
+        ];
+        for &(names, cond, want, want_exact) in cases {
+            let spec = if names.is_empty() {
+                IndexSpec::full()
+            } else {
+                IndexSpec::names(names.iter().copied())
+            };
+            let db = FileDatabase::build(corpus.clone(), bibtex::schema(), spec).unwrap();
+            let q = format!("SELECT r FROM References r WHERE {cond}");
+            let plan = db.plan(&q).unwrap();
+            let Some(CondNode::ContentCompare { test, exact, .. }) = &plan.vars[0].cond else {
+                panic!("{q} on {names:?}: {:?}", plan.vars[0].cond);
+            };
+            assert_eq!((*test, *exact), (want, want_exact), "{q} on {names:?}");
+            let named = match want {
+                CompareTest::Text { distinct: false } => "text",
+                CompareTest::Text { distinct: true } => "text of distinct regions",
+                CompareTest::Inclusion => "inclusion",
+            };
+            let exactness = if want_exact { "exact" } else { "candidates" };
+            assert!(plan.describe().contains(&format!(", paired by {named} [{exactness}]")));
+            // Whatever the test, the answer is the full index's.
+            let full = FileDatabase::build(corpus.clone(), bibtex::schema(), IndexSpec::full());
+            assert_eq!(db.query(&q).unwrap().values, full.unwrap().query(&q).unwrap().values);
+        }
     }
 
     /// A `SELECT r` whose candidates the index only approximates: the

@@ -6,6 +6,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use qof_db::DbStep;
 use qof_grammar::{
     resolve_path, PathError, PathFilter, PathSpec, SkOp, Skeleton, StructuringSchema,
 };
@@ -47,24 +48,19 @@ pub enum CondNode {
         /// it, the executor does not.
         exact: bool,
     },
-    /// Same-variable attribute comparison (§5.2) over exactly located
-    /// attribute sets: the views whose two sets share a content.
+    /// Same-variable attribute comparison (§5.2): the views whose located
+    /// regions of the two paths pass `test`.
     ContentCompare {
         /// Deep regions of the left path.
         left: RegionExpr,
         /// Deep regions of the right path.
         right: RegionExpr,
-        /// Pretty form.
-        display: String,
-    },
-    /// The same comparison when the index only approximates the attribute
-    /// sets, so comparing their contents is not superset-safe: the views
-    /// holding a located region from each side; parsing decides.
-    ContentCandidates {
-        /// Deep regions of the left path.
-        left: RegionExpr,
-        /// Deep regions of the right path.
-        right: RegionExpr,
+        /// How the located regions are paired.
+        test: CompareTest,
+        /// Whether the views that pass are the answer: both chains locate
+        /// their atoms exactly. Otherwise they are a superset, and parsing
+        /// decides.
+        exact: bool,
         /// Pretty form.
         display: String,
     },
@@ -78,6 +74,22 @@ pub enum CondNode {
     /// a superset, so every view region is a candidate; the child is kept
     /// for EXPLAIN, facts and lints but not evaluated.
     NotCandidates(Box<CondNode>),
+}
+
+/// How a content compare pairs the regions its two chains locate in a
+/// view (DESIGN.md §21).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompareTest {
+    /// Some left and some right region have equal text, which is their
+    /// value: both paths end on atoms and both chains end on the atoms'
+    /// own regions. With `distinct`, the two paths provably reach
+    /// different atoms, so the two regions must differ too.
+    Text {
+        /// Whether a region may not pair with itself.
+        distinct: bool,
+    },
+    /// The view holds a located region from each side.
+    Inclusion,
 }
 
 /// Plan for one range variable: its index filter, and what parsing must do
@@ -353,6 +365,17 @@ struct ProjectedChain {
     selector: Option<(SelectKind, String)>,
 }
 
+/// A path's regions as the index locates them, with their pretty form.
+struct Located {
+    expr: RegionExpr,
+    display: String,
+    /// The regions are exactly the path's (§6.3).
+    exact: bool,
+    /// Every chain ends on the path's last symbol, so it locates a
+    /// superset of that symbol's regions, not regions enclosing them.
+    on_target: bool,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EOp {
     Direct,
@@ -473,12 +496,12 @@ impl<'a> Planner<'a> {
                 let (lsym, rsym) = (&vars[li].symbol, &vars[ri].symbol);
                 let lspec = resolve_path(&self.schema.grammar, lsym, &p.steps)?;
                 let rspec = resolve_path(&self.schema.grammar, rsym, &qp.steps)?;
-                let (le, ld, lex) = self.deep_expr(&lspec, &mut rewrites, &mut fp_keys)?;
-                let (re, rd, rex) = self.deep_expr(&rspec, &mut rewrites, &mut fp_keys)?;
+                let l = self.deep_expr(&lspec, &mut rewrites, &mut fp_keys)?;
+                let r = self.deep_expr(&rspec, &mut rewrites, &mut fp_keys)?;
                 // Pairs are matched by region text, which is the value
                 // of atoms only.
                 let g = &self.schema.grammar;
-                let exact = lex && rex && lspec.text_is_value(g) && rspec.text_is_value(g);
+                let exact = l.exact && r.exact && lspec.text_is_value(g) && rspec.text_is_value(g);
                 // Extend the push-down filters with the join paths.
                 for (i, spec) in [(li, &lspec), (ri, &rspec)] {
                     let mut f = PathFilter::from_paths(&spec.field_paths().collect::<Vec<_>>());
@@ -488,11 +511,11 @@ impl<'a> Planner<'a> {
                 let residual = (!exact).then_some((lspec, rspec));
                 Some(JoinPlan {
                     left_var: li,
-                    left: le,
+                    left: l.expr,
                     right_var: ri,
-                    right: re,
+                    right: r.expr,
                     residual,
-                    display: format!("join on content: [{ld}] = [{rd}]"),
+                    display: format!("join on content: [{}] = [{}]", l.display, r.display),
                 })
             }
         };
@@ -515,13 +538,13 @@ impl<'a> Planner<'a> {
                 let every_region = vars[proj_var].cond.is_none() && join.is_none();
                 let from_index = atoms && (every_region || !self.full_rig.on_cycle(symbol));
                 match self.deep_expr(&spec, &mut rewrites, &mut fp_keys).ok() {
-                    Some((chain, display, true)) if from_index => {
+                    Some(Located { expr: chain, display, exact: true, .. }) if from_index => {
                         ProjPlan::IndexValues { var: proj_var, chain, display }
                     }
                     parsed => ProjPlan::ParsedValues {
                         var: proj_var,
                         steps: spec,
-                        chain: parsed.map(|(expr, display, _)| (expr, display)),
+                        chain: parsed.map(|l| (l.expr, l.display)),
                     },
                 }
             }
@@ -575,22 +598,43 @@ impl<'a> Planner<'a> {
         Ok(match cond {
             Cond::Eq(p, crate::RightHand::Const(w)) => {
                 let paths = resolve(p)?;
-                let (expr, display, exact) = self.container_expr(&paths, w, rewrites, fp_keys)?;
+                // A trailing `*` in the constant selects by word prefix —
+                // PAT's lexical search (`r.Last_Name = "Ch*"`).
+                let selector = match w.strip_suffix('*') {
+                    Some(prefix) if !prefix.is_empty() => (SelectKind::Prefix, prefix.to_owned()),
+                    _ => (SelectKind::Eq, w.to_owned()),
+                };
+                // The candidate view regions, union over alternatives.
+                let Located { expr, display, exact, .. } =
+                    self.locate(&paths, Direction::Including, Some(&selector), rewrites, fp_keys)?;
                 let compiled =
                     CompiledCond::EqConst { var: p.var.clone(), paths, value: w.clone() };
                 (CondNode::IndexOnly { expr, display, exact }, compiled)
             }
             Cond::Eq(p, crate::RightHand::Path(qp)) => {
                 let (lpaths, rpaths) = (resolve(p)?, resolve(qp)?);
-                let (left, ld, lex) = self.deep_expr(&lpaths, rewrites, fp_keys)?;
-                let (right, rd, rex) = self.deep_expr(&rpaths, rewrites, fp_keys)?;
-                let display = format!("content([{ld}]) = content([{rd}])");
-                // Region texts compare as values only between atoms.
+                let l = self.deep_expr(&lpaths, rewrites, fp_keys)?;
+                let r = self.deep_expr(&rpaths, rewrites, fp_keys)?;
+                // Texts are values only for atoms, and an equal pair is
+                // necessary only where both chains locate a superset of the
+                // atoms' own regions, along fixed paths or exactly (§21).
                 let g = &self.schema.grammar;
-                let node = if lex && rex && lpaths.text_is_value(g) && rpaths.text_is_value(g) {
-                    CondNode::ContentCompare { left, right, display }
+                let by_text = lpaths.text_is_value(g)
+                    && rpaths.text_is_value(g)
+                    && l.on_target
+                    && r.on_target
+                    && (l.exact && r.exact || is_fixed(&lpaths) && is_fixed(&rpaths));
+                let test = if by_text {
+                    CompareTest::Text { distinct: reach_different_nodes(&lpaths, &rpaths) }
                 } else {
-                    CondNode::ContentCandidates { left, right, display }
+                    CompareTest::Inclusion
+                };
+                let node = CondNode::ContentCompare {
+                    test,
+                    exact: by_text && l.exact && r.exact,
+                    display: format!("content([{}]) = content([{}])", l.display, r.display),
+                    left: l.expr,
+                    right: r.expr,
                 };
                 let (lvar, rvar) = (p.var.clone(), qp.var.clone());
                 (node, CompiledCond::EqPath { lvar, lpaths, rvar, rpaths })
@@ -622,31 +666,6 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Builds the candidate expression producing **view regions** for a
-    /// constant selection on a path, union over alternatives.
-    fn container_expr(
-        &self,
-        spec: &PathSpec,
-        word: &str,
-        rewrites: &mut Vec<PlanRewrite>,
-        fp_keys: &mut Vec<String>,
-    ) -> Result<(RegionExpr, String, bool), PlanError> {
-        // A trailing `*` in the constant selects by word prefix — PAT's
-        // lexical search (`r.Last_Name = "Ch*"`).
-        let selector = match word.strip_suffix('*') {
-            Some(prefix) if !prefix.is_empty() => (SelectKind::Prefix, prefix.to_owned()),
-            _ => (SelectKind::Eq, word.to_owned()),
-        };
-        let mut exprs: Vec<(RegionExpr, String, bool)> = Vec::new();
-        for alt in &spec.alternatives {
-            let chain = self.project_chain(alt, Some(selector.clone()));
-            let (expr, display, exact) =
-                self.lower_chain(&chain, Direction::Including, rewrites, fp_keys);
-            exprs.push((expr, display, exact));
-        }
-        combine_union(exprs)
-    }
-
     /// Builds the expression producing the **deep attribute regions** of a
     /// path (for projections and content joins), union over alternatives.
     fn deep_expr(
@@ -654,15 +673,35 @@ impl<'a> Planner<'a> {
         spec: &PathSpec,
         rewrites: &mut Vec<PlanRewrite>,
         fp_keys: &mut Vec<String>,
-    ) -> Result<(RegionExpr, String, bool), PlanError> {
-        let mut exprs: Vec<(RegionExpr, String, bool)> = Vec::new();
+    ) -> Result<Located, PlanError> {
+        self.locate(spec, Direction::IncludedIn, None, rewrites, fp_keys)
+    }
+
+    /// Projects every alternative of a path onto the indexed names, lowers
+    /// it, and unions the results.
+    fn locate(
+        &self,
+        spec: &PathSpec,
+        dir: Direction,
+        selector: Option<&(SelectKind, String)>,
+        rewrites: &mut Vec<PlanRewrite>,
+        fp_keys: &mut Vec<String>,
+    ) -> Result<Located, PlanError> {
+        let (mut exprs, mut displays) = (Vec::new(), Vec::new());
+        let (mut exact, mut on_target) = (true, true);
         for alt in &spec.alternatives {
-            let chain = self.project_chain(alt, None);
-            let (expr, display, exact) =
-                self.lower_chain(&chain, Direction::IncludedIn, rewrites, fp_keys);
-            exprs.push((expr, display, exact));
+            let chain = self.project_chain(alt, selector.cloned());
+            on_target &= chain.hops.iter().all(|h| h.reason != InexactReason::TargetNotIndexed);
+            let (expr, display, chain_exact) = self.lower_chain(&chain, dir, rewrites, fp_keys);
+            exprs.push(expr);
+            displays.push(display);
+            exact &= chain_exact;
         }
-        combine_union(exprs)
+        let expr = exprs
+            .into_iter()
+            .reduce(RegionExpr::union)
+            .ok_or_else(|| PlanError::Internal("path resolved to no alternatives".into()))?;
+        Ok(Located { expr, display: displays.join("  ∪  "), exact, on_target })
     }
 
     /// §6.1: projects a skeleton onto the indexed names, computing the
@@ -1103,21 +1142,31 @@ fn merge_eop(pending: Option<EOp>, next: EOp) -> EOp {
     }
 }
 
-fn strip_scope(name: &str) -> &str {
-    name.rsplit('.').next().unwrap_or(name)
+/// A field or item step: not `*X`, `X1…Xn` or `A+`.
+fn fixed_step(step: &DbStep) -> bool {
+    matches!(step, DbStep::Field(_) | DbStep::Elements)
 }
 
-fn combine_union(
-    exprs: Vec<(RegionExpr, String, bool)>,
-) -> Result<(RegionExpr, String, bool), PlanError> {
-    let exact = exprs.iter().all(|(_, _, x)| *x);
-    let display = exprs.iter().map(|(_, d, _)| d.clone()).collect::<Vec<_>>().join("  ∪  ");
-    let expr = exprs
-        .into_iter()
-        .map(|(e, _, _)| e)
-        .reduce(qof_pat::RegionExpr::union)
-        .ok_or_else(|| PlanError::Internal("path resolved to no alternatives".into()))?;
-    Ok((expr, display, exact))
+/// Whether every alternative of a path takes fixed steps only.
+fn is_fixed(spec: &PathSpec) -> bool {
+    spec.alternatives.iter().all(|alt| alt.steps.iter().all(fixed_step))
+}
+
+/// Whether two paths provably reach different nodes of a view's value: in
+/// every pair of alternatives, fixed steps agree up to one where both take
+/// a field, by different names. A view's value is a tree, so one sequence
+/// of steps from the root reaches a node.
+fn reach_different_nodes(left: &PathSpec, right: &PathSpec) -> bool {
+    left.alternatives.iter().all(|a| {
+        right.alternatives.iter().all(|b| {
+            let first = a.steps.iter().zip(&b.steps).find(|(x, y)| x != y || !fixed_step(x));
+            matches!(first, Some((DbStep::Field(_), DbStep::Field(_))))
+        })
+    })
+}
+
+fn strip_scope(name: &str) -> &str {
+    name.rsplit('.').next().unwrap_or(name)
 }
 
 /// Flattens top-level conjunctions.
@@ -1217,8 +1266,7 @@ impl Plan {
         fn walk<'p>(c: &'p CondNode, out: &mut Vec<(Option<&'p str>, &'p RegionExpr)>) {
             match c {
                 CondNode::IndexOnly { expr, display, .. } => out.push((Some(display), expr)),
-                CondNode::ContentCompare { left, right, .. }
-                | CondNode::ContentCandidates { left, right, .. } => {
+                CondNode::ContentCompare { left, right, .. } => {
                     out.push((None, left));
                     out.push((None, right));
                 }
@@ -1264,9 +1312,9 @@ impl CondNode {
     /// Whether the candidates this node yields are the exact answer (§6.3).
     fn exact(&self) -> bool {
         match self {
-            CondNode::IndexOnly { exact, .. } => *exact,
-            CondNode::ContentCompare { .. } | CondNode::Not(_) => true,
-            CondNode::ContentCandidates { .. } | CondNode::NotCandidates(_) => false,
+            CondNode::IndexOnly { exact, .. } | CondNode::ContentCompare { exact, .. } => *exact,
+            CondNode::Not(_) => true,
+            CondNode::NotCandidates(_) => false,
             CondNode::And(a, b) | CondNode::Or(a, b) => a.exact() && b.exact(),
         }
     }
@@ -1282,11 +1330,14 @@ fn describe_cond(c: &CondNode, depth: usize, out: &mut String) {
                 if *exact { "exact" } else { "candidates" }
             );
         }
-        CondNode::ContentCompare { display, .. } => {
-            let _ = writeln!(out, "{pad}{display} [exact]");
-        }
-        CondNode::ContentCandidates { display, .. } => {
-            let _ = writeln!(out, "{pad}{display} [candidates]");
+        CondNode::ContentCompare { display, test, exact, .. } => {
+            let test = match test {
+                CompareTest::Text { distinct: false } => "text",
+                CompareTest::Text { distinct: true } => "text of distinct regions",
+                CompareTest::Inclusion => "inclusion",
+            };
+            let exactness = if *exact { "exact" } else { "candidates" };
+            let _ = writeln!(out, "{pad}{display}, paired by {test} [{exactness}]");
         }
         CondNode::And(a, b) => {
             let _ = writeln!(out, "{pad}AND");

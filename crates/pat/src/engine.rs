@@ -163,7 +163,7 @@ impl<'a> Engine<'a> {
     /// Evaluates several expressions through one memo, so subexpressions
     /// they share are evaluated once (§5.2: "find common subexpressions …
     /// and evaluate them once").
-    pub fn eval_all(&self, exprs: &[RegionExpr]) -> Result<Vec<RegionSet>, EvalError> {
+    pub fn eval_all(&self, exprs: &[&RegionExpr]) -> Result<Vec<RegionSet>, EvalError> {
         let mut memo = Memo::new();
         let outs =
             exprs.iter().map(|e| self.eval_memo(e, &mut memo)).collect::<Result<Vec<_>, _>>()?;

@@ -402,3 +402,39 @@ fn scoped_index_answers_author_query_exactly() {
     let res = db.query(CHANG_AUTHOR).unwrap();
     assert_eq!(result_keys(&res.values), sorted(truth.refs_with_author_last("Chang")));
 }
+
+/// On `{Reference, Last_Name}` both sides of the join locate every
+/// `Last_Name` of a reference, so the index cannot tell an editor's name
+/// from an author's. The text test still keeps only the references in
+/// which two different name regions hold one text, a repeated last name,
+/// and parsing keeps those with an editor who is also an author.
+#[test]
+fn a_partial_content_compare_checks_only_references_that_repeat_a_name() {
+    let cfg = BibtexConfig { n_refs: 300, name_pool: 12, ..Default::default() };
+    let (db, truth) = fdb(&cfg, IndexSpec::names(["Reference", "Last_Name"]));
+    let q = "SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name";
+    let repeats_a_name = |r: &&bibtex::RefTruth| {
+        let mut names: Vec<&str> = r.authors.iter().chain(&r.editors).map(|(_, l)| &**l).collect();
+        let all = names.len();
+        names.sort_unstable();
+        names.dedup();
+        names.len() < all
+    };
+    let repeated = truth.refs.iter().filter(repeats_a_name).count();
+    let editor_authors = truth
+        .refs
+        .iter()
+        .filter(|r| r.editors.iter().any(|(_, e)| r.authors.iter().any(|(_, a)| a == e)))
+        .map(|r| r.key.as_str())
+        .collect();
+    let res = db.query(q).unwrap();
+    assert!(!res.stats.exact_index);
+    assert_eq!(res.stats.candidates, repeated);
+    assert!(0 < repeated && repeated < truth.refs.len(), "{repeated} of {}", truth.refs.len());
+    assert_eq!(result_keys(&res.values), sorted(editor_authors));
+    assert!(
+        res.explain.contains("paired by text of distinct regions [candidates]"),
+        "{}",
+        res.explain
+    );
+}

@@ -14,6 +14,10 @@
 //! and checks them against the baseline with nested objects compared by
 //! content.
 //!
+//! A third loop compares atoms within one bibtex reference under indexes
+//! that locate them exactly, only approximately, or only through an
+//! enclosing region, where the text test narrows the candidates.
+//!
 //! The loop runs through `FileDatabase::query_traced`, so in a debug build
 //! every optimizer call also self-verifies (`QOF030`/`QOF031`). Every case
 //! runs on its own seed drawn from a fixed `StdRng` stream; a failure
@@ -276,4 +280,70 @@ fn content_compares_and_boolean_mixes_match_the_baseline() {
     let cases = CASES / 2 * 3 * 5;
     assert!(agreed * 2 > cases, "{agreed} of {cases} queries planned and ran");
     assert!(residuals * 4 > cases, "only {residuals} of {cases} queries left a residual");
+}
+
+/// Atom compares within one reference (`v.p = v.q`), alone or mixed with
+/// `=` selections, under a full index and three partial ones: the first
+/// two locate a superset of the `Last_Name` atoms (so a compare of them
+/// pairs regions by text), the third exactly on the `Authors` side only.
+/// The paths reach different atoms (`Editors…` against `Authors…`), the
+/// same atoms (a path against itself) or share the `Authors` set prefix,
+/// and a small name pool makes a reference often repeat a name. The text
+/// test drops candidates before parsing; it must never drop an answer.
+#[test]
+fn atom_compares_under_inexact_indexes_match_the_baseline() {
+    const PATHS: &[&str] = &[
+        "Editors.Name.Last_Name",
+        "Authors.Name.Last_Name",
+        "Authors.Name.First_Name",
+        "Editors.Name.First_Name",
+        "Key",
+        "Referred.RefKey",
+        "*X.Last_Name",
+    ];
+    let cfg = bibtex::BibtexConfig { n_refs: 40, name_pool: 4, seed: 5, ..Default::default() };
+    let (text, _) = bibtex::generate(&cfg);
+    let corpus = Corpus::from_text(&text);
+    let specs = [
+        IndexSpec::full(),
+        IndexSpec::names(["Reference", "Last_Name"]),
+        IndexSpec::names(["Reference", "Name", "Last_Name"]),
+        IndexSpec::names(["Reference", "Authors", "Last_Name"]),
+    ];
+    let mut seeds = StdRng::seed_from_u64(0xa7_0e5);
+    let mut nonempty = 0;
+    for spec in specs {
+        let db = FileDatabase::build(corpus.clone(), bibtex::schema(), spec.clone()).unwrap();
+        let mut queries: Vec<(u64, String)> = [
+            "v.Editors.Name.Last_Name = v.Authors.Name.Last_Name",
+            "v.Authors.Name.Last_Name = v.Authors.Name.Last_Name",
+            "v.Authors.Name.First_Name = v.Authors.Name.Last_Name",
+        ]
+        .iter()
+        .map(|cond| (0, format!("SELECT v FROM References v WHERE {cond}")))
+        .collect();
+        for _ in 0..CASES / 2 {
+            let seed = seeds.next_u64();
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let mut path = || PATHS[rng.random_range(0..PATHS.len())];
+            let compare = format!("v.{} = v.{}", path(), path());
+            let select = if rng.random_range(0..2) == 0 { "v" } else { "v.Key" };
+            let cond = match rng.random_range(0..4) {
+                0 => format!("NOT {compare}"),
+                1 => format!("({compare} AND v.Year = \"1982\")"),
+                2 => format!("({compare} OR v.Authors.Name.Last_Name = \"Chang\")"),
+                _ => compare,
+            };
+            queries.push((seed, format!("SELECT {select} FROM References v WHERE {cond}")));
+        }
+        for (seed, query) in queries {
+            let checked = run(&db, &query).and_then(|()| same_objects_as_baseline(&db, &query));
+            if let Err(msg) = checked {
+                panic!("{spec:?}, seed {seed:#x}: {msg} on `{query}`");
+            }
+            nonempty += usize::from(db.query(&query).is_ok_and(|r| !r.values.is_empty()));
+        }
+    }
+    let cases = 4 * (CASES / 2 + 3);
+    assert!(nonempty * 4 > cases, "only {nonempty} of {cases} queries had answers");
 }
