@@ -15,9 +15,9 @@ use qof_core::{
     advise, certify, optimize, parse_query, Direction, FileDatabase, InclusionExpr, Rig, SelectKind,
 };
 use qof_corpus::{bibtex, logs};
-use qof_grammar::{render_tree, IndexSpec, Parser};
+use qof_grammar::{render_tree, IndexSpec, Parser, Sink, SymbolId};
 use qof_pat::{direct_including_counted, direct_including_layered, Engine, RegionExpr};
-use qof_text::{Corpus, Tokenizer, WordIndex};
+use qof_text::{Corpus, Span, Tokenizer, WordIndex};
 
 use crate::report::{ExperimentReport, Measurement};
 use crate::{
@@ -370,7 +370,9 @@ fn e4(scale: Scale, r: &mut Recorder) {
 /// path. Both queries parse every `Reference` candidate once; `SELECT r`
 /// builds each whole object and reads all of it, while projecting one
 /// path builds only the fields on it and stops reading after `Authors`,
-/// the last field it keeps.
+/// the last field it keeps. A third row parses the full row's candidates
+/// into a sink that keeps nothing: recognition alone, which splits the
+/// full row into recognizing and building.
 fn e5(scale: Scale, r: &mut Recorder) {
     banner("E5", "push-down parsing of candidates vs full object construction (§6.2)");
     let n = scale.pick(400, 3200);
@@ -405,7 +407,53 @@ fn e5(scale: Scale, r: &mut Recorder) {
     }
     assert_eq!(candidates[0], candidates[1], "both modes parse the same candidates");
     assert!(parsed[1] < parsed[0], "push-down stops reading after its last field");
-    println!("(same candidates; the filter skips fields and the text after the last one kept)");
+
+    // The full row answers every candidate, so its results are its
+    // candidates.
+    let regions = fdb.query("SELECT r FROM References r").expect("query runs").regions;
+    let grammar = &fdb.schema().grammar;
+    let reference = grammar.symbol("Reference").expect("the BibTeX grammar has `Reference`");
+    let recognize = || {
+        let parser = Parser::new(grammar, fdb.corpus().text());
+        for region in &regions {
+            parser.parse_indexed(reference, region.span(), &mut Recognizer).expect("it parses");
+        }
+        parser.stats().bytes_scanned
+    };
+    let secs = median_secs(3, || {
+        let t = Instant::now();
+        recognize();
+        t.elapsed().as_secs_f64()
+    });
+    let bytes = recognize();
+    r.rec("secs_recognize", secs, "s");
+    r.rec("bytes_scanned_recognize", bytes as f64, "bytes");
+    let (n, zero) = (regions.len(), 0);
+    println!(
+        "{:>10} | {} {zero:>12} | {zero:>12} {n:>12} {bytes:>12}",
+        "recognize",
+        fmt_secs(secs)
+    );
+    assert_eq!(bytes, parsed[0], "recognition reads what the full row reads");
+    println!(
+        "(same candidates; the filter skips fields and the text after the last one kept; \
+         recognizing alone builds nothing)"
+    );
+}
+
+/// A sink that keeps nothing: a parse into it only recognizes the text.
+struct Recognizer;
+
+impl Sink for Recognizer {
+    type Mark = ();
+
+    fn enter(&mut self, _: SymbolId) {}
+
+    fn leave(&mut self, _: SymbolId, _: Span) {}
+
+    fn mark(&self) {}
+
+    fn rollback(&mut self, (): ()) {}
 }
 
 /// E6: the select–project–join hybrid (§5.2).
@@ -1213,6 +1261,8 @@ mod tests {
         };
         assert!(get("value_nodes_push-down") > 0.0);
         assert!(get("value_nodes_push-down") < get("value_nodes_full"));
+        assert!(get("secs_recognize") > 0.0);
+        assert_eq!(get("bytes_scanned_recognize"), get("bytes_scanned_full"));
     }
 
     #[test]

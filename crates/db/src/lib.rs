@@ -26,7 +26,7 @@ mod value;
 pub use path::{eval_path, eval_path_counted, walk_path, DbStep, PathCost};
 pub use schema::{validate, ClassDef, TypeDef, TypeError};
 pub use store::{Database, DbMark, DbStats, Oid};
-pub use value::{Atom, Fields, Value};
+pub use value::{Atom, Fields, Shape, Value};
 
 /// Joins two value lists on string keys extracted by the given paths,
 /// returning index pairs `(i, j)` with matching keys. Build side is `left`.

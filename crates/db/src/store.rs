@@ -1,7 +1,6 @@
 //! The object store: classes, object identity, extents.
 
 use crate::{Fields, Value};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,8 +28,11 @@ pub struct DbStats {
 /// The in-memory object database.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    objects: Vec<(Arc<str>, Value)>,
-    extents: BTreeMap<Arc<str>, Vec<Oid>>,
+    /// Each object's class, as an index in `classes`, and value.
+    objects: Vec<(u32, Value)>,
+    /// Each class's name and extent, in the order the classes were first
+    /// used; a class whose objects were all rolled back keeps its entry.
+    classes: Vec<(Arc<str>, Vec<Oid>)>,
     stats: DbStats,
 }
 
@@ -50,27 +52,35 @@ impl Database {
     /// Creates an object of `class` with the given value; registers it in
     /// the class extent and returns its identity.
     pub fn new_object(&mut self, class: &str, value: Value) -> Oid {
-        let class = match self.extents.get_key_value(class) {
-            Some((shared, _)) => Arc::clone(shared),
-            None => Arc::from(class),
-        };
         let nodes = value.node_count() as u64;
-        self.new_object_counted(&class, value, nodes)
+        let i = self.class_index(class).unwrap_or_else(|| self.add_class(Arc::from(class)));
+        self.push_object(i, value, nodes)
     }
 
     /// [`Database::new_object`] for a builder that counted the value's
     /// `value_nodes` while building it and holds the class name shared.
     pub fn new_object_counted(&mut self, class: &Arc<str>, value: Value, value_nodes: u64) -> Oid {
+        let i = self.class_index(class).unwrap_or_else(|| self.add_class(Arc::clone(class)));
+        self.push_object(i, value, value_nodes)
+    }
+
+    /// The index of a class in `classes`, by name. A database holds a few
+    /// classes.
+    fn class_index(&self, class: &str) -> Option<usize> {
+        self.classes.iter().position(|(c, _)| **c == *class)
+    }
+
+    fn add_class(&mut self, class: Arc<str>) -> usize {
+        self.classes.push((class, Vec::new()));
+        self.classes.len() - 1
+    }
+
+    fn push_object(&mut self, class: usize, value: Value, value_nodes: u64) -> Oid {
         let oid = Oid(self.objects.len() as u32);
         self.stats.objects_created += 1;
         self.stats.value_nodes += value_nodes;
-        self.objects.push((Arc::clone(class), value));
-        match self.extents.get_mut(&**class) {
-            Some(extent) => extent.push(oid),
-            None => {
-                self.extents.insert(Arc::clone(class), vec![oid]);
-            }
-        }
+        self.objects.push((class as u32, value));
+        self.classes[class].1.push(oid);
         oid
     }
 
@@ -89,12 +99,7 @@ impl Database {
         for (class, _) in self.objects.drain(mark.objects..).rev() {
             // Oids ascend within an extent, and the newest object is undone
             // first: it is its extent's last entry.
-            if let Some(extent) = self.extents.get_mut(&*class) {
-                extent.pop();
-                if extent.is_empty() {
-                    self.extents.remove(&*class);
-                }
-            }
+            self.classes[class as usize].1.pop();
         }
         self.stats = mark.stats;
     }
@@ -115,17 +120,20 @@ impl Database {
 
     /// The class of an object.
     pub fn class_of(&self, oid: Oid) -> Option<&str> {
-        self.objects.get(oid.0 as usize).map(|(c, _)| &**c)
+        self.objects.get(oid.0 as usize).map(|&(c, _)| &*self.classes[c as usize].0)
     }
 
     /// All objects of a class, in creation order.
     pub fn extent(&self, class: &str) -> &[Oid] {
-        self.extents.get(class).map_or(&[], Vec::as_slice)
+        self.class_index(class).map_or(&[], |i| &self.classes[i].1)
     }
 
-    /// Class names with a non-empty extent.
+    /// Class names with a non-empty extent, in name order.
     pub fn classes(&self) -> impl Iterator<Item = &str> {
-        self.extents.keys().map(|c| &**c)
+        let mut names: Vec<&str> =
+            self.classes.iter().filter(|(_, e)| !e.is_empty()).map(|(c, _)| &**c).collect();
+        names.sort_unstable();
+        names.into_iter()
     }
 
     /// Total number of objects.

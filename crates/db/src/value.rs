@@ -3,70 +3,124 @@
 //! (`tuple(...)`, `set(...)`, `string`).
 
 use crate::Oid;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// The text of a string atom: a range of a shared string.
+/// The longest text an [`Atom`] holds in place.
+const INLINE: usize = 22;
+
+/// The text of a string atom.
 ///
-/// Atoms parsed from a corpus share the corpus text instead of copying it
-/// ([`Atom::shared`]); atoms made from owned strings hold their own.
-/// Equality, order, hashing, `Debug` and `Display` are those of the `str`
-/// the atom covers, so an atom behaves exactly as the `String` it
-/// replaces.
+/// An atom of at most 22 bytes holds its text in place, so cloning or
+/// dropping it touches no reference count. A longer atom is a range of a
+/// shared string: atoms parsed from a corpus share the corpus text
+/// ([`Atom::shared`]) instead of copying it, and atoms made from owned
+/// strings hold their own. Equality, order, hashing, `Debug` and
+/// `Display` are those of the `str` the atom covers (the first three read
+/// its bytes without checking them as UTF-8 again), so an atom behaves
+/// exactly as the `String` it replaces.
 #[derive(Clone)]
-pub struct Atom {
-    text: Arc<String>,
-    start: u32,
-    end: u32,
+pub struct Atom(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` of `bytes`: UTF-8, as they were cut on `char`
+    /// boundaries of a `str`.
+    Inline { len: u8, bytes: [u8; INLINE] },
+    /// `start..end` of a shared text.
+    Shared { text: Arc<String>, start: u32, end: u32 },
 }
 
 impl Atom {
-    /// The atom covering `start..end` of a shared text.
+    /// The atom covering `start..end` of a shared text: a copy of it if
+    /// it is short, else a share of the text.
     ///
     /// # Panics
     /// Panics if the range is out of bounds or not on `char` boundaries.
     pub fn shared(text: &Arc<String>, start: u32, end: u32) -> Atom {
-        assert!(text.get(start as usize..end as usize).is_some(), "atom range {start}..{end}");
-        Atom { text: Arc::clone(text), start, end }
+        let Some(s) = text.get(start as usize..end as usize) else {
+            panic!("atom range {start}..{end}")
+        };
+        if s.len() > INLINE {
+            return Atom(Repr::Shared { text: Arc::clone(text), start, end });
+        }
+        Atom::inline(s)
+    }
+
+    /// A short `s` held in place.
+    fn inline(s: &str) -> Atom {
+        let mut bytes = [0; INLINE];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        Atom(Repr::Inline { len: s.len() as u8, bytes })
     }
 
     /// The atom's text.
     pub fn as_str(&self) -> &str {
-        &self.text[self.start as usize..self.end as usize]
+        match &self.0 {
+            Repr::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("inline atoms are UTF-8")
+            }
+            Repr::Shared { text, start, end } => &text[*start as usize..*end as usize],
+        }
+    }
+
+    /// The atom's text as bytes, with no UTF-8 check.
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared { text, start, end } => &text.as_bytes()[*start as usize..*end as usize],
+        }
     }
 }
 
 impl From<String> for Atom {
     fn from(s: String) -> Atom {
+        if s.len() <= INLINE {
+            return Atom::inline(&s);
+        }
         let end = u32::try_from(s.len()).expect("atoms are shorter than 4 GiB");
-        Atom { text: Arc::new(s), start: 0, end }
+        Atom(Repr::Shared { text: Arc::new(s), start: 0, end })
+    }
+}
+
+impl From<&str> for Atom {
+    fn from(s: &str) -> Atom {
+        if s.len() <= INLINE {
+            Atom::inline(s)
+        } else {
+            Atom::from(s.to_owned())
+        }
     }
 }
 
 impl PartialEq for Atom {
     fn eq(&self, other: &Atom) -> bool {
-        self.as_str() == other.as_str()
+        self.as_bytes() == other.as_bytes()
     }
 }
 
 impl Eq for Atom {}
 
 impl PartialOrd for Atom {
-    fn partial_cmp(&self, other: &Atom) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Atom) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Atom {
-    fn cmp(&self, other: &Atom) -> std::cmp::Ordering {
-        self.as_str().cmp(other.as_str())
+    /// Byte order, which is `str` order.
+    fn cmp(&self, other: &Atom) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
     }
 }
 
 impl Hash for Atom {
+    /// What `str::hash` writes: the bytes, then `0xff`.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 
@@ -82,14 +136,48 @@ impl fmt::Display for Atom {
     }
 }
 
-/// The fields of a tuple value, kept sorted by name in one vector.
+/// The field names of a tuple, strictly ascending.
+///
+/// Tuples share their shape: a value builder makes one shape per grammar
+/// rule and filter, and each tuple it builds holds a reference to it
+/// instead of one reference per field name.
+#[derive(Clone)]
+pub struct Shape(Arc<Box<[Arc<str>]>>);
+
+impl Shape {
+    /// The shape with these names.
+    ///
+    /// # Panics
+    /// Panics if the names are not strictly ascending.
+    pub fn new(names: Vec<Arc<str>>) -> Shape {
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "field names not ascending");
+        Shape(Arc::new(names.into_boxed_slice()))
+    }
+
+    /// The number of names.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the shape has no names.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// The fields of a tuple: a shared [`Shape`] of sorted names and one
+/// value per name, in name order.
 ///
 /// Equality, order, hashing and `Debug` output are those of a
-/// `BTreeMap<String, Value>` with the same entries; a tuple costs one
-/// allocation for its fields instead of one per B-tree node, and field
-/// names are shared strings (a grammar interns each name once).
-#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Fields(Vec<(Arc<str>, Value)>);
+/// `BTreeMap<String, Value>` with the same entries. A tuple costs one
+/// allocation for its values and one reference count for its names; an
+/// empty tuple costs neither.
+#[derive(Clone, Default)]
+pub struct Fields {
+    /// `None` when there are no fields.
+    shape: Option<Shape>,
+    values: Box<[Value]>,
+}
 
 impl Fields {
     /// No fields.
@@ -97,33 +185,57 @@ impl Fields {
         Fields::default()
     }
 
-    /// No fields, with room for `n`.
-    pub fn with_capacity(n: usize) -> Fields {
-        Fields(Vec::with_capacity(n))
+    /// The fields named by `shape`, with `values` in its name order.
+    ///
+    /// # Panics
+    /// Panics if there are not as many values as names.
+    pub fn from_shape(shape: Shape, values: Box<[Value]>) -> Fields {
+        assert_eq!(shape.len(), values.len(), "one value per field name");
+        Fields { shape: (!shape.is_empty()).then_some(shape), values }
     }
 
     /// Fields from `(name, value)` pairs whose names are strictly
-    /// ascending (debug-checked): no search, no shifting.
+    /// ascending (checked): no search, no shifting.
     pub fn from_sorted(fields: Vec<(Arc<str>, Value)>) -> Fields {
-        debug_assert!(fields.windows(2).all(|w| w[0].0 < w[1].0), "field names not ascending");
-        Fields(fields)
+        if fields.is_empty() {
+            return Fields::new();
+        }
+        let (names, values): (Vec<_>, Vec<_>) = fields.into_iter().unzip();
+        Fields::from_shape(Shape::new(names), values.into_boxed_slice())
+    }
+
+    fn names(&self) -> &[Arc<str>] {
+        self.shape.as_ref().map_or(&[], |s| &s.0)
+    }
+
+    /// Whether both have the same names, by sharing or by value.
+    fn same_names(&self, other: &Fields) -> bool {
+        match (&self.shape, &other.shape) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.0, &b.0) || a.0 == b.0,
+            (a, b) => a.is_none() && b.is_none(),
+        }
     }
 
     fn position(&self, name: &str) -> Result<usize, usize> {
-        self.0.binary_search_by(|(k, _)| (**k).cmp(name))
+        self.names().binary_search_by(|k| (**k).cmp(name))
     }
 
     /// The value of a field.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.position(name).ok().map(|i| &self.0[i].1)
+        self.position(name).ok().map(|i| &self.values[i])
     }
 
-    /// Sets a field, returning its previous value.
+    /// Sets a field, returning its previous value. A new name makes a new
+    /// shape.
     pub fn insert(&mut self, name: Arc<str>, value: Value) -> Option<Value> {
         match self.position(&name) {
-            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Ok(i) => Some(std::mem::replace(&mut self.values[i], value)),
             Err(i) => {
-                self.0.insert(i, (name, value));
+                let mut names = self.names().to_vec();
+                names.insert(i, name);
+                let mut values = std::mem::take(&mut self.values).into_vec();
+                values.insert(i, value);
+                *self = Fields::from_shape(Shape::new(names), values.into_boxed_slice());
                 None
             }
         }
@@ -131,12 +243,47 @@ impl Fields {
 
     /// `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.0.iter().map(|(k, v)| (&**k, v))
+        self.names().iter().map(|k| &**k).zip(self.values.iter())
     }
 
     /// Field values in name order.
     pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.0.iter().map(|(_, v)| v)
+        self.values.iter()
+    }
+}
+
+impl PartialEq for Fields {
+    fn eq(&self, other: &Fields) -> bool {
+        self.same_names(other) && self.values == other.values
+    }
+}
+
+impl Eq for Fields {}
+
+impl PartialOrd for Fields {
+    fn partial_cmp(&self, other: &Fields) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Fields {
+    /// Lexicographic over `(name, value)` pairs.
+    fn cmp(&self, other: &Fields) -> Ordering {
+        if self.same_names(other) {
+            return self.values.cmp(&other.values);
+        }
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl Hash for Fields {
+    /// What a sorted map's hash writes: the length, then each pair.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.values.len());
+        for (k, v) in self.iter() {
+            k.hash(state);
+            v.hash(state);
+        }
     }
 }
 
@@ -148,11 +295,18 @@ impl fmt::Debug for Fields {
 
 impl<K: Into<Arc<str>>> FromIterator<(K, Value)> for Fields {
     fn from_iter<I: IntoIterator<Item = (K, Value)>>(fields: I) -> Fields {
-        let mut out = Fields::new();
-        for (k, v) in fields {
-            out.insert(k.into(), v);
-        }
-        out
+        let mut fields: Vec<(Arc<str>, Value)> =
+            fields.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        // Stable, and of a name given twice the last value wins.
+        fields.sort_by(|a, b| a.0.cmp(&b.0));
+        fields.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        Fields::from_sorted(fields)
     }
 }
 
@@ -173,6 +327,9 @@ pub enum Value {
     Ref(Oid),
 }
 
+// A value is four words, whatever it holds.
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
+
 impl Value {
     /// A string atom.
     pub fn str(s: impl Into<String>) -> Value {
@@ -184,12 +341,12 @@ impl Value {
         Value::Tuple(fields.into_iter().collect())
     }
 
-    /// A set; sorts and dedups its elements (items that already arrive
-    /// strictly ascending are taken as they are).
+    /// A set; sorts and dedups its elements in place (items that already
+    /// arrive strictly ascending are taken as they are).
     pub fn set(items: impl IntoIterator<Item = Value>) -> Value {
         let mut v: Vec<Value> = items.into_iter().collect();
         if !v.windows(2).all(|w| w[0] < w[1]) {
-            v.sort();
+            v.sort_unstable();
             v.dedup();
         }
         Value::Set(v)
@@ -334,7 +491,15 @@ mod tests {
             hash_of(&|s| "Chang".to_owned().hash(s)),
             "an atom hashes as its String did"
         );
-        assert_eq!(Arc::strong_count(&text), 3, "atoms share the text");
+        assert_eq!(Arc::strong_count(&text), 1, "short atoms hold their own text");
+        let long = Arc::new(format!("xx {} yy", "Chang".repeat(5)));
+        let atoms = [Atom::shared(&long, 3, 28), Atom::shared(&long, 8, 28)];
+        assert_eq!(atoms[0].as_str(), "Chang".repeat(5));
+        assert_eq!(
+            Arc::strong_count(&long),
+            2,
+            "a 25-byte atom shares the text, a 20-byte one not"
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! process, so that only objects that meet the query selection criteria are
 //! built").
 
-use crate::{Grammar, ParseNode, Sink, SymbolId, ValueBuilder};
-use qof_db::{Atom, Database, DbMark, Fields, Value};
+use crate::{Grammar, ParseNode, Rule, RuleBody, Sink, SymbolId, Term, ValueBuilder};
+use qof_db::{Atom, Database, DbMark, Fields, Shape, Value};
 use qof_text::Span;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -71,7 +71,8 @@ static KEEP_ALL: PathFilter = PathFilter { keep_all: true, children: BTreeMap::n
 /// Where atoms get their text.
 #[derive(Clone, Copy)]
 pub enum AtomText<'t> {
-    /// A shared text (the corpus): atoms point into it.
+    /// A shared text (the corpus): long atoms point into it, short ones
+    /// copy their piece of it.
     Shared(&'t Arc<String>),
     /// A borrowed text: atoms copy their piece of it.
     Copied(&'t str),
@@ -89,9 +90,36 @@ impl<'t> AtomText<'t> {
     fn atom(self, span: Span) -> Atom {
         match self {
             AtomText::Shared(text) => Atom::shared(text, span.start, span.end),
-            AtomText::Copied(_) => Atom::from(self.slice(span).to_owned()),
+            AtomText::Copied(_) => Atom::from(self.slice(span)),
         }
     }
+}
+
+/// A filter node number in a [`ValueSink`]'s table: node 0 keeps
+/// everything below it, and `DROP` stands for a dropped child.
+const KEEPS_ALL: u32 = 0;
+const DROP: u32 = u32::MAX;
+
+/// One entry of a [`ValueSink`]'s table, for a filter node and a symbol.
+#[derive(Clone, Copy)]
+struct Cell {
+    /// The filter node of a child of that symbol under the node, or
+    /// `DROP`.
+    child: u32,
+    /// The layout of a tuple of that symbol built at the node, as an index
+    /// in the sink's layouts; `DROP` until the first such tuple.
+    layout: u32,
+}
+
+/// How a sequence rule's tuple is put together at one filter node: which
+/// children come, in what order, and the shape their names make.
+struct Layout {
+    shape: Shape,
+    /// `order[j]`: the place among the children, in the order they come,
+    /// of the one whose name is the `j`th in name order.
+    order: Box<[u32]>,
+    /// The children's symbols, in the order they come (debug-checked).
+    symbols: Box<[SymbolId]>,
 }
 
 /// The value sink: executes the `$$ := …` annotations as the parser goes,
@@ -100,18 +128,23 @@ impl<'t> AtomText<'t> {
 /// [`Parser::parse_indexed`](crate::Parser::parse_indexed) asks
 /// [`Sink::keeps`] and does not read a candidate past its last kept field.
 ///
-/// Finished values wait for their parent on one stack. A tuple sorts its
-/// fields by the grammar's name ranks and takes them in one vector; an
+/// The filter is read from a table made when the sink is: one row per
+/// filter node, one cell per symbol, so no name is looked up per node.
+/// Finished values wait for their parent on one stack. A sequence rule's
+/// tuple takes its fields in one exactly sized allocation, in an order
+/// and under a [`Shape`] worked out once per rule and filter node; an
 /// object is created when its node is left, with its value nodes counted
 /// on the way. A rolled-back attempt truncates the stack and removes its
 /// objects from the database.
 pub struct ValueSink<'a, 'd> {
     grammar: &'a Grammar,
     text: AtomText<'a>,
-    filter: &'a PathFilter,
-    /// Per symbol: whether `filter` keeps a field of its name, worked out
-    /// once per sink so [`Sink::keeps`] looks no name up per candidate.
-    kept: Vec<bool>,
+    /// The filter as a table: the cell of node `n` and symbol `s` is at
+    /// `n * grammar.symbol_count() + s`.
+    cells: Vec<Cell>,
+    /// The filter node of the root.
+    root: u32,
+    layouts: Vec<Layout>,
     db: &'d mut Database,
     frames: Vec<Frame<'a>>,
     /// Finished values waiting for their parent, with their symbols.
@@ -125,8 +158,10 @@ pub struct ValueSink<'a, 'd> {
 
 /// A node being built.
 struct Frame<'a> {
-    builder: &'a ValueBuilder,
-    filter: &'a PathFilter,
+    rule: &'a Rule,
+    symbol: SymbolId,
+    /// The node's filter node.
+    filter: u32,
     /// `values.len()` when the node was entered: its children are above.
     base: usize,
     /// `nodes` when the node was entered.
@@ -150,19 +185,17 @@ impl<'a, 'd> ValueSink<'a, 'd> {
         grammar: &'a Grammar,
         text: AtomText<'a>,
         db: &'d mut Database,
-        filter: &'a PathFilter,
+        filter: &PathFilter,
     ) -> Self {
-        let mut kept = vec![filter.keep_all; grammar.symbol_count()];
-        for name in filter.children.keys() {
-            if let Some(symbol) = grammar.symbol(name) {
-                kept[symbol.0 as usize] = true;
-            }
-        }
+        let keep_all = Cell { child: KEEPS_ALL, layout: DROP };
+        let mut cells = vec![keep_all; grammar.symbol_count()];
+        let root = add_filter_node(&mut cells, grammar, filter);
         Self {
             grammar,
             text,
-            filter,
-            kept,
+            cells,
+            root,
+            layouts: Vec::new(),
             db,
             frames: Vec::new(),
             values: Vec::new(),
@@ -182,10 +215,15 @@ impl<'a, 'd> ValueSink<'a, 'd> {
         self.done.take()
     }
 
-    /// The filter for a new child of the open node, or `None` to drop it.
-    fn child_filter(&self, symbol: SymbolId) -> Option<&'a PathFilter> {
-        let Some(parent) = self.frames.last() else { return Some(self.filter) };
-        match parent.builder {
+    fn cell(&self, filter: u32, symbol: SymbolId) -> usize {
+        filter as usize * self.grammar.symbol_count() + symbol.0 as usize
+    }
+
+    /// The filter node of a new child of the open node, or `None` to drop
+    /// it.
+    fn child_filter(&self, symbol: SymbolId) -> Option<u32> {
+        let Some(parent) = self.frames.last() else { return Some(self.root) };
+        match parent.rule.builder {
             // Value-transparent: the first child takes the filter unchanged
             // (choice branches never appear in query paths).
             ValueBuilder::Child => (self.values.len() == parent.base).then_some(parent.filter),
@@ -194,72 +232,123 @@ impl<'a, 'd> ValueSink<'a, 'd> {
             | ValueBuilder::List
             | ValueBuilder::TupleAuto
             | ValueBuilder::ObjectAuto(_) => {
-                if parent.filter.keep_all {
-                    Some(&KEEP_ALL)
-                } else {
-                    parent.filter.child(self.grammar.name(symbol))
-                }
+                let child = self.cells[self.cell(parent.filter, symbol)].child;
+                (child != DROP).then_some(child)
             }
+        }
+    }
+
+    /// The layout of the tuple of a sequence node in `frame`, worked out
+    /// on its first tuple.
+    fn layout(&mut self, frame: &Frame<'a>, terms: &[Term]) -> usize {
+        let cell = self.cell(frame.filter, frame.symbol);
+        if self.cells[cell].layout == DROP {
+            let grammar = self.grammar;
+            let symbols: Box<[SymbolId]> = terms
+                .iter()
+                .filter_map(|t| match t {
+                    Term::NonTerm(s) if self.cells[self.cell(frame.filter, *s)].child != DROP => {
+                        Some(*s)
+                    }
+                    _ => None,
+                })
+                .collect();
+            let mut order: Box<[u32]> = (0..symbols.len() as u32).collect();
+            order.sort_unstable_by_key(|&i| grammar.name_rank(symbols[i as usize]));
+            let names = order.iter().map(|&i| Arc::clone(grammar.field_name(symbols[i as usize])));
+            let shape = Shape::new(names.collect());
+            self.cells[cell].layout = self.layouts.len() as u32;
+            self.layouts.push(Layout { shape, order, symbols });
+        }
+        self.cells[cell].layout as usize
+    }
+
+    /// The integer atom of `span`.
+    fn int(&self, span: Span) -> Value {
+        Value::Int(self.text.slice(span).trim().parse().unwrap_or(0))
+    }
+
+    /// A finished value goes to the open node, or is the sink's result.
+    fn finish(&mut self, symbol: SymbolId, value: Value) {
+        if self.frames.is_empty() {
+            self.done = Some(value);
+        } else {
+            self.values.push((symbol, value));
         }
     }
 
     /// Assembles the value of the node in `frame` from its children.
     fn assemble(&mut self, frame: &Frame<'a>, span: Span) -> Value {
-        let value = match frame.builder {
-            ValueBuilder::Atom => Value::Str(self.text.atom(span)),
-            ValueBuilder::AtomInt => Value::Int(self.text.slice(span).trim().parse().unwrap_or(0)),
-            ValueBuilder::Child => {
+        let value = match (&frame.rule.builder, &frame.rule.body) {
+            (ValueBuilder::Atom, _) => Value::Str(self.text.atom(span)),
+            (ValueBuilder::AtomInt, _) => self.int(span),
+            (ValueBuilder::Child, _) => {
                 if self.values.len() > frame.base {
                     return self.values.pop().expect("a child value").1;
                 }
                 Value::str("")
             }
-            ValueBuilder::List => {
+            (ValueBuilder::List, _) => {
                 Value::List(self.values.drain(frame.base..).map(|(_, v)| v).collect())
             }
-            ValueBuilder::Set => {
+            (ValueBuilder::Set, _) => {
                 let mut items: Vec<Value> =
                     self.values.drain(frame.base..).map(|(_, v)| v).collect();
                 if !items.windows(2).all(|w| w[0] < w[1]) {
-                    items.sort();
-                    let mut kept: Vec<Value> = Vec::with_capacity(items.len());
-                    for item in items {
-                        if kept.last() == Some(&item) {
+                    items.sort_unstable();
+                    let nodes = &mut self.nodes;
+                    items.dedup_by(|item, kept| {
+                        let duplicate = item == kept;
+                        if duplicate {
                             // A duplicate is no node of the set.
-                            self.nodes -= item.node_count() as u64;
-                        } else {
-                            kept.push(item);
+                            *nodes -= item.node_count() as u64;
                         }
-                    }
-                    items = kept;
+                        duplicate
+                    });
                 }
                 Value::Set(items)
             }
-            ValueBuilder::TupleAuto | ValueBuilder::ObjectAuto(_) => {
-                let grammar = self.grammar;
-                let fields = &mut self.values[frame.base..];
-                let rank = |(s, _): &(SymbolId, Value)| grammar.name_rank(*s);
-                if !fields.windows(2).all(|w| rank(&w[0]) < rank(&w[1])) {
-                    // Stable: of a name given twice, the last value wins.
-                    fields.sort_by_key(rank);
-                }
-                let mut sorted: Vec<(Arc<str>, Value)> = Vec::with_capacity(fields.len());
-                let (mut last, mut dropped) = (None, 0);
-                for (symbol, value) in self.values.drain(frame.base..) {
-                    if last == Some(symbol) {
-                        let (_, old) = sorted.pop().expect("the field given before");
-                        dropped += old.node_count() as u64;
-                    }
-                    sorted.push((Arc::clone(grammar.field_name(symbol)), value));
-                    last = Some(symbol);
-                }
-                self.nodes -= dropped;
-                Value::Tuple(Fields::from_sorted(sorted))
+            // Only a sequence builds a tuple, and it names each
+            // non-terminal once (both checked by `GrammarBuilder::build`).
+            // Each one the filter keeps leaves one value, in term order:
+            // its fields are the layout's.
+            (ValueBuilder::TupleAuto | ValueBuilder::ObjectAuto(_), RuleBody::Seq(terms)) => {
+                let at = self.layout(frame, terms);
+                let layout = &self.layouts[at];
+                let children = &mut self.values[frame.base..];
+                debug_assert!(children.iter().map(|(s, _)| *s).eq(layout.symbols.iter().copied()));
+                let values = layout
+                    .order
+                    .iter()
+                    .map(|&i| std::mem::replace(&mut children[i as usize].1, Value::Int(0)))
+                    .collect();
+                self.values.truncate(frame.base);
+                Value::Tuple(Fields::from_shape(layout.shape.clone(), values))
+            }
+            (ValueBuilder::TupleAuto | ValueBuilder::ObjectAuto(_), _) => {
+                unreachable!("only a sequence rule builds a tuple")
             }
         };
         self.nodes += 1;
         value
     }
+}
+
+/// Adds the rows of `filter`'s nodes to a sink's table and returns the
+/// node of `filter`. Every node that keeps everything is node 0.
+fn add_filter_node(cells: &mut Vec<Cell>, grammar: &Grammar, filter: &PathFilter) -> u32 {
+    if filter.keep_all {
+        return KEEPS_ALL;
+    }
+    let n = grammar.symbol_count();
+    let row = cells.len();
+    cells.resize(row + n, Cell { child: DROP, layout: DROP });
+    for (name, child) in &filter.children {
+        if let Some(symbol) = grammar.symbol(name) {
+            cells[row + symbol.0 as usize].child = add_filter_node(cells, grammar, child);
+        }
+    }
+    (row / n) as u32
 }
 
 impl Sink for ValueSink<'_, '_> {
@@ -272,7 +361,8 @@ impl Sink for ValueSink<'_, '_> {
         }
         match self.child_filter(symbol) {
             Some(filter) => self.frames.push(Frame {
-                builder: &self.grammar.rule(symbol).builder,
+                rule: self.grammar.rule(symbol),
+                symbol,
                 filter,
                 base: self.values.len(),
                 nodes: self.nodes,
@@ -288,16 +378,29 @@ impl Sink for ValueSink<'_, '_> {
         }
         let frame = self.frames.pop().expect("leave matches an enter");
         let mut value = self.assemble(&frame, span);
-        if let ValueBuilder::ObjectAuto(class) = frame.builder {
+        if let ValueBuilder::ObjectAuto(class) = &frame.rule.builder {
             let nodes = self.nodes - frame.nodes;
             value = Value::Ref(self.db.new_object_counted(class, value, nodes));
             self.nodes = frame.nodes + 1;
         }
-        if self.frames.is_empty() {
-            self.done = Some(value);
-        } else {
-            self.values.push((symbol, value));
+        self.finish(symbol, value);
+    }
+
+    /// An atom is built with no frame.
+    fn token(&mut self, symbol: SymbolId, span: Span) {
+        if self.skip > 0 || self.child_filter(symbol).is_none() {
+            return;
         }
+        let value = match self.grammar.rule(symbol).builder {
+            ValueBuilder::Atom => Value::Str(self.text.atom(span)),
+            ValueBuilder::AtomInt => self.int(span),
+            _ => {
+                self.enter(symbol);
+                return self.leave(symbol, span);
+            }
+        };
+        self.nodes += 1;
+        self.finish(symbol, value);
     }
 
     fn mark(&self) -> ValueMark {
@@ -314,14 +417,11 @@ impl Sink for ValueSink<'_, '_> {
         if self.skip > 0 {
             return false;
         }
-        let Some(parent) = self.frames.last() else { return true };
-        match parent.builder {
+        match self.frames.last().map(|parent| &parent.rule.builder) {
             // Only the first child is built, which `keeps` cannot tell
             // from the symbol alone.
-            ValueBuilder::Child => true,
-            ValueBuilder::Atom | ValueBuilder::AtomInt => false,
-            _ if std::ptr::eq(parent.filter, self.filter) => self.kept[symbol.0 as usize],
-            _ => parent.filter.keeps(self.grammar.name(symbol)),
+            None | Some(ValueBuilder::Child) => true,
+            _ => self.child_filter(symbol).is_some(),
         }
     }
 
@@ -518,15 +618,31 @@ mod tests {
     }
 
     #[test]
+    fn an_ascii_stop_cuts_utf8_text_on_character_boundaries() {
+        let g = Grammar::builder("S")
+            .seq("S", [nt("T"), nt("U")], ValueBuilder::TupleAuto)
+            .token("T", TokenPattern::Until("!".into()), ValueBuilder::Atom)
+            .token("U", TokenPattern::Until("z".into()), ValueBuilder::Atom)
+            .build()
+            .unwrap();
+        let text = "x©é!→ 𝄞";
+        let v = build_value(&tree_of(text, &g), &g, text, &mut Database::new());
+        assert_eq!(v, Value::tuple([("T", Value::str("x©é")), ("U", Value::str("!→ 𝄞"))]));
+    }
+
+    #[test]
     fn atoms_share_the_text_they_come_from() {
         let g = grammar();
-        let text = Arc::new("[k1:chang|1982]".to_owned());
+        let key = "key_of_twenty_four_bytes";
+        let text = Arc::new(format!("[{key}:chang|1982]"));
         let mut db = Database::new();
         let mut sink = ValueSink::new(&g, AtomText::Shared(&text), &mut db, &KEEP_ALL);
         Parser::new(&g, &text).parse_into(g.root(), 0..text.len() as u32, &mut sink).unwrap();
         drop(sink);
-        assert_eq!(Arc::strong_count(&text), 3, "Key and the author share the text");
+        assert_eq!(Arc::strong_count(&text), 2, "the long Key shares the text, the author not");
         let obj = db.deref(db.extent("Entry")[0]).unwrap();
-        assert_eq!(obj.field("Key").unwrap().as_str(), Some("k1"));
+        assert_eq!(obj.field("Key").unwrap().as_str(), Some(key));
+        let authors = obj.field("Authors").unwrap().elements().unwrap();
+        assert_eq!(authors[0].as_str(), Some("chang"));
     }
 }

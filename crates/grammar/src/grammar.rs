@@ -29,7 +29,8 @@ pub enum TokenPattern {
     /// space-separated).
     Initials,
     /// Greedy run of characters until (excluding) any of the given stop
-    /// characters; trailing whitespace is trimmed out of the token span.
+    /// characters, which must be ASCII; trailing whitespace is trimmed out
+    /// of the token span.
     Until(String),
     /// The rest of the current line (excluding the newline).
     Line,
@@ -45,10 +46,12 @@ pub enum ValueBuilder {
     Set,
     /// An ordered list of the children's values.
     List,
-    /// `$$ := tuple(B1: $1, …, Bn: $n)` with fields named by child symbols.
+    /// `$$ := tuple(B1: $1, …, Bn: $n)` with fields named by child symbols;
+    /// for sequence rules only.
     TupleAuto,
     /// `$$ := new(Class, tuple(…))` — creates an object and yields a
     /// reference to it. The class name is shared by every object built.
+    /// For sequence rules only.
     ObjectAuto(Arc<str>),
     /// `$$ := $1` for a single-child rule (wrappers, choice branches).
     Child,
@@ -110,6 +113,18 @@ pub enum GrammarError {
     },
     /// The root symbol has no rule.
     MissingRoot(String),
+    /// An `Until` token stops at a character outside ASCII. The scan
+    /// matches stop bytes, and such a character's bytes also occur
+    /// inside other characters.
+    NonAsciiStop {
+        /// The token rule.
+        rule: String,
+        /// The stop character.
+        stop: char,
+    },
+    /// A `TupleAuto` or `ObjectAuto` rule whose body is not a sequence:
+    /// a tuple's fields are the non-terminals of a sequence, each once.
+    TupleOfNonSequence(String),
 }
 
 impl fmt::Display for GrammarError {
@@ -123,6 +138,12 @@ impl fmt::Display for GrammarError {
                  (natural schemas require at most one occurrence)"
             ),
             GrammarError::MissingRoot(s) => write!(f, "root symbol `{s}` has no rule"),
+            GrammarError::NonAsciiStop { rule, stop } => {
+                write!(f, "token `{rule}` stops at {stop:?}; `Until` stops must be ASCII")
+            }
+            GrammarError::TupleOfNonSequence(s) => {
+                write!(f, "the rule for `{s}` builds a tuple but is not a sequence")
+            }
         }
     }
 }
@@ -419,6 +440,10 @@ impl GrammarBuilder {
         let mut rules: Vec<Option<Rule>> = vec![None; self.rules.len()];
         for (head, spec, builder) in self.rules {
             let head_id = intern(&head, &mut symbols);
+            let tuple = matches!(builder, ValueBuilder::TupleAuto | ValueBuilder::ObjectAuto(_));
+            if tuple && !matches!(spec, RuleBodySpec::Seq(_)) {
+                return Err(GrammarError::TupleOfNonSequence(head));
+            }
             let body = match spec {
                 RuleBodySpec::Seq(terms) => {
                     let mut used = std::collections::HashSet::new();
@@ -445,7 +470,14 @@ impl GrammarBuilder {
                 RuleBodySpec::Choice(alts) => {
                     RuleBody::Choice(alts.iter().map(|a| intern(a, &mut symbols)).collect())
                 }
-                RuleBodySpec::Token(p) => RuleBody::Token(p),
+                RuleBodySpec::Token(p) => {
+                    if let TokenPattern::Until(stops) = &p {
+                        if let Some(stop) = stops.chars().find(|c| !c.is_ascii()) {
+                            return Err(GrammarError::NonAsciiStop { rule: head, stop });
+                        }
+                    }
+                    RuleBody::Token(p)
+                }
             };
             rules[head_id.0 as usize] = Some(Rule { body, builder });
         }
@@ -584,6 +616,36 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(e, GrammarError::MissingRoot("Root".into()));
+    }
+
+    #[test]
+    fn a_non_ascii_until_stop_is_rejected() {
+        // Matched as bytes, `é` (C3 A9) would stop inside `©` (C2 A9) of
+        // "x©é" and split the character.
+        let e = Grammar::builder("S")
+            .seq("S", [nt("T"), nt("U")], ValueBuilder::TupleAuto)
+            .token("T", TokenPattern::Until("é".into()), ValueBuilder::Atom)
+            .token("U", TokenPattern::Until("z".into()), ValueBuilder::Atom)
+            .build()
+            .unwrap_err();
+        assert_eq!(e, GrammarError::NonAsciiStop { rule: "T".into(), stop: 'é' });
+        assert_eq!(e.to_string(), "token `T` stops at 'é'; `Until` stops must be ASCII");
+    }
+
+    #[test]
+    fn a_tuple_of_a_non_sequence_is_rejected() {
+        let e = Grammar::builder("S")
+            .repeat("S", "W", None, ValueBuilder::TupleAuto)
+            .token("W", TokenPattern::Word, ValueBuilder::Atom)
+            .build()
+            .unwrap_err();
+        assert_eq!(e, GrammarError::TupleOfNonSequence("S".into()));
+        assert_eq!(e.to_string(), "the rule for `S` builds a tuple but is not a sequence");
+        let e = Grammar::builder("S")
+            .token("S", TokenPattern::Word, ValueBuilder::ObjectAuto("C".into()))
+            .build()
+            .unwrap_err();
+        assert_eq!(e, GrammarError::TupleOfNonSequence("S".into()));
     }
 
     #[test]

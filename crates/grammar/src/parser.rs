@@ -36,6 +36,13 @@ pub trait Sink {
     /// The node entered last and not yet left ends; it covers `span`.
     fn leave(&mut self, symbol: SymbolId, span: Span);
 
+    /// A token node of `symbol` covers `span`: a node with no children,
+    /// entered and left at once.
+    fn token(&mut self, symbol: SymbolId, span: Span) {
+        self.enter(symbol);
+        self.leave(symbol, span);
+    }
+
     /// The current state.
     fn mark(&self) -> Self::Mark;
 
@@ -459,7 +466,7 @@ impl<'a, S: Sink> Walk<'_, 'a, S> {
         if !self.skip_ws {
             return at;
         }
-        while at < limit && self.text[at as usize].is_ascii_whitespace() {
+        while at < limit && is(self.text[at as usize], WS) {
             at += 1;
         }
         at
@@ -472,8 +479,8 @@ impl<'a, S: Sink> Walk<'_, 'a, S> {
         match &grammar.rule(symbol).body {
             RuleBody::Token(p) => {
                 let (start, end) = self.token(symbol, p, at, limit)?;
-                self.sink.enter(symbol);
-                self.leave(symbol, start, end);
+                self.nodes += 1;
+                self.sink.token(symbol, start + self.base..end + self.base);
                 Ok(end)
             }
             RuleBody::Seq(terms) => self.seq(symbol, terms, at, limit, false),
@@ -608,73 +615,114 @@ impl<'a, S: Sink> Walk<'_, 'a, S> {
         limit: Pos,
     ) -> Result<(Pos, Pos), Fail<'a>> {
         let start = self.skip_ws(at, limit);
-        let bytes = self.text;
-        let s = start as usize;
-        let lim = limit as usize;
-        let is_word = |c: u8| c.is_ascii_alphanumeric() || c == b'_' || c == b'\'' || c == b'-';
-        let end: usize = match pattern {
-            TokenPattern::Word => {
-                let mut e = s;
-                if e < lim && (bytes[e].is_ascii_alphanumeric()) {
-                    e += 1;
-                    while e < lim && is_word(bytes[e]) {
-                        e += 1;
-                    }
-                }
-                e
-            }
-            TokenPattern::Number => {
-                let mut e = s;
-                while e < lim && bytes[e].is_ascii_digit() {
-                    e += 1;
-                }
-                e
-            }
+        let rest = self.text.get(start as usize..limit as usize).unwrap_or_default();
+        let len = match pattern {
+            TokenPattern::Word => match rest.split_first() {
+                Some((&first, tail)) if is(first, ALNUM) => 1 + run_of(tail, WORD),
+                _ => 0,
+            },
+            TokenPattern::Number => run_of(rest, DIGIT),
             TokenPattern::Initials => {
                 // One or more `X.` groups separated by single spaces.
-                let mut e = s;
-                loop {
-                    if e + 1 < lim && bytes[e].is_ascii_uppercase() && bytes[e + 1] == b'.' {
-                        e += 2;
-                        if e < lim
-                            && bytes[e] == b' '
-                            && e + 2 < lim
-                            && bytes[e + 1].is_ascii_uppercase()
-                            && bytes[e + 2] == b'.'
-                        {
-                            e += 1; // consume the space and continue
-                            continue;
-                        }
-                        break;
+                let initial =
+                    |i: usize| i + 1 < rest.len() && is(rest[i], UPPER) && rest[i + 1] == b'.';
+                let mut e = 0;
+                if initial(0) {
+                    e = 2;
+                    while e < rest.len() && rest[e] == b' ' && initial(e + 1) {
+                        e += 3;
                     }
-                    break;
                 }
                 e
             }
             TokenPattern::Until(stops) => {
-                let mut e = s;
-                while e < lim && !stops.as_bytes().contains(&bytes[e]) {
-                    e += 1;
-                }
                 // Trim trailing whitespace out of the token span.
-                while e > s && bytes[e - 1].is_ascii_whitespace() {
-                    e -= 1;
-                }
-                e
+                let body = &rest[..find_stop(rest, stops.as_bytes())];
+                body.iter().rposition(|&b| !is(b, WS)).map_or(0, |i| i + 1)
             }
-            TokenPattern::Line => {
-                let mut e = s;
-                while e < lim && bytes[e] != b'\n' {
-                    e += 1;
-                }
-                e
-            }
+            TokenPattern::Line => rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len()),
         };
-        if end == s {
+        if len == 0 {
             return Err(Fail { at: start, want: Want::Token(symbol, pattern) });
         }
-        Ok((start, end as Pos))
+        Ok((start, start + len as Pos))
     }
+}
+
+/// The byte classes the scans test, one table lookup per byte.
+const WS: u8 = 1;
+const ALNUM: u8 = 2;
+/// `ALNUM`, `_`, `'` and `-`: the bytes of a word after its first.
+const WORD: u8 = 4;
+const DIGIT: u8 = 8;
+const UPPER: u8 = 16;
+
+static CLASSES: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        let mut class = 0;
+        if c.is_ascii_whitespace() {
+            class |= WS;
+        }
+        if c.is_ascii_alphanumeric() {
+            class |= ALNUM | WORD;
+        }
+        if matches!(c, b'_' | b'\'' | b'-') {
+            class |= WORD;
+        }
+        if c.is_ascii_digit() {
+            class |= DIGIT;
+        }
+        if c.is_ascii_uppercase() {
+            class |= UPPER;
+        }
+        table[b] = class;
+        b += 1;
+    }
+    table
+};
+
+/// Whether `b` is in `class`.
+fn is(b: u8, class: u8) -> bool {
+    CLASSES[b as usize] & class != 0
+}
+
+/// The position of the first of the `stops` bytes in `bytes`, or its
+/// length if there is none. It tests eight bytes at a time: a byte of
+/// `x = word ^ stop…` is zero where `word` holds `stop`, and the lowest
+/// byte that `(x - 0x01…) & !x & 0x80…` flags is `x`'s first zero byte (a
+/// borrow can flag bytes only above one).
+fn find_stop(bytes: &[u8], stops: &[u8]) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let first = |word: [u8; 8]| {
+        let word = u64::from_le_bytes(word);
+        let mut found = 0;
+        for &stop in stops {
+            let x = word ^ (ONES * u64::from(stop));
+            found |= x.wrapping_sub(ONES) & !x & HIGHS;
+        }
+        (found != 0).then(|| found.trailing_zeros() as usize / 8)
+    };
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        if let Some(j) = first(word.try_into().expect("eight bytes")) {
+            return i * 8 + j;
+        }
+    }
+    // The tail, padded with NULs: a NUL stop finds the first of them, at
+    // the end.
+    let tail = words.remainder();
+    let mut word = [0; 8];
+    word[..tail.len()].copy_from_slice(tail);
+    first(word).map_or(bytes.len(), |j| bytes.len() - tail.len() + j)
+}
+
+/// The length of the run of `class` bytes that starts `bytes`.
+fn run_of(bytes: &[u8], class: u8) -> usize {
+    bytes.iter().position(|&b| !is(b, class)).unwrap_or(bytes.len())
 }
 
 #[cfg(test)]
@@ -971,6 +1019,117 @@ mod tests {
         let p = Parser::new(&g, "(ab,cd)");
         p.parse_indexed(g.root(), 0..7, &mut tape).unwrap();
         assert_eq!(p.stats().bytes_scanned, 7);
+    }
+
+    /// A token's end by today's scans' predecessors, one byte at a time
+    /// (`s` when there is no token).
+    fn token_end_by_bytes(pattern: &TokenPattern, bytes: &[u8], s: usize, lim: usize) -> usize {
+        let is_word = |c: u8| c.is_ascii_alphanumeric() || c == b'_' || c == b'\'' || c == b'-';
+        let mut e = s;
+        match pattern {
+            TokenPattern::Word => {
+                if e < lim && bytes[e].is_ascii_alphanumeric() {
+                    e += 1;
+                    while e < lim && is_word(bytes[e]) {
+                        e += 1;
+                    }
+                }
+            }
+            TokenPattern::Number => {
+                while e < lim && bytes[e].is_ascii_digit() {
+                    e += 1;
+                }
+            }
+            TokenPattern::Initials => loop {
+                if e + 1 < lim && bytes[e].is_ascii_uppercase() && bytes[e + 1] == b'.' {
+                    e += 2;
+                    if e < lim
+                        && bytes[e] == b' '
+                        && e + 2 < lim
+                        && bytes[e + 1].is_ascii_uppercase()
+                        && bytes[e + 2] == b'.'
+                    {
+                        e += 1;
+                        continue;
+                    }
+                }
+                break;
+            },
+            TokenPattern::Until(stops) => {
+                while e < lim && !stops.as_bytes().contains(&bytes[e]) {
+                    e += 1;
+                }
+                while e > s && bytes[e - 1].is_ascii_whitespace() {
+                    e -= 1;
+                }
+            }
+            TokenPattern::Line => {
+                while e < lim && bytes[e] != b'\n' {
+                    e += 1;
+                }
+            }
+        }
+        e
+    }
+
+    #[test]
+    fn token_scans_match_a_byte_at_a_time_reference() {
+        let mut seed = 0x5eed_u64;
+        let mut next = move |n: usize| {
+            // SplitMix64.
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let pieces = [
+            "a", "Z", "q", "G.", "K.", "G. ", "7", "19", "_", "'", "-", " ", "  ", "\t", "\n", ".",
+            "\"", ";", "<", ",", "z", "é", "©", "→", "𝄞", "ÿ",
+        ];
+        let stops = ["\"", ";\"", "<", ",\n", " \n", ".", "z", "\0", "\"; <,\n.z"];
+        for round in 0..6000 {
+            let pattern = match round % 5 {
+                0 => TokenPattern::Word,
+                1 => TokenPattern::Number,
+                2 => TokenPattern::Initials,
+                3 => TokenPattern::Line,
+                _ => TokenPattern::Until(stops[next(stops.len())].to_owned()),
+            };
+            // Initials need a denser draw of their own pieces.
+            let pieces: &[&str] = match pattern {
+                TokenPattern::Initials => &["G.", "K.", " ", "G", ".", "a", "é"],
+                _ => &pieces,
+            };
+            let text: String = (0..next(48)).map(|_| pieces[next(pieces.len())]).collect();
+            let mut g = Grammar::builder("T").token("T", pattern.clone(), ValueBuilder::Atom);
+            if round % 2 == 0 {
+                g = g.exact_whitespace();
+            }
+            let g = g.build().unwrap();
+            let bytes = text.as_bytes();
+            let at = if round % 3 == 0 { 0 } else { next(bytes.len() + 1) };
+            let limit = at + next(bytes.len() - at + 1);
+            let mut tape = Tape::new();
+            let walk = Walk {
+                grammar: &g,
+                text: bytes,
+                base: 0,
+                skip_ws: g.skips_whitespace(),
+                sink: &mut tape,
+                nodes: 0,
+                stopped_at: None,
+            };
+            let got = walk.token(g.root(), &pattern, at as Pos, limit as Pos).map_err(|f| f.at);
+            let mut start = at;
+            while g.skips_whitespace() && start < limit && bytes[start].is_ascii_whitespace() {
+                start += 1;
+            }
+            let end = token_end_by_bytes(&pattern, bytes, start, limit);
+            let want =
+                if end == start { Err(start as Pos) } else { Ok((start as Pos, end as Pos)) };
+            assert_eq!(got, want, "{pattern:?} over {text:?}[{at}..{limit}]");
+        }
     }
 
     #[test]
