@@ -22,8 +22,8 @@ use qof_text::{Corpus, Span, Tokenizer, WordIndex};
 use crate::report::{ExperimentReport, Measurement};
 use crate::{
     bibtex_corpus, bibtex_full, bibtex_partial, fmt_secs, grep_scan, median_secs,
-    multi_file_bibtex, sgml_full, time_baseline, time_query, CHANG_AUTHOR, CHANG_STAR,
-    EDITOR_IS_AUTHOR, MIXED_WORKLOAD,
+    multi_file_bibtex, sgml_full, time_baseline, time_query, AUTHOR_EDITS, CHANG_AUTHOR,
+    CHANG_STAR, EDITOR_IS_AUTHOR, MIXED_WORKLOAD, SELECTIVE_JOIN,
 };
 
 /// How big a corpus each experiment builds.
@@ -456,11 +456,12 @@ impl Sink for Recognizer {
     fn rollback(&mut self, (): ()) {}
 }
 
-/// E6: the select–project–join hybrid (§5.2).
+/// E6: the select–project–join hybrid (§5.2): a same-variable content
+/// compare, and a two-variable join answered as one semi-join per side.
 fn e6(scale: Scale, r: &mut Recorder) {
     banner("E6", "content joins: index-located regions + DB join vs pure DB (§5.2)");
     println!(
-        "{:>8} | {:>9} | {:>10} | {:>8} {:>8} | {:>12}",
+        "{:>8} | {:>14} | {:>10} | {:>8} {:>8} | {:>12}",
         "refs", "index", "time", "answers", "cands", "bytes"
     );
     for n in scale.pick(vec![100, 400], vec![200, 800, 3200]) {
@@ -471,32 +472,79 @@ fn e6(scale: Scale, r: &mut Recorder) {
         });
         let (rb, _) = time_baseline(&corpus, &schema, EDITOR_IS_AUTHOR, BaselineMode::FullLoad);
         r.rec(format!("db_secs_{n}"), tb, "s");
+        // The baseline answers a two-variable join by a nested loop over
+        // all n² pairs; past 800 references that takes too long to repeat.
+        let join_db = (n <= 800).then(|| {
+            let t = median_secs(3, || {
+                time_baseline(&corpus, &schema, AUTHOR_EDITS, BaselineMode::FullLoad).1
+            });
+            r.rec(format!("join_db_secs_{n}"), t, "s");
+            (time_baseline(&corpus, &schema, AUTHOR_EDITS, BaselineMode::FullLoad).0, t)
+        });
         // {Reference, Last_Name} locates every last name on both sides: its
         // text test keeps the references that repeat one (DESIGN.md §21).
-        let mut full = None;
+        let mut answers = [None, None];
         for (label, fdb) in
             [("full", bibtex_full(n)), ("partial", bibtex_partial(n, &["Reference", "Last_Name"]))]
         {
-            let t = median_secs(3, || time_query(&fdb, EDITOR_IS_AUTHOR).1);
-            let (res, _) = time_query(&fdb, EDITOR_IS_AUTHOR);
-            assert_eq!(res.values.len(), rb.values.len());
-            assert_eq!(*full.get_or_insert_with(|| res.values.clone()), res.values);
-            let (s, k) = (&res.stats, res.values.len());
-            r.rec(format!("{label}_secs_{n}"), t, "s");
-            r.rec(format!("answers_{label}_{n}"), k as f64, "values");
-            r.rec(format!("candidates_{label}_{n}"), s.candidates as f64, "regions");
-            r.rec(format!("bytes_{label}_{n}"), s.bytes_touched() as f64, "bytes");
-            println!(
-                "{n:>8} | {label:>9} | {} | {k:>8} {:>8} | {:>12}",
-                fmt_secs(t),
-                s.candidates,
-                s.bytes_touched()
-            );
+            let queries = [("", EDITOR_IS_AUTHOR), ("join_", AUTHOR_EDITS)];
+            for ((row, q), want) in queries.into_iter().zip(&mut answers) {
+                let t = median_secs(3, || time_query(&fdb, q).1);
+                let (res, _) = time_query(&fdb, q);
+                assert_eq!(*want.get_or_insert_with(|| res.values.clone()), res.values, "{q}");
+                let (s, k) = (&res.stats, res.values.len());
+                r.rec(format!("{row}{label}_secs_{n}"), t, "s");
+                r.rec(format!("{row}answers_{label}_{n}"), k as f64, "values");
+                r.rec(format!("{row}candidates_{label}_{n}"), s.candidates as f64, "regions");
+                r.rec(format!("{row}bytes_{label}_{n}"), s.bytes_touched() as f64, "bytes");
+                println!(
+                    "{n:>8} | {:>14} | {} | {k:>8} {:>8} | {:>12}",
+                    format!("{}{label}", if row.is_empty() { "" } else { "⋈ " }),
+                    fmt_secs(t),
+                    s.candidates,
+                    s.bytes_touched()
+                );
+            }
         }
+        assert_eq!(answers[0].as_ref().map(Vec::len), Some(rb.values.len()));
         let bytes = rb.stats.parse.bytes_scanned;
         let k = rb.values.len();
-        println!("{n:>8} | {:>9} | {} | {k:>8} {:>8} | {bytes:>12}", "database", fmt_secs(tb), "-");
+        println!(
+            "{n:>8} | {:>14} | {} | {k:>8} {:>8} | {bytes:>12}",
+            "database",
+            fmt_secs(tb),
+            "-"
+        );
+        if let Some((jb, t)) = join_db {
+            assert_eq!(answers[1].as_ref().map(Vec::len), Some(jb.values.len()));
+            r.rec(format!("join_answers_db_{n}"), jb.values.len() as f64, "values");
+            let (k, bytes) = (jb.values.len(), jb.stats.parse.bytes_scanned);
+            println!(
+                "{n:>8} | {:>14} | {} | {k:>8} {:>8} | {bytes:>12}",
+                "⋈ database",
+                fmt_secs(t),
+                "-"
+            );
+        }
+        // A selective join whose local conditions read past its join paths:
+        // each side's candidates are parsed as far as those conditions.
+        let fdb = bibtex_partial(n, &["Reference", "Authors", "Name", "Year"]);
+        let t = median_secs(5, || time_query(&fdb, SELECTIVE_JOIN).1);
+        let (res, _) = time_query(&fdb, SELECTIVE_JOIN);
+        let (s, k) = (&res.stats, res.values.len());
+        r.rec(format!("selective_join_secs_{n}"), t, "s");
+        r.rec(format!("selective_join_bytes_{n}"), s.bytes_touched() as f64, "bytes");
+        println!(
+            "{n:>8} | {:>14} | {} | {k:>8} {:>8} | {:>12}",
+            "⋈ selective",
+            fmt_secs(t),
+            s.candidates,
+            s.bytes_touched()
+        );
     }
+    println!(
+        "(⋈: {AUTHOR_EDITS}; ⋈ selective, on {{Reference, Authors, Name, Year}}: {SELECTIVE_JOIN})"
+    );
 }
 
 /// E7: path expressions with variables — cheap on text, expensive in the

@@ -33,6 +33,18 @@ pub const CHANG_STAR: &str = "SELECT r FROM References r WHERE r.*X.Last_Name = 
 pub const EDITOR_IS_AUTHOR: &str =
     "SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name";
 
+/// A §5.2 two-variable join: the references with an author who edits some
+/// reference.
+pub const AUTHOR_EDITS: &str = "SELECT r FROM References r, References s \
+     WHERE r.Authors.Name.Last_Name = s.Editors.Name.Last_Name";
+
+/// A selective two-variable join whose local conditions read past its
+/// join paths. A name tuple never equals a key, so it has no answers: it
+/// times the work of finding that out.
+pub const SELECTIVE_JOIN: &str = "SELECT r.Key FROM References r, References s \
+     WHERE r.Authors.Name = s.Key AND r.Year = \"1982\" \
+     AND s.Keywords.Keyword = \"Taylor series\"";
+
 /// The E2/E6-style mixed workload of the serving and persistence
 /// experiments: point lookups, a content join, and overlapping conditions.
 pub const MIXED_WORKLOAD: &[&str] = &[

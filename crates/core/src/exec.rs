@@ -4,7 +4,7 @@
 //! check (candidate parsing with push-down, residual filtering) →
 //! projection, which builds whole objects for the results only.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,7 +24,7 @@ use crate::analyze::absint::AbsInterp;
 use crate::plan::{CompareTest, CondNode, Exactness, JoinPlan, Plan, PlanError, Planner, ProjPlan};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::qofx::{self, QofxError};
-use crate::residual::{eval_single, path_values, paths_meet};
+use crate::residual::{eval_single, path_values};
 use crate::trace::{ExecTrace, PhaseTrace, QueryTrace};
 use crate::{parse_query, QueryParseError, Rig};
 
@@ -110,7 +110,8 @@ pub struct RunStats {
     pub db: DbStats,
     /// Text bytes read for content joins and index-side projections.
     pub content_bytes: u64,
-    /// Candidate view regions considered.
+    /// Candidate view regions entering the check pass, summed over the
+    /// variables: after an exact join's semi-join, before an inexact one's.
     pub candidates: usize,
     /// Result count.
     pub results: usize,
@@ -596,18 +597,21 @@ impl FileDatabase {
         Ok((plan, result))
     }
 
-    /// Runs only the index phase of a query: the candidate regions of the
-    /// projected variable and whether they are exact. No file text is
-    /// parsed — this is the measure used by the index-vs-database
-    /// experiments.
+    /// Runs only the index side of a query, phases 1 and 2: the candidate
+    /// regions of the projected variable, narrowed by an exact join, and
+    /// whether they are the answer (§6.3). No file text is parsed — this
+    /// is the measure used by the index-vs-database experiments.
     pub fn query_regions(&self, src: &str) -> Result<(RegionSet, bool, RunStats), QueryError> {
         let q = parse_query(src)?;
         let plan = self.planner().plan(&q)?;
         let engine = self.engine();
         let mut stats = RunStats::default();
-        let var = plan.projection.var();
-        let regions = self.eval_phase1(&plan, &engine, &mut stats)?.swap_remove(var);
-        let exact = plan.vars[var].exact();
+        let mut candidates = self.eval_phase1(&plan, &engine, &mut stats)?;
+        if let Some(j) = &plan.join {
+            self.join_located(&engine, j, &mut candidates, &mut stats.content_bytes)?;
+        }
+        let regions = candidates.swap_remove(plan.projection.var());
+        let exact = plan.exactness() == Exactness::Exact;
         stats.eval.absorb(&engine.stats());
         stats.candidates = regions.len();
         stats.results = regions.len();
@@ -677,66 +681,35 @@ impl FileDatabase {
             .collect()
     }
 
-    /// Phase 2 of execution: the pairs of candidates whose join paths
-    /// share a value. Paths that end on atoms along exact chains pair by
-    /// the text of the regions the index locates, which is the atoms'
-    /// value. Any other join parses each candidate as far as its path and
-    /// pairs by the values the path reaches: a set's text carries its
-    /// order and separators, and an inexact chain may locate a region
-    /// that encloses the attribute rather than the attribute itself.
-    fn join_pairs(
+    /// Phase 2 of execution: an exact join semi-joins each side on the
+    /// text of the atom regions its path locates in the candidates, which
+    /// is the atoms' value. It returns those keys, so that phase 3b can
+    /// semi-join the survivors of the check pass again. An inexact join
+    /// waits for the check pass (`None`): a set's text carries its order
+    /// and separators, and an inexact chain may locate a region that
+    /// encloses the attribute rather than the attribute itself.
+    fn join_located(
         &self,
         engine: &Engine<'_>,
-        plan: &Plan,
         j: &JoinPlan,
-        candidates: &[RegionSet],
+        candidates: &mut [RegionSet],
         content_bytes: &mut u64,
-    ) -> Result<Vec<(Region, Region)>, QueryError> {
-        let (ls, rs) = (&candidates[j.left_var], &candidates[j.right_var]);
-        let pairs = match &j.residual {
-            None => {
-                let left = group_by_container(ls, &engine.eval(&j.left)?);
-                let right = group_by_container(rs, &engine.eval(&j.right)?);
-                *content_bytes +=
-                    left.iter().chain(&right).map(|(_, item)| u64::from(item.len())).sum::<u64>();
-                let text = |(ci, item): (usize, Region)| (ci, self.corpus.slice(item.span()));
-                pair_by_key(left.into_iter().map(text), right.into_iter().map(text))
-            }
-            Some((lspec, rspec)) => {
-                let mut db = Database::new();
-                let (lsym, rsym) = (&plan.vars[j.left_var].symbol, &plan.vars[j.right_var].symbol);
-                let left = self.path_keys(&mut db, lsym, ls, lspec, content_bytes)?;
-                pair_by_key(left, self.path_keys(&mut db, rsym, rs, rspec, content_bytes)?)
-            }
-        };
-        Ok(pairs.into_iter().map(|(a, b)| (ls.as_slice()[a], rs.as_slice()[b])).collect())
-    }
-
-    /// Each candidate of the view `symbol`, by position, with every value
-    /// `spec` reaches from it; candidates are parsed into `db` only as far
-    /// as the path needs.
-    fn path_keys(
-        &self,
-        db: &mut Database,
-        symbol: &str,
-        candidates: &RegionSet,
-        spec: &PathSpec,
-        content_bytes: &mut u64,
-    ) -> Result<Vec<(usize, Value)>, QueryError> {
-        let grammar = &self.schema.grammar;
-        let sym = self.view_symbol(symbol)?;
-        let filter = PathFilter::from_paths(&spec.field_paths().collect::<Vec<_>>());
-        let parser = Parser::new(grammar, self.corpus.text());
-        let text = AtomText::Shared(self.corpus.shared_text());
-        let mut sink = ValueSink::new(grammar, text, db, &filter);
-        let mut keys = Vec::new();
-        for (i, region) in candidates.iter().enumerate() {
-            let value = parse_candidate(&parser, sym, region, &mut sink)?;
-            let reached = path_values(sink.db(), &value, spec, None);
-            keys.extend(reached.into_iter().map(|v| (i, v.clone())));
+    ) -> Result<Option<[Keyed<&str>; 2]>, QueryError> {
+        if j.residual.is_some() {
+            return Ok(None);
         }
-        *content_bytes += parser.stats().bytes_scanned;
-        Ok(keys)
+        let mut located = |var: usize, expr| -> Result<Keyed<&str>, QueryError> {
+            let view = &candidates[var];
+            let mut keys = Vec::new();
+            for_each_in_container(view, &engine.eval(expr)?, |ci, item| {
+                *content_bytes += u64::from(item.len());
+                keys.push((view.as_slice()[ci], self.corpus.slice(item.span())));
+            });
+            Ok(keys)
+        };
+        let keys = [located(j.left_var, &j.left)?, located(j.right_var, &j.right)?];
+        [candidates[j.left_var], candidates[j.right_var]] = semi_join(&keys[0], &keys[1]);
+        Ok(Some(keys))
     }
 
     /// The executor proper: it runs the plan record as it stands, timing
@@ -767,13 +740,12 @@ impl FileDatabase {
         let mut candidates = self.eval_phase1(plan, &engine, &mut stats)?;
         end_phase("index-candidates", phase_started);
 
-        // Phase 2: cross-variable content join.
+        // Phase 2: an exact cross-variable join narrows both sides by the
+        // located texts.
         let phase_started = elapsed_nanos(origin);
-        let mut pairs: Vec<(Region, Region)> = Vec::new();
+        let mut located = None;
         if let Some(j) = &plan.join {
-            pairs = self.join_pairs(&engine, plan, j, &candidates, &mut stats.content_bytes)?;
-            candidates[j.left_var] = RegionSet::from_regions(pairs.iter().map(|p| p.0).collect());
-            candidates[j.right_var] = RegionSet::from_regions(pairs.iter().map(|p| p.1).collect());
+            located = self.join_located(&engine, j, &mut candidates, &mut stats.content_bytes)?;
         }
         end_phase("content-join", phase_started);
         stats.candidates = candidates.iter().map(RegionSet::len).sum();
@@ -801,24 +773,25 @@ impl FileDatabase {
             candidates[i] = regions_of(&objects[i]);
         }
 
-        // Phase 3b: a join keeps the pairs whose both sides survived
-        // parsing, and an inexact join re-checks them on the parsed values.
+        // Phase 3b: the join semi-joins the survivors. An inexact join keys
+        // them by the values their join paths reach on the checked values;
+        // an exact one whose check rejected candidates by their located
+        // texts again.
         if let Some(j) = &plan.join {
             let (li, ri) = (j.left_var, j.right_var);
-            pairs.retain(|(l, r)| {
-                candidates[li].contains(l)
-                    && candidates[ri].contains(r)
-                    && j.residual.as_ref().is_none_or(|(lpaths, rpaths)| {
-                        let (Some(lv), Some(rv)) =
-                            (value_at(&objects[li], l), value_at(&objects[ri], r))
-                        else {
-                            return false;
-                        };
-                        paths_meet(&db, lv, lpaths, rv, rpaths, None)
-                    })
-            });
-            candidates[li] = RegionSet::from_regions(pairs.iter().map(|p| p.0).collect());
-            candidates[ri] = RegionSet::from_regions(pairs.iter().map(|p| p.1).collect());
+            let narrowed = match (&j.residual, &located) {
+                (Some((lspec, rspec)), _) => Some(semi_join(
+                    &reached_keys(&db, &objects[li], lspec),
+                    &reached_keys(&db, &objects[ri], rspec),
+                )),
+                (None, Some([l, r])) if plan.vars.iter().any(|vp| vp.residual.is_some()) => Some(
+                    semi_join(&keys_within(l, &candidates[li]), &keys_within(r, &candidates[ri])),
+                ),
+                _ => None,
+            };
+            if let Some(sides) = narrowed {
+                [candidates[li], candidates[ri]] = sides;
+            }
         }
         end_phase("parse-filter", phase_started);
 
@@ -953,24 +926,40 @@ fn deref_top(db: &mut Database, v: Value) -> Value {
     }
 }
 
-/// The `(left, right)` position pairs whose keys agree, sorted and unique.
-fn pair_by_key<K: std::hash::Hash + Eq>(
-    left: impl IntoIterator<Item = (usize, K)>,
-    right: impl IntoIterator<Item = (usize, K)>,
-) -> Vec<(usize, usize)> {
-    let mut table: HashMap<K, Vec<usize>> = HashMap::new();
-    for (i, key) in left {
-        table.entry(key).or_default().push(i);
-    }
-    let mut pairs = Vec::new();
-    for (i, key) in right {
-        if let Some(l) = table.get(&key) {
-            pairs.extend(l.iter().map(|&l| (l, i)));
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
+/// A join side's candidates, each once per key it holds.
+type Keyed<K> = Vec<(Region, K)>;
+
+/// Each checked candidate with every value `spec` reaches from it.
+fn reached_keys<'v>(
+    db: &'v Database,
+    objects: &'v [(Region, Value)],
+    spec: &PathSpec,
+) -> Keyed<&'v Value> {
+    let reached = |(r, v): &'v (Region, Value)| {
+        path_values(db, v, spec, None).into_iter().map(move |k| (*r, k))
+    };
+    objects.iter().flat_map(reached).collect()
+}
+
+/// The keyed candidates that are among `kept`.
+fn keys_within<K: Copy>(keys: &[(Region, K)], kept: &RegionSet) -> Keyed<K> {
+    keys.iter().filter(|(r, _)| kept.contains(r)).copied().collect()
+}
+
+/// A two-variable join as one semi-join per side: the candidates of each
+/// side that hold a key some candidate of the other side holds. Joining
+/// both sides against the other's unnarrowed keys reaches the fixpoint at
+/// once, since a key two candidates share keeps both.
+fn semi_join<K: std::hash::Hash + Eq>(
+    left: &[(Region, K)],
+    right: &[(Region, K)],
+) -> [RegionSet; 2] {
+    let keep = |side: &[(Region, K)], other: &[(Region, K)]| {
+        let keys: HashSet<&K> = other.iter().map(|(_, k)| k).collect();
+        let kept = side.iter().filter(|(_, k)| keys.contains(k)).map(|(r, _)| *r).collect();
+        RegionSet::from_regions(kept)
+    };
+    [keep(left, right), keep(right, left)]
 }
 
 /// The views whose located regions pass a content compare's `test`
@@ -1070,6 +1059,7 @@ fn for_each_in_container(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn rs(pairs: &[(u32, u32)]) -> RegionSet {
         RegionSet::from_regions(pairs.iter().map(|&(a, b)| Region::new(a, b)).collect())
@@ -1319,6 +1309,31 @@ mod tests {
         assert_eq!(keys.db.object_count(), res.regions.len());
         assert_eq!(keys.stats.db, keys.db.stats());
         assert_eq!(keys.stats.parse.bytes_scanned, checked);
+    }
+
+    /// An inexact two-variable join parses each candidate once, in the
+    /// check pass, and semi-joins the checked values; only its results
+    /// are parsed again, whole.
+    #[test]
+    fn an_inexact_join_parses_each_candidate_once() {
+        let corpus = multi_file_corpus(1, 200);
+        let q = "SELECT r FROM References r, References s \
+                 WHERE r.Authors.Name.Last_Name = s.Editors.Name.Last_Name";
+        let spec = IndexSpec::names(["Reference", "Last_Name"]);
+        let db = FileDatabase::build(corpus.clone(), bibtex::schema(), spec).unwrap();
+        let plan = db.plan(q).unwrap();
+        assert!(plan.join.as_ref().is_some_and(|j| j.residual.is_some()), "{q} is inexact");
+        let res = db.query(q).unwrap();
+        assert_eq!(res.stats.content_bytes, 0, "no text is read outside the parse");
+        // Neither side has a condition: both enter the check pass whole.
+        let view = db.instance().get("Reference").unwrap();
+        assert_eq!(res.stats.candidates, 2 * view.len());
+        let bytes = |set: &RegionSet| set.iter().map(|r| u64::from(r.len())).sum::<u64>();
+        assert!(res.stats.parse.bytes_scanned <= 2 * bytes(view) + bytes(&res.regions));
+        let full = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
+        let exact = full.query(q).unwrap();
+        assert!(!exact.regions.is_empty());
+        assert_eq!((&res.regions, &res.values), (&exact.regions, &exact.values));
     }
 
     #[test]

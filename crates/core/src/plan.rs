@@ -108,8 +108,8 @@ pub struct VarPlan {
     /// when the index candidates are a superset of the answer.
     pub residual: Option<CompiledCond>,
     /// The check filter, present only when the candidates are parsed
-    /// before the projection: to check the residual, to re-check an
-    /// inexact join, or to evaluate a `SELECT r.p` on parsed values. It
+    /// before the projection: to check the residual, to key an inexact
+    /// join, or to evaluate a `SELECT r.p` on parsed values. It
     /// keeps the paths those read on this variable and no more; a
     /// `SELECT r` builds its results whole afterwards
     /// ([`ProjPlan::Objects`]).
@@ -135,8 +135,10 @@ pub struct JoinPlan {
     pub right_var: usize,
     /// Deep regions of the right path.
     pub right: RegionExpr,
-    /// The compiled left and right paths that re-check parsed pairs,
-    /// present only when the index locates either side inexactly.
+    /// The compiled left and right paths whose values, reached on the
+    /// check pass's parsed candidates, key the semi-join of an inexact
+    /// join; present only when the index locates either side inexactly or
+    /// a path does not end on atoms.
     pub residual: Option<(PathSpec, PathSpec)>,
     /// Pretty form.
     pub display: String,
@@ -498,8 +500,8 @@ impl<'a> Planner<'a> {
                 let rspec = resolve_path(&self.schema.grammar, rsym, &qp.steps)?;
                 let l = self.deep_expr(&lspec, &mut rewrites, &mut fp_keys)?;
                 let r = self.deep_expr(&rspec, &mut rewrites, &mut fp_keys)?;
-                // Pairs are matched by region text, which is the value
-                // of atoms only.
+                // An exact join keys its sides by region text, which is
+                // the value of atoms only.
                 let g = &self.schema.grammar;
                 let exact = l.exact && r.exact && lspec.text_is_value(g) && rspec.text_is_value(g);
                 // Extend the push-down filters with the join paths.

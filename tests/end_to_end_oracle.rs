@@ -40,11 +40,17 @@ const OPTIONAL_NAMES: [&str; 10] = [
 const MASKS: usize = 1 << OPTIONAL_NAMES.len();
 
 fn index_spec(mask: usize) -> IndexSpec {
+    index_spec_over(&OPTIONAL_NAMES, mask)
+}
+
+/// The full index for mask 0; otherwise `Reference` and the `names` whose
+/// bits are set.
+fn index_spec_over(names: &[&str], mask: usize) -> IndexSpec {
     if mask == 0 {
         return IndexSpec::full();
     }
     let mut spec = IndexSpec::names(["Reference"]);
-    for (i, name) in OPTIONAL_NAMES.iter().enumerate() {
+    for (i, name) in names.iter().enumerate() {
         if mask & (1 << i) != 0 {
             spec = spec.with_name(name);
         }
@@ -52,8 +58,7 @@ fn index_spec(mask: usize) -> IndexSpec {
     spec
 }
 
-/// Single-variable queries: `query_regions` reports the exactness of one
-/// variable's candidates, so the superset check draws from these alone.
+/// Single-variable queries.
 const SINGLE_VAR: [&str; 12] = [
     "SELECT r FROM References r WHERE r.Authors.Name.Last_Name = \"Chang\"",
     "SELECT r FROM References r WHERE r.Editors.Name.Last_Name = \"Corliss\"",
@@ -136,20 +141,102 @@ fn index_matches_baseline_under_any_index_subset() {
 
 #[test]
 fn candidates_are_always_supersets() {
+    let pool: Vec<&str> = SINGLE_VAR.iter().chain(&JOINS).copied().collect();
     run_cases("candidate superset", 150, |rng| {
         let seed = rng.random_range(0..4) as u64;
-        let q = SINGLE_VAR[rng.random_range(0..SINGLE_VAR.len())];
+        let q = pool[rng.random_range(0..pool.len())];
         let mask = rng.random_range(0..MASKS);
         let cfg = BibtexConfig { n_refs: 25, seed, name_pool: 8, ..Default::default() };
         let db = FileDatabase::build(corpus(&cfg), bibtex::schema(), index_spec(mask)).unwrap();
-        let (candidates, exact, _) = db.query_regions(q).unwrap();
-        let answer = db.query(q).unwrap();
         let at = format!("corpus seed {seed}, index mask {mask:#b}, query {q}");
-        if !answer.regions.difference(&candidates).is_empty() {
-            return Err(format!("answers escaped the candidate set; {at}"));
+        candidates_hold_the_answer(&db, q).map_err(|why| format!("{why}; {at}"))
+    });
+}
+
+/// `query_regions`' candidates hold every answer of `q`, and are the
+/// answers when it reports them exact (§6.3).
+fn candidates_hold_the_answer(db: &FileDatabase, q: &str) -> Result<(), String> {
+    let (candidates, exact, _) = db.query_regions(q).unwrap();
+    let answer = db.query(q).unwrap();
+    if !answer.regions.difference(&candidates).is_empty() {
+        return Err("answers escaped the candidate set".into());
+    }
+    if exact && candidates != answer.regions {
+        return Err("an exact candidate set (§6.3) differs from the answer".into());
+    }
+    Ok(())
+}
+
+/// The paths drawn two-variable joins compare, `r`'s on the left: atoms,
+/// non-atomic paths, and the citation path, whose `RefKey`s name other
+/// references' `Key`s.
+const JOIN_ON: [(&str, &str); 7] = [
+    ("Key", "Key"),
+    ("Year", "Year"),
+    ("Authors.Name.Last_Name", "Editors.Name.Last_Name"),
+    ("Authors.Name.Last_Name", "Authors.Name.Last_Name"),
+    ("Authors", "Authors"),
+    ("Editors.Name", "Authors.Name"),
+    ("Referred.RefKey", "Key"),
+];
+
+/// Local conditions a drawn join puts on one side; `{v}` is the variable.
+const LOCAL: [&str; 4] = [
+    "{v}.Authors.Name.Last_Name = \"Chang\"",
+    "{v}.Year = \"1982\"",
+    "{v}.Keywords.Keyword = \"Taylor series\"",
+    "{v}.Editors.Name.Last_Name = \"Corliss\"",
+];
+
+/// Projections of a drawn join.
+const JOIN_SELECT: [&str; 5] = ["r", "s", "r.Key", "r.Authors.Name.Last_Name", "s.Year"];
+
+/// Region names a drawn join's partial index may add to `OPTIONAL_NAMES`:
+/// the citation path's.
+const CITATION_NAMES: [&str; 2] = ["Referred", "RefKey"];
+
+/// A drawn two-variable join: its paths, a local condition on `r`, on `s`
+/// or on neither, and its projection.
+fn draw_join(rng: &mut StdRng) -> String {
+    let (p, q) = JOIN_ON[rng.random_range(0..JOIN_ON.len())];
+    let mut cond = format!("r.{p} = s.{q}");
+    match rng.random_range(0..3) {
+        0 => {}
+        side => {
+            let v = if side == 1 { "r" } else { "s" };
+            let local = LOCAL[rng.random_range(0..LOCAL.len())].replace("{v}", v);
+            cond = format!("{cond} AND {local}");
         }
-        if exact && candidates.len() != answer.regions.len() {
-            return Err(format!("an exact candidate set (§6.3) differs from the answer; {at}"));
+    }
+    let select = JOIN_SELECT[rng.random_range(0..JOIN_SELECT.len())];
+    format!("SELECT {select} FROM References r, References s WHERE {cond}")
+}
+
+#[test]
+fn drawn_joins_match_the_baseline_on_full_and_partial_indexes() {
+    run_cases("drawn joins", 120, |rng| {
+        let seed = rng.random_range(0..4) as u64;
+        let q = draw_join(rng);
+        let names: Vec<&str> = OPTIONAL_NAMES.iter().chain(&CITATION_NAMES).copied().collect();
+        let mask = rng.random_range(1..1usize << names.len());
+        let cfg = BibtexConfig {
+            n_refs: 30,
+            seed,
+            name_pool: 8,
+            editors_per_ref: (0, 2),
+            ..Default::default()
+        };
+        let corpus = corpus(&cfg);
+        let via_db = run_baseline(&corpus, &bibtex::schema(), &q, BaselineMode::FullLoad).unwrap();
+        for mask in [0, mask] {
+            let spec = index_spec_over(&names, mask);
+            let db = FileDatabase::build(corpus.clone(), bibtex::schema(), spec).unwrap();
+            let at = format!("corpus seed {seed}, index mask {mask:#b}, query {q}");
+            let via_index = db.query(&q).map_err(|e| format!("{e}; {at}"))?;
+            if sorted(&via_index.values) != sorted(&via_db.values) {
+                return Err(format!("index and baseline disagree; {at}"));
+            }
+            candidates_hold_the_answer(&db, &q).map_err(|why| format!("{why}; {at}"))?;
         }
         Ok(())
     });
