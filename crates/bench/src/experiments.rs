@@ -17,7 +17,7 @@ use qof_core::{
 use qof_corpus::{bibtex, logs};
 use qof_grammar::{render_tree, IndexSpec, Parser, Sink, SymbolId};
 use qof_pat::{direct_including_counted, direct_including_layered, Engine, RegionExpr};
-use qof_text::{Corpus, Span, Tokenizer, WordIndex};
+use qof_text::{Corpus, Span, WordIndex};
 
 use crate::report::{ExperimentReport, Measurement};
 use crate::{
@@ -197,7 +197,7 @@ fn e1(scale: Scale, r: &mut Recorder) {
         );
         let e2 = optimize(&e1, fdb.full_rig()).expr;
         let (x1, x2) = (e1.to_region_expr(), e2.to_region_expr());
-        let words = WordIndex::build(fdb.corpus(), &Tokenizer::new());
+        let words = WordIndex::build(fdb.corpus());
         let run = |x: &RegionExpr| {
             let engine = Engine::new(fdb.corpus(), &words, fdb.instance());
             let t = Instant::now();
@@ -948,7 +948,7 @@ fn a1(scale: Scale, r: &mut Recorder) {
     );
     for n in scale.pick(vec![200usize], vec![800usize, 3200]) {
         let fdb = bibtex_full(n);
-        let words = WordIndex::build(fdb.corpus(), &Tokenizer::new());
+        let words = WordIndex::build(fdb.corpus());
         // Both OR branches share an expensive subexpression: σ∋ over a
         // frequent abstract word (large posting list) on the Reference set.
         let shared = RegionExpr::name("Reference").select_contains("solving");

@@ -37,6 +37,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use qof_pat::json::escape;
+
 /// One named scalar an experiment measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
@@ -67,25 +69,6 @@ pub struct ExperimentReport {
     pub trace_json: Option<String>,
 }
 
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A JSON number (or `null` for non-finite values, which JSON cannot hold).
 /// Negative zero (e.g. an empty `f64` sum) is normalized to plain `0`.
 fn num(v: f64) -> String {
@@ -103,13 +86,13 @@ pub fn render_json(scale: &str, reports: &[ExperimentReport]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema_version\": 4,");
-    let _ = writeln!(out, "  \"scale\": \"{}\",", esc(scale));
+    let _ = writeln!(out, "  \"scale\": \"{}\",", escape(scale));
     let _ = writeln!(out, "  \"total_wall_secs\": {},", num(total));
     out.push_str("  \"experiments\": [\n");
     for (i, r) in reports.iter().enumerate() {
         let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"id\": \"{}\",", esc(r.id));
-        let _ = writeln!(out, "      \"title\": \"{}\",", esc(r.title));
+        let _ = writeln!(out, "      \"id\": \"{}\",", escape(r.id));
+        let _ = writeln!(out, "      \"title\": \"{}\",", escape(r.title));
         let _ = writeln!(out, "      \"wall_secs\": {},", num(r.wall_secs));
         if let Some(trace) = &r.trace_json {
             let _ = writeln!(out, "      \"trace\": {trace},");
@@ -120,9 +103,9 @@ pub fn render_json(scale: &str, reports: &[ExperimentReport]) -> String {
             let _ = writeln!(
                 out,
                 "        {{ \"name\": \"{}\", \"value\": {}, \"unit\": \"{}\" }}{comma}",
-                esc(&m.name),
+                escape(&m.name),
                 num(m.value),
-                esc(m.unit),
+                escape(m.unit),
             );
         }
         out.push_str("      ]\n");

@@ -162,7 +162,7 @@ impl<'a> AbsInterp<'a> {
                     st
                 }
             }
-            E::SelectEq(a, _) | E::SelectContains(a, _) | E::SelectCountAtLeast(a, _, _) => {
+            E::SelectEq(a, _) | E::SelectContains(a, _) => {
                 self.analyze(a).narrowed("the selected set is provably empty")
             }
             E::Innermost(a) | E::Outermost(a) => {
@@ -178,13 +178,6 @@ impl<'a> AbsInterp<'a> {
                     st.mark_empty("a nesting operand is provably empty")
                 } else {
                     st
-                }
-            }
-            E::Near { left, right, .. } => {
-                if self.analyze(left).empty || self.analyze(right).empty {
-                    AbsState::top().mark_empty("a near() operand is provably empty")
-                } else {
-                    AbsState::top()
                 }
             }
         }
@@ -326,15 +319,9 @@ impl<'a> AbsInterp<'a> {
                 self.lint_expr(outer, out);
                 self.lint_expr(inner, out);
             }
-            E::Near { left, right, .. } => {
-                self.lint_expr(left, out);
-                self.lint_expr(right, out);
+            E::SelectEq(a, _) | E::SelectContains(a, _) | E::Innermost(a) | E::Outermost(a) => {
+                self.lint_expr(a, out);
             }
-            E::SelectEq(a, _)
-            | E::SelectContains(a, _)
-            | E::SelectCountAtLeast(a, _, _)
-            | E::Innermost(a)
-            | E::Outermost(a) => self.lint_expr(a, out),
             E::Name(_) | E::Word(_) | E::Prefix(_) => {}
         }
     }

@@ -36,8 +36,6 @@ pub enum Code {
     /// Nullable rule: the non-terminal can match the empty string, so its
     /// zero-width regions break region nesting.
     Qof002,
-    /// Class annotation references a field with no grammar counterpart.
-    Qof003,
     /// View over a symbol the grammar does not define.
     Qof004,
     /// Indexed region name unreachable from the root in the RIG.
@@ -84,7 +82,6 @@ impl Code {
         match self {
             Code::Qof001 => "QOF001",
             Code::Qof002 => "QOF002",
-            Code::Qof003 => "QOF003",
             Code::Qof004 => "QOF004",
             Code::Qof010 => "QOF010",
             Code::Qof011 => "QOF011",
@@ -227,7 +224,7 @@ impl Diagnostic {
     /// `span` key is omitted when the finding is not source-anchored.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        let esc = crate::trace::esc;
+        let esc = qof_pat::json::escape;
         let mut out = String::new();
         let _ = write!(
             out,

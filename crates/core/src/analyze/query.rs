@@ -16,7 +16,6 @@ use crate::{
     parse_query, ChainOp, Cond, Direction, InclusionExpr, Projection, QPath, QStep, Query, Rig,
     RightHand,
 };
-use qof_db::TypeDef;
 use qof_grammar::{resolve_path, PathError, SkOp, Skeleton, StructuringSchema, ValueBuilder};
 
 /// Statically checks one query against a schema and its RIG. With a
@@ -348,13 +347,14 @@ fn check_acyclic_closure(
     }
 }
 
-/// QOF023 — type mismatches on comparisons, via `qof_db::schema`.
+/// QOF023 — type mismatches on comparisons, by the atom builders of the
+/// grammar's annotations.
 fn check_types(schema: &StructuringSchema, q: &Query, src: &str, out: &mut Vec<Diagnostic>) {
     let Some(w) = &q.where_ else { return };
     fn walk(schema: &StructuringSchema, q: &Query, c: &Cond, src: &str, out: &mut Vec<Diagnostic>) {
         match c {
             Cond::Eq(p, RightHand::Const(word)) => {
-                let Some(TypeDef::Int) = terminal_type(schema, q, p) else { return };
+                let Some(ValueBuilder::AtomInt) = terminal_type(schema, q, p) else { return };
                 let numeric = {
                     let w = word.strip_suffix('*').unwrap_or(word);
                     !w.is_empty() && w.bytes().all(|b| b.is_ascii_digit())
@@ -383,8 +383,8 @@ fn check_types(schema: &StructuringSchema, q: &Query, src: &str, out: &mut Vec<D
                             Severity::Warning,
                             format!(
                                 "comparing `{p}` ({}) with `{qp}` ({}): the types differ",
-                                type_name(&l),
-                                type_name(&r)
+                                type_name(l),
+                                type_name(r)
                             ),
                         )
                         .with_note("content equality across types never holds");
@@ -405,34 +405,31 @@ fn check_types(schema: &StructuringSchema, q: &Query, src: &str, out: &mut Vec<D
     walk(schema, q, w, src, out);
 }
 
-fn type_name(t: &TypeDef) -> &'static str {
-    match t {
-        TypeDef::Str => "string",
-        TypeDef::Int => "integer",
-        TypeDef::Set(_) => "set",
-        TypeDef::List(_) => "list",
-        TypeDef::Tuple(_) => "tuple",
-        TypeDef::Class(_) => "object",
-        TypeDef::Union(_) => "union",
+/// The type an atom builder gives its values.
+fn type_name(builder: &ValueBuilder) -> &'static str {
+    if *builder == ValueBuilder::AtomInt {
+        "integer"
+    } else {
+        "string"
     }
 }
 
-/// The atomic type a path lands on: the builder of the symbol its value
+/// The atom builder (`Atom` or `AtomInt`) of the symbol a path's value
 /// comes from (§4.1), when every derivation alternative agrees.
-fn terminal_type(schema: &StructuringSchema, q: &Query, p: &QPath) -> Option<TypeDef> {
+fn terminal_type<'s>(
+    schema: &'s StructuringSchema,
+    q: &Query,
+    p: &QPath,
+) -> Option<&'s ValueBuilder> {
     let grammar = &schema.grammar;
     let symbol = schema.view_symbol_name(q.view_of(&p.var)?)?;
     let spec = resolve_path(grammar, symbol, &p.steps).ok()?;
     let mut types = spec.alternatives.iter().map(|alt| {
-        let end = grammar.symbol(alt.names.last()?)?;
-        match grammar.rule(end).builder {
-            ValueBuilder::Atom => Some(TypeDef::Str),
-            ValueBuilder::AtomInt => Some(TypeDef::Int),
-            _ => None,
-        }
+        let builder = &grammar.rule(grammar.symbol(alt.names.last()?)?).builder;
+        matches!(builder, ValueBuilder::Atom | ValueBuilder::AtomInt).then_some(builder)
     });
     let first = types.next()??;
-    types.all(|t| t.as_ref() == Some(&first)).then_some(first)
+    types.all(|t| t == Some(first)).then_some(first)
 }
 
 /// The planner-dependent checks: `QOF026` (view not indexed), `QOF011`

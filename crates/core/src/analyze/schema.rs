@@ -1,8 +1,7 @@
-//! Schema and index lints (`QOF001`–`QOF004`, `QOF010`).
+//! Schema and index lints (`QOF001`, `QOF002`, `QOF004`, `QOF010`).
 
 use super::{Code, Diagnostic, Severity};
-use qof_db::TypeDef;
-use qof_grammar::{Grammar, IndexSpec, StructuringSchema, SymbolId};
+use qof_grammar::{IndexSpec, StructuringSchema};
 use std::collections::BTreeSet;
 
 /// Lints a structuring schema without any file or index:
@@ -10,8 +9,6 @@ use std::collections::BTreeSet;
 /// * `QOF001` — non-terminals unreachable from the root (dead rules);
 /// * `QOF002` — nullable non-terminals whose zero-width regions break the
 ///   region-forest nesting the optimizer relies on;
-/// * `QOF003` — class annotations referencing fields with no grammar
-///   counterpart under the class's symbol;
 /// * `QOF004` — views over symbols the grammar does not define.
 pub fn check_schema(schema: &StructuringSchema) -> Vec<Diagnostic> {
     let grammar = &schema.grammar;
@@ -64,39 +61,6 @@ pub fn check_schema(schema: &StructuringSchema) -> Vec<Diagnostic> {
         );
     }
 
-    for class in &schema.classes {
-        let Some(sym) = grammar.symbol(&class.name) else {
-            out.push(
-                Diagnostic::new(
-                    Code::Qof003,
-                    Severity::Error,
-                    format!("class `{}` does not correspond to any grammar symbol", class.name),
-                )
-                .with_note("natural structuring schemas name classes after non-terminals (§4.2)"),
-            );
-            continue;
-        };
-        let below = descendants(grammar, sym);
-        for field in fields_of(&class.ty) {
-            let known = grammar.symbol(&field).is_some_and(|f| below.contains(&f));
-            if !known {
-                let d = Diagnostic::new(
-                    Code::Qof003,
-                    Severity::Error,
-                    format!(
-                        "class `{}` declares field `{field}`, which no derivation of `{}` produces",
-                        class.name, class.name
-                    ),
-                );
-                let cands: Vec<&str> = below.iter().map(|&s| grammar.name(s)).collect();
-                out.push(match super::did_you_mean(&field, cands.iter().copied()) {
-                    Some(s) => d.with_note(format!("did you mean `{s}`?")),
-                    None => d,
-                });
-            }
-        }
-    }
-
     out
 }
 
@@ -134,27 +98,4 @@ pub fn check_index(schema: &StructuringSchema, spec: &IndexSpec) -> Vec<Diagnost
         }
     }
     out
-}
-
-/// All symbols reachable from `sym` (exclusive of `sym` unless on a cycle).
-fn descendants(grammar: &Grammar, sym: SymbolId) -> BTreeSet<SymbolId> {
-    let mut seen = BTreeSet::new();
-    let mut stack = grammar.children_of(sym);
-    while let Some(s) = stack.pop() {
-        if seen.insert(s) {
-            stack.extend(grammar.children_of(s));
-        }
-    }
-    seen
-}
-
-/// The field names a class type declares, across tuples nested in
-/// sets/lists/unions.
-fn fields_of(ty: &TypeDef) -> Vec<String> {
-    match ty {
-        TypeDef::Tuple(fields) => fields.keys().cloned().collect(),
-        TypeDef::Set(t) | TypeDef::List(t) => fields_of(t),
-        TypeDef::Union(ts) => ts.iter().flat_map(fields_of).collect(),
-        TypeDef::Str | TypeDef::Int | TypeDef::Class(_) => Vec::new(),
-    }
 }

@@ -18,7 +18,7 @@ use qof_pat::{
     Engine, EvalError, EvalStats, Instance, MetricsRegistry, OpTrace, Region, RegionSet, TraceSink,
     WorkloadObs, WorkloadTable,
 };
-use qof_text::{Corpus, Pos, Tokenizer, WordIndex};
+use qof_text::{Corpus, Pos, WordIndex};
 
 use crate::analyze::absint::AbsInterp;
 use crate::plan::{CompareTest, CondNode, Exactness, JoinPlan, Plan, PlanError, Planner, ProjPlan};
@@ -151,7 +151,6 @@ pub type TraceHook = Box<dyn Fn(&QueryTrace) + Send + Sync>;
 /// A queryable view of a corpus: word index + region indices + schema.
 pub struct FileDatabase {
     corpus: Corpus,
-    tokenizer: Tokenizer,
     words: WordIndex,
     schema: StructuringSchema,
     spec: IndexSpec,
@@ -168,20 +167,15 @@ pub struct FileDatabase {
 /// Builds the word index for `corpus`, honoring the spec's §7 selective
 /// word-indexing scope (only occurrences inside the scoped regions are
 /// indexed when a scope is set).
-fn build_word_index(
-    corpus: &Corpus,
-    tokenizer: &Tokenizer,
-    spec: &IndexSpec,
-    instance: &Instance,
-) -> WordIndex {
+fn build_word_index(corpus: &Corpus, spec: &IndexSpec, instance: &Instance) -> WordIndex {
     match spec.word_scope() {
-        None => WordIndex::build(corpus, tokenizer),
+        None => WordIndex::build(corpus),
         Some(scope) => {
             let spans = instance
                 .get(scope)
                 .map(|set| set.iter().map(qof_pat::Region::span).collect())
                 .unwrap_or_default();
-            qof_text::WordIndexBuilder::new(tokenizer).scoped_to(spans).build(corpus)
+            qof_text::WordIndexBuilder::new().scoped_to(spans).build(corpus)
         }
     }
 }
@@ -212,7 +206,6 @@ impl FileDatabase {
         schema: StructuringSchema,
         spec: IndexSpec,
     ) -> Result<(Self, BuildPhases), BuildError> {
-        let tokenizer = Tokenizer::new();
         let started = Instant::now();
         let instance = {
             let mut regions = RegionSink::new(&schema.grammar, &spec);
@@ -225,7 +218,7 @@ impl FileDatabase {
             regions.finish()
         };
         let swept = Instant::now();
-        let words = build_word_index(&corpus, &tokenizer, &spec, &instance);
+        let words = build_word_index(&corpus, &spec, &instance);
         let phases = BuildPhases { region_sweep: swept - started, word_index: swept.elapsed() };
         Ok((Self::from_parts(corpus, words, schema, spec, instance), phases))
     }
@@ -245,7 +238,6 @@ impl FileDatabase {
         let partial_rig = full_rig.partial(&indexed);
         let db = Self {
             corpus,
-            tokenizer: Tokenizer::new(),
             words,
             schema,
             spec,
@@ -253,7 +245,7 @@ impl FileDatabase {
             full_rig,
             partial_rig,
             plan_cache: PlanCache::new(),
-            metrics: MetricsRegistry::global_arc(),
+            metrics: MetricsRegistry::shared(),
             query_counter: AtomicU64::new(0),
             trace_hook: None,
             workload: WorkloadTable::new(),
@@ -317,9 +309,9 @@ impl FileDatabase {
     }
 
     /// Injects the metrics registry every query records into (builder
-    /// style). The default is [`MetricsRegistry::global_arc`]; servers and
-    /// concurrent tests inject [`MetricsRegistry::shared`] instances so
-    /// independent workloads never share mutable counters.
+    /// style). The default is a registry of the database's own
+    /// ([`MetricsRegistry::shared`]); a server injects the registry its
+    /// `/metrics` endpoint reads.
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.set_metrics(metrics);
         self
@@ -402,7 +394,7 @@ impl FileDatabase {
                 self.words.extend_scope(set.iter().map(qof_pat::Region::span));
             }
         }
-        self.words.append_span(&self.corpus, &self.tokenizer, span);
+        self.words.append_span(&self.corpus, span);
         self.publish_index_stats();
         Ok(())
     }
@@ -1877,9 +1869,7 @@ mod tests {
         let full = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
         assert!(scoped.word_index().is_scoped());
         let spans = scoped.instance().get("Last_Name").unwrap().iter().map(Region::span).collect();
-        let direct = qof_text::WordIndexBuilder::new(&Tokenizer::new())
-            .scoped_to(spans)
-            .build(scoped.corpus());
+        let direct = qof_text::WordIndexBuilder::new().scoped_to(spans).build(scoped.corpus());
         assert_eq!(
             scoped.word_index().postings(),
             direct.postings(),
@@ -2083,7 +2073,7 @@ mod tests {
         let mut lists: HashMap<String, Vec<Pos>> =
             parts.words.iter().map(|(w, p)| (w.to_owned(), p.to_vec())).collect();
         lists.get_mut("Chang").unwrap().push(parts.corpus.len() - 2);
-        let words = WordIndex::from_lists(lists, false, None);
+        let words = WordIndex::from_lists(lists, None);
         qofx::write_qofx(&path, &parts.corpus, &words, &parts.instance, &parts.spec).unwrap();
         match FileDatabase::open(&path, bibtex::schema()) {
             Err(QofxError::Corrupt(why)) => assert!(why.contains("runs past"), "{why}"),

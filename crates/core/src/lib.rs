@@ -69,4 +69,4 @@ pub use qofx::{inspect_qofx, QofxError, QofxSummary, QOFX_MAGIC, QOFX_VERSION};
 pub use query::{parse_query, Cond, Projection, QPath, QStep, Query, QueryParseError, RightHand};
 pub use residual::{compile_cond, eval_pair, eval_single, path_values, CompiledCond};
 pub use rig::{Rig, RigViolation};
-pub use trace::{NodeFact, PhaseTrace, QueryTrace, TRACE_SCHEMA_VERSION};
+pub use trace::{fmt_nanos, NodeFact, PhaseTrace, QueryTrace, TRACE_SCHEMA_VERSION};

@@ -25,7 +25,8 @@ use std::fmt::Write as _;
 
 use qof_pat::OpTrace;
 
-use crate::trace::{esc, QueryTrace};
+use crate::trace::QueryTrace;
+use qof_pat::json::escape;
 
 /// Thread id carrying the executor phases.
 const TID_PHASES: u64 = 1;
@@ -44,7 +45,7 @@ fn metadata_event(out: &mut String, pid: u64, tid: u64, what: &str, name: &str) 
         out,
         "{{\"name\":\"{what}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
          \"args\":{{\"name\":\"{}\"}}}}",
-        esc(name)
+        escape(name)
     );
 }
 
@@ -65,7 +66,7 @@ fn begin_end(
         out,
         ",{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"B\",\"ts\":{},\"pid\":{pid},\
          \"tid\":{tid},\"args\":{{{args}}}}}",
-        esc(name),
+        escape(name),
         ts_micros(start_nanos)
     );
     body(out);
@@ -73,7 +74,7 @@ fn begin_end(
         out,
         ",{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"E\",\"ts\":{},\"pid\":{pid},\
          \"tid\":{tid}}}",
-        esc(name),
+        escape(name),
         ts_micros(start_nanos.saturating_add(nanos))
     );
 }

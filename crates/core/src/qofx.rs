@@ -10,7 +10,7 @@
 //! offset  size  field
 //! 0       4     magic "QOFX"
 //! 4       4     format version (u32 LE, currently 1)
-//! 8       4     flags (u32 LE; bit 0 = word index is case-folding)
+//! 8       4     flags (u32 LE; must be 0)
 //! 12      4     reserved (must be 0)
 //! 16      8     FNV-1a 64 checksum of the whole file, this field zeroed
 //! 24      16    CORP section offset + length (u64 LE each)
@@ -59,7 +59,6 @@ pub const QOFX_MAGIC: [u8; 4] = *b"QOFX";
 pub const QOFX_VERSION: u32 = 1;
 
 const HEADER_LEN: usize = 88;
-const FLAG_CASE_FOLD: u32 = 1;
 
 /// Postings per block of a WORD-section posting list.
 const BLOCK_LEN: usize = 128;
@@ -269,11 +268,7 @@ pub(crate) fn write_qofx(
         Vec::with_capacity(HEADER_LEN + corp.len() + word.len() + regn.len() + spec_bytes.len());
     file_bytes.extend_from_slice(&QOFX_MAGIC);
     file_bytes.extend_from_slice(&QOFX_VERSION.to_le_bytes());
-    let mut flags = 0u32;
-    if words.case_fold() {
-        flags |= FLAG_CASE_FOLD;
-    }
-    file_bytes.extend_from_slice(&flags.to_le_bytes());
+    file_bytes.extend_from_slice(&0u32.to_le_bytes()); // flags
     file_bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved
     file_bytes.extend_from_slice(&0u64.to_le_bytes()); // checksum, patched below
     let mut offset = HEADER_LEN as u64;
@@ -383,7 +378,7 @@ fn decode_list(buf: &[u8], count: u64) -> Option<Vec<Pos>> {
 /// Decodes the WORD section into a [`WordIndex`], checking every posting
 /// list: its count against the dictionary's, its order, and that each word
 /// it places ends inside the corpus text of `text_len` bytes.
-fn decode_words(buf: &[u8], case_fold: bool, text_len: usize) -> Result<WordIndex, QofxError> {
+fn decode_words(buf: &[u8], text_len: usize) -> Result<WordIndex, QofxError> {
     let at = &mut 0usize;
     let scope = match buf.first().copied() {
         Some(0) => {
@@ -446,7 +441,7 @@ fn decode_words(buf: &[u8], case_fold: bool, text_len: usize) -> Result<WordInde
         }
         lists.insert(word, positions);
     }
-    Ok(WordIndex::from_lists(lists, case_fold, scope))
+    Ok(WordIndex::from_lists(lists, scope))
 }
 
 /// Decodes the region sets over the corpus `text`. A region must lie in
@@ -594,6 +589,10 @@ pub(crate) fn read_qofx(path: &Path) -> Result<QofxContents, QofxError> {
     if stored != actual {
         return Err(QofxError::ChecksumMismatch { stored, actual });
     }
+    // No flag is defined: a set bit names a format this build cannot read.
+    if flags != 0 {
+        return Err(QofxError::Corrupt(format!("unknown header flags {flags:#x}")));
+    }
     let mut sections = Vec::with_capacity(4);
     for i in 0..4 {
         let base = 24 + i * 16;
@@ -603,8 +602,7 @@ pub(crate) fn read_qofx(path: &Path) -> Result<QofxContents, QofxError> {
         });
     }
     let corpus = decode_corpus(section_slice(&data, &sections[0])?)?;
-    let case_fold = flags & FLAG_CASE_FOLD != 0;
-    let words = decode_words(section_slice(&data, &sections[1])?, case_fold, corpus.text().len())?;
+    let words = decode_words(section_slice(&data, &sections[1])?, corpus.text().len())?;
     let instance = decode_regions(section_slice(&data, &sections[2])?, corpus.text())?;
     let spec = decode_spec(section_slice(&data, &sections[3])?)?;
     Ok(QofxContents { corpus, words, instance, spec })
@@ -616,8 +614,6 @@ pub(crate) fn read_qofx(path: &Path) -> Result<QofxContents, QofxError> {
 pub struct QofxSummary {
     /// Format version from the header.
     pub version: u32,
-    /// Whether the word index folds case.
-    pub case_fold: bool,
     /// Whether the word index is scoped (§7 selective indexing).
     pub scoped: bool,
     /// Total file size in bytes.
@@ -647,11 +643,9 @@ pub fn inspect_qofx(path: &Path) -> Result<QofxSummary, QofxError> {
     let mut data = [0u8; HEADER_LEN];
     File::open(path)?.read_exact(&mut data)?;
     let version = read_u32_le(&data, 4).ok_or(QofxError::Truncated)?;
-    let flags = read_u32_le(&data, 8).ok_or(QofxError::Truncated)?;
     let checksum = read_u64_le(&data, 16).ok_or(QofxError::Truncated)?;
     Ok(QofxSummary {
         version,
-        case_fold: flags & FLAG_CASE_FOLD != 0,
         scoped: contents.words.is_scoped(),
         file_bytes,
         files: contents.corpus.files().len(),
@@ -668,7 +662,7 @@ pub fn inspect_qofx(path: &Path) -> Result<QofxSummary, QofxError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qof_text::{Tokenizer, WordIndexBuilder};
+    use qof_text::WordIndexBuilder;
 
     fn sample(n: usize, stride: u32) -> Vec<Pos> {
         (0..n as u32)
@@ -741,11 +735,10 @@ mod tests {
             "the Quick brown fox jumps over the lazy dog the quick fox again and again \
              zebra apple Apple APPLE banana the the the",
         );
-        let tok = Tokenizer::new();
         let index = if scoped {
-            WordIndexBuilder::new(&tok).scoped_to(vec![0..60, 80..120]).build(&corpus)
+            WordIndexBuilder::new().scoped_to(vec![0..60, 80..120]).build(&corpus)
         } else {
-            WordIndex::build(&corpus, &tok)
+            WordIndex::build(&corpus)
         };
         (corpus, index)
     }
@@ -756,7 +749,7 @@ mod tests {
             let (corpus, index) = sample_index(scoped);
             let mut buf = Vec::new();
             encode_words(&index, &mut buf);
-            let back = decode_words(&buf, index.case_fold(), corpus.text().len()).unwrap();
+            let back = decode_words(&buf, corpus.text().len()).unwrap();
             assert_eq!(back.scope(), index.scope());
             assert_eq!(back.postings(), index.postings());
             assert_eq!(back.stats(), index.stats());
@@ -772,7 +765,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_words(&index, &mut buf);
         for cut in [0, 1, buf.len() / 3, buf.len() - 1] {
-            assert!(decode_words(&buf[..cut], true, corpus.text().len()).is_err(), "cut at {cut}");
+            assert!(decode_words(&buf[..cut], corpus.text().len()).is_err(), "cut at {cut}");
         }
     }
 }

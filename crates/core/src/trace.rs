@@ -11,6 +11,7 @@
 
 use std::fmt::Write as _;
 
+use qof_pat::json::escape;
 use qof_pat::{CacheSource, OpTrace};
 
 use crate::plan::PlanRewrite;
@@ -220,8 +221,8 @@ impl QueryTrace {
         // 16-hex string, not a number: JSON consumers (python CI folds,
         // jq) would round a u64 past 2^53.
         let _ = write!(s, ",\"fingerprint\":\"{:016x}\"", self.fingerprint);
-        let _ = write!(s, ",\"query\":\"{}\"", esc(&self.query));
-        let _ = write!(s, ",\"plan\":\"{}\"", esc(&self.plan));
+        let _ = write!(s, ",\"query\":\"{}\"", escape(&self.query));
+        let _ = write!(s, ",\"plan\":\"{}\"", escape(&self.plan));
         s.push_str(",\"rewrites\":[");
         for (i, rw) in self.rewrites.iter().enumerate() {
             if i > 0 {
@@ -231,9 +232,9 @@ impl QueryTrace {
                 s,
                 "{{\"proposition\":\"{}\",\"description\":\"{}\",\"result\":\"{}\",\
                  \"certified\":{}}}",
-                esc(&rw.proposition),
-                esc(&rw.description),
-                esc(&rw.result),
+                escape(&rw.proposition),
+                escape(&rw.description),
+                escape(&rw.result),
                 rw.certified
             );
         }
@@ -242,12 +243,12 @@ impl QueryTrace {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{{\"node\":\"{}\",\"domain\":[", esc(&fact.node));
+            let _ = write!(s, "{{\"node\":\"{}\",\"domain\":[", escape(&fact.node));
             for (j, name) in fact.domain.iter().enumerate() {
                 if j > 0 {
                     s.push(',');
                 }
-                let _ = write!(s, "\"{}\"", esc(name));
+                let _ = write!(s, "\"{}\"", escape(name));
             }
             let _ = write!(
                 s,
@@ -258,7 +259,7 @@ impl QueryTrace {
                 if j > 0 {
                     s.push(',');
                 }
-                let _ = write!(s, "\"{}\"", esc(note));
+                let _ = write!(s, "\"{}\"", escape(note));
             }
             s.push_str("]}");
         }
@@ -270,7 +271,7 @@ impl QueryTrace {
             let _ = write!(
                 s,
                 "{{\"name\":\"{}\",\"start_nanos\":{},\"nanos\":{}}}",
-                esc(ph.name),
+                escape(ph.name),
                 ph.start_nanos,
                 ph.nanos
             );
@@ -317,9 +318,10 @@ fn render_op(node: &OpTrace, prefix: &str, is_last: bool, out: &mut String) {
     }
 }
 
-/// `1234` → `"1.2µs"`: human-scaled duration for the pretty renderer.
+/// `1234` → `"1.2µs"`: a human-scaled duration, for the pretty trace
+/// renderer and `qof stats`.
 #[allow(clippy::cast_precision_loss)]
-fn fmt_nanos(n: u64) -> String {
+pub fn fmt_nanos(n: u64) -> String {
     if n >= 1_000_000_000 {
         format!("{:.2}s", n as f64 / 1e9)
     } else if n >= 1_000_000 {
@@ -335,26 +337,6 @@ fn fmt_nanos(n: u64) -> String {
 // JSON writing (mirrors crates/bench/src/report.rs: no serde in this tree).
 // ---------------------------------------------------------------------------
 
-/// Escapes a string for a JSON literal (shared with the `--json`
-/// diagnostic writer in `analyze`).
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn ops_to_json(ops: &[OpTrace], s: &mut String) {
     s.push('[');
     for (i, op) in ops.iter().enumerate() {
@@ -367,8 +349,8 @@ fn ops_to_json(ops: &[OpTrace], s: &mut String) {
              \"start_nanos\":{},\"nanos\":{},\"bytes\":{},\"probes\":{},\"source\":\"{}\",\
              \"children\":",
             op.span_id,
-            esc(op.op),
-            esc(&op.detail),
+            escape(op.op),
+            escape(&op.detail),
             op.input,
             op.output,
             op.start_nanos,
@@ -387,6 +369,15 @@ fn ops_to_json(ops: &[OpTrace], s: &mut String) {
 mod tests {
     use super::*;
     use qof_pat::json::{get, get_arr, get_str, get_u64, Json};
+
+    #[test]
+    fn esc_handles_specials() {
+        // The trace writers escape with the shared escaper.
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("⊃d"), "⊃d");
+        let parsed = Json::parse("\"a\\u0041⊃\"").unwrap();
+        assert_eq!(parsed, Json::Str("aA⊃".into()));
+    }
 
     fn sample() -> QueryTrace {
         let leaf = OpTrace {
@@ -433,11 +424,11 @@ mod tests {
                     notes: Vec::new(),
                 },
                 NodeFact {
-                    node: "near(Year ⊃ Title, word(\"zzz\"), 3)".into(),
+                    node: "σ_\"zzz\"(Year ⊃ Title)".into(),
                     domain: Vec::new(),
                     domain_known: false,
                     empty: true,
-                    notes: vec!["a near() operand is provably empty".into()],
+                    notes: vec!["the selected set is provably empty".into()],
                 },
             ],
             phases: vec![
@@ -514,7 +505,7 @@ mod tests {
         assert!(text.contains("static facts:"));
         assert!(text.contains("Reference ⊃ Authors: domain {Reference}\n"));
         assert!(text.contains("domain ⊤  ∅"));
-        assert!(text.contains("note: a near() operand"));
+        assert!(text.contains("note: the selected set"));
         assert!(!text.contains("card") && !text.contains("estimate"));
         assert!(text.contains("index-candidates"));
         assert!(text.contains("└─ ⊃  in=3 out=1"));
@@ -536,13 +527,5 @@ mod tests {
         assert_eq!(fmt_nanos(1_500), "1.5µs");
         assert_eq!(fmt_nanos(2_000_000), "2.00ms");
         assert_eq!(fmt_nanos(3_210_000_000), "3.21s");
-    }
-
-    #[test]
-    fn esc_handles_specials() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("⊃d"), "⊃d");
-        let parsed = Json::parse("\"a\\u0041⊃\"").unwrap();
-        assert_eq!(parsed, Json::Str("aA⊃".into()));
     }
 }

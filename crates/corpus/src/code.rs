@@ -13,7 +13,6 @@
 //! ```
 
 use crate::rng::{Rng, StdRng};
-use qof_db::{ClassDef, TypeDef};
 use qof_grammar::{lit, nt, Grammar, StructuringSchema, TokenPattern, ValueBuilder};
 use std::fmt::Write as _;
 
@@ -146,14 +145,7 @@ pub fn schema() -> StructuringSchema {
         .repeat("Nested", "Stmt", None, ValueBuilder::Set)
         .build()
         .expect("the code grammar is well-formed");
-    let stmt_ty = TypeDef::Union(vec![
-        TypeDef::tuple([("Callee", TypeDef::Str)]),
-        TypeDef::tuple([("Nested", TypeDef::Set(Box::new(TypeDef::Str)))]),
-    ]);
-    StructuringSchema::new(grammar).with_view("Functions", "Function").with_class(ClassDef {
-        name: "Function".into(),
-        ty: TypeDef::tuple([("FnName", TypeDef::Str), ("Body", TypeDef::set(stmt_ty))]),
-    })
+    StructuringSchema::new(grammar).with_view("Functions", "Function")
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //! ```
 
 use crate::rng::{Rng, StdRng};
-use qof_db::{ClassDef, TypeDef};
 use qof_grammar::{lit, nt, Grammar, StructuringSchema, TokenPattern, ValueBuilder};
 use std::fmt::Write as _;
 
@@ -120,21 +119,7 @@ pub fn schema() -> StructuringSchema {
         .token("Status", TokenPattern::Number, ValueBuilder::Atom)
         .build()
         .expect("the log grammar is well-formed");
-    StructuringSchema::new(grammar).with_view("Sessions", "Session").with_class(ClassDef {
-        name: "Session".into(),
-        ty: TypeDef::tuple([
-            ("SessionId", TypeDef::Str),
-            ("User", TypeDef::Str),
-            (
-                "Requests",
-                TypeDef::set(TypeDef::tuple([
-                    ("Method", TypeDef::Str),
-                    ("Path", TypeDef::Str),
-                    ("Status", TypeDef::Str),
-                ])),
-            ),
-        ]),
-    })
+    StructuringSchema::new(grammar).with_view("Sessions", "Session")
 }
 
 #[cfg(test)]

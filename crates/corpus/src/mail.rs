@@ -3,7 +3,6 @@
 //! a body terminated by a lone `.`.
 
 use crate::rng::{Rng, StdRng};
-use qof_db::{ClassDef, TypeDef};
 use qof_grammar::{lit, nt, Grammar, StructuringSchema, TokenPattern, ValueBuilder};
 use std::fmt::Write as _;
 
@@ -133,16 +132,7 @@ pub fn schema() -> StructuringSchema {
         .token("Body", TokenPattern::Until(".".into()), ValueBuilder::Atom)
         .build()
         .expect("the mail grammar is well-formed");
-    StructuringSchema::new(grammar).with_view("Messages", "Message").with_class(ClassDef {
-        name: "Message".into(),
-        ty: TypeDef::tuple([
-            ("Sender", TypeDef::Str),
-            ("Subject", TypeDef::Str),
-            ("Date", TypeDef::Str),
-            ("Recipients", TypeDef::set(TypeDef::Str)),
-            ("Body", TypeDef::Str),
-        ]),
-    })
+    StructuringSchema::new(grammar).with_view("Messages", "Message")
 }
 
 #[cfg(test)]

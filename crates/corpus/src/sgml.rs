@@ -9,7 +9,6 @@
 //! ```
 
 use crate::rng::{Rng, StdRng};
-use qof_db::{ClassDef, TypeDef};
 use qof_grammar::{lit, nt, Grammar, StructuringSchema, TokenPattern, ValueBuilder};
 
 use crate::vocab::lorem;
@@ -151,14 +150,7 @@ pub fn schema() -> StructuringSchema {
         .repeat("Subsections", "Section", None, ValueBuilder::Set)
         .build()
         .expect("the SGML grammar is well-formed");
-    let section_ty = TypeDef::tuple([
-        ("Head", TypeDef::Str),
-        ("Paras", TypeDef::set(TypeDef::Str)),
-        ("Subsections", TypeDef::set(TypeDef::Class("Section".into()))),
-    ]);
-    StructuringSchema::new(grammar)
-        .with_view("Sections", "Section")
-        .with_class(ClassDef { name: "Section".into(), ty: section_ty })
+    StructuringSchema::new(grammar).with_view("Sections", "Section")
 }
 
 #[cfg(test)]

@@ -19,12 +19,10 @@
 //! * a hash join ([`hash_join`]) used by the select–project–join baseline.
 
 mod path;
-mod schema;
 mod store;
 mod value;
 
 pub use path::{eval_path, eval_path_counted, walk_path, DbStep, PathCost};
-pub use schema::{validate, ClassDef, TypeDef, TypeError};
 pub use store::{Database, DbMark, DbStats, Oid};
 pub use value::{Atom, Fields, Shape, Value};
 

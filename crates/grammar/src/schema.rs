@@ -1,9 +1,8 @@
-//! The structuring schema: a grammar, its database classes, and the views it
-//! defines (§4.1: a structuring schema consists of a database schema and a
-//! grammar annotated with database programs).
+//! The structuring schema: a grammar annotated with database programs and
+//! the views it defines (§4.1). The annotations' value builders are the
+//! database schema: they say which classes, tuples and sets a parse builds.
 
 use crate::{Grammar, SymbolId};
-use qof_db::ClassDef;
 use std::collections::BTreeMap;
 
 /// A structuring schema: the complete specification of how a file format
@@ -13,28 +12,19 @@ use std::collections::BTreeMap;
 pub struct StructuringSchema {
     /// The annotated grammar.
     pub grammar: Grammar,
-    /// The database classes the annotations create (for documentation and
-    /// validation; `ObjectAuto` annotations reference these by name).
-    pub classes: Vec<ClassDef>,
     views: BTreeMap<String, String>,
 }
 
 impl StructuringSchema {
-    /// Wraps a grammar with no views or classes.
+    /// Wraps a grammar with no views.
     pub fn new(grammar: Grammar) -> Self {
-        Self { grammar, classes: Vec::new(), views: BTreeMap::new() }
+        Self { grammar, views: BTreeMap::new() }
     }
 
     /// Registers a view: queries `FROM view_name` range over the instances
     /// of `symbol` (e.g. `References` → `Reference`).
     pub fn with_view(mut self, view_name: &str, symbol: &str) -> Self {
         self.views.insert(view_name.to_owned(), symbol.to_owned());
-        self
-    }
-
-    /// Documents a class created by the annotations.
-    pub fn with_class(mut self, class: ClassDef) -> Self {
-        self.classes.push(class);
         self
     }
 
@@ -59,7 +49,6 @@ mod tests {
     use super::*;
     use crate::grammar::ValueBuilder;
     use crate::TokenPattern;
-    use qof_db::TypeDef;
 
     #[test]
     fn views_resolve_to_symbols() {
@@ -68,13 +57,10 @@ mod tests {
             .token("Entry", TokenPattern::Word, ValueBuilder::Atom)
             .build()
             .unwrap();
-        let s = StructuringSchema::new(g)
-            .with_view("Entries", "Entry")
-            .with_class(ClassDef { name: "Entry".into(), ty: TypeDef::Str });
+        let s = StructuringSchema::new(g).with_view("Entries", "Entry");
         assert_eq!(s.view_symbol("Entries"), s.grammar.symbol("Entry"));
         assert_eq!(s.view_symbol_name("Entries"), Some("Entry"));
         assert!(s.view_symbol("Nope").is_none());
         assert_eq!(s.views().count(), 1);
-        assert_eq!(s.classes.len(), 1);
     }
 }

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use qof_text::{Corpus, Pos, WordIndex};
+use qof_text::{words, Corpus, Pos, WordIndex};
 
 use crate::{
     direct_included_in_counted, direct_including_counted, CacheSource, EvalStats, Instance,
@@ -302,20 +302,7 @@ impl<'a> Engine<'a> {
     /// dictates (the alignment PAT's proximity search would verify).
     fn word_spans(&self, w: &str) -> RegionSet {
         // Word runs of the constant with their offsets.
-        let mut runs: Vec<(Pos, &str)> = Vec::new();
-        let bytes = w.as_bytes();
-        let mut i = 0usize;
-        while i < bytes.len() {
-            if bytes[i].is_ascii_alphanumeric() {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_alphanumeric() {
-                    i += 1;
-                }
-                runs.push((start as Pos, &w[start..i]));
-            } else {
-                i += 1;
-            }
-        }
+        let runs: Vec<(Pos, &str)> = words(w, 0).map(|t| (t.span.start, t.text)).collect();
         let Some(&(first_off, first)) = runs.first() else {
             return RegionSet::new();
         };
@@ -329,8 +316,7 @@ impl<'a> Engine<'a> {
         }
         let firsts = self.words.positions(first);
         // Fetch each later run's posting list once, outside the candidate
-        // loop: `positions` re-folds its key per call, which used to cost an
-        // allocation per candidate per run on case-folded indexes.
+        // loop.
         let rest: Vec<(Pos, &[Pos])> =
             runs[1..].iter().map(|&(off, word)| (off, self.words.positions(word))).collect();
         let probes = firsts.len() + rest.len();
@@ -481,19 +467,6 @@ impl<'a> Engine<'a> {
                 record("⊃^n", read, &out);
                 (out, x.flat, x.indexed)
             }
-            Near { left, right, gap } => {
-                let (x, y) = (self.eval_memo(left, cache)?, self.eval_memo(right, cache)?);
-                let out = near(&x, &y, *gap);
-                record("near", x.len() + y.len(), &out);
-                (out, false, false)
-            }
-            SelectCountAtLeast(e, w, n) => {
-                let x = self.eval_memo(e, cache)?;
-                let occ = self.word_spans(w);
-                let out = count_at_least(&x, &occ, *n);
-                record("σ≥n", x.len() + occ.len(), &out);
-                (out, x.flat, x.indexed)
-            }
         };
         Ok(Operand::computed(out, flat, indexed))
     }
@@ -569,66 +542,13 @@ fn op_parts(expr: &RegionExpr) -> (&'static str, String) {
         DirectIncluding(..) => ("⊃d", String::new()),
         DirectIncludedIn(..) => ("⊂d", String::new()),
         NestedExactly { depth, .. } => ("⊃^n", format!("depth {depth}")),
-        Near { gap, .. } => ("near", format!("gap {gap}")),
-        SelectCountAtLeast(_, w, n) => ("σ≥n", format!("\"{w}\" × {n}")),
     }
-}
-
-/// PAT's proximity search: combined spans of left regions followed within
-/// `gap` bytes by right regions.
-fn near(left: &RegionSet, right: &RegionSet, gap: u32) -> RegionSet {
-    let rights = right.as_slice();
-    let starts: Vec<Pos> = rights.iter().map(|r| r.start).collect();
-    let mut out = Vec::new();
-    for l in left {
-        // Right regions starting in [l.end, l.end + gap].
-        let lo = starts.partition_point(|&s| s < l.end);
-        for r in &rights[lo..] {
-            if r.start > l.end.saturating_add(gap) {
-                break;
-            }
-            out.push(Region::new(l.start, r.end.max(l.end)));
-        }
-    }
-    RegionSet::from_regions(out)
-}
-
-/// PAT's frequency search: members of `set` containing at least `n`
-/// occurrence spans.
-fn count_at_least(set: &RegionSet, occurrences: &RegionSet, n: u32) -> RegionSet {
-    if n == 0 {
-        return set.clone();
-    }
-    let occs = occurrences.as_slice();
-    let starts: Vec<Pos> = occs.iter().map(|o| o.start).collect();
-    let out = set
-        .iter()
-        .filter(|r| {
-            let lo = starts.partition_point(|&s| s < r.start);
-            let mut count = 0u32;
-            for o in &occs[lo..] {
-                if o.start >= r.end {
-                    break;
-                }
-                if o.end <= r.end {
-                    count += 1;
-                    if count >= n {
-                        return true;
-                    }
-                }
-            }
-            false
-        })
-        .copied()
-        .collect();
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{direct_included_in_naive, direct_including_naive};
-    use qof_text::{Tokenizer, WordIndex};
 
     /// A miniature BibTeX-like corpus with a hand-built instance:
     ///
@@ -641,7 +561,7 @@ mod tests {
         //          0123456789012345678901234567890123456789012345678901
         let text = "AUTHOR = Chang . EDITOR = Corliss AUTHOR = Corliss .";
         let corpus = Corpus::from_text(text);
-        let words = WordIndex::build(&corpus, &Tokenizer::new());
+        let words = WordIndex::build(&corpus);
         let mut inst = Instance::new();
         // Two "references": one holding an author+editor, one an author.
         inst.insert(
@@ -903,7 +823,7 @@ mod tests {
     fn phrase_select_is_index_only() {
         let text = "KEYWORDS = point algorithm; Taylor series";
         let corpus = Corpus::from_text(text);
-        let words = WordIndex::build(&corpus, &Tokenizer::new());
+        let words = WordIndex::build(&corpus);
         let mut inst = Instance::new();
         // The Keyword regions: "point algorithm" and "Taylor series".
         inst.insert(
@@ -919,37 +839,6 @@ mod tests {
         // separator verification touches text (one constant-length check
         // per aligned candidate).
         assert!(eng.stats().bytes_scanned <= 2 * "point algorithm".len() as u64);
-    }
-
-    #[test]
-    fn near_combines_spans() {
-        let (c, w, i) = fixture();
-        let eng = Engine::new(&c, &w, &i);
-        // "Chang" followed within 3 bytes by ".": use words instead —
-        // AUTHOR then "=" then name: word("AUTHOR") near word("Chang")?
-        // AUTHOR at 0..6, Chang at 9..14: gap 3.
-        let e = RegionExpr::word("AUTHOR").near(RegionExpr::word("Chang"), 3);
-        let s = eng.eval(&e).unwrap();
-        assert_eq!(s.as_slice(), &[Region::new(0, 14)]);
-        // Gap too small: no match.
-        let e2 = RegionExpr::word("AUTHOR").near(RegionExpr::word("Chang"), 2);
-        assert!(eng.eval(&e2).unwrap().is_empty());
-    }
-
-    #[test]
-    fn frequency_select() {
-        let (c, w, i) = fixture();
-        let eng = Engine::new(&c, &w, &i);
-        // References containing at least one "Corliss": both references
-        // contain exactly one each... the first has the editor Corliss, the
-        // second the author Corliss.
-        let e1 = RegionExpr::name("Reference").select_count_at_least("Corliss", 1);
-        assert_eq!(eng.eval(&e1).unwrap().len(), 2);
-        let e2 = RegionExpr::name("Reference").select_count_at_least("Corliss", 2);
-        assert!(eng.eval(&e2).unwrap().is_empty());
-        // n = 0 keeps everything.
-        let e0 = RegionExpr::name("Reference").select_count_at_least("Corliss", 0);
-        assert_eq!(eng.eval(&e0).unwrap().len(), 2);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::escape;
 use crate::trace::{Histogram, MetricsSnapshot};
 use crate::workload::WorkloadEntry;
 
@@ -29,25 +30,6 @@ fn esc_label(s: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escapes a string for a JSON literal.
-fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
             c => out.push(c),
         }
     }
@@ -202,7 +184,7 @@ fn labelled_json(histograms: &BTreeMap<String, Histogram>) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{}", esc_json(label), histogram_json(h));
+        let _ = write!(out, "\"{}\":{}", escape(label), histogram_json(h));
     }
     out.push('}');
     out
@@ -233,7 +215,7 @@ pub fn workload_to_json(entries: &[WorkloadEntry], capacity: usize) -> String {
              \"overcount\":{},\"total_bytes\":{},\"max_bytes\":{},\
              \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"latency\":{}}}",
             e.fingerprint,
-            esc_json(&e.exemplar),
+            escape(&e.exemplar),
             e.hits,
             e.overcount,
             e.total_bytes,

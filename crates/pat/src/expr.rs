@@ -63,20 +63,6 @@ pub enum RegionExpr {
         /// Exact count of indexed regions strictly between the two.
         depth: u32,
     },
-    /// PAT's proximity search: for each left region followed (within `gap`
-    /// bytes) by a right region, the combined span from the left region's
-    /// start to the right region's end.
-    Near {
-        /// The left operand.
-        left: Box<RegionExpr>,
-        /// The right operand.
-        right: Box<RegionExpr>,
-        /// Maximum byte gap between the left end and the right start.
-        gap: u32,
-    },
-    /// PAT's frequency search: members containing at least `count`
-    /// occurrences of the word.
-    SelectCountAtLeast(Box<RegionExpr>, String, u32),
 }
 
 impl RegionExpr {
@@ -155,28 +141,12 @@ impl RegionExpr {
         RegionExpr::NestedExactly { outer: Box::new(self), inner: Box::new(inner), depth }
     }
 
-    /// Proximity: combined spans of `self` regions followed within `gap`
-    /// bytes by `other` regions (PAT's "near").
-    pub fn near(self, other: RegionExpr, gap: u32) -> Self {
-        RegionExpr::Near { left: Box::new(self), right: Box::new(other), gap }
-    }
-
-    /// Frequency search: members containing at least `count` occurrences
-    /// of `w`.
-    pub fn select_count_at_least(self, w: impl Into<String>, count: u32) -> Self {
-        RegionExpr::SelectCountAtLeast(Box::new(self), w.into(), count)
-    }
-
     /// Number of AST nodes (used to compare expression sizes in EXPLAIN).
     pub fn size(&self) -> usize {
         use RegionExpr::*;
         match self {
             Name(_) | Word(_) | Prefix(_) => 1,
-            SelectEq(e, _)
-            | SelectContains(e, _)
-            | SelectCountAtLeast(e, _, _)
-            | Innermost(e)
-            | Outermost(e) => 1 + e.size(),
+            SelectEq(e, _) | SelectContains(e, _) | Innermost(e) | Outermost(e) => 1 + e.size(),
             Union(a, b)
             | Intersect(a, b)
             | Difference(a, b)
@@ -184,9 +154,7 @@ impl RegionExpr {
             | IncludedIn(a, b)
             | DirectIncluding(a, b)
             | DirectIncludedIn(a, b) => 1 + a.size() + b.size(),
-            NestedExactly { outer, inner, .. } | Near { left: outer, right: inner, .. } => {
-                1 + outer.size() + inner.size()
-            }
+            NestedExactly { outer, inner, .. } => 1 + outer.size() + inner.size(),
         }
     }
 
@@ -212,9 +180,6 @@ impl RegionExpr {
             Difference(a, b) => Difference(Box::new(a.normalized()), Box::new(b.normalized())),
             SelectEq(e, w) => SelectEq(Box::new(e.normalized()), w.clone()),
             SelectContains(e, w) => SelectContains(Box::new(e.normalized()), w.clone()),
-            SelectCountAtLeast(e, w, n) => {
-                SelectCountAtLeast(Box::new(e.normalized()), w.clone(), *n)
-            }
             Innermost(e) => Innermost(Box::new(e.normalized())),
             Outermost(e) => Outermost(Box::new(e.normalized())),
             Including(a, b) => Including(Box::new(a.normalized()), Box::new(b.normalized())),
@@ -230,11 +195,6 @@ impl RegionExpr {
                 inner: Box::new(inner.normalized()),
                 depth: *depth,
             },
-            Near { left, right, gap } => Near {
-                left: Box::new(left.normalized()),
-                right: Box::new(right.normalized()),
-                gap: *gap,
-            },
         }
     }
 
@@ -245,11 +205,9 @@ impl RegionExpr {
             match e {
                 Name(n) => out.push(n),
                 Word(_) | Prefix(_) => {}
-                SelectEq(e, _)
-                | SelectContains(e, _)
-                | SelectCountAtLeast(e, _, _)
-                | Innermost(e)
-                | Outermost(e) => walk(e, out),
+                SelectEq(e, _) | SelectContains(e, _) | Innermost(e) | Outermost(e) => {
+                    walk(e, out);
+                }
                 Union(a, b)
                 | Intersect(a, b)
                 | Difference(a, b)
@@ -260,7 +218,7 @@ impl RegionExpr {
                     walk(a, out);
                     walk(b, out);
                 }
-                NestedExactly { outer, inner, .. } | Near { left: outer, right: inner, .. } => {
+                NestedExactly { outer, inner, .. } => {
                     walk(outer, out);
                     walk(inner, out);
                 }
@@ -295,8 +253,6 @@ impl fmt::Display for RegionExpr {
             NestedExactly { outer, inner, depth } => {
                 write!(f, "{} ⊃^{} {}", Chain(outer), depth, inner)
             }
-            Near { left, right, gap } => write!(f, "({left} near[{gap}] {right})"),
-            SelectCountAtLeast(e, w, n) => write!(f, "σ≥{n}\"{w}\"({e})"),
         }
     }
 }

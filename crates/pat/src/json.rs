@@ -1,6 +1,7 @@
 //! A minimal, dependency-free JSON reader shared by every surface that
 //! consumes this workspace's own JSON writers: trace checks
-//! (`--trace-json`), the bench harness and the query-log analyzer.
+//! (`--trace-json`), the bench harness and the query-log analyzer. The
+//! writers share its string escaper, [`escape`].
 //!
 //! It parses exactly the subset our writers emit — objects, arrays,
 //! strings with escapes, unsigned integers, floats, booleans — and keeps
@@ -286,6 +287,27 @@ impl Parser {
     }
 }
 
+/// Escapes a string for a JSON string literal: quotes, backslashes and
+/// control characters; everything else passes through.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                use std::fmt::Write as _;
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,6 +346,18 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nope").is_err());
         assert!(Json::parse("-").is_err());
+    }
+
+    #[test]
+    fn esc_handles_specials() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("⊃d"), "⊃d");
+        let parsed = Json::parse("\"a\\u0041⊃\"").unwrap();
+        assert_eq!(parsed, Json::Str("aA⊃".into()));
+        // Every escaped string reads back as itself.
+        let s = "q\"\\\n\r\t\u{1f}⊃";
+        assert_eq!(Json::parse(&format!("\"{}\"", escape(s))).unwrap(), Json::Str(s.into()));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Where a traced node's result came from.
@@ -60,7 +60,7 @@ pub struct OpTrace {
     /// [`EvalStats::op_counts`](crate::EvalStats).
     pub op: &'static str,
     /// Operator argument, when one exists: the region name of a `name`
-    /// leaf, the quoted constant of a `word`/`σ` node, a `near` gap.
+    /// leaf, the quoted constant of a `word`/`σ` node, a `⊃^n` depth.
     pub detail: String,
     /// Regions consumed from the operand sets (0 for leaves).
     pub input: usize,
@@ -369,10 +369,10 @@ impl Histogram {
     }
 }
 
-/// Counters and histograms for one engine's workload. A process-wide
-/// instance exists ([`MetricsRegistry::global`]); embedders (tests,
-/// servers) hold private registries via [`MetricsRegistry::shared`] so
-/// concurrent engines never share mutable counters.
+/// Counters and histograms for one engine's workload. Every database
+/// records into a registry of its own ([`MetricsRegistry::shared`]) unless
+/// an embedder (a server) injects one, so concurrent engines never share
+/// mutable counters.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     queries: AtomicU64,
@@ -441,17 +441,6 @@ impl MetricsRegistry {
     /// workloads never share counters.
     pub fn shared() -> Arc<MetricsRegistry> {
         Arc::new(Self::new())
-    }
-
-    /// The process-wide registry.
-    pub fn global() -> &'static MetricsRegistry {
-        global_arc_ref()
-    }
-
-    /// A shareable handle to the process-wide registry (the default a
-    /// `FileDatabase` records into when nothing else is injected).
-    pub fn global_arc() -> Arc<MetricsRegistry> {
-        Arc::clone(global_arc_ref())
     }
 
     /// Records one executed query and its end-to-end latency.
@@ -557,14 +546,6 @@ fn record_labelled(map: &mut BTreeMap<String, Histogram>, label: &str, nanos: u6
             map.insert(label.to_owned(), h);
         }
     }
-}
-
-/// The process-wide registry, held behind an `Arc` so embedders can clone
-/// a handle ([`MetricsRegistry::global_arc`]) and borrowers can keep the
-/// `&'static` view ([`MetricsRegistry::global`]).
-fn global_arc_ref() -> &'static Arc<MetricsRegistry> {
-    static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::shared)
 }
 
 #[cfg(test)]

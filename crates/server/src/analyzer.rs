@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use qof_pat::json::{self, Json};
 use qof_pat::{workload_to_json, WorkloadObs, WorkloadTable};
 
-use crate::http::esc_json;
+use qof_pat::json::escape;
 
 /// Schema version of the `qof qlog analyze --json` envelope. Version 2
 /// dropped the `warnings` count: the log holds query lines only.
@@ -224,7 +224,7 @@ pub fn report_json(report: &QlogReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\"", esc_json(&file.display().to_string()));
+        let _ = write!(out, "\"{}\"", escape(&file.display().to_string()));
     }
     let _ = write!(
         out,

@@ -228,26 +228,6 @@ impl Client {
     }
 }
 
-/// Escapes a string for a JSON literal (shared by the response writers).
-pub fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +248,14 @@ mod tests {
             Ok(Err(RequestError::TimedOut)) => Err("a cursor timed out".into()),
             Ok(_) => Ok(()),
         }
+    }
+
+    #[test]
+    fn json_escaping() {
+        // The response writers escape with the one shared escaper.
+        use qof_pat::json::escape;
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]
@@ -371,11 +359,5 @@ mod tests {
             "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 8\r\n\
              Connection: keep-alive\r\n\r\n{\"id\":1}"
         );
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(esc_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc_json("\u{1}"), "\\u0001");
     }
 }

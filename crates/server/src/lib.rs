@@ -45,6 +45,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use qof_core::{trace_to_perfetto, traces_to_perfetto, FileDatabase};
+use qof_pat::json::escape;
 use qof_pat::{
     render_prometheus, render_workload_prometheus, snapshot_to_json, workload_to_json,
     MetricsRegistry,
@@ -54,7 +55,7 @@ pub use analyzer::{
     analyze_qlog, render_report, report_json, QlogReport, QLOG_REPORT_SCHEMA_VERSION,
 };
 pub use http::Client;
-use http::{esc_json, read_request, write_response, Request, RequestError};
+use http::{read_request, write_response, Request, RequestError};
 pub use qlog::{error_line, normalize_query, success_line, QueryLog, DEFAULT_QLOG_KEEP};
 pub use recorder::FlightRecorder;
 
@@ -221,7 +222,7 @@ fn handle_connection(state: &State, stream: TcpStream) {
             // just its connection back. The thread frees itself.
             Err(RequestError::TimedOut) => return,
             Err(RequestError::Malformed(e)) => {
-                let body = format!("{{\"error\":\"{}\"}}", esc_json(&e));
+                let body = format!("{{\"error\":\"{}\"}}", escape(&e));
                 let _ = write_response(&mut stream, 400, "application/json", &body, false);
                 return;
             }
@@ -346,7 +347,7 @@ fn handle_query(state: &State, req: &Request) -> (u16, &'static str, String) {
                     body.push(',');
                 }
                 body.push('"');
-                body.push_str(&esc_json(&v.to_string()));
+                body.push_str(&escape(&v.to_string()));
                 body.push('"');
             }
             body.push(']');
@@ -361,7 +362,7 @@ fn handle_query(state: &State, req: &Request) -> (u16, &'static str, String) {
             let msg = e.to_string();
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             state.log.log_error(id, src, &msg, nanos);
-            (400, JSON, format!("{{\"id\":{id},\"error\":\"{}\"}}", esc_json(&msg)))
+            (400, JSON, format!("{{\"id\":{id},\"error\":\"{}\"}}", escape(&msg)))
         }
     }
 }

@@ -19,7 +19,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use qof_core::QueryTrace;
 
-use crate::http::esc_json;
+use qof_pat::json::escape;
 
 /// Rotated files kept around (`query.log.1` … `query.log.N`).
 pub const DEFAULT_QLOG_KEEP: usize = 3;
@@ -45,7 +45,7 @@ pub fn success_line(trace: &QueryTrace, ts_ms: u128) -> String {
          \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"exact_index\":{}}}",
         trace.id,
         trace.fingerprint,
-        esc_json(&normalize_query(&trace.query)),
+        escape(&normalize_query(&trace.query)),
         trace.total_nanos,
         trace.bytes_touched,
         trace.candidates,
@@ -64,8 +64,8 @@ pub fn error_line(id: u64, query: &str, error: &str, total_nanos: u64, ts_ms: u1
         "{{\"ts_ms\":{ts_ms},\"id\":{id},\"fp\":\"{:016x}\",\"query\":\"{}\",\
          \"outcome\":\"error\",\"error\":\"{}\",\"total_nanos\":{total_nanos}}}",
         0u64,
-        esc_json(&normalize_query(query)),
-        esc_json(error),
+        escape(&normalize_query(query)),
+        escape(error),
     )
 }
 

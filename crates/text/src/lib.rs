@@ -5,9 +5,9 @@
 //!
 //! Low-level text substrate for the *Optimizing Queries on Files* (Consens &
 //! Milo, SIGMOD 1994) reproduction: a multi-file [`Corpus`] with a single
-//! global byte-offset space, a configurable [`Tokenizer`], an inverted
-//! [`WordIndex`] recording the location of every indexed word (the paper's
-//! "word index").
+//! global byte-offset space, the word scanner [`words`] (a word is a maximal
+//! run of ASCII alphanumerics), and an inverted [`WordIndex`] recording the
+//! location of every indexed word (the paper's "word index").
 //!
 //! Positions are `u32` byte offsets ([`Pos`]); a span is a half-open
 //! `start..end` pair. Everything higher in the stack (regions, the region
@@ -19,7 +19,7 @@ pub mod varint;
 mod word_index;
 
 pub use corpus::{Corpus, CorpusBuilder, FileEntry, FileId};
-pub use token::{Token, Tokenizer};
+pub use token::{words, Token};
 pub use word_index::{WordIndex, WordIndexBuilder, WordStats};
 
 /// A byte offset into the global corpus text.

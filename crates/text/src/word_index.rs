@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use crate::{Corpus, Pos, Span, Tokenizer};
+use crate::{words, Corpus, Pos, Span};
 
 /// Aggregate statistics about a built [`WordIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -23,7 +23,6 @@ pub struct WordStats {
 pub struct WordIndex {
     map: HashMap<String, Vec<Pos>>,
     postings: usize,
-    case_fold: bool,
     /// The spans this index was selectively built over (sorted by start,
     /// descending end at ties), or `None` for a full index. Incremental
     /// appends filter against it so out-of-scope occurrences can never
@@ -32,17 +31,17 @@ pub struct WordIndex {
 }
 
 /// Builder configuring word-index construction.
-pub struct WordIndexBuilder<'a> {
-    tokenizer: &'a Tokenizer,
+#[derive(Debug, Default)]
+pub struct WordIndexBuilder {
     /// When set, only occurrences whose span is inside one of these spans
     /// are indexed (selective indexing). Spans must be sorted by start.
     scope: Option<Vec<Span>>,
 }
 
-impl<'a> WordIndexBuilder<'a> {
+impl WordIndexBuilder {
     /// A builder indexing every word occurrence.
-    pub fn new(tokenizer: &'a Tokenizer) -> Self {
-        Self { tokenizer, scope: None }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Restricts indexing to occurrences inside the given spans. The spans
@@ -54,37 +53,24 @@ impl<'a> WordIndexBuilder<'a> {
         self
     }
 
-    /// Tokenizes the corpus and builds the index.
+    /// Scans the corpus for words and builds the index.
     pub fn build(self, corpus: &Corpus) -> WordIndex {
-        let mut index = WordIndex {
-            map: HashMap::new(),
-            postings: 0,
-            case_fold: self.tokenizer.folds_case(),
-            scope: self.scope,
-        };
-        index.index_text(self.tokenizer, corpus.text(), 0);
+        let mut index = WordIndex { map: HashMap::new(), postings: 0, scope: self.scope };
+        index.index_text(corpus.text(), 0);
         index
     }
 }
 
 impl WordIndex {
-    /// Convenience: index every word of `corpus` with `tokenizer`.
-    pub fn build(corpus: &Corpus, tokenizer: &Tokenizer) -> Self {
-        WordIndexBuilder::new(tokenizer).build(corpus)
+    /// Convenience: index every word of `corpus`.
+    pub fn build(corpus: &Corpus) -> Self {
+        WordIndexBuilder::new().build(corpus)
     }
 
-    /// Sorted start positions of `word` (normalized per the build tokenizer).
-    /// Returns an empty slice for unindexed words.
-    ///
-    /// This is the engine's hottest index entry point; case folding only
-    /// allocates when the word actually needs folding (`to_lowercase` is a
-    /// fixed point on ASCII text with no uppercase letters, which covers
-    /// every already-normalized lookup).
+    /// Sorted start positions of `word` (case-sensitive). Returns an empty
+    /// slice for unindexed words. This is the engine's hottest index entry
+    /// point.
     pub fn positions(&self, word: &str) -> &[Pos] {
-        if self.case_fold && !word.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
-            let key = word.to_lowercase();
-            return self.map.get(key.as_str()).map_or(&[], Vec::as_slice);
-        }
         self.map.get(word).map_or(&[], Vec::as_slice)
     }
 
@@ -131,11 +117,6 @@ impl WordIndex {
         self.scope.is_some()
     }
 
-    /// Whether lookups fold case (set by the build tokenizer).
-    pub fn case_fold(&self) -> bool {
-        self.case_fold
-    }
-
     /// The selective-indexing scope spans, if any.
     pub fn scope(&self) -> Option<&[Span]> {
         self.scope.as_deref()
@@ -144,14 +125,10 @@ impl WordIndex {
     /// Reassembles an index from its posting lists, as a persisted index
     /// is reopened. Each list must ascend strictly; the caller checks that
     /// of untrusted input before it gets here.
-    pub fn from_lists(
-        lists: HashMap<String, Vec<Pos>>,
-        case_fold: bool,
-        scope: Option<Vec<Span>>,
-    ) -> Self {
+    pub fn from_lists(lists: HashMap<String, Vec<Pos>>, scope: Option<Vec<Span>>) -> Self {
         debug_assert!(lists.values().all(|l| l.windows(2).all(|w| w[0] < w[1])));
         let postings = lists.values().map(Vec::len).sum();
-        WordIndex { map: lists, postings, case_fold, scope }
+        WordIndex { map: lists, postings, scope }
     }
 
     /// Extends the scope of a selectively built index with more spans
@@ -177,25 +154,21 @@ impl WordIndex {
     ///
     /// # Panics
     /// Panics in debug builds if an out-of-order position is appended.
-    pub fn append_span(&mut self, corpus: &Corpus, tokenizer: &Tokenizer, span: Span) {
-        debug_assert_eq!(self.case_fold, tokenizer.folds_case(), "tokenizer mode must match");
-        self.index_text(tokenizer, corpus.slice(span.clone()), span.start);
+    pub fn append_span(&mut self, corpus: &Corpus, span: Span) {
+        self.index_text(corpus.slice(span.clone()), span.start);
     }
 
     /// Appends the in-scope word occurrences of `text`, which starts at
     /// global position `base`, to their posting lists. A word is looked
     /// up by `&str`; only a word not seen before allocates its key.
-    fn index_text(&mut self, tokenizer: &Tokenizer, text: &str, base: Pos) {
-        let Self { map, postings, scope, .. } = self;
+    fn index_text(&mut self, text: &str, base: Pos) {
+        let Self { map, postings, scope } = self;
         // A token is in scope iff some scope span starting at or before it
         // covers its end: keep the running maximum of those spans' ends.
         let scope = scope.as_deref();
         let mut scope_idx = 0usize;
         let mut max_end: Pos = 0;
-        // Tokens are ASCII, so case folding is ASCII lowercasing, done in
-        // one reused buffer.
-        let mut folded = String::new();
-        for tok in tokenizer.tokenize(text, base) {
+        for tok in words(text, base) {
             if let Some(spans) = scope {
                 while scope_idx < spans.len() && spans[scope_idx].start <= tok.span.start {
                     max_end = max_end.max(spans[scope_idx].end);
@@ -205,21 +178,13 @@ impl WordIndex {
                     continue;
                 }
             }
-            let word = if tokenizer.folds_case() {
-                folded.clear();
-                folded.push_str(tok.text);
-                folded.make_ascii_lowercase();
-                folded.as_str()
-            } else {
-                tok.text
-            };
-            match map.get_mut(word) {
+            match map.get_mut(tok.text) {
                 Some(list) => {
                     debug_assert!(list.last().is_none_or(|&p| p < tok.span.start));
                     list.push(tok.span.start);
                 }
                 None => {
-                    map.insert(word.to_owned(), vec![tok.span.start]);
+                    map.insert(tok.text.to_owned(), vec![tok.span.start]);
                 }
             }
             *postings += 1;
@@ -233,8 +198,7 @@ mod tests {
 
     fn idx(text: &str) -> (Corpus, WordIndex) {
         let c = Corpus::from_text(text);
-        let t = Tokenizer::new();
-        let i = WordIndex::build(&c, &t);
+        let i = WordIndex::build(&c);
         (c, i)
     }
 
@@ -251,25 +215,15 @@ mod tests {
         let (_, i) = idx("Chang and Chang and Corliss");
         assert_eq!(i.frequency("Chang"), 2);
         assert_eq!(i.frequency("Corliss"), 1);
-        assert_eq!(i.frequency("chang"), 0); // case-sensitive by default
-    }
-
-    #[test]
-    fn case_insensitive_index_folds_queries() {
-        let c = Corpus::from_text("Chang CHANG chang");
-        let t = Tokenizer::new().case_insensitive();
-        let i = WordIndex::build(&c, &t);
-        assert_eq!(i.frequency("Chang"), 3);
-        assert_eq!(i.frequency("chAnG"), 3);
+        assert_eq!(i.frequency("chang"), 0); // case-sensitive
     }
 
     #[test]
     #[allow(clippy::single_range_in_vec_init)]
     fn scoped_index_only_covers_given_spans() {
         let c = Corpus::from_text("aaa bbb ccc ddd");
-        let t = Tokenizer::new();
         // Scope covers "bbb ccc" only.
-        let i = WordIndexBuilder::new(&t).scoped_to(Vec::from([4..11])).build(&c);
+        let i = WordIndexBuilder::new().scoped_to(Vec::from([4..11])).build(&c);
         assert!(i.positions("aaa").is_empty());
         assert_eq!(i.positions("bbb"), &[4]);
         assert_eq!(i.positions("ccc"), &[8]);
@@ -280,10 +234,9 @@ mod tests {
     #[allow(clippy::single_range_in_vec_init)]
     fn scoped_index_requires_full_containment() {
         let c = Corpus::from_text("abcdef");
-        let t = Tokenizer::new();
         // Token 0..6; scopes 0..3 and 0..5 cut it: not indexed.
         for end in [3, 5] {
-            let i = WordIndexBuilder::new(&t).scoped_to(Vec::from([0..end])).build(&c);
+            let i = WordIndexBuilder::new().scoped_to(Vec::from([0..end])).build(&c);
             assert!(i.positions("abcdef").is_empty());
         }
     }
@@ -303,27 +256,12 @@ mod tests {
         b.add_file("a", "alpha beta");
         b.add_file("b", "beta gamma");
         let c = b.build();
-        let i = WordIndex::build(&c, &Tokenizer::new());
+        let i = WordIndex::build(&c);
         assert_eq!(i.frequency("beta"), 2);
         assert_eq!(i.positions("beta"), &[6, 11]);
     }
 
     use crate::CorpusBuilder;
-
-    #[test]
-    fn case_fold_lookup_paths_agree() {
-        let c = Corpus::from_text("Chang CHANG chang müller");
-        let t = Tokenizer::new().case_insensitive();
-        let i = WordIndex::build(&c, &t);
-        // Already-folded ASCII (allocation-free path), mixed-case ASCII and
-        // non-ASCII (folding path) must all resolve identically.
-        assert_eq!(i.positions("chang"), i.positions("CHANG"));
-        assert_eq!(i.positions("chang"), i.positions("Chang"));
-        assert_eq!(i.frequency("chang"), 3);
-        // Non-ASCII lookups take the folding path (and find nothing here:
-        // the tokenizer splits on non-ASCII bytes).
-        assert_eq!(i.positions("müller"), i.positions("MÜLLER"));
-    }
 
     #[test]
     fn stats_count_entry_overhead() {
@@ -339,15 +277,14 @@ mod tests {
     fn append_to_scoped_index_respects_stored_scope() {
         // Scope covers "bbb" only; the initial build indexes just that.
         let mut c = Corpus::from_text("aaa bbb");
-        let t = Tokenizer::new();
-        let mut i = WordIndexBuilder::new(&t).scoped_to(Vec::from([4..7])).build(&c);
+        let mut i = WordIndexBuilder::new().scoped_to(Vec::from([4..7])).build(&c);
         assert!(i.is_scoped());
         assert_eq!(i.frequency("bbb"), 1);
         // Appending a file without extending the scope must index nothing:
         // the new text lies entirely outside the selective scope.
         let id = c.push_file("more", "bbb ccc");
         let span = c.file(id).unwrap().span.clone();
-        i.append_span(&c, &t, span);
+        i.append_span(&c, span);
         assert_eq!(i.frequency("bbb"), 1, "out-of-scope occurrence was indexed");
         assert_eq!(i.frequency("ccc"), 0, "out-of-scope occurrence was indexed");
         // Extending the scope over part of the next file indexes only that
@@ -355,7 +292,7 @@ mod tests {
         let id = c.push_file("scoped", "ddd eee");
         let span = c.file(id).unwrap().span.clone();
         i.extend_scope([span.start..span.start + 3]);
-        i.append_span(&c, &t, span);
+        i.append_span(&c, span);
         assert_eq!(i.frequency("ddd"), 1);
         assert_eq!(i.frequency("eee"), 0);
     }
@@ -363,25 +300,23 @@ mod tests {
     #[test]
     fn append_to_full_index_still_indexes_everything() {
         let mut c = Corpus::from_text("alpha");
-        let t = Tokenizer::new();
-        let mut i = WordIndex::build(&c, &t);
+        let mut i = WordIndex::build(&c);
         assert!(!i.is_scoped());
         // extend_scope on a full index is a no-op and must not narrow it.
         i.extend_scope(std::iter::once(0..1));
         let id = c.push_file("more", "beta");
         let span = c.file(id).unwrap().span.clone();
-        i.append_span(&c, &t, span);
+        i.append_span(&c, span);
         assert_eq!(i.frequency("beta"), 1);
     }
 
     #[test]
     fn append_span_extends_postings() {
         let mut c = Corpus::from_text("alpha beta");
-        let t = Tokenizer::new();
-        let mut i = WordIndex::build(&c, &t);
+        let mut i = WordIndex::build(&c);
         let id = c.push_file("more", "beta gamma");
         let span = c.file(id).unwrap().span.clone();
-        i.append_span(&c, &t, span);
+        i.append_span(&c, span);
         assert_eq!(i.frequency("beta"), 2);
         assert_eq!(i.frequency("gamma"), 1);
         assert_eq!(i.positions("beta"), &[6, 11]);

@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use qof::corpus::{bibtex, code, logs, mail, sgml};
 use qof::grammar::{IndexSpec, StructuringSchema};
 use qof::text::{Corpus, CorpusBuilder};
-use qof::{advise, parse_query, FileDatabase, Rig, Severity};
+use qof::{advise, fmt_nanos, parse_query, FileDatabase, Rig, Severity};
 
 fn schema_by_name(name: &str) -> Option<StructuringSchema> {
     Some(match name {
@@ -121,7 +121,7 @@ fn load_db(
 }
 
 /// `qof stats`: runs every query against the corpus, then prints the
-/// process-wide metrics snapshot (queries executed, plan-cache hit ratio,
+/// database's metrics snapshot (queries executed, plan-cache hit ratio,
 /// p50/p95 phase and operator latencies). Trailing arguments are files when they
 /// exist on disk and queries otherwise — queries contain spaces and SELECT
 /// keywords, never bare readable paths.
@@ -139,7 +139,6 @@ fn run_stats(
         return Ok(usage());
     }
     let db = load_db(schema, &files, index, from_index)?;
-    let registry = qof::pat::MetricsRegistry::global();
     for q in &queries {
         if let Err(e) = db.query(q) {
             eprintln!("error in `{q}`: {e}");
@@ -156,7 +155,7 @@ fn run_stats(
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let snap = registry.snapshot();
+    let snap = db.metrics().snapshot();
     if json {
         // The same serializer that backs the server's `GET
         // /metrics?format=json`, so the two surfaces cannot drift.
@@ -299,38 +298,6 @@ fn run_serve(
     handle.wait();
     eprintln!("qof serve: shut down");
     Ok(ExitCode::SUCCESS)
-}
-
-/// Minimal JSON string escaping for the `check --json` envelope (query
-/// strings only — diagnostics serialize themselves).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Human-scaled duration (histogram quantiles are bucket upper bounds).
-#[allow(clippy::cast_precision_loss)]
-fn fmt_nanos(n: u64) -> String {
-    if n >= 1_000_000_000 {
-        format!("{:.2}s", n as f64 / 1e9)
-    } else if n >= 1_000_000 {
-        format!("{:.2}ms", n as f64 / 1e6)
-    } else if n >= 1_000 {
-        format!("{:.1}µs", n as f64 / 1e3)
-    } else {
-        format!("{n}ns")
-    }
 }
 
 fn run() -> Result<ExitCode, String> {
@@ -619,7 +586,6 @@ fn run() -> Result<ExitCode, String> {
                 println!("region names:   {}", summary.region_names);
                 println!("regions:        {}", summary.regions);
                 println!("full index:     {}", summary.full_index);
-                println!("case folding:   {}", summary.case_fold);
                 println!("scoped words:   {}", summary.scoped);
                 Ok(ExitCode::SUCCESS)
             }
@@ -686,7 +652,7 @@ fn run() -> Result<ExitCode, String> {
                     }
                     out.push_str(&format!("{{\"target\":\"{target}\""));
                     if let Some(q) = query {
-                        out.push_str(&format!(",\"query\":\"{}\"", json_escape(q)));
+                        out.push_str(&format!(",\"query\":\"{}\"", qof::pat::json::escape(q)));
                     }
                     out.push_str(",\"diagnostics\":[");
                     let body: Vec<String> = ds.iter().map(qof::Diagnostic::to_json).collect();

@@ -6,7 +6,7 @@
 //! A reproduction of Consens & Milo, *Optimizing Queries on Files*
 //! (SIGMOD 1994). This facade crate re-exports the whole stack:
 //!
-//! * [`text`] — corpus, tokenizer, word index;
+//! * [`text`] — corpus, word scanner, word index;
 //! * [`pat`] — the region algebra engine (§3.1);
 //! * [`db`] — the in-memory object database (baseline substrate);
 //! * [`grammar`] — structuring schemas (§4);
@@ -37,7 +37,7 @@
 
 pub use qof_core::*;
 
-/// Corpus model, tokenizer and word index.
+/// Corpus model, word scanner and word index.
 pub mod text {
     pub use qof_text::*;
 }

@@ -58,7 +58,7 @@ impl Setup {
             };
         }
         let a = self.random_expr(rng, depth - 1);
-        match rng.random_range(0..13) {
+        match rng.random_range(0..11) {
             0 => a.union(self.random_expr(rng, depth - 1)),
             1 => a.intersect(self.random_expr(rng, depth - 1)),
             2 => a.difference(self.random_expr(rng, depth - 1)),
@@ -69,15 +69,7 @@ impl Setup {
             7 => a.select_eq(self.word(rng)),
             8 => a.select_contains(self.word(rng)),
             9 => a.innermost(),
-            10 => a.outermost(),
-            11 => {
-                let gap = rng.random_range(0..20) as u32;
-                a.near(self.random_expr(rng, depth - 1), gap)
-            }
-            _ => {
-                let n = rng.random_range(1..4) as u32;
-                a.select_count_at_least(self.word(rng), n)
-            }
+            _ => a.outermost(),
         }
     }
 

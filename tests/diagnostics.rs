@@ -3,7 +3,6 @@
 //! that malformed queries produce errors — never panics.
 
 use qof::corpus::{bibtex, logs};
-use qof::db::{ClassDef, TypeDef};
 use qof::grammar::{lit, nt, Grammar, IndexSpec, StructuringSchema, TokenPattern, ValueBuilder};
 use qof::pat::RegionExpr;
 use qof::text::Corpus;
@@ -56,17 +55,6 @@ fn qof002_nullable_rule() {
     let d = find(&diags, Code::Qof002);
     assert_eq!(d.severity, Severity::Warning);
     assert!(d.message.contains("`Ref_Set`"), "{}", d.message);
-}
-
-#[test]
-fn qof003_bad_class_field() {
-    let schema = orphan_schema()
-        .with_class(ClassDef { name: "Root".into(), ty: TypeDef::tuple([("Laef", TypeDef::Str)]) });
-    let diags = check_schema(&schema);
-    let d = find(&diags, Code::Qof003);
-    assert_eq!(d.severity, Severity::Error);
-    assert!(d.message.contains("`Laef`"), "{}", d.message);
-    assert!(d.notes.iter().any(|n| n.contains("`Leaf`")), "wants a did-you-mean: {:?}", d.notes);
 }
 
 #[test]
@@ -145,16 +133,14 @@ fn qof022_unknown_attribute_with_suggestion() {
 
 #[test]
 fn qof023_type_mismatch() {
-    // A schema whose class annotation declares an integer field.
+    // A schema whose `Pid` annotation builds integer atoms.
     let g = Grammar::builder("Entry")
         .seq("Entry", [lit("["), nt("Pid"), lit("]")], ValueBuilder::TupleAuto)
         .token("Pid", TokenPattern::Number, ValueBuilder::AtomInt)
         .build()
         .unwrap();
     let rig = Rig::from_grammar(&g);
-    let schema = StructuringSchema::new(g)
-        .with_view("Entries", "Entry")
-        .with_class(ClassDef { name: "Entry".into(), ty: TypeDef::tuple([("Pid", TypeDef::Int)]) });
+    let schema = StructuringSchema::new(g).with_view("Entries", "Entry");
 
     let diags = check_query(&schema, &rig, None, "SELECT e FROM Entries e WHERE e.Pid = \"abc\"");
     let d = find(&diags, Code::Qof023);
@@ -166,8 +152,7 @@ fn qof023_type_mismatch() {
     assert!(!codes(&diags).contains(&Code::Qof023), "{:?}", codes(&diags));
 
     // The type is the builder of the symbol the path's value comes from,
-    // through set items and value-transparent nodes; no class annotation
-    // is needed.
+    // through set items and value-transparent nodes.
     let g = Grammar::builder("Entry")
         .seq("Entry", [lit("["), nt("Items"), lit("]")], ValueBuilder::TupleAuto)
         .repeat("Items", "Item", None, ValueBuilder::Set)

@@ -13,7 +13,8 @@
 //! failure prints the case's seed.
 //!
 //! Crafted cases follow: a checksum-valid WORD section whose posting list
-//! disagrees with itself must not open, and an opened database reads
+//! disagrees with itself must not open, nor may a checksum-valid header
+//! with a flag bit set (no flag is defined), and an opened database reads
 //! nothing more from its file.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -187,6 +188,34 @@ fn checksum_valid_word_lists_that_disagree_with_themselves_do_not_open() {
             Err(QofxError::Corrupt(why)) => assert!(why.contains("Chang"), "{what}: {why}"),
             Err(e) => panic!("{what}: {e}"),
             Ok(_) => panic!("{what}: a corrupt posting list opened"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn checksum_valid_files_with_header_flags_set_do_not_open() {
+    let text = bibtex::generate(&BibtexConfig { n_refs: 12, name_pool: 8, ..Default::default() }).0;
+    let db =
+        FileDatabase::build(Corpus::from_text(&text), bibtex::schema(), IndexSpec::full()).unwrap();
+    let path = std::env::temp_dir().join(format!("qof-flags-{}.qofx", std::process::id()));
+    db.persist(&path).unwrap();
+    let clean = std::fs::read(&path).unwrap();
+    assert_eq!(clean[8..12], [0; 4], "persist writes no flag");
+    for flags in [1u32, 2] {
+        let mut file = clean.clone();
+        file[8..12].copy_from_slice(&flags.to_le_bytes());
+        reseal(&mut file);
+        std::fs::write(&path, &file).unwrap();
+        match FileDatabase::open(&path, bibtex::schema()) {
+            Err(QofxError::Corrupt(_)) => {}
+            Err(e) => panic!("flags {flags}: open failed with {e}, not as corrupt"),
+            Ok(_) => panic!("flags {flags}: the file opened"),
+        }
+        match qof::inspect_qofx(&path) {
+            Err(QofxError::Corrupt(_)) => {}
+            Err(e) => panic!("flags {flags}: inspect failed with {e}, not as corrupt"),
+            Ok(_) => panic!("flags {flags}: inspect accepted the file"),
         }
     }
     std::fs::remove_file(&path).ok();

@@ -1,20 +1,19 @@
-//! Word-index equivalence: the byte-class tokenizer and the shared posting
-//! push of `WordIndex::build` and `append_span` must index exactly what a
-//! plain build indexes — tokens split by a `char` predicate, a `normalize`
-//! per token, and a map `entry` per posting.
+//! Word-index equivalence: the word scanner and the shared posting push of
+//! `WordIndex::build` and `append_span` must index exactly what a plain
+//! build indexes — words split by a `char` predicate and a map `entry` per
+//! posting.
 //!
-//! The indexes are compared on all five generated corpora, case-sensitive
-//! and case-folded, over the whole text and under a §7 word scope, built
-//! in one go from the first file and then extended file by file. The
-//! tokenizer is compared on seeded random strings that mix ASCII letters,
-//! punctuation and multi-byte UTF-8.
+//! The indexes are compared on all five generated corpora, over the whole
+//! text and under a §7 word scope, built in one go from the first file and
+//! then extended file by file. The scanner is compared on seeded random
+//! strings that mix ASCII letters, punctuation and multi-byte UTF-8.
 
 use std::collections::BTreeMap;
 
 use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
 use qof::grammar::{IndexSpec, StructuringSchema};
 use qof::pat::Region;
-use qof::text::{Corpus, CorpusBuilder, Pos, Span, Tokenizer, WordIndex, WordIndexBuilder};
+use qof::text::{words, Corpus, CorpusBuilder, Pos, Span, WordIndex, WordIndexBuilder};
 use qof::FileDatabase;
 
 /// One generated corpus: its files, schema and a region name to scope the
@@ -76,10 +75,10 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// The `(start, end)` byte offsets of the maximal runs of word characters
-/// in `text`, found `char` by `char`.
-fn reference_tokens(text: &str, extra: &[char]) -> Vec<(usize, usize)> {
-    let is_word = |c: char| c.is_ascii_alphanumeric() || extra.contains(&c);
+/// The `(start, end)` byte offsets of the maximal runs of ASCII
+/// alphanumerics in `text`, found `char` by `char`.
+fn reference_tokens(text: &str) -> Vec<(usize, usize)> {
+    let is_word = |c: char| c.is_ascii_alphanumeric();
     let mut tokens = Vec::new();
     let mut start = None;
     for (at, c) in text.char_indices() {
@@ -98,23 +97,18 @@ fn reference_tokens(text: &str, extra: &[char]) -> Vec<(usize, usize)> {
     tokens
 }
 
-/// The word index of `corpus` built the plain way: every token inside some
-/// `scope` span (every token, without a scope) is normalized by `tokenizer`
-/// and its start pushed through `entry`.
-fn reference_index(
-    corpus: &Corpus,
-    tokenizer: &Tokenizer,
-    scope: Option<&[Span]>,
-) -> BTreeMap<String, Vec<Pos>> {
+/// The word index of `corpus` built the plain way: the start of every token
+/// inside some `scope` span (every token, without a scope) is pushed
+/// through `entry`.
+fn reference_index(corpus: &Corpus, scope: Option<&[Span]>) -> BTreeMap<String, Vec<Pos>> {
     let covered = |start: Pos, end: Pos| {
         scope.is_none_or(|spans| spans.iter().any(|s| s.start <= start && end <= s.end))
     };
     let mut map: BTreeMap<String, Vec<Pos>> = BTreeMap::new();
-    for (start, end) in reference_tokens(corpus.text(), &[]) {
+    for (start, end) in reference_tokens(corpus.text()) {
         let (start_pos, end_pos) = (start as Pos, end as Pos);
         if covered(start_pos, end_pos) {
-            let key = tokenizer.normalize(&corpus.text()[start..end]);
-            map.entry(key).or_default().push(start_pos);
+            map.entry(corpus.text()[start..end].to_owned()).or_default().push(start_pos);
         }
     }
     map
@@ -152,39 +146,32 @@ fn build_then_append_matches_the_reference_on_every_corpus() {
         let all = all.build();
         let db = FileDatabase::build(all.clone(), case.schema.clone(), IndexSpec::full()).unwrap();
         let scope_spans = region_spans(&db, case.scope);
-        for tokenizer in [Tokenizer::new(), Tokenizer::new().case_insensitive()] {
-            for scope in [None, Some(scope_spans.as_slice())] {
-                let label = format!(
-                    "{} fold={} scoped={}",
-                    case.name,
-                    tokenizer.folds_case(),
-                    scope.is_some()
-                );
-                // Build over the first file, then append the others one by
-                // one, growing the scope by each file's spans first.
-                let mut corpus = Corpus::from_text(&case.files[0]);
-                let mut builder = WordIndexBuilder::new(&tokenizer);
-                if let Some(spans) = scope {
-                    builder = builder.scoped_to(inside(spans, &(0..corpus.len())));
-                }
-                let mut index = builder.build(&corpus);
-                for (i, text) in case.files.iter().enumerate().skip(1) {
-                    let id = corpus.push_file(format!("f{i}"), text);
-                    let span = corpus.file(id).unwrap().span.clone();
-                    if let Some(spans) = scope {
-                        index.extend_scope(inside(spans, &span));
-                    }
-                    index.append_span(&corpus, &tokenizer, span);
-                }
-                assert_eq!(corpus.text(), all.text(), "{label}: corpus offsets");
-                assert_same(&label, &index, &reference_index(&all, &tokenizer, scope));
-                // Building over the whole text at once agrees as well.
-                let mut whole = WordIndexBuilder::new(&tokenizer);
-                if let Some(spans) = scope {
-                    whole = whole.scoped_to(spans.to_vec());
-                }
-                assert_same(&label, &whole.build(&all), &reference_index(&all, &tokenizer, scope));
+        for scope in [None, Some(scope_spans.as_slice())] {
+            let label = format!("{} scoped={}", case.name, scope.is_some());
+            // Build over the first file, then append the others one by one,
+            // growing the scope by each file's spans first.
+            let mut corpus = Corpus::from_text(&case.files[0]);
+            let mut builder = WordIndexBuilder::new();
+            if let Some(spans) = scope {
+                builder = builder.scoped_to(inside(spans, &(0..corpus.len())));
             }
+            let mut index = builder.build(&corpus);
+            for (i, text) in case.files.iter().enumerate().skip(1) {
+                let id = corpus.push_file(format!("f{i}"), text);
+                let span = corpus.file(id).unwrap().span.clone();
+                if let Some(spans) = scope {
+                    index.extend_scope(inside(spans, &span));
+                }
+                index.append_span(&corpus, span);
+            }
+            assert_eq!(corpus.text(), all.text(), "{label}: corpus offsets");
+            assert_same(&label, &index, &reference_index(&all, scope));
+            // Building over the whole text at once agrees as well.
+            let mut whole = WordIndexBuilder::new();
+            if let Some(spans) = scope {
+                whole = whole.scoped_to(spans.to_vec());
+            }
+            assert_same(&label, &whole.build(&all), &reference_index(&all, scope));
         }
     }
 }
@@ -201,7 +188,7 @@ fn build_and_add_file_match_the_reference_through_the_database() {
                 db.add_file(format!("f{i}"), text).unwrap();
             }
             let scope = db.index_spec().word_scope().map(|name| region_spans(&db, name));
-            let reference = reference_index(db.corpus(), &Tokenizer::new(), scope.as_deref());
+            let reference = reference_index(db.corpus(), scope.as_deref());
             assert_same(&label, db.word_index(), &reference);
         }
     }
@@ -238,20 +225,16 @@ fn random_text(rng: &mut StdRng) -> String {
 
 #[test]
 fn tokenizer_matches_a_char_predicate_on_random_text() {
-    let extras: [&[char]; 3] = [&[], &['-'], &['-', '_', '\'']];
     let mut seeds = StdRng::seed_from_u64(0x70ce_17e5);
-    for i in 0..4000 {
+    for _ in 0..4000 {
         let seed = seeds.next_u64();
         let text = random_text(&mut StdRng::seed_from_u64(seed));
-        let extra = extras[i % extras.len()];
-        let tokenizer = Tokenizer::new().with_extra_chars(extra);
         let base = 1000;
-        let got: Vec<(usize, usize, &str)> = tokenizer
-            .tokenize(&text, base)
+        let got: Vec<(usize, usize, &str)> = words(&text, base)
             .map(|t| ((t.span.start - base) as usize, (t.span.end - base) as usize, t.text))
             .collect();
         let want: Vec<(usize, usize, &str)> =
-            reference_tokens(&text, extra).into_iter().map(|(s, e)| (s, e, &text[s..e])).collect();
-        assert_eq!(got, want, "seed {seed:#x}, extra {extra:?}, text {text:?}");
+            reference_tokens(&text).into_iter().map(|(s, e)| (s, e, &text[s..e])).collect();
+        assert_eq!(got, want, "seed {seed:#x}, text {text:?}");
     }
 }
