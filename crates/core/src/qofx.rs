@@ -580,6 +580,7 @@ pub(crate) fn read_qofx(path: &Path) -> Result<QofxContents, QofxError> {
         return Err(QofxError::UnsupportedVersion(version));
     }
     let flags = read_u32_le(&data, 8).ok_or(QofxError::Truncated)?;
+    let reserved = read_u32_le(&data, 12).ok_or(QofxError::Truncated)?;
     let stored = read_u64_le(&data, 16).ok_or(QofxError::Truncated)?;
     // Hash with the checksum field zeroed, as the writer did. Zeroing in
     // place is fine: `stored` is already extracted and nothing else reads
@@ -592,6 +593,9 @@ pub(crate) fn read_qofx(path: &Path) -> Result<QofxContents, QofxError> {
     // No flag is defined: a set bit names a format this build cannot read.
     if flags != 0 {
         return Err(QofxError::Corrupt(format!("unknown header flags {flags:#x}")));
+    }
+    if reserved != 0 {
+        return Err(QofxError::Corrupt(format!("reserved header word {reserved:#x} is not 0")));
     }
     let mut sections = Vec::with_capacity(4);
     for i in 0..4 {

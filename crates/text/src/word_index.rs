@@ -4,6 +4,7 @@
 //! (§7): only occurrences inside given spans are indexed.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::{words, Corpus, Pos, Span};
 
@@ -159,37 +160,95 @@ impl WordIndex {
     }
 
     /// Appends the in-scope word occurrences of `text`, which starts at
-    /// global position `base`, to their posting lists. A word is looked
-    /// up by `&str`; only a word not seen before allocates its key.
+    /// global position `base`, to their posting lists: each word's
+    /// positions in `text` move to the end of its list, one map lookup per
+    /// distinct word.
     fn index_text(&mut self, text: &str, base: Pos) {
-        let Self { map, postings, scope } = self;
-        // A token is in scope iff some scope span starting at or before it
-        // covers its end: keep the running maximum of those spans' ends.
-        let scope = scope.as_deref();
-        let mut scope_idx = 0usize;
-        let mut max_end: Pos = 0;
-        for tok in words(text, base) {
-            if let Some(spans) = scope {
-                while scope_idx < spans.len() && spans[scope_idx].start <= tok.span.start {
-                    max_end = max_end.max(spans[scope_idx].end);
-                    scope_idx += 1;
-                }
-                if tok.span.end > max_end {
-                    continue;
-                }
-            }
-            match map.get_mut(tok.text) {
+        for (word, mut positions) in positions_by_word(text, base, self.scope.as_deref()) {
+            self.postings += positions.len();
+            match self.map.get_mut(word) {
                 Some(list) => {
-                    debug_assert!(list.last().is_none_or(|&p| p < tok.span.start));
-                    list.push(tok.span.start);
+                    debug_assert!(list.last() < positions.first());
+                    list.append(&mut positions);
                 }
                 None => {
-                    map.insert(tok.text.to_owned(), vec![tok.span.start]);
+                    self.map.insert(word.to_owned(), positions);
                 }
             }
-            *postings += 1;
         }
     }
+}
+
+/// The words of `text`, which starts at global position `base`, in order
+/// of first occurrence, each with the sorted positions of its occurrences
+/// inside `scope` (everywhere, without a scope).
+///
+/// A word's list is found through a keyed map from word to list number.
+/// A direct-mapped cache of [`SLOTS`] list numbers sits in front of that
+/// map: a cheap unkeyed hash of a word picks its slot, and the slot's list
+/// is taken only if its word's bytes equal the token's. On a miss the word
+/// goes to the map and then takes the slot. Crafted words can at worst
+/// miss every time: the map never sees more lookups than tokens, so its
+/// collision resistance is kept.
+fn positions_by_word<'t>(
+    text: &'t str,
+    base: Pos,
+    scope: Option<&[Span]>,
+) -> Vec<(&'t str, Vec<Pos>)> {
+    let mut lists: Vec<(&str, Vec<Pos>)> = Vec::new();
+    let mut list_of: HashMap<&str, usize> = HashMap::new();
+    // A list number per slot; `usize::MAX` while the slot is unused.
+    let mut slots = vec![usize::MAX; SLOTS];
+    // A token is in scope iff some scope span starting at or before it
+    // covers its end: keep the running maximum of those spans' ends.
+    let mut scope_idx = 0usize;
+    let mut max_end: Pos = 0;
+    for tok in words(text, base) {
+        if let Some(spans) = scope {
+            while scope_idx < spans.len() && spans[scope_idx].start <= tok.span.start {
+                max_end = max_end.max(spans[scope_idx].end);
+                scope_idx += 1;
+            }
+            if tok.span.end > max_end {
+                continue;
+            }
+        }
+        let at = (tok.span.start - base) as usize;
+        let slot = &mut slots[slot_of(text.as_bytes(), at..at + tok.text.len())];
+        let list = match lists.get(*slot) {
+            Some((word, _)) if *word == tok.text => *slot,
+            _ => {
+                *slot = *list_of.entry(tok.text).or_insert_with(|| {
+                    lists.push((tok.text, Vec::new()));
+                    lists.len() - 1
+                });
+                *slot
+            }
+        };
+        lists[list].1.push(tok.span.start);
+    }
+    lists
+}
+
+/// Slots of the word cache of [`positions_by_word`].
+const SLOTS: usize = 1 << SLOT_BITS;
+const SLOT_BITS: u32 = 12;
+
+/// The cache slot of the word at `word` in `text`, from its first and last
+/// eight bytes and its length. Not keyed: a collision only costs a miss.
+fn slot_of(text: &[u8], word: Range<usize>) -> usize {
+    let eight = |at: usize| text.get(at..at + 8).and_then(|b| b.try_into().ok());
+    let n = word.len();
+    let (head, tail) = match eight(word.start).map(u64::from_le_bytes) {
+        Some(head) if n >= 8 => {
+            (head, u64::from_le_bytes(eight(word.end - 8).expect("the word's last eight bytes")))
+        }
+        Some(head) => (head & ((1 << (8 * n)) - 1), 0),
+        // Fewer than eight bytes from the word's start to the text's end.
+        None => (text[word].iter().rev().fold(0, |h, &b| h << 8 | u64::from(b)), 0),
+    };
+    let hash = (head ^ tail.rotate_left(29) ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (hash >> (64 - SLOT_BITS)) as usize
 }
 
 #[cfg(test)]

@@ -20,6 +20,29 @@ use qof::grammar::{IndexSpec, StructuringSchema};
 use qof::text::{Corpus, CorpusBuilder};
 use qof::{advise, fmt_nanos, parse_query, FileDatabase, Rig, Severity};
 
+/// Writes to stdout, the one way this program prints its output. A reader
+/// that closed early (`qof stats … | head -5`) ends the process quietly
+/// with success; any other write error ends it with a message on stderr.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout().lock(), args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn schema_by_name(name: &str) -> Option<StructuringSchema> {
     Some(match name {
         "bibtex" => bibtex::schema(),
@@ -149,9 +172,9 @@ fn run_stats(
         let entries = table.snapshot();
         if json {
             // The same envelope the server's `GET /workload` serves.
-            println!("{}", qof::pat::workload_to_json(&entries, table.capacity()));
+            outln!("{}", qof::pat::workload_to_json(&entries, table.capacity()));
         } else {
-            print!("{}", render_workload_table(&entries));
+            out!("{}", render_workload_table(&entries));
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -159,11 +182,11 @@ fn run_stats(
     if json {
         // The same serializer that backs the server's `GET
         // /metrics?format=json`, so the two surfaces cannot drift.
-        println!("{}", qof::pat::snapshot_to_json(&snap));
+        outln!("{}", qof::pat::snapshot_to_json(&snap));
         return Ok(ExitCode::SUCCESS);
     }
-    println!("queries executed:   {} ({} errors)", snap.queries, snap.query_errors);
-    println!(
+    outln!("queries executed:   {} ({} errors)", snap.queries, snap.query_errors);
+    outln!(
         "plan cache:         {:.1}% hits ({} hits / {} misses)",
         snap.plan_cache_hit_rate() * 100.0,
         snap.plan_cache_hits,
@@ -173,32 +196,32 @@ fn run_stats(
         #[allow(clippy::cast_precision_loss)]
         let per_byte =
             if snap.corpus_bytes == 0 { 0.0 } else { bytes as f64 / snap.corpus_bytes as f64 };
-        println!(
+        outln!(
             "index bytes:        {bytes} — {per_byte:.3} per corpus byte ({} corpus bytes)",
             snap.corpus_bytes
         );
     }
     let ql = snap.query_latency.summary();
-    println!(
+    outln!(
         "query latency:      p50 {}  p95 {}  ({} samples)",
         fmt_nanos(ql.p50_nanos),
         fmt_nanos(ql.p95_nanos),
         ql.count
     );
-    println!("phase latencies:");
+    outln!("phase latencies:");
     for (phase, h) in &snap.phase_latency {
         let s = h.summary();
-        println!(
+        outln!(
             "  {phase:<18} p50 {:>8}  p95 {:>8}  ×{}",
             fmt_nanos(s.p50_nanos),
             fmt_nanos(s.p95_nanos),
             s.count
         );
     }
-    println!("operator latencies:");
+    outln!("operator latencies:");
     for (op, h) in &snap.op_latency {
         let s = h.summary();
-        println!(
+        outln!(
             "  {op:<6} p50 {:>8}  p95 {:>8}  ×{}",
             fmt_nanos(s.p50_nanos),
             fmt_nanos(s.p95_nanos),
@@ -313,7 +336,7 @@ fn run() -> Result<ExitCode, String> {
             let count: usize = count.parse().map_err(|_| "count must be a number".to_owned())?;
             let text = generate_by_name(schema, count)
                 .ok_or_else(|| format!("unknown schema `{schema}`"))?;
-            print!("{text}");
+            out!("{text}");
             Ok(ExitCode::SUCCESS)
         }
         "rig" => {
@@ -321,10 +344,10 @@ fn run() -> Result<ExitCode, String> {
             let schema = schema_by_name(name).ok_or_else(|| format!("unknown schema `{name}`"))?;
             let full = Rig::from_grammar(&schema.grammar);
             match args.get(2) {
-                None => print!("{full}"),
+                None => out!("{full}"),
                 Some(names) => {
                     let indexed = names.split(',').map(|s| s.trim().to_owned()).collect();
-                    print!("{}", full.partial(&indexed));
+                    out!("{}", full.partial(&indexed));
                 }
             }
             Ok(ExitCode::SUCCESS)
@@ -461,7 +484,7 @@ fn run() -> Result<ExitCode, String> {
             }
             let db = load_db(schema, files, index.as_deref(), from_index.as_deref())?;
             if cmd == "explain" {
-                print!("{}", db.explain(query).map_err(|e| e.to_string())?);
+                out!("{}", db.explain(query).map_err(|e| e.to_string())?);
             } else if explain_analyze || trace_json.is_some() || trace_perfetto.is_some() {
                 let (res, trace) = db.query_traced(query).map_err(|e| e.to_string())?;
                 if let Some(path) = &trace_json {
@@ -477,10 +500,10 @@ fn run() -> Result<ExitCode, String> {
                 if explain_analyze {
                     // EXPLAIN ANALYZE executes the query but shows the
                     // annotated plan instead of the rows.
-                    print!("{}", trace.render());
+                    out!("{}", trace.render());
                 } else {
                     for v in &res.values {
-                        println!("{v}");
+                        outln!("{v}");
                     }
                     let wrote: Vec<&str> = [trace_json.as_deref(), trace_perfetto.as_deref()]
                         .into_iter()
@@ -491,7 +514,7 @@ fn run() -> Result<ExitCode, String> {
             } else {
                 let res = db.query(query).map_err(|e| e.to_string())?;
                 for v in &res.values {
-                    println!("{v}");
+                    outln!("{v}");
                 }
                 eprintln!(
                     "-- {} results; exact index: {}; {}; parsed {} bytes",
@@ -512,9 +535,9 @@ fn run() -> Result<ExitCode, String> {
                 let report = qof::server::analyze_qlog(std::path::Path::new(path))
                     .map_err(|e| format!("cannot read `{path}` chain: {e}"))?;
                 if json {
-                    println!("{}", qof::server::report_json(&report));
+                    outln!("{}", qof::server::report_json(&report));
                 } else {
-                    print!("{}", qof::server::render_report(&report));
+                    out!("{}", qof::server::render_report(&report));
                 }
                 // A broken id chain is worth a nonzero exit: rotation lost
                 // or reordered lines, which CI should catch.
@@ -575,18 +598,18 @@ fn run() -> Result<ExitCode, String> {
                 let Some(path) = args.get(2) else { return Ok(usage()) };
                 let summary = qof::inspect_qofx(std::path::Path::new(path))
                     .map_err(|e| format!("{path}: {e}"))?;
-                println!("file:           {path}");
-                println!("format version: {}", summary.version);
-                println!("file bytes:     {}", summary.file_bytes);
-                println!("checksum:       {:#018x} (valid)", summary.checksum);
-                println!("files:          {}", summary.files);
-                println!("corpus bytes:   {}", summary.corpus_bytes);
-                println!("distinct words: {}", summary.distinct_words);
-                println!("postings:       {}", summary.postings);
-                println!("region names:   {}", summary.region_names);
-                println!("regions:        {}", summary.regions);
-                println!("full index:     {}", summary.full_index);
-                println!("scoped words:   {}", summary.scoped);
+                outln!("file:           {path}");
+                outln!("format version: {}", summary.version);
+                outln!("file bytes:     {}", summary.file_bytes);
+                outln!("checksum:       {:#018x} (valid)", summary.checksum);
+                outln!("files:          {}", summary.files);
+                outln!("corpus bytes:   {}", summary.corpus_bytes);
+                outln!("distinct words: {}", summary.distinct_words);
+                outln!("postings:       {}", summary.postings);
+                outln!("region names:   {}", summary.region_names);
+                outln!("regions:        {}", summary.regions);
+                outln!("full index:     {}", summary.full_index);
+                outln!("scoped words:   {}", summary.scoped);
                 Ok(ExitCode::SUCCESS)
             }
             _ => Ok(usage()),
@@ -660,22 +683,22 @@ fn run() -> Result<ExitCode, String> {
                     out.push_str("]}");
                 }
                 out.push_str(&format!("],\"errors\":{errors},\"warnings\":{warnings}}}"));
-                println!("{out}");
+                outln!("{out}");
             } else {
                 for (_, query, ds) in &checks {
                     match query {
                         Some(q) => {
-                            println!("-- {q}");
+                            outln!("-- {q}");
                             for d in ds {
-                                print!("{}", d.render(Some(q)));
+                                out!("{}", d.render(Some(q)));
                             }
                             if ds.is_empty() {
-                                println!("clean");
+                                outln!("clean");
                             }
                         }
                         None => {
                             for d in ds {
-                                print!("{}", d.render(None));
+                                out!("{}", d.render(None));
                             }
                         }
                     }
@@ -694,9 +717,9 @@ fn run() -> Result<ExitCode, String> {
                 return Ok(usage());
             }
             let advice = advise(&schema, &Rig::from_grammar(&schema.grammar), &queries);
-            println!("index set: {}", advice.index_set.into_iter().collect::<Vec<_>>().join(","));
+            outln!("index set: {}", advice.index_set.into_iter().collect::<Vec<_>>().join(","));
             for note in &advice.notes {
-                println!("note: {note}");
+                outln!("note: {note}");
             }
             Ok(ExitCode::SUCCESS)
         }

@@ -14,8 +14,8 @@
 //!
 //! Crafted cases follow: a checksum-valid WORD section whose posting list
 //! disagrees with itself must not open, nor may a checksum-valid header
-//! with a flag bit set (no flag is defined), and an opened database reads
-//! nothing more from its file.
+//! with a flag bit set (no flag is defined) or a non-zero reserved word,
+//! and an opened database reads nothing more from its file.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -193,32 +193,44 @@ fn checksum_valid_word_lists_that_disagree_with_themselves_do_not_open() {
     std::fs::remove_file(&path).ok();
 }
 
-#[test]
-fn checksum_valid_files_with_header_flags_set_do_not_open() {
+/// Persists a small database, sets the header word at byte `at` to each of
+/// `values` in turn, reseals the checksum, and asserts that `open` and
+/// `inspect` both reject the file as corrupt.
+fn assert_header_word_rejected(at: usize, values: [u32; 2], what: &str) {
     let text = bibtex::generate(&BibtexConfig { n_refs: 12, name_pool: 8, ..Default::default() }).0;
     let db =
         FileDatabase::build(Corpus::from_text(&text), bibtex::schema(), IndexSpec::full()).unwrap();
-    let path = std::env::temp_dir().join(format!("qof-flags-{}.qofx", std::process::id()));
+    let path = std::env::temp_dir().join(format!("qof-{what}-{}.qofx", std::process::id()));
     db.persist(&path).unwrap();
     let clean = std::fs::read(&path).unwrap();
-    assert_eq!(clean[8..12], [0; 4], "persist writes no flag");
-    for flags in [1u32, 2] {
+    assert_eq!(clean[at..at + 4], [0; 4], "persist writes {what} 0");
+    for value in values {
         let mut file = clean.clone();
-        file[8..12].copy_from_slice(&flags.to_le_bytes());
+        file[at..at + 4].copy_from_slice(&value.to_le_bytes());
         reseal(&mut file);
         std::fs::write(&path, &file).unwrap();
         match FileDatabase::open(&path, bibtex::schema()) {
             Err(QofxError::Corrupt(_)) => {}
-            Err(e) => panic!("flags {flags}: open failed with {e}, not as corrupt"),
-            Ok(_) => panic!("flags {flags}: the file opened"),
+            Err(e) => panic!("{what} {value}: open failed with {e}, not as corrupt"),
+            Ok(_) => panic!("{what} {value}: the file opened"),
         }
         match qof::inspect_qofx(&path) {
             Err(QofxError::Corrupt(_)) => {}
-            Err(e) => panic!("flags {flags}: inspect failed with {e}, not as corrupt"),
-            Ok(_) => panic!("flags {flags}: inspect accepted the file"),
+            Err(e) => panic!("{what} {value}: inspect failed with {e}, not as corrupt"),
+            Ok(_) => panic!("{what} {value}: inspect accepted the file"),
         }
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn checksum_valid_files_with_header_flags_set_do_not_open() {
+    assert_header_word_rejected(8, [1, 2], "flags");
+}
+
+#[test]
+fn checksum_valid_files_with_the_reserved_word_set_do_not_open() {
+    assert_header_word_rejected(12, [7, 1 << 31], "reserved");
 }
 
 #[test]
