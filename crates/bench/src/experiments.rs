@@ -548,12 +548,14 @@ fn e6(scale: Scale, r: &mut Recorder) {
 }
 
 /// E7: path expressions with variables — cheap on text, expensive in the
-/// OODB (§5.3's inversion claim).
+/// OODB (§5.3's inversion claim). The database walks the routes by which
+/// the grammar nests `Last_Name` in a reference; both sides must answer
+/// alike.
 fn e7(scale: Scale, r: &mut Recorder) {
     banner("E7", "path variables *X: text index vs OODB traversal (§5.3)");
     println!(
-        "{:>8} | {:>10} {:>10} | {:>10} {:>10} | {:>14}",
-        "refs", "idx fixed", "idx *X", "db fixed", "db *X", "db *X nodes"
+        "{:>8} | {:>10} {:>10} | {:>10} {:>10} | {:>14} | {:>8}",
+        "refs", "idx fixed", "idx *X", "db fixed", "db *X", "db *X nodes", "answers"
     );
     for n in scale.pick(vec![100, 400], vec![200, 800, 3200]) {
         let corpus = bibtex_corpus(n);
@@ -568,16 +570,20 @@ fn e7(scale: Scale, r: &mut Recorder) {
             time_baseline(&corpus, &schema, CHANG_STAR, BaselineMode::FullLoad).1
         });
         let (rb, _) = time_baseline(&corpus, &schema, CHANG_STAR, BaselineMode::FullLoad);
+        let (ri, _) = time_query(&fdb, CHANG_STAR);
+        let (answers, nodes) = (ri.values.len(), rb.stats.path.nodes_visited);
         r.rec(format!("idx_star_secs_{n}"), t_is, "s");
         r.rec(format!("db_star_secs_{n}"), t_bs, "s");
+        r.rec(format!("db_star_nodes_{n}"), nodes as f64, "nodes");
+        r.rec(format!("star_answers_idx_{n}"), answers as f64, "values");
+        r.rec(format!("star_answers_db_{n}"), rb.values.len() as f64, "values");
         println!(
-            "{:>8} | {} {} | {} {} | {:>14}",
+            "{:>8} | {} {} | {} {} | {nodes:>14} | {answers:>8}",
             n,
             fmt_secs(t_if),
             fmt_secs(t_is),
             fmt_secs(t_bf),
             fmt_secs(t_bs),
-            rb.stats.path.nodes_visited
         );
     }
     println!("(on text, *X is plain ⊃ — no more expensive than the fixed path)");

@@ -151,6 +151,8 @@ fn translate_diag(
                         stack.extend(grammar.children_of(s));
                     }
                 }
+                // A choice branch below `under` is no attribute either.
+                cands.retain(|c| c != attribute);
                 if let Some(s) = did_you_mean(attribute, cands.iter().copied()) {
                     d = d.with_note(format!("did you mean `{s}`?"));
                 }

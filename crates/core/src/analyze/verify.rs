@@ -96,7 +96,7 @@ pub fn replay(original: &InclusionExpr, rig: &Rig, out: &Optimized) -> Replay {
                 if incl(at) && incl(at + 1) {
                     let (a, via, b) = (&names[at], &names[at + 1], &names[at + 2]);
                     let what = format!("drop {via} from {a} ⊃ {via} ⊃ {b} at hop {at}");
-                    let licensed = rig.all_paths_pass_through(a, b, via);
+                    let licensed = a != b && rig.all_paths_pass_through(a, b, via);
                     names.remove(at + 1);
                     ops.remove(at);
                     (what, true, licensed)

@@ -165,7 +165,7 @@ pub fn run_baseline_ast(
             for v in extent {
                 let keep = match &compiled_where {
                     None => true,
-                    Some(c) => eval_single(&db, var, v, c, Some(&mut stats.path)),
+                    Some(c) => eval_single(&db, var, v, c, &mut stats.path),
                 };
                 if keep {
                     results += 1;
@@ -189,7 +189,7 @@ pub fn run_baseline_ast(
             let mut matched: Vec<&Value> = Vec::new();
             for a in &e1 {
                 for b in &e2 {
-                    if eval_pair(&db, v1, a, v2, b, w, Some(&mut stats.path)) {
+                    if eval_pair(&db, v1, a, v2, b, w, &mut stats.path) {
                         results += 1;
                         matched.push(if proj_var == *v1 { a } else { b });
                     }
@@ -228,7 +228,7 @@ fn project(
         },
         Projection::Path(_) => {
             if let Some(paths) = steps {
-                for hit in path_values(db, v, paths, Some(cost)) {
+                for hit in path_values(db, v, paths, cost) {
                     out.push(hit.clone());
                 }
             }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qof_db::{Atom, Database, DbStats, Value};
+use qof_db::{Atom, Database, DbStats, PathCost, Value};
 use qof_grammar::{
     AtomText, IndexSpec, ParseError, ParseStats, Parser, PathFilter, PathSpec, RegionSink, Sink,
     StructuringSchema, SymbolId, ValueSink,
@@ -760,7 +760,9 @@ impl FileDatabase {
             let sym = self.view_symbol(&vp.symbol)?;
             let mut sink = ValueSink::new(grammar, text, &mut db, filter);
             objects[i] = parse_regions(&parser, sym, &candidates[i], &mut sink, |db, value| {
-                vp.residual.as_ref().is_none_or(|cond| eval_single(db, &vp.var, value, cond, None))
+                vp.residual.as_ref().is_none_or(|cond| {
+                    eval_single(db, &vp.var, value, cond, &mut PathCost::default())
+                })
             })?;
             candidates[i] = regions_of(&objects[i]);
         }
@@ -824,7 +826,9 @@ impl FileDatabase {
             }
             ProjPlan::ParsedValues { steps, .. } => {
                 for v in result_regions.iter().filter_map(|r| value_at(&objects[var], r)) {
-                    values.extend(path_values(&db, v, steps, None).into_iter().cloned());
+                    values.extend(
+                        path_values(&db, v, steps, &mut PathCost::default()).into_iter().cloned(),
+                    );
                 }
             }
         }
@@ -928,7 +932,7 @@ fn reached_keys<'v>(
     spec: &PathSpec,
 ) -> Keyed<&'v Value> {
     let reached = |(r, v): &'v (Region, Value)| {
-        path_values(db, v, spec, None).into_iter().map(move |k| (*r, k))
+        path_values(db, v, spec, &mut PathCost::default()).into_iter().map(move |k| (*r, k))
     };
     objects.iter().flat_map(reached).collect()
 }

@@ -179,11 +179,13 @@ impl Reduct {
     /// Step 2's choices, leftmost first: the hops `at` where
     /// `names[at] ⊃ names[at + 1] ⊃ names[at + 2]` may drop its middle
     /// name because every path between the outer two passes through it
-    /// (Proposition 3.5(b)).
+    /// (Proposition 3.5(b)), and the outer two differ: `⊃` pairs a region
+    /// with itself, so `A ⊃ A` would also match at depth zero.
     fn shortenings<'r>(&'r self, rig: &'r Rig) -> impl Iterator<Item = usize> + 'r {
         (0..self.names.len().saturating_sub(2)).filter(move |&at| {
             self.ops[at] == ChainOp::Incl
                 && self.ops[at + 1] == ChainOp::Incl
+                && self.names[at] != self.names[at + 2]
                 && rig.all_paths_pass_through(
                     &self.names[at],
                     &self.names[at + 2],

@@ -330,8 +330,8 @@ pub enum InexactReason {
     /// A `⊃^n` nesting count crosses a collapsible link, so forest levels
     /// do not correspond to grammar hops.
     CollapsibleDepth,
-    /// A `⊃^n` hop with non-indexed intermediates: the nesting count
-    /// cannot be taken on the partial forest.
+    /// A `⊃`/`⊃^n` hop over non-indexed intermediates: inclusion over the
+    /// gap can neither require them nor count nesting levels.
     PartialIndexGap,
     /// The target attribute itself is not indexed; the deepest indexed
     /// name only approximates it.
@@ -770,33 +770,29 @@ impl<'a> Planner<'a> {
                         }
                         ops.push(EOp::Direct);
                     }
-                    EOp::Incl => ops.push(EOp::Incl),
-                    EOp::Exact(n) => {
-                        // The region forest counts *extents*, so a
-                        // collapsible link anywhere on a viable walk can
-                        // erase a level and skew the `⊃^n` count even under
-                        // full indexing.
-                        let prev = names.last().expect("chain starts with the view symbol");
-                        let route_from = strip_scope(prev).to_owned();
-                        if self.full_indexing
-                            && !dropped_since_last
-                            && self.exact_depth_reliable(&route_from, next_name, n)
-                        {
-                            ops.push(EOp::Exact(n));
-                        } else {
-                            // Degraded: the nesting count would be off.
-                            ops.push(EOp::Incl);
-                            exact = false;
-                            let reason = if self.full_indexing && !dropped_since_last {
-                                InexactReason::CollapsibleDepth
-                            } else {
-                                InexactReason::PartialIndexGap
-                            };
-                            hops.push(InexactHop {
-                                from: route_from,
-                                to: next_name.clone(),
-                                reason,
-                            });
+                    op => {
+                        // Over dropped names, `⊃` also takes regions
+                        // outside them and counts no levels. And the
+                        // forest counts *extents*, so a collapsible link
+                        // on a viable walk can erase a level and skew the
+                        // `⊃^n` count even under full indexing.
+                        let prev = strip_scope(names.last().expect("non-empty")).to_owned();
+                        let reason = match op {
+                            _ if dropped_since_last || (!self.full_indexing && op != EOp::Incl) => {
+                                Some(InexactReason::PartialIndexGap)
+                            }
+                            EOp::Exact(n) if !self.exact_depth_reliable(&prev, next_name, n) => {
+                                Some(InexactReason::CollapsibleDepth)
+                            }
+                            _ => None,
+                        };
+                        match reason {
+                            Some(reason) => {
+                                exact = false;
+                                hops.push(InexactHop { from: prev, to: next_name.clone(), reason });
+                                ops.push(EOp::Incl);
+                            }
+                            None => ops.push(op),
                         }
                     }
                 }
@@ -851,7 +847,11 @@ impl<'a> Planner<'a> {
         rewrites: &mut Vec<PlanRewrite>,
         fp_keys: &mut Vec<String>,
     ) -> (RegionExpr, String, bool) {
-        // Split at Exact ops; optimize each run as an InclusionExpr.
+        // Split at Exact ops; optimize each run as an InclusionExpr. The
+        // algebra has no `⊂^n`: deep regions take `⊂` and are a superset.
+        let deep = dir == Direction::IncludedIn;
+        let exact =
+            chain.exact && !(deep && chain.ops.iter().any(|op| matches!(op, EOp::Exact(_))));
         let mut runs: Vec<(Vec<String>, Vec<ChainOp>)> = Vec::new();
         let mut links: Vec<u32> = Vec::new();
         let mut cur_names = vec![chain.names[0].clone()];
@@ -862,14 +862,14 @@ impl<'a> Planner<'a> {
                     cur_ops.push(ChainOp::Direct);
                     cur_names.push(chain.names[i + 1].clone());
                 }
-                EOp::Incl => {
-                    cur_ops.push(ChainOp::Incl);
-                    cur_names.push(chain.names[i + 1].clone());
-                }
-                EOp::Exact(n) => {
+                EOp::Exact(n) if !deep => {
                     runs.push((std::mem::take(&mut cur_names), std::mem::take(&mut cur_ops)));
                     links.push(*n);
                     cur_names = vec![chain.names[i + 1].clone()];
+                }
+                EOp::Incl | EOp::Exact(_) => {
+                    cur_ops.push(ChainOp::Incl);
+                    cur_names.push(chain.names[i + 1].clone());
                 }
             }
         }
@@ -941,7 +941,7 @@ impl<'a> Planner<'a> {
                 head.clone().difference(head)
             }
         };
-        (expr, display, chain.exact)
+        (expr, display, exact)
     }
 
     /// §6.3's uniqueness condition, extended for *extent collapse*.
@@ -1146,7 +1146,7 @@ fn merge_eop(pending: Option<EOp>, next: EOp) -> EOp {
 
 /// A field or item step: not `*X`, `X1…Xn` or `A+`.
 fn fixed_step(step: &DbStep) -> bool {
-    matches!(step, DbStep::Field(_) | DbStep::Elements)
+    !matches!(step, DbStep::Reach(_))
 }
 
 /// Whether every alternative of a path takes fixed steps only.

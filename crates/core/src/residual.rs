@@ -107,15 +107,13 @@ fn distinct_steps(paths: &PathSpec) -> impl Iterator<Item = &[DbStep]> {
 }
 
 /// The union of a compiled path's results over its alternatives, sorted
-/// and without duplicates. `cost`, when given, counts the traversal.
+/// and without duplicates. `cost` counts the traversal.
 pub fn path_values<'a>(
     db: &'a Database,
     value: &'a Value,
     paths: &PathSpec,
-    cost: Option<&mut PathCost>,
+    cost: &mut PathCost,
 ) -> Vec<&'a Value> {
-    let mut uncounted = PathCost::default();
-    let cost = cost.unwrap_or(&mut uncounted);
     let mut out: Vec<&Value> =
         distinct_steps(paths).flat_map(|steps| eval_path_counted(db, value, steps, cost)).collect();
     out.sort_unstable();
@@ -139,24 +137,20 @@ fn reaches<'a>(
 }
 
 /// Whether `lpaths` from `lv` and `rpaths` from `rv` reach a common value,
-/// found without collecting either side. `cost`, when given, counts the
-/// traversal.
+/// found without collecting either side. `cost` counts the traversal.
 pub(crate) fn paths_meet(
     db: &Database,
     lv: &Value,
     lpaths: &PathSpec,
     rv: &Value,
     rpaths: &PathSpec,
-    cost: Option<&mut PathCost>,
+    cost: &mut PathCost,
 ) -> bool {
-    let mut uncounted = PathCost::default();
-    let cost = cost.unwrap_or(&mut uncounted);
     let mut right = PathCost::default();
     let meet = reaches(db, lv, lpaths, cost, &mut |x| {
         reaches(db, rv, rpaths, &mut right, &mut |y| x == y)
     });
     cost.nodes_visited += right.nodes_visited;
-    cost.derefs += right.derefs;
     meet
 }
 
@@ -167,14 +161,14 @@ pub fn eval_single(
     var: &str,
     value: &Value,
     cond: &CompiledCond,
-    cost: Option<&mut PathCost>,
+    cost: &mut PathCost,
 ) -> bool {
     eval_pair(db, var, value, "\u{0}", value, cond, cost)
 }
 
 /// Evaluates a compiled condition against a pair of bindings. Each `=`
-/// stops walking its paths at the first match. `cost`, when given, counts
-/// the traversal.
+/// stops walking its paths at the first match. `cost` counts the
+/// traversal.
 pub fn eval_pair(
     db: &Database,
     v1: &str,
@@ -182,10 +176,8 @@ pub fn eval_pair(
     v2: &str,
     b: &Value,
     cond: &CompiledCond,
-    cost: Option<&mut PathCost>,
+    cost: &mut PathCost,
 ) -> bool {
-    let mut uncounted = PathCost::default();
-    let cost = cost.unwrap_or(&mut uncounted);
     let binding = |var: &str| -> Option<&Value> {
         if var == v1 {
             Some(a)
@@ -209,17 +201,15 @@ pub fn eval_pair(
             let (Some(lv), Some(rv)) = (binding(lvar), binding(rvar)) else {
                 return false;
             };
-            paths_meet(db, lv, lpaths, rv, rpaths, Some(cost))
+            paths_meet(db, lv, lpaths, rv, rpaths, cost)
         }
         CompiledCond::And(x, y) => {
-            eval_pair(db, v1, a, v2, b, x, Some(&mut *cost))
-                && eval_pair(db, v1, a, v2, b, y, Some(cost))
+            eval_pair(db, v1, a, v2, b, x, cost) && eval_pair(db, v1, a, v2, b, y, cost)
         }
         CompiledCond::Or(x, y) => {
-            eval_pair(db, v1, a, v2, b, x, Some(&mut *cost))
-                || eval_pair(db, v1, a, v2, b, y, Some(cost))
+            eval_pair(db, v1, a, v2, b, x, cost) || eval_pair(db, v1, a, v2, b, y, cost)
         }
-        CompiledCond::Not(x) => !eval_pair(db, v1, a, v2, b, x, Some(cost)),
+        CompiledCond::Not(x) => !eval_pair(db, v1, a, v2, b, x, cost),
     }
 }
 
@@ -261,8 +251,8 @@ mod tests {
             ("Key", Value::str("k2")),
             ("Authors", Value::set([Value::tuple([("Last_Name", Value::str("Milo"))])])),
         ]);
-        assert!(eval_single(&db, "r", &hit, &cc, None));
-        assert!(!eval_single(&db, "r", &miss, &cc, None));
+        assert!(eval_single(&db, "r", &hit, &cc, &mut PathCost::default()));
+        assert!(!eval_single(&db, "r", &miss, &cc, &mut PathCost::default()));
     }
 
     fn compiled(q: &str) -> PathSpec {
@@ -285,15 +275,36 @@ mod tests {
 
     #[test]
     fn star_and_vars_compile() {
-        let star = compiled("SELECT r FROM Entries r WHERE r.*X.Last_Name = \"x\"");
-        assert_eq!(
-            star.alternatives[0].steps,
-            [DbStep::AnyPath, DbStep::Field("Last_Name".into())]
-        );
-        let vars = compiled("SELECT r FROM Entries r WHERE r.X1.X2.Last_Name = \"x\"");
-        assert_eq!(
-            vars.alternatives[0].steps,
-            [DbStep::Exactly(2), DbStep::Field("Last_Name".into())]
-        );
+        // A variable step compiles to one table step; a set item is its
+        // target as a field is.
+        let db = Database::new();
+        let entry = |last: &str| {
+            Value::tuple([
+                ("Key", Value::str("k")),
+                ("Authors", Value::set([Value::tuple([("Last_Name", Value::str(last))])])),
+            ])
+        };
+        for (q, one_step) in [
+            ("SELECT r FROM Entries r WHERE r.*X.Last_Name = \"Chang\"", true),
+            ("SELECT r FROM Entries r WHERE r.X1.X2.Last_Name = \"Chang\"", true),
+            ("SELECT r FROM Entries r WHERE r.*X.Name.Last_Name = \"Chang\"", false),
+            ("SELECT r FROM Entries r WHERE r.Authors+.Name.Last_Name = \"Chang\"", false),
+        ] {
+            let paths = compiled(q);
+            let steps = &paths.alternatives[0].steps;
+            assert!(matches!(steps[0], DbStep::Reach(_)), "{q}: {steps:?}");
+            assert_eq!(steps.len() == 1, one_step, "{q}: {steps:?}");
+            let cc = compile_cond(
+                &grammar(),
+                &|_| Some("Entry".to_owned()),
+                &parse_query(q).unwrap().where_.unwrap(),
+            )
+            .unwrap();
+            assert!(eval_single(&db, "r", &entry("Chang"), &cc, &mut PathCost::default()), "{q}");
+            assert!(!eval_single(&db, "r", &entry("Milo"), &cc, &mut PathCost::default()), "{q}");
+        }
+        let vars = compiled("SELECT r FROM Entries r WHERE r.X1.Last_Name = \"Chang\"");
+        let no_route = [DbStep::Reach(Default::default())];
+        assert_eq!(vars.alternatives[0].steps, no_route, "no `Last_Name` two regions down");
     }
 }

@@ -1,9 +1,9 @@
-//! Path-expression evaluation over complex values, including the `*X`
-//! any-path traversal of XSQL (§5.3). Multi-valued: a path applied to a set
-//! traverses every element, as in `r.Authors.Name.Last_Name` where `Authors`
-//! is a `set(Name)`.
+//! Path-expression evaluation over complex values. Multi-valued: a path
+//! applied to a set traverses every element, as in
+//! `r.Authors.Name.Last_Name` where `Authors` is a `set(Name)`.
 
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 use crate::{Database, Value};
 
@@ -14,24 +14,38 @@ pub enum DbStep {
     Field(String),
     /// Traverse into the elements of a set or list.
     Elements,
-    /// The `*X` variable: every value reachable by any (possibly empty)
-    /// chain of field/element/reference steps.
-    AnyPath,
-    /// A run of `n` single-variable steps `X1.…​.Xn`: every value reachable
-    /// by exactly `n` hops, where a hop is a field access or a set/list
-    /// element entry (one hop per region, matching §5.3's region count).
-    Exactly(u32),
+    /// A variable step (`*X.A`, `X1..Xn.A`, `A+`) resolved over the
+    /// grammar: the values its [`Moves`] table accepts.
+    Reach(Arc<Moves>),
 }
 
-/// Traversal-cost counters for path evaluation. The OODB pays for `*X` by
-/// visiting every node ("the system has to actually traverse all possible
-/// paths", §5.3); these counters make that cost observable in E7.
+/// The move table of a [`DbStep::Reach`]: a walk starts in state 0, and a
+/// value reaching an accepting state is one the step reaches. The query
+/// resolver builds it from the grammar, so a walk takes only the routes
+/// by which the grammar nests the step's target in its start; a grammar
+/// cycle is a table cycle, which ends because values are finite.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct Moves {
+    /// The states; no state means the step reaches nothing.
+    pub states: Vec<MoveState>,
+}
+
+/// One state of a [`Moves`] table.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct MoveState {
+    /// Whether the values reaching this state are the step's values.
+    pub accept: bool,
+    /// The `Field` and `Elements` steps out of this state, each with the
+    /// state it leads to.
+    pub moves: Vec<(DbStep, usize)>,
+}
+
+/// Traversal-cost counters for path evaluation, which make the OODB's cost
+/// of a path observable in E7.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathCost {
     /// Value nodes visited during evaluation.
     pub nodes_visited: u64,
-    /// Object dereferences performed.
-    pub derefs: u64,
 }
 
 /// Evaluates a compiled path against a value; convenience wrapper that
@@ -83,99 +97,69 @@ fn walk<'a, B>(
     cost: &mut PathCost,
     visit: &mut impl FnMut(&'a Value) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
-    let Some((step, rest)) = steps.split_first() else { return visit(v) };
-    match step {
-        // Field access on tuples. Collections are **not** transparent:
-        // compiled paths make element traversal explicit with
-        // `Elements`, keeping the step count aligned with the region chains
-        // of the grammar (one step per region, §5.3).
-        DbStep::Field(name) => {
-            if let Value::Tuple(m) = resolve(db, v, cost) {
-                if let Some(x) = m.get(name) {
-                    return walk(db, resolve(db, x, cost), rest, cost, visit);
-                }
-            }
-        }
-        DbStep::Elements => {
-            if let Value::Set(items) | Value::List(items) = resolve(db, v, cost) {
-                for item in items {
-                    walk(db, resolve(db, item, cost), rest, cost, visit)?;
-                }
-            }
-        }
-        DbStep::AnyPath => return reachable(db, v, rest, cost, visit),
-        DbStep::Exactly(n) => return exactly_n(db, v, *n, rest, cost, visit),
+    match steps.split_first() {
+        None => visit(v),
+        Some((DbStep::Reach(moves), rest)) => reach(db, v, moves, 0, rest, cost, visit),
+        Some((step, rest)) => hop(db, v, step, cost, &mut |x, cost| walk(db, x, rest, cost, visit)),
+    }
+}
+
+/// Walks `rest` from the values that `moves`, started in `state` at `v`,
+/// accepts.
+fn reach<'a, B>(
+    db: &'a Database,
+    v: &'a Value,
+    moves: &Moves,
+    state: usize,
+    rest: &[DbStep],
+    cost: &mut PathCost,
+    visit: &mut impl FnMut(&'a Value) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let Some(at) = moves.states.get(state) else { return ControlFlow::Continue(()) };
+    if at.accept {
+        walk(db, v, rest, cost, visit)?;
+    }
+    for (step, next) in &at.moves {
+        hop(db, v, step, cost, &mut |x, cost| reach(db, x, moves, *next, rest, cost, visit))?;
     }
     ControlFlow::Continue(())
+}
+
+/// Takes one `Field` or `Elements` step from `v` and calls `next` on each
+/// value it lands on, resolved.
+fn hop<'a, B>(
+    db: &'a Database,
+    v: &'a Value,
+    step: &DbStep,
+    cost: &mut PathCost,
+    next: &mut impl FnMut(&'a Value, &mut PathCost) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    match (step, v) {
+        // Field access on tuples. Collections are **not** transparent:
+        // compiled paths make element traversal explicit with `Elements`,
+        // keeping the step count aligned with the region chains of the
+        // grammar (one step per region, §5.3).
+        (DbStep::Field(name), Value::Tuple(m)) => match m.get(name) {
+            Some(x) => next(resolve(db, x, cost), cost),
+            None => ControlFlow::Continue(()),
+        },
+        (DbStep::Elements, Value::Set(items) | Value::List(items)) => {
+            for item in items {
+                next(resolve(db, item, cost), cost)?;
+            }
+            ControlFlow::Continue(())
+        }
+        // A table's moves are `Field` and `Elements` steps only.
+        _ => ControlFlow::Continue(()),
+    }
 }
 
 fn resolve<'a>(db: &'a Database, v: &'a Value, cost: &mut PathCost) -> &'a Value {
     cost.nodes_visited += 1;
-    if let Value::Ref(oid) = v {
-        cost.derefs += 1;
-        db.deref(*oid).unwrap_or(v)
-    } else {
-        v
-    }
-}
-
-/// Walks `rest` from every value reachable from `v`, `v` itself included:
-/// the `*X` closure.
-fn reachable<'a, B>(
-    db: &'a Database,
-    v: &'a Value,
-    rest: &[DbStep],
-    cost: &mut PathCost,
-    visit: &mut impl FnMut(&'a Value) -> ControlFlow<B>,
-) -> ControlFlow<B> {
-    let v = resolve(db, v, cost);
-    walk(db, v, rest, cost, visit)?;
     match v {
-        Value::Tuple(m) => {
-            for x in m.values() {
-                reachable(db, x, rest, cost, visit)?;
-            }
-        }
-        Value::Set(items) | Value::List(items) => {
-            for x in items {
-                reachable(db, x, rest, cost, visit)?;
-            }
-        }
-        _ => {}
+        Value::Ref(oid) => db.deref(*oid).unwrap_or(v),
+        _ => v,
     }
-    ControlFlow::Continue(())
-}
-
-/// Walks `rest` from the values reachable by exactly `n` hops, where a hop
-/// is a field access or a set/list element entry — mirroring the
-/// one-region-per-step accounting of the region algebra's exact-nesting
-/// operator (§5.3).
-fn exactly_n<'a, B>(
-    db: &'a Database,
-    v: &'a Value,
-    n: u32,
-    rest: &[DbStep],
-    cost: &mut PathCost,
-    visit: &mut impl FnMut(&'a Value) -> ControlFlow<B>,
-) -> ControlFlow<B> {
-    let v = resolve(db, v, cost);
-    if n == 0 {
-        return walk(db, v, rest, cost, visit);
-    }
-    match v {
-        Value::Tuple(m) => {
-            for x in m.values() {
-                exactly_n(db, x, n - 1, rest, cost, visit)?;
-            }
-        }
-        Value::Set(items) | Value::List(items) => {
-            for x in items {
-                exactly_n(db, x, n - 1, rest, cost, visit)?;
-            }
-        }
-        _ => {}
-    }
-    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
@@ -208,6 +192,27 @@ mod tests {
         ])
     }
 
+    fn state(accept: bool, moves: &[(DbStep, usize)]) -> MoveState {
+        MoveState { accept, moves: moves.to_vec() }
+    }
+
+    fn field(name: &str) -> DbStep {
+        DbStep::Field(name.into())
+    }
+
+    /// `*X.Last_Name` from a reference: through `Authors` or `Editors`,
+    /// then a set item, then its `Last_Name`.
+    fn to_last_names() -> DbStep {
+        DbStep::Reach(Arc::new(Moves {
+            states: vec![
+                state(false, &[(field("Authors"), 1), (field("Editors"), 1)]),
+                state(false, &[(DbStep::Elements, 2)]),
+                state(false, &[(field("Last_Name"), 3)]),
+                state(true, &[]),
+            ],
+        }))
+    }
+
     fn strs<'a>(vs: &[&'a Value]) -> Vec<&'a str> {
         let mut out: Vec<&str> = vs.iter().filter_map(|v| v.as_str()).collect();
         out.sort();
@@ -218,11 +223,7 @@ mod tests {
     fn field_then_elements_then_field() {
         let db = Database::new();
         let r = reference();
-        let got = eval_path(
-            &db,
-            &r,
-            &[DbStep::Field("Authors".into()), DbStep::Elements, DbStep::Field("Last_Name".into())],
-        );
+        let got = eval_path(&db, &r, &[field("Authors"), DbStep::Elements, field("Last_Name")]);
         assert_eq!(strs(&got), ["Chang", "Corliss"]);
     }
 
@@ -232,11 +233,7 @@ mod tests {
         // set yields nothing (keeps hop counts aligned with region chains).
         let db = Database::new();
         let r = reference();
-        let got = eval_path(
-            &db,
-            &r,
-            &[DbStep::Field("Authors".into()), DbStep::Field("Last_Name".into())],
-        );
+        let got = eval_path(&db, &r, &[field("Authors"), field("Last_Name")]);
         assert!(got.is_empty());
     }
 
@@ -244,7 +241,7 @@ mod tests {
     fn elements_step() {
         let db = Database::new();
         let r = reference();
-        let got = eval_path(&db, &r, &[DbStep::Field("Authors".into()), DbStep::Elements]);
+        let got = eval_path(&db, &r, &[field("Authors"), DbStep::Elements]);
         assert_eq!(got.len(), 2);
     }
 
@@ -253,26 +250,55 @@ mod tests {
         let db = Database::new();
         let r = reference();
         // r.*X.Last_Name — authors AND editors.
-        let got = eval_path(&db, &r, &[DbStep::AnyPath, DbStep::Field("Last_Name".into())]);
-        assert_eq!(strs(&got), ["Chang", "Corliss", "Griewank"]);
+        assert_eq!(strs(&eval_path(&db, &r, &[to_last_names()])), ["Chang", "Corliss", "Griewank"]);
+        // Steps after the table continue from what it accepts.
+        let names = DbStep::Reach(Arc::new(Moves {
+            states: vec![state(false, &[(field("Editors"), 1)]), state(true, &[])],
+        }));
+        let got = eval_path(&db, &r, &[names, DbStep::Elements, field("Last_Name")]);
+        assert_eq!(strs(&got), ["Griewank"]);
     }
 
     #[test]
-    fn any_path_cost_visits_whole_tree() {
+    fn a_reach_visits_only_its_table_s_routes() {
         let db = Database::new();
         let r = reference();
         let mut cost = PathCost::default();
-        eval_path_counted(&db, &r, &[DbStep::AnyPath], &mut cost);
-        assert!(cost.nodes_visited as usize >= r.node_count());
+        eval_path_counted(&db, &r, &[to_last_names()], &mut cost);
+        // The reference, two sets, three names and their last names: no
+        // `Key` and no `First_Name`.
+        assert_eq!(cost.nodes_visited, 9);
+        let mut none = PathCost::default();
+        let empty = DbStep::Reach(Arc::new(Moves::default()));
+        assert!(eval_path_counted(&db, &r, &[empty], &mut none).is_empty());
+        assert_eq!(none.nodes_visited, 1, "an empty table reaches nothing");
+    }
+
+    #[test]
+    fn a_table_cycle_ends_with_the_value() {
+        // Sections nest in sections: `Subsections → Section → Subsections`.
+        let section = |head: &str, subs: Vec<Value>| {
+            Value::tuple([("Head", Value::str(head)), ("Subsections", Value::set(subs))])
+        };
+        let doc =
+            section("a", vec![section("b", vec![section("c", vec![])]), section("d", vec![])]);
+        let heads = DbStep::Reach(Arc::new(Moves {
+            states: vec![
+                state(false, &[(field("Head"), 1), (field("Subsections"), 2)]),
+                state(true, &[]),
+                state(false, &[(DbStep::Elements, 0)]),
+            ],
+        }));
+        let db = Database::new();
+        assert_eq!(strs(&eval_path(&db, &doc, &[heads])), ["a", "b", "c", "d"]);
     }
 
     #[test]
     fn walk_stops_at_the_first_break() {
         let db = Database::new();
         let r = reference();
-        let steps = [DbStep::AnyPath, DbStep::Field("Last_Name".into())];
         let mut seen = 0;
-        let found = walk_path(&db, &r, &steps, &mut PathCost::default(), &mut |v| {
+        let found = walk_path(&db, &r, &[to_last_names()], &mut PathCost::default(), &mut |v| {
             seen += 1;
             match v.as_str() {
                 Some(name) if name.starts_with('C') => ControlFlow::Break(name),
@@ -284,31 +310,11 @@ mod tests {
     }
 
     #[test]
-    fn exactly_n_counts_hops() {
-        let db = Database::new();
-        let r = reference();
-        // Name tuples sit two hops away (field Authors/Editors, then element
-        // entry), exactly like the two regions between Reference and Name.
-        let got = eval_path(&db, &r, &[DbStep::Exactly(2), DbStep::Field("Last_Name".into())]);
-        assert_eq!(strs(&got), ["Chang", "Corliss", "Griewank"]);
-        // One hop lands on the field values (sets/atoms): no Last_Name there.
-        let got1 = eval_path(&db, &r, &[DbStep::Exactly(1), DbStep::Field("Last_Name".into())]);
-        assert!(got1.is_empty());
-        // Three hops are the name atoms themselves.
-        let got3 = eval_path(&db, &r, &[DbStep::Exactly(3)]);
-        assert!(strs(&got3).contains(&"Chang"));
-    }
-
-    #[test]
     fn refs_are_dereferenced() {
         let mut db = Database::new();
         let inner = db.new_object("Name", Value::tuple([("Last_Name", Value::str("Milo"))]));
         let outer = Value::tuple([("Author", Value::Ref(inner))]);
-        let got = eval_path(
-            &db,
-            &outer,
-            &[DbStep::Field("Author".into()), DbStep::Field("Last_Name".into())],
-        );
+        let got = eval_path(&db, &outer, &[field("Author"), field("Last_Name")]);
         assert_eq!(strs(&got), ["Milo"]);
     }
 
@@ -316,6 +322,6 @@ mod tests {
     fn missing_field_yields_empty() {
         let db = Database::new();
         let r = reference();
-        assert!(eval_path(&db, &r, &[DbStep::Field("Nope".into())]).is_empty());
+        assert!(eval_path(&db, &r, &[field("Nope")]).is_empty());
     }
 }

@@ -9,7 +9,9 @@
 //! it resolve from each choice branch, or from a sequence's first
 //! non-terminal, and a path ending on it continues to the node its value
 //! comes from. [`ValueSink`](crate::ValueSink) builds values by the same
-//! rule.
+//! rule. A variable step (`*X.A`, `X1..Xn.A`, `A+`) names the `A` nodes
+//! its region hop reaches, and evaluates as one `DbStep::Reach` whose
+//! move table follows these rules from node to node.
 //!
 //! [`resolve_path`] answers, once per derivation alternative, three
 //! questions together: which grammar symbols the path crosses (the region
@@ -17,9 +19,11 @@
 //! [`DbStep`]s evaluate it over a built value (the residual checks and the
 //! baseline), and which field names the §6.2 push-down filter keeps.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-use qof_db::DbStep;
+use qof_db::{DbStep, MoveState, Moves};
 
 use crate::{Grammar, RuleBody, SymbolId, ValueBuilder};
 
@@ -46,9 +50,8 @@ pub enum SkOp {
     Adjacent,
     /// A `*X` variable — any derivation path (translates to `⊃`).
     Star,
-    /// A transitive-closure step `A+` — like [`SkOp::Star`], but the target
-    /// name is not a value field (it is discriminated by the region index
-    /// only; the value side uses the following attribute).
+    /// A transitive-closure step `A+`: like [`SkOp::Star`], to the `A`
+    /// nodes themselves.
     Closure,
     /// A run of `n` single-step variables — exactly `n` regions in between.
     Exact(u32),
@@ -62,7 +65,8 @@ pub struct Skeleton {
     pub names: Vec<String>,
     /// Relations; `ops[i]` connects `names[i]` and `names[i+1]`.
     pub ops: Vec<SkOp>,
-    /// The steps that evaluate the path over the view's value.
+    /// The steps that evaluate the path over the view's value: a variable
+    /// step is one [`DbStep::Reach`] to the nodes its region hop reaches.
     pub steps: Vec<DbStep>,
     /// The push-down filter path: the names the value sink looks fields
     /// and items up by, up to the first `*X`/`X1..Xn`/`A+` connector.
@@ -184,15 +188,9 @@ fn walk(
             let mut found = false;
             for chain in value_sources(grammar, sym) {
                 let source = chain.last().copied().unwrap_or(sym);
-                let db_step = match grammar.rule(source).builder {
-                    ValueBuilder::TupleAuto | ValueBuilder::ObjectAuto(_) => {
-                        DbStep::Field(a.clone())
-                    }
-                    ValueBuilder::Set | ValueBuilder::List => DbStep::Elements,
-                    ValueBuilder::Atom | ValueBuilder::AtomInt | ValueBuilder::Child => continue,
-                };
-                let Some(child) =
-                    grammar.children_of(source).into_iter().find(|&c| grammar.name(c) == a)
+                let child = grammar.children_of(source).into_iter().find(|&c| grammar.name(c) == a);
+                let Some((child, db_step)) =
+                    child.and_then(|c| Some((c, step_to(grammar, source, c)?)))
                 else {
                     continue;
                 };
@@ -216,37 +214,112 @@ fn walk(
                 })
             }
         }
-        QStep::Star(_) | QStep::Vars(_) => {
-            let Some(QStep::Attr(a)) = rest.first() else {
-                return Err(PathError::VariableAtEnd);
+        QStep::Star(_) | QStep::Vars(_) | QStep::Plus(_) => {
+            // `A+` names its target itself; `*X` and `X1..Xn` take the
+            // next attribute as theirs.
+            let (a, rest, op) = match (step, rest.split_first()) {
+                (QStep::Plus(a), _) => (a, rest, SkOp::Closure),
+                (QStep::Vars(n), Some((QStep::Attr(a), rest))) => (a, rest, SkOp::Exact(*n)),
+                (_, Some((QStep::Attr(a), rest))) => (a, rest, SkOp::Star),
+                _ => return Err(PathError::VariableAtEnd),
             };
             let target = grammar.symbol(a).ok_or_else(|| PathError::UnknownSymbol(a.clone()))?;
+            let depth = if let SkOp::Exact(n) = op { Some(n + 1) } else { None };
             let mut next = acc;
             next.names.push(a.clone());
-            next.steps.push(match step {
-                QStep::Vars(n) => DbStep::Exactly(*n),
-                _ => DbStep::AnyPath,
-            });
-            next.steps.push(DbStep::Field(a.clone()));
-            next.ops.push(match step {
-                QStep::Vars(n) => SkOp::Exact(*n),
-                _ => SkOp::Star,
-            });
-            walk(grammar, target, &rest[1..], next, out)
-        }
-        QStep::Plus(a) => {
-            // `A+`: a closure hop to the symbol itself; the remaining steps
-            // continue from it. Region-wise this is plain inclusion — the
-            // nested repetitions of A collapse into one ⊃ (§5.3's
-            // transitive-closure claim). Value-wise it is any path: the
-            // next step's field access discriminates within it.
-            let target = grammar.symbol(a).ok_or_else(|| PathError::UnknownSymbol(a.clone()))?;
-            let mut next = acc;
-            next.names.push(a.clone());
-            next.ops.push(SkOp::Closure);
-            next.steps.push(DbStep::AnyPath);
+            next.ops.push(op);
+            next.steps.push(DbStep::Reach(Arc::new(reach(grammar, sym, target, depth)?)));
             walk(grammar, target, rest, next, out)
         }
+    }
+}
+
+/// The move table of a variable step from a `start` node to the nodes
+/// named `target` below it: at any depth, `start` itself included (`⊃`
+/// is not strict), or, with `depth`, exactly that many regions down (`⊃^n`
+/// with `n + 1`). A state is a symbol, paired with the regions crossed for
+/// an exact depth, and its moves are the `Field`/`Elements` steps a fixed
+/// `Attr` step takes from it, so a `Child` node counts as a region but is
+/// no value hop. States that accept nothing are pruned.
+///
+/// A choice branch has its `Child` node's value, and a value does not
+/// record which branch built it, so a target that is a branch is a
+/// [`PathError::NoSuchAttribute`], as in a fixed path.
+fn reach(
+    grammar: &Grammar,
+    start: SymbolId,
+    target: SymbolId,
+    depth: Option<u32>,
+) -> Result<Moves, PathError> {
+    let mut keys = vec![(start, 0)];
+    let mut numbers = HashMap::from([((start, 0), 0)]);
+    let mut states: Vec<MoveState> = Vec::new();
+    while let Some(&(sym, d)) = keys.get(states.len()) {
+        let at = |crossed: usize| depth.is_none_or(|n| d + crossed as u32 == n);
+        let mut state = MoveState { accept: sym == target && at(0), moves: Vec::new() };
+        let sources = value_sources(grammar, sym);
+        for chain in &sources {
+            if chain.iter().enumerate().any(|(j, &c)| c == target && at(j + 1)) {
+                if sources.len() > 1 {
+                    return Err(PathError::NoSuchAttribute {
+                        attribute: grammar.name(target).to_owned(),
+                        under: grammar.name(sym).to_owned(),
+                    });
+                }
+                state.accept = true;
+            }
+            let source = chain.last().copied().unwrap_or(sym);
+            let below = d + chain.len() as u32 + 1;
+            if depth.is_some_and(|n| below > n) {
+                continue;
+            }
+            for child in grammar.children_of(source) {
+                let Some(hop) = step_to(grammar, source, child) else { break };
+                let key = (child, if depth.is_some() { below } else { 0 });
+                let to = *numbers.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                });
+                if !state.moves.contains(&(hop.clone(), to)) {
+                    state.moves.push((hop, to));
+                }
+            }
+        }
+        states.push(state);
+    }
+    // Keep the states that reach an accepting one, and renumber them.
+    // Every state is reached from state 0, so none is kept when it is not.
+    let mut into = vec![Vec::new(); states.len()];
+    for (i, state) in states.iter().enumerate() {
+        state.moves.iter().for_each(|(_, to)| into[*to].push(i));
+    }
+    let mut live: Vec<bool> = states.iter().map(|s| s.accept).collect();
+    let mut todo: Vec<usize> = (0..states.len()).filter(|&i| live[i]).collect();
+    while let Some(i) = todo.pop() {
+        for &j in &into[i] {
+            if !std::mem::replace(&mut live[j], true) {
+                todo.push(j);
+            }
+        }
+    }
+    let kept: Vec<usize> = (0..states.len()).filter(|&i| live[i]).collect();
+    let renumber = |(hop, to): &(DbStep, usize)| Some((hop.clone(), kept.binary_search(to).ok()?));
+    let states = kept.iter().map(|&i| MoveState {
+        accept: states[i].accept,
+        moves: states[i].moves.iter().filter_map(renumber).collect(),
+    });
+    Ok(Moves { states: states.collect() })
+}
+
+/// The step from a value `source` builds to its `child`'s: a field of a
+/// tuple, the items of a set or list; none from an atom.
+fn step_to(grammar: &Grammar, source: SymbolId, child: SymbolId) -> Option<DbStep> {
+    match grammar.rule(source).builder {
+        ValueBuilder::TupleAuto | ValueBuilder::ObjectAuto(_) => {
+            Some(DbStep::Field(grammar.name(child).to_owned()))
+        }
+        ValueBuilder::Set | ValueBuilder::List => Some(DbStep::Elements),
+        ValueBuilder::Atom | ValueBuilder::AtomInt | ValueBuilder::Child => None,
     }
 }
 
@@ -345,6 +418,40 @@ mod tests {
         assert_eq!(alt.steps, [field("Authors"), DbStep::Elements, field("Last_Name")]);
     }
 
+    /// The table of a path's one variable step.
+    fn table(spec: &PathSpec) -> &Moves {
+        match spec.alternatives[0].steps.iter().find(|s| matches!(s, DbStep::Reach(_))) {
+            Some(DbStep::Reach(moves)) => moves,
+            _ => panic!("no variable step in {spec:?}"),
+        }
+    }
+
+    /// The accepted routes of a table, spelled as steps, up to `len` hops.
+    fn routes(moves: &Moves, len: usize) -> Vec<String> {
+        fn go(moves: &Moves, at: usize, len: usize, path: &mut Vec<String>, out: &mut Vec<String>) {
+            if moves.states[at].accept {
+                out.push(path.join("."));
+            }
+            if path.len() == len {
+                return;
+            }
+            for (step, to) in &moves.states[at].moves {
+                path.push(match step {
+                    DbStep::Field(name) => name.clone(),
+                    _ => "[]".to_owned(),
+                });
+                go(moves, *to, len, path, out);
+                path.pop();
+            }
+        }
+        let mut out = Vec::new();
+        if !moves.states.is_empty() {
+            go(moves, 0, len, &mut Vec::new(), &mut out);
+        }
+        out.sort();
+        out
+    }
+
     #[test]
     fn star_path_produces_star_op() {
         let g = bib_grammar();
@@ -357,17 +464,83 @@ mod tests {
         let alt = &spec.alternatives[0];
         assert_eq!(alt.names, ["Reference", "Last_Name"]);
         assert_eq!(alt.ops, [SkOp::Star]);
-        assert_eq!(alt.steps, [DbStep::AnyPath, field("Last_Name")]);
+        assert_eq!(alt.steps.len(), 1, "one step for `*X.Last_Name`");
+        // Only the routes the grammar nests `Last_Name` by: no `Key`.
+        assert_eq!(routes(table(&spec), 9), ["Authors.[].Last_Name", "Editors.[].Last_Name"]);
+        assert_eq!(table(&spec).states.len(), 5, "`Authors` and `Editors` lead to one `Name`");
     }
 
     #[test]
     fn vars_path_produces_exact_op() {
         let g = bib_grammar();
-        let spec =
-            resolve_path(&g, "Reference", &[QStep::Vars(2), QStep::Attr("Last_Name".into())])
-                .unwrap();
+        let vars = |n: u32, a: &str| {
+            resolve_path(&g, "Reference", &[QStep::Vars(n), QStep::Attr(a.into())]).unwrap()
+        };
+        let spec = vars(2, "Last_Name");
         assert_eq!(spec.alternatives[0].ops, [SkOp::Exact(2)]);
-        assert_eq!(spec.alternatives[0].steps, [DbStep::Exactly(2), field("Last_Name")]);
+        // Two regions in between: the set and the name.
+        assert_eq!(routes(table(&spec), 9), ["Authors.[].Last_Name", "Editors.[].Last_Name"]);
+        assert_eq!(routes(table(&vars(1, "Name")), 9), ["Authors.[]", "Editors.[]"]);
+        assert!(table(&vars(1, "Last_Name")).states.is_empty(), "no `Last_Name` at depth 2");
+    }
+
+    #[test]
+    fn variable_steps_follow_grammar_routes() {
+        // A set item is a target, and `A+` reaches the `A` nodes.
+        let g = bib_grammar();
+        let name =
+            resolve_path(&g, "Reference", &[QStep::Star("X".into()), QStep::Attr("Name".into())]);
+        assert_eq!(routes(table(&name.unwrap()), 9), ["Authors.[]", "Editors.[]"]);
+        let plus = resolve_path(
+            &g,
+            "Reference",
+            &[QStep::Plus("Editors".into()), QStep::Attr("Name".into())],
+        )
+        .unwrap();
+        assert_eq!(plus.alternatives[0].steps[1..], [DbStep::Elements]);
+        assert_eq!(routes(table(&plus), 9), ["Editors"]);
+        // A symbol the view does not nest is reached by no route.
+        let root = resolve_path(
+            &g,
+            "Reference",
+            &[QStep::Star("X".into()), QStep::Attr("Ref_Set".into())],
+        );
+        assert!(table(&root.unwrap()).states.is_empty());
+
+        // A `Child` node is a region but no value hop; a grammar cycle is a
+        // table cycle; `⊃` is not strict, so `Stmt+` from a `Stmt` starts
+        // there; a choice branch is no target.
+        let g = child_grammar();
+        let star = |from: &str, a: &str| {
+            resolve_path(&g, from, &[QStep::Star("X".into()), QStep::Attr(a.into())])
+        };
+        assert_eq!(
+            routes(table(&star("Body", "Callee").unwrap()), 6),
+            ["[].Callee", "[].Nested.[].Callee", "[].Nested.[].Nested.[].Callee"]
+        );
+        assert_eq!(routes(table(&star("Para", "Text").unwrap()), 1), [""]);
+        let stmts = resolve_path(&g, "Stmt", &[QStep::Plus("Stmt".into())]).unwrap();
+        assert_eq!(routes(table(&stmts), 2), ["", "Nested.[]"]);
+        let exact = |n| resolve_path(&g, "Body", &[QStep::Vars(n), QStep::Attr("Callee".into())]);
+        assert_eq!(routes(table(&exact(2).unwrap()), 6), ["[].Callee"], "`Stmt` and `Call`");
+        assert!(table(&exact(1).unwrap()).states.is_empty());
+        for (a, under) in [("Call", "Stmt"), ("If", "Stmt"), ("Text", "Stmt")] {
+            assert_eq!(
+                star("Body", a).unwrap_err(),
+                PathError::NoSuchAttribute { attribute: a.into(), under: under.into() }
+            );
+        }
+    }
+
+    #[test]
+    fn a_long_exact_run_resolves_in_linear_time() {
+        // Query text sets `n`; a grammar cycle gives a state per level.
+        let g = child_grammar();
+        let steps = [QStep::Vars(50_000), QStep::Attr("Callee".into())];
+        let started = std::time::Instant::now();
+        let spec = resolve_path(&g, "Body", &steps).unwrap();
+        assert!(!table(&spec).states.is_empty(), "`Callee` lies under 50 000 regions");
+        assert!(started.elapsed().as_secs() < 5, "{:?}", started.elapsed());
     }
 
     #[test]
@@ -434,7 +607,8 @@ mod tests {
         .unwrap();
         let alt = &plus.alternatives[0];
         assert_eq!(alt.ops, [SkOp::Adjacent, SkOp::Closure, SkOp::Adjacent]);
-        assert_eq!(alt.steps, [field("Authors"), DbStep::AnyPath, field("Last_Name")]);
+        assert_eq!(alt.steps[0], field("Authors"));
+        assert_eq!(alt.steps[2..], [field("Last_Name")]);
         assert_eq!(alt.fields, ["Authors"]);
     }
 

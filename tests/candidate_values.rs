@@ -17,12 +17,13 @@
 //!   and under the filters of random queries with residuals, reads no
 //!   more than the candidate bytes (fewer whenever the filter drops the
 //!   view's last field), and the queries it serves match the baseline.
+//!   Half of their paths take a `*X`, `X1..Xn` or `A+` variable step.
 //!
 //! Every case runs on its own seed; a failure prints it.
 
 mod common;
 
-use common::shown;
+use common::{shown, with_variable};
 use qof::baseline::{run_baseline, BaselineMode};
 use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
 use qof::db::{Database, Value};
@@ -216,10 +217,13 @@ fn same_parses(
 }
 
 /// A random query over `view`: objects or a projection, under a residual
-/// `=` condition or none.
+/// `=` condition or none. One path in two takes a variable step.
 fn random_query(view: &str, paths: &[Vec<String>], words: &[&str], rng: &mut StdRng) -> String {
-    let path =
-        |rng: &mut StdRng| format!("v.{}", paths[rng.random_range(0..paths.len())].join("."));
+    let path = |rng: &mut StdRng| {
+        let path = paths[rng.random_range(0..paths.len())].clone();
+        let path = if rng.random_range(0..2) == 0 { with_variable(path, rng) } else { path };
+        format!("v.{}", path.join("."))
+    };
     let word = words[rng.random_range(0..words.len())];
     match rng.random_range(0..3) {
         0 => format!("SELECT v FROM {view} v WHERE {} = \"{word}\"", path(rng)),

@@ -1,5 +1,6 @@
 //! Helpers shared by the integration tests.
 
+use qof::corpus::{Rng, StdRng};
 use qof::db::{Database, Value};
 
 /// A value with every object reference replaced by its object and set
@@ -33,4 +34,26 @@ pub fn shown(values: &[Value], db: &Database) -> Vec<String> {
     let mut out: Vec<String> = values.iter().map(|v| show(v, db)).collect();
     out.sort();
     out
+}
+
+/// `steps` with a run of them replaced by a variable step: `*X` or
+/// `X1..Xn` before a step, or `A+` on a step. Not every test draws paths.
+#[allow(dead_code)]
+pub fn with_variable(mut steps: Vec<String>, rng: &mut StdRng) -> Vec<String> {
+    let Some(last) = steps.len().checked_sub(1) else { return steps };
+    let from = rng.random_range(0..=last);
+    let to = rng.random_range(from..=last);
+    match rng.random_range(0..3) {
+        0 => {
+            steps.splice(from..to, ["*X".to_owned()]);
+        }
+        1 if to > from => {
+            steps.splice(from..to, (1..=to - from).map(|i| format!("X{i}")));
+        }
+        _ => {
+            steps[to].push('+');
+            steps.drain(from..to);
+        }
+    }
+    steps
 }

@@ -2,7 +2,7 @@
 //! per `QOF0xx` code, a golden render test, and the robustness guarantee
 //! that malformed queries produce errors — never panics.
 
-use qof::corpus::{bibtex, logs};
+use qof::corpus::{bibtex, code, logs};
 use qof::grammar::{lit, nt, Grammar, IndexSpec, StructuringSchema, TokenPattern, ValueBuilder};
 use qof::pat::RegionExpr;
 use qof::text::Corpus;
@@ -129,6 +129,16 @@ fn qof022_unknown_attribute_with_suggestion() {
     assert_eq!(d.severity, Severity::Error);
     assert!(d.message.contains("`Lst_Name`"), "{}", d.message);
     assert!(d.notes.iter().any(|n| n.contains("`Last_Name`")), "{:?}", d.notes);
+    // A choice branch is no attribute, fixed or as a variable step's
+    // target: the note names a field below it, not the branch again.
+    let (text, _) = code::generate(&code::CodeConfig { n_functions: 3, ..Default::default() });
+    let db =
+        FileDatabase::build(Corpus::from_text(&text), code::schema(), IndexSpec::full()).unwrap();
+    for path in ["f.Body.Stmt.Call.Callee", "f.*X.Call"] {
+        let diags = db.check(&format!("SELECT f FROM Functions f WHERE {path} = \"x\""));
+        let d = find(&diags, Code::Qof022);
+        assert!(d.notes.iter().any(|n| n.contains("`Callee`")), "{path}: {:?}", d.notes);
+    }
 }
 
 #[test]

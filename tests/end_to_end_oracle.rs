@@ -168,9 +168,9 @@ fn candidates_hold_the_answer(db: &FileDatabase, q: &str) -> Result<(), String> 
 }
 
 /// The paths drawn two-variable joins compare, `r`'s on the left: atoms,
-/// non-atomic paths, and the citation path, whose `RefKey`s name other
-/// references' `Key`s.
-const JOIN_ON: [(&str, &str); 7] = [
+/// non-atomic paths, the citation path, whose `RefKey`s name other
+/// references' `Key`s, and paths with `*X`, `X1..Xn` and `A+` steps.
+const JOIN_ON: [(&str, &str); 12] = [
     ("Key", "Key"),
     ("Year", "Year"),
     ("Authors.Name.Last_Name", "Editors.Name.Last_Name"),
@@ -178,6 +178,11 @@ const JOIN_ON: [(&str, &str); 7] = [
     ("Authors", "Authors"),
     ("Editors.Name", "Authors.Name"),
     ("Referred.RefKey", "Key"),
+    ("*X.Last_Name", "Editors.Name.Last_Name"),
+    ("X1.X2.Last_Name", "*X.Last_Name"),
+    ("Referred+.RefKey", "Key"),
+    ("X1.RefKey", "Key"),
+    ("Editors+.Name", "*X.Name"),
 ];
 
 /// Local conditions a drawn join puts on one side; `{v}` is the variable.

@@ -276,6 +276,7 @@ fn reduce_in_order(
             if i + 1 < ops.len()
                 && ops[i] == ChainOp::Incl
                 && ops[i + 1] == ChainOp::Incl
+                && ns[i] != ns[i + 2]
                 && rig.all_paths_pass_through(&ns[i], &ns[i + 2], &ns[i + 1])
             {
                 apps.push((false, i));

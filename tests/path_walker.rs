@@ -2,14 +2,13 @@
 //! collects, sorts and deduplicates) against a copy of the per-step
 //! frontier evaluator it replaced, on the objects of all five schemas.
 //!
-//! Step sequences are drawn at random from `Field`, `Elements`, `AnyPath`
-//! and `Exactly(n)`; a `Field` step mostly names a field of a tuple the
-//! steps before it reach. Both evaluators must reach
-//! the same set of values, and a walk stopped at its first hit must agree
-//! with a search of the whole set. The answers are compared as they are,
-//! not against what a path should mean: where the steps reach values the
-//! query language would not (a `Field` after `AnyPath` lands on set items
-//! too), both evaluators must still agree.
+//! Step sequences are drawn at random from `Field`, `Elements` and `Reach`
+//! over a random move table (cycles included); a `Field` step mostly names
+//! a field of a tuple the steps before it reach. Both evaluators must
+//! reach the same set of values, and a walk stopped at its first hit must
+//! agree with a search of the whole set. The answers are compared as they
+//! are, not against what a path should mean: where a random table reaches
+//! values no grammar would route to, both evaluators must still agree.
 //!
 //! Every case runs on its own seed; a failure prints it.
 
@@ -17,7 +16,9 @@ use std::ops::ControlFlow;
 
 use qof::baseline::{run_baseline, BaselineMode};
 use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
-use qof::db::{eval_path, walk_path, Database, DbStep, PathCost, Value};
+use std::sync::Arc;
+
+use qof::db::{eval_path, walk_path, Database, DbStep, MoveState, Moves, PathCost, Value};
 use qof::grammar::StructuringSchema;
 use qof::text::Corpus;
 
@@ -47,57 +48,59 @@ fn corpora() -> Vec<(StructuringSchema, String)> {
     ]
 }
 
+/// Every value below `v`, `v` included, with references resolved.
+fn every_value<'a>(db: &'a Database, v: &'a Value, out: &mut Vec<&'a Value>) {
+    let v = resolve(db, v);
+    out.push(v);
+    let below: Vec<&Value> = match v {
+        Value::Tuple(fields) => fields.values().collect(),
+        Value::Set(items) | Value::List(items) => items.iter().collect(),
+        _ => Vec::new(),
+    };
+    below.into_iter().for_each(|x| every_value(db, x, out));
+}
+
+fn resolve<'a>(db: &'a Database, v: &'a Value) -> &'a Value {
+    match v {
+        Value::Ref(oid) => db.deref(*oid).unwrap_or(v),
+        other => other,
+    }
+}
+
 /// The evaluator the walker replaced: one frontier per step, sorted and
-/// deduplicated after each.
+/// deduplicated after each. A table step runs as a work list of (value,
+/// state) pairs.
 fn frontier<'a>(db: &'a Database, value: &'a Value, steps: &[DbStep]) -> Vec<&'a Value> {
-    fn resolve<'a>(db: &'a Database, v: &'a Value) -> &'a Value {
-        match v {
-            Value::Ref(oid) => db.deref(*oid).unwrap_or(v),
-            other => other,
-        }
-    }
-    fn children(v: &Value) -> Vec<&Value> {
-        match v {
-            Value::Tuple(fields) => fields.values().collect(),
-            Value::Set(items) | Value::List(items) => items.iter().collect(),
-            _ => Vec::new(),
-        }
-    }
-    fn reachable<'a>(db: &'a Database, v: &'a Value, out: &mut Vec<&'a Value>) {
-        let v = resolve(db, v);
-        out.push(v);
-        for x in children(v) {
-            reachable(db, x, out);
-        }
-    }
-    fn exactly<'a>(db: &'a Database, v: &'a Value, n: u32, out: &mut Vec<&'a Value>) {
-        let v = resolve(db, v);
-        if n == 0 {
-            out.push(v);
-            return;
-        }
-        for x in children(v) {
-            exactly(db, x, n - 1, out);
+    fn hop<'a>(db: &'a Database, v: &'a Value, step: &DbStep, out: &mut Vec<&'a Value>) {
+        match (step, resolve(db, v)) {
+            (DbStep::Field(name), Value::Tuple(fields)) => {
+                out.extend(fields.get(name).map(|x| resolve(db, x)));
+            }
+            (DbStep::Elements, Value::Set(items) | Value::List(items)) => {
+                out.extend(items.iter().map(|x| resolve(db, x)));
+            }
+            _ => {}
         }
     }
     let mut front = vec![resolve(db, value)];
     for step in steps {
         let mut next = Vec::new();
         for v in front {
-            let v = resolve(db, v);
-            match step {
-                DbStep::Field(name) => {
-                    if let Value::Tuple(fields) = v {
-                        next.extend(fields.get(name).map(|x| resolve(db, x)));
-                    }
+            let DbStep::Reach(moves) = step else {
+                hop(db, v, step, &mut next);
+                continue;
+            };
+            let mut todo = vec![(v, 0)];
+            while let Some((x, at)) = todo.pop() {
+                let Some(state) = moves.states.get(at) else { continue };
+                if state.accept {
+                    next.push(x);
                 }
-                DbStep::Elements => {
-                    if let Value::Set(items) | Value::List(items) = v {
-                        next.extend(items.iter().map(|x| resolve(db, x)));
-                    }
+                for (step, to) in &state.moves {
+                    let mut landed = Vec::new();
+                    hop(db, x, step, &mut landed);
+                    todo.extend(landed.into_iter().map(|y| (y, *to)));
                 }
-                DbStep::AnyPath => reachable(db, v, &mut next),
-                DbStep::Exactly(n) => exactly(db, v, *n, &mut next),
             }
         }
         next.sort_unstable();
@@ -105,6 +108,26 @@ fn frontier<'a>(db: &'a Database, value: &'a Value, steps: &[DbStep]) -> Vec<&'a
         front = next;
     }
     front
+}
+
+/// A move table of one to four states over `names`, cycles allowed.
+fn random_table(names: &[&str], rng: &mut StdRng) -> DbStep {
+    let n = rng.random_range(1..5);
+    let states = (0..n)
+        .map(|_| MoveState {
+            accept: rng.random_range(0..2) == 0,
+            moves: (0..rng.random_range(0..4))
+                .map(|_| {
+                    let step = match rng.random_range(0..3) {
+                        0 => DbStep::Elements,
+                        _ => DbStep::Field(names[rng.random_range(0..names.len())].into()),
+                    };
+                    (step, rng.random_range(0..n))
+                })
+                .collect(),
+        })
+        .collect();
+    DbStep::Reach(Arc::new(Moves { states }))
 }
 
 /// The field names of the tuples among `values`.
@@ -136,8 +159,7 @@ fn random_steps(db: &Database, root: &Value, names: &[&str], rng: &mut StdRng) -
                 DbStep::Field(fields[rng.random_range(0..fields.len())].into())
             }
             0..=6 => DbStep::Elements,
-            7 => DbStep::AnyPath,
-            8 => DbStep::Exactly([0, 1, 2, 3][rng.random_range(0..4)]),
+            7 | 8 => random_table(names, rng),
             _ => DbStep::Field(names[rng.random_range(0..names.len())].into()),
         };
         steps.push(step);
@@ -165,7 +187,9 @@ fn the_walker_reaches_what_the_frontier_evaluator_reaches() {
             }
         }
         let all = Value::Set(roots.clone());
-        let names = field_names(&frontier(db, &all, &[DbStep::AnyPath]));
+        let mut every = Vec::new();
+        every_value(db, &all, &mut every);
+        let names = field_names(&every);
         for i in 0..CASES {
             let seed = seeds.next_u64();
             let rng = &mut StdRng::seed_from_u64(seed);

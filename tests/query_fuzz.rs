@@ -1,7 +1,9 @@
 //! Seeded end-to-end query loop over all five schemas. Queries are random
 //! walks down each schema's grammar from its view symbol — repeats
 //! allowed, so self-nested paths such as `Subsections.Section.Subsections`
-//! occur — used as `=` selections and as projections, under a full and a
+//! occur, and half of them with a run of steps turned into a `*X`,
+//! `X1..Xn` or `A+` variable step — used as `=` selections and as
+//! projections, under a full and a
 //! partial index. Half of them then take 1–3 byte mutations, as untrusted
 //! query text would. Every input must come back `Ok` or as a typed error,
 //! never as a panic, and every rewrite of a planned query must certify.
@@ -27,7 +29,7 @@ mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use common::shown;
+use common::{shown, with_variable};
 use qof::baseline::{run_baseline, BaselineMode};
 use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
 use qof::grammar::{IndexSpec, StructuringSchema};
@@ -58,7 +60,8 @@ fn corpora() -> Vec<(StructuringSchema, String)> {
 }
 
 /// A random walk of 1–5 steps down the grammar from `symbol`, spelled as
-/// attribute names; it stops early at a token.
+/// attribute names; it stops early at a token. One time in two, a run of
+/// its steps becomes a variable step.
 fn grammar_walk(schema: &StructuringSchema, symbol: &str, rng: &mut StdRng) -> Vec<String> {
     let g = &schema.grammar;
     let mut at = g.symbol(symbol).expect("view symbol");
@@ -70,6 +73,9 @@ fn grammar_walk(schema: &StructuringSchema, symbol: &str, rng: &mut StdRng) -> V
         }
         at = children[rng.random_range(0..children.len())];
         steps.push(g.name(at).to_owned());
+    }
+    if rng.random_range(0..2) == 0 {
+        steps = with_variable(steps, rng);
     }
     steps
 }

@@ -10,21 +10,28 @@
 //!   node compares the node its value comes from (`Paras.Para = "…"`).
 //! * Resolver oracle, with neither the index nor the baseline: for every
 //!   schema and every attribute path of one to three steps that resolves,
-//!   the resolved `DbStep`s evaluated over a view node's built value reach
-//!   exactly the values built for the parse-tree nodes its region chain
-//!   reaches from the same view node.
+//!   and every way of turning a run of its steps into a `*X`, `X1..Xn` or
+//!   `A+` variable step, the resolved `DbStep`s evaluated over a view
+//!   node's built value reach exactly the values built for the parse-tree
+//!   nodes its region chain reaches from the same view node (`⊃` to any
+//!   node of the name below, the node itself included; `⊃^n` to those
+//!   exactly `n + 1` nodes down).
+//! * Variable steps mean on the index what they mean to the baseline:
+//!   known reproductions, and a seeded loop of selections, projections,
+//!   negations, disjunctions and content compares with variable steps
+//!   over all five schemas, on full and drawn partial indexes.
 
 mod common;
 
 use std::collections::BTreeSet;
 
-use common::{show, shown};
+use common::{show, shown, with_variable};
 use qof::baseline::{run_baseline, BaselineMode};
-use qof::corpus::{bibtex, code, logs, mail, sgml};
+use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
 use qof::db::{eval_path, Database};
 use qof::grammar::{
-    build_value, resolve_path, Grammar, IndexSpec, ParseNode, Parser, QStep, StructuringSchema,
-    SymbolId,
+    build_value, resolve_path, Grammar, IndexSpec, ParseNode, Parser, QStep, SkOp,
+    StructuringSchema, SymbolId,
 };
 use qof::text::Corpus;
 use qof::FileDatabase;
@@ -41,7 +48,7 @@ fn both_sides(db: &FileDatabase, q: &str) -> [Result<Vec<String>, String>; 2] {
 
 /// What a query must return on both sides.
 enum Expect {
-    /// This many values, at least one.
+    /// This many values, or at least one.
     Values(Option<usize>),
     /// A plan error naming the attribute and the symbol under it.
     NoSuchAttribute(&'static str, &'static str),
@@ -52,7 +59,7 @@ fn check(db: &FileDatabase, at: &str, q: &str, expect: &Expect) {
     assert_eq!(index, baseline, "{at}: index and baseline disagree on {q}");
     match (expect, &index) {
         (Expect::Values(n), Ok(values)) => {
-            assert!(!values.is_empty(), "{at}: {q} returned nothing");
+            assert!(n.is_some() || !values.is_empty(), "{at}: {q} returned nothing");
             if let Some(n) = n {
                 assert_eq!(values.len(), *n, "{at}: {q}");
             }
@@ -150,18 +157,55 @@ fn grammar_paths(g: &Grammar, symbol: SymbolId, depth: usize) -> Vec<Vec<String>
     out
 }
 
-/// The parse-tree nodes a chain of symbol names reaches from `node`, one
-/// child hop per name.
-fn chain_nodes<'a>(g: &Grammar, node: &'a ParseNode, names: &[String]) -> Vec<&'a ParseNode> {
+/// The parse-tree nodes a region chain reaches from `node`: a `⊃d` hop to
+/// the children of a name, a `⊃` hop to the nodes of the name below, the
+/// node itself included, and a `⊃^n` hop to those exactly `n + 1` down.
+fn chain_nodes<'a>(
+    g: &Grammar,
+    node: &'a ParseNode,
+    names: &[String],
+    ops: &[SkOp],
+) -> Vec<&'a ParseNode> {
+    fn down<'a>(n: &'a ParseNode, depth: u32, out: &mut Vec<&'a ParseNode>) {
+        match depth {
+            0 => out.push(n),
+            _ => n.children.iter().for_each(|c| down(c, depth - 1, out)),
+        }
+    }
     let mut frontier = vec![node];
-    for name in names {
-        frontier = frontier
-            .into_iter()
-            .flat_map(|n| &n.children)
-            .filter(|c| g.name(c.symbol) == name)
-            .collect();
+    for (name, op) in names.iter().zip(ops) {
+        let mut below = Vec::new();
+        for n in frontier {
+            match op {
+                SkOp::Adjacent => below.extend(&n.children),
+                SkOp::Star | SkOp::Closure => n.walk(&mut |d| below.push(d)),
+                SkOp::Exact(k) => down(n, k + 1, &mut below),
+            }
+        }
+        frontier = below.into_iter().filter(|c| g.name(c.symbol) == name).collect();
     }
     frontier
+}
+
+/// `path` with every run of its steps turned into a `*X`, `X1..Xn` or
+/// `A+` step, each way once.
+fn variable_forms(path: &[String]) -> Vec<Vec<QStep>> {
+    let attrs = |steps: &[String]| steps.iter().map(|s| QStep::Attr(s.clone())).collect::<Vec<_>>();
+    let mut out = Vec::new();
+    for from in 0..path.len() {
+        for to in from..path.len() {
+            let (head, tail) = (attrs(&path[..from]), attrs(&path[to..]));
+            let mut variable = |step: QStep, tail: &[QStep]| {
+                out.push([&head[..], &[step], tail].concat());
+            };
+            variable(QStep::Star("X".into()), &tail);
+            if to > from {
+                variable(QStep::Vars((to - from) as u32), &tail);
+            }
+            variable(QStep::Plus(path[to].clone()), &tail[1..]);
+        }
+    }
+    out
 }
 
 #[test]
@@ -205,35 +249,42 @@ fn resolved_steps_reach_what_the_region_chain_reaches() {
                 views.push(n);
             }
         });
-        let (mut checked, mut crossing) = (0, 0);
+        let (mut checked, mut crossing, mut variable) = (0, 0, 0);
         for path in grammar_paths(g, sym, 3) {
-            let steps: Vec<QStep> = path.iter().map(|s| QStep::Attr(s.clone())).collect();
-            let Ok(spec) = resolve_path(g, view_symbol, &steps) else { continue };
-            for view in &views {
-                let mut db = Database::new();
-                let value = build_value(view, g, &text, &mut db);
-                let mut via_steps = BTreeSet::new();
-                let mut via_chain = BTreeSet::new();
-                for alt in &spec.alternatives {
-                    via_steps
-                        .extend(eval_path(&db, &value, &alt.steps).iter().map(|v| show(v, &db)));
-                    let mut chain_db = Database::new();
-                    for node in chain_nodes(g, view, &alt.names[1..]) {
-                        let v = build_value(node, g, &text, &mut chain_db);
-                        via_chain.insert(show(&v, &chain_db));
+            let fixed: Vec<QStep> = path.iter().map(|s| QStep::Attr(s.clone())).collect();
+            for steps in [vec![fixed], variable_forms(&path)].concat() {
+                let Ok(spec) = resolve_path(g, view_symbol, &steps) else { continue };
+                let is_fixed = steps.iter().all(|s| matches!(s, QStep::Attr(_)));
+                for view in &views {
+                    let mut db = Database::new();
+                    let value = build_value(view, g, &text, &mut db);
+                    let mut via_steps = BTreeSet::new();
+                    let mut via_chain = BTreeSet::new();
+                    for alt in &spec.alternatives {
+                        via_steps.extend(
+                            eval_path(&db, &value, &alt.steps).iter().map(|v| show(v, &db)),
+                        );
+                        let mut chain_db = Database::new();
+                        for node in chain_nodes(g, view, &alt.names[1..], &alt.ops) {
+                            let v = build_value(node, g, &text, &mut chain_db);
+                            via_chain.insert(show(&v, &chain_db));
+                        }
                     }
+                    let at = format!("{name}: {steps:?} from the view at {:?}", view.span);
+                    assert_eq!(via_steps, via_chain, "{at}");
+                    if is_fixed
+                        && spec.alternatives.iter().any(|a| a.names.len() > path.len() + 1)
+                        && !via_steps.is_empty()
+                    {
+                        crossing += 1;
+                    }
+                    variable += usize::from(!is_fixed && !via_steps.is_empty());
+                    checked += 1;
                 }
-                let at = format!("{name}: {} from the view at {:?}", path.join("."), view.span);
-                assert_eq!(via_steps, via_chain, "{at}");
-                if spec.alternatives.iter().any(|a| a.names.len() > path.len() + 1)
-                    && !via_steps.is_empty()
-                {
-                    crossing += 1;
-                }
-                checked += 1;
             }
         }
         assert!(checked > 0, "{name}: no path checked");
+        assert!(variable > 0, "{name}: no variable step reached a value");
         if matches!(name, "sgml" | "code") {
             assert!(crossing > 0, "{name}: no `Child`-crossing path returned values");
         }
@@ -297,4 +348,172 @@ fn content_compares_of_non_atomic_paths_compare_values() {
         check(&db, "bibtex, full", q, &Expect::Values(None));
         assert!(db.query(q).unwrap().stats.exact_index, "{q} needs no residual");
     }
+}
+
+#[test]
+fn variable_steps_mean_the_same_on_the_index_and_the_baseline() {
+    let bib = |cfg: bibtex::BibtexConfig| bibtex::generate(&cfg).0;
+    // Per corpus: a partial index, and queries with their answer counts.
+    type Case<'a> = (StructuringSchema, String, &'a [&'a str], &'a [(&'a str, usize)]);
+    let cases: [Case; 5] = [
+        (
+            bibtex::schema(),
+            bib(bibtex::BibtexConfig::with_refs(20)),
+            &["Reference", "Last_Name"],
+            &[
+                // A set item is a target.
+                ("SELECT v.Referred.*X.RefKey FROM References v", 12),
+                ("SELECT r.*X.Name FROM References r", 63),
+                // `A+` reaches the `A` nodes, and the next step is theirs.
+                ("SELECT v.Editors+.Name FROM References v", 20),
+                ("SELECT v.Key FROM References v WHERE v.Editors+.Name = \"Key000008\"", 0),
+                // `⊃^n` on deep regions.
+                ("SELECT r.X1.X2.Last_Name FROM References r", 44),
+            ],
+        ),
+        (
+            bibtex::schema(),
+            bib(bibtex::BibtexConfig { n_refs: 40, name_pool: 4, seed: 5, ..Default::default() }),
+            &["Reference", "Last_Name"],
+            &[(
+                "SELECT r.Key FROM References r WHERE r.X1.X2.Last_Name = r.Authors.Name.Last_Name",
+                40,
+            )],
+        ),
+        (
+            logs::schema(),
+            logs::generate(&logs::LogConfig::default()).0,
+            &["Session", "Status"],
+            &[
+                // A `Request` is the next region down from `Requests`.
+                ("SELECT v.Requests.X1.Request.Status FROM Sessions v", 0),
+                ("SELECT v.Requests.Request.Status FROM Sessions v", 2),
+                ("SELECT v.*X.Request FROM Sessions v", 135),
+            ],
+        ),
+        (
+            sgml::schema(),
+            sgml::generate(&sgml::SgmlConfig::default()).0,
+            &["Section", "Head"],
+            &[
+                ("SELECT v.Subsections.*X.Section.Head FROM Sections v", 7),
+                ("SELECT s.*X.Text FROM Sections s", 27),
+                ("SELECT s.*X.Section.Head FROM Sections s", 11),
+            ],
+        ),
+        (
+            code::schema(),
+            code::generate(&code::CodeConfig {
+                n_functions: 50,
+                if_percent: 40,
+                ..Default::default()
+            })
+            .0,
+            &["Function", "Callee"],
+            &[
+                // `Stmt` and `Call` are two regions.
+                ("SELECT f.X1.X2.Callee FROM Functions f", 0),
+                ("SELECT f.X1.X2.X3.Callee FROM Functions f", 36),
+            ],
+        ),
+    ];
+    for (schema, text, partial, queries) in cases {
+        let corpus = Corpus::from_text(&text);
+        for spec in [IndexSpec::full(), IndexSpec::names(partial.iter().copied())] {
+            let db = FileDatabase::build(corpus.clone(), schema.clone(), spec.clone()).unwrap();
+            for (q, n) in queries {
+                check(&db, &format!("{spec:?}"), q, &Expect::Values(Some(*n)));
+            }
+        }
+    }
+    // The projections of `*X.Name`, `*X.Request` and `Editors+.Name` are
+    // the tuples themselves.
+    let db = FileDatabase::build(
+        Corpus::from_text(&bib(bibtex::BibtexConfig::with_refs(20))),
+        bibtex::schema(),
+        IndexSpec::full(),
+    )
+    .unwrap();
+    for q in ["SELECT r.*X.Name FROM References r", "SELECT v.Editors+.Name FROM References v"] {
+        let [names, _] = both_sides(&db, q);
+        assert!(names.unwrap().iter().all(|v| v.starts_with("(First_Name: ")), "{q}");
+    }
+}
+
+/// Queries whose paths take variable steps, over all five schemas, on a
+/// full index and two drawn partial ones: selections, projections,
+/// negations, disjunctions and content compares, each the baseline's.
+#[test]
+fn drawn_variable_paths_agree_with_the_baseline() {
+    const CASES: usize = 60;
+    let mut seeds = StdRng::seed_from_u64(0x7a71_ab1e);
+    let (mut cases, mut answered) = (0, 0);
+    for (schema, text) in [
+        (bibtex::schema(), bibtex::generate(&bibtex::BibtexConfig::with_refs(16)).0),
+        (sgml::schema(), sgml::generate(&sgml::SgmlConfig::default()).0),
+        (
+            code::schema(),
+            code::generate(&code::CodeConfig {
+                n_functions: 12,
+                if_percent: 40,
+                ..Default::default()
+            })
+            .0,
+        ),
+        (
+            logs::schema(),
+            logs::generate(&logs::LogConfig { n_sessions: 12, ..Default::default() }).0,
+        ),
+        (
+            mail::schema(),
+            mail::generate(&mail::MailConfig { n_messages: 12, ..Default::default() }).0,
+        ),
+    ] {
+        let g = &schema.grammar;
+        let (view, symbol) = schema.views().next().expect("a view");
+        let paths = grammar_paths(g, g.symbol(symbol).expect("view symbol"), 3);
+        let words: Vec<&str> =
+            text.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty()).collect();
+        let corpus = Corpus::from_text(&text);
+        let mut specs = vec![IndexSpec::full()];
+        for _ in 0..2 {
+            let mut rng = StdRng::seed_from_u64(seeds.next_u64());
+            let mut spec = IndexSpec::names([symbol]);
+            for (_, name) in g.symbols() {
+                if rng.random_range(0..2) == 0 {
+                    spec = spec.with_name(name);
+                }
+            }
+            specs.push(spec);
+        }
+        for spec in specs {
+            let db = FileDatabase::build(corpus.clone(), schema.clone(), spec.clone()).unwrap();
+            for _ in 0..CASES {
+                let seed = seeds.next_u64();
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let path = |variable: bool, rng: &mut StdRng| {
+                    let path = paths[rng.random_range(0..paths.len())].clone();
+                    let path = if variable { with_variable(path, rng) } else { path };
+                    format!("v.{}", path.join("."))
+                };
+                let variable = rng.random_range(0..2) == 0;
+                let (p, q, r) = (path(true, rng), path(false, rng), path(variable, rng));
+                let word = words[rng.random_range(0..words.len())];
+                let query = match rng.random_range(0..5) {
+                    0 => format!("SELECT v FROM {view} v WHERE {p} = \"{word}\""),
+                    1 => format!("SELECT {p} FROM {view} v"),
+                    2 => format!("SELECT {q} FROM {view} v WHERE NOT {p} = \"{word}\""),
+                    3 => format!(
+                        "SELECT v FROM {view} v WHERE ({p} = \"{word}\" OR {r} = \"{word}\")"
+                    ),
+                    _ => format!("SELECT v FROM {view} v WHERE {p} = {r}"),
+                };
+                let [index, baseline] = both_sides(&db, &query);
+                assert_eq!(index, baseline, "{view} on {spec:?}, seed {seed:#x}: {query}");
+                answered += usize::from(index.is_ok_and(|v| !v.is_empty()));
+                cases += 1;
+            }
+        }
+    }
+    assert!(answered * 3 > cases, "only {answered} of {cases} queries had answers");
 }
