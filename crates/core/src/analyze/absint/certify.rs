@@ -1,114 +1,92 @@
-//! The rewrite certifier: sign-off on every §3.3/§3.5 step the
-//! optimizer recorded.
+//! The rewrite certifier: the one replay of the optimizer's trace.
 //!
-//! The optimizer's trace is replayed step by step from the original
-//! chain by [`replay`], the one trace replay. Each step must (1) apply to
-//! the current chain at its recorded hop and (2) satisfy the Proposition
-//! 3.5 side condition it claims, and the replay as a whole must (3) land
-//! exactly on the optimizer's output. A Proposition 3.3 `∅` verdict is
-//! certified by the replay's per-hop dead-edge test — the structural
-//! ground truth.
+//! The optimizer's output is *checked, not trusted*. [`certify`] starts
+//! from the original chain and re-applies every recorded
+//! [`Rewrite`](crate::Rewrite) at its hop. Each step must (1) apply to the
+//! current chain there — a `⊃d` to weaken, two `⊃` hops to shorten — and
+//! (2) meet the Proposition 3.5 side condition it claims, and the replay
+//! as a whole must (3) land exactly on the optimizer's output. A
+//! Proposition 3.3 `∅` verdict is certified by the per-hop dead-edge test,
+//! the structural ground truth, and carries no steps.
 //!
 //! No abstract state is compared: a RIG-only state has no cardinality,
 //! and a sound rewrite preserves the concrete result, so the replay's
-//! structural checks are the whole verdict.
-//!
-//! Unlike `analyze::verify` (which turns replay failures into `QOF030`
-//! diagnostics), the certifier returns a per-step verdict so the planner
-//! can annotate each `PlanRewrite` as certified or not, surface `QOF110`
-//! for failures, and keep a run whose steps do not all certify
+//! structural checks are the whole verdict. The planner marks each
+//! `PlanRewrite` certified or not from it, `qof check` reports a refused
+//! step as `QOF110`, and a run whose steps do not all certify stays
 //! unoptimized.
 
-use crate::analyze::verify::replay;
 use crate::analyze::{Code, Diagnostic, Severity};
-use crate::optimizer::Optimized;
-use crate::{InclusionExpr, Rig};
+use crate::optimizer::{is_trivially_empty, weaken_why, Optimized, RewriteKind};
+use crate::{ChainOp, InclusionExpr, Rig};
 
-/// The verdict on one optimizer step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepCert {
-    /// Whether the step passed all three checks.
-    pub certified: bool,
-    /// Why it failed, when it did.
-    pub reason: Option<String>,
-}
-
-impl StepCert {
-    fn ok() -> Self {
-        StepCert { certified: true, reason: None }
-    }
-
-    fn fail(reason: impl Into<String>) -> Self {
-        StepCert { certified: false, reason: Some(reason.into()) }
-    }
-}
-
-/// The certifier's output for one optimized chain.
+/// The certifier's verdict on one optimized chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertifyResult {
-    /// One verdict per entry of the optimizer trace, in order.
-    pub steps: Vec<StepCert>,
-    /// The verdict on the Proposition 3.3 `∅` conclusion, when the
-    /// optimizer drew one.
-    pub empty_step: Option<StepCert>,
-    /// Whether the replayed trace lands exactly on the optimized chain.
-    pub replay_matches: bool,
+    /// One verdict per entry of the optimizer trace, in order: the step
+    /// applied at its hop and Proposition 3.5 licenses it there. The
+    /// replay stops at the first step that does not apply, so that step
+    /// and every later one are `false`.
+    pub steps: Vec<bool>,
+    /// Whether the replay landed exactly on the optimized chain. For a
+    /// Proposition 3.3 `∅` verdict, nothing is replayed: whether the
+    /// per-hop dead-edge test agrees with it and it carries no rewrites.
+    pub lands: bool,
 }
 
 impl CertifyResult {
-    /// Whether every step (and the `∅` verdict, if any) is certified and
-    /// the replay reproduced the optimizer's output.
+    /// Whether every step is certified and the replay reproduced the
+    /// optimizer's output.
     pub fn all_certified(&self) -> bool {
-        self.replay_matches
-            && self.steps.iter().all(|s| s.certified)
-            && self.empty_step.as_ref().is_none_or(|s| s.certified)
+        self.lands && self.steps.iter().all(|&s| s)
     }
 }
 
-/// Certifies `out` — the optimizer's verdict on `original` over `rig` —
-/// step by step. See the module docs for the checks.
+/// Replays `out`, the optimizer's verdict on `original` over `rig`, step
+/// by step at each recorded hop. See the module docs for the checks.
 pub fn certify(original: &InclusionExpr, rig: &Rig, out: &Optimized) -> CertifyResult {
-    let replay = replay(original, rig, out);
-    if out.trivially_empty {
-        let step = replay.empty_fault.map_or_else(StepCert::ok, StepCert::fail);
-        let certified = step.certified;
-        return CertifyResult {
-            steps: Vec::new(),
-            empty_step: Some(step),
-            replay_matches: certified,
-        };
+    let empty = is_trivially_empty(original, rig);
+    if empty || out.trivially_empty {
+        let lands = empty == out.trivially_empty && out.trace.is_empty();
+        return CertifyResult { steps: vec![false; out.trace.len()], lands };
     }
-    let mut steps: Vec<StepCert> = replay
-        .steps
-        .iter()
-        .zip(&out.trace)
-        .map(|(step, rw)| {
-            if !step.applies {
-                StepCert::fail(format!("`{}` does not apply to the current chain", step.what))
-            } else if !step.licensed {
-                StepCert::fail(format!(
-                    "`{}` violates Proposition {}",
-                    step.what,
-                    rw.kind.proposition()
-                ))
-            } else {
-                StepCert::ok()
+    let mut names: Vec<String> = original.names().to_vec();
+    let mut ops: Vec<ChainOp> = original.ops().to_vec();
+    let mut steps = Vec::with_capacity(out.trace.len());
+    for rw in &out.trace {
+        let licensed = match rw.kind {
+            RewriteKind::Weaken { at } => {
+                if ops.get(at) != Some(&ChainOp::Direct) {
+                    break;
+                }
+                ops[at] = ChainOp::Incl;
+                weaken_why(rig, original.direction(), &names, at).is_some()
             }
-        })
-        .collect();
-    steps.resize(out.trace.len(), StepCert::fail("the replay stopped before this step"));
-    CertifyResult { steps, empty_step: None, replay_matches: replay.lands }
+            RewriteKind::Shorten { at } => {
+                let incl = |i: usize| ops.get(i) == Some(&ChainOp::Incl);
+                if !(incl(at) && incl(at + 1)) {
+                    break;
+                }
+                let (a, b) = (&names[at], &names[at + 2]);
+                let licensed = a != b && rig.all_paths_pass_through(a, b, &names[at + 1]);
+                names.remove(at + 1);
+                ops.remove(at);
+                licensed
+            }
+        };
+        steps.push(licensed);
+    }
+    let lands =
+        steps.len() == out.trace.len() && names == out.expr.names() && ops == out.expr.ops();
+    steps.resize(out.trace.len(), false);
+    CertifyResult { steps, lands }
 }
 
 /// Renders an uncertified rewrite as the `QOF110` diagnostic `qof check`
 /// emits — the one constructor behind both the check path and tests, so
 /// the rendered shape cannot drift.
-pub fn uncertified_diagnostic(
-    proposition: &str,
-    description: &str,
-    reason: Option<&str>,
-) -> Diagnostic {
-    let mut d = Diagnostic::new(
+pub fn uncertified_diagnostic(proposition: &str, description: &str) -> Diagnostic {
+    Diagnostic::new(
         Code::Qof110,
         Severity::Warning,
         format!("optimizer rewrite [{proposition}] `{description}` failed certification"),
@@ -117,17 +95,13 @@ pub fn uncertified_diagnostic(
         "replaying the optimizer trace did not confirm the step (it must apply at its hop, \
          meet its proposition's side condition and land on the optimized chain), so the \
          planner leaves this chain unoptimized",
-    );
-    if let Some(r) = reason {
-        d = d.with_note(r);
-    }
-    d
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{optimize, ChainOp, Direction, Rewrite, RewriteKind};
+    use crate::{optimize, Direction, Rewrite};
 
     fn names(v: &[&str]) -> Vec<String> {
         v.iter().map(ToString::to_string).collect()
@@ -139,6 +113,14 @@ mod tests {
         g.add_edge("Authors", "Name");
         g.add_edge("Name", "Last_Name");
         g
+    }
+
+    fn forged(expr: InclusionExpr, kinds: &[RewriteKind]) -> Optimized {
+        let trace = kinds
+            .iter()
+            .map(|&kind| Rewrite { kind, description: String::new(), result: String::new() })
+            .collect();
+        Optimized { expr, trivially_empty: false, trace }
     }
 
     #[test]
@@ -165,7 +147,7 @@ mod tests {
         assert!(out.trivially_empty);
         let cert = certify(&e, &g, &out);
         assert!(cert.all_certified(), "{cert:?}");
-        assert!(cert.empty_step.is_some());
+        assert!(cert.steps.is_empty());
     }
 
     #[test]
@@ -179,19 +161,51 @@ mod tests {
             vec![ChainOp::Incl, ChainOp::Incl],
             None,
         );
-        let forged = Optimized {
-            expr: e.with_chain(names(&["A", "C"]), vec![ChainOp::Incl]),
-            trivially_empty: false,
-            trace: vec![Rewrite {
-                kind: RewriteKind::Shorten { at: 0 },
-                description: String::new(),
-                result: String::new(),
-            }],
-        };
-        let cert = certify(&e, &g, &forged);
+        let out = forged(
+            e.with_chain(names(&["A", "C"]), vec![ChainOp::Incl]),
+            &[RewriteKind::Shorten { at: 0 }],
+        );
+        let cert = certify(&e, &g, &out);
+        // The step applies and the replay lands; only the license fails.
+        assert_eq!(cert, CertifyResult { steps: vec![false], lands: true });
         assert!(!cert.all_certified());
-        assert!(!cert.steps[0].certified);
-        assert!(cert.steps[0].reason.as_deref().unwrap().contains("3.5(b)"));
+    }
+
+    #[test]
+    fn a_step_that_does_not_apply_stops_the_replay() {
+        // Shortening needs two `⊃` hops; `A ⊃d B ⊃d C` has none, so the
+        // first step does not apply and the licensed weakening after it
+        // is never replayed.
+        let g = bib_rig();
+        let e = InclusionExpr::all_direct(
+            Direction::Including,
+            names(&["Reference", "Authors", "Name"]),
+            None,
+        );
+        let out = forged(
+            e.with_chain(names(&["Reference", "Name"]), vec![ChainOp::Direct]),
+            &[RewriteKind::Shorten { at: 0 }, RewriteKind::Weaken { at: 0 }],
+        );
+        let cert = certify(&e, &g, &out);
+        assert_eq!(cert, CertifyResult { steps: vec![false, false], lands: false });
+    }
+
+    #[test]
+    fn a_trace_that_misses_the_output_does_not_land() {
+        // Every step is licensed, but the claimed output is not where
+        // the trace leads.
+        let g = bib_rig();
+        let e = InclusionExpr::all_direct(
+            Direction::Including,
+            names(&["Reference", "Authors", "Name"]),
+            None,
+        );
+        let mut out = optimize(&e, &g);
+        assert!(certify(&e, &g, &out).all_certified());
+        out.expr = e.clone();
+        let cert = certify(&e, &g, &out);
+        assert!(cert.steps.iter().all(|&s| s), "{cert:?}");
+        assert!(!cert.lands);
     }
 
     #[test]

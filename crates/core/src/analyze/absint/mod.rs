@@ -18,12 +18,12 @@
 //!   `qof check` (provably-empty subexpressions, dead `∪`/`−` branches,
 //!   redundant intersections, inclusion over disjoint RIG components).
 //!
-//! The rewrite certifier ([`certify`]) lives here too; it signs steps off
-//! from the one trace replay, [`crate::analyze::verify::replay`].
+//! The rewrite certifier ([`certify`]), the one replay of the optimizer's
+//! trace, lives here too.
 
 mod certify;
 
-pub use certify::{certify, uncertified_diagnostic, CertifyResult, StepCert};
+pub use certify::{certify, uncertified_diagnostic, CertifyResult};
 
 use super::{Code, Diagnostic, Severity};
 use crate::trace::NodeFact;

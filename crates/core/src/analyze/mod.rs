@@ -4,8 +4,9 @@
 //! as structured diagnostics with stable `QOF0xx` codes: Proposition 3.3
 //! (trivially empty expressions), §6.3 (exactness of a partial index),
 //! §5.3 (`*X` paths are cheaper than fixed paths), plus schema- and
-//! RIG-level sanity lints and the optimizer self-verification pass
-//! (Proposition 3.5 side conditions, Theorem 3.6 confluence).
+//! RIG-level sanity lints, the abstract interpreter's `QOF1xx` lints, and
+//! `QOF110` for an optimizer rewrite the certifier refuses (its replay,
+//! [`absint::certify`], re-checks the Proposition 3.5 side conditions).
 //!
 //! The three entry points are [`check_schema`], [`check_index`] and
 //! [`check_query`] (the latter also available as
@@ -16,7 +17,6 @@
 pub mod absint;
 mod query;
 mod schema;
-pub mod verify;
 
 pub use query::check_query;
 pub use schema::{check_index, check_schema};
@@ -24,9 +24,8 @@ pub use schema::{check_index, check_schema};
 use std::fmt;
 
 /// Stable diagnostic codes. The numeric ranges group the checks:
-/// `QOF00x` schema, `QOF01x` RIG/index, `QOF02x` query, `QOF03x`
-/// optimizer self-verification, `QOF1xx` abstract interpretation
-/// (static domains, emptiness facts) and the
+/// `QOF00x` schema, `QOF01x` RIG/index, `QOF02x` query, `QOF1xx`
+/// abstract interpretation (static domains, emptiness facts) and the
 /// rewrite certifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
@@ -56,10 +55,6 @@ pub enum Code {
     Qof025,
     /// The view's non-terminal is not indexed.
     Qof026,
-    /// Optimizer rewrite violates a Proposition 3.5 side condition.
-    Qof030,
-    /// Optimizer normal form is not confluent (Theorem 3.6).
-    Qof031,
     /// Subexpression proven empty by the abstract interpreter.
     Qof100,
     /// Dead branch of a `∪`/`−`: one operand is provably empty.
@@ -92,8 +87,6 @@ impl Code {
             Code::Qof024 => "QOF024",
             Code::Qof025 => "QOF025",
             Code::Qof026 => "QOF026",
-            Code::Qof030 => "QOF030",
-            Code::Qof031 => "QOF031",
             Code::Qof100 => "QOF100",
             Code::Qof101 => "QOF101",
             Code::Qof102 => "QOF102",

@@ -529,7 +529,7 @@ fn check_plan_absint(
 ) {
     for rw in &plan.rewrites {
         if !rw.certified {
-            out.push(super::absint::uncertified_diagnostic(&rw.proposition, &rw.description, None));
+            out.push(super::absint::uncertified_diagnostic(&rw.proposition, &rw.description));
         }
     }
     // A path already reported as trivially empty (QOF024) plans to the ∅

@@ -6,7 +6,6 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qof_db::{Atom, Database, DbStats, PathCost, Value};
@@ -143,11 +142,6 @@ pub struct QueryResult {
     pub stats: RunStats,
 }
 
-/// A hook invoked with the [`QueryTrace`] of every successful query, from
-/// [`FileDatabase::query`] as from [`FileDatabase::query_traced`] — the
-/// query server's flight recorder attaches here.
-pub type TraceHook = Box<dyn Fn(&QueryTrace) + Send + Sync>;
-
 /// A queryable view of a corpus: word index + region indices + schema.
 pub struct FileDatabase {
     corpus: Corpus,
@@ -158,9 +152,8 @@ pub struct FileDatabase {
     full_rig: Rig,
     partial_rig: Rig,
     plan_cache: PlanCache,
-    metrics: Arc<MetricsRegistry>,
+    metrics: MetricsRegistry,
     query_counter: AtomicU64,
-    trace_hook: Option<TraceHook>,
     workload: WorkloadTable,
 }
 
@@ -245,9 +238,8 @@ impl FileDatabase {
             full_rig,
             partial_rig,
             plan_cache: PlanCache::new(),
-            metrics: MetricsRegistry::shared(),
+            metrics: MetricsRegistry::new(),
             query_counter: AtomicU64::new(0),
-            trace_hook: None,
             workload: WorkloadTable::new(),
         };
         db.publish_index_stats();
@@ -308,38 +300,10 @@ impl FileDatabase {
         }
     }
 
-    /// Injects the metrics registry every query records into (builder
-    /// style). The default is a registry of the database's own
-    /// ([`MetricsRegistry::shared`]); a server injects the registry its
-    /// `/metrics` endpoint reads.
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.set_metrics(metrics);
-        self
-    }
-
-    /// Injects the metrics registry in place, republishing the index
-    /// footprint gauges into it (gauges live in the registry, so a fresh
-    /// registry would otherwise report no index at all).
-    pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
-        self.metrics = metrics;
-        self.publish_index_stats();
-    }
-
-    /// The registry this database records query metrics into.
+    /// The registry this database records its queries and index footprint
+    /// into.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Installs a hook invoked with the [`QueryTrace`] of every successful
-    /// query (after metrics recording, before the result is returned). The
-    /// query server feeds its flight recorder through this.
-    pub fn set_trace_hook(&mut self, hook: impl Fn(&QueryTrace) + Send + Sync + 'static) {
-        self.trace_hook = Some(Box::new(hook));
-    }
-
-    /// Removes the trace hook.
-    pub fn clear_trace_hook(&mut self) {
-        self.trace_hook = None;
     }
 
     /// Draws the next query ID from this database's sequence (1, 2, …).
@@ -479,8 +443,8 @@ impl FileDatabase {
     }
 
     /// Parses, plans and runs a query. Every query is accounted: it draws
-    /// a query ID and feeds this database's [`MetricsRegistry`], the
-    /// [`workload`](FileDatabase::workload) table and the trace hook.
+    /// a query ID and feeds this database's [`MetricsRegistry`] and the
+    /// [`workload`](FileDatabase::workload) table.
     /// This is exactly [`FileDatabase::query_traced`] with the trace
     /// dropped.
     pub fn query(&self, src: &str) -> Result<QueryResult, QueryError> {
@@ -508,8 +472,8 @@ impl FileDatabase {
     }
 
     /// The one query path: parse, plan and execute with the trace always
-    /// on, then record the run once — metrics, workload table, trace
-    /// hook. A failed query counts as an error and records nothing else.
+    /// on, then record the run once — metrics and workload table. A failed
+    /// query counts as an error and records nothing else.
     fn run(&self, src: &str, id: u64) -> Result<(QueryResult, QueryTrace), QueryError> {
         let started = Instant::now();
         let mut tr = ExecTrace::default();
@@ -534,8 +498,8 @@ impl FileDatabase {
             rewrites: plan.rewrites,
             phases: tr.phases,
             ops: tr.ops,
-            plan_cache_hits: tr.plan_cache_hits,
-            plan_cache_misses: tr.plan_cache_misses,
+            plan_cache_hits: plan.plan_cache_hits,
+            plan_cache_misses: plan.plan_cache_misses,
             total_nanos,
             bytes_touched: result.stats.bytes_touched(),
             candidates: result.stats.candidates,
@@ -554,9 +518,6 @@ impl FileDatabase {
             plan_cache_hits: trace.plan_cache_hits,
             plan_cache_misses: trace.plan_cache_misses,
         });
-        if let Some(hook) = &self.trace_hook {
-            hook(&trace);
-        }
         Ok((result, trace))
     }
 
@@ -568,7 +529,6 @@ impl FileDatabase {
         started: Instant,
         tr: &mut ExecTrace,
     ) -> Result<(Plan, QueryResult), QueryError> {
-        let pc_before = self.plan_cache.stats();
         let q = parse_query(src)?;
         let parsed = elapsed_nanos(started);
         let plan = self.planner().plan(&q)?;
@@ -576,9 +536,6 @@ impl FileDatabase {
         // phase times them.
         tr.facts = plan.facts(&AbsInterp::new(&self.partial_rig));
         let planned = elapsed_nanos(started);
-        let pc_after = self.plan_cache.stats();
-        tr.plan_cache_hits = pc_after.hits.saturating_sub(pc_before.hits);
-        tr.plan_cache_misses = pc_after.misses.saturating_sub(pc_before.misses);
         tr.phases.push(PhaseTrace { name: "parse", start_nanos: 0, nanos: parsed });
         tr.phases.push(PhaseTrace {
             name: "plan",
@@ -1369,13 +1326,11 @@ mod tests {
     #[test]
     fn traced_query_feeds_injected_metrics() {
         let corpus = multi_file_corpus(2, 10);
-        let metrics = MetricsRegistry::shared();
-        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_metrics(std::sync::Arc::clone(&metrics));
+        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
+        let metrics = db.metrics();
         let (_, trace) = db.query_traced(QUERIES[1]).unwrap();
         let (_, trace2) = db.query_traced(QUERIES[1]).unwrap();
-        // A private registry sees exactly this database's work.
+        // The database's own registry sees exactly its work.
         let after = metrics.snapshot();
         assert_eq!(after.queries, 2);
         assert_eq!(after.query_errors, 0);
@@ -1396,19 +1351,12 @@ mod tests {
     #[test]
     fn library_query_is_accounted_exactly_once() {
         // `query` runs the accounted path: one success advances the query
-        // counter, the plan-cache counters, the workload table and the
-        // trace hook once each; a failure advances the error counter and
-        // nothing else.
+        // counter, every phase histogram, the plan-cache counters and the
+        // workload table once each; a failure advances the error counter
+        // and nothing else.
         let corpus = multi_file_corpus(2, 10);
-        let metrics = MetricsRegistry::shared();
-        let mut db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_metrics(std::sync::Arc::clone(&metrics));
-        let hooked = std::sync::Arc::new(AtomicU64::new(0));
-        let counter = std::sync::Arc::clone(&hooked);
-        db.set_trace_hook(move |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
+        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
+        let metrics = db.metrics();
         db.query(QUERIES[0]).unwrap();
         let snap = metrics.snapshot();
         assert_eq!((snap.queries, snap.query_errors), (1, 0));
@@ -1427,7 +1375,9 @@ mod tests {
         assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (pc.hits, pc.misses));
         assert_eq!((pc.hits, pc.misses), (0, 1), "one chain, one miss");
         assert_eq!(db.workload().total_hits(), 1);
-        assert_eq!(hooked.load(Ordering::Relaxed), 1);
+        let entries = db.workload().snapshot();
+        assert_eq!(entries.len(), 1);
+        assert_eq!((entries[0].hits, entries[0].plan_cache_misses), (1, 1));
 
         assert!(db.query("SELEC nope").is_err());
         let snap = metrics.snapshot();
@@ -1435,7 +1385,7 @@ mod tests {
         assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (0, 1));
         assert_eq!(phase_counts(&snap), want, "a failure advances no phase");
         assert_eq!(db.workload().total_hits(), 1, "failures are not folded");
-        assert_eq!(hooked.load(Ordering::Relaxed), 1, "failures produce no trace");
+        assert_eq!(db.workload().snapshot(), entries, "a failure changes no entry");
     }
 
     #[test]
@@ -1508,10 +1458,8 @@ mod tests {
             }
         }
         let corpus = multi_file_corpus(2, 10);
-        let metrics = MetricsRegistry::shared();
-        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full())
-            .unwrap()
-            .with_metrics(std::sync::Arc::clone(&metrics));
+        let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
+        let metrics = db.metrics();
         let (_, miss) = db.query_traced(QUERIES[0]).unwrap();
         let (_, hit) = db.query_traced(QUERIES[0]).unwrap();
         assert_eq!((miss.plan_cache_misses, miss.plan_cache_hits), (1, 0));
@@ -1530,25 +1478,53 @@ mod tests {
         assert_eq!(recorded, expect, "one op_latency sample per computed operator");
     }
 
-    #[test]
-    fn trace_hook_sees_every_successful_trace() {
-        let corpus = multi_file_corpus(2, 10);
-        let mut db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
-        let seen: std::sync::Arc<std::sync::Mutex<Vec<u64>>> =
-            std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = std::sync::Arc::clone(&seen);
-        db.set_trace_hook(move |t: &crate::QueryTrace| sink.lock().unwrap().push(t.id));
-        db.query_traced(QUERIES[0]).unwrap();
-        let id = db.allocate_query_id();
-        db.query_traced_with_id(QUERIES[1], id).unwrap();
-        assert!(db.query_traced("SELEC nope").is_err(), "errors produce no trace");
-        assert_eq!(*seen.lock().unwrap(), vec![1, id]);
-        db.clear_trace_hook();
-        db.query_traced(QUERIES[0]).unwrap();
-        assert_eq!(seen.lock().unwrap().len(), 2, "cleared hook no longer fires");
-    }
-
     // -- plan cache ------------------------------------------------------------
+
+    #[test]
+    fn concurrent_queries_count_only_their_own_plan_cache_lookups() {
+        // Four threads plan at once: a barrier starts every round of
+        // queries together. Each trace counts the lookups its own planning
+        // made, so the traces sum to the cache's counters, and the metrics
+        // registry, which sums the traces, agrees.
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 200;
+        let db = FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), IndexSpec::full())
+            .unwrap();
+        let before = db.plan_cache_stats();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let counted: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (db, barrier) = (&db, &barrier);
+                    scope.spawn(move || {
+                        let (mut hits, mut misses) = (0, 0);
+                        for i in 0..ROUNDS {
+                            // 300 distinct names: some lookups hit, some miss.
+                            let q = format!(
+                                "SELECT r.Key FROM References r \
+                                 WHERE r.Authors.Name.Last_Name = \"Chang{}\"",
+                                (t * ROUNDS + i) % 300
+                            );
+                            barrier.wait();
+                            let (_, trace) = db.query_traced(&q).unwrap();
+                            hits += trace.plan_cache_hits;
+                            misses += trace.plan_cache_misses;
+                        }
+                        (hits, misses)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let (hits, misses) = counted.iter().fold((0, 0), |(h, m), &(a, b)| (h + a, m + b));
+        let after = db.plan_cache_stats();
+        let delta = (after.hits - before.hits, after.misses - before.misses);
+        // A selection chain and a projection chain per query.
+        assert_eq!(hits + misses, 2 * (THREADS * ROUNDS) as u64);
+        assert_eq!((hits, misses), delta, "summed trace counts against the cache's own");
+        let snap = db.metrics().snapshot();
+        assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), delta);
+    }
 
     #[test]
     fn plan_cache_hit_is_byte_identical_to_a_fresh_optimize() {
@@ -1737,9 +1713,13 @@ mod tests {
             // The clone above shared the text; once it is gone the text
             // grows in place.
             drop(corpus);
-            let before = Arc::as_ptr(db.corpus().shared_text());
+            let before = std::sync::Arc::as_ptr(db.corpus().shared_text());
             db.add_file("late.bib", &text).unwrap();
-            assert_eq!(Arc::as_ptr(db.corpus().shared_text()), before, "an unshared corpus copied");
+            assert_eq!(
+                std::sync::Arc::as_ptr(db.corpus().shared_text()),
+                before,
+                "an unshared corpus copied"
+            );
             let fresh = FileDatabase::build(db.corpus().clone(), bibtex::schema(), spec).unwrap();
             assert_eq!(db.instance(), fresh.instance());
         }
@@ -1908,10 +1888,8 @@ mod tests {
             "index overhead ({overhead} B) larger than corpus ({} B)",
             built.corpus().len()
         );
-        let metrics = std::sync::Arc::new(MetricsRegistry::default());
-        let opened = FileDatabase::open(&path, bibtex::schema())
-            .unwrap()
-            .with_metrics(std::sync::Arc::clone(&metrics));
+        let opened = FileDatabase::open(&path, bibtex::schema()).unwrap();
+        let metrics = opened.metrics();
         // The reopened word index is the built one: same resident bytes,
         // published as the one index gauge.
         assert_eq!(opened.index_bytes(), built.index_bytes());

@@ -49,15 +49,11 @@ mod rig;
 mod trace;
 
 pub use advisor::{advise, Advice};
-pub use analyze::absint::{
-    certify, uncertified_diagnostic, AbsInterp, AbsState, CertifyResult, StepCert,
-};
+pub use analyze::absint::{certify, uncertified_diagnostic, AbsInterp, AbsState, CertifyResult};
 pub use analyze::{
     check_index, check_query, check_schema, render_all, Code, Diagnostic, Severity, Span,
 };
-pub use exec::{
-    BuildError, BuildPhases, FileDatabase, QueryError, QueryResult, RunStats, TraceHook,
-};
+pub use exec::{BuildError, BuildPhases, FileDatabase, QueryError, QueryResult, RunStats};
 pub use incl::{ChainOp, Direction, InclusionExpr, SelectKind};
 pub use optimizer::{is_trivially_empty, normal_forms, optimize, Optimized, Rewrite, RewriteKind};
 pub use perfetto::{trace_to_perfetto, traces_to_perfetto};

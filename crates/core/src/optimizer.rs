@@ -26,7 +26,7 @@ use crate::{ChainOp, Direction, InclusionExpr, Rig};
 /// The structural identity of a rewrite: which Proposition 3.5 step fired,
 /// and at which hop of the chain as it stood before the step. A chain may
 /// repeat a name pair (self-nested grammars), so only the position
-/// locates the hop; [`crate::analyze::verify::replay`] re-checks each step
+/// locates the hop; the certifier ([`crate::certify`]) re-checks each step
 /// exactly there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewriteKind {
@@ -55,7 +55,7 @@ impl RewriteKind {
 }
 
 /// One applied rewrite, for EXPLAIN output, the examples, and the
-/// self-verification pass.
+/// certifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rewrite {
     /// What was rewritten, structurally.
@@ -99,18 +99,15 @@ pub fn is_trivially_empty(expr: &InclusionExpr, rig: &Rig) -> bool {
 /// uniqueness). Runs in time polynomial in the chain length (each graph
 /// predicate is one or two reachability queries).
 pub fn optimize(expr: &InclusionExpr, rig: &Rig) -> Optimized {
-    let out = if is_trivially_empty(expr, rig) {
-        empty_verdict(expr)
-    } else {
-        let mut r = Reduct::weakened(expr, rig);
-        loop {
-            let Some(at) = r.shortenings(rig).next() else { break };
-            r.shorten(expr, at);
-        }
-        r.finish(expr)
-    };
-    self_verify(expr, rig, &out);
-    out
+    if is_trivially_empty(expr, rig) {
+        return empty_verdict(expr);
+    }
+    let mut r = Reduct::weakened(expr, rig);
+    loop {
+        let Some(at) = r.shortenings(rig).next() else { break };
+        r.shorten(expr, at);
+    }
+    r.finish(expr)
 }
 
 /// The Proposition 3.3 verdict: the expression unchanged, flagged empty.
@@ -265,27 +262,6 @@ pub fn normal_forms(expr: &InclusionExpr, rig: &Rig) -> Vec<Optimized> {
     }
     forms
 }
-
-/// The plan self-verification pass: replays every emitted [`Rewrite`]
-/// against Proposition 3.5's side conditions and checks the confluence
-/// claim of Theorem 3.6 (see [`crate::analyze::verify`]). Active in debug
-/// builds — so every `optimize` call in the test suite is verified — and
-/// in release builds with the `self-verify` feature.
-#[cfg(any(debug_assertions, feature = "self-verify"))]
-fn self_verify(original: &InclusionExpr, rig: &Rig, out: &Optimized) {
-    use crate::analyze::Severity;
-    let mut diags = crate::analyze::verify::verify_rewrites(original, rig, out);
-    diags.extend(crate::analyze::verify::check_confluence(original, rig));
-    diags.retain(|d| d.severity == Severity::Error);
-    assert!(
-        diags.is_empty(),
-        "optimizer self-verification failed for `{original}`:\n{}",
-        diags.iter().map(|d| d.render(None)).collect::<Vec<_>>().join("\n")
-    );
-}
-
-#[cfg(not(any(debug_assertions, feature = "self-verify")))]
-fn self_verify(_original: &InclusionExpr, _rig: &Rig, _out: &Optimized) {}
 
 #[cfg(test)]
 mod tests {

@@ -221,11 +221,11 @@ pub fn lower_run(original: &InclusionExpr, rig: &Rig, opt: Optimized) -> CachedC
         .trace
         .iter()
         .zip(&cert.steps)
-        .map(|(rw, step)| PlanRewrite {
+        .map(|(rw, &certified)| PlanRewrite {
             proposition: rw.kind.proposition().to_owned(),
             description: rw.description.clone(),
             result: rw.result.clone(),
-            certified: step.certified,
+            certified,
         })
         .collect();
     if opt.trivially_empty {
@@ -233,7 +233,7 @@ pub fn lower_run(original: &InclusionExpr, rig: &Rig, opt: Optimized) -> CachedC
             proposition: "3.3".to_owned(),
             description: format!("`{original}` is provably empty: a hop has no RIG edge or path"),
             result: "∅".to_owned(),
-            certified: cert.empty_step.as_ref().is_some_and(|s| s.certified),
+            certified: cert.lands,
         });
     }
     CachedChain {
@@ -262,6 +262,25 @@ pub struct Plan {
     /// schema v6 stamps it; `GET /workload` and `qof qlog analyze`
     /// aggregate under it.
     pub fingerprint: u64,
+    /// This planning's own plan-cache lookups that found the chain
+    /// lowered already.
+    pub plan_cache_hits: u64,
+    /// This planning's own plan-cache lookups that had to lower it.
+    pub plan_cache_misses: u64,
+}
+
+/// What lowering a query's chains records, in planning order.
+#[derive(Default)]
+struct LowerLog {
+    /// Every optimizer rewrite applied.
+    rewrites: Vec<PlanRewrite>,
+    /// Every chain key consulted (the plan cache's own keys): the
+    /// workload fingerprint's material.
+    keys: Vec<String>,
+    /// Plan-cache lookups that hit.
+    hits: u64,
+    /// Plan-cache lookups that missed.
+    misses: u64,
 }
 
 /// Planning failures.
@@ -462,17 +481,14 @@ impl<'a> Planner<'a> {
         };
 
         // Plan per-var conditions, collecting push-down filter paths and
-        // the optimizer rewrites fired along the way. Every chain key the
-        // lowering consults is also collected: the plan's workload
-        // fingerprint hashes them in planning order.
-        let mut rewrites: Vec<PlanRewrite> = Vec::new();
-        let mut fp_keys: Vec<String> = Vec::new();
+        // what the lowering records along the way.
+        let mut log = LowerLog::default();
         let mut filters: Vec<PathFilter> = Vec::new();
         for (vp, conds) in vars.iter_mut().zip(local) {
             let mut field_paths: Vec<Vec<String>> = Vec::new();
             let mut compiled: Option<CompiledCond> = None;
             for c in &conds {
-                let (node, cond) = self.plan_cond(c, &vp.symbol, &mut rewrites, &mut fp_keys)?;
+                let (node, cond) = self.plan_cond(c, &vp.symbol, &mut log)?;
                 cond.field_paths(&mut field_paths);
                 vp.cond = Some(match vp.cond.take() {
                     Some(prev) => CondNode::And(Box::new(prev), Box::new(node)),
@@ -498,8 +514,8 @@ impl<'a> Planner<'a> {
                 let (lsym, rsym) = (&vars[li].symbol, &vars[ri].symbol);
                 let lspec = resolve_path(&self.schema.grammar, lsym, &p.steps)?;
                 let rspec = resolve_path(&self.schema.grammar, rsym, &qp.steps)?;
-                let l = self.deep_expr(&lspec, &mut rewrites, &mut fp_keys)?;
-                let r = self.deep_expr(&rspec, &mut rewrites, &mut fp_keys)?;
+                let l = self.deep_expr(&lspec, &mut log)?;
+                let r = self.deep_expr(&rspec, &mut log)?;
                 // An exact join keys its sides by region text, which is
                 // the value of atoms only.
                 let g = &self.schema.grammar;
@@ -539,7 +555,7 @@ impl<'a> Planner<'a> {
                 let atoms = spec.text_is_value(&self.schema.grammar);
                 let every_region = vars[proj_var].cond.is_none() && join.is_none();
                 let from_index = atoms && (every_region || !self.full_rig.on_cycle(symbol));
-                match self.deep_expr(&spec, &mut rewrites, &mut fp_keys).ok() {
+                match self.deep_expr(&spec, &mut log).ok() {
                     Some(Located { expr: chain, display, exact: true, .. }) if from_index => {
                         ProjPlan::IndexValues { var: proj_var, chain, display }
                     }
@@ -570,7 +586,7 @@ impl<'a> Planner<'a> {
         // different views differ). All material is deterministic spelling
         // — the hash is identical across processes for the same query
         // shape.
-        let fingerprint = match fp_keys.as_slice() {
+        let fingerprint = match log.keys.as_slice() {
             [single] => fnv1a64(single.as_bytes()),
             keys => {
                 let mut material = String::from("plan");
@@ -583,7 +599,15 @@ impl<'a> Planner<'a> {
                 fnv1a64(material.as_bytes())
             }
         };
-        Ok(Plan { vars, join, projection, rewrites, fingerprint })
+        Ok(Plan {
+            vars,
+            join,
+            projection,
+            rewrites: log.rewrites,
+            fingerprint,
+            plan_cache_hits: log.hits,
+            plan_cache_misses: log.misses,
+        })
     }
 
     /// Plans a single-variable condition, and compiles it for the
@@ -592,11 +616,10 @@ impl<'a> Planner<'a> {
         &self,
         cond: &Cond,
         view_symbol: &str,
-        rewrites: &mut Vec<PlanRewrite>,
-        fp_keys: &mut Vec<String>,
+        log: &mut LowerLog,
     ) -> Result<(CondNode, CompiledCond), PlanError> {
         let resolve = |p: &QPath| resolve_path(&self.schema.grammar, view_symbol, &p.steps);
-        let mut sub = |c: &Cond| self.plan_cond(c, view_symbol, rewrites, fp_keys);
+        let mut sub = |c: &Cond| self.plan_cond(c, view_symbol, log);
         Ok(match cond {
             Cond::Eq(p, crate::RightHand::Const(w)) => {
                 let paths = resolve(p)?;
@@ -608,15 +631,15 @@ impl<'a> Planner<'a> {
                 };
                 // The candidate view regions, union over alternatives.
                 let Located { expr, display, exact, .. } =
-                    self.locate(&paths, Direction::Including, Some(&selector), rewrites, fp_keys)?;
+                    self.locate(&paths, Direction::Including, Some(&selector), log)?;
                 let compiled =
                     CompiledCond::EqConst { var: p.var.clone(), paths, value: w.clone() };
                 (CondNode::IndexOnly { expr, display, exact }, compiled)
             }
             Cond::Eq(p, crate::RightHand::Path(qp)) => {
                 let (lpaths, rpaths) = (resolve(p)?, resolve(qp)?);
-                let l = self.deep_expr(&lpaths, rewrites, fp_keys)?;
-                let r = self.deep_expr(&rpaths, rewrites, fp_keys)?;
+                let l = self.deep_expr(&lpaths, log)?;
+                let r = self.deep_expr(&rpaths, log)?;
                 // Texts are values only for atoms, and an equal pair is
                 // necessary only where both chains locate a superset of the
                 // atoms' own regions, along fixed paths or exactly (§21).
@@ -670,13 +693,8 @@ impl<'a> Planner<'a> {
 
     /// Builds the expression producing the **deep attribute regions** of a
     /// path (for projections and content joins), union over alternatives.
-    fn deep_expr(
-        &self,
-        spec: &PathSpec,
-        rewrites: &mut Vec<PlanRewrite>,
-        fp_keys: &mut Vec<String>,
-    ) -> Result<Located, PlanError> {
-        self.locate(spec, Direction::IncludedIn, None, rewrites, fp_keys)
+    fn deep_expr(&self, spec: &PathSpec, log: &mut LowerLog) -> Result<Located, PlanError> {
+        self.locate(spec, Direction::IncludedIn, None, log)
     }
 
     /// Projects every alternative of a path onto the indexed names, lowers
@@ -686,15 +704,14 @@ impl<'a> Planner<'a> {
         spec: &PathSpec,
         dir: Direction,
         selector: Option<&(SelectKind, String)>,
-        rewrites: &mut Vec<PlanRewrite>,
-        fp_keys: &mut Vec<String>,
+        log: &mut LowerLog,
     ) -> Result<Located, PlanError> {
         let (mut exprs, mut displays) = (Vec::new(), Vec::new());
         let (mut exact, mut on_target) = (true, true);
         for alt in &spec.alternatives {
             let chain = self.project_chain(alt, selector.cloned());
             on_target &= chain.hops.iter().all(|h| h.reason != InexactReason::TargetNotIndexed);
-            let (expr, display, chain_exact) = self.lower_chain(&chain, dir, rewrites, fp_keys);
+            let (expr, display, chain_exact) = self.lower_chain(&chain, dir, log);
             exprs.push(expr);
             displays.push(display);
             exact &= chain_exact;
@@ -844,8 +861,7 @@ impl<'a> Planner<'a> {
         &self,
         chain: &ProjectedChain,
         dir: Direction,
-        rewrites: &mut Vec<PlanRewrite>,
-        fp_keys: &mut Vec<String>,
+        log: &mut LowerLog,
     ) -> (RegionExpr, String, bool) {
         // Split at Exact ops; optimize each run as an InclusionExpr. The
         // algebra has no `⊂^n`: deep regions take `⊂` and are a superset.
@@ -886,7 +902,7 @@ impl<'a> Planner<'a> {
             // The chain key (the plan cache's own key) doubles as the
             // workload-fingerprint material.
             let key = PlanCache::chain_key(&ie);
-            fp_keys.push(key.clone());
+            log.keys.push(key.clone());
             // Scoped keys are not RIG nodes; skip optimization for runs
             // containing them (they are already short).
             let has_scoped = ie.names().iter().any(|n| n.contains('.'));
@@ -899,14 +915,16 @@ impl<'a> Planner<'a> {
             // partial RIG, so a hit is always byte-identical to what a
             // fresh lowering would produce.
             if let Some(cached) = self.plan_cache.get(&key) {
-                rewrites.extend(cached.rewrites);
+                log.hits += 1;
+                log.rewrites.extend(cached.rewrites);
                 empty |= cached.empty;
                 optimized_runs.push(cached.expr);
                 continue;
             }
+            log.misses += 1;
             let lowered = lower_run(&ie, self.partial_rig, optimize(&ie, self.partial_rig));
             self.plan_cache.insert(key, lowered.clone());
-            rewrites.extend(lowered.rewrites);
+            log.rewrites.extend(lowered.rewrites);
             empty |= lowered.empty;
             optimized_runs.push(lowered.expr);
         }

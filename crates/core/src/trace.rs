@@ -139,8 +139,6 @@ pub(crate) struct ExecTrace {
     pub(crate) phases: Vec<PhaseTrace>,
     pub(crate) ops: Vec<OpTrace>,
     pub(crate) facts: Vec<NodeFact>,
-    pub(crate) plan_cache_hits: u64,
-    pub(crate) plan_cache_misses: u64,
 }
 
 impl QueryTrace {

@@ -269,7 +269,7 @@ pub fn render_workload_prometheus(entries: &[WorkloadEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::MetricsRegistry;
+    use crate::trace::{MetricsRegistry, OpTrace};
 
     /// A registry with a fully known content: 3 queries (1 error), plan
     /// cache 2/1, two ops. Latencies land in known log₂ buckets.
@@ -278,11 +278,11 @@ mod tests {
         reg.record_query(1_000, true); // bucket [512, 1024) → le 1024ns
         reg.record_query(1_000, true);
         reg.record_query(1 << 20, false); // le 2^21 ns
-        reg.record_plan_cache(true);
-        reg.record_plan_cache(true);
-        reg.record_plan_cache(false);
-        reg.record_op("⊃", 600); // le 1024ns
-        reg.record_op("σ", 100); // le 128ns
+        reg.record_plan_cache_delta(2, 1);
+        reg.record_op_trace(&[
+            OpTrace { op: "⊃", nanos: 600, ..OpTrace::default() }, // le 1024ns
+            OpTrace { op: "σ", nanos: 100, ..OpTrace::default() }, // le 128ns
+        ]);
         reg.record_index_bytes(4096, 10_000);
         reg.snapshot()
     }

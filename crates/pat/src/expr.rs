@@ -20,7 +20,7 @@ use std::fmt;
 ///         .including(RegionExpr::name("Last_Name").select_eq("Chang")));
 /// assert_eq!(e.to_string(), "Reference ⊃ Authors ⊃ σ_\"Chang\"(Last_Name)");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RegionExpr {
     /// The instance of a region name `Rᵢ`.
     Name(String),
@@ -158,46 +158,6 @@ impl RegionExpr {
         }
     }
 
-    /// The canonical form used as a subexpression-cache key: commutative
-    /// operands (`∪`, `∩`) are ordered, so syntactically different spellings
-    /// of the same expression (`A ∪ B` vs `B ∪ A`) share one cache entry.
-    /// Normalization is recursive; every subexpression of a normalized
-    /// expression is itself normalized.
-    pub fn normalized(&self) -> RegionExpr {
-        use RegionExpr::*;
-        match self {
-            Name(_) | Word(_) | Prefix(_) => self.clone(),
-            Union(a, b) => {
-                let (x, y) = (a.normalized(), b.normalized());
-                let (x, y) = if y < x { (y, x) } else { (x, y) };
-                Union(Box::new(x), Box::new(y))
-            }
-            Intersect(a, b) => {
-                let (x, y) = (a.normalized(), b.normalized());
-                let (x, y) = if y < x { (y, x) } else { (x, y) };
-                Intersect(Box::new(x), Box::new(y))
-            }
-            Difference(a, b) => Difference(Box::new(a.normalized()), Box::new(b.normalized())),
-            SelectEq(e, w) => SelectEq(Box::new(e.normalized()), w.clone()),
-            SelectContains(e, w) => SelectContains(Box::new(e.normalized()), w.clone()),
-            Innermost(e) => Innermost(Box::new(e.normalized())),
-            Outermost(e) => Outermost(Box::new(e.normalized())),
-            Including(a, b) => Including(Box::new(a.normalized()), Box::new(b.normalized())),
-            IncludedIn(a, b) => IncludedIn(Box::new(a.normalized()), Box::new(b.normalized())),
-            DirectIncluding(a, b) => {
-                DirectIncluding(Box::new(a.normalized()), Box::new(b.normalized()))
-            }
-            DirectIncludedIn(a, b) => {
-                DirectIncludedIn(Box::new(a.normalized()), Box::new(b.normalized()))
-            }
-            NestedExactly { outer, inner, depth } => NestedExactly {
-                outer: Box::new(outer.normalized()),
-                inner: Box::new(inner.normalized()),
-                depth: *depth,
-            },
-        }
-    }
-
     /// All region names referenced by the expression.
     pub fn names(&self) -> Vec<&str> {
         fn walk<'a>(e: &'a RegionExpr, out: &mut Vec<&'a str>) {
@@ -325,40 +285,6 @@ mod tests {
             names,
             ["Reference", "Authors", "Last_Name", "Reference", "Editors", "Last_Name"]
         );
-    }
-
-    #[test]
-    fn normalization_orders_commutative_operands() {
-        let a = RegionExpr::name("A");
-        let b = RegionExpr::name("B");
-        assert_eq!(
-            a.clone().union(b.clone()).normalized(),
-            b.clone().union(a.clone()).normalized()
-        );
-        assert_eq!(
-            a.clone().intersect(b.clone()).normalized(),
-            b.clone().intersect(a.clone()).normalized()
-        );
-        // Non-commutative operators keep their operand order.
-        assert_ne!(
-            a.clone().difference(b.clone()).normalized(),
-            b.clone().difference(a.clone()).normalized()
-        );
-        assert_ne!(a.clone().including(b.clone()).normalized(), b.including(a).normalized());
-    }
-
-    #[test]
-    fn normalization_recurses_and_is_idempotent() {
-        let inner =
-            RegionExpr::name("Z").union(RegionExpr::name("A")).select_eq("Chang").innermost();
-        let e = RegionExpr::name("R").including(inner);
-        let n = e.normalized();
-        assert_eq!(n, n.normalized());
-        // The nested union was reordered.
-        let expect = RegionExpr::name("R").including(
-            RegionExpr::name("A").union(RegionExpr::name("Z")).select_eq("Chang").innermost(),
-        );
-        assert_eq!(n, expect);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Where a traced node's result came from.
@@ -369,10 +369,9 @@ impl Histogram {
     }
 }
 
-/// Counters and histograms for one engine's workload. Every database
-/// records into a registry of its own ([`MetricsRegistry::shared`]) unless
-/// an embedder (a server) injects one, so concurrent engines never share
-/// mutable counters.
+/// Counters and histograms for one engine's workload. Every database owns
+/// one registry and records every query into it, so concurrent engines
+/// never share mutable counters.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     queries: AtomicU64,
@@ -407,9 +406,8 @@ pub struct MetricsSnapshot {
     pub phase_latency: BTreeMap<String, Histogram>,
     /// Per-operator latency, keyed by operator label.
     pub op_latency: BTreeMap<String, Histogram>,
-    /// Resident word-index footprint in bytes — a gauge, set by whichever
-    /// database last published its footprint into this registry (`None`
-    /// until one has).
+    /// Resident word-index footprint in bytes — a gauge, set by the
+    /// database that owns the registry (`None` until it has).
     pub index_bytes: Option<u64>,
     /// Corpus text size in bytes behind the published index (gauge).
     pub corpus_bytes: u64,
@@ -436,13 +434,6 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// A fresh, private registry behind a shareable handle — what a server
-    /// instance or a test injects into its `FileDatabase` so concurrent
-    /// workloads never share counters.
-    pub fn shared() -> Arc<MetricsRegistry> {
-        Arc::new(Self::new())
-    }
-
     /// Records one executed query and its end-to-end latency.
     pub fn record_query(&self, nanos: u64, ok: bool) {
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -454,20 +445,11 @@ impl MetricsRegistry {
 
     /// Publishes a database's index footprint: the resident bytes of its
     /// word index (gauge semantics — set, not add) and the corpus bytes it
-    /// indexes. A database re-publishes after every mutation and whenever
-    /// a registry is injected, so scrapes always see the current footprint.
+    /// indexes. A database re-publishes after every mutation, so scrapes
+    /// always see the current footprint.
     pub fn record_index_bytes(&self, bytes: u64, corpus_bytes: u64) {
         *self.index_bytes.lock().expect("metrics lock poisoned") = Some(bytes);
         self.corpus_bytes.store(corpus_bytes, Ordering::Relaxed);
-    }
-
-    /// Records one optimized-plan cache lookup.
-    pub fn record_plan_cache(&self, hit: bool) {
-        if hit {
-            self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Accumulates plan-cache hit/miss deltas (one planning pass can
@@ -475,12 +457,6 @@ impl MetricsRegistry {
     pub fn record_plan_cache_delta(&self, hits: u64, misses: u64) {
         self.plan_cache_hits.fetch_add(hits, Ordering::Relaxed);
         self.plan_cache_misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Records one operator application's latency under its label.
-    pub fn record_op(&self, op: &str, nanos: u64) {
-        let mut map = self.op_latency.lock().expect("metrics lock poisoned");
-        record_labelled(&mut map, op, nanos);
     }
 
     /// Records one query's phase timings (`(name, nanos)` pairs) into the
@@ -674,9 +650,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.record_query(1_000, true);
         reg.record_query(2_000, false);
-        reg.record_op("⊃", 500);
-        reg.record_op("⊃", 700);
-        reg.record_op("σ", 80);
+        reg.record_op_trace(&[node("⊃", 500), node("⊃", 700), node("σ", 80)]);
         let s = reg.snapshot();
         assert_eq!(s.queries, 2);
         assert_eq!(s.query_errors, 1);
@@ -715,9 +689,8 @@ mod tests {
     #[test]
     fn plan_cache_counters_flow_to_snapshot() {
         let reg = MetricsRegistry::new();
-        reg.record_plan_cache(false);
-        reg.record_plan_cache(true);
-        reg.record_plan_cache(true);
+        reg.record_plan_cache_delta(0, 1);
+        reg.record_plan_cache_delta(2, 0);
         let s = reg.snapshot();
         assert_eq!((s.plan_cache_hits, s.plan_cache_misses), (2, 1));
         assert!((s.plan_cache_hit_rate() - 2.0 / 3.0).abs() < 1e-9);

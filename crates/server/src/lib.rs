@@ -26,8 +26,9 @@
 //!
 //! Every `/query` request — success or failure — appends one JSON line to
 //! the structured query log; `qof_queries_total` and the log line count
-//! advance in lockstep. The server injects a private [`MetricsRegistry`]
-//! into the database, so `/metrics` describes this server's traffic alone.
+//! advance in lockstep. `/metrics` reads the database's own
+//! [`MetricsRegistry`], which every query of the served database records
+//! into.
 //!
 //! [`QueryTrace`]: qof_core::QueryTrace
 //! [`MetricsRegistry`]: qof_pat::MetricsRegistry
@@ -46,10 +47,7 @@ use std::time::Instant;
 
 use qof_core::{trace_to_perfetto, traces_to_perfetto, FileDatabase};
 use qof_pat::json::escape;
-use qof_pat::{
-    render_prometheus, render_workload_prometheus, snapshot_to_json, workload_to_json,
-    MetricsRegistry,
-};
+use qof_pat::{render_prometheus, render_workload_prometheus, snapshot_to_json, workload_to_json};
 
 pub use analyzer::{
     analyze_qlog, render_report, report_json, QlogReport, QLOG_REPORT_SCHEMA_VERSION,
@@ -96,8 +94,7 @@ fn timeout(ms: u64) -> Option<std::time::Duration> {
 
 struct State {
     db: FileDatabase,
-    metrics: Arc<MetricsRegistry>,
-    recorder: Arc<FlightRecorder>,
+    recorder: FlightRecorder,
     log: QueryLog,
     shutdown: AtomicBool,
     started: Instant,
@@ -155,28 +152,21 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Starts serving `db` on `listener`. The database gets a private
-/// [`MetricsRegistry`](qof_pat::MetricsRegistry) (so `/metrics` covers
-/// exactly this server's queries) and a trace hook feeding the flight
-/// recorder. Returns immediately; the accept loop runs on its own thread.
+/// Starts serving `db` on `listener`. `/metrics` reads the database's own
+/// [`MetricsRegistry`](qof_pat::MetricsRegistry), and every successful
+/// query's trace goes to the flight recorder. Returns immediately; the
+/// accept loop runs on its own thread.
 pub fn serve(
-    mut db: FileDatabase,
+    db: FileDatabase,
     listener: TcpListener,
     log: QueryLog,
     config: &ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
-    let metrics = MetricsRegistry::shared();
-    db.set_metrics(Arc::clone(&metrics));
-    let recorder = Arc::new(FlightRecorder::new(
-        config.recorder_capacity,
-        config.slow_ms.saturating_mul(1_000_000),
-    ));
-    let hook_recorder = Arc::clone(&recorder);
-    db.set_trace_hook(move |t| hook_recorder.record(t));
+    let recorder =
+        FlightRecorder::new(config.recorder_capacity, config.slow_ms.saturating_mul(1_000_000));
     let state = Arc::new(State {
         db,
-        metrics,
         recorder,
         log,
         shutdown: AtomicBool::new(false),
@@ -252,7 +242,7 @@ fn route(state: &State, req: &Request) -> (u16, &'static str, String) {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/query") => handle_query(state, req),
         ("GET", "/metrics") => {
-            let snap = state.metrics.snapshot();
+            let snap = state.db.metrics().snapshot();
             if req.query_param("format") == Some("json") {
                 (200, JSON, snapshot_to_json(&snap))
             } else {
@@ -260,7 +250,7 @@ fn route(state: &State, req: &Request) -> (u16, &'static str, String) {
             }
         }
         ("GET", "/healthz") => {
-            let snap = state.metrics.snapshot();
+            let snap = state.db.metrics().snapshot();
             let body = format!(
                 "{{\"status\":\"ok\",\"uptime_ms\":{},\"queries\":{},\"query_errors\":{},\
                  \"log_lines\":{}}}",
@@ -337,6 +327,7 @@ fn handle_query(state: &State, req: &Request) -> (u16, &'static str, String) {
     match state.db.query_traced_with_id(src, id) {
         Ok((res, trace)) => {
             state.log.log_success(&trace);
+            state.recorder.record(&trace);
             let mut body = format!(
                 "{{\"id\":{id},\"results\":{},\"candidates\":{},\"exact_index\":{},\
                  \"total_nanos\":{},\"values\":[",

@@ -1,8 +1,7 @@
 //! The flight recorder: a bounded in-memory ring of recent query traces,
 //! plus a second ring that retains slow queries even after they scroll out
-//! of the recent window. Fed from the database's trace hook
-//! ([`qof_core::FileDatabase::set_trace_hook`]), drained by
-//! `GET /flight-recorder`.
+//! of the recent window. `POST /query` records every successful query's
+//! trace, next to its query-log line; `GET /flight-recorder` drains it.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -7,7 +7,6 @@
 
 use std::collections::BTreeSet;
 
-use qof::analyze::verify::verify_rewrites;
 use qof::baseline::{run_baseline, BaselineMode};
 use qof::corpus::{bibtex, code, logs, mail, sgml, Rng, StdRng};
 use qof::grammar::{IndexSpec, StructuringSchema};
@@ -130,12 +129,11 @@ fn forged_shortcut_fails_certification_and_renders_qof110() {
     };
     let cert = certify(&original, &rig, &forged);
     assert!(!cert.all_certified());
-    let step = &cert.steps[0];
-    assert!(!step.certified);
+    assert!(!cert.steps[0]);
 
     // The uncertified step renders through the same constructor the
     // `qof check` path uses.
-    let diag = uncertified_diagnostic("3.5(b)", "drop B from A ⊃ B ⊃ C", step.reason.as_deref());
+    let diag = uncertified_diagnostic("3.5(b)", "drop B from A ⊃ B ⊃ C");
     assert_eq!(diag.severity, Severity::Warning);
     assert_eq!(diag.code.as_str(), "QOF110");
     let rendered = diag.render(None);
@@ -262,8 +260,10 @@ fn draw_chain(rng: &mut StdRng, rig: &Rig, nodes: &[&str]) -> (Vec<String>, Vec<
 #[test]
 fn optimizer_and_certifier_agree_on_generated_chains() {
     // Over all five schemas, full and partial RIGs and both directions,
-    // every normal form must certify and self-verify, and the canonical
-    // optimizer output must be the first normal form, trace and all.
+    // every normal form must certify and cost what every other one costs
+    // (Theorem 3.6 up to the documented cost-equal counterexample), and
+    // the canonical optimizer output must be the first normal form, trace
+    // and all.
     let mut rng = StdRng::seed_from_u64(0xce27_f1ed);
     let (mut chains, mut repeating) = (0, 0);
     for (schema_name, schema) in schemas() {
@@ -294,11 +294,17 @@ fn optimizer_and_certifier_agree_on_generated_chains() {
                     let at = format!("{schema_name}, chain `{e}` over {rig:?}");
                     let forms = normal_forms(&e, rig);
                     assert_eq!(forms[0], optimize(&e, rig), "{at}");
+                    let cost = |f: &Optimized| (f.expr.ops().len(), f.expr.direct_ops());
                     for form in &forms {
                         let cert = certify(&e, rig, form);
                         assert!(cert.all_certified(), "{at}: `{}` {cert:?}", form.expr);
-                        let diags = verify_rewrites(&e, rig, form);
-                        assert!(diags.is_empty(), "{at}: {diags:?}");
+                        assert_eq!(
+                            cost(form),
+                            cost(&forms[0]),
+                            "{at}: normal forms `{}` and `{}` differ in cost",
+                            form.expr,
+                            forms[0].expr
+                        );
                     }
                     chains += 1;
                 }

@@ -396,6 +396,19 @@ fn theorem_3_6_counterexample_is_cost_equal() {
     // A→F avoids B (the direct edge), and one avoids E.
     assert!(!rig.all_paths_pass_through("A", "F", "B"));
     assert!(!rig.all_paths_pass_through("A", "F", "E"));
+    let forms = normal_forms(&e, &rig);
+    let spelled: Vec<String> = forms.iter().map(|f| f.expr.to_string()).collect();
+    assert_eq!(spelled, ["A ⊃ E ⊃ F", "A ⊃ B ⊃ F"]);
+    let cost = |e: &InclusionExpr| (e.ops().len(), e.direct_ops());
+    assert_eq!(cost(&forms[0].expr), cost(&forms[1].expr));
+
+    // A linear chain reduces to one normal form.
+    let rig = rig_from(&[("A", "B"), ("B", "C")]);
+    let e = InclusionExpr::all_direct(
+        Direction::Including,
+        ["A", "B", "C"].map(String::from).to_vec(),
+        None,
+    );
     let forms: Vec<String> = normal_forms(&e, &rig).iter().map(|f| f.expr.to_string()).collect();
-    assert_eq!(forms, ["A ⊃ E ⊃ F", "A ⊃ B ⊃ F"]);
+    assert_eq!(forms, ["A ⊃ C"]);
 }

@@ -20,10 +20,10 @@
 //! that locate them exactly, only approximately, or only through an
 //! enclosing region, where the text test narrows the candidates.
 //!
-//! The loop runs through `FileDatabase::query_traced`, so in a debug build
-//! every optimizer call also self-verifies (`QOF030`/`QOF031`). Every case
-//! runs on its own seed drawn from a fixed `StdRng` stream; a failure
-//! prints the case's seed and query text.
+//! The loop runs through `FileDatabase::query_traced`, whose planner
+//! certifies every optimizer call it lowers. Every case runs on its own
+//! seed drawn from a fixed `StdRng` stream; a failure prints the case's
+//! seed and query text.
 
 mod common;
 
