@@ -1162,8 +1162,6 @@ fn a5(scale: Scale, r: &mut Recorder) {
                 exemplar: &tr.query,
                 nanos: tr.total_nanos,
                 bytes: tr.bytes_touched,
-                plan_cache_hits: tr.plan_cache_hits,
-                plan_cache_misses: tr.plan_cache_misses,
             })
             .collect();
         let table = WorkloadTable::new();
@@ -1206,8 +1204,6 @@ fn a5(scale: Scale, r: &mut Recorder) {
                 exemplar: &format!("shape {fp}"),
                 nanos: 1_000,
                 bytes: 10,
-                plan_cache_hits: 1,
-                plan_cache_misses: 0,
             });
             if fp == 1 {
                 true_hot += 1;
@@ -1250,10 +1246,11 @@ mod tests {
             .find(|m| m.name.starts_with("plan_cache_hit_rate_"))
             .unwrap();
         assert!(hit_rate.value > 0.0, "warm passes must hit the plan cache");
-        // The embedded trace is a v8 document: no estimates.
+        // The embedded trace is a v9 document: no estimates, and the hit
+        // rate comes from the cache, not from per-query counts.
         let trace = report.trace_json.as_deref().unwrap();
-        assert!(trace.contains("\"schema_version\":8"), "{trace}");
-        assert!(!trace.contains("\"estimates\""), "{trace}");
+        assert!(trace.contains("\"schema_version\":9"), "{trace}");
+        assert!(!trace.contains("\"estimates\"") && !trace.contains("plan_cache"), "{trace}");
     }
 
     #[test]
@@ -1275,9 +1272,9 @@ mod tests {
         // sweep and its count bound contains the true count.
         let (hits, over) = (get("hot_shape_hits"), get("hot_shape_overcount"));
         assert!(hits - over <= 4096.0 && hits >= 4096.0 / 64.0, "hot shape bound");
-        // The embedded trace is a v8 document carrying the fingerprint.
+        // The embedded trace is a v9 document carrying the fingerprint.
         let trace = report.trace_json.as_deref().unwrap();
-        assert!(trace.contains("\"schema_version\":8"), "{trace}");
+        assert!(trace.contains("\"schema_version\":9"), "{trace}");
         assert!(trace.contains("\"fingerprint\":\""), "{trace}");
         assert!(trace.contains("\"bytes_touched\":"), "{trace}");
     }

@@ -7,7 +7,7 @@
 //! Two variants are provided:
 //!
 //! * [`BaselineMode::FullLoad`] — the naive pipeline: build every object.
-//! * [`BaselineMode::ReducedLoad`] — the [ACM93] optimization the paper
+//! * [`BaselineMode::ReducedLoad`] — the \[ACM93\] optimization the paper
 //!   cites: the query is pushed into loading so only objects on needed
 //!   paths are constructed; the whole file is still scanned and parsed.
 

@@ -14,8 +14,8 @@ use qof_grammar::{
     StructuringSchema, SymbolId, ValueSink,
 };
 use qof_pat::{
-    Engine, EvalError, EvalStats, Instance, MetricsRegistry, OpTrace, Region, RegionSet, TraceSink,
-    WorkloadObs, WorkloadTable,
+    Engine, EvalError, EvalStats, Instance, MetricsRegistry, MetricsSnapshot, OpTrace, Region,
+    RegionSet, TraceSink, WorkloadObs, WorkloadTable,
 };
 use qof_text::{Corpus, Pos, WordIndex};
 
@@ -217,7 +217,7 @@ impl FileDatabase {
     }
 
     /// Assembles a database from its indexed parts, deriving the RIGs from
-    /// the grammar and the spec, and publishes the index-footprint gauges.
+    /// the grammar and the spec.
     fn from_parts(
         corpus: Corpus,
         words: WordIndex,
@@ -229,7 +229,7 @@ impl FileDatabase {
         let indexed: std::collections::BTreeSet<String> =
             spec.instance_names(&schema.grammar).into_iter().filter(|n| !n.contains('.')).collect();
         let partial_rig = full_rig.partial(&indexed);
-        let db = Self {
+        Self {
             corpus,
             words,
             schema,
@@ -241,9 +241,7 @@ impl FileDatabase {
             metrics: MetricsRegistry::new(),
             query_counter: AtomicU64::new(0),
             workload: WorkloadTable::new(),
-        };
-        db.publish_index_stats();
-        db
+        }
     }
 
     /// Writes the database to a `.qofx` index file: corpus, delta-coded
@@ -300,10 +298,15 @@ impl FileDatabase {
         }
     }
 
-    /// The registry this database records its queries and index footprint
-    /// into.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+    /// The metrics every reporting surface renders (`qof stats`,
+    /// `/metrics`): the query counters and latency histograms this
+    /// database's queries recorded, the plan cache's own lookup counters
+    /// (every lookup, whichever call made it) and the index footprint,
+    /// each read from where it is kept.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let pc = self.plan_cache.stats();
+        self.metrics
+            .snapshot((pc.hits, pc.misses), (self.index_bytes(), u64::from(self.corpus.len())))
     }
 
     /// Draws the next query ID from this database's sequence (1, 2, …).
@@ -359,7 +362,6 @@ impl FileDatabase {
             }
         }
         self.words.append_span(&self.corpus, span);
-        self.publish_index_stats();
         Ok(())
     }
 
@@ -386,12 +388,6 @@ impl FileDatabase {
     /// Resident bytes of the word index (dictionary and posting lists).
     pub fn index_bytes(&self) -> u64 {
         self.words.stats().approx_bytes as u64
-    }
-
-    /// Publishes the index-footprint gauges (`qof_index_bytes`,
-    /// `qof_corpus_bytes`) into this database's metrics registry.
-    fn publish_index_stats(&self) {
-        self.metrics.record_index_bytes(self.index_bytes(), u64::from(self.corpus.len()));
     }
 
     /// The index specification this database was built with.
@@ -454,8 +450,8 @@ impl FileDatabase {
     /// [`FileDatabase::query`], also returning the run's [`QueryTrace`]:
     /// the optimizer rewrites that fired during planning, per-phase wall
     /// times, the engine's operator tree (with per-operator timings,
-    /// cardinalities and memo outcomes) and this run's plan-cache hit/miss
-    /// delta. The trace's query ID comes from the database's sequence.
+    /// cardinalities and memo outcomes). The trace's query ID comes from
+    /// the database's sequence.
     pub fn query_traced(&self, src: &str) -> Result<(QueryResult, QueryTrace), QueryError> {
         self.run(src, self.allocate_query_id())
     }
@@ -498,8 +494,6 @@ impl FileDatabase {
             rewrites: plan.rewrites,
             phases: tr.phases,
             ops: tr.ops,
-            plan_cache_hits: plan.plan_cache_hits,
-            plan_cache_misses: plan.plan_cache_misses,
             total_nanos,
             bytes_touched: result.stats.bytes_touched(),
             candidates: result.stats.candidates,
@@ -507,7 +501,6 @@ impl FileDatabase {
             exact_index: result.stats.exact_index,
         };
         self.metrics.record_query(total_nanos, true);
-        self.metrics.record_plan_cache_delta(trace.plan_cache_hits, trace.plan_cache_misses);
         self.metrics.record_phases(trace.phases.iter().map(|p| (p.name, p.nanos)));
         self.metrics.record_op_trace(&trace.ops);
         self.workload.observe(&WorkloadObs {
@@ -515,14 +508,12 @@ impl FileDatabase {
             exemplar: src,
             nanos: total_nanos,
             bytes: trace.bytes_touched,
-            plan_cache_hits: trace.plan_cache_hits,
-            plan_cache_misses: trace.plan_cache_misses,
         });
         Ok((result, trace))
     }
 
     /// Parses, plans and executes `src`, filling `tr` with the run's
-    /// phases, static facts, operator tree and plan-cache delta.
+    /// phases, static facts and operator tree.
     fn plan_and_execute(
         &self,
         src: &str,
@@ -1327,15 +1318,17 @@ mod tests {
     fn traced_query_feeds_injected_metrics() {
         let corpus = multi_file_corpus(2, 10);
         let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
-        let metrics = db.metrics();
         let (_, trace) = db.query_traced(QUERIES[1]).unwrap();
         let (_, trace2) = db.query_traced(QUERIES[1]).unwrap();
-        // The database's own registry sees exactly its work.
-        let after = metrics.snapshot();
+        // The database's own registry sees exactly its work, and the
+        // plan-cache counters are the cache's: the second run hits every
+        // chain the first one missed.
+        let after = db.metrics_snapshot();
         assert_eq!(after.queries, 2);
         assert_eq!(after.query_errors, 0);
-        assert_eq!(after.plan_cache_misses, trace.plan_cache_misses + trace2.plan_cache_misses);
-        assert_eq!(after.plan_cache_hits, trace.plan_cache_hits + trace2.plan_cache_hits);
+        let pc = db.plan_cache_stats();
+        assert_eq!((after.plan_cache_hits, after.plan_cache_misses), (pc.hits, pc.misses));
+        assert!(pc.misses > 0 && pc.hits == pc.misses, "{pc:?}");
         assert_eq!(after.query_latency.count(), 2);
         assert!(!after.op_latency.is_empty());
         // Query IDs come from the database's own sequence.
@@ -1343,7 +1336,7 @@ mod tests {
         assert_eq!(trace2.id, 2);
         // A failing query still counts, as an error.
         assert!(db.query_traced("SELEC nope").is_err());
-        let errs = metrics.snapshot();
+        let errs = db.metrics_snapshot();
         assert_eq!(errs.queries, 3);
         assert_eq!(errs.query_errors, 1);
     }
@@ -1351,14 +1344,13 @@ mod tests {
     #[test]
     fn library_query_is_accounted_exactly_once() {
         // `query` runs the accounted path: one success advances the query
-        // counter, every phase histogram, the plan-cache counters and the
-        // workload table once each; a failure advances the error counter
-        // and nothing else.
+        // counter, every phase histogram and the workload table once each,
+        // and its one chain is one plan-cache lookup; a failure advances the
+        // error counter and nothing else.
         let corpus = multi_file_corpus(2, 10);
         let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
-        let metrics = db.metrics();
         db.query(QUERIES[0]).unwrap();
-        let snap = metrics.snapshot();
+        let snap = db.metrics_snapshot();
         assert_eq!((snap.queries, snap.query_errors), (1, 0));
         assert_eq!(snap.query_latency.count(), 1);
         type Counts = std::collections::BTreeMap<String, u64>;
@@ -1377,10 +1369,10 @@ mod tests {
         assert_eq!(db.workload().total_hits(), 1);
         let entries = db.workload().snapshot();
         assert_eq!(entries.len(), 1);
-        assert_eq!((entries[0].hits, entries[0].plan_cache_misses), (1, 1));
+        assert_eq!(entries[0].hits, 1);
 
         assert!(db.query("SELEC nope").is_err());
-        let snap = metrics.snapshot();
+        let snap = db.metrics_snapshot();
         assert_eq!((snap.queries, snap.query_errors), (2, 1));
         assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (0, 1));
         assert_eq!(phase_counts(&snap), want, "a failure advances no phase");
@@ -1459,12 +1451,13 @@ mod tests {
         }
         let corpus = multi_file_corpus(2, 10);
         let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
-        let metrics = db.metrics();
         let (_, miss) = db.query_traced(QUERIES[0]).unwrap();
+        let pc = db.plan_cache_stats();
+        assert_eq!((pc.misses, pc.hits), (1, 0));
         let (_, hit) = db.query_traced(QUERIES[0]).unwrap();
-        assert_eq!((miss.plan_cache_misses, miss.plan_cache_hits), (1, 0));
-        assert_eq!((hit.plan_cache_misses, hit.plan_cache_hits), (0, 1));
-        let snap = metrics.snapshot();
+        let pc = db.plan_cache_stats();
+        assert_eq!((pc.misses, pc.hits), (1, 1));
+        let snap = db.metrics_snapshot();
         assert_eq!(snap.queries, 2);
         assert_eq!(snap.query_errors, 0);
         assert_eq!(snap.query_latency.count(), 2);
@@ -1481,49 +1474,63 @@ mod tests {
     // -- plan cache ------------------------------------------------------------
 
     #[test]
-    fn concurrent_queries_count_only_their_own_plan_cache_lookups() {
+    fn concurrent_queries_count_every_plan_cache_lookup_once() {
         // Four threads plan at once: a barrier starts every round of
-        // queries together. Each trace counts the lookups its own planning
-        // made, so the traces sum to the cache's counters, and the metrics
-        // registry, which sums the traces, agrees.
+        // queries together. The cache counts each of their lookups exactly
+        // once, and the metrics snapshot reads the cache's counters.
         const THREADS: usize = 4;
         const ROUNDS: usize = 200;
         let db = FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), IndexSpec::full())
             .unwrap();
         let before = db.plan_cache_stats();
         let barrier = std::sync::Barrier::new(THREADS);
-        let counted: Vec<(u64, u64)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let (db, barrier) = (&db, &barrier);
-                    scope.spawn(move || {
-                        let (mut hits, mut misses) = (0, 0);
-                        for i in 0..ROUNDS {
-                            // 300 distinct names: some lookups hit, some miss.
-                            let q = format!(
-                                "SELECT r.Key FROM References r \
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (db, barrier) = (&db, &barrier);
+                scope.spawn(move || {
+                    for i in 0..ROUNDS {
+                        // 300 distinct names: some lookups hit, some miss.
+                        let q = format!(
+                            "SELECT r.Key FROM References r \
                                  WHERE r.Authors.Name.Last_Name = \"Chang{}\"",
-                                (t * ROUNDS + i) % 300
-                            );
-                            barrier.wait();
-                            let (_, trace) = db.query_traced(&q).unwrap();
-                            hits += trace.plan_cache_hits;
-                            misses += trace.plan_cache_misses;
-                        }
-                        (hits, misses)
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
+                            (t * ROUNDS + i) % 300
+                        );
+                        barrier.wait();
+                        db.query_traced(&q).unwrap();
+                    }
+                });
+            }
         });
-        let (hits, misses) = counted.iter().fold((0, 0), |(h, m), &(a, b)| (h + a, m + b));
         let after = db.plan_cache_stats();
         let delta = (after.hits - before.hits, after.misses - before.misses);
         // A selection chain and a projection chain per query.
-        assert_eq!(hits + misses, 2 * (THREADS * ROUNDS) as u64);
-        assert_eq!((hits, misses), delta, "summed trace counts against the cache's own");
-        let snap = db.metrics().snapshot();
-        assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), delta);
+        assert_eq!(delta.0 + delta.1, 2 * (THREADS * ROUNDS) as u64);
+        let snap = db.metrics_snapshot();
+        assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (after.hits, after.misses));
+    }
+
+    #[test]
+    fn metrics_read_the_plan_cache_and_the_index() {
+        // `explain` and `plan` look chains up as `query` does. The rendered
+        // counters are the cache's own, whichever call made the lookup,
+        // and the gauges follow the index through `add_file`.
+        let mut db =
+            FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), IndexSpec::full())
+                .unwrap();
+        let q = QUERIES[0];
+        db.explain(q).unwrap();
+        db.plan(q).unwrap();
+        db.query(q).unwrap();
+        let pc = db.plan_cache_stats();
+        assert_eq!((pc.hits, pc.misses), (2, 1));
+        let text = qof_pat::render_prometheus(&db.metrics_snapshot());
+        assert!(text.contains(&format!("\nqof_plan_cache_hits_total {}\n", pc.hits)), "{text}");
+        assert!(text.contains(&format!("\nqof_plan_cache_misses_total {}\n", pc.misses)), "{text}");
+        let (extra, _) = bibtex::generate(&BibtexConfig::with_refs(5));
+        db.add_file("extra", &extra).unwrap();
+        let snap = db.metrics_snapshot();
+        assert_eq!(snap.index_bytes, db.index_bytes());
+        assert_eq!(snap.corpus_bytes, u64::from(db.corpus().len()));
     }
 
     #[test]
@@ -1532,21 +1539,20 @@ mod tests {
         let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
         let q = QUERIES[1];
         let (r1, t1) = db.query_traced(q).unwrap();
-        assert!(t1.plan_cache_misses > 0, "first run must miss the plan cache");
-        assert_eq!(t1.plan_cache_hits, 0);
+        let cold = db.plan_cache_stats();
+        assert!(cold.misses > 0, "first run must miss the plan cache");
+        assert_eq!(cold.hits, 0);
         let (r2, t2) = db.query_traced(q).unwrap();
-        assert!(t2.plan_cache_hits > 0, "second run must hit the plan cache");
-        assert_eq!(t2.plan_cache_misses, 0);
+        let warm = db.plan_cache_stats();
+        assert_eq!(warm.hits, cold.misses, "second run must hit every chain");
+        assert_eq!(warm.misses, cold.misses);
         // The cached lowering reproduces the fresh one byte for byte:
         // same plan text, same recorded rewrites, same results.
         assert_eq!(t1.plan, t2.plan);
         assert_eq!(t1.rewrites, t2.rewrites);
         assert_eq!(t1.facts, t2.facts);
         assert_same_results(&r1, &r2, q);
-        let pc = db.plan_cache_stats();
-        assert_eq!(pc.hits, t2.plan_cache_hits);
-        assert_eq!(pc.misses, t1.plan_cache_misses);
-        assert!(pc.entries > 0);
+        assert!(warm.entries > 0);
     }
 
     #[test]
@@ -1592,11 +1598,12 @@ mod tests {
             FileDatabase::build(db.corpus().clone(), db.schema().clone(), spec.clone()).unwrap();
         let searches = || crate::plan::ROUTE_SEARCHES.with(std::cell::Cell::get);
         for q in queries {
-            let before = searches();
+            let (before, cached) = (searches(), db.plan_cache_stats());
             let (got, trace) = db.query_traced(q).unwrap();
             assert_eq!(searches(), before, "{q}: a route verdict was searched again");
-            assert!(trace.plan_cache_hits > 0, "{q}: no hit after add_file");
-            assert_eq!(trace.plan_cache_misses, 0, "{q}");
+            let pc = db.plan_cache_stats();
+            assert!(pc.hits > cached.hits, "{q}: no hit after add_file");
+            assert_eq!(pc.misses, cached.misses, "{q}");
             let (want, fresh_trace) = fresh.query_traced(q).unwrap();
             assert_eq!(trace.plan, fresh_trace.plan, "{q}");
             assert_eq!(trace.rewrites, fresh_trace.rewrites, "{q}");
@@ -1889,12 +1896,12 @@ mod tests {
             built.corpus().len()
         );
         let opened = FileDatabase::open(&path, bibtex::schema()).unwrap();
-        let metrics = opened.metrics();
         // The reopened word index is the built one: same resident bytes,
-        // published as the one index gauge.
+        // reported as the one index gauge.
         assert_eq!(opened.index_bytes(), built.index_bytes());
-        assert_eq!(metrics.snapshot().index_bytes, Some(opened.index_bytes()));
-        assert_eq!(metrics.snapshot().corpus_bytes, u64::from(opened.corpus().len()));
+        let snap = opened.metrics_snapshot();
+        assert_eq!(snap.index_bytes, opened.index_bytes());
+        assert_eq!(snap.corpus_bytes, u64::from(opened.corpus().len()));
         assert_eq!(opened.corpus().text(), built.corpus().text());
         assert_eq!(opened.instance(), built.instance());
         assert_eq!(opened.index_spec(), built.index_spec());

@@ -23,7 +23,7 @@
 //! 4. The [`optimize`] algorithm (§3.2) rewrites each expression into its
 //!    unique most efficient version: `⊃d` weakened to `⊃` and chains
 //!    shortened, justified by Propositions 3.3 and 3.5 and Theorem 3.6.
-//! 5. The [`planner`](plan) decides whether the index computes the query
+//! 5. The [`Planner`] decides whether the index computes the query
 //!    exactly (§6.3) or yields *candidate regions* that are then parsed with
 //!    the query pushed into the parsing process (§6.2), and the executor
 //!    runs the whole plan, joining region contents in the object database

@@ -262,11 +262,6 @@ pub struct Plan {
     /// schema v6 stamps it; `GET /workload` and `qof qlog analyze`
     /// aggregate under it.
     pub fingerprint: u64,
-    /// This planning's own plan-cache lookups that found the chain
-    /// lowered already.
-    pub plan_cache_hits: u64,
-    /// This planning's own plan-cache lookups that had to lower it.
-    pub plan_cache_misses: u64,
 }
 
 /// What lowering a query's chains records, in planning order.
@@ -277,10 +272,6 @@ struct LowerLog {
     /// Every chain key consulted (the plan cache's own keys): the
     /// workload fingerprint's material.
     keys: Vec<String>,
-    /// Plan-cache lookups that hit.
-    hits: u64,
-    /// Plan-cache lookups that missed.
-    misses: u64,
 }
 
 /// Planning failures.
@@ -599,15 +590,7 @@ impl<'a> Planner<'a> {
                 fnv1a64(material.as_bytes())
             }
         };
-        Ok(Plan {
-            vars,
-            join,
-            projection,
-            rewrites: log.rewrites,
-            fingerprint,
-            plan_cache_hits: log.hits,
-            plan_cache_misses: log.misses,
-        })
+        Ok(Plan { vars, join, projection, rewrites: log.rewrites, fingerprint })
     }
 
     /// Plans a single-variable condition, and compiles it for the
@@ -915,13 +898,11 @@ impl<'a> Planner<'a> {
             // partial RIG, so a hit is always byte-identical to what a
             // fresh lowering would produce.
             if let Some(cached) = self.plan_cache.get(&key) {
-                log.hits += 1;
                 log.rewrites.extend(cached.rewrites);
                 empty |= cached.empty;
                 optimized_runs.push(cached.expr);
                 continue;
             }
-            log.misses += 1;
             let lowered = lower_run(&ie, self.partial_rig, optimize(&ie, self.partial_rig));
             self.plan_cache.insert(key, lowered.clone());
             log.rewrites.extend(lowered.rewrites);
@@ -1316,7 +1297,7 @@ impl Plan {
     }
 
     /// The abstract interpreter's verdict on every region expression
-    /// ([`Plan::region_exprs`]): trace schema v3's `facts` array. It
+    /// (`Plan::region_exprs`): trace schema v3's `facts` array. It
     /// reads the plan and the interpreter's RIG only.
     pub fn facts(&self, interp: &AbsInterp<'_>) -> Vec<NodeFact> {
         self.region_exprs()

@@ -45,8 +45,11 @@ use crate::plan::PlanRewrite;
 /// `card_lo`/`card_hi` — a fact is a static domain and an emptiness
 /// verdict from the RIG alone, so it depends only on the plan and the
 /// RIG. Facts no longer report a word absent from the corpus (the
-/// phase-1 candidate count still shows it).
-pub const TRACE_SCHEMA_VERSION: u64 = 8;
+/// phase-1 candidate count still shows it). v9 removed the
+/// `plan_cache_hits`/`plan_cache_misses` pair: a lookup's hit or miss
+/// belongs to the plan cache, which counts every lookup
+/// (`qof_plan_cache_*_total`), and the `plan` phase times planning.
+pub const TRACE_SCHEMA_VERSION: u64 = 9;
 
 /// The abstract interpreter's verdict on one plan node (trace schema v3):
 /// a static domain and an emptiness fact, as computed from the RIG by
@@ -114,11 +117,6 @@ pub struct QueryTrace {
     pub phases: Vec<PhaseTrace>,
     /// Operator trace of the engine.
     pub ops: Vec<OpTrace>,
-    /// Plan-cache hits while planning this run (schema v4): lowered
-    /// chains reused from a previous optimize-and-certify.
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses while planning this run (schema v4).
-    pub plan_cache_misses: u64,
     /// End-to-end wall time, nanoseconds.
     pub total_nanos: u64,
     /// Bytes the run touched (schema v6): parse-phase bytes scanned plus
@@ -190,18 +188,9 @@ impl QueryTrace {
         for (i, root) in self.ops.iter().enumerate() {
             render_op(root, "  ", i + 1 == self.ops.len(), &mut out);
         }
-        let plan_cache = if self.plan_cache_hits + self.plan_cache_misses > 0 {
-            format!(
-                ", plan cache {}/{} hits",
-                self.plan_cache_hits,
-                self.plan_cache_hits + self.plan_cache_misses
-            )
-        } else {
-            String::new()
-        };
         let _ = writeln!(
             out,
-            "totals: {} candidates, {} results [{}]{plan_cache}, {}",
+            "totals: {} candidates, {} results [{}], {}",
             self.candidates,
             self.results,
             if self.exact_index { "exact" } else { "candidates" },
@@ -276,11 +265,6 @@ impl QueryTrace {
         }
         s.push_str("],\"ops\":");
         ops_to_json(&self.ops, &mut s);
-        let _ = write!(
-            s,
-            ",\"plan_cache_hits\":{},\"plan_cache_misses\":{}",
-            self.plan_cache_hits, self.plan_cache_misses
-        );
         let _ = write!(s, ",\"total_nanos\":{}", self.total_nanos);
         let _ = write!(s, ",\"bytes_touched\":{}", self.bytes_touched);
         let _ = write!(s, ",\"candidates\":{},\"results\":{}", self.candidates, self.results);
@@ -434,8 +418,6 @@ mod tests {
                 PhaseTrace { name: "projection", start_nanos: 1_500, nanos: 2_000_000 },
             ],
             ops: vec![root],
-            plan_cache_hits: 2,
-            plan_cache_misses: 1,
             total_nanos: 2_100_000,
             bytes_touched: 4_096,
             candidates: 5,
@@ -466,9 +448,10 @@ mod tests {
         assert_eq!(get(&top, "domain_known").unwrap(), &Json::Bool(false));
         assert_eq!(get(&top, "empty").unwrap(), &Json::Bool(true));
         assert_eq!(get_arr(&top, "notes").unwrap()[0].as_str(), Some(&*trace.facts[1].notes[0]));
-        // v8: no cardinality anywhere.
+        // v8: no cardinality anywhere; v9: no plan-cache counts.
         assert!(get(&known, "card_lo").is_err() && get(&known, "card_hi").is_err());
         assert!(get(obj, "estimates").is_err());
+        assert!(get(obj, "plan_cache_hits").is_err() && get(obj, "plan_cache_misses").is_err());
         let phase = item("phases", 1);
         assert_eq!(get_str(&phase, "name").unwrap(), "projection");
         assert_eq!((num(&phase, "start_nanos"), num(&phase, "nanos")), (1_500, 2_000_000));
@@ -479,8 +462,6 @@ mod tests {
         assert_eq!(get_str(memo, "source").unwrap(), "memo");
         assert_eq!((num(memo, "span_id"), num(memo, "start_nanos")), (3, 240));
         for (key, want) in [
-            ("plan_cache_hits", 2),
-            ("plan_cache_misses", 1),
             ("total_nanos", 2_100_000),
             ("bytes_touched", 4_096),
             ("candidates", 5),
@@ -508,8 +489,8 @@ mod tests {
         assert!(text.contains("index-candidates"));
         assert!(text.contains("└─ ⊃  in=3 out=1"));
         assert!(text.contains("(memo hit)"));
-        assert!(text.contains("plan cache 2/3 hits"));
-        assert!(text.contains("totals: 5 candidates, 1 results [exact]"));
+        assert!(!text.contains("plan cache"));
+        assert!(text.contains("totals: 5 candidates, 1 results [exact], 2.10ms"));
     }
 
     #[test]

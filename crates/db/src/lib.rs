@@ -4,7 +4,7 @@
 //! # qof-db
 //!
 //! A small in-memory object-oriented database, standing in for the O2 system
-//! that the paper's prototype used ([BCD89]). It provides exactly what the
+//! that the paper's prototype used (\[BCD89\]). It provides exactly what the
 //! "standard database implementation" baseline needs:
 //!
 //! * a complex-value model ([`Value`]): atomic strings and integers, tuples,

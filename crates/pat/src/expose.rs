@@ -83,14 +83,12 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "# TYPE {name} counter");
         let _ = writeln!(out, "{name} {value}");
     }
-    if let Some(bytes) = snap.index_bytes {
-        let _ = writeln!(out, "# HELP qof_index_bytes Resident word-index footprint in bytes.");
-        let _ = writeln!(out, "# TYPE qof_index_bytes gauge");
-        let _ = writeln!(out, "qof_index_bytes {bytes}");
-        let _ = writeln!(out, "# HELP qof_corpus_bytes Corpus text bytes behind the index.");
-        let _ = writeln!(out, "# TYPE qof_corpus_bytes gauge");
-        let _ = writeln!(out, "qof_corpus_bytes {}", snap.corpus_bytes);
-    }
+    let _ = writeln!(out, "# HELP qof_index_bytes Resident word-index footprint in bytes.");
+    let _ = writeln!(out, "# TYPE qof_index_bytes gauge");
+    let _ = writeln!(out, "qof_index_bytes {}", snap.index_bytes);
+    let _ = writeln!(out, "# HELP qof_corpus_bytes Corpus text bytes behind the index.");
+    let _ = writeln!(out, "# TYPE qof_corpus_bytes gauge");
+    let _ = writeln!(out, "qof_corpus_bytes {}", snap.corpus_bytes);
     let _ = writeln!(out, "# HELP qof_query_latency_seconds End-to-end query latency.");
     let _ = writeln!(out, "# TYPE qof_query_latency_seconds histogram");
     histogram_series(&mut out, "qof_query_latency_seconds", "", &snap.query_latency);
@@ -165,12 +163,8 @@ pub fn snapshot_to_json(snap: &MetricsSnapshot) -> String {
         snap.plan_cache_hits, snap.plan_cache_misses
     );
     let _ = write!(out, ",\"plan_cache_hit_rate\":{}", snap.plan_cache_hit_rate());
-    let _ = write!(
-        out,
-        ",\"index_bytes\":{},\"corpus_bytes\":{}",
-        snap.index_bytes.unwrap_or(0),
-        snap.corpus_bytes
-    );
+    let _ =
+        write!(out, ",\"index_bytes\":{},\"corpus_bytes\":{}", snap.index_bytes, snap.corpus_bytes);
     let _ = write!(out, ",\"query_latency\":{}", histogram_json(&snap.query_latency));
     let _ = write!(out, ",\"phase_latency\":{}", labelled_json(&snap.phase_latency));
     let _ = write!(out, ",\"op_latency\":{}}}", labelled_json(&snap.op_latency));
@@ -193,8 +187,10 @@ fn labelled_json(histograms: &BTreeMap<String, Histogram>) -> String {
 /// Version stamp of the `GET /workload` JSON envelope. Within v2 the
 /// per-entry `errors` key was dropped: failed queries never reach the
 /// table, so it was always 0. v3 dropped `worst_est_ratio` and
-/// `worst_est_trace`: queries no longer carry cardinality estimates.
-pub const WORKLOAD_SCHEMA_VERSION: u64 = 3;
+/// `worst_est_trace`: queries no longer carry cardinality estimates. v4
+/// dropped `plan_cache_hits` and `plan_cache_misses`: a plan-cache lookup
+/// is the cache's to count (`qof_plan_cache_*_total`), not a query's.
+pub const WORKLOAD_SCHEMA_VERSION: u64 = 4;
 
 /// Serializes a workload-table snapshot as the `GET /workload` document,
 /// also printed by `qof stats --workload` and rebuilt offline by
@@ -212,16 +208,13 @@ pub fn workload_to_json(entries: &[WorkloadEntry], capacity: usize) -> String {
         let _ = write!(
             out,
             "{{\"fingerprint\":\"{:016x}\",\"exemplar\":\"{}\",\"hits\":{},\
-             \"overcount\":{},\"total_bytes\":{},\"max_bytes\":{},\
-             \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"latency\":{}}}",
+             \"overcount\":{},\"total_bytes\":{},\"max_bytes\":{},\"latency\":{}}}",
             e.fingerprint,
             escape(&e.exemplar),
             e.hits,
             e.overcount,
             e.total_bytes,
             e.max_bytes,
-            e.plan_cache_hits,
-            e.plan_cache_misses,
             histogram_json(&e.latency)
         );
     }
@@ -271,20 +264,19 @@ mod tests {
     use super::*;
     use crate::trace::{MetricsRegistry, OpTrace};
 
-    /// A registry with a fully known content: 3 queries (1 error), plan
-    /// cache 2/1, two ops. Latencies land in known log₂ buckets.
+    /// A snapshot with a fully known content: 3 queries (1 error), plan
+    /// cache 2/1, two ops, a 4096-byte index over 10 000 corpus bytes.
+    /// Latencies land in known log₂ buckets.
     fn known_snapshot() -> MetricsSnapshot {
         let reg = MetricsRegistry::new();
         reg.record_query(1_000, true); // bucket [512, 1024) → le 1024ns
         reg.record_query(1_000, true);
         reg.record_query(1 << 20, false); // le 2^21 ns
-        reg.record_plan_cache_delta(2, 1);
         reg.record_op_trace(&[
             OpTrace { op: "⊃", nanos: 600, ..OpTrace::default() }, // le 1024ns
             OpTrace { op: "σ", nanos: 100, ..OpTrace::default() }, // le 128ns
         ]);
-        reg.record_index_bytes(4096, 10_000);
-        reg.snapshot()
+        reg.snapshot((2, 1), (4096, 10_000))
     }
 
     #[test]
@@ -344,12 +336,12 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
 
     #[test]
     fn empty_snapshot_renders_cleanly() {
-        let snap = MetricsRegistry::new().snapshot();
+        let snap = MetricsRegistry::new().snapshot((0, 0), (0, 0));
         let text = render_prometheus(&snap);
         assert!(text.contains("qof_queries_total 0"));
         assert!(text.contains("qof_query_latency_seconds_bucket{le=\"+Inf\"} 0"));
         assert!(!text.contains("qof_op_latency_seconds"), "no op series when none recorded");
-        assert!(!text.contains("qof_index_bytes"), "no gauge until a database publishes");
+        assert!(text.contains("qof_index_bytes 0\n"), "{text}");
         let json = snapshot_to_json(&snap);
         assert!(json.contains("\"queries\":0"));
         assert!(json.contains("\"phase_latency\":{},\"op_latency\":{}"), "{json}");
@@ -378,7 +370,7 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
     fn phase_histograms_render_in_both_surfaces() {
         let reg = MetricsRegistry::new();
         reg.record_phases([("parse", 100), ("index-candidates", 600)]);
-        let snap = reg.snapshot();
+        let snap = reg.snapshot((0, 0), (0, 0));
         let text = render_prometheus(&snap);
         assert!(text.contains("# TYPE qof_phase_latency_seconds histogram"), "{text}");
         assert!(
@@ -413,17 +405,15 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
             exemplar: "SELECT r FROM References r",
             nanos: 1_000,
             bytes: 42,
-            plan_cache_hits: 1,
-            plan_cache_misses: 1,
         });
         let snap = t.snapshot();
         let json = workload_to_json(&snap, t.capacity());
-        assert!(json.contains("\"schema_version\":3,\"capacity\":64"), "{json}");
+        assert!(json.contains("\"schema_version\":4,\"capacity\":64"), "{json}");
         assert!(json.contains("\"fingerprint\":\"000000000000abcd\""), "{json}");
         assert!(json.contains("\"hits\":1,\"overcount\":0,\"total_bytes\""), "{json}");
         assert!(json.contains("\"total_bytes\":42,\"max_bytes\":42"), "{json}");
-        assert!(json.contains("\"plan_cache_misses\":1,\"latency\":{"), "{json}");
-        assert!(!json.contains("worst_est"), "{json}");
+        assert!(json.contains("\"max_bytes\":42,\"latency\":{"), "{json}");
+        assert!(!json.contains("worst_est") && !json.contains("plan_cache"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(json.matches(open).count(), json.matches(close).count());
         }

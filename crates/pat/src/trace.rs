@@ -9,12 +9,11 @@
 //!   whether the node was answered from the per-`eval` memo. Every
 //!   `FileDatabase` query attaches one; an engine used directly without a
 //!   sink records nothing.
-//! * [`MetricsRegistry`] — process-wide counters and latency histograms
-//!   (queries executed, plan-cache hit ratio, per-operator p50/p95), fed
-//!   once by every `FileDatabase` query and read by `qof stats` and the
-//!   server. Counters are
-//!   relaxed atomics; histograms use fixed log₂ buckets so recording never
-//!   allocates.
+//! * [`MetricsRegistry`] — per-database query counters and latency
+//!   histograms (queries executed, per-phase and per-operator p50/p95),
+//!   fed once by every `FileDatabase` query and read by `qof stats` and
+//!   the server. Counters are relaxed atomics; histograms use fixed log₂
+//!   buckets so recording never allocates.
 //!
 //! [`Engine::with_trace`]: crate::Engine::with_trace
 
@@ -376,28 +375,25 @@ impl Histogram {
 pub struct MetricsRegistry {
     queries: AtomicU64,
     query_errors: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
     query_latency: Mutex<Histogram>,
     phase_latency: Mutex<BTreeMap<String, Histogram>>,
     op_latency: Mutex<BTreeMap<String, Histogram>>,
-    index_bytes: Mutex<Option<u64>>,
-    corpus_bytes: AtomicU64,
 }
 
-/// A point-in-time copy of a [`MetricsRegistry`]: counters plus the *full*
-/// latency histograms, so every reporting surface (the CLI's `qof stats`,
-/// the server's Prometheus `/metrics`) renders from one struct and cannot
-/// drift.
+/// A point-in-time copy of a [`MetricsRegistry`] — counters plus the
+/// *full* latency histograms — beside the plan-cache counters and index
+/// gauges read from where the database holds them, so every reporting
+/// surface (the CLI's `qof stats`, the server's Prometheus `/metrics`)
+/// renders from one struct and cannot drift.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Queries executed (successes and failures).
     pub queries: u64,
     /// Queries that returned an error.
     pub query_errors: u64,
-    /// Optimized-plan cache hits (whole plans reused across requests).
+    /// Plan-cache lookups that found a chain lowered already.
     pub plan_cache_hits: u64,
-    /// Optimized-plan cache misses (plans optimized and certified fresh).
+    /// Plan-cache lookups that had to optimize and certify the chain.
     pub plan_cache_misses: u64,
     /// End-to-end query latency.
     pub query_latency: Histogram,
@@ -406,10 +402,9 @@ pub struct MetricsSnapshot {
     pub phase_latency: BTreeMap<String, Histogram>,
     /// Per-operator latency, keyed by operator label.
     pub op_latency: BTreeMap<String, Histogram>,
-    /// Resident word-index footprint in bytes — a gauge, set by the
-    /// database that owns the registry (`None` until it has).
-    pub index_bytes: Option<u64>,
-    /// Corpus text size in bytes behind the published index (gauge).
+    /// Resident word-index footprint in bytes (gauge).
+    pub index_bytes: u64,
+    /// Corpus text size in bytes behind the index (gauge).
     pub corpus_bytes: u64,
 }
 
@@ -443,22 +438,6 @@ impl MetricsRegistry {
         self.query_latency.lock().expect("metrics lock poisoned").record(nanos);
     }
 
-    /// Publishes a database's index footprint: the resident bytes of its
-    /// word index (gauge semantics — set, not add) and the corpus bytes it
-    /// indexes. A database re-publishes after every mutation, so scrapes
-    /// always see the current footprint.
-    pub fn record_index_bytes(&self, bytes: u64, corpus_bytes: u64) {
-        *self.index_bytes.lock().expect("metrics lock poisoned") = Some(bytes);
-        self.corpus_bytes.store(corpus_bytes, Ordering::Relaxed);
-    }
-
-    /// Accumulates plan-cache hit/miss deltas (one planning pass can
-    /// consult the cache once per lowered chain).
-    pub fn record_plan_cache_delta(&self, hits: u64, misses: u64) {
-        self.plan_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.plan_cache_misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
     /// Records one query's phase timings (`(name, nanos)` pairs) into the
     /// per-phase histograms, under one lock acquisition.
     pub fn record_phases<'a>(&self, phases: impl IntoIterator<Item = (&'a str, u64)>) {
@@ -482,32 +461,22 @@ impl MetricsRegistry {
         }
     }
 
-    /// A point-in-time copy of every counter and histogram.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// A point-in-time copy of every counter and histogram, beside the
+    /// counts the registry does not hold: the owner's plan-cache
+    /// `(hits, misses)` and its `(index, corpus)` bytes, read when the
+    /// snapshot is taken.
+    pub fn snapshot(&self, plan_cache: (u64, u64), bytes: (u64, u64)) -> MetricsSnapshot {
         MetricsSnapshot {
             queries: self.queries.load(Ordering::Relaxed),
             query_errors: self.query_errors.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
+            plan_cache_hits: plan_cache.0,
+            plan_cache_misses: plan_cache.1,
             query_latency: self.query_latency.lock().expect("metrics lock poisoned").clone(),
             phase_latency: self.phase_latency.lock().expect("metrics lock poisoned").clone(),
             op_latency: self.op_latency.lock().expect("metrics lock poisoned").clone(),
-            index_bytes: *self.index_bytes.lock().expect("metrics lock poisoned"),
-            corpus_bytes: self.corpus_bytes.load(Ordering::Relaxed),
+            index_bytes: bytes.0,
+            corpus_bytes: bytes.1,
         }
-    }
-
-    /// Zeroes every counter and histogram (tests; `qof stats` baselines).
-    pub fn reset(&self) {
-        self.queries.store(0, Ordering::Relaxed);
-        self.query_errors.store(0, Ordering::Relaxed);
-        self.plan_cache_hits.store(0, Ordering::Relaxed);
-        self.plan_cache_misses.store(0, Ordering::Relaxed);
-        *self.query_latency.lock().expect("metrics lock poisoned") = Histogram::new();
-        self.phase_latency.lock().expect("metrics lock poisoned").clear();
-        self.op_latency.lock().expect("metrics lock poisoned").clear();
-        *self.index_bytes.lock().expect("metrics lock poisoned") = None;
-        self.corpus_bytes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -651,7 +620,7 @@ mod tests {
         reg.record_query(1_000, true);
         reg.record_query(2_000, false);
         reg.record_op_trace(&[node("⊃", 500), node("⊃", 700), node("σ", 80)]);
-        let s = reg.snapshot();
+        let s = reg.snapshot((0, 0), (0, 0));
         assert_eq!(s.queries, 2);
         assert_eq!(s.query_errors, 1);
         assert_eq!(s.op_latency["⊃"].count(), 2);
@@ -659,14 +628,9 @@ mod tests {
         assert_eq!(s.query_latency.count(), 2);
         reg.record_phases([("parse", 10), ("plan", 20)]);
         reg.record_phases([("parse", 30), ("plan", 40)]);
-        let s = reg.snapshot();
+        let s = reg.snapshot((0, 0), (0, 0));
         assert_eq!(s.phase_latency["parse"].count(), 2);
         assert_eq!(s.phase_latency["plan"].sum(), 60);
-        reg.reset();
-        let s = reg.snapshot();
-        assert_eq!(s.queries, 0);
-        assert!(s.op_latency.is_empty());
-        assert!(s.phase_latency.is_empty());
     }
 
     #[test]
@@ -678,7 +642,7 @@ mod tests {
         hit.source = CacheSource::LocalMemo;
         parent.children.push(hit);
         reg.record_op_trace(&[parent]);
-        let s = reg.snapshot();
+        let s = reg.snapshot((0, 0), (0, 0));
         // ⊃ recorded with 100 − 30 − 20 = 50ns exclusive; σ (memo hit) not
         // recorded at all.
         assert_eq!(s.op_latency["⊃"].count(), 1);
@@ -689,14 +653,11 @@ mod tests {
     #[test]
     fn plan_cache_counters_flow_to_snapshot() {
         let reg = MetricsRegistry::new();
-        reg.record_plan_cache_delta(0, 1);
-        reg.record_plan_cache_delta(2, 0);
-        let s = reg.snapshot();
+        let s = reg.snapshot((2, 1), (4096, 10_000));
         assert_eq!((s.plan_cache_hits, s.plan_cache_misses), (2, 1));
+        assert_eq!((s.index_bytes, s.corpus_bytes), (4096, 10_000));
         assert!((s.plan_cache_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        reg.reset();
-        let s = reg.snapshot();
-        assert_eq!((s.plan_cache_hits, s.plan_cache_misses), (0, 0));
+        let s = reg.snapshot((0, 0), (0, 0));
         assert!(s.plan_cache_hit_rate().abs() < 1e-9);
     }
 }

@@ -56,10 +56,6 @@ pub struct WorkloadObs<'a> {
     pub nanos: u64,
     /// Bytes touched: parse-phase bytes scanned plus content bytes read.
     pub bytes: u64,
-    /// Plan-cache hits this query scored.
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses this query scored.
-    pub plan_cache_misses: u64,
 }
 
 /// Aggregated statistics for one fingerprint.
@@ -82,10 +78,6 @@ pub struct WorkloadEntry {
     pub total_bytes: u64,
     /// Largest single-query bytes touched.
     pub max_bytes: u64,
-    /// Plan-cache hits.
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses.
-    pub plan_cache_misses: u64,
 }
 
 impl WorkloadEntry {
@@ -98,8 +90,6 @@ impl WorkloadEntry {
             latency: Histogram::new(),
             total_bytes: 0,
             max_bytes: 0,
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
         }
     }
 
@@ -108,21 +98,7 @@ impl WorkloadEntry {
         self.latency.record(obs.nanos);
         self.total_bytes += obs.bytes;
         self.max_bytes = self.max_bytes.max(obs.bytes);
-        self.plan_cache_hits += obs.plan_cache_hits;
-        self.plan_cache_misses += obs.plan_cache_misses;
     }
-
-    /// Plan-cache hit rate, `None` before any lookup.
-    #[must_use]
-    pub fn plan_cache_hit_rate(&self) -> Option<f64> {
-        rate(self.plan_cache_hits, self.plan_cache_misses)
-    }
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn rate(hits: u64, misses: u64) -> Option<f64> {
-    let total = hits + misses;
-    (total > 0).then(|| hits as f64 / total as f64)
 }
 
 /// A bounded space-saving top-K table of per-fingerprint statistics.
@@ -230,14 +206,7 @@ mod tests {
     }
 
     fn obs(fp: u64, nanos: u64) -> WorkloadObs<'static> {
-        WorkloadObs {
-            fingerprint: fp,
-            exemplar: "q",
-            nanos,
-            bytes: 10,
-            plan_cache_hits: 1,
-            plan_cache_misses: 0,
-        }
+        WorkloadObs { fingerprint: fp, exemplar: "q", nanos, bytes: 10 }
     }
 
     #[test]
@@ -253,7 +222,6 @@ mod tests {
         assert_eq!(snap[0].latency.count(), 2);
         assert_eq!(snap[0].total_bytes, 20);
         assert_eq!(snap[0].max_bytes, 10);
-        assert_eq!(snap[0].plan_cache_hit_rate(), Some(1.0));
         assert_eq!(snap[1].hits, 1);
         assert_eq!(t.total_hits(), 3);
     }

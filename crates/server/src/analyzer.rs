@@ -16,8 +16,10 @@ use qof_pat::{workload_to_json, WorkloadObs, WorkloadTable};
 use qof_pat::json::escape;
 
 /// Schema version of the `qof qlog analyze --json` envelope. Version 2
-/// dropped the `warnings` count: the log holds query lines only.
-pub const QLOG_REPORT_SCHEMA_VERSION: u64 = 2;
+/// dropped the `warnings` count: the log holds query lines only. Version
+/// 3 embeds the `/workload` v4 document, whose entries carry no
+/// plan-cache counts.
+pub const QLOG_REPORT_SCHEMA_VERSION: u64 = 3;
 
 /// What one replay of a query-log chain saw.
 pub struct QlogReport {
@@ -123,8 +125,6 @@ fn fold_line(report: &mut QlogReport, line: &str) {
         exemplar: &json::get_str(obj, "query").unwrap_or_default(),
         nanos,
         bytes,
-        plan_cache_hits: json::get_u64(obj, "plan_cache_hits").unwrap_or(0),
-        plan_cache_misses: json::get_u64(obj, "plan_cache_misses").unwrap_or(0),
     });
 }
 
@@ -188,26 +188,21 @@ pub fn render_report(report: &QlogReport) -> String {
     );
     let entries = report.table.snapshot();
     let _ = writeln!(out, "top fingerprints ({}):", entries.len());
-    let _ = writeln!(
-        out,
-        "  {:<16} {:>6} {:>9} {:>9} {:>6}  exemplar",
-        "fingerprint", "hits", "p50", "p95", "plan%"
-    );
+    let _ =
+        writeln!(out, "  {:<16} {:>6} {:>9} {:>9}  exemplar", "fingerprint", "hits", "p50", "p95");
     for e in &entries {
         let s = e.latency.summary();
-        let pct = |r: Option<f64>| r.map_or("-".to_owned(), |r| format!("{:.0}", r * 100.0));
         let mut exemplar = e.exemplar.clone();
         if exemplar.chars().count() > 48 {
             exemplar = exemplar.chars().take(47).collect::<String>() + "…";
         }
         let _ = writeln!(
             out,
-            "  {:016x} {:>6} {:>8.3}ms {:>8.3}ms {:>6}  {}",
+            "  {:016x} {:>6} {:>8.3}ms {:>8.3}ms  {}",
             e.fingerprint,
             e.hits,
             s.p50_nanos as f64 / 1e6,
             s.p95_nanos as f64 / 1e6,
-            pct(e.plan_cache_hit_rate()),
             exemplar
         );
     }
@@ -269,8 +264,6 @@ mod tests {
             query: "SELECT r FROM References r".into(),
             total_nanos: nanos,
             bytes_touched: 100,
-            plan_cache_hits: 1,
-            plan_cache_misses: 0,
             candidates: 10,
             results: 2,
             ..Default::default()
@@ -297,11 +290,11 @@ mod tests {
         let entries = report.table.snapshot();
         assert_eq!(entries.len(), 2);
         assert!(entries.iter().all(|e| e.hits == 3));
-        assert!(entries.iter().all(|e| e.plan_cache_hit_rate() == Some(1.0)));
         let json = report_json(&report);
         assert!(json.contains("\"queries\":6"), "{json}");
         assert!(json.contains("\"ids_contiguous\":true"), "{json}");
-        assert!(json.contains("\"workload\":{\"schema_version\":"), "{json}");
+        assert!(json.contains("\"workload\":{\"schema_version\":4,"), "{json}");
+        assert!(!json.contains("plan_cache"), "{json}");
         let text = render_report(&report);
         assert!(text.contains("ids: 1..=7 — contiguous"), "{text}");
         assert!(text.contains("000000000000aaaa"), "{text}");

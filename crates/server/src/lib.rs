@@ -12,10 +12,11 @@
 //!
 //! * `POST /query` — query text in the body, JSON results back; append
 //!   `?explain=1` to attach the full [`QueryTrace`] to the response.
-//! * `GET /metrics` — Prometheus text exposition (v0.0.4) of the server's
-//!   [`MetricsRegistry`]; `?format=json` returns the same snapshot as the
+//! * `GET /metrics` — Prometheus text exposition (v0.0.4) of the database's
+//!   [`MetricsSnapshot`]; `?format=json` returns the same snapshot as the
 //!   `qof stats --json` document (both renderers live in `qof_pat`): query
-//!   and per-operator latency, and one latency histogram per query phase.
+//!   and per-operator latency, one latency histogram per query phase, the
+//!   plan cache's lookup counters and the index footprint.
 //! * `GET /healthz` — liveness plus uptime and query count.
 //! * `GET /flight-recorder` — the last N traces and recent slow traces;
 //!   `?format=perfetto` exports the whole window as a Chrome trace-event
@@ -26,12 +27,13 @@
 //!
 //! Every `/query` request — success or failure — appends one JSON line to
 //! the structured query log; `qof_queries_total` and the log line count
-//! advance in lockstep. `/metrics` reads the database's own
-//! [`MetricsRegistry`], which every query of the served database records
-//! into.
+//! advance in lockstep. `/metrics` reads
+//! [`FileDatabase::metrics_snapshot`]: the counters every query of the
+//! served database records, the plan cache's own counters and the index
+//! footprint, each read when the scrape arrives.
 //!
 //! [`QueryTrace`]: qof_core::QueryTrace
-//! [`MetricsRegistry`]: qof_pat::MetricsRegistry
+//! [`MetricsSnapshot`]: qof_pat::MetricsSnapshot
 
 mod analyzer;
 pub mod http;
@@ -65,31 +67,19 @@ pub struct ServerConfig {
     pub slow_ms: u64,
     /// Capacity of each flight-recorder ring.
     pub recorder_capacity: usize,
-    /// Socket read timeout in milliseconds (0 disables). A client that
-    /// stalls mid-request — or holds a keep-alive connection open without
-    /// sending anything — is dropped after this long, freeing its handler
-    /// thread. Without it a stalled peer pins a thread forever.
-    pub read_timeout_ms: u64,
-    /// Socket write timeout in milliseconds (0 disables): bounds how long
-    /// a response write may block on a peer that stops draining.
-    pub write_timeout_ms: u64,
+    /// Socket read and write timeout in milliseconds (0 disables). A
+    /// client that stalls mid-request — or holds a keep-alive connection
+    /// open without sending anything — is dropped after this long,
+    /// freeing its handler thread; a response write blocks no longer on a
+    /// peer that stops draining. Without it a stalled peer pins a thread
+    /// forever.
+    pub timeout_ms: u64,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig {
-            slow_ms: 100,
-            recorder_capacity: 64,
-            read_timeout_ms: 30_000,
-            write_timeout_ms: 30_000,
-        }
+        ServerConfig { slow_ms: 100, recorder_capacity: 64, timeout_ms: 30_000 }
     }
-}
-
-/// `0` means "no timeout" in the config; `set_read_timeout` spells that
-/// `None`.
-fn timeout(ms: u64) -> Option<std::time::Duration> {
-    (ms > 0).then(|| std::time::Duration::from_millis(ms))
 }
 
 struct State {
@@ -99,8 +89,8 @@ struct State {
     shutdown: AtomicBool,
     started: Instant,
     addr: SocketAddr,
-    read_timeout: Option<std::time::Duration>,
-    write_timeout: Option<std::time::Duration>,
+    /// The socket timeout; `None` (from `timeout_ms` 0) disables it.
+    timeout: Option<std::time::Duration>,
 }
 
 /// A running server: its bound address and the means to stop it.
@@ -152,8 +142,8 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Starts serving `db` on `listener`. `/metrics` reads the database's own
-/// [`MetricsRegistry`](qof_pat::MetricsRegistry), and every successful
+/// Starts serving `db` on `listener`. `/metrics` reads
+/// [`FileDatabase::metrics_snapshot`], and every successful
 /// query's trace goes to the flight recorder. Returns immediately; the
 /// accept loop runs on its own thread.
 pub fn serve(
@@ -172,8 +162,8 @@ pub fn serve(
         shutdown: AtomicBool::new(false),
         started: Instant::now(),
         addr,
-        read_timeout: timeout(config.read_timeout_ms),
-        write_timeout: timeout(config.write_timeout_ms),
+        timeout: (config.timeout_ms > 0)
+            .then(|| std::time::Duration::from_millis(config.timeout_ms)),
     });
 
     let accept_state = Arc::clone(&state);
@@ -194,10 +184,10 @@ pub fn serve(
 }
 
 /// Serves one connection until the client closes it, asks to, stalls past
-/// the configured timeouts, or errors.
+/// the configured timeout, or errors.
 fn handle_connection(state: &State, stream: TcpStream) {
-    if stream.set_read_timeout(state.read_timeout).is_err()
-        || stream.set_write_timeout(state.write_timeout).is_err()
+    if stream.set_read_timeout(state.timeout).is_err()
+        || stream.set_write_timeout(state.timeout).is_err()
     {
         return;
     }
@@ -242,7 +232,7 @@ fn route(state: &State, req: &Request) -> (u16, &'static str, String) {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/query") => handle_query(state, req),
         ("GET", "/metrics") => {
-            let snap = state.db.metrics().snapshot();
+            let snap = state.db.metrics_snapshot();
             if req.query_param("format") == Some("json") {
                 (200, JSON, snapshot_to_json(&snap))
             } else {
@@ -250,7 +240,7 @@ fn route(state: &State, req: &Request) -> (u16, &'static str, String) {
             }
         }
         ("GET", "/healthz") => {
-            let snap = state.db.metrics().snapshot();
+            let snap = state.db.metrics_snapshot();
             let body = format!(
                 "{{\"status\":\"ok\",\"uptime_ms\":{},\"queries\":{},\"query_errors\":{},\
                  \"log_lines\":{}}}",

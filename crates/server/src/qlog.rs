@@ -1,8 +1,8 @@
 //! The structured query log: one JSON line per `/query` request —
 //! successes and failures alike — carrying the query ID, the normalized
-//! query text, timings, cardinalities, the run's plan-cache delta and the
-//! outcome. `qof_queries_total` in `/metrics` and the number of *query*
-//! lines written here advance in lockstep; CI asserts that.
+//! query text, timings, cardinalities and the outcome.
+//! `qof_queries_total` in `/metrics` and the number of *query* lines
+//! written here advance in lockstep; CI asserts that.
 //!
 //! With `--qlog-max-bytes` the log rotates: when appending a line would
 //! push the current file past the cap, `query.log` is renamed to
@@ -41,8 +41,7 @@ fn now_ms() -> u128 {
 pub fn success_line(trace: &QueryTrace, ts_ms: u128) -> String {
     format!(
         "{{\"ts_ms\":{ts_ms},\"id\":{},\"fp\":\"{:016x}\",\"query\":\"{}\",\"outcome\":\"ok\",\
-         \"total_nanos\":{},\"bytes\":{},\"candidates\":{},\"results\":{},\
-         \"plan_cache_hits\":{},\"plan_cache_misses\":{},\"exact_index\":{}}}",
+         \"total_nanos\":{},\"bytes\":{},\"candidates\":{},\"results\":{},\"exact_index\":{}}}",
         trace.id,
         trace.fingerprint,
         escape(&normalize_query(&trace.query)),
@@ -50,8 +49,6 @@ pub fn success_line(trace: &QueryTrace, ts_ms: u128) -> String {
         trace.bytes_touched,
         trace.candidates,
         trace.results,
-        trace.plan_cache_hits,
-        trace.plan_cache_misses,
         trace.exact_index,
     )
 }
@@ -222,8 +219,6 @@ mod tests {
             bytes_touched: 4096,
             candidates: 10,
             results: 2,
-            plan_cache_hits: 1,
-            plan_cache_misses: 0,
             exact_index: true,
             ..Default::default()
         };
@@ -233,7 +228,7 @@ mod tests {
             "{\"ts_ms\":1700000000000,\"id\":3,\"fp\":\"deadbeef00420007\",\
              \"query\":\"SELECT r FROM References r\",\"outcome\":\"ok\",\
              \"total_nanos\":1234,\"bytes\":4096,\"candidates\":10,\"results\":2,\
-             \"plan_cache_hits\":1,\"plan_cache_misses\":0,\"exact_index\":true}"
+             \"exact_index\":true}"
         );
     }
 

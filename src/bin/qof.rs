@@ -178,7 +178,7 @@ fn run_stats(
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let snap = db.metrics().snapshot();
+    let snap = db.metrics_snapshot();
     if json {
         // The same serializer that backs the server's `GET
         // /metrics?format=json`, so the two surfaces cannot drift.
@@ -192,15 +192,17 @@ fn run_stats(
         snap.plan_cache_hits,
         snap.plan_cache_misses
     );
-    if let Some(bytes) = snap.index_bytes {
-        #[allow(clippy::cast_precision_loss)]
-        let per_byte =
-            if snap.corpus_bytes == 0 { 0.0 } else { bytes as f64 / snap.corpus_bytes as f64 };
-        outln!(
-            "index bytes:        {bytes} — {per_byte:.3} per corpus byte ({} corpus bytes)",
-            snap.corpus_bytes
-        );
-    }
+    #[allow(clippy::cast_precision_loss)]
+    let per_byte = if snap.corpus_bytes == 0 {
+        0.0
+    } else {
+        snap.index_bytes as f64 / snap.corpus_bytes as f64
+    };
+    outln!(
+        "index bytes:        {} — {per_byte:.3} per corpus byte ({} corpus bytes)",
+        snap.index_bytes,
+        snap.corpus_bytes
+    );
     let ql = snap.query_latency.summary();
     outln!(
         "query latency:      p50 {}  p95 {}  ({} samples)",
@@ -239,26 +241,21 @@ fn render_workload_table(entries: &[qof::pat::WorkloadEntry]) -> String {
         let _ = writeln!(out, "  (no queries yet)");
         return out;
     }
-    let _ = writeln!(
-        out,
-        "  {:<16} {:>6} {:>9} {:>9} {:>6}  exemplar",
-        "fingerprint", "hits", "p50", "p95", "plan%"
-    );
+    let _ =
+        writeln!(out, "  {:<16} {:>6} {:>9} {:>9}  exemplar", "fingerprint", "hits", "p50", "p95");
     for e in entries {
         let s = e.latency.summary();
-        let pct = |r: Option<f64>| r.map_or("-".to_owned(), |r| format!("{:.0}", r * 100.0));
         let mut q: String = e.exemplar.split_whitespace().collect::<Vec<_>>().join(" ");
         if q.chars().count() > 44 {
             q = q.chars().take(43).collect::<String>() + "…";
         }
         let _ = writeln!(
             out,
-            "  {:016x} {:>6} {:>9} {:>9} {:>6}  {q}",
+            "  {:016x} {:>6} {:>9} {:>9}  {q}",
             e.fingerprint,
             e.hits,
             fmt_nanos(s.p50_nanos),
             fmt_nanos(s.p95_nanos),
-            pct(e.plan_cache_hit_rate()),
         );
     }
     out
@@ -307,8 +304,7 @@ fn run_serve(
     let config = ServerConfig {
         slow_ms: opts.slow_ms,
         recorder_capacity: opts.recorder,
-        read_timeout_ms: opts.timeout_ms,
-        write_timeout_ms: opts.timeout_ms,
+        timeout_ms: opts.timeout_ms,
     };
     let handle = serve(db, listener, log, &config).map_err(|e| e.to_string())?;
     eprintln!("qof serve: listening on http://{}", handle.addr());

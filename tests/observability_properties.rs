@@ -245,7 +245,7 @@ fn prometheus_rendering_is_cumulative() {
             reg.record_query(nanos, ok);
         }
         let errors = latencies.iter().filter(|(_, ok)| !ok).count();
-        let text = render_prometheus(&reg.snapshot());
+        let text = render_prometheus(&reg.snapshot((0, 0), (0, 0)));
         ensure!(
             text.contains(&format!("qof_queries_total {}", latencies.len())),
             "query total missing"
@@ -278,14 +278,7 @@ fn bucket_bounds_cover_the_index_space() {
 // -- workload table -----------------------------------------------------------
 
 fn obs(fp: u64) -> WorkloadObs<'static> {
-    WorkloadObs {
-        fingerprint: fp,
-        exemplar: "shape",
-        nanos: 1_000,
-        bytes: 8,
-        plan_cache_hits: 0,
-        plan_cache_misses: 1,
-    }
+    WorkloadObs { fingerprint: fp, exemplar: "shape", nanos: 1_000, bytes: 8 }
 }
 
 /// Over skewed streams (fingerprints from a small id space, so both the
