@@ -1305,7 +1305,7 @@ mod tests {
         );
         assert!(trace.total_nanos > 0);
         // The JSON surface carries the real thing, not just fixtures.
-        use qof_pat::json::{get_arr, get_str, get_u64, Json};
+        use crate::test_json::{get_arr, get_str, get_u64, Json};
         let doc = Json::parse(&trace.to_json()).unwrap();
         let obj = doc.as_obj().unwrap();
         assert_eq!(get_str(obj, "plan").unwrap(), trace.plan);

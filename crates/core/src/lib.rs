@@ -66,3 +66,8 @@ pub use query::{parse_query, Cond, Projection, QPath, QStep, Query, QueryParseEr
 pub use residual::{compile_cond, eval_pair, eval_single, path_values, CompiledCond};
 pub use rig::{Rig, RigViolation};
 pub use trace::{fmt_nanos, NodeFact, PhaseTrace, QueryTrace, TRACE_SCHEMA_VERSION};
+
+// The tests' JSON reader (see its module doc); no target ships it.
+#[cfg(test)]
+#[path = "../../../tests/common/json.rs"]
+mod test_json;

@@ -162,7 +162,7 @@ pub fn traces_to_perfetto(traces: &[QueryTrace]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use qof_pat::json::{get_arr, get_str, get_u64, Json};
+    use crate::test_json::{get_arr, get_str, get_u64, Json};
     use qof_pat::{CacheSource, TraceSink};
 
     use super::*;
@@ -211,7 +211,7 @@ mod tests {
                 continue;
             }
             let key = (get_u64(obj, "pid").unwrap(), get_u64(obj, "tid").unwrap());
-            let ts = qof_pat::json::get_f64(obj, "ts").unwrap();
+            let ts = crate::test_json::get_f64(obj, "ts").unwrap();
             let clock = clocks.entry(key).or_insert(0.0);
             assert!(ts >= *clock, "timestamp regressed on {key:?}: {ts} < {clock}");
             *clock = ts;

@@ -259,8 +259,8 @@ pub struct Plan {
     /// view symbols and every *pre-optimization* chain key the lowering
     /// consulted (the plan cache's own keys), so one fingerprint ⇔ one
     /// optimize-and-certify outcome, stable across processes. Trace
-    /// schema v6 stamps it; `GET /workload` and `qof qlog analyze`
-    /// aggregate under it.
+    /// schema v6 stamps it, qlog lines carry it as `"fp"`, and
+    /// `GET /workload` aggregates under it.
     pub fingerprint: u64,
 }
 
@@ -601,10 +601,48 @@ impl<'a> Planner<'a> {
         view_symbol: &str,
         log: &mut LowerLog,
     ) -> Result<(CondNode, CompiledCond), PlanError> {
-        let resolve = |p: &QPath| resolve_path(&self.schema.grammar, view_symbol, &p.steps);
-        let mut sub = |c: &Cond| self.plan_cond(c, view_symbol, log);
         Ok(match cond {
-            Cond::Eq(p, crate::RightHand::Const(w)) => {
+            Cond::Eq(p, rhs) => self.plan_eq(p, rhs, view_symbol, log)?,
+            Cond::And(a, b) => {
+                let (na, ca) = self.plan_cond(a, view_symbol, log)?;
+                let (nb, cb) = self.plan_cond(b, view_symbol, log)?;
+                (
+                    CondNode::And(Box::new(na), Box::new(nb)),
+                    CompiledCond::And(Box::new(ca), Box::new(cb)),
+                )
+            }
+            Cond::Or(a, b) => {
+                let (na, ca) = self.plan_cond(a, view_symbol, log)?;
+                let (nb, cb) = self.plan_cond(b, view_symbol, log)?;
+                (
+                    CondNode::Or(Box::new(na), Box::new(nb)),
+                    CompiledCond::Or(Box::new(ca), Box::new(cb)),
+                )
+            }
+            Cond::Not(a) => {
+                let (child, compiled) = self.plan_cond(a, view_symbol, log)?;
+                let child = Box::new(child);
+                let node = if child.exact() {
+                    CondNode::Not(child)
+                } else {
+                    CondNode::NotCandidates(child)
+                };
+                (node, CompiledCond::Not(Box::new(compiled)))
+            }
+        })
+    }
+
+    /// Plans an equality, the leaf of [`Planner::plan_cond`]'s recursion.
+    fn plan_eq(
+        &self,
+        p: &QPath,
+        rhs: &crate::RightHand,
+        view_symbol: &str,
+        log: &mut LowerLog,
+    ) -> Result<(CondNode, CompiledCond), PlanError> {
+        let resolve = |p: &QPath| resolve_path(&self.schema.grammar, view_symbol, &p.steps);
+        Ok(match rhs {
+            crate::RightHand::Const(w) => {
                 let paths = resolve(p)?;
                 // A trailing `*` in the constant selects by word prefix —
                 // PAT's lexical search (`r.Last_Name = "Ch*"`).
@@ -619,7 +657,7 @@ impl<'a> Planner<'a> {
                     CompiledCond::EqConst { var: p.var.clone(), paths, value: w.clone() };
                 (CondNode::IndexOnly { expr, display, exact }, compiled)
             }
-            Cond::Eq(p, crate::RightHand::Path(qp)) => {
+            crate::RightHand::Path(qp) => {
                 let (lpaths, rpaths) = (resolve(p)?, resolve(qp)?);
                 let l = self.deep_expr(&lpaths, log)?;
                 let r = self.deep_expr(&rpaths, log)?;
@@ -646,30 +684,6 @@ impl<'a> Planner<'a> {
                 };
                 let (lvar, rvar) = (p.var.clone(), qp.var.clone());
                 (node, CompiledCond::EqPath { lvar, lpaths, rvar, rpaths })
-            }
-            Cond::And(a, b) => {
-                let ((na, ca), (nb, cb)) = (sub(a)?, sub(b)?);
-                (
-                    CondNode::And(Box::new(na), Box::new(nb)),
-                    CompiledCond::And(Box::new(ca), Box::new(cb)),
-                )
-            }
-            Cond::Or(a, b) => {
-                let ((na, ca), (nb, cb)) = (sub(a)?, sub(b)?);
-                (
-                    CondNode::Or(Box::new(na), Box::new(nb)),
-                    CompiledCond::Or(Box::new(ca), Box::new(cb)),
-                )
-            }
-            Cond::Not(a) => {
-                let (child, compiled) = sub(a)?;
-                let child = Box::new(child);
-                let node = if child.exact() {
-                    CondNode::Not(child)
-                } else {
-                    CondNode::NotCandidates(child)
-                };
-                (node, CompiledCond::Not(Box::new(compiled)))
             }
         })
     }

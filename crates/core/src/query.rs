@@ -247,9 +247,19 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// How deep a WHERE condition may nest: each `(`, each `NOT` and each
+/// `AND`/`OR` link adds one level, so a flat chain of 129 terms is the
+/// longest. Planning, certifying, evaluation, `Display` and drop all
+/// recurse on the condition tree, so a deeper query is a parse error
+/// rather than a stack overflow. At this bound the deepest stage needs
+/// under 1.5 MiB of a debug build's stack (DESIGN.md §10).
+pub const MAX_COND_DEPTH: usize = 128;
+
 struct Parser<'a> {
     lx: Lexer<'a>,
     tok: Tok,
+    /// Levels opened by the enclosing `(` and `NOT`.
+    depth: usize,
 }
 
 /// Whether an identifier is a single-step path variable (`X`, `X1`, `X2`, …).
@@ -262,7 +272,7 @@ impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Result<Self, QueryParseError> {
         let mut lx = Lexer::new(src);
         let tok = lx.next_tok()?;
-        Ok(Self { lx, tok })
+        Ok(Self { lx, tok, depth: 0 })
     }
 
     fn bump(&mut self) -> Result<Tok, QueryParseError> {
@@ -290,6 +300,11 @@ impl<'a> Parser<'a> {
 
     fn path(&mut self) -> Result<QPath, QueryParseError> {
         let var = self.ident()?;
+        self.path_from(var)
+    }
+
+    /// The steps after a range variable that is already consumed.
+    fn path_from(&mut self, var: String) -> Result<QPath, QueryParseError> {
         let mut steps = Vec::new();
         while self.tok == Tok::Dot {
             self.bump()?;
@@ -317,53 +332,58 @@ impl<'a> Parser<'a> {
         Ok(QPath { var, steps })
     }
 
-    fn cond_primary(&mut self) -> Result<Cond, QueryParseError> {
+    /// `height`, the levels of a condition under the enclosing `(` and
+    /// `NOT`, if the whole stays within [`MAX_COND_DEPTH`].
+    fn bounded(&self, height: usize) -> Result<usize, QueryParseError> {
+        if self.depth + height > MAX_COND_DEPTH {
+            return Err(self
+                .lx
+                .err(format!("condition nests deeper than {MAX_COND_DEPTH} levels")));
+        }
+        Ok(height)
+    }
+
+    /// Parses the condition under a `(` or `NOT` one level down, checking
+    /// the bound before recursing.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<(Cond, usize), QueryParseError>,
+    ) -> Result<(Cond, usize), QueryParseError> {
+        self.bounded(1)?;
+        self.depth += 1;
+        let inner = parse(self);
+        self.depth -= 1;
+        let (cond, height) = inner?;
+        Ok((cond, height + 1))
+    }
+
+    /// A condition and its height in levels (0 for an equality).
+    fn cond_primary(&mut self) -> Result<(Cond, usize), QueryParseError> {
         if self.at_kw("NOT") {
             self.bump()?;
-            let inner = self.cond_primary()?;
-            return Ok(Cond::Not(Box::new(inner)));
+            let (inner, height) = self.nested(Self::cond_primary)?;
+            return Ok((Cond::Not(Box::new(inner)), height));
         }
         if self.tok == Tok::LParen {
             self.bump()?;
-            let inner = self.cond_or()?;
+            let inner = self.nested(Self::cond_or)?;
             if self.bump()? != Tok::RParen {
                 return Err(self.lx.err("expected )"));
             }
             return Ok(inner);
         }
+        Ok((self.cond_eq()?, 0))
+    }
+
+    /// `path = "constant"` or `path = path`.
+    fn cond_eq(&mut self) -> Result<Cond, QueryParseError> {
         let left = self.path()?;
         if self.bump()? != Tok::Eq {
             return Err(self.lx.err("expected ="));
         }
         let right = match self.bump()? {
             Tok::Str(s) => RightHand::Const(s),
-            Tok::Ident(v) => {
-                // Re-parse as a path: var already consumed.
-                let mut steps = Vec::new();
-                while self.tok == Tok::Dot {
-                    self.bump()?;
-                    if self.tok == Tok::Star {
-                        self.bump()?;
-                        let name = self.ident()?;
-                        steps.push(QStep::Star(name));
-                    } else {
-                        let name = self.ident()?;
-                        if self.tok == Tok::Plus {
-                            self.bump()?;
-                            steps.push(QStep::Plus(name));
-                        } else if is_path_var(&name) {
-                            if let Some(QStep::Vars(n)) = steps.last_mut() {
-                                *n += 1;
-                            } else {
-                                steps.push(QStep::Vars(1));
-                            }
-                        } else {
-                            steps.push(QStep::Attr(name));
-                        }
-                    }
-                }
-                RightHand::Path(QPath { var: v, steps })
-            }
+            Tok::Ident(var) => RightHand::Path(self.path_from(var)?),
             other => {
                 return Err(self.lx.err(format!("expected constant or path, found {other:?}")))
             }
@@ -371,24 +391,26 @@ impl<'a> Parser<'a> {
         Ok(Cond::Eq(left, right))
     }
 
-    fn cond_and(&mut self) -> Result<Cond, QueryParseError> {
-        let mut left = self.cond_primary()?;
+    fn cond_and(&mut self) -> Result<(Cond, usize), QueryParseError> {
+        let (mut left, mut height) = self.cond_primary()?;
         while self.at_kw("AND") {
             self.bump()?;
-            let right = self.cond_primary()?;
+            let (right, right_height) = self.cond_primary()?;
+            height = self.bounded(1 + height.max(right_height))?;
             left = Cond::And(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn cond_or(&mut self) -> Result<Cond, QueryParseError> {
-        let mut left = self.cond_and()?;
+    fn cond_or(&mut self) -> Result<(Cond, usize), QueryParseError> {
+        let (mut left, mut height) = self.cond_and()?;
         while self.at_kw("OR") {
             self.bump()?;
-            let right = self.cond_and()?;
+            let (right, right_height) = self.cond_and()?;
+            height = self.bounded(1 + height.max(right_height))?;
             left = Cond::Or(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
     fn query(&mut self) -> Result<Query, QueryParseError> {
@@ -413,7 +435,7 @@ impl<'a> Parser<'a> {
         }
         let where_ = if self.at_kw("WHERE") {
             self.bump()?;
-            Some(self.cond_or()?)
+            Some(self.cond_or()?.0)
         } else {
             None
         };
@@ -544,5 +566,71 @@ mod tests {
     #[test]
     fn keywords_case_insensitive() {
         assert!(parse_query("select r from References r where r.A = \"x\"").is_ok());
+    }
+
+    /// A query whose WHERE clause nests `leaf` `n` levels deep in one of
+    /// the four ways that add a level each.
+    fn nested_where(form: &str, n: usize, leaf: &str) -> String {
+        let cond = match form {
+            "(" => format!("{}{leaf}{}", "(".repeat(n), ")".repeat(n)),
+            "NOT" => format!("{}{leaf}", "NOT ".repeat(n)),
+            link => vec![leaf; n + 1].join(&format!(" {link} ")),
+        };
+        format!("SELECT r FROM References r WHERE {cond}")
+    }
+
+    #[test]
+    fn deep_conditions_are_a_parse_error() {
+        for (form, n) in [("(", 10_000), ("NOT", 10_000), ("AND", 20_000), ("OR", 20_000)] {
+            let e = parse_query(&nested_where(form, n, "r.A = \"x\"")).unwrap_err();
+            assert!(e.message.contains(&format!("deeper than {MAX_COND_DEPTH}")), "{form}: {e}");
+            assert!(e.at > 0, "{form}: {e}");
+        }
+        // Each level counts once, whichever form opens it.
+        let half = MAX_COND_DEPTH / 2;
+        let mixed = |cond: &str| {
+            let cond = format!("{}{cond}{}", "NOT (".repeat(half), ")".repeat(half));
+            parse_query(&format!("SELECT r FROM References r WHERE {cond}"))
+        };
+        assert!(mixed("r.A = \"x\"").is_ok());
+        assert!(mixed("r.A = \"x\" AND r.B = \"y\"").is_err());
+    }
+
+    /// A query exactly at the bound goes through every stage that recurses
+    /// on the condition, on a 2 MiB thread (the default test stack, and
+    /// debug frames are the large ones); one level more is a parse error.
+    #[test]
+    fn a_query_at_the_depth_bound_runs_on_a_small_stack() {
+        use qof_corpus::bibtex;
+        let (text, truth) = bibtex::generate(&bibtex::BibtexConfig::with_refs(20));
+        // The leaf asks for a year the corpus has, so every form answers.
+        let leaf = format!("r.Year = \"{}\"", truth.refs[0].year);
+        let corpus = qof_text::Corpus::from_text(&text);
+        let db =
+            crate::FileDatabase::build(corpus, bibtex::schema(), qof_grammar::IndexSpec::full())
+                .unwrap();
+        let want = db.query(&nested_where("AND", 0, &leaf)).unwrap().values;
+        assert!(!want.is_empty());
+        std::thread::scope(|scope| {
+            for form in ["(", "NOT", "AND", "OR"] {
+                let db = &db;
+                let (want, leaf) = (&want, &leaf);
+                let run = move || {
+                    let src = nested_where(form, MAX_COND_DEPTH, leaf);
+                    let query = parse_query(&src).unwrap();
+                    assert!(query.to_string().starts_with("SELECT r FROM References r WHERE"));
+                    db.plan(&src).unwrap();
+                    let got = db.query(&src).unwrap().values;
+                    // An even run of NOTs cancels out.
+                    assert_eq!(&got, want, "{form}");
+                    let deeper = nested_where(form, MAX_COND_DEPTH + 1, leaf);
+                    assert!(
+                        matches!(db.query(&deeper), Err(crate::QueryError::Syntax(_))),
+                        "{form}"
+                    );
+                };
+                std::thread::Builder::new().stack_size(2 << 20).spawn_scoped(scope, run).unwrap();
+            }
+        });
     }
 }

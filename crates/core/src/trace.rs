@@ -34,7 +34,7 @@ use crate::plan::PlanRewrite;
 /// ([`trace_to_perfetto`](crate::perfetto::trace_to_perfetto)). v6 added
 /// workload analytics: `fingerprint` (the plan's deterministic FNV-1a
 /// fingerprint, serialized as a fixed-width 16-hex string — the
-/// aggregation key of `GET /workload` and `qof qlog analyze`) and
+/// aggregation key of `GET /workload`, and the qlog's `"fp"`) and
 /// `bytes_touched` (parse-phase bytes scanned plus content bytes read).
 /// v7 removed the shard-parallel index phase and the cross-query
 /// subexpression cache, and with them the `shards`, `cache_hits` and
@@ -350,7 +350,7 @@ fn ops_to_json(ops: &[OpTrace], s: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qof_pat::json::{get, get_arr, get_str, get_u64, Json};
+    use crate::test_json::{get, get_arr, get_str, get_u64, Json};
 
     #[test]
     fn esc_handles_specials() {

@@ -193,9 +193,9 @@ fn labelled_json(histograms: &BTreeMap<String, Histogram>) -> String {
 pub const WORKLOAD_SCHEMA_VERSION: u64 = 4;
 
 /// Serializes a workload-table snapshot as the `GET /workload` document,
-/// also printed by `qof stats --workload` and rebuilt offline by
-/// `qof qlog analyze --json`. Fingerprints render as fixed-width 16-hex
-/// strings (JSON numbers would lose bits past 2^53 in consumers).
+/// also printed by `qof stats --workload --json`. Fingerprints render as
+/// fixed-width 16-hex strings (JSON numbers would lose bits past 2^53 in
+/// consumers).
 pub fn workload_to_json(entries: &[WorkloadEntry], capacity: usize) -> String {
     let mut out = format!(
         "{{\"schema_version\":{WORKLOAD_SCHEMA_VERSION},\"capacity\":{capacity},\
@@ -262,6 +262,7 @@ pub fn render_workload_prometheus(entries: &[WorkloadEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_json::{get, get_arr, get_u64, Json};
     use crate::trace::{MetricsRegistry, OpTrace};
 
     /// A snapshot with a fully known content: 3 queries (1 error), plan
@@ -382,12 +383,12 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
             "{text}"
         );
         let json = snapshot_to_json(&snap);
-        let parsed = crate::json::Json::parse(&json).expect("snapshot parses");
+        let parsed = Json::parse(&json).expect("snapshot parses");
         let obj = parsed.as_obj().unwrap();
-        let phases = crate::json::get(obj, "phase_latency").unwrap().as_obj().unwrap();
-        let parse = crate::json::get(phases, "parse").unwrap().as_obj().unwrap();
-        assert_eq!(crate::json::get_u64(parse, "count").unwrap(), 1);
-        assert_eq!(crate::json::get_u64(parse, "sum_nanos").unwrap(), 100);
+        let phases = get(obj, "phase_latency").unwrap().as_obj().unwrap();
+        let parse = get(phases, "parse").unwrap().as_obj().unwrap();
+        assert_eq!(get_u64(parse, "count").unwrap(), 1);
+        assert_eq!(get_u64(parse, "sum_nanos").unwrap(), 100);
     }
 
     #[test]
@@ -417,9 +418,9 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(json.matches(open).count(), json.matches(close).count());
         }
-        let parsed = crate::json::Json::parse(&json).expect("workload document parses");
+        let parsed = Json::parse(&json).expect("workload document parses");
         let obj = parsed.as_obj().unwrap();
-        assert_eq!(crate::json::get_arr(obj, "entries").unwrap().len(), 1);
+        assert_eq!(get_arr(obj, "entries").unwrap().len(), 1);
         let text = render_workload_prometheus(&snap);
         assert!(text.contains("qof_workload_hits{fingerprint=\"000000000000abcd\"} 1"), "{text}");
         assert!(

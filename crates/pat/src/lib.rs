@@ -63,3 +63,8 @@ pub use trace::{
 pub use workload::{fnv1a64, WorkloadEntry, WorkloadObs, WorkloadTable, WORKLOAD_CAPACITY};
 
 pub use qof_text::{Pos, Span};
+
+// The tests' JSON reader (see its module doc); no target ships it.
+#[cfg(test)]
+#[path = "../../../tests/common/json.rs"]
+mod test_json;

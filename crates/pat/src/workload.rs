@@ -48,7 +48,7 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadObs<'a> {
     /// The plan fingerprint (0 means "unknown" and is tracked like any
-    /// other key — offline analyzers see it for pre-v6 log lines).
+    /// other key).
     pub fingerprint: u64,
     /// A representative query text for the fingerprint (first seen wins).
     pub exemplar: &'a str,

@@ -35,7 +35,6 @@
 //! [`QueryTrace`]: qof_core::QueryTrace
 //! [`MetricsSnapshot`]: qof_pat::MetricsSnapshot
 
-mod analyzer;
 pub mod http;
 mod qlog;
 mod recorder;
@@ -51,9 +50,6 @@ use qof_core::{trace_to_perfetto, traces_to_perfetto, FileDatabase};
 use qof_pat::json::escape;
 use qof_pat::{render_prometheus, render_workload_prometheus, snapshot_to_json, workload_to_json};
 
-pub use analyzer::{
-    analyze_qlog, render_report, report_json, QlogReport, QLOG_REPORT_SCHEMA_VERSION,
-};
 pub use http::Client;
 use http::{read_request, write_response, Request, RequestError};
 pub use qlog::{error_line, normalize_query, success_line, QueryLog, DEFAULT_QLOG_KEEP};
@@ -347,3 +343,8 @@ fn handle_query(state: &State, req: &Request) -> (u16, &'static str, String) {
         }
     }
 }
+
+// The tests' JSON reader (see its module doc); no target ships it.
+#[cfg(test)]
+#[path = "../../../tests/common/json.rs"]
+mod test_json;

@@ -36,8 +36,8 @@ fn now_ms() -> u128 {
 /// The log line for a successful traced query (no trailing newline). The
 /// query fingerprint is rendered as a fixed 16-hex-digit string — like the
 /// trace JSON, because a u64 does not survive an f64 round-trip as a JSON
-/// number — so `qof qlog analyze` rebuilds the same workload table the
-/// server aggregates live.
+/// number — so a fold of the ok lines per `"fp"` rebuilds the workload
+/// table the server aggregates live at `/workload`.
 pub fn success_line(trace: &QueryTrace, ts_ms: u128) -> String {
     format!(
         "{{\"ts_ms\":{ts_ms},\"id\":{},\"fp\":\"{:016x}\",\"query\":\"{}\",\"outcome\":\"ok\",\
@@ -54,8 +54,8 @@ pub fn success_line(trace: &QueryTrace, ts_ms: u128) -> String {
 }
 
 /// The log line for a failed query (no trailing newline). A failed query
-/// died before planning finished, so it has no fingerprint; the analyzer
-/// groups these under the all-zero fingerprint.
+/// died before planning finished, so it has no fingerprint: its `"fp"` is
+/// all zeros, and `/workload` folds it nowhere.
 pub fn error_line(id: u64, query: &str, error: &str, total_nanos: u64, ts_ms: u128) -> String {
     format!(
         "{{\"ts_ms\":{ts_ms},\"id\":{id},\"fp\":\"{:016x}\",\"query\":\"{}\",\

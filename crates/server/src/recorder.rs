@@ -172,7 +172,7 @@ mod tests {
         let json = rec.to_json();
         assert!(json.starts_with("{\"capacity\":4,\"slow_threshold_nanos\":1000,"));
         // Both rings hold the trace, and the document parses as a whole.
-        use qof_pat::json::{get_arr, get_str, get_u64, Json};
+        use crate::test_json::{get_arr, get_str, get_u64, Json};
         let doc = Json::parse(&json).unwrap();
         let obj = doc.as_obj().unwrap();
         for ring in ["recent", "slow"] {

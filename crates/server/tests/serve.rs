@@ -5,8 +5,13 @@ use std::net::TcpListener;
 
 use qof_corpus::bibtex;
 use qof_grammar::IndexSpec;
-use qof_server::{serve, Client, QueryLog, ServerConfig};
+use qof_server::{serve, Client, QueryLog, ServerConfig, DEFAULT_QLOG_KEEP};
 use qof_text::Corpus;
+
+// The tests' JSON reader; no crate ships one.
+#[path = "../../../tests/common/json.rs"]
+mod json;
+use json::{get_arr, get_str, get_u64, Json};
 
 const QUERY: &str = "SELECT r FROM References r WHERE r.Year = \"1982\"";
 
@@ -125,6 +130,28 @@ fn errors_are_logged_and_counted_under_their_id() {
 }
 
 #[test]
+fn a_deeply_nested_query_is_a_400_and_the_server_lives() {
+    let handle = start(QueryLog::discard(), &ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    // 2 000 nested parentheses in a 4 KB body: a parse error, not a
+    // connection thread that overflows its stack and aborts the process.
+    let deep = format!(
+        "SELECT r FROM References r WHERE {}r.Year = \"1982\"{}",
+        "(".repeat(2_000),
+        ")".repeat(2_000)
+    );
+    let (status, body) = client.post("/query", &deep).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nests deeper than"), "{body}");
+
+    let (status, body) = client.get("/healthz").unwrap();
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
+    handle.shutdown();
+}
+
+#[test]
 fn flight_recorder_correlates_with_responses() {
     let config = ServerConfig { slow_ms: 0, recorder_capacity: 2, ..Default::default() };
     let handle = start(QueryLog::discard(), &config);
@@ -215,14 +242,23 @@ fn perfetto_endpoints_export_recorded_traces() {
 
 #[test]
 fn workload_endpoint_aggregates_fingerprints() {
-    let handle = start(QueryLog::discard(), &ServerConfig::default());
+    let dir = std::env::temp_dir().join(format!("qof-workload-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log_path = dir.join("query.log");
+    // A one-byte cap rotates before every line but the first, so the four
+    // lines below land in `.3`, `.2`, `.1` and the live file.
+    let log = QueryLog::rotating(&log_path, 1, DEFAULT_QLOG_KEEP).unwrap();
+    let handle = start(log, &ServerConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
 
     // Two spellings of the same shape (whitespace only) plus a different
     // shape: the fingerprint keys the normalized region expression, so
-    // the table must show two entries with hits 2 and 1.
+    // the table must show two entries with hits 2 and 1. The failing
+    // query is logged and folded nowhere.
     client.post("/query", QUERY).unwrap();
     client.post("/query", "SELECT r\n  FROM References r\n  WHERE r.Year = \"1982\"").unwrap();
+    let (status, _) = client.post("/query", "SELEC nope").unwrap();
+    assert_eq!(status, 400);
     let other = "SELECT r FROM References r WHERE r.Authors.Name.Last_Name = \"Chang\"";
     client.post("/query", other).unwrap();
 
@@ -236,6 +272,43 @@ fn workload_endpoint_aggregates_fingerprints() {
     // Plan-cache lookups are the cache's to count, not a shape's.
     assert!(!body.contains("plan_cache"), "{body}");
 
+    // The rotated chain, oldest first, holds every line once: ids run
+    // 1..=4 without a gap or a repeat across the files.
+    let chain: Vec<std::path::PathBuf> = ["query.log.3", "query.log.2", "query.log.1", "query.log"]
+        .iter()
+        .map(|name| dir.join(name))
+        .collect();
+    let mut lines = Vec::new();
+    for file in &chain {
+        let text = std::fs::read_to_string(file).unwrap();
+        lines.extend(text.lines().map(|l| Json::parse(l).unwrap()));
+    }
+    let ids: Vec<u64> = lines.iter().map(|l| get_u64(l.as_obj().unwrap(), "id").unwrap()).collect();
+    assert_eq!(ids, [1, 2, 3, 4]);
+
+    // `/workload` is the cold fold of the same log: hits per fingerprint
+    // equal the ok lines per `"fp"`, and the error line carries the zero
+    // fingerprint.
+    let mut fold = std::collections::BTreeMap::<String, u64>::new();
+    for line in &lines {
+        let obj = line.as_obj().unwrap();
+        let fp = get_str(obj, "fp").unwrap();
+        match get_str(obj, "outcome").unwrap().as_str() {
+            "ok" => *fold.entry(fp).or_default() += 1,
+            _ => assert_eq!(fp, "0000000000000000", "{line:?}"),
+        }
+    }
+    let doc = Json::parse(&body).unwrap();
+    let live: std::collections::BTreeMap<String, u64> = get_arr(doc.as_obj().unwrap(), "entries")
+        .unwrap()
+        .iter()
+        .map(|e| {
+            let e = e.as_obj().unwrap();
+            (get_str(e, "fingerprint").unwrap(), get_u64(e, "hits").unwrap())
+        })
+        .collect();
+    assert_eq!(live, fold);
+
     let (status, prom) = client.get("/workload?format=prometheus").unwrap();
     assert_eq!(status, 200);
     assert!(prom.contains("# TYPE qof_workload_hits gauge"), "{prom}");
@@ -243,6 +316,7 @@ fn workload_endpoint_aggregates_fingerprints() {
     assert!(prom.contains("qof_workload_latency_seconds_bucket"), "{prom}");
 
     handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -81,7 +81,6 @@ fn usage() -> ExitCode {
          [--timeout-ms MS] [<file>...]\n  \
          qof index build   <schema> [--index A,B,C] --out F.qofx <file>...\n  \
          qof index inspect <F.qofx>\n  \
-         qof qlog analyze  <query.log> [--json]\n  \
          qof advise  <schema> <query>...\n  \
          qof check   <schema> [--index A,B,C] [--json] [<query>...]\n\
          schemas: bibtex mail logs sgml code"
@@ -522,25 +521,6 @@ fn run() -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        "qlog" => match args.get(1).map(String::as_str) {
-            Some("analyze") => {
-                let mut rest: Vec<String> = args[2..].to_vec();
-                let json = rest.iter().any(|a| a == "--json");
-                rest.retain(|a| a != "--json");
-                let [path] = rest.as_slice() else { return Ok(usage()) };
-                let report = qof::server::analyze_qlog(std::path::Path::new(path))
-                    .map_err(|e| format!("cannot read `{path}` chain: {e}"))?;
-                if json {
-                    outln!("{}", qof::server::report_json(&report));
-                } else {
-                    out!("{}", qof::server::render_report(&report));
-                }
-                // A broken id chain is worth a nonzero exit: rotation lost
-                // or reordered lines, which CI should catch.
-                Ok(if report.ids_contiguous() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
-            }
-            _ => Ok(usage()),
-        },
         "index" => match args.get(1).map(String::as_str) {
             Some("build") => {
                 let Some(name) = args.get(2) else { return Ok(usage()) };

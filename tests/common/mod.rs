@@ -1,4 +1,8 @@
-//! Helpers shared by the integration tests.
+//! Helpers shared by the integration tests. Each test binary mounts this
+//! module and uses a part of it.
+#![allow(dead_code)]
+
+pub mod json;
 
 use qof::corpus::{Rng, StdRng};
 use qof::db::{Database, Value};
@@ -37,8 +41,7 @@ pub fn shown(values: &[Value], db: &Database) -> Vec<String> {
 }
 
 /// `steps` with a run of them replaced by a variable step: `*X` or
-/// `X1..Xn` before a step, or `A+` on a step. Not every test draws paths.
-#[allow(dead_code)]
+/// `X1..Xn` before a step, or `A+` on a step.
 pub fn with_variable(mut steps: Vec<String>, rng: &mut StdRng) -> Vec<String> {
     let Some(last) = steps.len().checked_sub(1) else { return steps };
     let from = rng.random_range(0..=last);

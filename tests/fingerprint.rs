@@ -1,13 +1,16 @@
 //! Cross-process fingerprint determinism: the workload fingerprint is the
-//! join key between live `/workload` aggregation, qlog lines and the
-//! offline analyzer — a hash that changes per process (the
+//! join key between live `/workload` aggregation, qlog lines, trace JSON
+//! and `qof stats --workload` — a hash that changes per process (the
 //! `DefaultHasher`/`RandomState` failure mode) would silently break every
 //! cross-check. Two separate `qof` processes and an in-process plan must
 //! all agree on the fingerprint of the same query.
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::Command;
 
+use common::json::{get_arr, get_str, get_u64, Json};
 use qof::corpus::bibtex;
 use qof::grammar::IndexSpec;
 use qof::text::Corpus;
@@ -57,6 +60,20 @@ fn fingerprints_agree_across_separate_processes() {
         FileDatabase::build(Corpus::from_text(&text), bibtex::schema(), IndexSpec::full()).unwrap();
     let plan = db.plan(CHANG).unwrap();
     assert_eq!(first, format!("{:016x}", plan.fingerprint));
+
+    // `qof stats --workload --json`, the workload table outside the
+    // server, serves the `/workload` envelope keyed by the same value.
+    let out = Command::new(env!("CARGO_BIN_EXE_qof"))
+        .args(["stats", "bibtex", "--workload", "--json", corpus_path.to_str().unwrap(), CHANG])
+        .output()
+        .expect("qof binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc = Json::parse(String::from_utf8(out.stdout).unwrap().trim()).unwrap();
+    let doc = doc.as_obj().unwrap();
+    assert_eq!(get_u64(doc, "schema_version").unwrap(), 4);
+    let entries = get_arr(doc, "entries").unwrap();
+    assert_eq!(entries.len(), 1, "{entries:?}");
+    assert_eq!(get_str(entries[0].as_obj().unwrap(), "fingerprint").unwrap(), first);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,11 +1,13 @@
 //! End-to-end tests of the observability layer: the `--explain-analyze`
 //! render (rewrite annotations, per-operator cardinalities), trace
 //! cardinalities against independently evaluated region sets, and the
-//! `--trace-json` document read back with the shared JSON reader.
+//! `--trace-json` document read back with the tests' JSON reader.
 
+mod common;
+
+use common::json::{get_arr, get_str, get_u64, Json};
 use qof::corpus::bibtex;
 use qof::grammar::IndexSpec;
-use qof::pat::json::{get_arr, get_str, get_u64, Json};
 use qof::pat::{Engine, OpTrace, RegionExpr};
 use qof::text::Corpus;
 use qof::{FileDatabase, TRACE_SCHEMA_VERSION};
