@@ -1246,10 +1246,10 @@ mod tests {
             .find(|m| m.name.starts_with("plan_cache_hit_rate_"))
             .unwrap();
         assert!(hit_rate.value > 0.0, "warm passes must hit the plan cache");
-        // The embedded trace is a v9 document: no estimates, and the hit
+        // The embedded trace is a v10 document: no estimates, and the hit
         // rate comes from the cache, not from per-query counts.
         let trace = report.trace_json.as_deref().unwrap();
-        assert!(trace.contains("\"schema_version\":9"), "{trace}");
+        assert!(trace.contains("\"schema_version\":10"), "{trace}");
         assert!(!trace.contains("\"estimates\"") && !trace.contains("plan_cache"), "{trace}");
     }
 
@@ -1272,9 +1272,9 @@ mod tests {
         // sweep and its count bound contains the true count.
         let (hits, over) = (get("hot_shape_hits"), get("hot_shape_overcount"));
         assert!(hits - over <= 4096.0 && hits >= 4096.0 / 64.0, "hot shape bound");
-        // The embedded trace is a v9 document carrying the fingerprint.
+        // The embedded trace is a v10 document carrying the fingerprint.
         let trace = report.trace_json.as_deref().unwrap();
-        assert!(trace.contains("\"schema_version\":9"), "{trace}");
+        assert!(trace.contains("\"schema_version\":10"), "{trace}");
         assert!(trace.contains("\"fingerprint\":\""), "{trace}");
         assert!(trace.contains("\"bytes_touched\":"), "{trace}");
     }

@@ -9,7 +9,7 @@
 //!   "total_wall_secs": 1.25,
 //!   "experiments": [
 //!     { "id": "a5", "title": "…", "wall_secs": 0.42,
-//!       "trace": { "schema_version": 9, "query": "…", "phases": [], … },
+//!       "trace": { "schema_version": 10, "query": "…", "phases": [], … },
 //!       "measurements": [
 //!         { "name": "analytics_overhead_pct_200", "value": 0.4, "unit": "%" }
 //!       ] }

@@ -197,14 +197,28 @@ impl Diagnostic {
             let line_start = src[..start].rfind('\n').map_or(0, |i| i + 1);
             let line_end = src[start..].find('\n').map_or(src.len(), |i| start + i);
             let col = start - line_start + 1;
-            let line = &src[line_start..line_end];
+            let line: Vec<char> = src[line_start..line_end].chars().collect();
+            // The span in characters. A long line is quoted around it:
+            // QUOTE_CONTEXT characters either side of its first
+            // QUOTE_CONTEXT, each cut marked `…`.
+            let at = src[line_start..start].chars().count();
+            let rest = src[start..line_end].char_indices();
+            let width = rest.take_while(|&(i, _)| start + i < span.end).count().max(1);
+            let (from, to) = if line.len() <= 3 * QUOTE_CONTEXT {
+                (0, line.len())
+            } else {
+                let to = at + width.min(QUOTE_CONTEXT) + QUOTE_CONTEXT;
+                (at.saturating_sub(QUOTE_CONTEXT), to.min(line.len()))
+            };
+            let quoted: String = line[from..to].iter().collect();
+            let cut = |cut: bool| if cut { "…" } else { "" };
             let gutter = line_no.to_string().len();
             let _ = writeln!(out, "{:gutter$}--> query:{line_no}:{col}", "");
             let _ = writeln!(out, "{:gutter$} |", "");
-            let _ = writeln!(out, "{line_no} | {line}");
-            let width = span.end.min(line_end).saturating_sub(start).max(1);
-            let _ =
-                writeln!(out, "{:gutter$} | {:pad$}{}", "", "", "^".repeat(width), pad = col - 1);
+            let _ = writeln!(out, "{line_no} | {}{quoted}{}", cut(from > 0), cut(to < line.len()));
+            let pad = usize::from(from > 0) + at - from;
+            let carets = "^".repeat(width.min(to.saturating_sub(at)).max(1));
+            let _ = writeln!(out, "{:gutter$} | {:pad$}{carets}", "", "");
         }
         for note in &self.notes {
             let _ = writeln!(out, "  = note: {note}");
@@ -240,6 +254,10 @@ impl Diagnostic {
         out
     }
 }
+
+/// Characters of a long source line that a rendered diagnostic quotes on
+/// each side of its span, and of the span itself.
+const QUOTE_CONTEXT: usize = 40;
 
 /// Renders a batch of diagnostics against one source, separated by blank
 /// lines, with a closing summary count.

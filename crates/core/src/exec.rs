@@ -1345,7 +1345,7 @@ mod tests {
     fn library_query_is_accounted_exactly_once() {
         // `query` runs the accounted path: one success advances the query
         // counter, every phase histogram and the workload table once each,
-        // and its one chain is one plan-cache lookup; a failure advances the
+        // and its planning is one plan-cache lookup; a failure advances the
         // error counter and nothing else.
         let corpus = multi_file_corpus(2, 10);
         let db = FileDatabase::build(corpus, bibtex::schema(), IndexSpec::full()).unwrap();
@@ -1365,7 +1365,7 @@ mod tests {
         assert_eq!(phase_counts(&snap), want, "each phase counted once");
         let pc = db.plan_cache_stats();
         assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (pc.hits, pc.misses));
-        assert_eq!((pc.hits, pc.misses), (0, 1), "one chain, one miss");
+        assert_eq!((pc.hits, pc.misses), (0, 1), "one shape, one miss");
         assert_eq!(db.workload().total_hits(), 1);
         let entries = db.workload().snapshot();
         assert_eq!(entries.len(), 1);
@@ -1489,7 +1489,8 @@ mod tests {
                 let (db, barrier) = (&db, &barrier);
                 scope.spawn(move || {
                     for i in 0..ROUNDS {
-                        // 300 distinct names: some lookups hit, some miss.
+                        // 300 distinct names of one shape: the first
+                        // lookups miss, the others hit.
                         let q = format!(
                             "SELECT r.Key FROM References r \
                                  WHERE r.Authors.Name.Last_Name = \"Chang{}\"",
@@ -1503,15 +1504,16 @@ mod tests {
         });
         let after = db.plan_cache_stats();
         let delta = (after.hits - before.hits, after.misses - before.misses);
-        // A selection chain and a projection chain per query.
-        assert_eq!(delta.0 + delta.1, 2 * (THREADS * ROUNDS) as u64);
+        // One lookup per query.
+        assert_eq!(delta.0 + delta.1, (THREADS * ROUNDS) as u64);
+        assert!(delta.1 <= THREADS as u64, "one shape misses at most once per thread");
         let snap = db.metrics_snapshot();
         assert_eq!((snap.plan_cache_hits, snap.plan_cache_misses), (after.hits, after.misses));
     }
 
     #[test]
     fn metrics_read_the_plan_cache_and_the_index() {
-        // `explain` and `plan` look chains up as `query` does. The rendered
+        // `explain` and `plan` look plans up as `query` does. The rendered
         // counters are the cache's own, whichever call made the lookup,
         // and the gauges follow the index through `add_file`.
         let mut db =
@@ -1544,9 +1546,9 @@ mod tests {
         assert_eq!(cold.hits, 0);
         let (r2, t2) = db.query_traced(q).unwrap();
         let warm = db.plan_cache_stats();
-        assert_eq!(warm.hits, cold.misses, "second run must hit every chain");
+        assert_eq!(warm.hits, cold.misses, "second run must hit");
         assert_eq!(warm.misses, cold.misses);
-        // The cached lowering reproduces the fresh one byte for byte:
+        // The cached plan reproduces the fresh one byte for byte:
         // same plan text, same recorded rewrites, same results.
         assert_eq!(t1.plan, t2.plan);
         assert_eq!(t1.rewrites, t2.rewrites);
@@ -1593,7 +1595,7 @@ mod tests {
         let entries = db.plan_cache_stats().entries;
         assert!(entries > 0, "`query` populates the plan cache");
         db.add_file("extra", extra).unwrap();
-        assert_eq!(db.plan_cache_stats().entries, entries, "add_file keeps every lowering");
+        assert_eq!(db.plan_cache_stats().entries, entries, "add_file keeps every plan");
         let fresh =
             FileDatabase::build(db.corpus().clone(), db.schema().clone(), spec.clone()).unwrap();
         let searches = || crate::plan::ROUTE_SEARCHES.with(std::cell::Cell::get);
@@ -2155,7 +2157,7 @@ mod tests {
             let before = searches();
             let again = db.planner().plan(&parsed).unwrap();
             assert_eq!(searches(), before, "{q}: the second plan searched routes again");
-            // The memo changes no plan: a planner without it agrees.
+            // The cache changes no plan: a planner without it agrees.
             let cold = PlanCache::new();
             let fresh = Planner { plan_cache: &cold, ..db.planner() }.plan(&parsed).unwrap();
             for other in [&again, &fresh] {
@@ -2164,6 +2166,135 @@ mod tests {
             }
         }
         assert!(first_searches > 0, "the direct hops of the first plans need route searches");
+    }
+
+    /// The planner's work on this thread so far: route searches, path
+    /// resolutions and optimizer runs.
+    fn planner_work() -> [u64; 3] {
+        use crate::plan::{OPTIMIZES, PATH_RESOLVES, ROUTE_SEARCHES};
+        let get = std::cell::Cell::get;
+        [ROUTE_SEARCHES.with(get), PATH_RESOLVES.with(get), OPTIMIZES.with(get)]
+    }
+
+    #[test]
+    fn queries_of_one_shape_share_one_plan_and_one_fingerprint() {
+        let db = FileDatabase::build(multi_file_corpus(2, 20), bibtex::schema(), IndexSpec::full())
+            .unwrap();
+        let form = |name: &str, year: &str| {
+            format!(
+                "SELECT r.Key FROM References r WHERE r.Authors.Name.Last_Name = \"{name}\" \
+                 AND r.Year = \"{year}\""
+            )
+        };
+        let cold = planner_work();
+        let first = db.plan(&form("Chang", "1982")).unwrap();
+        let warm = planner_work();
+        assert!(warm.iter().zip(cold).all(|(w, c)| *w > c), "a miss plans: {cold:?} → {warm:?}");
+        // Other words, `*` among them, are the same shape: each plan is a
+        // hit that resolves no path, searches no route and optimizes
+        // nothing.
+        for (name, year) in [("Tompa", "1990"), ("*", ""), ("Taylor series", "Chang")] {
+            let plan = db.plan(&form(name, year)).unwrap();
+            assert_eq!(plan.fingerprint, first.fingerprint, "{name}, {year}");
+            assert!(plan.describe().contains(&format!("σ_\"{name}\"")), "{}", plan.describe());
+        }
+        assert_eq!(planner_work(), warm, "a plan-cache hit did planning work");
+        let pc = db.plan_cache_stats();
+        assert_eq!((pc.hits, pc.misses, pc.entries), (3, 1, 1));
+        // A prefix is another selector kind, so another shape.
+        let prefix = db.plan(&form("Ch*", "1982")).unwrap();
+        assert_ne!(prefix.fingerprint, first.fingerprint);
+        assert_eq!(db.plan_cache_stats().entries, 2);
+    }
+
+    /// The lookup mix of the benchmark's workloads, 60 names in three
+    /// forms, is three shapes: three plans and three workload entries,
+    /// none of them overcounted. The two content joins add two more.
+    #[test]
+    fn the_lookup_mix_plans_and_aggregates_by_shape() {
+        let lookups: Vec<String> = (0..60)
+            .flat_map(|i| {
+                let (name, year) = (format!("Name{i:02}"), 1970 + i % 25);
+                [
+                    format!(
+                        "SELECT r.Key FROM References r WHERE r.Authors.Name.Last_Name = \"{name}\""
+                    ),
+                    format!(
+                        "SELECT r FROM References r WHERE r.Authors.Name.Last_Name = \"{name}\" \
+                         AND r.Year = \"{year}\""
+                    ),
+                    format!("SELECT r FROM References r WHERE r.*X.Last_Name = \"{name}\""),
+                ]
+            })
+            .collect();
+        let joins = [("Editors", "Authors"), ("Authors", "Editors")].map(|(l, r)| {
+            format!("SELECT r FROM References r WHERE r.{l}.Name.Last_Name = r.{r}.Name.Last_Name")
+        });
+        let with_joins: Vec<String> = lookups.iter().chain(&joins).cloned().collect();
+        let partial = IndexSpec::names(["Reference", "Last_Name"]);
+        for (spec, queries, shapes) in [(IndexSpec::full(), &lookups, 3), (partial, &with_joins, 5)]
+        {
+            let db = FileDatabase::build(multi_file_corpus(2, 10), bibtex::schema(), spec).unwrap();
+            for q in queries {
+                db.query(q).unwrap();
+            }
+            assert_eq!(db.plan_cache_stats().entries, shapes);
+            let table = db.workload().snapshot();
+            assert_eq!(table.len(), shapes);
+            assert!(table.iter().all(|e| e.overcount == 0), "{table:?}");
+            assert_eq!(table.iter().map(|e| e.hits).sum::<u64>(), queries.len() as u64);
+        }
+    }
+
+    /// A plan bound from a shape's plan is the plan of the query as
+    /// written, and so is a planning error, on full, partial and scoped
+    /// indexes: constants that look like placeholders, repeated ones,
+    /// prefixes, a `*X` path with a leaf per derivation alternative, and a
+    /// rejected condition that the error quotes.
+    #[test]
+    fn a_bound_plan_is_the_plan_of_the_text() {
+        let conds = [
+            "r.Authors.Name.Last_Name = \"$2\" AND r.Year = \"$1\"",
+            "r.*X.Last_Name = \"Ch*\" OR NOT r.Key = \"Ch*\"",
+            "(r.Title = \"Taylor series\" OR r.Editors.Name.Last_Name = \"\") AND r.Year = \"*\"",
+            "r.Editors.Name.Last_Name = r.Authors.Name.Last_Name AND r.Key = \"$1*\"",
+        ];
+        let mut queries: Vec<String> =
+            conds.iter().map(|c| format!("SELECT r FROM References r WHERE {c}")).collect();
+        queries.extend(QUERIES.iter().map(ToString::to_string));
+        queries.push(
+            "SELECT r FROM References r, References s WHERE r.Referred.RefKey = s.Key \
+             AND s.Authors.Name.Last_Name = \"Chang\""
+                .into(),
+        );
+        queries.push(
+            "SELECT r FROM References r, References s WHERE r.Key = s.Key \
+             OR s.Year = \"1982\""
+                .into(),
+        );
+        let specs = [
+            IndexSpec::full(),
+            IndexSpec::names(["Reference", "Last_Name"]),
+            IndexSpec::names(["Reference", "Key"]).with_scoped("Authors", "Last_Name"),
+        ];
+        for spec in specs {
+            let db = FileDatabase::build(multi_file_corpus(1, 10), bibtex::schema(), spec).unwrap();
+            for q in &queries {
+                let parsed = parse_query(q).unwrap();
+                match (db.planner().plan(&parsed), db.planner().plan_shape(&parsed)) {
+                    (Ok(mut bound), Ok(literal)) => {
+                        assert_ne!(bound.fingerprint, 0, "{q}");
+                        bound.fingerprint = 0;
+                        assert_eq!(format!("{bound:?}"), format!("{literal:?}"), "{q}");
+                    }
+                    (Err(bound), Err(literal)) => {
+                        assert_eq!(bound.to_string(), literal.to_string(), "{q}");
+                        assert!(!bound.to_string().contains("$1"), "{bound}");
+                    }
+                    (bound, literal) => panic!("{q}: {bound:?} against {literal:?}"),
+                }
+            }
+        }
     }
 
     /// Pairs of `(container, item)` a projection reads, restricted or not,

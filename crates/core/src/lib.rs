@@ -58,9 +58,9 @@ pub use incl::{ChainOp, Direction, InclusionExpr, SelectKind};
 pub use optimizer::{is_trivially_empty, normal_forms, optimize, Optimized, Rewrite, RewriteKind};
 pub use perfetto::{trace_to_perfetto, traces_to_perfetto};
 pub use plan::{
-    lower_run, Exactness, InexactHop, InexactReason, Plan, PlanError, PlanRewrite, Planner,
+    lower_run, Exactness, InexactHop, InexactReason, Lowered, Plan, PlanError, PlanRewrite, Planner,
 };
-pub use plan_cache::{CachedChain, PlanCache, PlanCacheStats, DEFAULT_PLAN_CACHE_ENTRIES};
+pub use plan_cache::{PlanCache, PlanCacheStats, DEFAULT_PLAN_CACHE_ENTRIES};
 pub use qofx::{inspect_qofx, QofxError, QofxSummary, QOFX_MAGIC, QOFX_VERSION};
 pub use query::{parse_query, Cond, Projection, QPath, QStep, Query, QueryParseError, RightHand};
 pub use residual::{compile_cond, eval_pair, eval_single, path_values, CompiledCond};

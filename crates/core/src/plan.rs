@@ -5,6 +5,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use qof_db::DbStep;
 use qof_grammar::{
@@ -14,7 +15,7 @@ use qof_pat::{fnv1a64, Instance, RegionExpr};
 
 use crate::analyze::absint::{certify, AbsInterp};
 use crate::optimizer::{optimize, Optimized};
-use crate::plan_cache::{CachedChain, PlanCache};
+use crate::plan_cache::PlanCache;
 use crate::residual::CompiledCond;
 use crate::trace::NodeFact;
 use crate::{ChainOp, Cond, Direction, InclusionExpr, Projection, QPath, Query, Rig, SelectKind};
@@ -23,6 +24,15 @@ use crate::{ChainOp, Cond, Direction, InclusionExpr, Projection, QPath, Query, R
 thread_local! {
     /// Route searches ([`Planner::unique_route`]) run on this thread.
     pub(crate) static ROUTE_SEARCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Paths resolved by the planner on this thread.
+    pub(crate) static PATH_RESOLVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Optimizer runs lowered by the planner on this thread.
+    pub(crate) static OPTIMIZES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count(counter: &'static std::thread::LocalKey<std::cell::Cell<u64>>) {
+    counter.with(|n| n.set(n.get() + 1));
 }
 
 /// Whether a candidate set is provably the exact answer (§6.3).
@@ -209,12 +219,25 @@ pub struct PlanRewrite {
     pub certified: bool,
 }
 
-/// The lowering the planner runs and caches for one optimizer run: every
+/// The result of lowering one optimizer run: the chosen expression, the
+/// certified rewrite records, and whether the run was accepted as
+/// provably empty.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lowered {
+    /// The lowered (optimized, certified) inclusion expression.
+    pub expr: InclusionExpr,
+    /// The rewrite records, in order.
+    pub rewrites: Vec<PlanRewrite>,
+    /// Whether the run is accepted trivially empty (Proposition 3.3).
+    pub empty: bool,
+}
+
+/// The lowering the planner runs for one optimizer run: every
 /// recorded step goes through the certifier ([`certify`]), and `opt` is
 /// applied only when all of them certify.
 /// Otherwise the run keeps `original`, unoptimized, and its rewrites are
 /// recorded as uncertified (`qof check` reports them as `QOF110`).
-pub fn lower_run(original: &InclusionExpr, rig: &Rig, opt: Optimized) -> CachedChain {
+pub fn lower_run(original: &InclusionExpr, rig: &Rig, opt: Optimized) -> Lowered {
     let cert = certify(original, rig, &opt);
     let accepted = cert.all_certified();
     let mut rewrites: Vec<PlanRewrite> = opt
@@ -236,7 +259,7 @@ pub fn lower_run(original: &InclusionExpr, rig: &Rig, opt: Optimized) -> CachedC
             certified: cert.lands,
         });
     }
-    CachedChain {
+    Lowered {
         expr: if accepted { opt.expr } else { original.clone() },
         rewrites,
         empty: accepted && opt.trivially_empty,
@@ -256,22 +279,11 @@ pub struct Plan {
     /// in application order.
     pub rewrites: Vec<PlanRewrite>,
     /// The plan's deterministic workload fingerprint: FNV-1a over the
-    /// view symbols and every *pre-optimization* chain key the lowering
-    /// consulted (the plan cache's own keys), so one fingerprint ⇔ one
-    /// optimize-and-certify outcome, stable across processes. Trace
-    /// schema v6 stamps it, qlog lines carry it as `"fp"`, and
-    /// `GET /workload` aggregates under it.
+    /// spelling of the query's shape ([`Query::shape`]), the plan cache's
+    /// own key, so every query of one shape has one fingerprint, stable
+    /// across processes. Trace schema v10 stamps it, qlog lines carry it
+    /// as `"fp"`, and `GET /workload` aggregates under it.
     pub fingerprint: u64,
-}
-
-/// What lowering a query's chains records, in planning order.
-#[derive(Default)]
-struct LowerLog {
-    /// Every optimizer rewrite applied.
-    rewrites: Vec<PlanRewrite>,
-    /// Every chain key consulted (the plan cache's own keys): the
-    /// workload fingerprint's material.
-    keys: Vec<String>,
 }
 
 /// Planning failures.
@@ -326,7 +338,7 @@ pub struct Planner<'a> {
     pub partial_rig: &'a Rig,
     /// Whether the index spec covers every non-terminal (full indexing).
     pub full_indexing: bool,
-    /// Memoized per-chain lowering results and route verdicts.
+    /// The plans of the query shapes planned so far.
     pub plan_cache: &'a PlanCache,
 }
 
@@ -396,8 +408,35 @@ enum EOp {
 }
 
 impl<'a> Planner<'a> {
-    /// Plans a query.
+    /// Plans a query: plans its shape ([`Query::shape`]) on the shape's
+    /// first request, and binds the query's constants into the shape's
+    /// plan.
     pub fn plan(&self, q: &Query) -> Result<Plan, PlanError> {
+        let (shape, words) = q.shape();
+        let key = shape.to_string();
+        let plan = match self.plan_cache.get(&key) {
+            Some(plan) => plan,
+            None => {
+                let mut plan = self.plan_shape(&shape).map_err(|e| match e {
+                    // The message quotes a condition of the shape.
+                    PlanError::Unsupported(mut m) => {
+                        bind_text(&mut m, &words);
+                        PlanError::Unsupported(m)
+                    }
+                    e => e,
+                })?;
+                plan.fingerprint = fnv1a64(key.as_bytes());
+                let plan = Arc::new(plan);
+                self.plan_cache.insert(key, Arc::clone(&plan));
+                plan
+            }
+        };
+        Ok(plan.bind(&words))
+    }
+
+    /// Plans a query as written, with no fingerprint: the plan of a shape,
+    /// whose constants are placeholders.
+    pub(crate) fn plan_shape(&self, q: &Query) -> Result<Plan, PlanError> {
         if q.ranges.is_empty() {
             return Err(PlanError::Unsupported("empty FROM clause".into()));
         }
@@ -472,14 +511,14 @@ impl<'a> Planner<'a> {
         };
 
         // Plan per-var conditions, collecting push-down filter paths and
-        // what the lowering records along the way.
-        let mut log = LowerLog::default();
+        // the rewrites the lowering applies along the way.
+        let mut rewrites = Vec::new();
         let mut filters: Vec<PathFilter> = Vec::new();
         for (vp, conds) in vars.iter_mut().zip(local) {
             let mut field_paths: Vec<Vec<String>> = Vec::new();
             let mut compiled: Option<CompiledCond> = None;
             for c in &conds {
-                let (node, cond) = self.plan_cond(c, &vp.symbol, &mut log)?;
+                let (node, cond) = self.plan_cond(c, &vp.symbol, &mut rewrites)?;
                 cond.field_paths(&mut field_paths);
                 vp.cond = Some(match vp.cond.take() {
                     Some(prev) => CondNode::And(Box::new(prev), Box::new(node)),
@@ -503,10 +542,10 @@ impl<'a> Planner<'a> {
             None => None,
             Some((li, p, ri, qp)) => {
                 let (lsym, rsym) = (&vars[li].symbol, &vars[ri].symbol);
-                let lspec = resolve_path(&self.schema.grammar, lsym, &p.steps)?;
-                let rspec = resolve_path(&self.schema.grammar, rsym, &qp.steps)?;
-                let l = self.deep_expr(&lspec, &mut log)?;
-                let r = self.deep_expr(&rspec, &mut log)?;
+                let lspec = self.resolve(lsym, &p.steps)?;
+                let rspec = self.resolve(rsym, &qp.steps)?;
+                let l = self.deep_expr(&lspec, &mut rewrites)?;
+                let r = self.deep_expr(&rspec, &mut rewrites)?;
                 // An exact join keys its sides by region text, which is
                 // the value of atoms only.
                 let g = &self.schema.grammar;
@@ -535,7 +574,7 @@ impl<'a> Planner<'a> {
             Projection::Var(_) => ProjPlan::Objects { var: proj_var },
             Projection::Path(p) => {
                 let symbol = &vars[proj_var].symbol;
-                let spec = resolve_path(&self.schema.grammar, symbol, &p.steps)?;
+                let spec = self.resolve(symbol, &p.steps)?;
                 let mut f = PathFilter::from_paths(&spec.field_paths().collect::<Vec<_>>());
                 f.merge(&filters[proj_var]);
                 filters[proj_var] = f;
@@ -546,7 +585,7 @@ impl<'a> Planner<'a> {
                 let atoms = spec.text_is_value(&self.schema.grammar);
                 let every_region = vars[proj_var].cond.is_none() && join.is_none();
                 let from_index = atoms && (every_region || !self.full_rig.on_cycle(symbol));
-                match self.deep_expr(&spec, &mut log).ok() {
+                match self.deep_expr(&spec, &mut rewrites).ok() {
                     Some(Located { expr: chain, display, exact: true, .. }) if from_index => {
                         ProjPlan::IndexValues { var: proj_var, chain, display }
                     }
@@ -570,27 +609,14 @@ impl<'a> Planner<'a> {
             vp.parse = needed.then_some(filter);
         }
 
-        // The workload fingerprint. A single-chain plan (the common
-        // shape) hashes exactly its chain key — the same key the plan
-        // cache memoizes under. Multi-chain plans hash all keys in
-        // planning order; a bare scan hashes the view symbols (so scans of
-        // different views differ). All material is deterministic spelling
-        // — the hash is identical across processes for the same query
-        // shape.
-        let fingerprint = match log.keys.as_slice() {
-            [single] => fnv1a64(single.as_bytes()),
-            keys => {
-                let mut material = String::from("plan");
-                for vp in &vars {
-                    let _ = write!(material, "|var:{}", vp.symbol);
-                }
-                for key in keys {
-                    let _ = write!(material, "|chain:{key}");
-                }
-                fnv1a64(material.as_bytes())
-            }
-        };
-        Ok(Plan { vars, join, projection, rewrites: log.rewrites, fingerprint })
+        Ok(Plan { vars, join, projection, rewrites, fingerprint: 0 })
+    }
+
+    /// Resolves a path from a view symbol.
+    fn resolve(&self, symbol: &str, steps: &[crate::QStep]) -> Result<PathSpec, PathError> {
+        #[cfg(test)]
+        count(&PATH_RESOLVES);
+        resolve_path(&self.schema.grammar, symbol, steps)
     }
 
     /// Plans a single-variable condition, and compiles it for the
@@ -599,28 +625,28 @@ impl<'a> Planner<'a> {
         &self,
         cond: &Cond,
         view_symbol: &str,
-        log: &mut LowerLog,
+        rewrites: &mut Vec<PlanRewrite>,
     ) -> Result<(CondNode, CompiledCond), PlanError> {
         Ok(match cond {
-            Cond::Eq(p, rhs) => self.plan_eq(p, rhs, view_symbol, log)?,
+            Cond::Eq(p, rhs) => self.plan_eq(p, rhs, view_symbol, rewrites)?,
             Cond::And(a, b) => {
-                let (na, ca) = self.plan_cond(a, view_symbol, log)?;
-                let (nb, cb) = self.plan_cond(b, view_symbol, log)?;
+                let (na, ca) = self.plan_cond(a, view_symbol, rewrites)?;
+                let (nb, cb) = self.plan_cond(b, view_symbol, rewrites)?;
                 (
                     CondNode::And(Box::new(na), Box::new(nb)),
                     CompiledCond::And(Box::new(ca), Box::new(cb)),
                 )
             }
             Cond::Or(a, b) => {
-                let (na, ca) = self.plan_cond(a, view_symbol, log)?;
-                let (nb, cb) = self.plan_cond(b, view_symbol, log)?;
+                let (na, ca) = self.plan_cond(a, view_symbol, rewrites)?;
+                let (nb, cb) = self.plan_cond(b, view_symbol, rewrites)?;
                 (
                     CondNode::Or(Box::new(na), Box::new(nb)),
                     CompiledCond::Or(Box::new(ca), Box::new(cb)),
                 )
             }
             Cond::Not(a) => {
-                let (child, compiled) = self.plan_cond(a, view_symbol, log)?;
+                let (child, compiled) = self.plan_cond(a, view_symbol, rewrites)?;
                 let child = Box::new(child);
                 let node = if child.exact() {
                     CondNode::Not(child)
@@ -638,29 +664,27 @@ impl<'a> Planner<'a> {
         p: &QPath,
         rhs: &crate::RightHand,
         view_symbol: &str,
-        log: &mut LowerLog,
+        rewrites: &mut Vec<PlanRewrite>,
     ) -> Result<(CondNode, CompiledCond), PlanError> {
-        let resolve = |p: &QPath| resolve_path(&self.schema.grammar, view_symbol, &p.steps);
+        let resolve = |p: &QPath| self.resolve(view_symbol, &p.steps);
         Ok(match rhs {
             crate::RightHand::Const(w) => {
                 let paths = resolve(p)?;
-                // A trailing `*` in the constant selects by word prefix —
-                // PAT's lexical search (`r.Last_Name = "Ch*"`).
-                let selector = match w.strip_suffix('*') {
-                    Some(prefix) if !prefix.is_empty() => (SelectKind::Prefix, prefix.to_owned()),
-                    _ => (SelectKind::Eq, w.to_owned()),
+                let selector = match crate::query::word_prefix(w) {
+                    Some(prefix) => (SelectKind::Prefix, prefix.to_owned()),
+                    None => (SelectKind::Eq, w.to_owned()),
                 };
                 // The candidate view regions, union over alternatives.
                 let Located { expr, display, exact, .. } =
-                    self.locate(&paths, Direction::Including, Some(&selector), log)?;
+                    self.locate(&paths, Direction::Including, Some(&selector), rewrites)?;
                 let compiled =
                     CompiledCond::EqConst { var: p.var.clone(), paths, value: w.clone() };
                 (CondNode::IndexOnly { expr, display, exact }, compiled)
             }
             crate::RightHand::Path(qp) => {
                 let (lpaths, rpaths) = (resolve(p)?, resolve(qp)?);
-                let l = self.deep_expr(&lpaths, log)?;
-                let r = self.deep_expr(&rpaths, log)?;
+                let l = self.deep_expr(&lpaths, rewrites)?;
+                let r = self.deep_expr(&rpaths, rewrites)?;
                 // Texts are values only for atoms, and an equal pair is
                 // necessary only where both chains locate a superset of the
                 // atoms' own regions, along fixed paths or exactly (§21).
@@ -690,8 +714,12 @@ impl<'a> Planner<'a> {
 
     /// Builds the expression producing the **deep attribute regions** of a
     /// path (for projections and content joins), union over alternatives.
-    fn deep_expr(&self, spec: &PathSpec, log: &mut LowerLog) -> Result<Located, PlanError> {
-        self.locate(spec, Direction::IncludedIn, None, log)
+    fn deep_expr(
+        &self,
+        spec: &PathSpec,
+        rewrites: &mut Vec<PlanRewrite>,
+    ) -> Result<Located, PlanError> {
+        self.locate(spec, Direction::IncludedIn, None, rewrites)
     }
 
     /// Projects every alternative of a path onto the indexed names, lowers
@@ -701,14 +729,14 @@ impl<'a> Planner<'a> {
         spec: &PathSpec,
         dir: Direction,
         selector: Option<&(SelectKind, String)>,
-        log: &mut LowerLog,
+        rewrites: &mut Vec<PlanRewrite>,
     ) -> Result<Located, PlanError> {
         let (mut exprs, mut displays) = (Vec::new(), Vec::new());
         let (mut exact, mut on_target) = (true, true);
         for alt in &spec.alternatives {
             let chain = self.project_chain(alt, selector.cloned());
             on_target &= chain.hops.iter().all(|h| h.reason != InexactReason::TargetNotIndexed);
-            let (expr, display, chain_exact) = self.lower_chain(&chain, dir, log);
+            let (expr, display, chain_exact) = self.lower_chain(&chain, dir, rewrites);
             exprs.push(expr);
             displays.push(display);
             exact &= chain_exact;
@@ -766,13 +794,11 @@ impl<'a> Planner<'a> {
                         // exactness regardless of what is indexed.
                         let prev = names.last().expect("chain starts with the view symbol");
                         let route_from = strip_scope(prev);
-                        let unique = self.plan_cache.route(route_from, next_name, || {
-                            self.unique_route(route_from, next_name)
-                        });
                         let reason = if *prev == kept {
                             Some(InexactReason::SameName)
                         } else {
-                            (!unique).then_some(InexactReason::AmbiguousRoute)
+                            (!self.unique_route(route_from, next_name))
+                                .then_some(InexactReason::AmbiguousRoute)
                         };
                         if let Some(reason) = reason {
                             exact = false;
@@ -839,7 +865,7 @@ impl<'a> Planner<'a> {
         view_symbol: &str,
         steps: &[crate::QStep],
     ) -> Result<Vec<InexactHop>, PathError> {
-        let spec = resolve_path(&self.schema.grammar, view_symbol, steps)?;
+        let spec = self.resolve(view_symbol, steps)?;
         let mut hops: Vec<InexactHop> = Vec::new();
         for alt in &spec.alternatives {
             for hop in self.project_chain(alt, None).hops {
@@ -858,7 +884,7 @@ impl<'a> Planner<'a> {
         &self,
         chain: &ProjectedChain,
         dir: Direction,
-        log: &mut LowerLog,
+        rewrites: &mut Vec<PlanRewrite>,
     ) -> (RegionExpr, String, bool) {
         // Split at Exact ops; optimize each run as an InclusionExpr. The
         // algebra has no `⊂^n`: deep regions take `⊂` and are a superset.
@@ -896,10 +922,6 @@ impl<'a> Planner<'a> {
                 Direction::Including => InclusionExpr::including(names, ops, selector),
                 Direction::IncludedIn => InclusionExpr::included_in(names, ops, selector),
             };
-            // The chain key (the plan cache's own key) doubles as the
-            // workload-fingerprint material.
-            let key = PlanCache::chain_key(&ie);
-            log.keys.push(key.clone());
             // Scoped keys are not RIG nodes; skip optimization for runs
             // containing them (they are already short).
             let has_scoped = ie.names().iter().any(|n| n.contains('.'));
@@ -907,19 +929,10 @@ impl<'a> Planner<'a> {
                 optimized_runs.push(ie);
                 continue;
             }
-            // The plan cache memoizes the whole optimize-and-certify
-            // outcome per chain shape; both read only the chain and the
-            // partial RIG, so a hit is always byte-identical to what a
-            // fresh lowering would produce.
-            if let Some(cached) = self.plan_cache.get(&key) {
-                log.rewrites.extend(cached.rewrites);
-                empty |= cached.empty;
-                optimized_runs.push(cached.expr);
-                continue;
-            }
+            #[cfg(test)]
+            count(&OPTIMIZES);
             let lowered = lower_run(&ie, self.partial_rig, optimize(&ie, self.partial_rig));
-            self.plan_cache.insert(key, lowered.clone());
-            log.rewrites.extend(lowered.rewrites);
+            rewrites.extend(lowered.rewrites);
             empty |= lowered.empty;
             optimized_runs.push(lowered.expr);
         }
@@ -1005,7 +1018,7 @@ impl<'a> Planner<'a> {
 
     fn unique_route(&self, a: &str, b: &str) -> bool {
         #[cfg(test)]
-        ROUTE_SEARCHES.with(|n| n.set(n.get() + 1));
+        count(&ROUTE_SEARCHES);
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         enum Phase {
             Head,
@@ -1321,6 +1334,105 @@ impl Plan {
             })
             .collect()
     }
+}
+
+/// Binding a query's constants into its shape's plan. A constant lands in
+/// the `σ`/prefix leaves of the index expressions (one per derivation
+/// alternative), in the residual's `EqConst`, and in the pretty forms and
+/// rewrite records, always as the placeholder `$i` of its position `i` in
+/// the query; binding replaces each placeholder with the `i`-th selector
+/// word. Region and view names are identifiers, so a `$` in the plan's
+/// text starts a placeholder.
+impl Plan {
+    fn bind(&self, words: &[String]) -> Plan {
+        let mut plan = self.clone();
+        if words.is_empty() {
+            return plan;
+        }
+        for vp in &mut plan.vars {
+            vp.cond.iter_mut().for_each(|c| c.bind(words));
+            vp.residual.iter_mut().for_each(|c| bind_compiled(c, words));
+        }
+        for rw in &mut plan.rewrites {
+            bind_text(&mut rw.description, words);
+            bind_text(&mut rw.result, words);
+        }
+        plan
+    }
+}
+
+impl CondNode {
+    fn bind(&mut self, words: &[String]) {
+        match self {
+            CondNode::IndexOnly { expr, display, .. } => {
+                bind_expr(expr, words);
+                bind_text(display, words);
+            }
+            // Both sides locate a path's regions, with no selector.
+            CondNode::ContentCompare { .. } => {}
+            CondNode::And(a, b) | CondNode::Or(a, b) => {
+                a.bind(words);
+                b.bind(words);
+            }
+            CondNode::Not(a) | CondNode::NotCandidates(a) => a.bind(words),
+        }
+    }
+}
+
+fn bind_compiled(c: &mut CompiledCond, words: &[String]) {
+    match c {
+        CompiledCond::EqConst { value, .. } => bind_text(value, words),
+        CompiledCond::EqPath { .. } => {}
+        CompiledCond::And(a, b) | CompiledCond::Or(a, b) => {
+            bind_compiled(a, words);
+            bind_compiled(b, words);
+        }
+        CompiledCond::Not(a) => bind_compiled(a, words),
+    }
+}
+
+fn bind_expr(e: &mut RegionExpr, words: &[String]) {
+    use RegionExpr::*;
+    match e {
+        Name(_) => {}
+        Word(w) | Prefix(w) => bind_text(w, words),
+        SelectEq(e, w) | SelectContains(e, w) => {
+            bind_text(w, words);
+            bind_expr(e, words);
+        }
+        Innermost(e) | Outermost(e) => bind_expr(e, words),
+        Union(a, b)
+        | Intersect(a, b)
+        | Difference(a, b)
+        | Including(a, b)
+        | IncludedIn(a, b)
+        | DirectIncluding(a, b)
+        | DirectIncludedIn(a, b)
+        | NestedExactly { outer: a, inner: b, .. } => {
+            bind_expr(a, words);
+            bind_expr(b, words);
+        }
+    }
+}
+
+/// Replaces each placeholder `$i` in `text` with `words[i - 1]`.
+fn bind_text(text: &mut String, words: &[String]) {
+    if !text.contains('$') {
+        return;
+    }
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text.as_str();
+    while let Some(at) = rest.find('$') {
+        out.push_str(&rest[..at]);
+        let digits = rest[at + 1..].bytes().take_while(u8::is_ascii_digit).count();
+        let end = at + 1 + digits;
+        let word =
+            rest[at + 1..end].parse::<usize>().ok().and_then(|i| words.get(i.checked_sub(1)?));
+        out.push_str(word.map_or(&rest[at..end], String::as_str));
+        rest = &rest[end..];
+    }
+    out.push_str(rest);
+    *text = out;
 }
 
 impl CondNode {

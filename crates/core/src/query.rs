@@ -68,7 +68,43 @@ pub struct Query {
     pub where_: Option<Cond>,
 }
 
+/// The prefix a constant selects by: a trailing `*` after at least one
+/// character (PAT's lexical search, `"Ch*"`). Any other constant, `"*"`
+/// included, is a word.
+pub(crate) fn word_prefix(constant: &str) -> Option<&str> {
+    constant.strip_suffix('*').filter(|prefix| !prefix.is_empty())
+}
+
 impl Query {
+    /// The query's shape, and the selector word of each constant in the
+    /// order the constants appear. The shape spells the `i`-th constant
+    /// (from 1) `$i`, or `$i*` if it selects by prefix: a plan reads a
+    /// constant only through that kind (§3.2). The shape's spelling keys
+    /// the plan cache and is hashed into the workload fingerprint.
+    pub fn shape(&self) -> (Query, Vec<String>) {
+        fn walk(c: &mut Cond, words: &mut Vec<String>) {
+            match c {
+                Cond::Eq(_, RightHand::Const(c)) => {
+                    let kind = if word_prefix(c).is_some() { "*" } else { "" };
+                    let mut word = std::mem::replace(c, format!("${}{kind}", words.len() + 1));
+                    word.truncate(word.len() - kind.len());
+                    words.push(word);
+                }
+                Cond::Eq(_, RightHand::Path(_)) => {}
+                Cond::And(a, b) | Cond::Or(a, b) => {
+                    walk(a, words);
+                    walk(b, words);
+                }
+                Cond::Not(a) => walk(a, words),
+            }
+        }
+        let (mut shape, mut words) = (self.clone(), Vec::new());
+        if let Some(w) = &mut shape.where_ {
+            walk(w, &mut words);
+        }
+        (shape, words)
+    }
+
     /// The view a variable ranges over.
     pub fn view_of(&self, var: &str) -> Option<&str> {
         self.ranges.iter().find(|(_, v)| v == var).map(|(w, _)| w.as_str())
@@ -242,7 +278,10 @@ impl<'a> Lexer<'a> {
                 }
                 Ok(Tok::Ident(self.src[start..self.at].to_owned()))
             }
-            other => Err(self.err(format!("unexpected character {:?}", other as char))),
+            _ => {
+                let c = self.src[self.at..].chars().next().expect("a byte starts a character");
+                Err(self.err(format!("unexpected character {c:?}")))
+            }
         }
     }
 }
@@ -552,6 +591,36 @@ mod tests {
         assert!(e2.message.contains("expected"));
         assert!(parse_query("SELECT r FROM References r JUNK trailing").is_err());
         assert!(parse_query("SELECT r FROM References r WHERE r.A = \"unterminated").is_err());
+        // A non-ASCII character is named whole, at its first byte.
+        let e3 = parse_query("SELECT r FROM Référénces r").unwrap_err();
+        assert_eq!(e3.message, "unexpected character 'é'");
+        assert_eq!(e3.at, "SELECT r FROM R".len());
+    }
+
+    #[test]
+    fn shape_spells_each_constant_by_position_and_kind() {
+        let q = parse_query(
+            "SELECT r FROM References r WHERE (r.A = \"Ch*\" OR NOT r.B = \"*\") \
+             AND r.C = \"Ch*\" AND r.D = \"\" AND r.E = r.F",
+        )
+        .unwrap();
+        let (shape, words) = q.shape();
+        assert_eq!(
+            shape.to_string(),
+            "SELECT r FROM References r WHERE ((((r.A = \"$1*\" OR NOT r.B = \"$2\") \
+             AND r.C = \"$3*\") AND r.D = \"$4\") AND r.E = r.F)"
+        );
+        assert_eq!(words, ["Ch", "*", "Ch", ""]);
+        // Queries that differ only in their words share a shape; a prefix
+        // and a word do not.
+        let other = |c: &str| {
+            let src = format!("SELECT r FROM References r WHERE r.A = \"{c}\"");
+            parse_query(&src).unwrap().shape().0
+        };
+        assert_eq!(other("Chang"), other("Taylor series"));
+        assert_eq!(other("Chang"), other("*"));
+        assert_ne!(other("Chang"), other("Ch*"));
+        assert_eq!(other("$1"), other("x"), "a constant that looks like a placeholder is a word");
     }
 
     #[test]

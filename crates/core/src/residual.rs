@@ -189,7 +189,7 @@ pub fn eval_pair(
     };
     match cond {
         CompiledCond::EqConst { var, paths, value } => binding(var).is_some_and(|v| {
-            let prefix = value.strip_suffix('*').filter(|p| !p.is_empty());
+            let prefix = crate::query::word_prefix(value);
             reaches(db, v, paths, cost, &mut |x| {
                 x.as_str().is_some_and(|s| match prefix {
                     Some(p) => s.starts_with(p),

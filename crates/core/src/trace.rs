@@ -48,8 +48,10 @@ use crate::plan::PlanRewrite;
 /// phase-1 candidate count still shows it). v9 removed the
 /// `plan_cache_hits`/`plan_cache_misses` pair: a lookup's hit or miss
 /// belongs to the plan cache, which counts every lookup
-/// (`qof_plan_cache_*_total`), and the `plan` phase times planning.
-pub const TRACE_SCHEMA_VERSION: u64 = 9;
+/// (`qof_plan_cache_*_total`), and the `plan` phase times planning. v10
+/// fingerprints the query's shape, its constants reduced to their
+/// selector kinds; no key changed.
+pub const TRACE_SCHEMA_VERSION: u64 = 10;
 
 /// The abstract interpreter's verdict on one plan node (trace schema v3):
 /// a static domain and an emptiness fact, as computed from the RIG by
@@ -102,8 +104,8 @@ pub struct QueryTrace {
     /// [`FileDatabase`]: crate::FileDatabase
     pub id: u64,
     /// The plan's deterministic fingerprint (schema v6): FNV-1a over the
-    /// normalized chain spellings the plan cache keys on, identical
-    /// across processes for the same query shape. 0 means "not stamped".
+    /// query's shape, the plan cache's key (v10), identical across
+    /// processes for the same query shape. 0 means "not stamped".
     pub fingerprint: u64,
     /// The query source text.
     pub query: String,

@@ -189,8 +189,9 @@ fn labelled_json(histograms: &BTreeMap<String, Histogram>) -> String {
 /// table, so it was always 0. v3 dropped `worst_est_ratio` and
 /// `worst_est_trace`: queries no longer carry cardinality estimates. v4
 /// dropped `plan_cache_hits` and `plan_cache_misses`: a plan-cache lookup
-/// is the cache's to count (`qof_plan_cache_*_total`), not a query's.
-pub const WORKLOAD_SCHEMA_VERSION: u64 = 4;
+/// is the cache's to count (`qof_plan_cache_*_total`), not a query's. v5
+/// keys entries by trace v10's shape fingerprint; no key changed.
+pub const WORKLOAD_SCHEMA_VERSION: u64 = 5;
 
 /// Serializes a workload-table snapshot as the `GET /workload` document,
 /// also printed by `qof stats --workload --json`. Fingerprints render as
@@ -409,7 +410,7 @@ qof_op_latency_seconds_count{op=\"⊃\"} 1
         });
         let snap = t.snapshot();
         let json = workload_to_json(&snap, t.capacity());
-        assert!(json.contains("\"schema_version\":4,\"capacity\":64"), "{json}");
+        assert!(json.contains("\"schema_version\":5,\"capacity\":64"), "{json}");
         assert!(json.contains("\"fingerprint\":\"000000000000abcd\""), "{json}");
         assert!(json.contains("\"hits\":1,\"overcount\":0,\"total_bytes\""), "{json}");
         assert!(json.contains("\"total_bytes\":42,\"max_bytes\":42"), "{json}");

@@ -5,7 +5,7 @@ use std::net::TcpListener;
 
 use qof_corpus::bibtex;
 use qof_grammar::IndexSpec;
-use qof_server::{serve, Client, QueryLog, ServerConfig, DEFAULT_QLOG_KEEP};
+use qof_server::{serve, Client, QueryLog, ServerConfig};
 use qof_text::Corpus;
 
 // The tests' JSON reader; no crate ships one.
@@ -45,7 +45,7 @@ fn healthz_metrics_and_query_roundtrip() {
     assert_eq!(status, 200);
     assert!(body.contains("\"id\":2"), "{body}");
     assert!(body.contains("\"trace\":{"), "{body}");
-    assert!(body.contains("\"schema_version\":9"), "{body}");
+    assert!(body.contains("\"schema_version\":10"), "{body}");
     // v8: no cardinality estimates; v9: no plan-cache counts, which are
     // the cache's own and served by /metrics.
     assert!(!body.contains("\"estimates\""), "{body}");
@@ -231,7 +231,7 @@ fn perfetto_endpoints_export_recorded_traces() {
     assert!(body.contains("\"process_name\"") && body.contains("query 1:"), "{body}");
     let (status, body) = client.get("/flight-recorder/1").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":9"), "{body}");
+    assert!(body.contains("\"schema_version\":10"), "{body}");
     let (status, _) = client.get("/flight-recorder/999").unwrap();
     assert_eq!(status, 404);
     let (status, _) = client.get("/flight-recorder/xyz").unwrap();
@@ -245,46 +245,49 @@ fn workload_endpoint_aggregates_fingerprints() {
     let dir = std::env::temp_dir().join(format!("qof-workload-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let log_path = dir.join("query.log");
-    // A one-byte cap rotates before every line but the first, so the four
-    // lines below land in `.3`, `.2`, `.1` and the live file.
-    let log = QueryLog::rotating(&log_path, 1, DEFAULT_QLOG_KEEP).unwrap();
+    // A one-byte cap rotates before every line but the first, so the five
+    // lines below land in `.4`, `.3`, `.2`, `.1` and the live file.
+    let log = QueryLog::rotating(&log_path, 1, 4).unwrap();
     let handle = start(log, &ServerConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    // Two spellings of the same shape (whitespace only) plus a different
-    // shape: the fingerprint keys the normalized region expression, so
-    // the table must show two entries with hits 2 and 1. The failing
-    // query is logged and folded nowhere.
+    // Three queries of one shape (a second spelling differs in
+    // whitespace only, a third in its constant) plus a different shape:
+    // the fingerprint hashes the query's shape, so the table must show
+    // two entries with hits 3 and 1. The failing query is logged and
+    // folded nowhere.
     client.post("/query", QUERY).unwrap();
     client.post("/query", "SELECT r\n  FROM References r\n  WHERE r.Year = \"1982\"").unwrap();
     let (status, _) = client.post("/query", "SELEC nope").unwrap();
     assert_eq!(status, 400);
     let other = "SELECT r FROM References r WHERE r.Authors.Name.Last_Name = \"Chang\"";
     client.post("/query", other).unwrap();
+    client.post("/query", "SELECT r FROM References r WHERE r.Year = \"1990\"").unwrap();
 
     let (status, body) = client.get("/workload").unwrap();
     assert_eq!(status, 200);
-    assert!(body.contains("\"schema_version\":4"), "{body}");
+    assert!(body.contains("\"schema_version\":5"), "{body}");
     assert!(body.contains("\"capacity\":64"), "{body}");
-    assert!(body.contains("\"hits\":2"), "{body}");
+    assert!(body.contains("\"hits\":3"), "{body}");
     assert!(body.contains("\"hits\":1"), "{body}");
     assert_eq!(body.matches("\"fingerprint\":").count(), 2, "two shapes: {body}");
     // Plan-cache lookups are the cache's to count, not a shape's.
     assert!(!body.contains("plan_cache"), "{body}");
 
     // The rotated chain, oldest first, holds every line once: ids run
-    // 1..=4 without a gap or a repeat across the files.
-    let chain: Vec<std::path::PathBuf> = ["query.log.3", "query.log.2", "query.log.1", "query.log"]
-        .iter()
-        .map(|name| dir.join(name))
-        .collect();
+    // 1..=5 without a gap or a repeat across the files.
+    let chain: Vec<std::path::PathBuf> =
+        ["query.log.4", "query.log.3", "query.log.2", "query.log.1", "query.log"]
+            .iter()
+            .map(|name| dir.join(name))
+            .collect();
     let mut lines = Vec::new();
     for file in &chain {
         let text = std::fs::read_to_string(file).unwrap();
         lines.extend(text.lines().map(|l| Json::parse(l).unwrap()));
     }
     let ids: Vec<u64> = lines.iter().map(|l| get_u64(l.as_obj().unwrap(), "id").unwrap()).collect();
-    assert_eq!(ids, [1, 2, 3, 4]);
+    assert_eq!(ids, [1, 2, 3, 4, 5]);
 
     // `/workload` is the cold fold of the same log: hits per fingerprint
     // equal the ok lines per `"fp"`, and the error line carries the zero
@@ -312,7 +315,7 @@ fn workload_endpoint_aggregates_fingerprints() {
     let (status, prom) = client.get("/workload?format=prometheus").unwrap();
     assert_eq!(status, 200);
     assert!(prom.contains("# TYPE qof_workload_hits gauge"), "{prom}");
-    assert!(prom.contains("} 2"), "{prom}");
+    assert!(prom.contains("} 3"), "{prom}");
     assert!(prom.contains("qof_workload_latency_seconds_bucket"), "{prom}");
 
     handle.shutdown();

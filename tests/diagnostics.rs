@@ -273,6 +273,42 @@ error[QOF021]: unknown view `Refrences`
     assert_eq!(diags[0].render(Some(src)), expected);
 }
 
+/// A long query line is quoted around its span, not whole: the one
+/// QOF020 of a 20 048-byte line renders in a few hundred bytes, with each
+/// cut marked `…` and the caret under the `(` past the depth bound.
+#[test]
+fn a_long_line_is_quoted_around_its_span() {
+    let db = bibtex_db(IndexSpec::full());
+    let depth = 10_000;
+    let src = format!(
+        "SELECT r FROM References r WHERE {}r.Year = \"1982\"{}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    assert_eq!(src.len(), 20_048);
+    let diags = db.check(&src);
+    assert_eq!(codes(&diags), [Code::Qof020]);
+    let text = diags[0].render(Some(&src));
+    assert!(text.len() < 400, "{} bytes: {text}", text.len());
+    let lines: Vec<&str> = text.lines().collect();
+    let quoted = lines[3].strip_prefix("1 | …").expect("cut before the span");
+    assert!(quoted.ends_with('…') && quoted.chars().all(|c| c == '(' || c == '…'), "{quoted}");
+    let caret = lines[4].find('^').expect("a caret") - "  | ".len();
+    assert_eq!(lines[4].matches('^').count(), 1, "{text}");
+    assert_eq!(quoted.chars().nth(caret - 1), Some('('), "{text}");
+    // The caret is under the span's own character, counted from the cut.
+    let span = diags[0].span.expect("a positioned error");
+    assert_eq!(caret, 1 + 40, "{text}");
+    assert_eq!(&src[span.start..span.end], "(");
+
+    // A multibyte character is named and underlined whole.
+    let src = "SELECT r FROM Référénces r";
+    let text = db.check(src)[0].render(Some(src));
+    assert!(text.contains("unexpected character 'é'"), "{text}");
+    let under = format!("1 | {src}\n  | {}^\n", " ".repeat("SELECT r FROM R".len()));
+    assert!(text.ends_with(&under), "{text}");
+}
+
 #[test]
 fn malformed_queries_error_never_panic() {
     let db = bibtex_db(IndexSpec::full());

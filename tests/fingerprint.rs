@@ -70,7 +70,7 @@ fn fingerprints_agree_across_separate_processes() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let doc = Json::parse(String::from_utf8(out.stdout).unwrap().trim()).unwrap();
     let doc = doc.as_obj().unwrap();
-    assert_eq!(get_u64(doc, "schema_version").unwrap(), 4);
+    assert_eq!(get_u64(doc, "schema_version").unwrap(), 5);
     let entries = get_arr(doc, "entries").unwrap();
     assert_eq!(entries.len(), 1, "{entries:?}");
     assert_eq!(get_str(entries[0].as_obj().unwrap(), "fingerprint").unwrap(), first);

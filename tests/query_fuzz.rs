@@ -20,6 +20,11 @@
 //! that locate them exactly, only approximately, or only through an
 //! enclosing region, where the text test narrows the candidates.
 //!
+//! A fourth loop binds new constants into cached shape plans: each drawn
+//! shape runs with constants A, then with constants B on the same
+//! database, and B must plan, explain, answer and count as it does on a
+//! database that never saw the shape.
+//!
 //! The loop runs through `FileDatabase::query_traced`, whose planner
 //! certifies every optimizer call it lowers. Every case runs on its own
 //! seed drawn from a fixed `StdRng` stream; a failure prints the case's
@@ -352,4 +357,208 @@ fn atom_compares_under_inexact_indexes_match_the_baseline() {
     }
     let cases = 4 * (CASES / 2 + 3);
     assert!(nonempty * 4 > cases, "only {nonempty} of {cases} queries had answers");
+}
+
+/// Whether a constant selects by prefix: a `*` after at least one
+/// character. `"*"` is a word.
+fn is_prefix(constant: &str) -> bool {
+    constant.len() > 1 && constant.ends_with('*')
+}
+
+/// Which of four pools a word constant of a shape draws from: keys,
+/// years, phrases or other words (the values of a bibtex `Key`, `Year`,
+/// `Keyword` and `Last_Name`).
+fn pool_of(constant: &str) -> usize {
+    match constant {
+        c if c.starts_with("Key") => 0,
+        c if c.bytes().all(|b| b.is_ascii_digit()) => 1,
+        c if c.contains(' ') => 2,
+        _ => 3,
+    }
+}
+
+/// A constant of the same selector kind as `constant`: a prefix for a
+/// prefix; for a word, a word of its pool, or one time in four a phrase,
+/// the empty word or `"*"`.
+fn constant_like(constant: &str, pools: &[Vec<&str>; 4], rng: &mut StdRng) -> String {
+    const PREFIXES: &[&str] = &["Ch*", "Ta*", "K*", "**", "1*"];
+    const ODD_WORDS: &[&str] = &["Taylor series", "", "*", "Chang", "1982"];
+    if is_prefix(constant) {
+        return PREFIXES[rng.random_range(0..PREFIXES.len())].to_owned();
+    }
+    if rng.random_range(0..4) == 0 {
+        return ODD_WORDS[rng.random_range(0..ODD_WORDS.len())].to_owned();
+    }
+    let pool = &pools[pool_of(constant)];
+    pool[rng.random_range(0..pool.len())].to_owned()
+}
+
+/// `query` with each of its constants replaced by `next(constant)`, in
+/// order. Constants hold no `"`, so the quotes delimit them.
+fn rebind(query: &str, mut next: impl FnMut(&str) -> String) -> String {
+    let mut parts = query.split('"');
+    let mut out = parts.next().unwrap_or_default().to_owned();
+    while let (Some(constant), Some(after)) = (parts.next(), parts.next()) {
+        out.push('"');
+        out.push_str(&next(constant));
+        out.push('"');
+        out.push_str(after);
+    }
+    out
+}
+
+/// What a query run shows: its EXPLAIN text, answers (values and
+/// regions), run counters, rewrites and facts, or its error.
+fn observed(db: &FileDatabase, query: &str) -> Result<[String; 6], String> {
+    let (res, trace) = db.query_traced(query).map_err(|e| e.to_string())?;
+    Ok([
+        res.explain,
+        format!("{:?}", shown(&res.values, &res.db)),
+        format!("{:?}", res.regions),
+        format!("{:?}", res.stats),
+        format!("{:?}", trace.rewrites),
+        format!("{:?}", trace.facts),
+    ])
+}
+
+/// A shape's plan with other constants bound in is the plan of the query
+/// as written. Each drawn shape runs with constants A and then with
+/// constants B of the same kinds: B hits the plan cache, shares A's
+/// fingerprint, plans, explains, answers and counts exactly as on a
+/// database that never planned the shape, and answers as the baseline
+/// does. Drawn shapes: constants swapped
+/// between two conjuncts, a constant used twice, a `*X` path whose
+/// constant lands in one leaf per derivation alternative, prefixes, the
+/// empty word, a phrase and `"*"`, and `AND`/`OR`/`NOT` mixes over every
+/// schema, under full, partial and scoped (§7) indexes.
+#[test]
+fn constants_bind_into_a_cached_shape_plan_as_a_cold_planner_plans_them() {
+    const BIBTEX_SHAPES: &[&str] = &[
+        "SELECT v FROM References v WHERE v.Authors.Name.Last_Name = \"Chang\" AND v.Year = \"1982\"",
+        "SELECT v.Key FROM References v WHERE v.Year = \"1982\" OR v.Authors.Name.Last_Name = \"Chang\"",
+        "SELECT v FROM References v WHERE v.Authors.Name.Last_Name = \"Chang\" \
+         OR v.Editors.Name.Last_Name = \"Chang\"",
+        "SELECT v FROM References v WHERE v.*X.Last_Name = \"Chang\"",
+        "SELECT v.Key FROM References v WHERE v.*X.Last_Name = \"Ch*\" AND NOT v.Year = \"1982\"",
+        "SELECT v FROM References v WHERE v.Keywords.Keyword = \"Taylor series\"",
+        "SELECT v.Title FROM References v WHERE v.Authors.Name.Last_Name = \"\"",
+        "SELECT v FROM References v WHERE v.Key = \"*\" OR v.Key = \"K*\"",
+        "SELECT v FROM References v, References s WHERE v.Referred.RefKey = s.Key \
+         AND s.Year = \"1982\"",
+    ];
+    let mut seeds = StdRng::seed_from_u64(0x5_4a9e);
+    let bib_cfg = bibtex::BibtexConfig { n_refs: 20, name_pool: 6, ..Default::default() };
+    let (bib_text, truth) = bibtex::generate(&bib_cfg);
+    // The bibtex shapes draw values the references hold, each from its
+    // field's pool, so that most of their conjuncts and disjuncts select
+    // something.
+    let refs = &truth.refs;
+    let bib_pools: [Vec<&str>; 4] = [
+        refs.iter().map(|r| r.key.as_str()).collect(),
+        refs.iter().map(|r| r.year.as_str()).collect(),
+        refs.iter().flat_map(|r| r.keywords.iter().map(String::as_str)).collect(),
+        refs.iter()
+            .flat_map(|r| r.authors.iter().chain(&r.editors).map(|n| n.1.as_str()))
+            .collect(),
+    ];
+    let mut corpora = corpora();
+    corpora[0].1 = bib_text;
+    let (mut hits, mut answered, mut baselined) = (0, 0, 0);
+    for (schema, text) in corpora {
+        let (view, symbol) = schema.views().next().expect("a view");
+        let (view, symbol) = (view.to_owned(), symbol.to_owned());
+        let bib = symbol == "Reference";
+        let pools = if bib {
+            bib_pools.clone()
+        } else {
+            let words: Vec<&str> =
+                text.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty()).collect();
+            [(); 4].map(|()| words.clone())
+        };
+        let corpus = Corpus::from_text(&text);
+        let mut specs = vec![IndexSpec::full()];
+        if bib {
+            specs.push(IndexSpec::names(["Reference", "Last_Name"]));
+            specs.push(IndexSpec::names(["Reference", "Key"]).with_scoped("Authors", "Last_Name"));
+        } else {
+            let mut rng = StdRng::seed_from_u64(seeds.next_u64());
+            let mut partial = IndexSpec::names([symbol.as_str()]);
+            for (_, name) in schema.grammar.symbols() {
+                if rng.random_range(0..2) == 0 {
+                    partial = partial.with_name(name);
+                }
+            }
+            specs.push(partial);
+        }
+        for spec in specs {
+            let build = || FileDatabase::build(corpus.clone(), schema.clone(), spec.clone());
+            let db = build().unwrap();
+            let drawn = if bib { BIBTEX_SHAPES.len() + 20 } else { 20 };
+            for i in 0..drawn {
+                let seed = seeds.next_u64();
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let shape = match BIBTEX_SHAPES.get(i).filter(|_| bib) {
+                    Some(shape) => (*shape).to_owned(),
+                    None => {
+                        let cond = random_cond(&schema, (&view, &symbol), &["Ch*", "w"], 2, rng);
+                        format!("SELECT v FROM {view} v WHERE {cond}")
+                    }
+                };
+                // A keeps equal constants of the shape equal; B swaps the
+                // constants of a two-constant query one time in two, and
+                // otherwise draws each anew.
+                let mut drawn_for = std::collections::HashMap::new();
+                let a = rebind(&shape, |c| {
+                    drawn_for
+                        .entry(c.to_owned())
+                        .or_insert_with(|| constant_like(c, &pools, rng))
+                        .clone()
+                });
+                let a_constants: Vec<&str> = a.split('"').skip(1).step_by(2).collect();
+                let swap = a_constants.len() == 2
+                    && is_prefix(a_constants[0]) == is_prefix(a_constants[1])
+                    && rng.random_range(0..2) == 0;
+                let mut swapped = a_constants.iter().rev();
+                let b = rebind(&shape, |c| match swapped.next().filter(|_| swap) {
+                    Some(constant) => (*constant).to_owned(),
+                    None => constant_like(c, &pools, rng),
+                });
+                let planned_a = db.plan(&a).map(|plan| plan.fingerprint);
+                let before = db.plan_cache_stats();
+                let warm = observed(&db, &b);
+                let after = db.plan_cache_stats();
+                let cold = observed(&build().unwrap(), &b);
+                let context = format!("{spec:?}, case {i} (seed {seed:#x}): `{a}` then `{b}`");
+                assert_eq!(warm, cold, "{context}");
+                if let Ok(fingerprint) = planned_a {
+                    assert_eq!(
+                        (after.hits, after.misses),
+                        (before.hits + 1, before.misses),
+                        "{context}"
+                    );
+                    assert_eq!(db.plan(&b).unwrap().fingerprint, fingerprint, "{context}");
+                    hits += 1;
+                }
+                // And the bound plan is B's own: its EXPLAIN text keeps no
+                // placeholder, and its answers are the baseline's. Only for
+                // words: a prefix is known to select differently on the
+                // index (a one-word atom, or a whole word when the target
+                // is not indexed) and in the baseline (any atom starting
+                // with it).
+                if let Ok(w) = &warm {
+                    assert!(!w[0].contains('$'), "{context}: {}", w[0]);
+                }
+                if !b.split('"').skip(1).step_by(2).any(is_prefix) {
+                    if let Err(msg) = same_objects_as_baseline(&db, &b) {
+                        panic!("{context}: {msg}");
+                    }
+                    baselined += 1;
+                }
+                answered += usize::from(warm.is_ok_and(|w| w[1] != "[]"));
+            }
+        }
+    }
+    assert!(hits > 100, "only {hits} shapes planned");
+    assert!(answered > 30, "only {answered} rebound queries had answers");
+    assert!(baselined > 100, "only {baselined} rebound queries met the baseline");
 }
